@@ -97,15 +97,15 @@ fn bench_parallel_spmv(c: &mut Criterion) {
 }
 
 fn bench_orderings(c: &mut Criterion) {
-    use rsqp_linsys::{min_degree_ordering, rcm_ordering, SymmetricPermutation};
+    use rsqp_linsys::{amd_ordering, rcm_ordering, SymmetricPermutation};
     let mut group = c.benchmark_group("kkt_ordering");
     group.sample_size(10);
     let qp = generate(Domain::Control, 12, 1);
     let rho = vec![0.1; qp.num_constraints()];
     let kkt = KktMatrix::assemble(qp.p(), qp.a(), 1e-6, &rho).unwrap();
-    group.bench_function("min_degree", |b| b.iter(|| min_degree_ordering(kkt.matrix())));
+    group.bench_function("amd", |b| b.iter(|| amd_ordering(kkt.matrix())));
     group.bench_function("rcm", |b| b.iter(|| rcm_ordering(kkt.matrix())));
-    let perm = min_degree_ordering(kkt.matrix()).unwrap();
+    let perm = amd_ordering(kkt.matrix()).unwrap();
     group.bench_function("apply_permutation", |b| {
         b.iter(|| SymmetricPermutation::new(kkt.matrix(), perm.clone()))
     });

@@ -1,10 +1,11 @@
 //! Ablation: fill-in and factorization cost of the direct KKT solver under
-//! natural, RCM, and minimum-degree orderings — the design choice behind
-//! the CPU baseline's LDLT performance (DESIGN.md substitution table).
+//! natural, RCM, and approximate-minimum-degree (AMD) orderings — the
+//! design choice behind the CPU baseline's LDLT performance (DESIGN.md
+//! substitution table).
 
 use rsqp_bench::{results_path, HarnessOptions};
 use rsqp_core::report::Table;
-use rsqp_linsys::{min_degree_ordering, rcm_ordering, KktMatrix, Ldlt, SymmetricPermutation};
+use rsqp_linsys::{amd_ordering, rcm_ordering, KktMatrix, Ldlt, SymmetricPermutation};
 use rsqp_problems::{generate, Domain};
 use std::time::Instant;
 
@@ -16,8 +17,8 @@ fn main() {
         "kkt_nnz",
         "lnnz_natural",
         "lnnz_rcm",
-        "lnnz_mindeg",
-        "factor_ms_mindeg",
+        "lnnz_amd",
+        "factor_ms_amd",
     ]);
     println!("Ablation: LDLT fill-in by ordering\n");
     for domain in Domain::all() {
@@ -33,10 +34,9 @@ fn main() {
                 .unwrap();
             Ldlt::factor(sp.matrix()).expect("quasi-definite").l_nnz()
         };
-        let (mindeg, ms) = {
-            let sp =
-                SymmetricPermutation::new(kkt.matrix(), min_degree_ordering(kkt.matrix()).unwrap())
-                    .unwrap();
+        let (amd, ms) = {
+            let sp = SymmetricPermutation::new(kkt.matrix(), amd_ordering(kkt.matrix()).unwrap())
+                .unwrap();
             let t0 = Instant::now();
             let f = Ldlt::factor(sp.matrix()).expect("quasi-definite");
             (f.l_nnz(), t0.elapsed().as_secs_f64() * 1e3)
@@ -47,7 +47,7 @@ fn main() {
             kkt.matrix().nnz().to_string(),
             natural.to_string(),
             rcm.to_string(),
-            mindeg.to_string(),
+            amd.to_string(),
             format!("{ms:.2}"),
         ]);
     }

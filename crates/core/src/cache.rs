@@ -42,7 +42,7 @@ impl Default for CacheParams {
     fn default() -> Self {
         // The paper's default design point (C = 16, |S| ≤ 4) and the
         // solver's default ordering.
-        CacheParams { c: 16, s_target: 4, ordering: KktOrdering::MinDegree }
+        CacheParams { c: 16, s_target: 4, ordering: KktOrdering::Amd }
     }
 }
 
@@ -265,7 +265,7 @@ mod tests {
         let art = &lookup.artifacts;
         assert_eq!(art.key, rsqp_sparse::PatternKey::new(qp.p(), qp.a()));
         assert!(art.customization.eta_custom >= art.customization.eta_baseline);
-        let perm = art.kkt_perm.as_ref().expect("min-degree produces a permutation");
+        let perm = art.kkt_perm.as_ref().expect("AMD produces a permutation");
         assert_eq!(perm.len(), qp.num_vars() + qp.num_constraints());
         assert!(cache.peek(&art.key).is_some());
     }

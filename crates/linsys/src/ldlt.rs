@@ -27,6 +27,15 @@ pub struct Ldlt {
     d: Vec<f64>,
     dinv: Vec<f64>,
     pos_d: usize,
+    /// Numeric-phase scratch, sized once here so a refactorization never
+    /// allocates: reach markers, the reach itself, the etree path being
+    /// walked, the next free slot of each `L` column, and the scattered
+    /// column of `A`.
+    y_markers: Vec<bool>,
+    y_idx: Vec<usize>,
+    elim_buffer: Vec<usize>,
+    l_next_space: Vec<usize>,
+    y_vals: Vec<f64>,
 }
 
 impl Ldlt {
@@ -51,7 +60,7 @@ impl Ldlt {
                 n
             )));
         }
-        let (etree, lnz) = etree_and_counts(a)?;
+        let (etree, lnz) = etree_and_counts(a.colptr(), a.rowidx())?;
         let total_lnz: usize = lnz.iter().sum();
         let mut fac = Ldlt {
             n,
@@ -63,6 +72,11 @@ impl Ldlt {
             d: vec![0.0; n],
             dinv: vec![0.0; n],
             pos_d: 0,
+            y_markers: vec![false; n],
+            y_idx: vec![0; n],
+            elim_buffer: vec![0; n],
+            l_next_space: vec![0; n],
+            y_vals: vec![0.0; n],
         };
         for j in 0..n {
             fac.l_colptr[j + 1] = fac.l_colptr[j] + fac.lnz[j];
@@ -75,7 +89,8 @@ impl Ldlt {
     /// sparsity structure** as the one given to [`Ldlt::factor`].
     ///
     /// This is the cheap path taken when OSQP updates ρ: the symbolic
-    /// analysis (elimination tree, column counts) is reused.
+    /// analysis (elimination tree, column counts) and the scratch buffers
+    /// are reused, so the call does not allocate.
     ///
     /// # Errors
     ///
@@ -92,13 +107,23 @@ impl Ldlt {
                 n
             )));
         }
-        let mut y_markers = vec![false; n];
-        let mut y_idx = vec![0usize; n];
-        let mut elim_buffer = vec![0usize; n];
-        let mut l_next_space = vec![0usize; n];
-        let mut y_vals = vec![0.0f64; n];
-        l_next_space[..n].copy_from_slice(&self.l_colptr[..n]);
-        self.pos_d = 0;
+        let Ldlt {
+            etree,
+            l_colptr,
+            l_rowidx,
+            l_data,
+            d,
+            dinv,
+            pos_d,
+            y_markers,
+            y_idx,
+            elim_buffer,
+            l_next_space,
+            y_vals,
+            ..
+        } = self;
+        l_next_space.copy_from_slice(&l_colptr[..n]);
+        *pos_d = 0;
 
         for k in 0..n {
             let (rows, vals) = a.col(k);
@@ -114,7 +139,7 @@ impl Ldlt {
                     Err(LinsysError::MissingDiagonal(k))
                 };
             }
-            self.d[k] = vals[last];
+            d[k] = vals[last];
 
             // Scatter the strictly-upper entries of column k and compute the
             // elimination reach through the etree.
@@ -128,7 +153,7 @@ impl Ldlt {
                     elim_buffer[0] = next_idx;
                     let mut nnz_e = 1usize;
                     loop {
-                        let parent = self.etree[next_idx];
+                        let parent = etree[next_idx];
                         if parent == -1 || parent as usize >= k {
                             break;
                         }
@@ -154,24 +179,24 @@ impl Ldlt {
                 let cidx = y_idx[i];
                 let tmp_idx = l_next_space[cidx];
                 let y_val = y_vals[cidx];
-                for j in self.l_colptr[cidx]..tmp_idx {
-                    y_vals[self.l_rowidx[j]] -= self.l_data[j] * y_val;
+                for j in l_colptr[cidx]..tmp_idx {
+                    y_vals[l_rowidx[j]] -= l_data[j] * y_val;
                 }
-                self.l_rowidx[tmp_idx] = k;
-                self.l_data[tmp_idx] = y_val * self.dinv[cidx];
-                self.d[k] -= y_val * self.l_data[tmp_idx];
+                l_rowidx[tmp_idx] = k;
+                l_data[tmp_idx] = y_val * dinv[cidx];
+                d[k] -= y_val * l_data[tmp_idx];
                 l_next_space[cidx] += 1;
                 y_vals[cidx] = 0.0;
                 y_markers[cidx] = false;
             }
 
-            if self.d[k] == 0.0 {
+            if d[k] == 0.0 {
                 return Err(LinsysError::ZeroPivot(k));
             }
-            if self.d[k] > 0.0 {
-                self.pos_d += 1;
+            if d[k] > 0.0 {
+                *pos_d += 1;
             }
-            self.dinv[k] = 1.0 / self.d[k];
+            dinv[k] = 1.0 / d[k];
         }
         Ok(())
     }
@@ -281,17 +306,20 @@ impl Ldlt {
     }
 }
 
-/// Computes the elimination tree and per-column counts of `L` for an
-/// upper-triangular CSC matrix.
-fn etree_and_counts(a: &CscMatrix) -> Result<(Vec<isize>, Vec<usize>), LinsysError> {
-    let n = a.ncols();
+/// Computes the elimination tree and per-column counts of `L` for the
+/// upper-triangular CSC pattern `(colptr, rowidx)`. Rows within a column
+/// may come in any order.
+pub(crate) fn etree_and_counts(
+    colptr: &[usize],
+    rowidx: &[usize],
+) -> Result<(Vec<isize>, Vec<usize>), LinsysError> {
+    let n = colptr.len() - 1;
     let mut work = vec![usize::MAX; n];
     let mut etree = vec![-1isize; n];
     let mut lnz = vec![0usize; n];
     for j in 0..n {
         work[j] = j;
-        let (rows, _) = a.col(j);
-        for &i in rows {
+        for &i in &rowidx[colptr[j]..colptr[j + 1]] {
             if i > j {
                 return Err(LinsysError::NotUpperTriangular);
             }

@@ -53,6 +53,6 @@ mod pcg;
 pub use error::LinsysError;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
-pub use ordering::{inverse_permutation, min_degree_ordering, rcm_ordering, SymmetricPermutation};
+pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
 pub use pcg::{pcg, pcg_with, LinearOperator, PcgError, PcgResult, PcgSettings};
 pub use pcg::{PcgSummary, PcgWorkspace};

@@ -1,8 +1,9 @@
 //! Property-based tests: LDLᵀ and PCG must agree with each other and with
-//! dense ground truth on randomly generated quasi-definite KKT systems.
+//! dense ground truth on randomly generated quasi-definite KKT systems, and
+//! AMD must order any pattern.
 
 use proptest::prelude::*;
-use rsqp_linsys::{pcg, KktMatrix, Ldlt, PcgSettings, ReducedKktOp};
+use rsqp_linsys::{amd_ordering, pcg, KktMatrix, Ldlt, PcgSettings, ReducedKktOp};
 use rsqp_sparse::CsrMatrix;
 
 /// Random sparse PSD matrix P = B·Bᵀ (dense-constructed, sparsified) and a
@@ -106,5 +107,25 @@ proptest! {
                 i, sol.x[i], rhs[i]
             );
         }
+    }
+
+    // Random patterns, with vertices above AMD's dense threshold once n > 16:
+    // the ordering is a permutation and repeats bit for bit.
+    #[test]
+    fn amd_orders_random_patterns(
+        n in 1usize..60,
+        edges in prop::collection::vec((0usize..60, 0usize..60), 0..300),
+    ) {
+        let mut t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 1.0)).collect();
+        for (a, b) in edges {
+            let (a, b) = (a % n, b % n);
+            t.push((a.min(b), a.max(b), 1.0));
+        }
+        let upper = CsrMatrix::from_triplets(n, n, t).to_csc();
+        let perm = amd_ordering(&upper).unwrap();
+        let mut sorted = perm.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(perm, amd_ordering(&upper).unwrap());
     }
 }

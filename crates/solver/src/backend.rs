@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use rsqp_linsys::{
-    min_degree_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace,
-    ReducedKktOp, SymmetricPermutation,
+    amd_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
+    SymmetricPermutation,
 };
 use rsqp_par::ThreadPool;
 use rsqp_sparse::CsrMatrix;
@@ -127,7 +127,7 @@ pub fn kkt_ordering(
     Ok(match ordering {
         KktOrdering::Natural => None,
         KktOrdering::Rcm => Some(rcm_ordering(kkt.matrix())?),
-        KktOrdering::MinDegree => Some(min_degree_ordering(kkt.matrix())?),
+        KktOrdering::Amd => Some(amd_ordering(kkt.matrix())?),
     })
 }
 
@@ -148,14 +148,14 @@ pub struct DirectLdltBackend {
 
 impl DirectLdltBackend {
     /// Assembles and factorizes the KKT matrix with the default
-    /// (minimum-degree) fill-reducing ordering.
+    /// (AMD) fill-reducing ordering.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::Linsys`] if the assembly or factorization
     /// fails (e.g. `P` not PSD enough for quasi-definiteness).
     pub fn new(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Result<Self, SolverError> {
-        Self::with_ordering(p, a, sigma, rho, KktOrdering::MinDegree)
+        Self::with_ordering(p, a, sigma, rho, KktOrdering::Amd)
     }
 
     /// Assembles and factorizes the KKT matrix under a chosen ordering.
@@ -176,8 +176,8 @@ impl DirectLdltBackend {
             KktOrdering::Rcm => {
                 Some(SymmetricPermutation::new(kkt.matrix(), rcm_ordering(kkt.matrix())?)?)
             }
-            KktOrdering::MinDegree => {
-                Some(SymmetricPermutation::new(kkt.matrix(), min_degree_ordering(kkt.matrix())?)?)
+            KktOrdering::Amd => {
+                Some(SymmetricPermutation::new(kkt.matrix(), amd_ordering(kkt.matrix())?)?)
             }
         };
         Self::from_parts(p, a, sigma, rho, kkt, permutation)
@@ -254,7 +254,9 @@ impl KktBackend for DirectLdltBackend {
             }
             None => self.factor.refactor(self.kkt.matrix())?,
         }
-        self.rho_inv = rho.iter().map(|&r| 1.0 / r).collect();
+        for (ri, &r) in self.rho_inv.iter_mut().zip(rho) {
+            *ri = 1.0 / r;
+        }
         self.stats.factorizations += 1;
         Ok(())
     }
@@ -510,9 +512,9 @@ mod tests {
     fn cached_permutation_matches_fresh_ordering() {
         let (p, a, rho) = data();
         let sigma = 1e-6;
-        let perm = kkt_ordering(&p, &a, KktOrdering::MinDegree).unwrap().expect("permutation");
+        let perm = kkt_ordering(&p, &a, KktOrdering::Amd).unwrap().expect("permutation");
         let mut fresh =
-            DirectLdltBackend::with_ordering(&p, &a, sigma, &rho, KktOrdering::MinDegree).unwrap();
+            DirectLdltBackend::with_ordering(&p, &a, sigma, &rho, KktOrdering::Amd).unwrap();
         let mut cached = DirectLdltBackend::with_permutation(&p, &a, sigma, &rho, perm).unwrap();
         let x = vec![0.1, -0.2];
         let z = vec![0.3, 0.4];

@@ -18,10 +18,10 @@ pub enum KktOrdering {
     Natural,
     /// Reverse-Cuthill-McKee (bandwidth reduction).
     Rcm,
-    /// Classical minimum degree with dense-row deferral (AMD stand-in,
-    /// OSQP's default pairing with QDLDL).
+    /// Approximate minimum degree (Amestoy, Davis and Duff), OSQP's
+    /// default pairing with QDLDL.
     #[default]
-    MinDegree,
+    Amd,
 }
 
 /// Tolerance policy for the inner PCG solve.

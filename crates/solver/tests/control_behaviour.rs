@@ -192,6 +192,8 @@ fn settings_time_limit_still_applies_without_a_control() {
     settings.eps_abs = 1e-300;
     settings.eps_rel = 1e-300;
     settings.time_limit = Some(Duration::from_millis(30));
+    // No iteration cap a fast host could reach inside the time limit.
+    settings.max_iter = usize::MAX;
     let mut solver = Solver::new(&control_problem(4), settings).unwrap();
     let t = Instant::now();
     let r = solver.solve().unwrap();

@@ -1,5 +1,6 @@
 //! Asserts the ADMM steady state is allocation-free: once a solver is set
-//! up, extra iterations must not touch the heap.
+//! up, extra iterations must not touch the heap. Covered for both KKT
+//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -9,20 +10,30 @@
 //! entirely out of the pre-sized workspaces.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver, Status};
+use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
 use rsqp_sparse::CsrMatrix;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per thread, so tests running in parallel do not count each other's
+    // allocations. Every solver here runs with `threads = 1`, on the test's
+    // own thread. A const-initialized `Cell` needs no allocation or
+    // destructor, so the allocator may touch it.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
 // side effect with no aliasing or layout implications.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -31,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A small strictly convex QP with box constraints; easy to iterate on
@@ -90,17 +101,35 @@ fn settings(max_iter: usize) -> Settings {
     }
 }
 
-/// Runs a cold solve at `max_iter` iterations and returns the number of
-/// allocations performed by `solve_with_control` itself (setup excluded).
-fn allocs_for(max_iter: usize) -> usize {
+/// LDLᵀ settings that refactorize all the time: ρ is re-evaluated every
+/// iteration and any proposed change is taken.
+fn ldlt_settings(max_iter: usize) -> Settings {
+    Settings {
+        linsys: LinSysKind::DirectLdlt,
+        adaptive_rho_interval: 1,
+        adaptive_rho_tolerance: 1.0,
+        check_termination: 1,
+        ..settings(max_iter)
+    }
+}
+
+/// Runs a cold solve and returns the number of allocations performed by
+/// `solve` itself (setup excluded) with the result.
+fn counted_solve(settings: Settings) -> (usize, SolveResult) {
+    let max_iter = settings.max_iter;
     let prob = problem();
-    let mut solver = Solver::new(&prob, settings(max_iter)).unwrap();
+    let mut solver = Solver::new(&prob, settings).unwrap();
     let before = alloc_count();
     let result = solver.solve().unwrap();
     let during = alloc_count() - before;
     assert_eq!(result.status, Status::MaxIterationsReached);
     assert_eq!(result.iterations, max_iter);
-    during
+    (during, result)
+}
+
+/// Allocations of a cold PCG solve at `max_iter` iterations.
+fn allocs_for(max_iter: usize) -> usize {
+    counted_solve(settings(max_iter)).0
 }
 
 #[test]
@@ -167,4 +196,38 @@ fn update_resolve_loop_is_allocation_free_per_iteration() {
          at 20 iterations — the parametric path is allocating per iteration",
         long, short
     );
+}
+
+#[test]
+fn ldlt_steady_state_with_refactorizations_is_allocation_free() {
+    // Every ρ change refactorizes the permuted KKT matrix in place; the
+    // 220-iteration solve does many more of them than the 20-iteration one
+    // and still allocates exactly as often.
+    let _ = counted_solve(ldlt_settings(5));
+    let (short, short_result) = counted_solve(ldlt_settings(20));
+    let (long, long_result) = counted_solve(ldlt_settings(220));
+    let (short_f, long_f) =
+        (short_result.backend.factorizations, long_result.backend.factorizations);
+    assert!(short_f > 1, "the short solve must refactorize ({short_f} factorizations)");
+    assert!(long_f > short_f, "{long_f} vs {short_f} factorizations");
+    assert_eq!(
+        short, long,
+        "a 220-iteration LDLᵀ solve ({long_f} factorizations) allocated {long} times vs \
+         {short} for 20 iterations ({short_f} factorizations) — refactorization or the \
+         direct KKT solve is allocating"
+    );
+}
+
+#[test]
+fn manual_ldlt_rho_update_is_allocation_free() {
+    // `update_rho` on the direct backend refreshes the KKT values,
+    // refactorizes into the existing factor and refills ρ⁻¹ in place.
+    let prob = problem();
+    let mut solver = Solver::new(&prob, ldlt_settings(20)).unwrap();
+    let _ = solver.solve().unwrap();
+    let before = alloc_count();
+    solver.update_rho(0.37).unwrap();
+    solver.update_rho(1.93).unwrap();
+    let during = alloc_count() - before;
+    assert_eq!(during, 0, "LDLᵀ update_rho allocated {during} times");
 }
