@@ -5,7 +5,7 @@ use rsqp_encode::{dp_schedule, greedy_schedule, Schedule, SparsityString};
 use rsqp_sparse::CsrMatrix;
 
 use crate::config::{CvbPolicy, SchedulePolicy};
-use crate::program::class_of;
+use crate::program::{class_of, Class};
 use crate::{ArchConfig, ArchError, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
 
 /// Per-instruction-class cycle totals — the machine's answer to "where did
@@ -33,16 +33,16 @@ impl CycleBreakdown {
         self.spmv + self.vector + self.duplication + self.scalar + self.transfer + self.control
     }
 
-    fn add(&mut self, class: &str, cycles: u64) {
-        match class {
-            "spmv" => self.spmv += cycles,
-            "vector" => self.vector += cycles,
-            "duplication" => self.duplication += cycles,
-            "scalar" => self.scalar += cycles,
-            "transfer" => self.transfer += cycles,
-            "control" => self.control += cycles,
-            other => unreachable!("unknown class {other}"),
-        }
+    fn add(&mut self, class: Class, cycles: u64) {
+        let slot = match class {
+            Class::Spmv => &mut self.spmv,
+            Class::Vector => &mut self.vector,
+            Class::Duplication => &mut self.duplication,
+            Class::Scalar => &mut self.scalar,
+            Class::Transfer => &mut self.transfer,
+            Class::Control => &mut self.control,
+        };
+        *slot += cycles;
     }
 
     fn since(self, earlier: CycleBreakdown) -> CycleBreakdown {
@@ -127,6 +127,11 @@ struct MatrixUnit {
 ///
 /// Holds the register files, the matrices with their pack schedules and CVB
 /// layouts, and executes [`Program`]s functionally while counting cycles.
+///
+/// Execution writes every result into the existing registers: once the
+/// registers and matrices exist, [`Machine::run`] does not allocate. The
+/// lane-exact SpMV path ([`Machine::set_lane_exact`], a test aid) is the
+/// exception: it rebuilds the CVB bank contents on every SpMV.
 #[derive(Debug)]
 pub struct Machine {
     config: ArchConfig,
@@ -138,6 +143,9 @@ pub struct Machine {
     lane_exact: bool,
     /// SplitMix64 state of the fault-injection stream.
     fault_rng: u64,
+    /// Output buffer of an SpMV that overwrites its own input, swapped
+    /// with the register afterwards.
+    spmv_scratch: Vec<f64>,
 }
 
 impl Machine {
@@ -153,6 +161,7 @@ impl Machine {
             stats: RunStats::default(),
             lane_exact: false,
             fault_rng,
+            spmv_scratch: Vec::new(),
         }
     }
 
@@ -240,22 +249,28 @@ impl Machine {
     /// Replaces a registered matrix's numeric values (structure must be
     /// identical). The pack schedule, CVB layout, and cycle model are
     /// untouched — only the HBM-resident values change, which is exactly
-    /// what the architecture-reuse story of §1 requires.
+    /// what the architecture-reuse story of §1 requires. The values are
+    /// copied into the resident matrix in place.
     ///
     /// # Panics
     ///
-    /// Panics if the sparsity structure differs.
+    /// Panics if the sparsity structure differs. Equal `indptr` and
+    /// `indices` at the machine's fixed `C` imply an equal sparsity string,
+    /// so the schedule and layout stay valid.
     pub fn update_matrix_values(&mut self, id: MatrixId, m: &CsrMatrix) {
-        let unit = &mut self.matrices[id.0];
+        let csr = &mut self.matrices[id.0].csr;
         assert!(
-            rsqp_encode::SparsityString::encode(m, self.config.c()).chars() == unit.string.chars()
-                && unit.csr.indptr() == m.indptr()
-                && unit.csr.indices() == m.indices(),
+            csr.ncols() == m.ncols() && csr.indptr() == m.indptr() && csr.indices() == m.indices(),
             "matrix value update changed the sparsity structure"
         );
-        unit.csr = m.clone();
+        csr.data_mut().copy_from_slice(m.data());
         // Any CVB contents are now stale only if the *vector* changed, not
         // the matrix; matrix values live in HBM, so the CVB stays valid.
+    }
+
+    /// The HBM-resident values of a registered matrix.
+    pub fn matrix(&self, id: MatrixId) -> &CsrMatrix {
+        &self.matrices[id.0].csr
     }
 
     /// Pack schedule of a registered matrix.
@@ -372,34 +387,25 @@ impl Machine {
                 self.check_sreg(alpha)?;
                 self.check_sreg(beta)?;
                 let (al, be) = (self.sregs[alpha.0], self.sregs[beta.0]);
-                for k in 0..l {
-                    let v = al * self.vecs[a.0][k] + be * self.vecs[b.0][k];
-                    self.vecs[dst.0][k] = v;
-                }
+                self.zip_into(dst, a, b, |x, y| al * x + be * y);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMul { dst, a, b } => {
                 let l = self.binary_lengths("ew_mul", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k] * self.vecs[b.0][k];
-                }
+                self.zip_into(dst, a, b, |x, y| x * y);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMax { dst, a, b } => {
                 let l = self.binary_lengths("ew_max", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k].max(self.vecs[b.0][k]);
-                }
+                self.zip_into(dst, a, b, f64::max);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMin { dst, a, b } => {
                 let l = self.binary_lengths("ew_min", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k].min(self.vecs[b.0][k]);
-                }
+                self.zip_into(dst, a, b, f64::min);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
@@ -452,21 +458,36 @@ impl Machine {
                         found: self.vecs[output.0].len(),
                     });
                 }
-                let mut result = if self.lane_exact {
-                    spmv_via_datapath(unit, self.config.set(), &self.vecs[input.0])
-                } else {
-                    let mut y = vec![0.0; unit.csr.nrows()];
-                    unit.csr.spmv(&self.vecs[input.0], &mut y).expect("lengths checked above");
-                    y
-                };
                 let cycles = cost.spmv_latency + unit.schedule.cycles() as u64;
+                // The product lands in the output register itself; only an
+                // SpMV that overwrites its own input goes through the
+                // scratch buffer, which then trades places with the register.
+                let mut out = if input == output {
+                    let mut scratch = std::mem::take(&mut self.spmv_scratch);
+                    scratch.resize(unit.csr.nrows(), 0.0);
+                    scratch
+                } else {
+                    std::mem::take(&mut self.vecs[output.0])
+                };
+                let x = &self.vecs[input.0];
+                if self.lane_exact {
+                    spmv_via_datapath(unit, self.config.set(), x, &mut out);
+                } else {
+                    unit.csr.spmv(x, &mut out).expect("lengths checked above");
+                }
+                if input == output {
+                    std::mem::swap(&mut self.vecs[output.0], &mut out);
+                    self.spmv_scratch = out;
+                } else {
+                    self.vecs[output.0] = out;
+                }
                 // A MAC-tree upset corrupts one freshly reduced output word.
-                if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, result.len())
-                {
-                    result[idx] = f64::from_bits(result[idx].to_bits() ^ (1u64 << bit));
+                let len = self.vecs[output.0].len();
+                if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, len) {
+                    let v = &mut self.vecs[output.0][idx];
+                    *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
                     self.stats.faults += 1;
                 }
-                self.vecs[output.0] = result;
                 self.bump(output);
                 Ok(cycles)
             }
@@ -506,6 +527,37 @@ impl Machine {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// `dst[k] = f(a[k], b[k])` over whole registers of checked equal
+    /// length. Each element depends only on the same index of its
+    /// operands, so an operand aliasing `dst` is read in place.
+    fn zip_into(&mut self, dst: VecId, a: VecId, b: VecId, f: impl Fn(f64, f64) -> f64) {
+        let mut out = std::mem::take(&mut self.vecs[dst.0]);
+        let (xs, ys) = (&self.vecs[a.0], &self.vecs[b.0]);
+        match (a == dst, b == dst) {
+            (false, false) => {
+                for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+                    *o = f(x, y);
+                }
+            }
+            (true, false) => {
+                for (o, &y) in out.iter_mut().zip(ys) {
+                    *o = f(*o, y);
+                }
+            }
+            (false, true) => {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = f(x, *o);
+                }
+            }
+            (true, true) => {
+                for o in &mut out {
+                    *o = f(*o, *o);
+                }
+            }
+        }
+        self.vecs[dst.0] = out;
     }
 
     fn bump(&mut self, id: VecId) {
@@ -573,9 +625,9 @@ impl Machine {
 /// sound), multiplying lane-wise, and reducing per slot — the computation
 /// the customized MAC tree performs, including the `$`-chunk partial-sum
 /// accumulation.
-fn spmv_via_datapath(unit: &MatrixUnit, set: &rsqp_encode::StructureSet, x: &[f64]) -> Vec<f64> {
+fn spmv_via_datapath(unit: &MatrixUnit, set: &rsqp_encode::StructureSet, x: &[f64], y: &mut [f64]) {
     let banks = unit.layout.bank_contents(&unit.access);
-    let mut y = vec![0.0; unit.csr.nrows()];
+    y.fill(0.0);
     // Rows split across packs ($ chunks) accumulate partial sums into y —
     // the acc_complete/FADD path of the paper's Figure 5.
     for pack in unit.schedule.packs() {
@@ -598,7 +650,6 @@ fn spmv_via_datapath(unit: &MatrixUnit, set: &rsqp_encode::StructureSet, x: &[f6
             y[src.row] += acc;
         }
     }
-    y
 }
 
 #[cfg(test)]
@@ -915,6 +966,89 @@ mod tests {
         assert_eq!(snap.counter("machine_instructions"), 4);
         assert_eq!(snap.counter("machine_faults"), 0);
         assert_eq!(snap.counter("machine_cycles_transfer"), 2 * stats.breakdown.transfer);
+    }
+
+    #[test]
+    fn spmv_may_overwrite_its_own_input() {
+        // y = M·x with y == x reads the whole old x before writing.
+        let mut m = machine4();
+        let csr =
+            CsrMatrix::from_dense(&[vec![1.0, 2.0, 0.0], vec![0.0, 3.0, 1.0], vec![1.0, 0.0, 1.0]]);
+        let mat = m.add_matrix(&csr);
+        let x = m.alloc_vec(3);
+        m.write_vec(x, &[1.0, 2.0, 3.0]);
+        let mut pb = ProgramBuilder::new();
+        pb.push(Instr::Duplicate { vec: x, matrix: mat });
+        pb.push(Instr::Spmv { matrix: mat, input: x, output: x });
+        pb.push(Instr::Duplicate { vec: x, matrix: mat });
+        pb.push(Instr::Spmv { matrix: mat, input: x, output: x });
+        m.run(&pb.build().unwrap()).unwrap();
+        // [5, 9, 4] after the first product, [23, 31, 9] after the second.
+        assert_eq!(m.read_vec(x), &[23.0, 31.0, 9.0]);
+    }
+
+    #[test]
+    fn aliased_vector_operands_read_before_write() {
+        let a0 = [0.1, -2.5, 3.75, 1e-3, -7.0];
+        let b0 = [1.3, 0.25, -4.0, 2.0, 0.5];
+        let (al, be) = (0.7, -1.9);
+        // (dst, a, b) as indices into [a, b]; every aliasing pattern.
+        for (dst, ia, ib) in [(0, 0, 1), (1, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 1)] {
+            let mut m = machine4();
+            let regs = [m.alloc_vec(5), m.alloc_vec(5)];
+            let (s1, s2) = (m.alloc_scalar(), m.alloc_scalar());
+            m.write_scalar(s1, al);
+            m.write_scalar(s2, be);
+            let init = [a0, b0];
+            let (x, y) = (init[ia], init[ib]);
+            let expect: [Vec<f64>; 4] = [
+                (0..5).map(|k| al * x[k] + be * y[k]).collect(),
+                (0..5).map(|k| x[k] * y[k]).collect(),
+                (0..5).map(|k| x[k].max(y[k])).collect(),
+                (0..5).map(|k| x[k].min(y[k])).collect(),
+            ];
+            let (d, a, b) = (regs[dst], regs[ia], regs[ib]);
+            let instrs = [
+                Instr::Lincomb { dst: d, alpha: s1, a, beta: s2, b },
+                Instr::EwMul { dst: d, a, b },
+                Instr::EwMax { dst: d, a, b },
+                Instr::EwMin { dst: d, a, b },
+            ];
+            for (instr, want) in instrs.into_iter().zip(expect) {
+                m.write_vec(regs[0], &a0);
+                m.write_vec(regs[1], &b0);
+                let mut pb = ProgramBuilder::new();
+                pb.push(instr);
+                m.run(&pb.build().unwrap()).unwrap();
+                assert_eq!(m.read_vec(d), want.as_slice(), "{instr:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_value_update_changes_products_not_cycles() {
+        let mut m = machine4();
+        let mat = m.add_matrix(&CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]));
+        let x = m.alloc_vec(2);
+        let y = m.alloc_vec(2);
+        m.write_vec(x, &[1.0, 1.0]);
+        let mut pb = ProgramBuilder::new();
+        pb.push(Instr::Duplicate { vec: x, matrix: mat });
+        pb.push(Instr::Spmv { matrix: mat, input: x, output: y });
+        let p = pb.build().unwrap();
+        let before = m.run(&p).unwrap();
+        m.update_matrix_values(mat, &CsrMatrix::from_dense(&[vec![4.0, -1.0], vec![0.0, 0.5]]));
+        let after = m.run(&p).unwrap();
+        assert_eq!(m.read_vec(y), &[3.0, 0.5]);
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the sparsity structure")]
+    fn matrix_value_update_rejects_a_structure_change() {
+        let mut m = machine4();
+        let mat = m.add_matrix(&CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]));
+        m.update_matrix_values(mat, &CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 0.0]]));
     }
 
     #[test]

@@ -110,26 +110,52 @@ impl ProgramBuilder {
     }
 }
 
-/// Convenience: a short human-readable instruction-class histogram used by
-/// reports and the Table 1 regenerator.
-pub(crate) fn class_of(i: &Instr) -> &'static str {
+/// The instruction classes the cycle accounting of
+/// [`crate::CycleBreakdown`] is split by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    Control,
+    Scalar,
+    Transfer,
+    Vector,
+    Duplication,
+    Spmv,
+}
+
+impl Class {
+    /// The class's short human-readable name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Class::Control => "control",
+            Class::Scalar => "scalar",
+            Class::Transfer => "transfer",
+            Class::Vector => "vector",
+            Class::Duplication => "duplication",
+            Class::Spmv => "spmv",
+        }
+    }
+}
+
+pub(crate) fn class_of(i: &Instr) -> Class {
     match i {
-        Instr::LoopStart | Instr::LoopEndIfLess { .. } => "control",
-        Instr::Scalar { .. } | Instr::SetScalar { .. } => "scalar",
-        Instr::LoadHbm { .. } | Instr::StoreHbm { .. } => "transfer",
+        Instr::LoopStart | Instr::LoopEndIfLess { .. } => Class::Control,
+        Instr::Scalar { .. } | Instr::SetScalar { .. } => Class::Scalar,
+        Instr::LoadHbm { .. } | Instr::StoreHbm { .. } => Class::Transfer,
         Instr::Lincomb { .. }
         | Instr::EwMul { .. }
         | Instr::EwMax { .. }
         | Instr::EwMin { .. }
-        | Instr::Dot { .. } => "vector",
-        Instr::Duplicate { .. } => "duplication",
-        Instr::Spmv { .. } => "spmv",
+        | Instr::Dot { .. } => Class::Vector,
+        Instr::Duplicate { .. } => Class::Duplication,
+        Instr::Spmv { .. } => Class::Spmv,
     }
 }
 
-/// Public wrapper over the class name of an instruction.
+/// The class name of an instruction — a short human-readable
+/// instruction-class histogram key used by reports and the Table 1
+/// regenerator.
 pub fn instruction_class(i: &Instr) -> &'static str {
-    class_of(i)
+    class_of(i).name()
 }
 
 #[cfg(test)]

@@ -1,0 +1,200 @@
+//! Pins the machine's functional results and cycle accounting bit for bit.
+//!
+//! Runs the PCG kernel of Algorithm 2 on small fixed problems under four
+//! architecture configurations — the baseline, a customized (First-Fit)
+//! design, single-precision emulation, and an armed fault injector with
+//! both HBM-read and MAC-output flips — and compares an FNV-1a digest of
+//! the returned `x̃`/`z̃` bits and of every [`RunStats`] field against
+//! recorded values. Any change to the order of floating-point operations,
+//! to the cycle model or to the fault stream changes a digest.
+
+use rsqp_arch::kernels::build_pcg;
+use rsqp_arch::{ArchConfig, FaultConfig, Instr, Machine, ProgramBuilder, RunStats, VecId};
+use rsqp_encode::{search_structures, SparsityString};
+use rsqp_problems::{generate, Domain};
+use rsqp_sparse::CsrMatrix;
+
+/// 64-bit FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, v: &[f64]) {
+        self.word(v.len() as u64);
+        for x in v {
+            self.word(x.to_bits());
+        }
+    }
+
+    fn stats(&mut self, s: &RunStats) {
+        let b = &s.breakdown;
+        for w in [
+            s.cycles,
+            b.spmv,
+            b.vector,
+            b.duplication,
+            b.scalar,
+            b.transfer,
+            b.control,
+            s.instructions,
+            s.loop_trips,
+            s.hbm_bytes,
+            s.faults,
+        ] {
+            self.word(w);
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Variant {
+    Baseline,
+    Customized,
+    SinglePrecision,
+    Faulty,
+}
+
+fn config(variant: Variant, p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix) -> ArchConfig {
+    let c = 8;
+    match variant {
+        Variant::Baseline => ArchConfig::baseline(c),
+        Variant::Customized => {
+            let strings = [p, a, at].map(|m| SparsityString::encode(m, c));
+            let combined = SparsityString::concat(&[&strings[0], &strings[1], &strings[2]]);
+            ArchConfig::new(search_structures(&combined, 4))
+        }
+        Variant::SinglePrecision => ArchConfig::baseline(c).with_single_precision(true),
+        Variant::Faulty => ArchConfig::baseline(c).with_fault_injection(Some(
+            FaultConfig::new(11).with_hbm_read_flips(0.3).with_mac_output_flips(0.05),
+        )),
+    }
+}
+
+fn wave(len: usize, phase: f64, amp: f64) -> Vec<f64> {
+    (0..len).map(|i| amp * ((i as f64) * 0.61 + phase).sin()).collect()
+}
+
+/// Runs an HBM round trip of the kernel inputs followed by the PCG kernel,
+/// twice (the second solve warm-started from the first with a new `q`),
+/// and digests everything the machine produced.
+fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
+    let qp = generate(domain, size, 3);
+    let (p, a) = (qp.p().clone(), qp.a().clone());
+    let at = a.transpose();
+    let (n, m) = (p.nrows(), a.nrows());
+    let mut machine = Machine::new(config(variant, &p, &a, &at));
+    let pid = machine.add_matrix(&p);
+    let aid = machine.add_matrix(&a);
+    let atid = machine.add_matrix(&at);
+    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400);
+
+    let sigma = 1e-6;
+    let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();
+    let mut diag = p.diagonal();
+    for d in &mut diag {
+        *d += sigma;
+    }
+    for i in 0..m {
+        let (cols, vals) = a.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            diag[j] += rho[i] * v * v;
+        }
+    }
+    let minv: Vec<f64> = diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect();
+    machine.write_vec(k.rho_vec, &rho);
+    machine.write_vec(k.minv, &minv);
+    machine.write_vec(k.x, &wave(n, 0.0, 0.5));
+    machine.write_vec(k.z, &wave(m, 1.0, 0.3));
+    machine.write_vec(k.y, &wave(m, 2.0, 0.2));
+    machine.write_scalar(k.sigma, sigma);
+    machine.write_scalar(k.eps, 1e-7);
+    machine.write_scalar(k.eps_abs_sq, 1e-28);
+
+    let inputs: [VecId; 6] = [k.x, k.z, k.y, k.q, k.rho_vec, k.minv];
+    let mut pb = ProgramBuilder::new();
+    for vec in inputs {
+        pb.push(Instr::LoadHbm { vec });
+        pb.push(Instr::StoreHbm { vec });
+    }
+    let transfer = pb.build().unwrap();
+
+    let mut h = Fnv::new();
+    for (round, phase) in [(0u64, 3.0), (1, 4.0)] {
+        machine.write_vec(k.q, &wave(n, phase, 1.0));
+        h.word(round);
+        for program in [&transfer, &k.program] {
+            h.stats(&machine.run(program).unwrap());
+        }
+        h.floats(machine.read_vec(k.x));
+        h.floats(machine.read_vec(k.ztilde));
+    }
+    h.stats(&machine.stats());
+    if let Variant::Faulty = variant {
+        // The pin covers the fault stream only if faults fire.
+        assert!(machine.stats().faults > 0, "{domain:?}: no fault fired");
+    }
+    h.0
+}
+
+/// `(domain, size, [baseline, customized, single precision, faulty])`.
+const PINNED: [(Domain, usize, [u64; 4]); 3] = [
+    (
+        Domain::Control,
+        2,
+        [
+            0x656f_c73e_8887_20a4,
+            0x79a7_64fa_75e5_3109,
+            0xf001_4404_96d8_efad,
+            0x81ca_55ea_c47a_8a14,
+        ],
+    ),
+    (
+        Domain::Portfolio,
+        1,
+        [
+            0xbae0_8a47_394f_d2b1,
+            0xbe02_7ecb_380e_9159,
+            0x33dc_1cab_9580_48e2,
+            0xbf91_d9d0_cd8c_12ee,
+        ],
+    ),
+    (
+        Domain::Svm,
+        2,
+        [
+            0x7e32_bd88_20f1_4bdf,
+            0x82e4_5cd6_9f35_8cef,
+            0xb6ae_7ae0_8aca_b769,
+            0xb27a_e4c5_cade_376b,
+        ],
+    ),
+];
+
+const VARIANTS: [Variant; 4] =
+    [Variant::Baseline, Variant::Customized, Variant::SinglePrecision, Variant::Faulty];
+
+#[test]
+fn pcg_kernel_results_and_stats_are_bit_identical() {
+    let mut mismatches = Vec::new();
+    for (domain, size, want) in PINNED {
+        for (variant, want) in VARIANTS.into_iter().zip(want) {
+            let got = digest(domain, size, variant);
+            if got != want {
+                mismatches.push(format!(
+                    "{domain:?}_{size} {variant:?}: {got:#018x} (pinned {want:#018x})"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));
+}

@@ -13,16 +13,19 @@ use std::rc::Rc;
 use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, PcgKernel};
 use rsqp_arch::{ArchConfig, Machine, MatrixId, RunStats};
 use rsqp_solver::{BackendStats, KktBackend, SolverError};
-use rsqp_sparse::CsrMatrix;
+use rsqp_sparse::{CsrMatrix, TransposeCache};
 
 /// A [`KktBackend`] backed by the simulated RSQP accelerator.
 pub struct FpgaPcgBackend {
     machine: Rc<RefCell<Machine>>,
     kernel: PcgKernel,
     matrix_ids: (MatrixId, MatrixId, MatrixId),
-    a: CsrMatrix,
+    /// `Aᵀ` as uploaded, refreshed from `A`'s values on every update.
+    at: TransposeCache,
     p_diag: Vec<f64>,
     rho: Vec<f64>,
+    /// Host-side buffer for the inverse Jacobi diagonal.
+    minv: Vec<f64>,
     sigma: f64,
     eps: f64,
     stats: BackendStats,
@@ -54,21 +57,22 @@ impl FpgaPcgBackend {
     ) -> (Self, Rc<RefCell<Machine>>) {
         let n = p.nrows();
         let m = a.nrows();
-        let at = a.transpose();
+        let at = TransposeCache::new(a);
         let outer_cycles_per_iter = admm_outer_cycles(&config, n, m);
         let mut machine = Machine::new(config);
         let pid = machine.add_matrix(p);
         let aid = machine.add_matrix(a);
-        let atid = machine.add_matrix(&at);
+        let atid = machine.add_matrix(at.matrix());
         let matrix_ids = (pid, aid, atid);
         let kernel = build_pcg(&mut machine, pid, aid, atid, n, m, cg_max_iter.max(1));
         let mut backend = FpgaPcgBackend {
             machine: Rc::new(RefCell::new(machine)),
             kernel,
             matrix_ids,
-            a: a.clone(),
+            at,
             p_diag: p.diagonal(),
             rho: rho.to_vec(),
+            minv: vec![0.0; n],
             sigma,
             eps: cg_eps,
             stats: BackendStats::default(),
@@ -106,22 +110,25 @@ impl FpgaPcgBackend {
     }
 
     fn refresh_device_constants(&mut self) {
-        // Jacobi inverse diagonal: diag(P) + σ + Σ ρ_i A_{i,·}².
-        let n = self.p_diag.len();
-        let mut diag = self.p_diag.clone();
-        for d in &mut diag {
+        // Jacobi inverse diagonal: diag(P) + σ + Σ ρ_i A_{i,·}², built in
+        // place from the A resident on the device.
+        let mut machine = self.machine.borrow_mut();
+        let diag = &mut self.minv;
+        diag.copy_from_slice(&self.p_diag);
+        for d in diag.iter_mut() {
             *d += self.sigma;
         }
-        for i in 0..self.a.nrows() {
-            let (cols, vals) = self.a.row(i);
+        let a = machine.matrix(self.matrix_ids.1);
+        for i in 0..a.nrows() {
+            let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
                 diag[j] += self.rho[i] * v * v;
             }
         }
-        let minv: Vec<f64> = diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect();
-        debug_assert_eq!(minv.len(), n);
-        let mut machine = self.machine.borrow_mut();
-        machine.write_vec(self.kernel.minv, &minv);
+        for d in diag.iter_mut() {
+            *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
+        }
+        machine.write_vec(self.kernel.minv, &self.minv);
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
@@ -140,8 +147,8 @@ impl KktBackend for FpgaPcgBackend {
         }
         self.rho.copy_from_slice(rho);
         // Rebuild the device preconditioner and the device ρ vector from
-        // the cached diag(P) and A (no structural work — the indirect
-        // method's cheap ρ update, §2.2).
+        // the cached diag(P) and the resident A (no structural work — the
+        // indirect method's cheap ρ update, §2.2).
         self.refresh_device_constants();
         Ok(())
     }
@@ -186,14 +193,18 @@ impl KktBackend for FpgaPcgBackend {
         rho: &[f64],
     ) -> Result<(), SolverError> {
         {
+            // Values only: the machine panics on a structural change, and
+            // A's check comes before the transpose refresh relies on it.
             let mut machine = self.machine.borrow_mut();
             let (pid, aid, atid) = self.matrix_ids;
             machine.update_matrix_values(pid, p);
             machine.update_matrix_values(aid, a);
-            machine.update_matrix_values(atid, &a.transpose());
+            self.at.refresh_values(a).expect("A's structure was checked above");
+            machine.update_matrix_values(atid, self.at.matrix());
         }
-        self.a = a.clone();
-        self.p_diag = p.diagonal();
+        for (i, d) in self.p_diag.iter_mut().enumerate() {
+            *d = p.get(i, i);
+        }
         self.rho.copy_from_slice(rho);
         self.refresh_device_constants();
         Ok(())
@@ -201,5 +212,49 @@ impl KktBackend for FpgaPcgBackend {
 
     fn stats(&self) -> BackendStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsqp_problems::{generate, Domain};
+
+    fn backend(p: &CsrMatrix, a: &CsrMatrix) -> FpgaPcgBackend {
+        let rho = vec![0.1; a.nrows()];
+        FpgaPcgBackend::baseline(p, a, 1e-6, &rho, 8, 1e-7, 200).0
+    }
+
+    fn solve(b: &mut FpgaPcgBackend, n: usize, m: usize) -> (Vec<f64>, Vec<f64>) {
+        let wave = |len: usize, phase: f64| -> Vec<f64> {
+            (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+        };
+        let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
+        b.solve_kkt(&wave(n, 0.0), &wave(m, 1.0), &wave(m, 2.0), &wave(n, 3.0), &mut xt, &mut zt)
+            .unwrap();
+        (xt, zt)
+    }
+
+    #[test]
+    fn updated_backend_solves_like_a_fresh_one() {
+        let (q1, q2) = (generate(Domain::Portfolio, 1, 1), generate(Domain::Portfolio, 1, 2));
+        let (n, m) = (q1.num_vars(), q1.num_constraints());
+        assert_ne!(q1.a().data(), q2.a().data());
+        let mut updated = backend(q1.p(), q1.a());
+        let _ = solve(&mut updated, n, m);
+        updated.update_matrices(q2.p(), q2.a(), &vec![0.1; m]).unwrap();
+        let mut fresh = backend(q2.p(), q2.a());
+        assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m));
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the sparsity structure")]
+    fn update_matrices_rejects_a_structure_change() {
+        let p = CsrMatrix::identity(2);
+        let a = CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![1.0, 1.0]]);
+        // Same shape and nonzero count, one entry moved.
+        let moved = CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![1.0, 1.0]]);
+        let mut b = backend(&p, &a);
+        let _ = b.update_matrices(&p, &moved, &[0.1, 0.1]);
     }
 }
