@@ -357,7 +357,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRunner;
 
-    /// Size specification for [`vec`]: an exact length or a half-open range.
+    /// Size specification for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -388,7 +388,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -158,6 +158,8 @@ pub struct ReducedKktOp {
     at: TransposeCache,
     sigma: f64,
     rho: Vec<f64>,
+    /// The Jacobi diagonal for the current matrices and ρ.
+    jacobi: Vec<f64>,
     tmp_m: Vec<f64>,
     pool: Arc<ThreadPool>,
     p_part: RowPartition,
@@ -221,28 +223,40 @@ impl ReducedKktOp {
         let p_part = RowPartition::balanced(&p, chunks);
         let a_part = RowPartition::balanced(&a, chunks);
         let at_part = RowPartition::balanced(at.matrix(), chunks);
-        Ok(ReducedKktOp {
+        let mut op = ReducedKktOp {
             p,
             a,
             at,
             sigma,
             rho: rho.to_vec(),
+            jacobi: vec![0.0; n],
             tmp_m: vec![0.0; m],
             pool,
             p_part,
             a_part,
             at_part,
             spmv_count: 0,
-        })
+        };
+        op.refresh_jacobi();
+        Ok(op)
     }
 
-    /// Replaces the ρ vector (no structural work needed — this is the big
-    /// advantage of the indirect method highlighted in §2.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinsysError::Dimension`] if the length changes.
-    pub fn update_rho(&mut self, rho: &[f64]) -> Result<(), LinsysError> {
+    /// Recomputes the cached Jacobi diagonal
+    /// `diag(P) + σ + Σ_i ρ_i A_{i,·}²` in place.
+    fn refresh_jacobi(&mut self) {
+        for (i, o) in self.jacobi.iter_mut().enumerate() {
+            *o = self.p.get(i, i) + self.sigma;
+        }
+        for i in 0..self.a.nrows() {
+            let (cols, vals) = self.a.row(i);
+            let ri = self.rho[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                self.jacobi[j] += ri * v * v;
+            }
+        }
+    }
+
+    fn check_rho_len(&self, rho: &[f64]) -> Result<(), LinsysError> {
         if rho.len() != self.rho.len() {
             return Err(LinsysError::Dimension(format!(
                 "rho length changed from {} to {}",
@@ -250,14 +264,27 @@ impl ReducedKktOp {
                 rho.len()
             )));
         }
+        Ok(())
+    }
+
+    /// Replaces the ρ vector (no structural work needed — this is the big
+    /// advantage of the indirect method highlighted in §2.2) and refreshes
+    /// the cached Jacobi diagonal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinsysError::Dimension`] if the length changes.
+    pub fn update_rho(&mut self, rho: &[f64]) -> Result<(), LinsysError> {
+        self.check_rho_len(rho)?;
         self.rho.copy_from_slice(rho);
+        self.refresh_jacobi();
         Ok(())
     }
 
     /// Replaces the matrix values and ρ. The sparsity patterns of `P` and
     /// `A` must match the originals (the ADMM solver only rescales values
-    /// in place); the `Aᵀ` cache is refreshed by a linear value pass, never
-    /// rebuilt.
+    /// in place); the `Aᵀ` cache and the Jacobi diagonal are refreshed by
+    /// linear value passes, never rebuilt.
     ///
     /// # Errors
     ///
@@ -275,39 +302,30 @@ impl ReducedKktOp {
         if (a.nrows(), a.ncols(), a.nnz()) != (self.a.nrows(), self.a.ncols(), self.a.nnz()) {
             return Err(LinsysError::Dimension("A shape or nnz changed in update".into()));
         }
-        self.update_rho(rho)?;
+        self.check_rho_len(rho)?;
+        self.rho.copy_from_slice(rho);
         self.p = Arc::new(p.clone());
         self.a = Arc::new(a.clone());
         self.at.refresh_values(&self.a)?;
+        self.refresh_jacobi();
         Ok(())
     }
 
     /// The Jacobi preconditioner diagonal
     /// `diag(P) + σ + Σ_i ρ_i A_{i,·}²` (column-wise), freshly allocated.
     pub fn jacobi_diag(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.p.nrows()];
-        self.jacobi_diag_into(&mut d);
-        d
+        self.jacobi.clone()
     }
 
-    /// Writes the Jacobi preconditioner diagonal into `out` (length `n`)
-    /// without allocating.
+    /// Copies the Jacobi preconditioner diagonal, cached whenever the
+    /// matrices or ρ change, into `out` (length `n`) without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != n`.
     pub fn jacobi_diag_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.p.nrows(), "jacobi diagonal length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.p.get(i, i) + self.sigma;
-        }
-        for i in 0..self.a.nrows() {
-            let (cols, vals) = self.a.row(i);
-            let ri = self.rho[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                out[j] += ri * v * v;
-            }
-        }
+        assert_eq!(out.len(), self.jacobi.len(), "jacobi diagonal length mismatch");
+        out.copy_from_slice(&self.jacobi);
     }
 
     /// `y = A x` on the operator's pool — the `z̃ = A x̃` step of a KKT
@@ -486,6 +504,21 @@ mod tests {
         let d = op.jacobi_diag();
         assert!((d[0] - (4.0 + sigma + 0.1 + 0.4)).abs() < 1e-12);
         assert!((d[1] - (2.0 + sigma + 0.2 + 0.4)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_jacobi_diag_follows_rho_and_value_updates() {
+        let (p, a) = small_problem();
+        let mut op = ReducedKktOp::new(&p, &a, 0.01, &[0.1, 0.2, 0.4]).unwrap();
+        op.update_rho(&[1.0, 2.0, 3.0]).unwrap();
+        let fresh = ReducedKktOp::new(&p, &a, 0.01, &[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(op.jacobi_diag(), fresh.jacobi_diag());
+        let (p2, a2) = (p.map_values(|v| 2.0 * v), a.map_values(|v| 0.5 * v));
+        op.update_values(&p2, &a2, &[0.3, 0.2, 0.1]).unwrap();
+        let fresh = ReducedKktOp::new(&p2, &a2, 0.01, &[0.3, 0.2, 0.1]).unwrap();
+        let mut d = vec![0.0; 2];
+        op.jacobi_diag_into(&mut d);
+        assert_eq!(d, fresh.jacobi_diag());
     }
 
     #[test]

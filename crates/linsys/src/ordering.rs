@@ -190,9 +190,18 @@ mod tests {
 /// supervariables (found by hashing the lists), eliminates at once every
 /// variable left adjacent to the new element only (mass elimination), and
 /// bounds each touched variable's external degree from above instead of
-/// computing it exactly. Variables adjacent to more than
-/// `max(16, 10·√n)` others are dense: they are left out of the graph and
-/// ordered last, by index.
+/// computing it exactly.
+///
+/// Variables adjacent to more than `min(max(16, 10·√n), max(16, 10·d̄))`
+/// others, where `d̄` is the mean off-diagonal degree, are dense: they are
+/// left out of the graph and ordered last, by index. The mean-relative
+/// bound catches the feature columns of data-matrix KKTs (lasso, svm,
+/// huber), whose degree is a few hundred against a mean of 10–30 and
+/// whose long lists would otherwise be rescanned at every neighbouring
+/// pivot. Unlike SuiteSparse's AMD, every variable keeps counting the
+/// dense neighbours it had in the original graph in its approximate
+/// degree, so a constraint row tied to many dense columns is not mistaken
+/// for a cheap pivot ahead of its private neighbours.
 ///
 /// The result is bitwise deterministic. Each degree bucket is a stack, so a
 /// tie goes to the variable whose degree was updated last, and variables
@@ -219,7 +228,9 @@ pub fn amd_ordering(upper: &CscMatrix) -> Result<Vec<usize>, LinsysError> {
             upper.ncols()
         )));
     }
-    Ok(postorder_by_column_count(upper, Amd::new(upper, true).order()))
+    let amd = Amd::new(upper, true);
+    let dense = amd.dense_threshold();
+    Ok(postorder_by_column_count(upper, amd.order(dense)))
 }
 
 /// Reorders `perm` by a postorder of the elimination tree of the matrix it
@@ -287,11 +298,6 @@ fn postorder_by_column_count(upper: &CscMatrix, perm: Vec<usize>) -> Vec<usize> 
 
 /// "No index" in the AMD bookkeeping arrays.
 const NONE: usize = usize::MAX;
-
-/// AMD's dense-row threshold `max(16, 10·√n)`, capped at `n`.
-fn dense_threshold(n: usize) -> usize {
-    ((10.0 * (n as f64).sqrt()) as usize).max(16).min(n)
-}
 
 /// Quotient-graph state of one AMD run. Every index names a *variable*
 /// (not yet eliminated) or an *element* (a pivot already eliminated); the
@@ -381,6 +387,16 @@ impl Amd {
         }
     }
 
+    /// The dense-variable threshold `min(max(16, 10·√n), max(16, 10·d̄))`
+    /// with `d̄` the mean off-diagonal degree, capped at `n`.
+    fn dense_threshold(&self) -> usize {
+        let n = self.n as f64;
+        let mean = self.len.iter().sum::<usize>() as f64 / n.max(1.0);
+        let by_size = ((10.0 * n.sqrt()) as usize).max(16);
+        let by_mean = ((10.0 * mean) as usize).max(16);
+        by_size.min(by_mean).min(self.n)
+    }
+
     fn push_degree(&mut self, i: usize) {
         let first = self.head[self.degree[i]];
         if first != NONE {
@@ -449,10 +465,10 @@ impl Amd {
         dst
     }
 
-    /// Runs the elimination and returns the ordering.
-    fn order(mut self) -> Vec<usize> {
+    /// Runs the elimination, with variables of more than `dense` neighbours
+    /// left out as dense, and returns the ordering.
+    fn order(mut self, dense: usize) -> Vec<usize> {
         let n = self.n;
-        let dense = dense_threshold(n);
         // Pivots in elimination order; isolated variables go first.
         let mut pivots = Vec::new();
         let mut dense_vars = Vec::new();
@@ -468,6 +484,15 @@ impl Amd {
                 self.pe[i] = NONE;
                 dense_vars.push(i);
                 nel += 1;
+            }
+        }
+        // Dense neighbours in the original graph, added to every degree
+        // bound below (the initial degree, the full list length, has them).
+        let mut ndense = vec![0usize; n];
+        for (i, nd) in ndense.iter_mut().enumerate() {
+            if self.pe[i] != NONE {
+                let list = &self.iw[self.pe[i]..self.pe[i] + self.len[i]];
+                *nd = list.iter().filter(|&&j| self.len[j] > dense).count();
             }
         }
         for i in (0..n).rev() {
@@ -597,7 +622,7 @@ impl Amd {
                 let p2 = p1 + self.elen[i];
                 let mut pn = p1;
                 let mut hash = 0usize;
-                let mut deg = 0usize;
+                let mut deg = ndense[i];
                 for p in p1..p2 {
                     let e = self.iw[p];
                     let we = self.w[e];
@@ -706,7 +731,7 @@ impl Amd {
                 }
                 self.nv[i] = nvi;
                 let nvi = nvi as usize;
-                self.degree[i] = (self.degree[i] + degme - nvi).min(nleft - nvi);
+                self.degree[i] = (self.degree[i] + degme - nvi).min(nleft - nvi + ndense[i]);
                 self.push_degree(i);
                 mindeg = mindeg.min(self.degree[i]);
                 self.iw[p] = i;
@@ -903,10 +928,10 @@ mod amd_tests {
         CsrMatrix::from_dense(dense).upper_triangle().to_csc()
     }
 
-    /// Upper triangle of the `n × n` pattern with a unit diagonal and the
-    /// given symmetric edges.
+    /// Upper triangle of the `n × n` pattern with the given symmetric edges
+    /// and a diagonal that makes it diagonally dominant.
     fn graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> CscMatrix {
-        let mut t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 4.0)).collect();
+        let mut t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, n as f64)).collect();
         for (a, b) in edges {
             t.push((a.min(b), a.max(b), 1.0));
         }
@@ -1062,6 +1087,76 @@ mod amd_tests {
         assert_eq!(amd_ordering(&graph(n, edges)).unwrap(), (0..n).collect::<Vec<_>>());
     }
 
+    /// A huber-like KKT pattern: 16 hub (feature) columns and 200
+    /// constraint rows. Row `c` meets eight distinct hubs and its private
+    /// `u`, `r` and `s`; `r` and `s` each meet a bound row of their own.
+    /// Hubs are scattered through the labels. Returns the pattern and the
+    /// hubs.
+    fn hub_pattern() -> (CscMatrix, Vec<usize>) {
+        let (k, m) = (16, 200);
+        let n = k + 6 * m;
+        let hubs: Vec<usize> = (0..k).map(|h| h * n / k + 3).collect();
+        let mut rest = (0..n).filter(|v| !hubs.contains(v));
+        let mut edges = Vec::new();
+        for i in 0..m {
+            let [c, u, r, s, br, bs] = [(); 6].map(|()| rest.next().unwrap());
+            edges.extend((0..8).map(|t| (c, hubs[(i + 3 * t) % k])));
+            edges.extend([(c, u), (c, r), (c, s), (r, br), (s, bs)]);
+        }
+        (graph(n, edges), hubs)
+    }
+
+    /// AMD of the pattern with `hubs` deleted, followed by the hubs: the
+    /// ordering a dense rule that forgets the hubs gives.
+    fn hubs_last_blind(u: &CscMatrix, hubs: &[usize]) -> Vec<usize> {
+        let n = u.ncols();
+        let kept: Vec<usize> = (0..n).filter(|v| !hubs.contains(v)).collect();
+        let mut new_of = vec![NONE; n];
+        for (k, &v) in kept.iter().enumerate() {
+            new_of[v] = k;
+        }
+        let mut edges = Vec::new();
+        for j in 0..n {
+            for &i in u.col(j).0.iter().filter(|&&i| i < j) {
+                if new_of[i] != NONE && new_of[j] != NONE {
+                    edges.push((new_of[i], new_of[j]));
+                }
+            }
+        }
+        let sub = amd_ordering(&graph(kept.len(), edges)).unwrap();
+        sub.iter().map(|&k| kept[k]).chain(hubs.iter().copied()).collect()
+    }
+
+    #[test]
+    fn mean_relative_threshold_flags_exactly_the_hubs() {
+        // n = 1216: the hubs' degree of about 100 is far below 10·√n ≈ 348
+        // but above 10·d̄ ≈ 42, while a constraint row has degree 11.
+        let (u, hubs) = hub_pattern();
+        let n = u.ncols();
+        let amd = Amd::new(&u, true);
+        let dense = amd.dense_threshold();
+        assert_eq!(dense, 42);
+        let flagged: Vec<usize> = (0..n).filter(|&v| amd.len[v] > dense).collect();
+        assert_eq!(flagged, hubs);
+        let order = amd.order(dense);
+        assert_permutation(&order, n);
+        assert_eq!(order[n - hubs.len()..], hubs, "the hubs are eliminated last");
+    }
+
+    #[test]
+    fn dense_neighbour_counts_keep_hub_patterns_near_full_graph_fill() {
+        // Without the hubs in its degree, a constraint row looks like a
+        // degree-3 pivot and is eliminated before its private neighbours,
+        // which then fill in against every hub it meets.
+        let (u, hubs) = hub_pattern();
+        let n = u.ncols();
+        let full = fill_of(&u, Some(Amd::new(&u, true).order(n)));
+        let blind = fill_of(&u, Some(hubs_last_blind(&u, &hubs)));
+        let amd = fill_of(&u, Some(amd_ordering(&u).unwrap()));
+        assert!(blind >= 2 * full, "hubs-last blind fill {blind} vs full-graph {full}");
+        assert!(amd as f64 <= 1.10 * full as f64, "AMD fill {amd} vs full-graph {full}");
+    }
+
     #[test]
     fn indistinguishable_columns_come_out_contiguous() {
         // A clique on scattered labels whose members share four neighbours
@@ -1092,6 +1187,8 @@ mod amd_tests {
             let u = random_graph(500, 4, seed);
             assert_eq!(amd_ordering(&u).unwrap(), amd_ordering(&u).unwrap());
         }
+        let (u, _) = hub_pattern();
+        assert_eq!(amd_ordering(&u).unwrap(), amd_ordering(&u).unwrap());
     }
 
     #[test]
@@ -1100,7 +1197,9 @@ mod amd_tests {
         // many times; the lists keep their order, so the result is equal.
         for seed in 0..6 {
             let u = random_graph(400, 5, seed);
-            assert_eq!(Amd::new(&u, false).order(), Amd::new(&u, true).order());
+            let (tight, roomy) = (Amd::new(&u, false), Amd::new(&u, true));
+            let dense = roomy.dense_threshold();
+            assert_eq!(tight.order(dense), roomy.order(dense));
         }
     }
 

@@ -168,7 +168,9 @@ impl SessionMetrics {
 }
 
 /// A handle for a stream of parametric re-solves over one problem
-/// structure. See the [module docs](self) for the full story.
+/// structure: one persistent, warm-started [`Solver`] fed [`StepUpdate`]s,
+/// with the per-structure artifacts taken from a shared
+/// [`CustomizationCache`].
 pub struct SolveSession {
     problem: Arc<QpProblem>,
     settings: Settings,

@@ -48,6 +48,24 @@ const MIN_DEGREE_FILL: [(Domain, usize, usize); 7] = [
     (Domain::Control, 40, 47_240),
 ];
 
+/// AMD's `l_nnz` on the `MIN_DEGREE_FILL` instances, in the same order,
+/// before the mean-relative dense threshold (feature columns still in the
+/// quotient graph).
+const FULL_GRAPH_AMD_FILL: [usize; 7] = [106_950, 82_900, 83_900, 59_120, 91_800, 51_495, 47_700];
+
+/// AMD's `l_nnz` on the small suite (generator seed 1, σ = 1e-6, ρ = 0.1)
+/// before the mean-relative dense threshold, per domain at sizes 4, 8, 20
+/// and 50.
+const SMALL_SUITE_SIZES: [usize; 4] = [4, 8, 20, 50];
+const SMALL_SUITE_AMD_FILL: [(Domain, [usize; 4]); 6] = [
+    (Domain::Control, [522, 1_988, 12_050, 74_375]),
+    (Domain::Portfolio, [1_620, 4_865, 24_230, 136_325]),
+    (Domain::Lasso, [88, 239, 1_090, 5_725]),
+    (Domain::Huber, [225, 522, 1_790, 7_475]),
+    (Domain::Svm, [108, 278, 1_190, 5_975]),
+    (Domain::Eqqp, [1, 10, 143, 1_333]),
+];
+
 #[test]
 fn amd_fill_stays_within_ten_percent_of_minimum_degree() {
     for (domain, size, min_degree) in MIN_DEGREE_FILL {
@@ -56,6 +74,31 @@ fn amd_fill_stays_within_ten_percent_of_minimum_degree() {
             amd as f64 <= 1.10 * min_degree as f64,
             "{domain} {size}: AMD fill {amd} vs minimum-degree fill {min_degree}"
         );
+    }
+}
+
+#[test]
+fn amd_fill_does_not_exceed_full_graph_amd_on_benchmark_instances() {
+    for ((domain, size, _), full_graph) in MIN_DEGREE_FILL.into_iter().zip(FULL_GRAPH_AMD_FILL) {
+        let amd = kkt_fill(domain, size, KktOrdering::Amd);
+        assert!(
+            amd <= full_graph,
+            "{domain} {size}: AMD fill {amd} vs full-graph AMD {full_graph}"
+        );
+    }
+}
+
+#[test]
+fn amd_fill_stays_within_ten_percent_of_full_graph_amd_on_the_small_suite() {
+    assert_eq!(SMALL_SUITE_AMD_FILL.map(|(d, _)| d), Domain::all());
+    for (domain, fills) in SMALL_SUITE_AMD_FILL {
+        for (size, full_graph) in SMALL_SUITE_SIZES.into_iter().zip(fills) {
+            let amd = kkt_fill(domain, size, KktOrdering::Amd);
+            assert!(
+                amd as f64 <= 1.10 * full_graph as f64,
+                "{domain} {size}: AMD fill {amd} vs full-graph AMD {full_graph}"
+            );
+        }
     }
 }
 
