@@ -19,7 +19,10 @@
 //! 2. every job ends with a definite outcome (terminal status or typed
 //!    error), never a poisoned/indeterminate state;
 //! 3. zero worker deaths — after the storm, one clean job per worker must
-//!    still solve.
+//!    still solve;
+//! 4. the telemetry ledger balances;
+//! 5. no job panics twice — the retry after a panic runs without the
+//!    backend that raised it.
 //!
 //! Fully deterministic per `--seed` (default 42) up to OS scheduling; the
 //! fault schedules themselves replay exactly. Budgeted to finish well
@@ -193,6 +196,16 @@ fn main() {
             None => hung.push(label),
             Some(report) => {
                 max_attempts = max_attempts.max(report.attempts_used());
+                // A panic drops the backend that raised it, so no job can
+                // panic twice.
+                let panics = report
+                    .attempts
+                    .iter()
+                    .filter(|a| a.error.as_deref().is_some_and(|e| e.starts_with("panic:")))
+                    .count();
+                // (The message must not quote the injected panics: the
+                // quiet hook would swallow it.)
+                assert!(panics <= 1, "{label}: {panics} of its attempts panicked");
                 let key = match (&report.outcome, report.status()) {
                     (_, Some(status)) => format!("{status}"),
                     (Err(e), None) => format!("error: {e}"),

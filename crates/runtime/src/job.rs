@@ -74,18 +74,18 @@ pub struct JobSpec {
     pub settings: Settings,
     /// Resource budget.
     pub budget: JobBudget,
-    /// Retry ladder configuration.
+    /// How many attempts the job gets (the first plus the LDLᵀ fallback).
     pub retry: RetryPolicy,
     /// Optional checkpoint to resume from (warm restart).
     pub resume_from: Option<Checkpoint>,
     /// Optional custom backend factory (e.g. the simulated FPGA). `None`
-    /// builds the backend selected by `Settings::linsys`. Dropped at the
-    /// direct-fallback rung of the retry ladder.
+    /// builds the backend selected by `Settings::linsys`. Dropped when a
+    /// retry falls back to direct LDLᵀ.
     pub factory: Option<BackendFactory>,
 }
 
 impl JobSpec {
-    /// A job with default settings, no budget, and the default retry ladder.
+    /// A job with default settings, no budget, and the default retry policy.
     /// Accepts either an owned [`QpProblem`] or a pre-shared
     /// `Arc<QpProblem>`.
     pub fn new(problem: impl Into<Arc<QpProblem>>) -> Self {
@@ -179,7 +179,7 @@ impl std::error::Error for JobError {
     }
 }
 
-/// What happened during one attempt of a job's retry ladder.
+/// What happened during one attempt of a job or session step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptSummary {
     /// 0-based attempt index (0 = the undegraded first attempt).
@@ -193,7 +193,7 @@ pub struct AttemptSummary {
 }
 
 /// The definite outcome of a job: either a [`SolveResult`] (whose `status`
-/// may still be e.g. `NumericalError` after an exhausted ladder) or a typed
+/// may still be e.g. `NumericalError` after the last attempt) or a typed
 /// [`JobError`]. Every submitted job yields exactly one report.
 #[derive(Debug)]
 pub struct JobReport {
@@ -215,7 +215,7 @@ impl JobReport {
         self.outcome.as_ref().ok().map(|r| r.status)
     }
 
-    /// Number of attempts the retry ladder ran.
+    /// Number of attempts the job ran.
     pub fn attempts_used(&self) -> usize {
         self.attempts.len()
     }

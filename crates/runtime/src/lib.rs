@@ -16,9 +16,11 @@
 //!   ends with a definite [`rsqp_solver::Status`].
 //! * **Panic isolation** — a panicking backend is caught per job
 //!   ([`JobError::Panicked`]); the worker survives and takes the next job.
-//! * [`RetryPolicy`] — a bounded retry ladder that degrades settings per
-//!   attempt (tighter CG tolerance → direct LDLᵀ fallback → reduced
-//!   iteration cap) and resumes each retry from the last finite
+//! * [`RetryPolicy`] — one attempt loop shared by jobs and sessions. The
+//!   solver's guard owns numeric recovery inside a solve; the runtime adds
+//!   the one rung the guard cannot take: after a panic, a failed backend
+//!   build, a recoverable error, or `NumericalError`, it drops the custom
+//!   backend, retries on direct LDLᵀ, and resumes from the last valid
 //!   [`rsqp_solver::Checkpoint`] so completed work is kept.
 //! * [`ChaosPlan`] — deterministic fault injection (delays, recoverable
 //!   errors, panics) at the backend boundary, composing with the

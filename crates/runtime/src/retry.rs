@@ -1,33 +1,31 @@
-//! The bounded retry ladder.
+//! The runtime's attempt loop and its single fallback rung.
 //!
-//! When an attempt ends in [`Status::NumericalError`], a recoverable
-//! [`SolverError`], or a caught panic, the service retries the job with
-//! progressively *degraded* settings — each rung trades speed or accuracy
-//! for robustness, mirroring (one level up) the in-solve guard ladder:
+//! Numeric recovery inside a solve belongs to the solver's guard ladder
+//! (reset → tighten CG → LDLᵀ fallback). What the guard cannot survive is a
+//! backend that panics or a factory that fails to build, so the runtime
+//! adds exactly one rung above it:
 //!
-//! | retry # | degradation |
+//! | attempt | configuration |
 //! |---|---|
-//! | 1 | tighten the inner CG tolerance (more exact KKT solves) |
-//! | 2 | drop any custom backend and fall back to direct LDLᵀ |
-//! | ≥3 | halve `max_iter` (bound the cost of a attempt that will not converge) |
+//! | 0 | the caller's settings and backend factory |
+//! | ≥1 | the custom factory dropped, `Settings::linsys = DirectLdlt` |
 //!
-//! Rungs are cumulative: retry 2 keeps retry 1's tighter tolerance. Each
-//! retry resumes from the last finite checkpoint, so work already done is
-//! not thrown away.
+//! An attempt that ends in [`Status::NumericalError`], a recoverable
+//! [`SolverError`], or a caught panic is retried; each retry resumes from
+//! the last valid checkpoint, so work already done is not thrown away.
+//! Retries past the first repeat the same LDLᵀ configuration, which is why
+//! the default policy allows exactly two attempts.
 //!
-//! [`Status::NumericalError`]: rsqp_solver::Status::NumericalError
 //! [`SolverError`]: rsqp_solver::SolverError
 
-use rsqp_solver::{CgTolerance, LinSysKind, Settings};
+use std::sync::Arc;
 
-use crate::job::BackendFactory;
+use rsqp_solver::{
+    Checkpoint, DirectLdltBackend, KktBackend, LinSysKind, QpProblem, Settings, SolveResult,
+    Solver, SolverError, Status,
+};
 
-/// Floor for the tightened CG tolerance.
-const RETRY_CG_FLOOR: f64 = 1e-12;
-/// Multiplier applied to a fixed CG tolerance at the tightening rung.
-const RETRY_CG_SHRINK: f64 = 1e-2;
-/// Floor for the halved iteration cap.
-const RETRY_MIN_ITER: usize = 10;
+use crate::job::{AttemptSummary, BackendFactory, JobError};
 
 /// How many times a job may be attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +36,8 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        // First attempt + one rung of each degradation kind.
-        RetryPolicy { max_attempts: 4 }
+        // The first attempt plus the direct-LDLᵀ fallback.
+        RetryPolicy { max_attempts: 2 }
     }
 }
 
@@ -55,78 +53,115 @@ impl RetryPolicy {
     }
 }
 
-/// Applies the degradation rung for retry number `retry` (1-based) in
-/// place. Also called for `retry > 3`, where it keeps halving `max_iter`.
-pub(crate) fn degrade(settings: &mut Settings, factory: &mut Option<BackendFactory>, retry: usize) {
-    match retry {
-        0 => {}
-        1 => {
-            settings.cg_tolerance = match settings.cg_tolerance {
-                CgTolerance::Fixed(e) => {
-                    CgTolerance::Fixed((e * RETRY_CG_SHRINK).max(RETRY_CG_FLOOR))
-                }
-                // Adaptive schedules already walk toward `min`; pin them
-                // there so every subsequent KKT solve is as exact as the
-                // schedule ever allowed.
-                CgTolerance::Adaptive { min, .. } => CgTolerance::Fixed(min.max(RETRY_CG_FLOOR)),
-            };
+/// The fallback rung: drop any custom backend and solve with direct LDLᵀ.
+fn degrade(settings: &mut Settings, factory: &mut Option<BackendFactory>) {
+    *factory = None;
+    settings.linsys = LinSysKind::DirectLdlt;
+}
+
+/// What one attempt runs with, handed to the caller's attempt closure.
+pub(crate) struct Attempt<'a> {
+    /// 0-based attempt index (0 = the undegraded first attempt).
+    pub index: usize,
+    /// Settings, degraded on retries.
+    pub settings: &'a Settings,
+    /// Custom backend factory; `None` from the first retry on.
+    pub factory: &'a mut Option<BackendFactory>,
+    /// Checkpoint to resume from, if any.
+    pub resume: Option<&'a Checkpoint>,
+}
+
+/// Runs `attempt` until an outcome is final: any status other than
+/// `NumericalError`, an unrecoverable solver error, or the last allowed
+/// attempt. A retry first applies the fallback rung to `settings` and
+/// `factory` (so callers keep it) and resumes from the last checkpoint that
+/// passed validation, starting with `resume`. The solver of a successful
+/// final attempt is returned with its result.
+pub(crate) fn run_attempts(
+    policy: RetryPolicy,
+    settings: &mut Settings,
+    factory: &mut Option<BackendFactory>,
+    mut resume: Option<Checkpoint>,
+    mut attempt: impl FnMut(Attempt<'_>) -> Result<(SolveResult, Solver), JobError>,
+) -> (Vec<AttemptSummary>, Result<(SolveResult, Solver), JobError>) {
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempts = Vec::new();
+    for index in 0..max_attempts {
+        if index > 0 {
+            degrade(settings, factory);
         }
-        2 => {
-            *factory = None;
-            settings.linsys = LinSysKind::DirectLdlt;
+        let resumed_from = resume.as_ref().map(|c| c.iterations);
+        let outcome = attempt(Attempt { index, settings, factory, resume: resume.as_ref() });
+        let (status, error, is_final) = match &outcome {
+            Ok((result, _)) => (Some(result.status), None, result.status != Status::NumericalError),
+            Err(JobError::Solver(e)) => (None, Some(e.to_string()), !e.is_recoverable()),
+            Err(JobError::Panicked(msg)) => (None, Some(format!("panic: {msg}")), false),
+            Err(JobError::Lost) => (None, Some(JobError::Lost.to_string()), true),
+        };
+        attempts.push(AttemptSummary { index, status, error, resumed_from });
+        if is_final || index + 1 == max_attempts {
+            return (attempts, outcome);
         }
-        _ => {
-            settings.max_iter = (settings.max_iter / 2).max(RETRY_MIN_ITER);
+        if let Ok((_, solver)) = &outcome {
+            let ckpt = solver.checkpoint();
+            let problem = solver.problem();
+            if ckpt.validate(problem.num_vars(), problem.num_constraints()).is_ok() {
+                resume = Some(ckpt);
+            }
         }
+    }
+    unreachable!("the final attempt always returns")
+}
+
+/// Builds a solver: a custom factory wins; otherwise a direct LDLᵀ solver
+/// replays `cached_perm` when one is given; otherwise `Settings::linsys`
+/// selects the backend.
+pub(crate) fn build_solver(
+    problem: &Arc<QpProblem>,
+    settings: &Settings,
+    factory: &mut Option<BackendFactory>,
+    cached_perm: Option<&[usize]>,
+) -> Result<Solver, SolverError> {
+    let (problem, settings) = (Arc::clone(problem), settings.clone());
+    match (factory.as_mut(), cached_perm) {
+        (Some(f), _) => Solver::with_backend_shared(problem, settings, f),
+        (None, Some(perm)) if settings.linsys == LinSysKind::DirectLdlt => {
+            Solver::with_backend_shared(problem, settings, &mut |p, a, sigma, rho, _s| {
+                Ok(Box::new(DirectLdltBackend::with_permutation(p, a, sigma, rho, perm.to_vec())?)
+                    as Box<dyn KktBackend>)
+            })
+        }
+        (None, _) => Solver::new_shared(problem, settings),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rsqp_solver::CgTolerance;
+
     use super::*;
 
     #[test]
-    fn rungs_degrade_cumulatively() {
-        let mut s = Settings { max_iter: 4000, ..Default::default() };
-        let mut f: Option<BackendFactory> = None;
-
-        degrade(&mut s, &mut f, 1);
-        let CgTolerance::Fixed(e1) = s.cg_tolerance else {
-            panic!("rung 1 pins the CG tolerance");
+    fn fallback_drops_the_factory_and_keeps_everything_else() {
+        let mut s = Settings {
+            linsys: LinSysKind::CpuPcg,
+            cg_tolerance: CgTolerance::Fixed(1e-7),
+            max_iter: 4000,
+            ..Default::default()
         };
-        assert!(e1 <= 1e-10);
-
-        degrade(&mut s, &mut f, 2);
+        let mut f: Option<BackendFactory> =
+            Some(Box::new(|_, _, _, _, _| Err(SolverError::Backend("never built".into()))));
+        degrade(&mut s, &mut f);
+        assert!(f.is_none());
         assert_eq!(s.linsys, LinSysKind::DirectLdlt);
-        assert!(matches!(s.cg_tolerance, CgTolerance::Fixed(_)), "rung 1 survives rung 2");
-
-        degrade(&mut s, &mut f, 3);
-        assert_eq!(s.max_iter, 2000);
-        degrade(&mut s, &mut f, 4);
-        assert_eq!(s.max_iter, 1000);
-    }
-
-    #[test]
-    fn fixed_tolerance_shrinks_with_floor() {
-        let mut s = Settings { cg_tolerance: CgTolerance::Fixed(1e-11), ..Default::default() };
-        let mut f: Option<BackendFactory> = None;
-        degrade(&mut s, &mut f, 1);
-        assert_eq!(s.cg_tolerance, CgTolerance::Fixed(1e-12));
-    }
-
-    #[test]
-    fn iteration_halving_has_a_floor() {
-        let mut s = Settings { max_iter: 11, ..Default::default() };
-        let mut f: Option<BackendFactory> = None;
-        degrade(&mut s, &mut f, 3);
-        assert_eq!(s.max_iter, RETRY_MIN_ITER);
-        degrade(&mut s, &mut f, 4);
-        assert_eq!(s.max_iter, RETRY_MIN_ITER);
+        assert_eq!(s.cg_tolerance, CgTolerance::Fixed(1e-7));
+        assert_eq!(s.max_iter, 4000);
     }
 
     #[test]
     fn policy_clamps_to_one_attempt() {
         assert_eq!(RetryPolicy::with_max_attempts(0).max_attempts, 1);
         assert_eq!(RetryPolicy::no_retries().max_attempts, 1);
+        assert_eq!(RetryPolicy::default().max_attempts, 2);
     }
 }

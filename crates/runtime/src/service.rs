@@ -1,5 +1,5 @@
-//! The concurrent solve service: bounded queue, worker pool, panic
-//! isolation, and the retry driver.
+//! The concurrent solve service: bounded queue, worker pool, and panic
+//! isolation around the shared attempt loop.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -10,12 +10,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use rsqp_obs::{MetricsRegistry, MetricsSnapshot};
-use rsqp_solver::{
-    CancelToken, Checkpoint, SolveControl, SolveResult, Solver, SolverError, Status,
-};
+use rsqp_solver::{CancelToken, SolveControl, SolverError, Status};
 
-use crate::job::{AttemptSummary, JobError, JobHandle, JobReport, JobSpec};
-use crate::retry::degrade;
+use crate::job::{JobError, JobHandle, JobReport, JobSpec};
+use crate::retry::{build_solver, run_attempts};
 use crate::session::{SessionConfig, SolveSession};
 
 /// Sizing of a [`SolveService`].
@@ -356,7 +354,9 @@ fn worker_loop(
     }
 }
 
-/// Drives one job through the retry ladder to a definite report.
+/// Drives one job through the attempt loop to a definite report. Every
+/// attempt builds a fresh solver under `catch_unwind`, so a panicking
+/// backend becomes a retryable [`JobError::Panicked`].
 fn run_job(
     id: u64,
     spec: JobSpec,
@@ -372,12 +372,6 @@ fn run_job(
             settings.threads = t.max(1);
         }
     }
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let mut attempts: Vec<AttemptSummary> = Vec::new();
-    let mut last_ckpt: Option<Checkpoint> = resume_from;
-    let max_attempts = retry.max_attempts.max(1);
-
     let mut control = SolveControl::unbounded().with_cancel(cancel.clone());
     if let Some(d) = deadline {
         control = control.with_deadline(d);
@@ -386,76 +380,21 @@ fn run_job(
         control = control.with_iter_cap(cap);
     }
 
-    for attempt in 0..max_attempts {
-        let last = attempt + 1 == max_attempts;
-        if attempt > 0 {
-            degrade(&mut settings, &mut factory, attempt);
-        }
-        let resumed_from = last_ckpt.as_ref().map(|c| c.iterations);
-
-        type AttemptOk = (SolveResult, Checkpoint);
-        let attempt_result: Result<Result<AttemptOk, SolverError>, _> =
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut solver = match factory.as_mut() {
-                    Some(f) => {
-                        Solver::with_backend_shared(Arc::clone(&problem), settings.clone(), f)?
-                    }
-                    None => Solver::new_shared(Arc::clone(&problem), settings.clone())?,
-                };
-                if let Some(ckpt) = &last_ckpt {
+    let (attempts, outcome) =
+        run_attempts(retry, &mut settings, &mut factory, resume_from, |attempt| {
+            let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, SolverError> {
+                let mut solver = build_solver(&problem, attempt.settings, attempt.factory, None)?;
+                if let Some(ckpt) = attempt.resume {
                     solver.restore(ckpt)?;
                 }
-                let result = solver.solve_with_control(&control)?;
-                Ok((result, solver.checkpoint()))
+                Ok((solver.solve_with_control(&control)?, solver))
             }));
-
-        match attempt_result {
-            Ok(Ok((result, ckpt))) => {
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: Some(result.status),
-                    error: None,
-                    resumed_from,
-                });
-                // Only a numerical failure is worth a degraded retry; every
-                // other status (solved, infeasible, budget-driven) is final.
-                if result.status != Status::NumericalError || last {
-                    return JobReport { id, attempts, outcome: Ok(result) };
-                }
-                // Resume the retry from this attempt's endpoint when it is
-                // usable; otherwise keep the previous known-good checkpoint.
-                if ckpt.validate(n, m).is_ok() {
-                    last_ckpt = Some(ckpt);
-                }
+            match run {
+                Ok(run) => run.map_err(JobError::Solver),
+                Err(payload) => Err(JobError::Panicked(panic_message(payload.as_ref()))),
             }
-            Ok(Err(e)) => {
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: None,
-                    error: Some(e.to_string()),
-                    resumed_from,
-                });
-                if !e.is_recoverable() || last {
-                    return JobReport { id, attempts, outcome: Err(JobError::Solver(e)) };
-                }
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: None,
-                    error: Some(format!("panic: {msg}")),
-                    resumed_from,
-                });
-                if last {
-                    return JobReport { id, attempts, outcome: Err(JobError::Panicked(msg)) };
-                }
-            }
-        }
-    }
-    // Unreachable: the final loop iteration always returns. Kept as a
-    // definite outcome rather than a panic, in the spirit of this module.
-    JobReport { id, attempts, outcome: Err(JobError::Panicked("retry ladder fell through".into())) }
+        });
+    JobReport { id, attempts, outcome: outcome.map(|(result, _)| result) }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

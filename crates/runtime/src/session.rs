@@ -13,10 +13,11 @@
 //!   per step;
 //! * every step composes with the existing runtime machinery: a per-step
 //!   [`JobBudget`], cooperative cancellation via the session's
-//!   [`CancelToken`], the bounded [`RetryPolicy`] degradation ladder
-//!   (resuming from a checkpoint of the pre-failure iterates), and the
-//!   [`MetricsRegistry`] (`session_steps`, `cache_hits`, `cache_misses`
-//!   counters plus a `session_step_us` latency histogram).
+//!   [`CancelToken`], the runtime's [`RetryPolicy`] attempt loop with its
+//!   one direct-LDLᵀ fallback (resuming from a checkpoint of the
+//!   pre-failure iterates), and the [`MetricsRegistry`] (`session_steps`,
+//!   `cache_hits`, `cache_misses` counters plus a `session_step_us` latency
+//!   histogram).
 //!
 //! Sessions run on the caller's thread — an MPC loop is latency-bound and
 //! strictly sequential, so queueing each step behind the worker pool would
@@ -30,13 +31,12 @@ use std::time::Instant;
 use rsqp_core::{CacheLookup, CustomizationCache, PatternArtifacts};
 use rsqp_obs::{Counter, Histogram, MetricsRegistry};
 use rsqp_solver::{
-    CancelToken, Checkpoint, DirectLdltBackend, KktBackend, LinSysKind, QpProblem, Settings,
-    SolveControl, SolveResult, Solver, SolverError, Status,
+    CancelToken, QpProblem, Settings, SolveControl, SolveResult, Solver, SolverError,
 };
 use rsqp_sparse::CsrMatrix;
 
-use crate::job::{AttemptSummary, BackendFactory, JobBudget};
-use crate::retry::degrade;
+use crate::job::{AttemptSummary, BackendFactory, JobBudget, JobError};
+use crate::retry::{build_solver, run_attempts};
 use crate::RetryPolicy;
 
 /// One parametric update applied before a session step's solve.
@@ -72,9 +72,9 @@ pub struct SessionConfig {
     /// of each [`SolveSession::step`] call, the iteration cap applies per
     /// solve attempt.
     pub budget: JobBudget,
-    /// Retry ladder for steps that end in a numerical error. Degradations a
-    /// step needed are **kept** for subsequent steps — a session that had
-    /// to fall back stays on the safe configuration.
+    /// Attempts per step. A step that had to fall back to direct LDLᵀ
+    /// **keeps** the fallback for subsequent steps — the session stays on
+    /// the safe configuration.
     pub retry: RetryPolicy,
     /// Warm-start each step from the previous solution (the default).
     /// `false` cold-starts every step (useful for baselines).
@@ -140,7 +140,7 @@ pub struct StepReport {
     pub step: u64,
     /// The solve outcome (in the original problem space, warm-started).
     pub result: SolveResult,
-    /// Per-attempt history of this step's retry ladder (length ≥ 1).
+    /// Per-attempt history of this step (length ≥ 1).
     pub attempts: Vec<AttemptSummary>,
     /// Whether the customization cache already held this structure's
     /// artifacts (`false` on the first step of a fresh pattern, or when no
@@ -234,7 +234,7 @@ impl SolveSession {
 
     /// Installs a custom backend factory (e.g. the simulated FPGA built
     /// from cached artifacts). Takes precedence over the cached-ordering
-    /// fast path; dropped if the retry ladder reaches its direct-LDLᵀ rung.
+    /// fast path; dropped if a step falls back to direct LDLᵀ.
     #[must_use]
     pub fn with_backend_factory(mut self, factory: BackendFactory) -> Self {
         self.factory = Some(factory);
@@ -252,7 +252,8 @@ impl SolveSession {
     }
 
     /// A clone of the session's cancellation token; cancelling it makes the
-    /// current (or next) step end with [`Status::Cancelled`].
+    /// current (or next) step end with
+    /// [`Status::Cancelled`](rsqp_solver::Status::Cancelled).
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -278,9 +279,10 @@ impl SolveSession {
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid update, or when the retry ladder is
-    /// exhausted by unrecoverable solver errors. Budget expiry and
-    /// cancellation are *statuses* on the returned result, not errors.
+    /// Returns an error for an invalid update, or when a solver error ends
+    /// the step (an unrecoverable one, or any on the last attempt). Budget
+    /// expiry and cancellation are *statuses* on the returned result, not
+    /// errors.
     pub fn step(&mut self, updates: Vec<StepUpdate>) -> Result<StepReport, SolverError> {
         let started = Instant::now();
         self.apply_updates(updates)?;
@@ -300,15 +302,6 @@ impl SolveSession {
             self.artifacts = Some(artifacts);
         }
 
-        if self.solver.is_none() {
-            self.solver = Some(construct_solver(
-                &self.problem,
-                &self.settings,
-                &mut self.factory,
-                self.artifacts.as_deref(),
-            )?);
-        }
-
         let mut control = SolveControl::unbounded().with_cancel(self.cancel.clone());
         if let Some(timeout) = self.budget.timeout {
             control = control.with_deadline(started + timeout);
@@ -317,73 +310,54 @@ impl SolveSession {
             control = control.with_iter_cap(cap);
         }
 
-        let n = self.problem.num_vars();
-        let m = self.problem.num_constraints();
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempts: Vec<AttemptSummary> = Vec::new();
-        let mut last_ckpt: Option<Checkpoint> = None;
-
-        for attempt in 0..max_attempts {
-            let last = attempt + 1 == max_attempts;
-            if attempt > 0 {
-                // Degrade *the session's* settings/factory: a rung a step
-                // needed is kept for the rest of the session, and the
-                // rebuilt (degraded) solver becomes the persistent one.
-                degrade(&mut self.settings, &mut self.factory, attempt);
-                let mut rebuilt = construct_solver(
-                    &self.problem,
-                    &self.settings,
-                    &mut self.factory,
-                    self.artifacts.as_deref(),
-                )?;
-                if let Some(ckpt) = &last_ckpt {
-                    if ckpt.validate(n, m).is_ok() {
-                        rebuilt.restore(ckpt)?;
+        // Attempt 0 runs on the persistent solver (built on first use); a
+        // failed attempt's solver is dropped, so a retry rebuilds it on the
+        // fallback rung the loop applied to the session's own settings and
+        // factory, which later steps keep.
+        let cached_perm = self
+            .artifacts
+            .as_deref()
+            .filter(|a| a.params.ordering == self.settings.ordering)
+            .and_then(|a| a.kkt_perm.as_deref());
+        let (problem, persistent, warm_start) = (&self.problem, &mut self.solver, self.warm_start);
+        let (attempts, outcome) =
+            run_attempts(self.retry, &mut self.settings, &mut self.factory, None, |attempt| {
+                let mut run = || -> Result<_, SolverError> {
+                    let mut solver = match persistent.take() {
+                        Some(solver) => solver,
+                        None => {
+                            let mut solver = build_solver(
+                                problem,
+                                attempt.settings,
+                                attempt.factory,
+                                cached_perm,
+                            )?;
+                            if let Some(ckpt) = attempt.resume {
+                                solver.restore(ckpt)?;
+                            }
+                            solver
+                        }
+                    };
+                    if attempt.index == 0 && !warm_start {
+                        solver.cold_start();
                     }
-                }
-                self.solver = Some(rebuilt);
+                    Ok((solver.solve_with_control(&control)?, solver))
+                };
+                run().map_err(JobError::Solver)
+            });
+        match outcome {
+            Ok((result, solver)) => {
+                self.solver = Some(solver);
+                self.steps += 1;
+                self.metrics.steps.inc();
+                self.metrics.step_us.observe(started.elapsed().as_micros() as u64);
+                Ok(StepReport { step: self.steps, result, attempts, cache_hit })
             }
-            let solver = self.solver.as_mut().expect("solver built above");
-            if !self.warm_start {
-                solver.cold_start();
-            }
-            let resumed_from = last_ckpt.as_ref().map(|c| c.iterations);
-            match solver.solve_with_control(&control) {
-                Ok(result) => {
-                    attempts.push(AttemptSummary {
-                        index: attempt,
-                        status: Some(result.status),
-                        error: None,
-                        resumed_from,
-                    });
-                    if result.status != Status::NumericalError || last {
-                        self.steps += 1;
-                        self.metrics.steps.inc();
-                        self.metrics.step_us.observe(started.elapsed().as_micros() as u64);
-                        return Ok(StepReport { step: self.steps, result, attempts, cache_hit });
-                    }
-                    let ckpt = solver.checkpoint();
-                    if ckpt.validate(n, m).is_ok() {
-                        last_ckpt = Some(ckpt);
-                    }
-                }
-                Err(e) => {
-                    attempts.push(AttemptSummary {
-                        index: attempt,
-                        status: None,
-                        error: Some(e.to_string()),
-                        resumed_from,
-                    });
-                    if !e.is_recoverable() || last {
-                        // The failed solver may be poisoned; drop it so the
-                        // next step rebuilds from the shared problem.
-                        self.solver = None;
-                        return Err(e);
-                    }
-                }
-            }
+            // The failed solver is gone; the next step rebuilds it from the
+            // shared problem and the session's settings.
+            Err(JobError::Solver(e)) => Err(e),
+            Err(other) => unreachable!("session attempts fail only with solver errors: {other}"),
         }
-        unreachable!("the final attempt always returns");
     }
 
     /// Routes updates through the persistent solver when it exists (so
@@ -400,7 +374,11 @@ impl SolveSession {
                         StepUpdate::Bounds { l, u } => solver.update_bounds(l, u)?,
                         StepUpdate::LinearCost(q) => solver.update_q(q)?,
                         StepUpdate::Matrices { p, a } => solver.update_matrices(p, a)?,
-                        StepUpdate::Rho(rho) => solver.update_rho(rho)?,
+                        StepUpdate::Rho(rho) => {
+                            solver.update_rho(rho)?;
+                            // Rebuilds start from the settings, not the solver.
+                            self.settings.rho = rho;
+                        }
                     }
                 }
                 // The solver's copy-on-write may have detached from the
@@ -429,38 +407,4 @@ impl SolveSession {
         }
         Ok(())
     }
-}
-
-/// Builds a solver for the session, replaying the cached symbolic LDLᵀ
-/// ordering when one is available and applicable.
-fn construct_solver(
-    problem: &Arc<QpProblem>,
-    settings: &Settings,
-    factory: &mut Option<BackendFactory>,
-    artifacts: Option<&PatternArtifacts>,
-) -> Result<Solver, SolverError> {
-    if let Some(f) = factory.as_mut() {
-        return Solver::with_backend_shared(Arc::clone(problem), settings.clone(), f);
-    }
-    if settings.linsys == LinSysKind::DirectLdlt {
-        let cached_perm = artifacts
-            .filter(|a| a.params.ordering == settings.ordering)
-            .and_then(|a| a.kkt_perm.clone());
-        if let Some(perm) = cached_perm {
-            return Solver::with_backend_shared(
-                Arc::clone(problem),
-                settings.clone(),
-                &mut |p, a, sigma, rho, _s| {
-                    Ok(Box::new(DirectLdltBackend::with_permutation(
-                        p,
-                        a,
-                        sigma,
-                        rho,
-                        perm.clone(),
-                    )?) as Box<dyn KktBackend>)
-                },
-            );
-        }
-    }
-    Solver::new_shared(Arc::clone(problem), settings.clone())
 }

@@ -1,5 +1,5 @@
 //! End-to-end behaviour of the solve service: backpressure, budgets,
-//! cancellation, panic isolation, and the retry ladder.
+//! cancellation, panic isolation, and the direct-LDLᵀ retry.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -156,17 +156,17 @@ fn panicking_backend_is_isolated_and_ladder_recovers() {
     quiet_injected_panics();
     let service =
         SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
-    // Every chaos-wrapped KKT solve panics; the ladder's direct-fallback
-    // rung (retry 2) drops the factory and the job still solves.
+    // Every chaos-wrapped KKT solve panics; the one retry drops the factory
+    // for direct LDLᵀ and the job still solves.
     let spec = JobSpec::new(box_qp(4)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
         let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
         Ok(ChaosPlan::new(11).with_panics(1.0).wrap(inner))
     }));
     let report = service.submit(spec).expect("queue has room").wait();
     assert_eq!(report.status(), Some(Status::Solved), "{:?}", report.outcome);
-    assert_eq!(report.attempts_used(), 3, "panic, panic (tightened), then direct fallback");
+    assert_eq!(report.attempts_used(), 2, "panic, then direct fallback");
     assert!(report.attempts[0].error.as_deref().is_some_and(|e| e.contains("panic")));
-    assert!(report.attempts[2].status.is_some_and(Status::is_solved));
+    assert!(report.attempts[1].status.is_some_and(Status::is_solved));
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn injected_backend_errors_ride_the_guard_and_retry_ladders() {
     let service =
         SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
     // A high error rate defeats the in-solve guard ladder eventually, but
-    // the runtime ladder's direct fallback (which drops the chaos wrapper
+    // the runtime's direct-LDLᵀ retry (which drops the chaos wrapper
     // with the factory) always lands the job.
     let spec = JobSpec::new(box_qp(6)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
         let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));

@@ -3,15 +3,19 @@
 //! of warm session steps against cold solves, budget/cancellation statuses,
 //! and recovery from rejected updates.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rsqp_problems::control;
 use rsqp_runtime::{
-    CustomizationCache, JobBudget, ServiceConfig, SessionConfig, SolveService, SolveSession,
-    StepUpdate,
+    ChaosPlan, CustomizationCache, JobBudget, RetryPolicy, ServiceConfig, SessionConfig,
+    SolveService, SolveSession, StepUpdate,
 };
-use rsqp_solver::{QpProblem, Settings, Solver, Status};
+use rsqp_solver::{
+    BackendStats, CpuPcgBackend, DirectLdltBackend, GuardSettings, KktBackend, QpProblem, Settings,
+    Solver, SolverError, Status,
+};
 use rsqp_sparse::CsrMatrix;
 
 fn tight() -> Settings {
@@ -259,4 +263,150 @@ fn cold_step_sessions_disable_warm_starting() {
     let mut fresh = Solver::new(&reference, tight()).unwrap();
     let fresh_result = fresh.solve().unwrap();
     assert_eq!(cold_step.result.iterations, fresh_result.iterations);
+}
+
+/// Direct LDLᵀ that reports itself as `"ldlt"` (so the guard has no
+/// fallback rung past it) and fails every KKT solve with `error` once the
+/// shared budget of healthy solves is spent.
+struct Faulty {
+    inner: DirectLdltBackend,
+    healthy: Arc<AtomicUsize>,
+    error: SolverError,
+}
+
+impl KktBackend for Faulty {
+    fn name(&self) -> &str {
+        "ldlt"
+    }
+
+    fn update_rho(&mut self, rho: &[f64]) -> Result<(), SolverError> {
+        self.inner.update_rho(rho)
+    }
+
+    fn solve_kkt(
+        &mut self,
+        x: &[f64],
+        z: &[f64],
+        y: &[f64],
+        q: &[f64],
+        xtilde: &mut [f64],
+        ztilde: &mut [f64],
+    ) -> Result<(), SolverError> {
+        if self
+            .healthy
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |h| h.checked_sub(1))
+            .is_err()
+        {
+            return Err(self.error.clone());
+        }
+        self.inner.solve_kkt(x, z, y, q, xtilde, ztilde)
+    }
+
+    fn update_matrices(
+        &mut self,
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        rho: &[f64],
+    ) -> Result<(), SolverError> {
+        self.inner.update_matrices(p, a, rho)
+    }
+
+    fn stats(&self) -> BackendStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn rho_updates_survive_a_solver_rebuild() {
+    // A step that fails with an unrecoverable error drops the solver; the
+    // next step rebuilds it from the session's settings, which must carry
+    // the ρ̄ set since the first build.
+    let healthy = Arc::new(AtomicUsize::new(usize::MAX));
+    let built_with = Arc::new(Mutex::new(Vec::new()));
+    let (budget, log) = (Arc::clone(&healthy), Arc::clone(&built_with));
+    let mut session = SolveSession::new(control::generate(3, 1), SessionConfig::default())
+        .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
+            log.lock().unwrap().push(s.rho);
+            let error = SolverError::InvalidSetting("injected".into());
+            let inner = DirectLdltBackend::new(p, a, sigma, rho)?;
+            Ok(Box::new(Faulty { inner, healthy: Arc::clone(&budget), error }))
+        }));
+    session.step(Vec::new()).unwrap();
+
+    healthy.store(0, Ordering::SeqCst);
+    let failed = session.step(vec![StepUpdate::Rho(5.0)]);
+    assert!(matches!(failed, Err(SolverError::InvalidSetting(_))), "{failed:?}");
+
+    healthy.store(usize::MAX, Ordering::SeqCst);
+    let report = session.step(Vec::new()).unwrap();
+    assert_eq!(report.result.status, Status::Solved);
+    assert_eq!(*built_with.lock().unwrap(), [0.1, 5.0]);
+}
+
+#[test]
+fn cold_step_retries_resume_from_the_checkpoint() {
+    // The backend fails after 60 KKT solves; the guard cannot fall back past
+    // "ldlt", so the step retries on direct LDLᵀ from the checkpoint. A
+    // cold-step session must resume from it too, not restart from zero.
+    let problem = Arc::new(control::generate(8, 1));
+    let settings = Settings { eps_abs: 1e-7, eps_rel: 1e-7, ..Settings::default() };
+    let retry_iterations = |config: SessionConfig| {
+        let healthy = Arc::new(AtomicUsize::new(60));
+        let mut session = SolveSession::new(Arc::clone(&problem), config).with_backend_factory(
+            Box::new(move |p, a, sigma, rho, _s| {
+                let error = SolverError::Backend("injected".into());
+                let inner = DirectLdltBackend::new(p, a, sigma, rho)?;
+                Ok(Box::new(Faulty { inner, healthy: Arc::clone(&healthy), error }))
+            }),
+        );
+        let report = session.step(Vec::new()).unwrap();
+        assert_eq!(report.result.status, Status::Solved);
+        assert_eq!(report.attempts.len(), 2);
+        assert_eq!(report.attempts[0].status, Some(Status::NumericalError));
+        assert!(report.attempts[1].resumed_from.is_some(), "{:?}", report.attempts);
+        report.result.iterations
+    };
+    let base = SessionConfig::default()
+        .with_settings(settings.clone())
+        .with_retry(RetryPolicy::with_max_attempts(2));
+    let warm = retry_iterations(base);
+    let cold = retry_iterations(
+        SessionConfig::default()
+            .with_settings(settings)
+            .with_retry(RetryPolicy::with_max_attempts(2))
+            .with_cold_steps(),
+    );
+    assert_eq!(cold, warm, "the cold-step retry discarded its checkpoint");
+}
+
+#[test]
+fn chaos_session_falls_back_once_and_stays_on_ldlt() {
+    // With the guard off, every injected backend fault reaches the runtime:
+    // the first step retries on direct LDLᵀ (replaying the cached ordering)
+    // and the session keeps that configuration for good.
+    let settings = Settings {
+        guard: GuardSettings { enabled: false, ..Default::default() },
+        ..Settings::default()
+    };
+    let cache = Arc::new(CustomizationCache::new(2));
+    let config = SessionConfig::default().with_settings(settings).with_cache(cache);
+    let mut session = SolveSession::new(control::generate(3, 1), config).with_backend_factory(
+        Box::new(|p, a, sigma, rho, s| {
+            let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+            Ok(ChaosPlan::new(3).with_errors(1.0).wrap(inner))
+        }),
+    );
+
+    let first = session.step(Vec::new()).unwrap();
+    assert_eq!(first.result.status, Status::Solved);
+    assert_eq!(first.attempts.len(), 2, "{:?}", first.attempts);
+    assert!(first.attempts[0].error.as_deref().is_some_and(|e| e.contains("chaos")));
+    assert!(!first.cache_hit);
+
+    for seed in 2..=6u64 {
+        let report = session.step(vec![mpc_bounds(3, seed)]).unwrap();
+        assert_eq!(report.result.status, Status::Solved, "step {seed}");
+        assert_eq!(report.attempts.len(), 1, "step {seed}: {:?}", report.attempts);
+        assert!(report.cache_hit, "step {seed}");
+    }
 }
