@@ -6,14 +6,16 @@
 //!
 //! ```text
 //! b  = σx − q + Aᵀ(ρ∘z − y)            (right-hand side of Eq. 3)
-//! x  = PCG(K, b, x₀ = x)                (Algorithm 2, Jacobi precond.)
-//! z̃ = A x
+//! x̃ = PCG(K, b, x₀ = x̃)                (Algorithm 2, Jacobi precond.)
+//! z̃ = A x̃
 //! ```
 //!
 //! with `K·v` evaluated incrementally as `P·v + σ·v + Aᵀ(ρ∘(A·v))`, never
-//! forming `AᵀA` (§2.2). Degenerate denominators (an exact warm start gives
-//! `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the hardware
-//! equivalent of a saturating divider.
+//! forming `AᵀA` (§2.2). PCG starts from whatever the `xtilde` register
+//! holds — the host leaves the previous KKT solution there — while `x`
+//! only enters the right-hand side. Degenerate denominators (an exact warm
+//! start gives `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
+//! hardware equivalent of a saturating divider.
 
 use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
@@ -22,8 +24,11 @@ use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, V
 pub struct PcgKernel {
     /// The compiled program.
     pub program: Program,
-    /// In/out: warm-start and solution vector (length n).
+    /// Input: current primal iterate `x`, read only for `σ·x` in the
+    /// right-hand side (length n).
     pub x: VecId,
+    /// In/out: PCG warm start on entry, solution `x̃` on exit (length n).
+    pub xtilde: VecId,
     /// Input: current slack iterate `z` (length m).
     pub z: VecId,
     /// Input: current dual iterate `y` (length m).
@@ -34,7 +39,7 @@ pub struct PcgKernel {
     pub rho_vec: VecId,
     /// Input: inverse Jacobi diagonal `M⁻¹` (length n).
     pub minv: VecId,
-    /// Output: `z̃ = A·x` (length m).
+    /// Output: `z̃ = A·x̃` (length m).
     pub ztilde: VecId,
     /// Host-set scalar: σ.
     pub sigma: SReg,
@@ -64,6 +69,7 @@ pub fn build_pcg(
 ) -> PcgKernel {
     // Vector registers.
     let x = machine.alloc_vec(n);
+    let xtilde = machine.alloc_vec(n);
     let z = machine.alloc_vec(m);
     let y = machine.alloc_vec(m);
     let q = machine.alloc_vec(n);
@@ -113,8 +119,8 @@ pub fn build_pcg(
     pb.push(Instr::Lincomb { dst: b, alpha: sigma, a: x, beta: one, b });
     pb.push(Instr::Lincomb { dst: b, alpha: neg_one, a: q, beta: one, b });
 
-    // K·x -> kp  (initial residual).
-    emit_kapply(&mut pb, p, a, at, x, kp, px, am, rho_vec, sigma, one);
+    // K·x̃ -> kp  (initial residual).
+    emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
     // r = kp − b ; d = M⁻¹∘r ; p = −d
     pb.push(Instr::Lincomb { dst: r, alpha: one, a: kp, beta: neg_one, b });
     pb.push(Instr::EwMul { dst: d, a: minv, b: r });
@@ -132,7 +138,7 @@ pub fn build_pcg(
     pb.push(Instr::Dot { dst: pkp, a: pv, b: kp });
     pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: pkp, b: tiny });
     pb.push(Instr::Scalar { op: ScalarOp::Div, dst: lambda, a: delta, b: guard });
-    pb.push(Instr::Lincomb { dst: x, alpha: lambda, a: pv, beta: one, b: x });
+    pb.push(Instr::Lincomb { dst: xtilde, alpha: lambda, a: pv, beta: one, b: xtilde });
     pb.push(Instr::Lincomb { dst: r, alpha: lambda, a: kp, beta: one, b: r });
     pb.push(Instr::Dot { dst: res2, a: r, b: r });
     pb.push(Instr::EwMul { dst: d, a: minv, b: r });
@@ -143,12 +149,12 @@ pub fn build_pcg(
     pb.push(Instr::Lincomb { dst: pv, alpha: mu, a: pv, beta: neg_one, b: d });
     pb.loop_end_if_less(res2, thr);
 
-    // z̃ = A·x.
-    pb.push(Instr::Duplicate { vec: x, matrix: a });
-    pb.push(Instr::Spmv { matrix: a, input: x, output: ztilde });
+    // z̃ = A·x̃.
+    pb.push(Instr::Duplicate { vec: xtilde, matrix: a });
+    pb.push(Instr::Spmv { matrix: a, input: xtilde, output: ztilde });
 
     let program = pb.build().expect("PCG kernel builder is loop-balanced");
-    PcgKernel { program, x, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
+    PcgKernel { program, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
 }
 
 /// Emits `out = P·v + σ·v + Aᵀ(ρ∘(A·v))`.
@@ -234,6 +240,7 @@ mod tests {
         let minv: Vec<f64> = diag.iter().map(|v| 1.0 / v).collect();
 
         machine.write_vec(k.x, &xv);
+        machine.write_vec(k.xtilde, &xv);
         machine.write_vec(k.z, &zv);
         machine.write_vec(k.y, &yv);
         machine.write_vec(k.q, &qv);
@@ -256,7 +263,7 @@ mod tests {
             (kk[1][1] * rhs[0] - kk[0][1] * rhs[1]) / det,
             (-kk[1][0] * rhs[0] + kk[0][0] * rhs[1]) / det,
         ];
-        let got = machine.read_vec(k.x);
+        let got = machine.read_vec(k.xtilde);
         for i in 0..2 {
             assert!((got[i] - want[i]).abs() < 1e-7, "x[{i}] {} vs {}", got[i], want[i]);
         }
@@ -283,7 +290,7 @@ mod tests {
         machine.write_scalar(k.eps, 1e-8);
         machine.write_scalar(k.eps_abs_sq, 1e-24);
         machine.run(&k.program).unwrap();
-        let x = machine.read_vec(k.x);
+        let x = machine.read_vec(k.xtilde);
         assert!(x.iter().all(|v| v.is_finite()));
         assert!(x.iter().all(|&v| v.abs() < 1e-9));
     }
@@ -301,7 +308,7 @@ mod tests {
         machine.run(&k.program).unwrap();
         let loose = machine.stats();
         machine.reset_stats();
-        machine.write_vec(k.x, &[0.0, 0.0]);
+        machine.write_vec(k.xtilde, &[0.0, 0.0]);
         machine.write_scalar(k.eps, 1e-12);
         machine.run(&k.program).unwrap();
         let tight = machine.stats();

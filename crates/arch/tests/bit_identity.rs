@@ -132,11 +132,16 @@ fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
     for (round, phase) in [(0u64, 3.0), (1, 4.0)] {
         machine.write_vec(k.q, &wave(n, phase, 1.0));
         h.word(round);
-        for program in [&transfer, &k.program] {
-            h.stats(&machine.run(program).unwrap());
-        }
-        h.floats(machine.read_vec(k.x));
+        h.stats(&machine.run(&transfer).unwrap());
+        // PCG starts from the transferred iterate.
+        let x0 = machine.read_vec(k.x).to_vec();
+        machine.write_vec(k.xtilde, &x0);
+        h.stats(&machine.run(&k.program).unwrap());
+        let solution = machine.read_vec(k.xtilde).to_vec();
+        h.floats(&solution);
         h.floats(machine.read_vec(k.ztilde));
+        // The next round's iterate is this solution.
+        machine.write_vec(k.x, &solution);
     }
     h.stats(&machine.stats());
     if let Variant::Faulty = variant {

@@ -26,7 +26,7 @@ fn run_pcg(single: bool, eps: f64) -> Vec<f64> {
     machine.write_scalar(k.eps, eps);
     machine.write_scalar(k.eps_abs_sq, 1e-20);
     machine.run(&k.program).unwrap();
-    machine.read_vec(k.x).to_vec()
+    machine.read_vec(k.xtilde).to_vec()
 }
 
 #[test]

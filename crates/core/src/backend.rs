@@ -5,7 +5,9 @@
 //! results flowing back into the ADMM loop are the machine's — so the
 //! solver genuinely converges on simulated-accelerator arithmetic — and
 //! every solve advances the machine's cycle counters, which the performance
-//! model later converts to seconds via the f_max estimate.
+//! model later converts to seconds via the f_max estimate. Each solve loads
+//! the solver's warm start into the kernel's `xtilde` register and reads the
+//! solution back from it, so the machine and the CPU PCG start alike.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -169,6 +171,7 @@ impl KktBackend for FpgaPcgBackend {
     ) -> Result<(), SolverError> {
         let mut machine = self.machine.borrow_mut();
         machine.write_vec(self.kernel.x, x);
+        machine.write_vec(self.kernel.xtilde, xtilde);
         machine.write_vec(self.kernel.z, z);
         machine.write_vec(self.kernel.y, y);
         machine.write_vec(self.kernel.q, q);
@@ -177,7 +180,7 @@ impl KktBackend for FpgaPcgBackend {
         let run = machine
             .run(&self.kernel.program)
             .map_err(|e| SolverError::Backend(format!("machine error: {e}")))?;
-        xtilde.copy_from_slice(machine.read_vec(self.kernel.x));
+        xtilde.copy_from_slice(machine.read_vec(self.kernel.xtilde));
         ztilde.copy_from_slice(machine.read_vec(self.kernel.ztilde));
         self.stats.kkt_solves += 1;
         let trips = run.loop_trips as usize;

@@ -7,7 +7,8 @@
 //! * [`DirectLdltBackend`] factors the quasi-definite KKT matrix once and
 //!   reuses the numeric factorization until ρ changes;
 //! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) iteratively with
-//!   warm-started PCG — the same computation RSQP maps onto the FPGA;
+//!   PCG warm-started from the previous solution `x̃` — the same
+//!   computation RSQP maps onto the FPGA;
 //! * `rsqp-core` provides a third implementation that runs the PCG
 //!   instruction stream through the cycle-level architecture simulator.
 
@@ -70,6 +71,11 @@ pub trait KktBackend {
 
     /// Solves Eq. (2) for the current iterates, writing `x̃^{k+1}` and
     /// `z̃^{k+1}`.
+    ///
+    /// `xtilde` is in/out. On entry it holds the warm start — the solver
+    /// passes the previous solution `x̃^k`, or `x^k` at the start of a
+    /// solve and after a recovery. Iterative backends start PCG from it;
+    /// direct backends ignore it. On `Err` its contents are unspecified.
     ///
     /// # Errors
     ///
@@ -444,8 +450,8 @@ impl KktBackend for CpuPcgBackend {
         }
         self.op.at_spmv_acc(1.0, &self.tmp_m, &mut self.rhs)?;
 
+        // PCG starts from the caller's warm start in `xtilde`.
         let settings = PcgSettings { eps: self.eps, eps_abs: 1e-15, max_iter: self.max_iter };
-        xtilde.copy_from_slice(x);
         let summary =
             pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, Some(&self.pool));
         match summary {

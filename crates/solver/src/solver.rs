@@ -593,6 +593,11 @@ impl Solver {
         } else {
             None
         };
+        // The KKT warm start: x̃ carries over between iterations of this
+        // solve, and restarts from x here and after every recovery. Starting
+        // each solve from x covers warm/cold starts, checkpoint restores and
+        // parametric updates (which may change the scaled space).
+        self.ws.xtilde.copy_from_slice(&self.x);
         let mut tracer: Option<TraceBuilder> = if s.trace {
             let mut timeline = Timeline::new();
             timeline.start("solve");
@@ -895,19 +900,21 @@ impl Solver {
         cg_eps: &mut f64,
     ) -> Result<Option<&'static str>, SolverError> {
         let can_fallback = self.backend.name() != "ldlt";
-        match guard.recover(anomaly, can_fallback) {
-            RecoveryAction::ResetIterates => {
-                guard.restore(&mut self.x, &mut self.z, &mut self.y);
-                Ok(Some("reset_iterates"))
-            }
+        let action = guard.recover(anomaly, can_fallback);
+        if action != RecoveryAction::Abort {
+            // A failed KKT solve may have left a partial or NaN iterate in
+            // x̃; every rung restarts the warm start from the restored x.
+            guard.restore(&mut self.x, &mut self.z, &mut self.y);
+            self.ws.xtilde.copy_from_slice(&self.x);
+        }
+        match action {
+            RecoveryAction::ResetIterates => Ok(Some("reset_iterates")),
             RecoveryAction::TightenCgTolerance => {
-                guard.restore(&mut self.x, &mut self.z, &mut self.y);
                 *cg_eps = (*cg_eps * GUARD_CG_SHRINK).max(GUARD_CG_FLOOR);
                 self.backend.set_cg_tolerance(*cg_eps);
                 Ok(Some("tighten_cg_tolerance"))
             }
             RecoveryAction::FallbackToDirect => {
-                guard.restore(&mut self.x, &mut self.z, &mut self.y);
                 // The direct factorization is the safety net; if even it
                 // cannot be built the error is structural and propagates.
                 let direct = DirectLdltBackend::with_ordering(

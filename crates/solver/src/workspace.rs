@@ -11,7 +11,8 @@
 /// never re-allocate.
 #[derive(Debug, Clone)]
 pub(crate) struct IterateWorkspace {
-    /// KKT solution x̃ (length n).
+    /// KKT solution x̃ (length n); on entry to a KKT solve, the PCG warm
+    /// start.
     pub xtilde: Vec<f64>,
     /// KKT solution z̃ (length m).
     pub ztilde: Vec<f64>,

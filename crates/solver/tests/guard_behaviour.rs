@@ -1,6 +1,9 @@
 //! End-to-end tests of the numerical guard and recovery ladder, using a
 //! sabotage backend that corrupts KKT solves on demand.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use rsqp_solver::{
     BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, GuardSettings, KktBackend,
@@ -29,8 +32,21 @@ enum Sabotage {
     Error,
 }
 
-/// Wraps a real backend and corrupts `solve_kkt` output from call
-/// `fire_at` on (one-shot unless `persistent`).
+/// What one KKT solve received and returned.
+#[derive(Debug, Clone)]
+struct KktCall {
+    /// The iterate `x`.
+    x: Vec<f64>,
+    /// `xtilde` on entry: the warm start.
+    start: Vec<f64>,
+    /// `xtilde` on return.
+    solution: Vec<f64>,
+}
+
+type CallLog = Rc<RefCell<Vec<KktCall>>>;
+
+/// Wraps a real backend, logs every call, and corrupts `solve_kkt` output
+/// from call `fire_at` on (one-shot unless `persistent`).
 struct SabotageBackend {
     inner: Box<dyn KktBackend>,
     name: String,
@@ -38,6 +54,7 @@ struct SabotageBackend {
     fire_at: usize,
     persistent: bool,
     calls: usize,
+    log: CallLog,
 }
 
 impl SabotageBackend {
@@ -66,19 +83,24 @@ impl KktBackend for SabotageBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
+        let start = xtilde.to_vec();
         let fire = self.should_fire();
-        if fire && self.mode == Sabotage::Error {
-            return Err(SolverError::Backend("injected device fault".into()));
-        }
-        self.inner.solve_kkt(x, z, y, q, xtilde, ztilde)?;
-        if fire {
+        let result = if fire && self.mode == Sabotage::Error {
+            // A failing device may leave a partial iterate behind.
+            xtilde.fill(f64::NAN);
+            Err(SolverError::Backend("injected device fault".into()))
+        } else {
+            self.inner.solve_kkt(x, z, y, q, xtilde, ztilde)
+        };
+        if fire && result.is_ok() {
             xtilde[0] = match self.mode {
                 Sabotage::PoisonNan => f64::NAN,
                 Sabotage::PoisonInf => f64::INFINITY,
                 Sabotage::Error => unreachable!(),
             };
         }
-        Ok(())
+        self.log.borrow_mut().push(KktCall { x: x.to_vec(), start, solution: xtilde.to_vec() });
+        result
     }
     fn update_matrices(
         &mut self,
@@ -100,8 +122,20 @@ fn sabotaged_solver(
     persistent: bool,
     direct: bool,
 ) -> Solver {
+    logged_sabotaged_solver(settings, mode, fire_at, persistent, direct).0
+}
+
+/// [`sabotaged_solver`] plus the backend's call log.
+fn logged_sabotaged_solver(
+    settings: Settings,
+    mode: Sabotage,
+    fire_at: usize,
+    persistent: bool,
+    direct: bool,
+) -> (Solver, CallLog) {
     let problem = small_qp();
-    Solver::with_backend(&problem, settings, &mut |p, a, sigma, rho, s| {
+    let log = CallLog::default();
+    let solver = Solver::with_backend(&problem, settings, &mut |p, a, sigma, rho, s| {
         let (inner, name): (Box<dyn KktBackend>, &str) = if direct {
             (Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?), "ldlt")
         } else {
@@ -114,9 +148,11 @@ fn sabotaged_solver(
             fire_at,
             persistent,
             calls: 0,
+            log: Rc::clone(&log),
         }))
     })
-    .unwrap()
+    .unwrap();
+    (solver, log)
 }
 
 #[test]
@@ -186,6 +222,53 @@ fn clean_solves_report_no_interventions() {
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(!r.guard.intervened(), "spurious guard activity: {:?}", r.guard);
+}
+
+/// Solves `small_qp` on CPU PCG with a one-shot sabotage at call
+/// `fire_at` and returns the status with the call log.
+fn probed_solve(mode: Sabotage, fire_at: usize) -> (Status, Vec<KktCall>) {
+    let (mut solver, log) =
+        logged_sabotaged_solver(guarded_settings(), mode, fire_at, false, false);
+    let status = solver.solve().unwrap().status;
+    let calls = log.borrow().clone();
+    (status, calls)
+}
+
+/// The solve after the poisoned one (call `fire_at`, 1-based) starts from
+/// the restored `x` — the initial iterate, since no residual check has
+/// passed by then.
+fn assert_warm_start_restored(calls: &[KktCall], fire_at: usize) {
+    assert!(calls.len() > fire_at, "the solve stopped at the fault");
+    let next = &calls[fire_at];
+    assert!(next.start.iter().all(|v| v.is_finite()), "poisoned warm start: {:?}", next.start);
+    assert_eq!(next.start, next.x, "the warm start must be the restored x");
+    assert_eq!(next.x, calls[0].x, "x must be the restored checkpoint");
+}
+
+#[test]
+fn failed_kkt_solve_does_not_poison_the_next_warm_start() {
+    let (status, calls) = probed_solve(Sabotage::Error, 3);
+    assert_eq!(status, Status::Solved);
+    assert_warm_start_restored(&calls, 3);
+}
+
+#[test]
+fn residual_anomaly_restore_resets_the_warm_start() {
+    // Call 5 is the first residual check (`check_termination = 5`), so the
+    // guard sees the NaN iterate there and restores the checkpoint.
+    let (status, calls) = probed_solve(Sabotage::PoisonNan, 5);
+    assert_eq!(status, Status::Solved);
+    assert_warm_start_restored(&calls, 5);
+}
+
+#[test]
+fn warm_start_carries_the_previous_solution_within_a_solve() {
+    let (status, calls) = probed_solve(Sabotage::Error, usize::MAX);
+    assert_eq!(status, Status::Solved);
+    assert_eq!(calls[0].start, calls[0].x, "a solve starts from x");
+    for pair in calls.windows(2) {
+        assert_eq!(pair[1].start, pair[0].solution, "then from the previous x̃");
+    }
 }
 
 proptest! {
