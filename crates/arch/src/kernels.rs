@@ -6,12 +6,24 @@
 //!
 //! ```text
 //! b  = σx − q + Aᵀ(ρ∘z − y)            (right-hand side of Eq. 3)
-//! x̃ = PCG(K, b, x₀ = x̃)                (Algorithm 2, Jacobi precond.)
+//! x̃ = PCG(K, b, x₀ = x̃)                (Algorithm 2)
 //! z̃ = A x̃
 //! ```
 //!
 //! with `K·v` evaluated incrementally as `P·v + σ·v + Aᵀ(ρ∘(A·v))`, never
-//! forming `AᵀA` (§2.2). PCG starts from whatever the `xtilde` register
+//! forming `AᵀA` (§2.2). The preconditioner `d = M⁻¹r` is Jacobi plus, when
+//! `A` has dense rows `S`, the Woodbury correction for them
+//! (`rsqp_linsys::DenseRowPrecond`):
+//!
+//! ```text
+//! d = D'⁻¹∘r − D'⁻¹∘(A_Sᵀ C⁻¹ A_S (D'⁻¹∘r))
+//! ```
+//!
+//! with `D'⁻¹` in the `minv` register and `A_S`, `C⁻¹`, `A_Sᵀ` as three
+//! more resident matrices ([`DenseRowCorrection`]). It is built from the
+//! instructions of Table 1 alone — three `Duplicate`/`Spmv` pairs, an
+//! `EwMul` and a `Lincomb` — and without dense rows the kernel is the
+//! plain Jacobi program. PCG starts from whatever the `xtilde` register
 //! holds — the host leaves the previous KKT solution there — while `x`
 //! only enters the right-hand side. Degenerate denominators (an exact warm
 //! start gives `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
@@ -37,7 +49,9 @@ pub struct PcgKernel {
     pub q: VecId,
     /// Input: per-constraint ρ vector (length m).
     pub rho_vec: VecId,
-    /// Input: inverse Jacobi diagonal `M⁻¹` (length n).
+    /// Input: inverse preconditioner diagonal `D'⁻¹` — the Jacobi
+    /// diagonal, without the dense rows when the kernel carries a
+    /// [`DenseRowCorrection`] (length n).
     pub minv: VecId,
     /// Output: `z̃ = A·x̃` (length m).
     pub ztilde: VecId,
@@ -49,8 +63,24 @@ pub struct PcgKernel {
     pub eps_abs_sq: SReg,
 }
 
+/// The resident matrices of the preconditioner's dense-row correction:
+/// `A_S` (k×n), `C⁻¹` (k×k) and `A_Sᵀ` (n×k), with `C = R_S⁻¹ + A_S D'⁻¹
+/// A_Sᵀ`. The host refreshes their values with
+/// [`Machine::update_matrix_values`] whenever ρ or the matrices change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseRowCorrection {
+    /// `A_S`: the dense rows of `A`.
+    pub a_s: MatrixId,
+    /// `C⁻¹`, every entry stored.
+    pub cinv: MatrixId,
+    /// `A_Sᵀ`.
+    pub a_st: MatrixId,
+}
+
 /// Builds the PCG kernel on `machine` for matrices `p` (n×n), `a` (m×n) and
-/// `at` (n×m) already registered with the machine.
+/// `at` (n×m) already registered with the machine, preconditioned with
+/// `minv` alone or, given a `correction`, with its dense-row correction
+/// too. Without one the program is the plain Jacobi PCG.
 ///
 /// `max_iter` caps the hardware loop.
 ///
@@ -66,6 +96,7 @@ pub fn build_pcg(
     n: usize,
     m: usize,
     max_iter: usize,
+    correction: Option<DenseRowCorrection>,
 ) -> PcgKernel {
     // Vector registers.
     let x = machine.alloc_vec(n);
@@ -102,6 +133,25 @@ pub fn build_pcg(
     let thr = machine.alloc_scalar();
     let eps2 = machine.alloc_scalar();
     let guard = machine.alloc_scalar();
+    // The correction's k-length intermediates `s = A_S d` and `t = C⁻¹ s`;
+    // `A_Sᵀ t` goes through `px`, which is free outside K·v.
+    let correction = correction.map(|c| {
+        let k = machine.matrix(c.a_s).nrows();
+        (c, machine.alloc_vec(k), machine.alloc_vec(k))
+    });
+    let precondition = |pb: &mut ProgramBuilder| {
+        pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+        if let Some((c, s, t)) = correction {
+            pb.push(Instr::Duplicate { vec: d, matrix: c.a_s });
+            pb.push(Instr::Spmv { matrix: c.a_s, input: d, output: s });
+            pb.push(Instr::Duplicate { vec: s, matrix: c.cinv });
+            pb.push(Instr::Spmv { matrix: c.cinv, input: s, output: t });
+            pb.push(Instr::Duplicate { vec: t, matrix: c.a_st });
+            pb.push(Instr::Spmv { matrix: c.a_st, input: t, output: px });
+            pb.push(Instr::EwMul { dst: px, a: minv, b: px });
+            pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
+        }
+    };
 
     let mut pb = ProgramBuilder::new();
     pb.max_trips(max_iter.max(1));
@@ -123,7 +173,7 @@ pub fn build_pcg(
     emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
     // r = kp − b ; d = M⁻¹∘r ; p = −d
     pb.push(Instr::Lincomb { dst: r, alpha: one, a: kp, beta: neg_one, b });
-    pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+    precondition(&mut pb);
     pb.push(Instr::Lincomb { dst: pv, alpha: neg_one, a: d, beta: zero, b: d });
     pb.push(Instr::Dot { dst: delta, a: r, b: d });
     pb.push(Instr::Dot { dst: normb2, a: b, b });
@@ -141,7 +191,7 @@ pub fn build_pcg(
     pb.push(Instr::Lincomb { dst: xtilde, alpha: lambda, a: pv, beta: one, b: xtilde });
     pb.push(Instr::Lincomb { dst: r, alpha: lambda, a: kp, beta: one, b: r });
     pb.push(Instr::Dot { dst: res2, a: r, b: r });
-    pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+    precondition(&mut pb);
     pb.push(Instr::Dot { dst: delta_new, a: r, b: d });
     pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: delta, b: tiny });
     pb.push(Instr::Scalar { op: ScalarOp::Div, dst: mu, a: delta_new, b: guard });
@@ -215,7 +265,7 @@ mod tests {
         let p = machine.add_matrix(&pm);
         let a = machine.add_matrix(&am);
         let at = machine.add_matrix(&atm);
-        let k = build_pcg(&mut machine, p, a, at, 2, 2, 500);
+        let k = build_pcg(&mut machine, p, a, at, 2, 2, 500, None);
         (machine, k, pm, am)
     }
 
@@ -314,6 +364,54 @@ mod tests {
         let tight = machine.stats();
         assert!(tight.loop_trips >= loose.loop_trips);
         assert!(tight.cycles >= loose.cycles);
+    }
+
+    #[test]
+    fn dense_row_correction_solves_portfolio_from_zero_at_once() {
+        // A portfolio's non-dense rows are single-entry box rows and P is
+        // diagonal, so Jacobi plus the dense-row correction is K itself.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 1, 1);
+        let (pm, am, sigma) = (qp.p(), qp.a(), 1e-6);
+        let (n, m) = (pm.nrows(), am.nrows());
+        let rho: Vec<f64> =
+            qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
+        let pre = rsqp_linsys::DenseRowPrecond::new(pm, am, &am.transpose(), sigma, &rho);
+        assert_eq!(pre.rank(), 2, "the factor row and the budget row");
+        let mut machine = Machine::new(ArchConfig::baseline(8));
+        let (p, a, at) =
+            (machine.add_matrix(pm), machine.add_matrix(am), machine.add_matrix(&am.transpose()));
+        let correction = DenseRowCorrection {
+            a_s: machine.add_matrix(pre.a_s()),
+            cinv: machine.add_matrix(pre.cinv()),
+            a_st: machine.add_matrix(&pre.a_s().transpose()),
+        };
+        let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
+        let wave = |len: usize, phase: f64| -> Vec<f64> {
+            (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+        };
+        let (xv, zv, yv, qv) = (wave(n, 0.0), wave(m, 1.0), wave(m, 2.0), wave(n, 3.0));
+        machine.write_vec(k.x, &xv);
+        machine.write_vec(k.z, &zv);
+        machine.write_vec(k.y, &yv);
+        machine.write_vec(k.q, &qv);
+        machine.write_vec(k.rho_vec, &rho);
+        machine.write_vec(k.minv, pre.inv_diag());
+        machine.write_scalar(k.sigma, sigma);
+        machine.write_scalar(k.eps, 1e-12);
+        machine.write_scalar(k.eps_abs_sq, 1e-28);
+        let run = machine.run(&k.program).unwrap();
+        assert!(run.loop_trips <= 2, "{} trips", run.loop_trips);
+
+        // Reference: the x block of the full KKT system solved by LDLᵀ.
+        let mut rhs: Vec<f64> = (0..n).map(|j| sigma * xv[j] - qv[j]).collect();
+        let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
+        am.transpose().spmv_acc(1.0, &w, &mut rhs).unwrap();
+        rhs.resize(n + m, 0.0);
+        let kkt = rsqp_linsys::KktMatrix::assemble(pm, am, sigma, &rho).unwrap();
+        rsqp_linsys::Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
+        for (got, want) in machine.read_vec(k.xtilde).iter().zip(&rhs[..n]) {
+            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
     let pid = machine.add_matrix(&p);
     let aid = machine.add_matrix(&a);
     let atid = machine.add_matrix(&at);
-    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400);
+    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400, None);
 
     let sigma = 1e-6;
     let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();

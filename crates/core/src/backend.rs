@@ -8,29 +8,67 @@
 //! model later converts to seconds via the f_max estimate. Each solve loads
 //! the solver's warm start into the kernel's `xtilde` register and reads the
 //! solution back from it, so the machine and the CPU PCG start alike.
+//!
+//! The preconditioner is the CPU PCG's own [`DenseRowPrecond`]: the host
+//! computes `D'⁻¹`, `A_S` and `C⁻¹` and uploads them, and the kernel applies
+//! the same operator on the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, PcgKernel};
-use rsqp_arch::{ArchConfig, Machine, MatrixId, RunStats};
+use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, DenseRowCorrection, PcgKernel};
+use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, RunStats};
+use rsqp_linsys::DenseRowPrecond;
 use rsqp_solver::{BackendStats, KktBackend, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
+
+/// Registers `P`, `A`, `Aᵀ` and, when `precond` has dense rows, the
+/// correction's `A_S`, `C⁻¹` and `A_Sᵀ` (`a_st`) on `machine`, and builds
+/// the PCG kernel over them — the program [`FpgaPcgBackend`] runs and the
+/// bundle writer emits.
+pub(crate) fn load_pcg(
+    machine: &mut Machine,
+    p: &CsrMatrix,
+    a: &CsrMatrix,
+    at: &CsrMatrix,
+    precond: &DenseRowPrecond,
+    a_st: &CsrMatrix,
+    max_iter: usize,
+) -> (PcgKernel, [MatrixId; 3], Option<DenseRowCorrection>) {
+    let ids = [machine.add_matrix(p), machine.add_matrix(a), machine.add_matrix(at)];
+    let correction = (precond.rank() > 0).then(|| DenseRowCorrection {
+        a_s: machine.add_matrix(precond.a_s()),
+        cinv: machine.add_matrix(precond.cinv()),
+        a_st: machine.add_matrix(a_st),
+    });
+    let [pid, aid, atid] = ids;
+    let kernel = build_pcg(machine, pid, aid, atid, p.nrows(), a.nrows(), max_iter, correction);
+    (kernel, ids, correction)
+}
 
 /// A [`KktBackend`] backed by the simulated RSQP accelerator.
 pub struct FpgaPcgBackend {
     machine: Rc<RefCell<Machine>>,
     kernel: PcgKernel,
-    matrix_ids: (MatrixId, MatrixId, MatrixId),
+    /// `P`, `A` and `Aᵀ` on the machine.
+    matrix_ids: [MatrixId; 3],
+    /// The preconditioner's dense-row matrices on the machine, if any.
+    correction: Option<DenseRowCorrection>,
     /// `Aᵀ` as uploaded, refreshed from `A`'s values on every update.
     at: TransposeCache,
-    p_diag: Vec<f64>,
+    /// Host-side preconditioner, refreshed and re-uploaded on every update.
+    precond: DenseRowPrecond,
+    /// `A_Sᵀ` as uploaded, refreshed from `A_S`'s values on every update.
+    a_st: TransposeCache,
     rho: Vec<f64>,
-    /// Host-side buffer for the inverse Jacobi diagonal.
-    minv: Vec<f64>,
     sigma: f64,
     eps: f64,
     stats: BackendStats,
+    /// SpMVs in the kernel outside and inside its loop: `Aᵀ` for the
+    /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and, with dense rows, the
+    /// preconditioner (`A_S`, `C⁻¹`, `A_Sᵀ`) before the loop and in it, and
+    /// `A` for z̃.
+    spmvs: (usize, usize),
     outer_cycles_per_iter: u64,
 }
 
@@ -60,27 +98,33 @@ impl FpgaPcgBackend {
         let n = p.nrows();
         let m = a.nrows();
         let at = TransposeCache::new(a);
+        let precond = DenseRowPrecond::new(p, a, at.matrix(), sigma, rho);
+        let a_st = TransposeCache::new(precond.a_s());
         let outer_cycles_per_iter = admm_outer_cycles(&config, n, m);
         let mut machine = Machine::new(config);
-        let pid = machine.add_matrix(p);
-        let aid = machine.add_matrix(a);
-        let atid = machine.add_matrix(at.matrix());
-        let matrix_ids = (pid, aid, atid);
-        let kernel = build_pcg(&mut machine, pid, aid, atid, n, m, cg_max_iter.max(1));
+        let (kernel, matrix_ids, correction) =
+            load_pcg(&mut machine, p, a, at.matrix(), &precond, a_st.matrix(), cg_max_iter.max(1));
+        let is_spmv = |i: &&Instr| matches!(i, Instr::Spmv { .. });
+        let (start, end) = kernel.program.loop_bounds().expect("the PCG kernel has a loop");
+        let instrs = kernel.program.instrs();
+        let body = instrs[start..=end].iter().filter(is_spmv).count();
+        let spmvs = (instrs.iter().filter(is_spmv).count() - body, body);
         let mut backend = FpgaPcgBackend {
             machine: Rc::new(RefCell::new(machine)),
             kernel,
             matrix_ids,
+            correction,
             at,
-            p_diag: p.diagonal(),
+            precond,
+            a_st,
             rho: rho.to_vec(),
-            minv: vec![0.0; n],
             sigma,
             eps: cg_eps,
             stats: BackendStats::default(),
+            spmvs,
             outer_cycles_per_iter,
         };
-        backend.refresh_device_constants();
+        backend.upload_device_constants();
         let handle = Rc::clone(&backend.machine);
         (backend, handle)
     }
@@ -111,26 +155,28 @@ impl FpgaPcgBackend {
         self.machine.borrow().stats()
     }
 
+    /// Recomputes the preconditioner in place from the `P`, `A` and `Aᵀ`
+    /// resident on the device and ρ, then uploads it.
     fn refresh_device_constants(&mut self) {
-        // Jacobi inverse diagonal: diag(P) + σ + Σ ρ_i A_{i,·}², built in
-        // place from the A resident on the device.
+        {
+            let machine = self.machine.borrow();
+            let [pid, aid, atid] = self.matrix_ids;
+            let (p, a, at) = (machine.matrix(pid), machine.matrix(aid), machine.matrix(atid));
+            self.precond.refresh(p, a, at, &self.rho);
+        }
+        self.upload_device_constants();
+    }
+
+    /// Writes the preconditioner, ρ and the scalar settings to the device.
+    fn upload_device_constants(&mut self) {
         let mut machine = self.machine.borrow_mut();
-        let diag = &mut self.minv;
-        diag.copy_from_slice(&self.p_diag);
-        for d in diag.iter_mut() {
-            *d += self.sigma;
+        machine.write_vec(self.kernel.minv, self.precond.inv_diag());
+        if let Some(c) = self.correction {
+            self.a_st.refresh_values(self.precond.a_s()).expect("A_S keeps its shape");
+            machine.update_matrix_values(c.a_s, self.precond.a_s());
+            machine.update_matrix_values(c.cinv, self.precond.cinv());
+            machine.update_matrix_values(c.a_st, self.a_st.matrix());
         }
-        let a = machine.matrix(self.matrix_ids.1);
-        for i in 0..a.nrows() {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                diag[j] += self.rho[i] * v * v;
-            }
-        }
-        for d in diag.iter_mut() {
-            *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
-        }
-        machine.write_vec(self.kernel.minv, &self.minv);
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
@@ -149,8 +195,8 @@ impl KktBackend for FpgaPcgBackend {
         }
         self.rho.copy_from_slice(rho);
         // Rebuild the device preconditioner and the device ρ vector from
-        // the cached diag(P) and the resident A (no structural work — the
-        // indirect method's cheap ρ update, §2.2).
+        // the resident P and A (no structural work — the indirect method's
+        // cheap ρ update, §2.2).
         self.refresh_device_constants();
         Ok(())
     }
@@ -185,7 +231,9 @@ impl KktBackend for FpgaPcgBackend {
         self.stats.kkt_solves += 1;
         let trips = run.loop_trips as usize;
         self.stats.cg_iterations += trips;
-        self.stats.spmv_evals += 3 * (trips + 1) + 2;
+        // The loop body runs once more than its trips (back-edges taken).
+        let (straight, body) = self.spmvs;
+        self.stats.spmv_evals += straight + body * (trips + 1);
         Ok(())
     }
 
@@ -199,14 +247,11 @@ impl KktBackend for FpgaPcgBackend {
             // Values only: the machine panics on a structural change, and
             // A's check comes before the transpose refresh relies on it.
             let mut machine = self.machine.borrow_mut();
-            let (pid, aid, atid) = self.matrix_ids;
+            let [pid, aid, atid] = self.matrix_ids;
             machine.update_matrix_values(pid, p);
             machine.update_matrix_values(aid, a);
             self.at.refresh_values(a).expect("A's structure was checked above");
             machine.update_matrix_values(atid, self.at.matrix());
-        }
-        for (i, d) in self.p_diag.iter_mut().enumerate() {
-            *d = p.get(i, i);
         }
         self.rho.copy_from_slice(rho);
         self.refresh_device_constants();
@@ -224,8 +269,11 @@ mod tests {
     use rsqp_problems::{generate, Domain};
 
     fn backend(p: &CsrMatrix, a: &CsrMatrix) -> FpgaPcgBackend {
-        let rho = vec![0.1; a.nrows()];
-        FpgaPcgBackend::baseline(p, a, 1e-6, &rho, 8, 1e-7, 200).0
+        backend_at(p, a, 0.1)
+    }
+
+    fn backend_at(p: &CsrMatrix, a: &CsrMatrix, rho: f64) -> FpgaPcgBackend {
+        FpgaPcgBackend::baseline(p, a, 1e-6, &vec![rho; a.nrows()], 8, 1e-7, 200).0
     }
 
     fn solve(b: &mut FpgaPcgBackend, n: usize, m: usize) -> (Vec<f64>, Vec<f64>) {
@@ -248,6 +296,25 @@ mod tests {
         updated.update_matrices(q2.p(), q2.a(), &vec![0.1; m]).unwrap();
         let mut fresh = backend(q2.p(), q2.a());
         assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m));
+        // A ρ update re-uploads D'⁻¹ and the dense-row correction.
+        assert!(updated.correction.is_some());
+        updated.update_rho(&vec![0.7; m]).unwrap();
+        let mut fresh = backend_at(q2.p(), q2.a(), 0.7);
+        assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m));
+    }
+
+    #[test]
+    fn spmv_evals_count_every_kernel_spmv() {
+        // K·v, and with dense rows the preconditioner's three SpMVs, run
+        // before the loop and on each of its trips + 1 passes; Aᵀ for the
+        // right-hand side and A for z̃ run once.
+        for (domain, size, per_pass) in [(Domain::Control, 2, 3), (Domain::Portfolio, 1, 6)] {
+            let qp = generate(domain, size, 1);
+            let mut b = backend(qp.p(), qp.a());
+            let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
+            let stats = b.stats();
+            assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 2) + 2, "{domain}");
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 use std::io::Write;
 use std::path::Path;
 
-use rsqp_arch::kernels::build_pcg;
 use rsqp_arch::{codegen, rom, Machine, ResourceModel};
+use rsqp_linsys::DenseRowPrecond;
 use rsqp_solver::QpProblem;
 
+use crate::backend::load_pcg;
 use crate::{layout_for, CustomizationResult};
 
 /// Writes the full hardware-generation bundle for a problem under the
@@ -91,19 +92,13 @@ pub fn write_bundle(
 
     // ROM image of the PCG kernel.
     {
+        // The backend's program: the preconditioner's dense-row set, and so
+        // the kernel, depend on A's pattern only.
+        let (p, a) = (problem.p(), problem.a());
+        let precond = DenseRowPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
+        let a_st = precond.a_s().transpose();
         let mut machine = Machine::new(result.config.clone());
-        let p = machine.add_matrix(problem.p());
-        let a = machine.add_matrix(problem.a());
-        let atid = machine.add_matrix(&at);
-        let kernel = build_pcg(
-            &mut machine,
-            p,
-            a,
-            atid,
-            problem.num_vars(),
-            problem.num_constraints(),
-            2000,
-        );
+        let (kernel, _, _) = load_pcg(&mut machine, p, a, &at, &precond, &a_st, 2000);
         let image = rom::encode_program(&kernel.program);
         let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(dir.join("pcg.rom"), bytes)?;

@@ -1,7 +1,10 @@
 //! Asserts the simulated-FPGA path is allocation-free in steady state: a
 //! repeated run of the PCG kernel on the cycle-level machine touches the
 //! heap zero times, and an ADMM solve whose KKT systems run on the machine
-//! allocates as often at 220 iterations as at 20.
+//! allocates as often at 220 iterations as at 20 — also on a portfolio,
+//! whose dense rows put the preconditioner's Woodbury correction into the
+//! kernel — and a manual ρ update, which re-uploads that correction, does
+//! not allocate.
 //!
 //! Strategy: a per-thread counting global allocator tallies allocation
 //! calls and bytes, so tests running in parallel do not count each other.
@@ -70,7 +73,7 @@ fn repeated_pcg_kernel_runs_allocate_nothing() {
     let config = customize(&qp, 8, 4).config;
     let mut machine = Machine::new(config);
     let (pid, aid, atid) = (machine.add_matrix(p), machine.add_matrix(a), machine.add_matrix(&at));
-    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 500);
+    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 500, None);
     machine.write_vec(k.minv, &vec![0.5; n]);
     machine.write_vec(k.rho_vec, &vec![0.1; m]);
     machine.write_vec(k.z, &vec![0.2; m]);
@@ -120,10 +123,21 @@ fn problem() -> QpProblem {
     QpProblem::new(p, q, a, vec![-1.0; n + 2], vec![1.0; n + 2]).unwrap()
 }
 
-/// Allocations made by `solve` (set-up excluded) of an FPGA-backed solver
-/// that runs exactly `max_iter` ADMM iterations, with its ρ updates.
-fn fpga_solve_allocs(max_iter: usize) -> ((usize, usize), usize) {
-    let settings = Settings {
+/// An FPGA-backed solver on the baseline 8-wide machine.
+fn fpga_solver(prob: &QpProblem, settings: Settings) -> Solver {
+    let config = ArchConfig::baseline(8);
+    Solver::with_backend(prob, settings, &mut |p, a, sigma, rho, s| {
+        let (backend, _) =
+            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), 1e-10, s.cg_max_iter);
+        Ok(Box::new(backend))
+    })
+    .unwrap()
+}
+
+/// Settings that run exactly `max_iter` ADMM iterations with a ρ update at
+/// every one.
+fn churn_settings(max_iter: usize) -> Settings {
+    Settings {
         threads: 1,
         max_iter,
         eps_abs: 1e-300,
@@ -137,35 +151,51 @@ fn fpga_solve_allocs(max_iter: usize) -> ((usize, usize), usize) {
         adaptive_rho_tolerance: 1.0,
         check_termination: 1,
         ..Settings::default()
-    };
-    let prob = problem();
-    let config = ArchConfig::baseline(8);
-    let mut solver = Solver::with_backend(&prob, settings, &mut |p, a, sigma, rho, s| {
-        let (backend, _) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), 1e-10, s.cg_max_iter);
-        Ok(Box::new(backend))
-    })
-    .unwrap();
+    }
+}
+
+/// Allocations made by `solve` (set-up excluded) of an FPGA-backed solver
+/// that runs exactly `max_iter` ADMM iterations, with its ρ updates.
+fn fpga_solve_allocs(prob: &QpProblem, max_iter: usize) -> ((usize, usize), usize) {
+    let mut solver = fpga_solver(prob, churn_settings(max_iter));
     let before = allocs();
     let result = solver.solve().unwrap();
     let during = since(before);
     assert_eq!(result.status, Status::MaxIterationsReached);
     assert_eq!(result.iterations, max_iter);
-    assert!(result.backend.cg_iterations > 0, "the machine must run PCG");
     assert_eq!(result.backend.kkt_solves, max_iter);
     (during, result.rho_updates)
 }
 
 #[test]
 fn fpga_backed_admm_steady_state_is_allocation_free() {
-    let _ = fpga_solve_allocs(5);
-    let (short, short_rho) = fpga_solve_allocs(20);
-    let (long, long_rho) = fpga_solve_allocs(220);
-    assert!(long_rho > short_rho, "{long_rho} vs {short_rho} ρ updates");
-    assert_eq!(
-        short, long,
-        "a 220-iteration FPGA-backed solve ({long_rho} ρ updates) allocated {long:?} \
-         (calls, bytes) vs {short:?} for 20 iterations ({short_rho} ρ updates) — the \
-         machine or the backend is allocating per iteration"
-    );
+    // The box QP's PCG loop takes trips; the portfolio's exact
+    // preconditioner ends most solves after the loop's first pass.
+    let mut box_qp = fpga_solver(&problem(), churn_settings(20));
+    assert!(box_qp.solve().unwrap().backend.cg_iterations > 0, "the machine must run PCG");
+    for prob in [problem(), generate(Domain::Portfolio, 2, 1)] {
+        let _ = fpga_solve_allocs(&prob, 5);
+        let (short, short_rho) = fpga_solve_allocs(&prob, 20);
+        let (long, long_rho) = fpga_solve_allocs(&prob, 220);
+        let name = prob.name();
+        assert!(long_rho > short_rho, "{name}: {long_rho} vs {short_rho} ρ updates");
+        assert_eq!(
+            short, long,
+            "{name}: a 220-iteration FPGA-backed solve ({long_rho} ρ updates) allocated \
+             {long:?} (calls, bytes) vs {short:?} for 20 iterations ({short_rho} ρ updates) \
+             — the machine or the backend is allocating per iteration"
+        );
+    }
+}
+
+#[test]
+fn fpga_manual_rho_update_is_allocation_free() {
+    let prob = generate(Domain::Portfolio, 2, 1);
+    let mut solver = fpga_solver(&prob, churn_settings(20));
+    let _ = solver.solve().unwrap();
+    let before = allocs();
+    solver.update_rho(0.37).unwrap();
+    solver.update_rho(1.93).unwrap();
+    let (calls, bytes) = since(before);
+    assert_eq!((calls, bytes), (0, 0), "update_rho allocated {calls} times ({bytes} bytes)");
 }

@@ -8,7 +8,8 @@
 //! * [`ReducedKktOp`] — the matrix-free operator
 //!   `x ↦ (P + σI + Aᵀ diag(ρ) A) x` of Eq. (3), which is what PCG and the
 //!   FPGA datapath evaluate. Following §2.2, `AᵀA` is never formed: the
-//!   product is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`.
+//!   product is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`. Its
+//!   preconditioner is the [`DenseRowPrecond`] of the same matrices.
 
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use rsqp_par::ThreadPool;
 use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, RowPartition, TransposeCache};
 
 use crate::pcg::LinearOperator;
+use crate::precond::DenseRowPrecond;
 use crate::LinsysError;
 
 /// The explicit upper-triangular KKT matrix of Eq. (2).
@@ -151,6 +153,10 @@ impl KktMatrix {
 /// matrices behind [`Arc`]s so backends can hold it across iterations
 /// without cloning data, and runs its SpMVs on a shared [`ThreadPool`] over
 /// nnz-balanced [`RowPartition`]s — bit-identical for every pool size.
+///
+/// PCG is preconditioned with Jacobi plus the Woodbury correction for the
+/// dense rows of `A` ([`DenseRowPrecond`]), built once with the operator
+/// and refreshed in place with every ρ or value update.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
     p: Arc<CsrMatrix>,
@@ -158,8 +164,8 @@ pub struct ReducedKktOp {
     at: TransposeCache,
     sigma: f64,
     rho: Vec<f64>,
-    /// The Jacobi diagonal for the current matrices and ρ.
-    jacobi: Vec<f64>,
+    /// The preconditioner for the current matrices and ρ.
+    precond: DenseRowPrecond,
     tmp_m: Vec<f64>,
     pool: Arc<ThreadPool>,
     p_part: RowPartition,
@@ -223,37 +229,21 @@ impl ReducedKktOp {
         let p_part = RowPartition::balanced(&p, chunks);
         let a_part = RowPartition::balanced(&a, chunks);
         let at_part = RowPartition::balanced(at.matrix(), chunks);
-        let mut op = ReducedKktOp {
+        let precond = DenseRowPrecond::new(&p, &a, at.matrix(), sigma, rho);
+        Ok(ReducedKktOp {
             p,
             a,
             at,
             sigma,
             rho: rho.to_vec(),
-            jacobi: vec![0.0; n],
+            precond,
             tmp_m: vec![0.0; m],
             pool,
             p_part,
             a_part,
             at_part,
             spmv_count: 0,
-        };
-        op.refresh_jacobi();
-        Ok(op)
-    }
-
-    /// Recomputes the cached Jacobi diagonal
-    /// `diag(P) + σ + Σ_i ρ_i A_{i,·}²` in place.
-    fn refresh_jacobi(&mut self) {
-        for (i, o) in self.jacobi.iter_mut().enumerate() {
-            *o = self.p.get(i, i) + self.sigma;
-        }
-        for i in 0..self.a.nrows() {
-            let (cols, vals) = self.a.row(i);
-            let ri = self.rho[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                self.jacobi[j] += ri * v * v;
-            }
-        }
+        })
     }
 
     fn check_rho_len(&self, rho: &[f64]) -> Result<(), LinsysError> {
@@ -269,7 +259,7 @@ impl ReducedKktOp {
 
     /// Replaces the ρ vector (no structural work needed — this is the big
     /// advantage of the indirect method highlighted in §2.2) and refreshes
-    /// the cached Jacobi diagonal.
+    /// the preconditioner in place.
     ///
     /// # Errors
     ///
@@ -277,14 +267,14 @@ impl ReducedKktOp {
     pub fn update_rho(&mut self, rho: &[f64]) -> Result<(), LinsysError> {
         self.check_rho_len(rho)?;
         self.rho.copy_from_slice(rho);
-        self.refresh_jacobi();
+        self.precond.refresh(&self.p, &self.a, self.at.matrix(), &self.rho);
         Ok(())
     }
 
     /// Replaces the matrix values and ρ. The sparsity patterns of `P` and
     /// `A` must match the originals (the ADMM solver only rescales values
-    /// in place); the `Aᵀ` cache and the Jacobi diagonal are refreshed by
-    /// linear value passes, never rebuilt.
+    /// in place); the `Aᵀ` cache and the preconditioner are refreshed by
+    /// value passes, never rebuilt.
     ///
     /// # Errors
     ///
@@ -307,25 +297,13 @@ impl ReducedKktOp {
         self.p = Arc::new(p.clone());
         self.a = Arc::new(a.clone());
         self.at.refresh_values(&self.a)?;
-        self.refresh_jacobi();
+        self.precond.refresh(&self.p, &self.a, self.at.matrix(), &self.rho);
         Ok(())
     }
 
-    /// The Jacobi preconditioner diagonal
-    /// `diag(P) + σ + Σ_i ρ_i A_{i,·}²` (column-wise), freshly allocated.
-    pub fn jacobi_diag(&self) -> Vec<f64> {
-        self.jacobi.clone()
-    }
-
-    /// Copies the Jacobi preconditioner diagonal, cached whenever the
-    /// matrices or ρ change, into `out` (length `n`) without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != n`.
-    pub fn jacobi_diag_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.jacobi.len(), "jacobi diagonal length mismatch");
-        out.copy_from_slice(&self.jacobi);
+    /// The preconditioner for the current matrices and ρ.
+    pub fn preconditioner(&self) -> &DenseRowPrecond {
+        &self.precond
     }
 
     /// `y = A x` on the operator's pool — the `z̃ = A x̃` step of a KKT
@@ -372,8 +350,11 @@ impl ReducedKktOp {
         &self.pool
     }
 
-    /// Number of `A`/`Aᵀ`/`P` SpMV evaluations performed so far (three per
-    /// `apply`), used by the performance models.
+    /// Number of SpMV evaluations performed so far, used by the performance
+    /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
+    /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and three per
+    /// `precondition` while the dense-row correction is on (`A_S`, `C⁻¹`,
+    /// `A_Sᵀ`).
     pub fn spmv_count(&self) -> usize {
         self.spmv_count
     }
@@ -400,13 +381,11 @@ impl LinearOperator for ReducedKktOp {
         Ok(())
     }
 
-    fn precond_diag(&self) -> Option<Vec<f64>> {
-        Some(self.jacobi_diag())
-    }
-
-    fn precond_diag_into(&self, out: &mut [f64]) -> bool {
-        self.jacobi_diag_into(out);
-        true
+    fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
+        self.precond.apply(r, d);
+        if self.precond.is_active() {
+            self.spmv_count += 3;
+        }
     }
 }
 
@@ -495,30 +474,114 @@ mod tests {
         assert_eq!(op.spmv_count(), 3);
     }
 
+    /// The Jacobi diagonal `diag(P) + σ + Σ_i ρ_i A_{i,·}²`, summed row by
+    /// row.
+    fn jacobi(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Vec<f64> {
+        let mut d: Vec<f64> = (0..p.nrows()).map(|i| p.get(i, i) + sigma).collect();
+        for (i, &ri) in rho.iter().enumerate() {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                d[j] += ri * v * v;
+            }
+        }
+        d
+    }
+
+    /// Per-constraint ρ as the solver sets it: `rho` on inequality rows and
+    /// `1e3·rho` on equality rows.
+    fn solver_rho(qp: &rsqp_solver::QpProblem, rho: f64) -> Vec<f64> {
+        qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 1e3 * rho } else { rho }).collect()
+    }
+
     #[test]
     fn jacobi_diag_matches_dense_diagonal() {
         let (p, a) = small_problem();
         let rho = vec![0.1, 0.2, 0.4];
         let sigma = 0.01;
         let op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-        let d = op.jacobi_diag();
-        assert!((d[0] - (4.0 + sigma + 0.1 + 0.4)).abs() < 1e-12);
-        assert!((d[1] - (2.0 + sigma + 0.2 + 0.4)).abs() < 1e-12);
+        assert_eq!(op.preconditioner().rank(), 0);
+        let d = op.preconditioner().inv_diag();
+        assert!((1.0 / d[0] - (4.0 + sigma + 0.1 + 0.4)).abs() < 1e-12);
+        assert!((1.0 / d[1] - (2.0 + sigma + 0.2 + 0.4)).abs() < 1e-12);
     }
 
     #[test]
-    fn cached_jacobi_diag_follows_rho_and_value_updates() {
+    fn without_dense_rows_precondition_is_bitwise_jacobi() {
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Control, 4, 1);
+        let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
+        let rho = solver_rho(&qp, 0.1);
+        let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
+        assert_eq!(op.preconditioner().rank(), 0, "control has no dense rows");
+        let r: Vec<f64> = (0..p.nrows()).map(|i| (i as f64 * 0.61).sin()).collect();
+        let mut d = vec![0.0; r.len()];
+        op.precondition(&r, &mut d);
+        let want: Vec<u64> = r
+            .iter()
+            .zip(jacobi(p, a, sigma, &rho))
+            .map(|(ri, j)| (ri * (1.0 / j)).to_bits())
+            .collect();
+        assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(op.spmv_count(), 0, "plain Jacobi runs no SpMV");
+    }
+
+    #[test]
+    fn dense_row_preconditioner_solves_portfolio_in_one_step() {
+        // A portfolio's rows are its factor and budget rows (dense) and
+        // single-entry box rows, and P is diagonal: M = K, so PCG from
+        // zero converges at once.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 5, 1);
+        let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
+        let rho = solver_rho(&qp, 0.1);
+        let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
+        let pre = op.preconditioner();
+        assert_eq!(pre.dense_rows(), [0, 1, 2, 3, 4, 5], "five factor rows and the budget row");
+        assert!(pre.is_active());
+        let n = p.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
+        let sol = crate::pcg(&mut op, &b, &vec![0.0; n], &settings).unwrap();
+        assert!(sol.converged && sol.iterations <= 2, "{} iterations", sol.iterations);
+        // LDLᵀ of the full KKT system: its x block solves K x = b.
+        let kkt = KktMatrix::assemble(p, a, sigma, &rho).unwrap();
+        let mut rhs = b.clone();
+        rhs.resize(n + a.nrows(), 0.0);
+        Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
+        for (got, want) in sol.x.iter().zip(&rhs[..n]) {
+            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn cached_preconditioner_follows_rho_and_value_updates() {
         let (p, a) = small_problem();
         let mut op = ReducedKktOp::new(&p, &a, 0.01, &[0.1, 0.2, 0.4]).unwrap();
         op.update_rho(&[1.0, 2.0, 3.0]).unwrap();
         let fresh = ReducedKktOp::new(&p, &a, 0.01, &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(op.jacobi_diag(), fresh.jacobi_diag());
+        assert_eq!(op.preconditioner().inv_diag(), fresh.preconditioner().inv_diag());
         let (p2, a2) = (p.map_values(|v| 2.0 * v), a.map_values(|v| 0.5 * v));
         op.update_values(&p2, &a2, &[0.3, 0.2, 0.1]).unwrap();
         let fresh = ReducedKktOp::new(&p2, &a2, 0.01, &[0.3, 0.2, 0.1]).unwrap();
-        let mut d = vec![0.0; 2];
-        op.jacobi_diag_into(&mut d);
-        assert_eq!(d, fresh.jacobi_diag());
+        assert_eq!(op.preconditioner().inv_diag(), fresh.preconditioner().inv_diag());
+
+        // With dense rows, D'⁻¹, A_S and C⁻¹ all follow the updates.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 2, 1);
+        let (p, a) = (qp.p(), qp.a());
+        let mut op = ReducedKktOp::new(p, a, 1e-6, &solver_rho(&qp, 0.1)).unwrap();
+        let same = |op: &ReducedKktOp, fresh: &ReducedKktOp| {
+            let (x, y) = (op.preconditioner(), fresh.preconditioner());
+            assert!(x.is_active() && y.is_active());
+            assert_eq!(x.dense_rows(), y.dense_rows());
+            assert_eq!(x.inv_diag(), y.inv_diag());
+            assert_eq!(x.a_s(), y.a_s());
+            assert_eq!(x.cinv(), y.cinv());
+        };
+        let rho = solver_rho(&qp, 1.7);
+        op.update_rho(&rho).unwrap();
+        same(&op, &ReducedKktOp::new(p, a, 1e-6, &rho).unwrap());
+        let (p2, a2) = (p.map_values(|v| 3.0 * v), a.map_values(|v| 0.25 * v));
+        let rho = solver_rho(&qp, 0.02);
+        op.update_values(&p2, &a2, &rho).unwrap();
+        same(&op, &ReducedKktOp::new(&p2, &a2, 1e-6, &rho).unwrap());
     }
 
     #[test]

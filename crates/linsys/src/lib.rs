@@ -14,7 +14,9 @@
 //! * [`KktMatrix`] — assembly of the (permuted) KKT matrix from `P`, `A`,
 //!   `σ`, `ρ`, with cheap ρ updates that reuse the symbolic factorization,
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
-//! * [`pcg`] — Algorithm 2 with a Jacobi (diagonal) preconditioner,
+//! * [`DenseRowPrecond`] — the PCG preconditioner: Jacobi plus an exact
+//!   Woodbury correction for the dense rows of `A`,
+//! * [`pcg`] — Algorithm 2,
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!
@@ -49,6 +51,7 @@ mod kkt;
 mod ldlt;
 mod ordering;
 mod pcg;
+mod precond;
 
 pub use error::LinsysError;
 pub use kkt::{KktMatrix, ReducedKktOp};
@@ -56,3 +59,4 @@ pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
 pub use pcg::{pcg, pcg_with, LinearOperator, PcgError, PcgResult, PcgSettings};
 pub use pcg::{PcgSummary, PcgWorkspace};
+pub use precond::DenseRowPrecond;

@@ -233,6 +233,20 @@ pub fn amd_ordering(upper: &CscMatrix) -> Result<Vec<usize>, LinsysError> {
     Ok(postorder_by_column_count(upper, amd.order(dense)))
 }
 
+/// The dense threshold `min(max(16, 10·√n), max(16, 10·d̄))`, capped at
+/// `n`, where `d̄ = total / count` is a mean degree.
+///
+/// AMD orders a variable last when its off-diagonal degree exceeds it
+/// (`count = n`, `total` = the summed degrees), and the reduced-KKT
+/// preconditioner corrects a row of `A` exactly when the row's nonzero
+/// count exceeds it (`n` columns, `total = nnz(A)` over `count = m` rows).
+pub(crate) fn dense_threshold(n: usize, total: usize, count: usize) -> usize {
+    let mean = total as f64 / (count as f64).max(1.0);
+    let by_size = ((10.0 * (n as f64).sqrt()) as usize).max(16);
+    let by_mean = ((10.0 * mean) as usize).max(16);
+    by_size.min(by_mean).min(n)
+}
+
 /// Reorders `perm` by a postorder of the elimination tree of the matrix it
 /// permutes, children and roots in increasing column count, ties kept in
 /// the order `perm` gives them.
@@ -387,14 +401,10 @@ impl Amd {
         }
     }
 
-    /// The dense-variable threshold `min(max(16, 10·√n), max(16, 10·d̄))`
-    /// with `d̄` the mean off-diagonal degree, capped at `n`.
+    /// The dense-variable threshold of [`dense_threshold`] for this graph:
+    /// `d̄` is the mean off-diagonal degree.
     fn dense_threshold(&self) -> usize {
-        let n = self.n as f64;
-        let mean = self.len.iter().sum::<usize>() as f64 / n.max(1.0);
-        let by_size = ((10.0 * n.sqrt()) as usize).max(16);
-        let by_mean = ((10.0 * mean) as usize).max(16);
-        by_size.min(by_mean).min(self.n)
+        dense_threshold(self.n, self.len.iter().sum::<usize>(), self.n)
     }
 
     fn push_degree(&mut self, i: usize) {

@@ -31,26 +31,14 @@ pub trait LinearOperator {
     /// detects corruption). Implementations must not panic on bad shapes.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError>;
 
-    /// Diagonal of a preconditioner `M ≈ K` (not its inverse). `None`
-    /// disables preconditioning (`M = I`).
-    fn precond_diag(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// Writes the preconditioner diagonal into `out` (length [`Self::dim`])
-    /// and returns `true`, or returns `false` to disable preconditioning.
+    /// Applies the preconditioner: `d = M⁻¹ r` for an SPD `M ≈ K`. Both
+    /// slices have length [`Self::dim`].
     ///
-    /// The default forwards to [`Self::precond_diag`], which allocates;
-    /// operators used on the solver hot path should override this so a
-    /// workspace-based solve ([`pcg_with`]) stays allocation-free.
-    fn precond_diag_into(&self, out: &mut [f64]) -> bool {
-        match self.precond_diag() {
-            Some(d) => {
-                out.copy_from_slice(&d);
-                true
-            }
-            None => false,
-        }
+    /// The default is `M = I` (`d = r`). Operators used on the solver hot
+    /// path must not allocate here, so a workspace-based solve
+    /// ([`pcg_with`]) stays allocation-free.
+    fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
+        d.copy_from_slice(r);
     }
 }
 
@@ -155,7 +143,7 @@ pub struct PcgSummary {
 }
 
 /// Reusable scratch space for [`pcg_with`]: the residual, preconditioned
-/// residual, search direction, operator output, and preconditioner inverse.
+/// residual, search direction and operator output.
 ///
 /// Allocate once per KKT backend and reuse across solves; a solve against
 /// an operator of the same dimension performs no heap allocation.
@@ -165,19 +153,12 @@ pub struct PcgWorkspace {
     d: Vec<f64>,
     p: Vec<f64>,
     kp: Vec<f64>,
-    minv: Vec<f64>,
 }
 
 impl PcgWorkspace {
     /// Workspace sized for an operator of dimension `n`.
     pub fn new(n: usize) -> Self {
-        PcgWorkspace {
-            r: vec![0.0; n],
-            d: vec![0.0; n],
-            p: vec![0.0; n],
-            kp: vec![0.0; n],
-            minv: vec![0.0; n],
-        }
+        PcgWorkspace { r: vec![0.0; n], d: vec![0.0; n], p: vec![0.0; n], kp: vec![0.0; n] }
     }
 
     /// Current workspace dimension.
@@ -193,7 +174,6 @@ impl PcgWorkspace {
             self.d.resize(n, 0.0);
             self.p.resize(n, 0.0);
             self.kp.resize(n, 0.0);
-            self.minv.resize(n, 0.0);
         }
     }
 }
@@ -201,8 +181,8 @@ impl PcgWorkspace {
 /// Solves `K x = b` with the Preconditioned Conjugate Gradient method,
 /// warm-started at `x0`.
 ///
-/// Implements Algorithm 2 of the paper with a diagonal (Jacobi)
-/// preconditioner taken from [`LinearOperator::precond_diag`].
+/// Implements Algorithm 2 of the paper with the preconditioner
+/// `d = M⁻¹ r` of [`LinearOperator::precondition`].
 ///
 /// # Errors
 ///
@@ -234,10 +214,9 @@ pub fn pcg(
 /// reusing `ws` for every intermediate vector.
 ///
 /// This is the allocation-free core of [`pcg`]: with a correctly sized
-/// workspace (and an operator overriding
-/// [`LinearOperator::precond_diag_into`]) it performs **zero heap
-/// allocations**, which is what lets the ADMM steady state run
-/// allocation-free. With `pool = Some(_)`, dot products, norms and vector
+/// workspace (and an operator whose [`LinearOperator::precondition`] does
+/// not allocate) it performs **zero heap allocations**, which is what lets
+/// the ADMM steady state run allocation-free. With `pool = Some(_)`, dot products, norms and vector
 /// updates run on the pool; results are bit-identical across pool sizes
 /// (see `rsqp-par`'s determinism contract), though reductions on large
 /// systems regroup differently from the serial path.
@@ -279,13 +258,6 @@ pub fn pcg_with(
         None => vec_ops::norm2(v),
     };
 
-    let has_pre = op.precond_diag_into(&mut ws.minv);
-    if has_pre {
-        for v in &mut ws.minv {
-            *v = if *v != 0.0 { 1.0 / *v } else { 1.0 };
-        }
-    }
-
     let norm_b = norm2f(b);
     if !norm_b.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "rhs norm" });
@@ -306,11 +278,7 @@ pub fn pcg_with(
         return Ok(PcgSummary { iterations: 0, residual: res_norm, converged: true });
     }
     // d0 = M^{-1} r0 ; p0 = -d0
-    if has_pre {
-        vec_ops::ew_mul(&ws.r, &ws.minv, &mut ws.d);
-    } else {
-        ws.d.copy_from_slice(&ws.r);
-    }
+    op.precondition(&ws.r, &mut ws.d);
     for (pi, &di) in ws.p.iter_mut().zip(&ws.d) {
         *pi = -di;
     }
@@ -358,11 +326,7 @@ pub fn pcg_with(
             converged = true;
             break;
         }
-        if has_pre {
-            vec_ops::ew_mul(&ws.r, &ws.minv, &mut ws.d);
-        } else {
-            ws.d.copy_from_slice(&ws.r);
-        }
+        op.precondition(&ws.r, &mut ws.d);
         let delta_new = dotf(&ws.r, &ws.d);
         if !delta_new.is_finite() {
             return Err(PcgError::NonFinite {
@@ -404,8 +368,10 @@ mod tests {
         fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
             self.m.spmv(x, y).map_err(LinsysError::from)
         }
-        fn precond_diag(&self) -> Option<Vec<f64>> {
-            Some(self.m.diagonal())
+        fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
+            for ((di, &ri), mi) in d.iter_mut().zip(r).zip(self.m.diagonal()) {
+                *di = ri / mi;
+            }
         }
     }
 

@@ -1,0 +1,310 @@
+//! The reduced-KKT preconditioner: Jacobi plus an exact Woodbury correction
+//! for the dense rows of `A`.
+//!
+//! PCG on `K = P + σI + Aᵀ diag(ρ) A` (Eq. 3) is preconditioned with
+//!
+//! ```text
+//! M  = D' + A_Sᵀ R_S A_S,      D' = diag(P) + σ + Σ_{i∉S} ρ_i A_{i,·}²
+//! ```
+//!
+//! where `S` is the set of dense rows of `A` and `R_S = diag(ρ_S)`. A dense
+//! row adds a rank-one term to `K` that no diagonal approximates (a
+//! portfolio's factor and budget rows span thousands of columns). With
+//! `k = |S|`, Woodbury's identity inverts `M` through a `k × k` system:
+//!
+//! ```text
+//! M⁻¹ r = D'⁻¹r − D'⁻¹ A_Sᵀ C⁻¹ A_S D'⁻¹r,   C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ  (SPD)
+//! ```
+//!
+//! `C⁻¹` is kept as an explicit dense matrix, from an LDLᵀ factorization
+//! whose pivots must all be positive (a Cholesky factorization), so
+//! applying `M⁻¹` takes three sparse products — with `A_S`, `C⁻¹` and
+//! `A_Sᵀ` — and the accelerator's PCG kernel runs the same operator with
+//! the instructions it already has. Without dense rows (`k = 0`) `M`
+//! is the Jacobi diagonal and the correction is skipped.
+
+use std::cmp::Reverse;
+
+use rsqp_sparse::{CscMatrix, CsrMatrix};
+
+use crate::ordering::dense_threshold;
+use crate::Ldlt;
+
+/// [`DenseRowPrecond`]'s slot of a row of `A` outside `S`.
+const NOT_DENSE: usize = usize::MAX;
+
+/// Jacobi preconditioner with a Woodbury correction for the dense rows of
+/// `A`, for the reduced KKT operator `P + σI + Aᵀ diag(ρ) A`.
+///
+/// The dense-row set is chosen once from `A`'s pattern; [`Self::refresh`]
+/// recomputes every value for new matrices or ρ into the buffers sized at
+/// construction, without allocating. `A_S` is the only copy of matrix data
+/// it keeps: `C` is formed from the caller's `Aᵀ`, and `A_Sᵀ` is applied by
+/// scattering the rows of `A_S`.
+#[derive(Debug, Clone)]
+pub struct DenseRowPrecond {
+    sigma: f64,
+    /// Rows of `A` in `S`, in increasing order.
+    rows: Vec<usize>,
+    /// `slot[i]` is the position of row `i` of `A` in `rows`, or
+    /// [`NOT_DENSE`].
+    slot: Vec<usize>,
+    /// `1/D'` (`1` where `D'` is zero).
+    inv_diag: Vec<f64>,
+    /// `A_S`: the rows of `A` in `S` (`k × n`).
+    a_s: CsrMatrix,
+    /// `C⁻¹` with every one of its `k²` entries stored (`k × k`).
+    cinv: CsrMatrix,
+    /// Whether the correction is applied: `k > 0` and `C` factorized.
+    active: bool,
+    /// `C`'s upper triangle (every entry stored) and its LDLᵀ
+    /// factorization, absent until `C` first factorizes.
+    c: CscMatrix,
+    c_ldlt: Option<Ldlt>,
+    s: Vec<f64>,
+    t: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl DenseRowPrecond {
+    /// Picks the dense rows of `a` and computes the preconditioner for
+    /// `P + σI + Aᵀ diag(ρ) A`; `at` is `Aᵀ`.
+    ///
+    /// A row is dense when its nonzero count exceeds AMD's threshold
+    /// `min(max(16, 10·√n), max(16, 10·d̄))` with `d̄ = nnz(A)/m`. At most
+    /// `⌊√nnz(A)⌋` rows are kept, the densest (ties by index), so `C` never
+    /// holds more entries than `A`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not `n × n` for `n = a.ncols()`, `at` is not `a`'s
+    /// transpose, or `rho.len()` is not `a.nrows()`.
+    pub fn new(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
+        let (n, m) = (a.ncols(), a.nrows());
+        let threshold = dense_threshold(n, a.nnz(), m);
+        let mut rows: Vec<usize> = (0..m).filter(|&i| a.row_nnz(i) > threshold).collect();
+        rows.sort_by_key(|&i| Reverse(a.row_nnz(i)));
+        rows.truncate(a.nnz().isqrt());
+        rows.sort_unstable();
+        let k = rows.len();
+        let mut slot = vec![NOT_DENSE; m];
+        let mut indptr = Vec::with_capacity(k + 1);
+        let mut indices = Vec::new();
+        indptr.push(0);
+        for (r, &i) in rows.iter().enumerate() {
+            slot[i] = r;
+            indices.extend_from_slice(a.row(i).0);
+            indptr.push(indices.len());
+        }
+        let data = vec![0.0; indices.len()];
+        let a_s = CsrMatrix::from_raw_parts(k, n, indptr, indices, data)
+            .expect("rows of a valid CSR matrix form a valid CSR matrix");
+        let dense_indices = (0..k * k).map(|e| e % k).collect();
+        let cinv = CsrMatrix::from_raw_parts(
+            k,
+            k,
+            (0..=k).map(|i| i * k).collect(),
+            dense_indices,
+            vec![0.0; k * k],
+        )
+        .expect("a full pattern is a valid CSR matrix");
+        let c = CscMatrix::from_raw_parts(
+            k,
+            k,
+            (0..=k).map(|j| j * (j + 1) / 2).collect(),
+            (0..k).flat_map(|j| 0..=j).collect(),
+            vec![0.0; k * (k + 1) / 2],
+        )
+        .expect("a full upper triangle is a valid CSC matrix");
+        let mut pre = DenseRowPrecond {
+            sigma,
+            rows,
+            slot,
+            inv_diag: vec![0.0; n],
+            a_s,
+            cinv,
+            active: false,
+            c,
+            c_ldlt: None,
+            s: vec![0.0; k],
+            t: vec![0.0; k],
+            w: vec![0.0; n],
+        };
+        pre.refresh(p, a, at, rho);
+        pre
+    }
+
+    /// Recomputes `D'⁻¹`, `A_S` and `C⁻¹` for new values of `P`, `A` (and
+    /// its transpose `at`) or ρ, in place. The patterns must be the ones
+    /// given at construction.
+    ///
+    /// If `C` is not numerically positive definite the correction is
+    /// switched off until the next refresh: `D'` then keeps every row
+    /// (plain Jacobi) and `C⁻¹` is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ from the ones at construction.
+    pub fn refresh(&mut self, p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, rho: &[f64]) {
+        assert_eq!(rho.len(), self.slot.len(), "rho length mismatch");
+        for (r, &i) in self.rows.iter().enumerate() {
+            let (start, end) = (self.a_s.indptr()[r], self.a_s.indptr()[r + 1]);
+            self.a_s.data_mut()[start..end].copy_from_slice(a.row(i).1);
+        }
+        self.fill_inv_diag(p, a, rho, true);
+        self.active = !self.rows.is_empty() && self.invert_c(at, rho);
+        if !self.active && !self.rows.is_empty() {
+            self.fill_inv_diag(p, a, rho, false);
+            self.cinv.data_mut().fill(0.0);
+        }
+    }
+
+    /// `inv_diag = 1/(diag(P) + σ + Σ ρ_i A_{i,·}²)`, the sum over every
+    /// row of `A` or, with `skip_dense`, over the rows outside `S`.
+    fn fill_inv_diag(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64], skip_dense: bool) {
+        for (i, o) in self.inv_diag.iter_mut().enumerate() {
+            *o = p.get(i, i) + self.sigma;
+        }
+        for i in 0..a.nrows() {
+            if skip_dense && self.slot[i] != NOT_DENSE {
+                continue;
+            }
+            let (cols, vals) = a.row(i);
+            let ri = rho[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                self.inv_diag[j] += ri * v * v;
+            }
+        }
+        for v in &mut self.inv_diag {
+            *v = if *v != 0.0 { 1.0 / *v } else { 1.0 };
+        }
+    }
+
+    /// Forms `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ`, factorizes it and writes `C⁻¹`.
+    /// Returns `false` unless every pivot is positive and finite.
+    fn invert_c(&mut self, at: &CsrMatrix, rho: &[f64]) -> bool {
+        let k = self.rows.len();
+        // The upper triangle of C, column by column: entry (i, j), i ≤ j,
+        // sits at j(j+1)/2 + i.
+        let pos = |i: usize, j: usize| j * (j + 1) / 2 + i;
+        let c = self.c.data_mut();
+        c.fill(0.0);
+        for (r, &i) in self.rows.iter().enumerate() {
+            c[pos(r, r)] = 1.0 / rho[i];
+        }
+        // One column of A (row of Aᵀ) at a time: its entries in dense rows
+        // add their outer product, weighted by D'⁻¹. Row indices increase
+        // along a row of Aᵀ, and so do their slots, so `ri ≤ rj`.
+        for (col, &dinv) in self.inv_diag.iter().enumerate() {
+            let (idx, vals) = at.row(col);
+            for (e, (&i, &vi)) in idx.iter().zip(vals).enumerate() {
+                let ri = self.slot[i];
+                if ri == NOT_DENSE {
+                    continue;
+                }
+                let wv = vi * dinv;
+                for (&j, &vj) in idx[e..].iter().zip(&vals[e..]) {
+                    let rj = self.slot[j];
+                    if rj != NOT_DENSE {
+                        c[pos(ri, rj)] += wv * vj;
+                    }
+                }
+            }
+        }
+        let factored = match &mut self.c_ldlt {
+            Some(f) => f.refactor(&self.c).is_ok(),
+            None => Ldlt::factor(&self.c).map(|f| self.c_ldlt = Some(f)).is_ok(),
+        };
+        let Some(f) = self
+            .c_ldlt
+            .as_ref()
+            .filter(|f| factored && f.d().iter().all(|&d| d > 0.0 && d.is_finite()))
+        else {
+            return false;
+        };
+        // C⁻¹ column by column. Only the upper triangle is kept, then
+        // mirrored, so C⁻¹ is exactly symmetric.
+        let cinv = self.cinv.data_mut();
+        let y = &mut self.s;
+        for j in 0..k {
+            y.fill(0.0);
+            y[j] = 1.0;
+            f.solve_in_place(y).expect("y has length k");
+            for i in 0..=j {
+                cinv[i * k + j] = y[i];
+            }
+        }
+        for i in 0..k {
+            for j in 0..i {
+                cinv[i * k + j] = cinv[j * k + i];
+            }
+        }
+        true
+    }
+
+    /// `d = M⁻¹ r`: `d = D'⁻¹∘r`, then, with the correction on,
+    /// `s = A_S d`, `t = C⁻¹ s` and `d ← d − D'⁻¹∘(A_Sᵀ t)`.
+    ///
+    /// Without the correction this is exactly `d = r∘(1/D')`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `d` is not of length `n`.
+    pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
+        assert_eq!(r.len(), self.inv_diag.len(), "preconditioner input length mismatch");
+        assert_eq!(d.len(), self.inv_diag.len(), "preconditioner output length mismatch");
+        for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
+            *di = ri * inv;
+        }
+        if !self.active {
+            return;
+        }
+        self.a_s.spmv(d, &mut self.s).expect("A_S is k × n");
+        self.cinv.spmv(&self.s, &mut self.t).expect("C⁻¹ is k × k");
+        // w = A_Sᵀ t, scattered row by row of A_S: each w[j] sums its terms
+        // in increasing row order, as a gather over A_Sᵀ would.
+        self.w.fill(0.0);
+        for (r, &tr) in self.t.iter().enumerate() {
+            let (cols, vals) = self.a_s.row(r);
+            for (&j, &v) in cols.iter().zip(vals) {
+                self.w[j] += v * tr;
+            }
+        }
+        for ((di, &wi), &inv) in d.iter_mut().zip(&self.w).zip(&self.inv_diag) {
+            *di -= inv * wi;
+        }
+    }
+
+    /// Number of dense rows `k = |S|` (structural: fixed at construction).
+    pub fn rank(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the Woodbury correction is applied (`k > 0` and `C` was
+    /// positive definite at the last refresh).
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// The rows of `A` in `S`, in increasing order.
+    pub fn dense_rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// `D'⁻¹`, the inverse of the Jacobi diagonal without the dense rows
+    /// (with every row while the correction is off).
+    pub fn inv_diag(&self) -> &[f64] {
+        &self.inv_diag
+    }
+
+    /// `A_S` (`k × n`).
+    pub fn a_s(&self) -> &CsrMatrix {
+        &self.a_s
+    }
+
+    /// `C⁻¹` (`k × k`, every entry stored; zero while the correction is
+    /// off).
+    pub fn cinv(&self) -> &CsrMatrix {
+        &self.cinv
+    }
+}

@@ -1,6 +1,9 @@
 //! Asserts the ADMM steady state is allocation-free: once a solver is set
 //! up, extra iterations must not touch the heap. Covered for both KKT
-//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it.
+//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it. PCG
+//! runs on a box-constrained QP without dense rows (plain Jacobi) and on a
+//! portfolio, whose dense factor and budget rows switch on the
+//! preconditioner's Woodbury correction.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -12,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
 use rsqp_sparse::CsrMatrix;
 
@@ -113,12 +117,20 @@ fn ldlt_settings(max_iter: usize) -> Settings {
     }
 }
 
-/// Runs a cold solve and returns the number of allocations performed by
-/// `solve` itself (setup excluded) with the result.
+/// A portfolio with 2 factors: its factor rows and budget row are dense.
+fn portfolio() -> QpProblem {
+    generate(Domain::Portfolio, 2, 1)
+}
+
+/// Runs a cold solve of `problem()` and returns the number of allocations
+/// performed by `solve` itself (setup excluded) with the result.
 fn counted_solve(settings: Settings) -> (usize, SolveResult) {
+    counted_solve_of(&problem(), settings)
+}
+
+fn counted_solve_of(prob: &QpProblem, settings: Settings) -> (usize, SolveResult) {
     let max_iter = settings.max_iter;
-    let prob = problem();
-    let mut solver = Solver::new(&prob, settings).unwrap();
+    let mut solver = Solver::new(prob, settings).unwrap();
     let before = alloc_count();
     let result = solver.solve().unwrap();
     let during = alloc_count() - before;
@@ -127,42 +139,46 @@ fn counted_solve(settings: Settings) -> (usize, SolveResult) {
     (during, result)
 }
 
-/// Allocations of a cold PCG solve at `max_iter` iterations.
-fn allocs_for(max_iter: usize) -> usize {
-    counted_solve(settings(max_iter)).0
-}
-
 #[test]
 fn admm_steady_state_is_allocation_free() {
-    // Warm up lazy runtime allocations (stdout locks, etc.).
-    let _ = allocs_for(5);
-    let short = allocs_for(20);
-    let long = allocs_for(220);
-    assert_eq!(
-        short, long,
-        "a 220-iteration solve allocated {} times vs {} for 20 iterations — \
-         the ADMM hot path is allocating per iteration",
-        long, short
-    );
+    for prob in [problem(), portfolio()] {
+        let allocs_for = |max_iter| counted_solve_of(&prob, settings(max_iter)).0;
+        // Warm up lazy runtime allocations (stdout locks, etc.).
+        let _ = allocs_for(5);
+        let short = allocs_for(20);
+        let long = allocs_for(220);
+        assert_eq!(
+            short,
+            long,
+            "{}: a 220-iteration solve allocated {} times vs {} for 20 iterations — \
+             the ADMM hot path is allocating per iteration",
+            prob.name(),
+            long,
+            short
+        );
+    }
 }
 
 #[test]
 fn manual_rho_update_is_allocation_free() {
     // `update_rho` rebuilds the per-constraint ρ vector into the existing
-    // buffers and the PCG backend copies the new values in place — the
-    // whole call must never touch the heap once the solver exists.
-    let prob = problem();
-    let mut solver = Solver::new(&prob, settings(20)).unwrap();
-    let _ = solver.solve().unwrap();
-    let before = alloc_count();
-    solver.update_rho(0.37).unwrap();
-    solver.update_rho(1.93).unwrap();
-    let during = alloc_count() - before;
-    assert_eq!(
-        during, 0,
-        "update_rho allocated {during} times — the in-place ρ rebuild is \
-         allocating"
-    );
+    // buffers and the PCG backend refreshes its preconditioner in place —
+    // the whole call must never touch the heap once the solver exists.
+    for prob in [problem(), portfolio()] {
+        let mut solver = Solver::new(&prob, settings(20)).unwrap();
+        let _ = solver.solve().unwrap();
+        let before = alloc_count();
+        solver.update_rho(0.37).unwrap();
+        solver.update_rho(1.93).unwrap();
+        let during = alloc_count() - before;
+        assert_eq!(
+            during,
+            0,
+            "{}: update_rho allocated {during} times — the in-place ρ rebuild is \
+             allocating",
+            prob.name()
+        );
+    }
 }
 
 /// Allocation count of an update→re-solve loop (setup and warm-up solve

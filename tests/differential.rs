@@ -167,3 +167,45 @@ fn svm_backends_agree() {
 fn eqqp_backends_agree() {
     differential(Domain::Eqqp);
 }
+
+/// CPU PCG and the machine with the default (adaptive) inner tolerance
+/// reach eps 1e-8 on a portfolio, whose factor and budget rows are dense,
+/// and agree with LDLᵀ's objective.
+#[test]
+fn portfolio_pcg_reaches_tight_tolerance() {
+    let problem = generate(Domain::Portfolio, 5, 1);
+    let tight = |kind| Settings {
+        linsys: kind,
+        eps_abs: EPS,
+        eps_rel: EPS,
+        max_iter: 20_000,
+        ..Default::default()
+    };
+    let solve = |settings: Settings, machine: bool| {
+        let cfg = ArchConfig::baseline(16);
+        let mut solver = if machine {
+            Solver::with_backend(&problem, settings, &mut |p, a, sigma, rho, s| {
+                let CgTolerance::Adaptive { start, .. } = s.cg_tolerance else {
+                    unreachable!("the default inner tolerance is adaptive")
+                };
+                let (b, _) =
+                    FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), start, s.cg_max_iter);
+                Ok(Box::new(b))
+            })
+        } else {
+            Solver::new(&problem, settings)
+        }
+        .unwrap();
+        solver.solve().unwrap()
+    };
+    let direct = solve(tight(LinSysKind::DirectLdlt), false);
+    assert_eq!(direct.status, Status::Solved);
+    for (name, r) in [
+        ("cpu-pcg", solve(tight(LinSysKind::CpuPcg), false)),
+        ("machine", solve(tight(LinSysKind::CpuPcg), true)),
+    ] {
+        assert_eq!(r.status, Status::Solved, "{name} after {} iterations", r.iterations);
+        let rel = (r.objective - direct.objective).abs() / direct.objective.abs();
+        assert!(rel <= 1e-5, "{name}: objective {} vs LDLᵀ {}", r.objective, direct.objective);
+    }
+}
