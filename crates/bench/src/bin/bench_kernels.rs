@@ -6,8 +6,8 @@
 //! * CSR SpMV, serial vs. pool-partitioned;
 //! * `Aᵀx`, scatter kernel vs. the cached gather transpose;
 //! * the reduced-KKT operator apply (Eq. 3), serial vs. 4-thread pool;
-//! * a full PCG solve, per-call allocation (`pcg`) vs. reused workspace
-//!   (`pcg_with`);
+//! * a full PCG solve, a fresh iterate and workspace per call vs. a reused
+//!   workspace (both `pcg_with`);
 //! * end-to-end PCG-backend solves of the largest control/lasso suite
 //!   instances at 1 and 4 kernel threads;
 //! * a telemetry-overhead check: the disabled-tracing solve path must stay
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rsqp_linsys::{pcg, pcg_with, LinearOperator, PcgSettings, PcgWorkspace, ReducedKktOp};
+use rsqp_linsys::{pcg_with, LinearOperator, PcgSettings, PcgWorkspace, ReducedKktOp};
 use rsqp_par::{available_threads, ThreadPool};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
@@ -274,7 +274,13 @@ fn main() -> ExitCode {
         let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
-        let pcg_alloc = time_ns(reps.min(8), || drop(pcg(&mut op, &b, &x0, &settings).unwrap()));
+        // A fresh iterate and workspace per call, as a caller without a
+        // long-lived workspace would pay.
+        let pcg_alloc = time_ns(reps.min(8), || {
+            let mut x = x0.clone();
+            let mut ws = PcgWorkspace::new(n);
+            pcg_with(&mut op, &b, &mut x, &settings, &mut ws, None).unwrap();
+        });
         report.push("pcg_alloc_ns", pcg_alloc);
         let mut ws = PcgWorkspace::new(n);
         let mut xw = vec![0.0; n];

@@ -38,7 +38,7 @@ use rsqp_problems::{generate, Domain};
 use rsqp_runtime::{
     ChaosPlan, JobBudget, JobHandle, JobSpec, ServiceConfig, SolveService, SubmitError,
 };
-use rsqp_solver::{CgTolerance, CpuPcgBackend, Settings, Status};
+use rsqp_solver::{CpuPcgBackend, Settings, Status};
 
 const WORKERS: usize = 4;
 /// Deliberately smaller than the fleet so backpressure must engage.
@@ -129,10 +129,7 @@ fn main() {
             .with_settings(chaos_settings())
             .with_budget(JobBudget::unbounded().with_timeout(Duration::from_secs(20)))
             .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
-                let eps = match s.cg_tolerance {
-                    CgTolerance::Fixed(e) => e,
-                    CgTolerance::Adaptive { start, .. } => start,
-                };
+                let eps = s.cg_tolerance.initial();
                 let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, eps, s.cg_max_iter));
                 Ok(plan.wrap(inner))
             }));
@@ -148,10 +145,7 @@ fn main() {
             .with_settings(chaos_settings())
             .with_budget(JobBudget::unbounded().with_timeout(Duration::from_secs(20)))
             .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
-                let eps = match s.cg_tolerance {
-                    CgTolerance::Fixed(e) => e,
-                    CgTolerance::Adaptive { start, .. } => start,
-                };
+                let eps = s.cg_tolerance.initial();
                 let (backend, _machine) =
                     FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
                 Ok(Box::new(backend))

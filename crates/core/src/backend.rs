@@ -15,11 +15,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, DenseRowCorrection, PcgKernel};
 use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, RunStats};
 use rsqp_linsys::DenseRowPrecond;
-use rsqp_solver::{BackendStats, KktBackend, SolverError};
+use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
 
 /// Registers `P`, `A`, `Aᵀ` and, when `precond` has dense rows, the
@@ -182,6 +183,48 @@ impl FpgaPcgBackend {
         machine.write_scalar(self.kernel.eps, self.eps);
         machine.write_scalar(self.kernel.eps_abs_sq, 1e-28);
     }
+}
+
+/// A [`Solver`] whose KKT systems run on the simulated machine, built by
+/// [`fpga_solver`], with the handles a performance model reads.
+pub struct FpgaSolver {
+    /// The solver.
+    pub solver: Solver,
+    /// The machine; its [`Machine::stats`] accumulate over every solve.
+    pub machine: Rc<RefCell<Machine>>,
+    /// [`FpgaPcgBackend::outer_cycles_per_iteration`] of the backend.
+    pub outer_cycles_per_iteration: u64,
+}
+
+/// Builds a [`Solver`] on the simulated machine under `config`. The backend
+/// starts PCG at [`rsqp_solver::CgTolerance::initial`] of
+/// `settings.cg_tolerance` and caps it at `settings.cg_max_iter`; `problem`
+/// is taken as in [`Solver::new`].
+///
+/// # Errors
+///
+/// Returns an error for invalid settings.
+pub fn fpga_solver(
+    problem: impl Into<Arc<QpProblem>>,
+    settings: Settings,
+    config: ArchConfig,
+) -> Result<FpgaSolver, SolverError> {
+    let mut built = None;
+    let solver = Solver::with_backend(problem, settings, &mut |p, a, sigma, rho, s| {
+        let (backend, machine) = FpgaPcgBackend::new(
+            p,
+            a,
+            sigma,
+            rho,
+            config.clone(),
+            s.cg_tolerance.initial(),
+            s.cg_max_iter,
+        );
+        built = Some((machine, backend.outer_cycles_per_iteration()));
+        Ok(Box::new(backend))
+    })?;
+    let (machine, outer_cycles_per_iteration) = built.expect("the factory ran");
+    Ok(FpgaSolver { solver, machine, outer_cycles_per_iteration })
 }
 
 impl KktBackend for FpgaPcgBackend {

@@ -8,9 +8,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rsqp_arch::{ArchConfig, FaultConfig, Machine};
-use rsqp_core::FpgaPcgBackend;
+use rsqp_core::{fpga_solver, FpgaSolver};
 use rsqp_problems::{generate, Domain};
-use rsqp_solver::{QpProblem, Settings, SolveResult, Solver, Status};
+use rsqp_solver::{QpProblem, Settings, SolveResult, Status};
 
 fn settings() -> Settings {
     Settings { eps_abs: 1e-4, eps_rel: 1e-4, max_iter: 4000, ..Default::default() }
@@ -21,21 +21,11 @@ fn solve_with_faults(
     fault: FaultConfig,
 ) -> (SolveResult, Rc<RefCell<Machine>>, String) {
     let config = ArchConfig::baseline(16).with_fault_injection(Some(fault));
-    let mut machine_handle = None;
-    let mut solver = Solver::with_backend(problem, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (backend, handle) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), eps, s.cg_max_iter);
-        machine_handle = Some(handle);
-        Ok(Box::new(backend))
-    })
-    .expect("setup succeeds");
+    let FpgaSolver { mut solver, machine, .. } =
+        fpga_solver(problem, settings(), config).expect("setup succeeds");
     let result = solver.solve().expect("recoverable faults must not surface as Err");
     let final_backend = solver.backend_name().to_string();
-    (result, machine_handle.expect("factory ran"), final_backend)
+    (result, machine, final_backend)
 }
 
 /// Worst constraint violation of `x`: `max(l - Ax, Ax - u, 0)`.

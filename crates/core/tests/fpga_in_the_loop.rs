@@ -3,7 +3,7 @@
 
 use rsqp_arch::ArchConfig;
 use rsqp_core::perf::fpga::FpgaPerfModel;
-use rsqp_core::{customize, FpgaPcgBackend};
+use rsqp_core::{customize, fpga_solver, FpgaSolver};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{LinSysKind, QpProblem, Settings, Solver, Status};
 
@@ -15,23 +15,11 @@ fn solve_on_fpga(
     problem: &QpProblem,
     config: ArchConfig,
 ) -> (rsqp_solver::SolveResult, rsqp_arch::RunStats, u64) {
-    let mut machine_handle = None;
-    let mut outer = 0u64;
-    let mut solver = Solver::with_backend(problem, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (backend, handle) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), eps, s.cg_max_iter);
-        outer = backend.outer_cycles_per_iteration();
-        machine_handle = Some(handle);
-        Ok(Box::new(backend))
-    })
-    .expect("setup succeeds");
+    let FpgaSolver { mut solver, machine, outer_cycles_per_iteration } =
+        fpga_solver(problem, settings(), config).expect("setup succeeds");
     let result = solver.solve().expect("solve succeeds");
-    let stats = machine_handle.expect("factory ran").borrow().stats();
-    (result, stats, outer)
+    let stats = machine.borrow().stats();
+    (result, stats, outer_cycles_per_iteration)
 }
 
 #[test]
@@ -115,16 +103,7 @@ fn matrix_value_update_reuses_the_architecture() {
     let qp1 = generate(Domain::Control, 3, 1);
     let qp2 = generate(Domain::Control, 3, 2);
     let custom = customize(&qp1, 16, 4);
-    let cfg = custom.config.clone();
-    let mut solver = Solver::with_backend(&qp1, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, _h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        Ok(Box::new(b))
-    })
-    .unwrap();
+    let mut solver = fpga_solver(&qp1, settings(), custom.config).unwrap().solver;
     let r1 = solver.solve().unwrap();
     assert_eq!(r1.status, Status::Solved);
 

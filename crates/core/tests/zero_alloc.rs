@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use rsqp_arch::kernels::build_pcg;
 use rsqp_arch::{ArchConfig, Machine};
-use rsqp_core::{customize, FpgaPcgBackend};
+use rsqp_core::{customize, fpga_solver};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, QpProblem, Settings, Solver, Status};
 
@@ -124,14 +124,8 @@ fn problem() -> QpProblem {
 }
 
 /// An FPGA-backed solver on the baseline 8-wide machine.
-fn fpga_solver(prob: &QpProblem, settings: Settings) -> Solver {
-    let config = ArchConfig::baseline(8);
-    Solver::with_backend(prob, settings, &mut |p, a, sigma, rho, s| {
-        let (backend, _) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), 1e-10, s.cg_max_iter);
-        Ok(Box::new(backend))
-    })
-    .unwrap()
+fn baseline_solver(prob: &QpProblem, settings: Settings) -> Solver {
+    fpga_solver(prob, settings, ArchConfig::baseline(8)).unwrap().solver
 }
 
 /// Settings that run exactly `max_iter` ADMM iterations with a ρ update at
@@ -157,7 +151,7 @@ fn churn_settings(max_iter: usize) -> Settings {
 /// Allocations made by `solve` (set-up excluded) of an FPGA-backed solver
 /// that runs exactly `max_iter` ADMM iterations, with its ρ updates.
 fn fpga_solve_allocs(prob: &QpProblem, max_iter: usize) -> ((usize, usize), usize) {
-    let mut solver = fpga_solver(prob, churn_settings(max_iter));
+    let mut solver = baseline_solver(prob, churn_settings(max_iter));
     let before = allocs();
     let result = solver.solve().unwrap();
     let during = since(before);
@@ -171,7 +165,7 @@ fn fpga_solve_allocs(prob: &QpProblem, max_iter: usize) -> ((usize, usize), usiz
 fn fpga_backed_admm_steady_state_is_allocation_free() {
     // The box QP's PCG loop takes trips; the portfolio's exact
     // preconditioner ends most solves after the loop's first pass.
-    let mut box_qp = fpga_solver(&problem(), churn_settings(20));
+    let mut box_qp = baseline_solver(&problem(), churn_settings(20));
     assert!(box_qp.solve().unwrap().backend.cg_iterations > 0, "the machine must run PCG");
     for prob in [problem(), generate(Domain::Portfolio, 2, 1)] {
         let _ = fpga_solve_allocs(&prob, 5);
@@ -191,7 +185,7 @@ fn fpga_backed_admm_steady_state_is_allocation_free() {
 #[test]
 fn fpga_manual_rho_update_is_allocation_free() {
     let prob = generate(Domain::Portfolio, 2, 1);
-    let mut solver = fpga_solver(&prob, churn_settings(20));
+    let mut solver = baseline_solver(&prob, churn_settings(20));
     let _ = solver.solve().unwrap();
     let before = allocs();
     solver.update_rho(0.37).unwrap();

@@ -539,14 +539,16 @@ mod tests {
         let n = p.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
         let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
-        let sol = crate::pcg(&mut op, &b, &vec![0.0; n], &settings).unwrap();
+        let mut x = vec![0.0; n];
+        let mut ws = crate::PcgWorkspace::new(n);
+        let sol = crate::pcg_with(&mut op, &b, &mut x, &settings, &mut ws, None).unwrap();
         assert!(sol.converged && sol.iterations <= 2, "{} iterations", sol.iterations);
         // LDLᵀ of the full KKT system: its x block solves K x = b.
         let kkt = KktMatrix::assemble(p, a, sigma, &rho).unwrap();
         let mut rhs = b.clone();
         rhs.resize(n + a.nrows(), 0.0);
         Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
-        for (got, want) in sol.x.iter().zip(&rhs[..n]) {
+        for (got, want) in x.iter().zip(&rhs[..n]) {
             assert!((got - want).abs() < 1e-8, "{got} vs {want}");
         }
     }

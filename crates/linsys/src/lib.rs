@@ -16,7 +16,7 @@
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
 //! * [`DenseRowPrecond`] — the PCG preconditioner: Jacobi plus an exact
 //!   Woodbury correction for the dense rows of `A`,
-//! * [`pcg`] — Algorithm 2,
+//! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!
@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use rsqp_sparse::CsrMatrix;
-//! use rsqp_linsys::{KktMatrix, Ldlt, ReducedKktOp, pcg, PcgSettings};
+//! use rsqp_linsys::{pcg_with, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = CsrMatrix::from_diag(&[2.0, 2.0]);
@@ -37,8 +37,11 @@
 //!
 //! let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho)?;
 //! let b = vec![1.0, 1.0];
-//! let sol = pcg(&mut op, &b, &vec![0.0; 2], &PcgSettings::default())?;
-//! assert!((sol.x[0] - rhs[0]).abs() < 1e-6);
+//! let mut x = vec![0.0; 2];
+//! let mut ws = PcgWorkspace::new(2);
+//! let summary = pcg_with(&mut op, &b, &mut x, &PcgSettings::default(), &mut ws, None)?;
+//! assert!(summary.converged);
+//! assert!((x[0] - rhs[0]).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```
@@ -57,6 +60,5 @@ pub use error::LinsysError;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
-pub use pcg::{pcg, pcg_with, LinearOperator, PcgError, PcgResult, PcgSettings};
-pub use pcg::{PcgSummary, PcgWorkspace};
+pub use pcg::{pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace};
 pub use precond::DenseRowPrecond;

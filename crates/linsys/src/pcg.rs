@@ -42,10 +42,10 @@ pub trait LinearOperator {
     }
 }
 
-/// Typed failure of a [`pcg`] solve.
+/// Typed failure of a [`pcg_with`] solve.
 ///
 /// Any error means the returned iterate would have been unreliable; callers
-/// should treat the warm-start vector as the last good state.
+/// should treat their own copy of the warm start as the last good state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PcgError {
     /// `pᵀKp ≤ 0` (or `rᵀM⁻¹r ≤ 0`): the operator or preconditioner is not
@@ -99,7 +99,7 @@ impl From<LinsysError> for PcgError {
     }
 }
 
-/// Convergence and iteration-limit settings for [`pcg`].
+/// Convergence and iteration-limit settings for [`pcg_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcgSettings {
     /// Relative tolerance: iterate until `‖r‖₂ < eps·‖b‖₂` (Algorithm 2,
@@ -115,19 +115,6 @@ impl Default for PcgSettings {
     fn default() -> Self {
         PcgSettings { eps: 1e-8, eps_abs: 1e-12, max_iter: 5000 }
     }
-}
-
-/// Result of a PCG solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PcgResult {
-    /// Final iterate.
-    pub x: Vec<f64>,
-    /// Number of iterations performed (operator applications minus one).
-    pub iterations: usize,
-    /// Final residual 2-norm `‖K x − b‖₂`.
-    pub residual: f64,
-    /// Whether the tolerance was met within `max_iter`.
-    pub converged: bool,
 }
 
 /// Iteration summary of an in-place [`pcg_with`] solve. The iterate itself
@@ -178,11 +165,19 @@ impl PcgWorkspace {
     }
 }
 
-/// Solves `K x = b` with the Preconditioned Conjugate Gradient method,
-/// warm-started at `x0`.
+/// Solves `K x = b` with the Preconditioned Conjugate Gradient method, in
+/// place, warm-started at the incoming value of `x`, reusing `ws` for every
+/// intermediate vector.
 ///
 /// Implements Algorithm 2 of the paper with the preconditioner
-/// `d = M⁻¹ r` of [`LinearOperator::precondition`].
+/// `d = M⁻¹ r` of [`LinearOperator::precondition`]. With a correctly sized
+/// workspace (and an operator whose [`LinearOperator::precondition`] does
+/// not allocate) it performs **zero heap allocations**, which is what lets
+/// the ADMM steady state run allocation-free. With `pool = Some(_)`, dot
+/// products, norms and vector updates run on the pool; results are
+/// bit-identical across pool sizes (see `rsqp-par`'s determinism contract),
+/// though reductions on large systems regroup differently from the serial
+/// path.
 ///
 /// # Errors
 ///
@@ -190,42 +185,10 @@ impl PcgWorkspace {
 /// search direction, [`PcgError::NonFinite`] if the recurrence produces
 /// NaN/Inf (e.g. corrupted `b` or operator data), and
 /// [`PcgError::Operator`] if an operator application fails, including a
-/// typed dimension error when `b.len()` or `x0.len()` differ from
-/// `op.dim()` (checked up front before any state is touched). On error the
-/// warm-start `x0` remains the caller's last good iterate.
-pub fn pcg(
-    op: &mut dyn LinearOperator,
-    b: &[f64],
-    x0: &[f64],
-    settings: &PcgSettings,
-) -> Result<PcgResult, PcgError> {
-    let mut x = x0.to_vec();
-    let mut ws = PcgWorkspace::new(op.dim());
-    let summary = pcg_with(op, b, &mut x, settings, &mut ws, None)?;
-    Ok(PcgResult {
-        x,
-        iterations: summary.iterations,
-        residual: summary.residual,
-        converged: summary.converged,
-    })
-}
-
-/// Solves `K x = b` in place, warm-started at the incoming value of `x`,
-/// reusing `ws` for every intermediate vector.
-///
-/// This is the allocation-free core of [`pcg`]: with a correctly sized
-/// workspace (and an operator whose [`LinearOperator::precondition`] does
-/// not allocate) it performs **zero heap allocations**, which is what lets
-/// the ADMM steady state run allocation-free. With `pool = Some(_)`, dot products, norms and vector
-/// updates run on the pool; results are bit-identical across pool sizes
-/// (see `rsqp-par`'s determinism contract), though reductions on large
-/// systems regroup differently from the serial path.
-///
-/// # Errors
-///
-/// Same conditions as [`pcg`]. Unlike [`pcg`], on error `x` may hold a
-/// partially updated iterate — callers must treat their own copy as the
-/// last good state (the solver's guard ladder already does).
+/// typed dimension error when `b.len()` or `x.len()` differ from
+/// `op.dim()` (checked up front before any state is touched). On error `x`
+/// may hold a partially updated iterate — callers must treat their own copy
+/// as the last good state (the solver's guard ladder already does).
 pub fn pcg_with(
     op: &mut dyn LinearOperator,
     b: &[f64],
@@ -388,14 +351,28 @@ mod tests {
         CsrMatrix::from_triplets(n, n, t)
     }
 
+    /// Runs [`pcg_with`] from `x0` with a fresh workspace, returning the
+    /// iterate and the summary.
+    fn solve_from(
+        op: &mut dyn LinearOperator,
+        b: &[f64],
+        x0: &[f64],
+        settings: &PcgSettings,
+    ) -> Result<(Vec<f64>, PcgSummary), PcgError> {
+        let mut x = x0.to_vec();
+        let mut ws = PcgWorkspace::new(op.dim());
+        let summary = pcg_with(op, b, &mut x, settings, &mut ws, None)?;
+        Ok((x, summary))
+    }
+
     #[test]
     fn solves_identity_in_one_iteration() {
         let mut op = MatOp { m: CsrMatrix::identity(5) };
         let b = vec![1.0, -2.0, 3.0, 0.5, 0.0];
-        let r = pcg(&mut op, &b, &[0.0; 5], &PcgSettings::default()).unwrap();
+        let (x, r) = solve_from(&mut op, &b, &[0.0; 5], &PcgSettings::default()).unwrap();
         assert!(r.converged);
         assert!(r.iterations <= 1);
-        for (xi, bi) in r.x.iter().zip(&b) {
+        for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-10);
         }
     }
@@ -408,9 +385,9 @@ mod tests {
         let mut b = vec![0.0; n];
         m.spmv(&x_true, &mut b).unwrap();
         let mut op = MatOp { m };
-        let r = pcg(&mut op, &b, &vec![0.0; n], &PcgSettings::default()).unwrap();
+        let (x, r) = solve_from(&mut op, &b, &vec![0.0; n], &PcgSettings::default()).unwrap();
         assert!(r.converged, "residual {}", r.residual);
-        for (got, want) in r.x.iter().zip(&x_true) {
+        for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
     }
@@ -423,7 +400,7 @@ mod tests {
         let mut b = vec![0.0; n];
         m.spmv(&x_true, &mut b).unwrap();
         let mut op = MatOp { m };
-        let r = pcg(&mut op, &b, &x_true, &PcgSettings::default()).unwrap();
+        let (_, r) = solve_from(&mut op, &b, &x_true, &PcgSettings::default()).unwrap();
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
     }
@@ -431,10 +408,10 @@ mod tests {
     #[test]
     fn zero_rhs_returns_immediately_from_zero() {
         let mut op = MatOp { m: spd_matrix(4) };
-        let r = pcg(&mut op, &[0.0; 4], &[0.0; 4], &PcgSettings::default()).unwrap();
+        let (x, r) = solve_from(&mut op, &[0.0; 4], &[0.0; 4], &PcgSettings::default()).unwrap();
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
-        assert_eq!(r.x, vec![0.0; 4]);
+        assert_eq!(x, vec![0.0; 4]);
     }
 
     #[test]
@@ -443,9 +420,13 @@ mod tests {
         let m = spd_matrix(n);
         let b = vec![1.0; n];
         let mut op = MatOp { m };
-        let r =
-            pcg(&mut op, &b, &vec![0.0; n], &PcgSettings { eps: 1e-14, eps_abs: 0.0, max_iter: 2 })
-                .unwrap();
+        let (_, r) = solve_from(
+            &mut op,
+            &b,
+            &vec![0.0; n],
+            &PcgSettings { eps: 1e-14, eps_abs: 0.0, max_iter: 2 },
+        )
+        .unwrap();
         assert!(!r.converged);
         assert_eq!(r.iterations, 2);
     }
@@ -468,9 +449,9 @@ mod tests {
         let b = vec![1.0; n];
         let settings = PcgSettings { eps: 1e-10, ..Default::default() };
         let mut pre = MatOp { m: CsrMatrix::from_diag(&diag) };
-        let with = pcg(&mut pre, &b, &vec![0.0; n], &settings).unwrap();
+        let (_, with) = solve_from(&mut pre, &b, &vec![0.0; n], &settings).unwrap();
         let mut nop = NoPre(CsrMatrix::from_diag(&diag));
-        let without = pcg(&mut nop, &b, &vec![0.0; n], &settings).unwrap();
+        let (_, without) = solve_from(&mut nop, &b, &vec![0.0; n], &settings).unwrap();
         assert!(with.converged);
         assert!(with.iterations < without.iterations);
         assert!(with.iterations <= 2);
@@ -491,7 +472,7 @@ mod tests {
             }
         }
         let mut op = NoPre(m);
-        let err = pcg(&mut op, &[0.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
+        let err = solve_from(&mut op, &[0.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
         match err {
             PcgError::Breakdown { curvature, .. } => assert!(curvature <= 0.0),
             other => panic!("expected breakdown, got {other:?}"),
@@ -502,15 +483,15 @@ mod tests {
     fn negative_semidefinite_operator_never_looks_converged() {
         let m = CsrMatrix::from_diag(&[-2.0, -3.0, -4.0]);
         let mut op = MatOp { m };
-        let res = pcg(&mut op, &[1.0, 1.0, 1.0], &[0.0; 3], &PcgSettings::default());
+        let res = solve_from(&mut op, &[1.0, 1.0, 1.0], &[0.0; 3], &PcgSettings::default());
         assert!(res.is_err(), "indefinite solve must not succeed: {res:?}");
     }
 
     #[test]
     fn non_finite_rhs_is_rejected() {
         let mut op = MatOp { m: spd_matrix(3) };
-        let err =
-            pcg(&mut op, &[1.0, f64::NAN, 0.0], &[0.0; 3], &PcgSettings::default()).unwrap_err();
+        let err = solve_from(&mut op, &[1.0, f64::NAN, 0.0], &[0.0; 3], &PcgSettings::default())
+            .unwrap_err();
         assert!(matches!(err, PcgError::NonFinite { .. }), "{err:?}");
     }
 
@@ -527,7 +508,8 @@ mod tests {
                 Ok(())
             }
         }
-        let err = pcg(&mut PoisonOp, &[1.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
+        let err =
+            solve_from(&mut PoisonOp, &[1.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
         assert!(matches!(err, PcgError::NonFinite { .. }), "{err:?}");
     }
 
@@ -542,7 +524,8 @@ mod tests {
                 Err(LinsysError::Dimension("device fault".into()))
             }
         }
-        let err = pcg(&mut FailOp, &[1.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
+        let err =
+            solve_from(&mut FailOp, &[1.0, 1.0], &[0.0; 2], &PcgSettings::default()).unwrap_err();
         assert!(matches!(err, PcgError::Operator(_)), "{err:?}");
     }
 }

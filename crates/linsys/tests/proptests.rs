@@ -3,7 +3,9 @@
 //! AMD must order any pattern.
 
 use proptest::prelude::*;
-use rsqp_linsys::{amd_ordering, pcg, KktMatrix, Ldlt, PcgSettings, ReducedKktOp};
+use rsqp_linsys::{
+    amd_ordering, pcg_with, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
+};
 use rsqp_sparse::CsrMatrix;
 
 /// Random sparse PSD matrix P = B·Bᵀ (dense-constructed, sparsified) and a
@@ -92,19 +94,22 @@ proptest! {
         let scaled: Vec<f64> = b2.iter().zip(&rho).map(|(v, r)| v * r).collect();
         at.spmv_acc(1.0, &scaled, &mut reduced_b).unwrap();
         let mut op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-        let sol = pcg(
+        let mut x = vec![0.0; n];
+        pcg_with(
             &mut op,
             &reduced_b,
-            &vec![0.0; n],
+            &mut x,
             &PcgSettings { eps: 1e-12, eps_abs: 1e-14, max_iter: 10_000 },
+            &mut PcgWorkspace::new(n),
+            None,
         )
         .unwrap();
         let scale = 1.0 + rsqp_sparse::vec_ops::inf_norm(&rhs[..n]);
         for i in 0..n {
             prop_assert!(
-                (sol.x[i] - rhs[i]).abs() < 1e-5 * scale,
+                (x[i] - rhs[i]).abs() < 1e-5 * scale,
                 "component {}: pcg {} direct {}",
-                i, sol.x[i], rhs[i]
+                i, x[i], rhs[i]
             );
         }
     }

@@ -124,14 +124,14 @@ pub(crate) fn build_solver(
 ) -> Result<Solver, SolverError> {
     let (problem, settings) = (Arc::clone(problem), settings.clone());
     match (factory.as_mut(), cached_perm) {
-        (Some(f), _) => Solver::with_backend_shared(problem, settings, f),
+        (Some(f), _) => Solver::with_backend(problem, settings, f),
         (None, Some(perm)) if settings.linsys == LinSysKind::DirectLdlt => {
-            Solver::with_backend_shared(problem, settings, &mut |p, a, sigma, rho, _s| {
+            Solver::with_backend(problem, settings, &mut |p, a, sigma, rho, _s| {
                 Ok(Box::new(DirectLdltBackend::with_permutation(p, a, sigma, rho, perm.to_vec())?)
                     as Box<dyn KktBackend>)
             })
         }
-        (None, _) => Solver::new_shared(problem, settings),
+        (None, _) => Solver::new(problem, settings),
     }
 }
 

@@ -394,11 +394,8 @@ impl SolveSession {
                         StepUpdate::LinearCost(q) => problem.update_q(q)?,
                         StepUpdate::Matrices { p, a } => problem.update_matrices(p, a)?,
                         StepUpdate::Rho(rho) => {
-                            if rho <= 0.0 {
-                                return Err(SolverError::InvalidSetting(
-                                    "rho must be positive".into(),
-                                ));
-                            }
+                            // The check `Solver::update_rho` would apply.
+                            Settings { rho, ..self.settings.clone() }.validate()?;
                             self.settings.rho = rho;
                         }
                     }

@@ -410,3 +410,16 @@ fn chaos_session_falls_back_once_and_stays_on_ldlt() {
         assert!(report.cache_hit, "step {seed}");
     }
 }
+
+#[test]
+fn non_finite_rho_is_rejected_before_and_after_the_first_step() {
+    let mut session =
+        SolveSession::new(control::generate(2, 1), SessionConfig::default().with_settings(tight()));
+    // The first pass queues the update before any solver exists, the second
+    // routes it through the solver the first step built.
+    for _ in 0..2 {
+        let rejected = session.step(vec![StepUpdate::Rho(f64::NAN)]);
+        assert!(matches!(rejected, Err(SolverError::InvalidSetting(_))), "{rejected:?}");
+        assert_eq!(session.step(Vec::new()).unwrap().result.status, Status::Solved);
+    }
+}

@@ -19,7 +19,7 @@ use rsqp_linsys::{
     SymmetricPermutation,
 };
 use rsqp_par::ThreadPool;
-use rsqp_sparse::CsrMatrix;
+use rsqp_sparse::{CscMatrix, CsrMatrix};
 
 use crate::settings::KktOrdering;
 use crate::SolverError;
@@ -130,10 +130,16 @@ pub fn kkt_ordering(
 ) -> Result<Option<Vec<usize>>, SolverError> {
     let rho = vec![1.0; a.nrows()];
     let kkt = KktMatrix::assemble(p, a, 1.0, &rho)?;
+    order(kkt.matrix(), ordering)
+}
+
+/// The permutation `ordering` gives the assembled KKT matrix `kkt`
+/// (`None` for [`KktOrdering::Natural`]).
+fn order(kkt: &CscMatrix, ordering: KktOrdering) -> Result<Option<Vec<usize>>, SolverError> {
     Ok(match ordering {
         KktOrdering::Natural => None,
-        KktOrdering::Rcm => Some(rcm_ordering(kkt.matrix())?),
-        KktOrdering::Amd => Some(amd_ordering(kkt.matrix())?),
+        KktOrdering::Rcm => Some(rcm_ordering(kkt)?),
+        KktOrdering::Amd => Some(amd_ordering(kkt)?),
     })
 }
 
@@ -177,15 +183,9 @@ impl DirectLdltBackend {
         ordering: KktOrdering,
     ) -> Result<Self, SolverError> {
         let kkt = KktMatrix::assemble(p, a, sigma, rho)?;
-        let permutation = match ordering {
-            KktOrdering::Natural => None,
-            KktOrdering::Rcm => {
-                Some(SymmetricPermutation::new(kkt.matrix(), rcm_ordering(kkt.matrix())?)?)
-            }
-            KktOrdering::Amd => {
-                Some(SymmetricPermutation::new(kkt.matrix(), amd_ordering(kkt.matrix())?)?)
-            }
-        };
+        let permutation = order(kkt.matrix(), ordering)?
+            .map(|perm| SymmetricPermutation::new(kkt.matrix(), perm))
+            .transpose()?;
         Self::from_parts(p, a, sigma, rho, kkt, permutation)
     }
 

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rsqp_sparse::{vec_ops, CsrMatrix};
 
 use crate::SolverError;
@@ -23,6 +25,14 @@ pub struct QpProblem {
     l: Vec<f64>,
     u: Vec<f64>,
     name: String,
+}
+
+/// A borrowed problem becomes a solver's own copy, so [`crate::Solver::new`]
+/// accepts `&QpProblem` as well as a shared `Arc<QpProblem>`.
+impl From<&QpProblem> for Arc<QpProblem> {
+    fn from(problem: &QpProblem) -> Self {
+        Arc::new(problem.clone())
+    }
 }
 
 /// Rejects non-finite entries in problem data (NaN poisons every downstream

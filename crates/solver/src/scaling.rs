@@ -205,6 +205,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_ruiz_iterations_are_the_identity_and_copy_the_data() {
+        let (p, q, a) = badly_scaled();
+        let (sc, data) = Scaling::ruiz(&p, &q, &a, 0);
+        assert_eq!(sc, Scaling::identity(2, 2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (scaled, orig) in [(&data.p, &p), (&data.a, &a)] {
+            assert_eq!(scaled.indptr(), orig.indptr());
+            assert_eq!(scaled.indices(), orig.indices());
+            assert_eq!(bits(scaled.data()), bits(orig.data()));
+        }
+        assert_eq!(bits(&data.q), bits(&q));
+    }
+
+    #[test]
     fn ruiz_equilibrates_norms() {
         let (p, q, a) = badly_scaled();
         let (_sc, data) = Scaling::ruiz(&p, &q, &a, 10);

@@ -42,6 +42,17 @@ pub enum CgTolerance {
     },
 }
 
+impl CgTolerance {
+    /// The tolerance the first PCG solve uses: the fixed value, or the
+    /// adaptive policy's `start`. Every backend factory starts from it.
+    pub fn initial(&self) -> f64 {
+        match *self {
+            CgTolerance::Fixed(e) => e,
+            CgTolerance::Adaptive { start, .. } => start,
+        }
+    }
+}
+
 impl Default for CgTolerance {
     fn default() -> Self {
         CgTolerance::Adaptive { fraction: 0.15, min: 1e-10, start: 1e-5 }
@@ -156,64 +167,75 @@ impl Settings {
     ///
     /// # Errors
     ///
-    /// Returns [`SolverError::InvalidSetting`] for out-of-range values
-    /// (`rho ≤ 0`, `sigma ≤ 0`, `alpha ∉ (0, 2)`, zero intervals, negative
-    /// tolerances).
+    /// Returns [`SolverError::InvalidSetting`] for out-of-range or
+    /// non-finite values: `rho`, `sigma`, `polish_delta` and the CG
+    /// tolerances must be positive, `alpha` must lie in `(0, 2)`, the
+    /// termination and infeasibility tolerances must be non-negative (and
+    /// `eps_abs`, `eps_rel` not both zero), `adaptive_rho_tolerance` at
+    /// least 1, and the iteration caps and intervals nonzero.
     pub fn validate(&self) -> Result<(), SolverError> {
-        if self.rho <= 0.0 {
-            return Err(SolverError::InvalidSetting("rho must be positive".into()));
-        }
-        if self.sigma <= 0.0 {
-            return Err(SolverError::InvalidSetting("sigma must be positive".into()));
+        let invalid = |msg: &str| Err(SolverError::InvalidSetting(msg.into()));
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        validate_rho(self.rho)?;
+        if !positive(self.sigma) {
+            return invalid("sigma must be positive and finite");
         }
         if !(self.alpha > 0.0 && self.alpha < 2.0) {
-            return Err(SolverError::InvalidSetting("alpha must lie in (0, 2)".into()));
+            return invalid("alpha must lie in (0, 2)");
         }
         if self.max_iter == 0 {
-            return Err(SolverError::InvalidSetting("max_iter must be positive".into()));
+            return invalid("max_iter must be positive");
         }
-        if self.eps_abs < 0.0 || self.eps_rel < 0.0 || (self.eps_abs == 0.0 && self.eps_rel == 0.0)
+        if !non_negative(self.eps_abs)
+            || !non_negative(self.eps_rel)
+            || (self.eps_abs == 0.0 && self.eps_rel == 0.0)
         {
-            return Err(SolverError::InvalidSetting(
-                "eps_abs/eps_rel must be non-negative and not both zero".into(),
-            ));
+            return invalid("eps_abs/eps_rel must be finite, non-negative and not both zero");
+        }
+        if !non_negative(self.eps_prim_inf) || !non_negative(self.eps_dual_inf) {
+            return invalid("eps_prim_inf/eps_dual_inf must be finite and non-negative");
         }
         if self.check_termination == 0 {
-            return Err(SolverError::InvalidSetting("check_termination must be positive".into()));
+            return invalid("check_termination must be positive");
         }
         if self.adaptive_rho_interval == 0 {
-            return Err(SolverError::InvalidSetting(
-                "adaptive_rho_interval must be positive".into(),
-            ));
+            return invalid("adaptive_rho_interval must be positive");
         }
-        if self.adaptive_rho_tolerance < 1.0 {
-            return Err(SolverError::InvalidSetting("adaptive_rho_tolerance must be >= 1".into()));
+        if !(self.adaptive_rho_tolerance.is_finite() && self.adaptive_rho_tolerance >= 1.0) {
+            return invalid("adaptive_rho_tolerance must be finite and >= 1");
         }
-        if self.polish_delta <= 0.0 {
-            return Err(SolverError::InvalidSetting("polish_delta must be positive".into()));
+        if !positive(self.polish_delta) {
+            return invalid("polish_delta must be positive and finite");
         }
         match self.cg_tolerance {
-            CgTolerance::Fixed(eps) if eps <= 0.0 => {
-                return Err(SolverError::InvalidSetting(
-                    "fixed CG tolerance must be positive".into(),
-                ))
+            CgTolerance::Fixed(eps) if !positive(eps) => {
+                return invalid("fixed CG tolerance must be positive and finite")
             }
             CgTolerance::Adaptive { fraction, min, start }
-                if fraction <= 0.0 || min <= 0.0 || start < min =>
+                if !positive(fraction) || !positive(min) || !positive(start) || start < min =>
             {
-                return Err(SolverError::InvalidSetting(
-                    "adaptive CG tolerance parameters out of range".into(),
-                ))
+                return invalid("adaptive CG tolerance parameters out of range")
             }
             _ => {}
         }
-        let thr = self.guard.divergence_threshold;
-        if !thr.is_finite() || thr <= 0.0 {
-            return Err(SolverError::InvalidSetting(
-                "guard divergence_threshold must be positive and finite".into(),
-            ));
+        if self.cg_max_iter == 0 {
+            return invalid("cg_max_iter must be positive");
+        }
+        if !positive(self.guard.divergence_threshold) {
+            return invalid("guard divergence_threshold must be positive and finite");
         }
         Ok(())
+    }
+}
+
+/// The ρ check [`Settings::validate`] applies, shared with
+/// [`crate::Solver::update_rho`]: ρ must be positive and finite.
+pub(crate) fn validate_rho(rho: f64) -> Result<(), SolverError> {
+    if rho.is_finite() && rho > 0.0 {
+        Ok(())
+    } else {
+        Err(SolverError::InvalidSetting("rho must be positive and finite".into()))
     }
 }
 
@@ -234,10 +256,58 @@ mod tests {
         assert!(s.validate().is_err());
     }
 
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
     #[test]
     fn rejects_bad_rho_sigma() {
         assert!(Settings { rho: 0.0, ..Default::default() }.validate().is_err());
         assert!(Settings { sigma: -1.0, ..Default::default() }.validate().is_err());
+        for bad in NON_FINITE {
+            assert!(Settings { rho: bad, ..Default::default() }.validate().is_err(), "rho {bad}");
+            assert!(Settings { sigma: bad, ..Default::default() }.validate().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_tolerances_and_factors() {
+        let d = Settings::default;
+        for bad in NON_FINITE {
+            for s in [
+                Settings { eps_abs: bad, ..d() },
+                Settings { eps_rel: bad, ..d() },
+                Settings { eps_prim_inf: bad, ..d() },
+                Settings { eps_dual_inf: bad, ..d() },
+                Settings { adaptive_rho_tolerance: bad, ..d() },
+                Settings { polish_delta: bad, ..d() },
+                Settings { cg_tolerance: CgTolerance::Fixed(bad), ..d() },
+                Settings {
+                    cg_tolerance: CgTolerance::Adaptive { fraction: bad, min: 1e-10, start: 1e-5 },
+                    ..d()
+                },
+                Settings {
+                    cg_tolerance: CgTolerance::Adaptive { fraction: 0.15, min: bad, start: 1e-5 },
+                    ..d()
+                },
+                Settings {
+                    cg_tolerance: CgTolerance::Adaptive { fraction: 0.15, min: 1e-10, start: bad },
+                    ..d()
+                },
+            ] {
+                assert!(s.validate().is_err(), "accepted {s:?}");
+            }
+        }
+        assert!(Settings { eps_prim_inf: -1e-4, ..d() }.validate().is_err());
+        assert!(Settings { eps_dual_inf: -1e-4, ..d() }.validate().is_err());
+        // Zero infeasibility tolerances and a zero eps_rel stay legal.
+        Settings { eps_prim_inf: 0.0, eps_dual_inf: 0.0, eps_rel: 0.0, ..d() }.validate().unwrap();
+    }
+
+    #[test]
+    fn initial_cg_tolerance_is_the_fixed_value_or_the_adaptive_start() {
+        assert_eq!(CgTolerance::Fixed(3e-7).initial(), 3e-7);
+        let adaptive = CgTolerance::Adaptive { fraction: 0.15, min: 1e-10, start: 2e-5 };
+        assert_eq!(adaptive.initial(), 2e-5);
+        assert_eq!(CgTolerance::default().initial(), 1e-5);
     }
 
     #[test]
@@ -245,6 +315,7 @@ mod tests {
         assert!(Settings { check_termination: 0, ..Default::default() }.validate().is_err());
         assert!(Settings { adaptive_rho_interval: 0, ..Default::default() }.validate().is_err());
         assert!(Settings { max_iter: 0, ..Default::default() }.validate().is_err());
+        assert!(Settings { cg_max_iter: 0, ..Default::default() }.validate().is_err());
     }
 
     #[test]

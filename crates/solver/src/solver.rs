@@ -4,14 +4,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rsqp_obs::{IterationTrace, SolveTrace, SpanId, SpanRecord, Timeline, TraceEvent};
-use rsqp_sparse::{CsrMatrix, TransposeCache};
+use rsqp_sparse::CsrMatrix;
 
 use crate::backend::{BackendStats, CpuPcgBackend, DirectLdltBackend, KktBackend};
 use crate::control::SolveControl;
 use crate::guard::{Anomaly, Guard, GuardReport, RecoveryAction};
 use crate::infeasibility::{dual_certificate, primal_certificate};
 use crate::rho::ConstraintKind;
-use crate::settings::{CgTolerance, LinSysKind};
+use crate::scaling::ScaledData;
+use crate::settings::{validate_rho, CgTolerance, LinSysKind};
 use crate::termination::{residuals, ResidualInfo};
 use crate::workspace::IterateWorkspace;
 use crate::{QpProblem, RhoManager, Scaling, Settings, SolverError, Status};
@@ -147,9 +148,6 @@ pub struct Solver {
     p: CsrMatrix,
     q: Vec<f64>,
     a: CsrMatrix,
-    /// Cached gather transpose of the scaled `A`, used for every `Aᵀy`
-    /// product in residual and certificate computations.
-    at_cache: TransposeCache,
     l: Vec<f64>,
     u: Vec<f64>,
     scaling: Scaling,
@@ -185,52 +183,44 @@ impl Solver {
     /// Sets up the solver: validates settings, equilibrates the problem, and
     /// builds the backend selected by [`Settings::linsys`].
     ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid settings or a failed factorization.
-    pub fn new(problem: &QpProblem, settings: Settings) -> Result<Self, SolverError> {
-        Self::new_shared(Arc::new(problem.clone()), settings)
-    }
-
-    /// Like [`Solver::new`], but sharing an existing `Arc<QpProblem>` —
-    /// retries, resumes, and concurrent services reuse one copy of the
-    /// problem data instead of deep-copying the matrices per solver.
+    /// `problem` is a `&QpProblem` (copied once) or an `Arc<QpProblem>`
+    /// (shared, never copied) — retries, resumes and concurrent services
+    /// pass the `Arc` so one copy of the data serves every solver.
     ///
     /// # Errors
     ///
     /// Returns an error for invalid settings or a failed factorization.
-    pub fn new_shared(problem: Arc<QpProblem>, settings: Settings) -> Result<Self, SolverError> {
+    pub fn new(
+        problem: impl Into<Arc<QpProblem>>,
+        settings: Settings,
+    ) -> Result<Self, SolverError> {
         let kind = settings.linsys;
-        Self::with_backend_shared(problem, settings, &mut |p, a, sigma, rho, s| match kind {
+        Self::with_backend(problem, settings, &mut |p, a, sigma, rho, s| match kind {
             LinSysKind::DirectLdlt => {
                 Ok(Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?))
             }
-            LinSysKind::CpuPcg => {
-                let eps = match s.cg_tolerance {
-                    CgTolerance::Fixed(e) => e,
-                    CgTolerance::Adaptive { start, .. } => start,
-                };
-                Ok(Box::new(CpuPcgBackend::with_threads(
-                    p,
-                    a,
-                    sigma,
-                    rho,
-                    eps,
-                    s.cg_max_iter,
-                    s.resolved_threads(),
-                )))
-            }
+            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::with_threads(
+                p,
+                a,
+                sigma,
+                rho,
+                s.cg_tolerance.initial(),
+                s.cg_max_iter,
+                s.resolved_threads(),
+            ))),
         })
     }
 
     /// Sets up the solver with a caller-provided backend factory (used by
-    /// `rsqp-core` to inject the simulated-FPGA backend).
+    /// `rsqp-core` to inject the simulated-FPGA backend). The factory
+    /// receives the scaled `P` and `A`, σ, the initial ρ vector and the
+    /// settings; `problem` is taken as in [`Solver::new`].
     ///
     /// # Errors
     ///
     /// Returns an error for invalid settings or a factory failure.
     pub fn with_backend(
-        problem: &QpProblem,
+        problem: impl Into<Arc<QpProblem>>,
         settings: Settings,
         factory: &mut dyn FnMut(
             &CsrMatrix,
@@ -240,55 +230,25 @@ impl Solver {
             &Settings,
         ) -> Result<Box<dyn KktBackend>, SolverError>,
     ) -> Result<Self, SolverError> {
-        Self::with_backend_shared(Arc::new(problem.clone()), settings, factory)
-    }
-
-    /// [`Solver::with_backend`] over a shared `Arc<QpProblem>`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid settings or a factory failure.
-    pub fn with_backend_shared(
-        problem: Arc<QpProblem>,
-        settings: Settings,
-        factory: &mut dyn FnMut(
-            &CsrMatrix,
-            &CsrMatrix,
-            f64,
-            &[f64],
-            &Settings,
-        ) -> Result<Box<dyn KktBackend>, SolverError>,
-    ) -> Result<Self, SolverError> {
+        let problem = problem.into();
         let start = Instant::now();
         settings.validate()?;
         let n = problem.num_vars();
         let m = problem.num_constraints();
 
         let t_scaling = Instant::now();
-        let (scaling, p, q, a) = if settings.scaling_iters > 0 {
-            let (sc, data) =
-                Scaling::ruiz(problem.p(), problem.q(), problem.a(), settings.scaling_iters);
-            (sc, data.p, data.q, data.a)
-        } else {
-            (
-                Scaling::identity(n, m),
-                problem.p().clone(),
-                problem.q().to_vec(),
-                problem.a().clone(),
-            )
-        };
+        let (scaling, ScaledData { p, q, a }) =
+            Scaling::ruiz(problem.p(), problem.q(), problem.a(), settings.scaling_iters);
         let scaling_time = t_scaling.elapsed();
         let (l, u) = scaling.scale_bounds(problem.l(), problem.u());
         let rho_mgr = RhoManager::new(settings.rho, &l, &u);
         let backend = factory(&p, &a, settings.sigma, rho_mgr.rho_vec(), &settings)?;
-        let at_cache = TransposeCache::new(&a);
         Ok(Solver {
             settings,
             orig: problem,
             p,
             q,
             a,
-            at_cache,
             l,
             u,
             scaling,
@@ -448,24 +408,8 @@ impl Solver {
     ) -> Result<(), SolverError> {
         Arc::make_mut(&mut self.orig).update_matrices(p_new, a_new)?;
         // Re-equilibrate on the new values.
-        let n = self.orig.num_vars();
-        let m = self.orig.num_constraints();
-        let (scaling, p, q, a) = if self.settings.scaling_iters > 0 {
-            let (sc, data) = Scaling::ruiz(
-                self.orig.p(),
-                self.orig.q(),
-                self.orig.a(),
-                self.settings.scaling_iters,
-            );
-            (sc, data.p, data.q, data.a)
-        } else {
-            (
-                Scaling::identity(n, m),
-                self.orig.p().clone(),
-                self.orig.q().to_vec(),
-                self.orig.a().clone(),
-            )
-        };
+        let (scaling, ScaledData { p, q, a }) =
+            Scaling::ruiz(self.orig.p(), self.orig.q(), self.orig.a(), self.settings.scaling_iters);
         // Map current iterates into the new scaled space so warm starts
         // survive the update. The slack z is carried through the scaling
         // change like x/y — mid-ADMM it is the *projected* iterate, distinct
@@ -488,9 +432,6 @@ impl Solver {
         // new equilibration can move a constraint across the equality/loose
         // thresholds — re-derive it before the backend sees ρ.
         self.rho_mgr.update_bounds(&self.l, &self.u);
-        // Same sparsity structure by contract, so the cached transpose only
-        // needs its values regathered.
-        self.at_cache.refresh_values(&self.a)?;
         self.backend.update_matrices(&self.p, &self.a, self.rho_mgr.rho_vec())?;
         Ok(())
     }
@@ -519,12 +460,10 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Returns an error for non-positive values or a failed backend
-    /// refactorization.
+    /// Returns an error for a value [`Settings::validate`] would reject as
+    /// ρ, or a failed backend refactorization.
     pub fn update_rho(&mut self, rho_bar: f64) -> Result<(), SolverError> {
-        if rho_bar <= 0.0 {
-            return Err(SolverError::InvalidSetting("rho must be positive".into()));
-        }
+        validate_rho(rho_bar)?;
         // In-place rebuild: the classification is unchanged (bounds did not
         // move), the buffers are reused, and the adaptive-update counter
         // survives — parametric update→re-solve loops stay allocation-free.
@@ -575,13 +514,10 @@ impl Solver {
         }
         let max_iter = control.iter_cap.map_or(s.max_iter, |cap| cap.min(s.max_iter)).max(1);
 
-        let mut cg_eps = match s.cg_tolerance {
-            CgTolerance::Adaptive { start, .. } => {
-                self.backend.set_cg_tolerance(start);
-                start
-            }
-            CgTolerance::Fixed(e) => e,
-        };
+        let mut cg_eps = s.cg_tolerance.initial();
+        if let CgTolerance::Adaptive { .. } = s.cg_tolerance {
+            self.backend.set_cg_tolerance(cg_eps);
+        }
         let mut last_res = f64::INFINITY;
 
         let mut status = Status::MaxIterationsReached;
@@ -694,12 +630,10 @@ impl Solver {
                 continue;
             }
 
-            // Residuals (unscaled) from scaled intermediates. `Aᵀy` goes
-            // through the cached gather transpose (bit-identical to the
-            // scatter kernel, but sequential in memory).
+            // Residuals (unscaled) from scaled intermediates.
             self.a.spmv(&self.x, &mut self.ws.ax)?;
             self.p.spmv(&self.x, &mut self.ws.px)?;
-            self.at_cache.spmv(&self.y, &mut self.ws.aty)?;
+            self.a.spmv_transpose(&self.y, &mut self.ws.aty)?;
             let info = residuals(
                 &self.scaling,
                 &self.ws.ax,
@@ -948,7 +882,7 @@ impl Solver {
             self.ws.dy[i] = cinv * e[i] * self.ws.dy_scaled[i];
         }
         // Aᵀδy (unscaled) = c⁻¹·D⁻¹·Āᵀ·δȳ.
-        self.at_cache.spmv(&self.ws.dy_scaled, &mut self.ws.at_dy)?;
+        self.a.spmv_transpose(&self.ws.dy_scaled, &mut self.ws.at_dy)?;
         for (v, &di) in self.ws.at_dy.iter_mut().zip(dinv) {
             *v *= cinv * di;
         }

@@ -100,7 +100,7 @@ fn solver_with_trigger<F: FnMut() + 'static>(
 fn pre_cancelled_token_stops_before_any_iteration() {
     let token = CancelToken::new();
     token.cancel();
-    let mut solver = Solver::new(&control_problem(3), deterministic_settings()).unwrap();
+    let mut solver = Solver::new(control_problem(3), deterministic_settings()).unwrap();
     let control = SolveControl::unbounded().with_cancel(token);
     let r = solver.solve_with_control(&control).unwrap();
     assert_eq!(r.status, Status::Cancelled);
@@ -172,7 +172,7 @@ fn deadline_expiring_before_polish_keeps_solved_but_skips_polish() {
 #[test]
 fn iter_cap_takes_the_minimum_with_max_iter() {
     let mut solver = Solver::new(
-        &control_problem(3),
+        control_problem(3),
         Settings {
             eps_abs: 1e-300,
             eps_rel: 1e-300,
@@ -194,7 +194,7 @@ fn settings_time_limit_still_applies_without_a_control() {
     settings.time_limit = Some(Duration::from_millis(30));
     // No iteration cap a fast host could reach inside the time limit.
     settings.max_iter = usize::MAX;
-    let mut solver = Solver::new(&control_problem(4), settings).unwrap();
+    let mut solver = Solver::new(control_problem(4), settings).unwrap();
     let t = Instant::now();
     let r = solver.solve().unwrap();
     assert_eq!(r.status, Status::TimeLimitReached);
@@ -286,7 +286,7 @@ fn checkpoint_is_portable_across_backends() {
 fn restore_rejects_mismatched_and_corrupt_checkpoints() {
     let problem = control_problem(3);
     let mut solver = Solver::new(&problem, Settings::default()).unwrap();
-    let other = Solver::new(&control_problem(2), Settings::default()).unwrap();
+    let other = Solver::new(control_problem(2), Settings::default()).unwrap();
     let err = solver.restore(&other.checkpoint()).unwrap_err();
     assert!(err.to_string().contains("does not match"), "{err}");
 

@@ -19,7 +19,7 @@ fn polish_tightens_residuals() {
     // Loose ADMM tolerances + polish should still land near machine
     // precision.
     let settings = Settings { eps_abs: 1e-3, eps_rel: 1e-3, polish: true, ..Default::default() };
-    let mut s = Solver::new(&box_qp(), settings).unwrap();
+    let mut s = Solver::new(box_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(r.polished, "polish should succeed on this problem");
@@ -34,7 +34,7 @@ fn polish_tightens_residuals() {
 #[test]
 fn polish_off_keeps_admm_iterate() {
     let settings = Settings { polish: false, ..Default::default() };
-    let mut s = Solver::new(&box_qp(), settings).unwrap();
+    let mut s = Solver::new(box_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert!(!r.polished);
 }

@@ -2,7 +2,10 @@
 //! backend agreement, infeasibility detection, warm starting, and
 //! parametric updates.
 
-use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver, Status};
+use std::sync::Arc;
+
+use rsqp_problems::{generate, Domain};
+use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver, SolverError, Status};
 use rsqp_sparse::CsrMatrix;
 
 const INF: f64 = f64::INFINITY;
@@ -38,7 +41,7 @@ fn tight_settings(kind: LinSysKind) -> Settings {
 
 #[test]
 fn box_qp_solution_is_projection() {
-    let mut s = Solver::new(&box_qp(), tight_settings(LinSysKind::DirectLdlt)).unwrap();
+    let mut s = Solver::new(box_qp(), tight_settings(LinSysKind::DirectLdlt)).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     let want = [1.0, 0.5, 0.0];
@@ -50,7 +53,7 @@ fn box_qp_solution_is_projection() {
 #[test]
 fn equality_qp_exact_solution() {
     for kind in [LinSysKind::DirectLdlt, LinSysKind::CpuPcg] {
-        let mut s = Solver::new(&equality_qp(), tight_settings(kind)).unwrap();
+        let mut s = Solver::new(equality_qp(), tight_settings(kind)).unwrap();
         let r = s.solve().unwrap();
         assert_eq!(r.status, Status::Solved, "backend {kind:?}");
         assert!((r.x[0] - 0.5).abs() < 1e-4);
@@ -222,7 +225,7 @@ fn parametric_q_update_resolves() {
 fn scaling_off_still_solves() {
     let settings =
         Settings { scaling_iters: 0, eps_abs: 1e-5, eps_rel: 1e-5, ..Default::default() };
-    let mut s = Solver::new(&equality_qp(), settings).unwrap();
+    let mut s = Solver::new(equality_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!((r.x[0] - 0.5).abs() < 1e-3);
@@ -237,7 +240,7 @@ fn fixed_cg_tolerance_solves() {
         eps_rel: 1e-6,
         ..Default::default()
     };
-    let mut s = Solver::new(&box_qp(), settings).unwrap();
+    let mut s = Solver::new(box_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(r.backend.cg_iterations > 0);
@@ -245,7 +248,7 @@ fn fixed_cg_tolerance_solves() {
 
 #[test]
 fn timing_breakdown_is_consistent() {
-    let mut s = Solver::new(&box_qp(), Settings::default()).unwrap();
+    let mut s = Solver::new(box_qp(), Settings::default()).unwrap();
     let r = s.solve().unwrap();
     assert!(r.timings.kkt_solve <= r.timings.solve);
     let f = r.timings.kkt_fraction();
@@ -261,7 +264,7 @@ fn max_iterations_status_when_cap_hit() {
         eps_rel: 1e-14,
         ..Default::default()
     };
-    let mut s = Solver::new(&box_qp(), settings).unwrap();
+    let mut s = Solver::new(box_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::MaxIterationsReached);
     assert_eq!(r.iterations, 2);
@@ -297,7 +300,7 @@ fn time_limit_is_respected() {
         time_limit: Some(std::time::Duration::ZERO),
         ..Default::default()
     };
-    let mut s = Solver::new(&box_qp(), settings).unwrap();
+    let mut s = Solver::new(box_qp(), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::TimeLimitReached);
     assert_eq!(r.iterations, 0, "an already-expired limit fires before any iteration runs");
@@ -367,7 +370,7 @@ fn matrix_update_works_on_pcg_backend_too() {
 
 #[test]
 fn solve_result_display_summarizes() {
-    let mut s = Solver::new(&box_qp(), Settings { polish: true, ..Default::default() }).unwrap();
+    let mut s = Solver::new(box_qp(), Settings { polish: true, ..Default::default() }).unwrap();
     let r = s.solve().unwrap();
     let text = r.to_string();
     assert!(text.contains("status: solved"));
@@ -385,4 +388,47 @@ fn manual_rho_update_changes_backend_and_still_solves() {
     assert!((r.x[0] - 1.0).abs() < 1e-4);
     assert!(s.update_rho(0.0).is_err());
     assert!(s.update_rho(-1.0).is_err());
+}
+
+#[test]
+fn update_rho_rejects_non_finite_values() {
+    let problem = generate(Domain::Control, 2, 1);
+    let mut s = Solver::new(&problem, Settings::default()).unwrap();
+    let rho_bar = s.rho_bar();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(matches!(s.update_rho(bad), Err(SolverError::InvalidSetting(_))), "rho {bad}");
+    }
+    assert_eq!(s.rho_bar(), rho_bar, "a rejected rho leaves the solver untouched");
+    assert_eq!(s.solve().unwrap().status, Status::Solved);
+}
+
+#[test]
+fn a_shared_problem_is_not_copied() {
+    let arc = Arc::new(box_qp());
+    let solver = Solver::new(arc.clone(), Settings::default()).unwrap();
+    assert!(Arc::ptr_eq(&solver.problem_shared(), &arc));
+    let solver =
+        Solver::with_backend(arc.clone(), Settings::default(), &mut |p, a, sigma, rho, _| {
+            Ok(Box::new(rsqp_solver::DirectLdltBackend::new(p, a, sigma, rho)?))
+        })
+        .unwrap();
+    assert!(Arc::ptr_eq(&solver.problem_shared(), &arc));
+}
+
+#[test]
+fn borrowed_and_shared_problems_solve_bit_identically() {
+    let problem = generate(Domain::Control, 3, 1);
+    for linsys in [LinSysKind::DirectLdlt, LinSysKind::CpuPcg] {
+        let settings = Settings { linsys, ..Default::default() };
+        let borrowed = Solver::new(&problem, settings.clone()).unwrap().solve().unwrap();
+        let shared = Solver::new(Arc::new(problem.clone()), settings).unwrap().solve().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(borrowed.status, Status::Solved, "{linsys:?}");
+        assert_eq!(borrowed.iterations, shared.iterations, "{linsys:?}");
+        assert_eq!(borrowed.backend, shared.backend, "{linsys:?}");
+        assert_eq!(borrowed.objective.to_bits(), shared.objective.to_bits(), "{linsys:?}");
+        assert_eq!(bits(&borrowed.x), bits(&shared.x), "{linsys:?}");
+        assert_eq!(bits(&borrowed.y), bits(&shared.y), "{linsys:?}");
+        assert_eq!(bits(&borrowed.z), bits(&shared.z), "{linsys:?}");
+    }
 }

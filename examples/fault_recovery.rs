@@ -11,9 +11,9 @@
 //! Run with: `cargo run --release --example fault_recovery`
 
 use rsqp::arch::{ArchConfig, FaultConfig};
-use rsqp::core::FpgaPcgBackend;
+use rsqp::core::{fpga_solver, FpgaSolver};
 use rsqp::problems::{generate, Domain};
-use rsqp::solver::{CgTolerance, QpProblem, Settings, Solver};
+use rsqp::solver::{QpProblem, Settings};
 use rsqp::sparse::CsrMatrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,18 +63,8 @@ fn solve_on_fpga(
 ) -> Result<(rsqp::solver::SolveResult, u64, String), Box<dyn std::error::Error>> {
     let config = ArchConfig::baseline(16).with_fault_injection(Some(fault));
     let settings = Settings { eps_abs: 1e-4, eps_rel: 1e-4, ..Default::default() };
-    let mut machine = None;
-    let mut solver = Solver::with_backend(qp, settings, &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (backend, handle) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), eps, s.cg_max_iter);
-        machine = Some(handle);
-        Ok(Box::new(backend))
-    })?;
+    let FpgaSolver { mut solver, machine, .. } = fpga_solver(qp, settings, config)?;
     let result = solver.solve()?;
-    let faults = machine.expect("factory ran").borrow().stats().faults;
+    let faults = machine.borrow().stats().faults;
     Ok((result, faults, solver.backend_name().to_string()))
 }

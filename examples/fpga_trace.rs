@@ -7,9 +7,9 @@
 use rsqp::arch::hbm::HbmModel;
 use rsqp::arch::{rom, ResourceModel};
 use rsqp::core::bundle;
-use rsqp::core::{customize, FpgaPcgBackend};
+use rsqp::core::{customize, fpga_solver, FpgaSolver};
 use rsqp::problems::{generate, Domain};
-use rsqp::solver::{CgTolerance, Settings, Solver, Status};
+use rsqp::solver::{Settings, Status};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let qp = generate(Domain::Huber, 6, 3);
@@ -46,20 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Solve on the simulated machine.
-    let cfg = custom.config.clone();
-    let mut handle = None;
-    let mut solver = Solver::with_backend(&qp, Settings::default(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        handle = Some(h);
-        Ok(Box::new(b))
-    })?;
+    let FpgaSolver { mut solver, machine, .. } =
+        fpga_solver(&qp, Settings::default(), custom.config.clone())?;
     let r = solver.solve()?;
     assert_eq!(r.status, Status::Solved);
-    let stats = handle.expect("backend built").borrow().stats();
+    let stats = machine.borrow().stats();
 
     println!(
         "\nsolved in {} ADMM iterations, {} CG iterations",

@@ -10,9 +10,9 @@
 
 use rsqp::core::perf::fpga::{FpgaPerfModel, FPGA_POWER_W};
 use rsqp::core::perf::power::throughput_per_watt;
-use rsqp::core::{customize, FpgaPcgBackend};
+use rsqp::core::{customize, fpga_solver, FpgaSolver};
 use rsqp::problems::portfolio;
-use rsqp::solver::{CgTolerance, Settings, Solver, Status};
+use rsqp::solver::{Settings, Status};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factors = 2;
@@ -36,20 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         custom.resources.lut
     );
 
-    let cfg = custom.config.clone();
-    let mut handle = None;
-    let mut outer = 0;
-    let mut solver = Solver::with_backend(&qp, Settings::default(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        outer = b.outer_cycles_per_iteration();
-        handle = Some(h);
-        Ok(Box::new(b))
-    })?;
-    let handle = handle.expect("backend built");
+    let FpgaSolver { mut solver, machine: handle, outer_cycles_per_iteration: outer } =
+        fpga_solver(&qp, Settings::default(), custom.config.clone())?;
     let model = FpgaPerfModel::from_config(&custom.config);
 
     // Backtest: re-solve with fresh μ every "day" (warm-started).

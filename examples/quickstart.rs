@@ -5,8 +5,8 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use rsqp::core::perf::fpga::FpgaPerfModel;
-use rsqp::core::{customize, FpgaPcgBackend};
-use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
+use rsqp::core::{customize, fpga_solver, FpgaSolver};
+use rsqp::solver::{LinSysKind, QpProblem, Settings, Solver};
 use rsqp::sparse::CsrMatrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,21 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         custom.eta_baseline,
         custom.eta_custom
     );
-    let cfg = custom.config.clone();
-    let mut handle = None;
-    let mut outer = 0;
-    let mut fpga = Solver::with_backend(&qp, Settings::default(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        outer = b.outer_cycles_per_iteration();
-        handle = Some(h);
-        Ok(Box::new(b))
-    })?;
+    let FpgaSolver { solver: mut fpga, machine, outer_cycles_per_iteration: outer } =
+        fpga_solver(&qp, Settings::default(), custom.config.clone())?;
     let rf = fpga.solve()?;
-    let stats = handle.expect("backend was built").borrow().stats();
+    let stats = machine.borrow().stats();
     let model = FpgaPerfModel::from_config(&custom.config);
     let t = model.solve_time(stats, rf.iterations, outer, qp.num_vars(), qp.num_constraints());
     println!(

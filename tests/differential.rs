@@ -19,7 +19,7 @@
 //! contract).
 
 use rsqp::arch::ArchConfig;
-use rsqp::core::FpgaPcgBackend;
+use rsqp::core::fpga_solver;
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
 
@@ -54,21 +54,8 @@ fn solve_pcg(problem: &QpProblem, threads: usize) -> SolveResult {
 }
 
 fn solve_machine(problem: &QpProblem) -> SolveResult {
-    let cfg = ArchConfig::baseline(16);
-    let mut solver = Solver::with_backend(
-        problem,
-        settings(LinSysKind::CpuPcg, 1),
-        &mut |p, a, sigma, rho, s| {
-            let eps = match s.cg_tolerance {
-                CgTolerance::Fixed(e) => e,
-                CgTolerance::Adaptive { start, .. } => start,
-            };
-            let (b, _handle) =
-                FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-            Ok(Box::new(b))
-        },
-    )
-    .unwrap();
+    let settings = settings(LinSysKind::CpuPcg, 1);
+    let mut solver = fpga_solver(problem, settings, ArchConfig::baseline(16)).unwrap().solver;
     solver.solve().unwrap()
 }
 
@@ -174,6 +161,7 @@ fn eqqp_backends_agree() {
 #[test]
 fn portfolio_pcg_reaches_tight_tolerance() {
     let problem = generate(Domain::Portfolio, 5, 1);
+    assert!(matches!(Settings::default().cg_tolerance, CgTolerance::Adaptive { .. }));
     let tight = |kind| Settings {
         linsys: kind,
         eps_abs: EPS,
@@ -182,20 +170,11 @@ fn portfolio_pcg_reaches_tight_tolerance() {
         ..Default::default()
     };
     let solve = |settings: Settings, machine: bool| {
-        let cfg = ArchConfig::baseline(16);
         let mut solver = if machine {
-            Solver::with_backend(&problem, settings, &mut |p, a, sigma, rho, s| {
-                let CgTolerance::Adaptive { start, .. } = s.cg_tolerance else {
-                    unreachable!("the default inner tolerance is adaptive")
-                };
-                let (b, _) =
-                    FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), start, s.cg_max_iter);
-                Ok(Box::new(b))
-            })
+            fpga_solver(&problem, settings, ArchConfig::baseline(16)).unwrap().solver
         } else {
-            Solver::new(&problem, settings)
-        }
-        .unwrap();
+            Solver::new(&problem, settings).unwrap()
+        };
         solver.solve().unwrap()
     };
     let direct = solve(tight(LinSysKind::DirectLdlt), false);

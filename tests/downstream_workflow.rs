@@ -3,10 +3,10 @@
 //! accelerator, emit the hardware bundle, and solve on all three backends.
 
 use rsqp::core::bundle;
-use rsqp::core::{customize, FpgaPcgBackend};
+use rsqp::core::{customize, fpga_solver};
 use rsqp::problems::io::{load_problem, save_problem};
 use rsqp::problems::{generate, Domain};
-use rsqp::solver::{CgTolerance, LinSysKind, Settings, Solver, Status};
+use rsqp::solver::{LinSysKind, Settings, Solver, Status};
 
 #[test]
 fn save_load_customize_bundle_solve() {
@@ -38,16 +38,7 @@ fn save_load_customize_bundle_solve() {
         assert_eq!(r.status, Status::Solved, "{kind:?}");
         objectives.push(r.objective);
     }
-    let cfg = custom.config.clone();
-    let mut s = Solver::with_backend(&loaded, settings, &mut |p, a, sigma, rho, st| {
-        let eps = match st.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, _h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, st.cg_max_iter);
-        Ok(Box::new(b))
-    })
-    .expect("setup");
+    let mut s = fpga_solver(&loaded, settings, custom.config).expect("setup").solver;
     let r = s.solve().expect("solve");
     assert_eq!(r.status, Status::Solved);
     objectives.push(r.objective);

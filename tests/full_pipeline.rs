@@ -6,9 +6,9 @@ use rsqp::arch::{codegen, ArchConfig, ResourceModel};
 use rsqp::core::perf::fpga::{FpgaPerfModel, FPGA_POWER_W};
 use rsqp::core::perf::gpu::GpuPerfModel;
 use rsqp::core::perf::power::throughput_per_watt;
-use rsqp::core::{customize, FpgaPcgBackend};
+use rsqp::core::{customize, fpga_solver, FpgaSolver};
 use rsqp::problems::{generate, small_suite, Domain};
-use rsqp::solver::{CgTolerance, LinSysKind, Settings, Solver, Status};
+use rsqp::solver::{LinSysKind, Settings, Solver, Status};
 
 fn settings(kind: LinSysKind) -> Settings {
     Settings { linsys: kind, eps_abs: 1e-4, eps_rel: 1e-4, max_iter: 20_000, ..Default::default() }
@@ -56,26 +56,12 @@ fn customization_pipeline_end_to_end() {
 fn fpga_solve_and_performance_model_chain() {
     let qp = generate(Domain::Svm, 4, 5);
     let custom = customize(&qp, 16, 4);
-    let cfg = custom.config.clone();
-
-    let mut handle = None;
-    let mut outer = 0u64;
-    let mut solver =
-        Solver::with_backend(&qp, settings(LinSysKind::CpuPcg), &mut |p, a, sigma, rho, s| {
-            let eps = match s.cg_tolerance {
-                CgTolerance::Fixed(e) => e,
-                CgTolerance::Adaptive { start, .. } => start,
-            };
-            let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-            outer = b.outer_cycles_per_iteration();
-            handle = Some(h);
-            Ok(Box::new(b))
-        })
-        .unwrap();
+    let FpgaSolver { mut solver, machine, outer_cycles_per_iteration: outer } =
+        fpga_solver(&qp, settings(LinSysKind::CpuPcg), custom.config.clone()).unwrap();
     let r = solver.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
 
-    let stats = handle.unwrap().borrow().stats();
+    let stats = machine.borrow().stats();
     let t_fpga = FpgaPerfModel::from_config(&custom.config).solve_time(
         stats,
         r.iterations,
@@ -111,17 +97,7 @@ fn architecture_reuse_across_instances_of_one_structure() {
     assert!(rsqp::sparse::pattern::same_structure(qp1.a(), qp2.a()));
     let custom = customize(&qp1, 16, 4);
     // The architecture built for qp1 must solve qp2.
-    let cfg = custom.config.clone();
-    let mut solver =
-        Solver::with_backend(&qp2, settings(LinSysKind::CpuPcg), &mut |p, a, sigma, rho, s| {
-            let eps = match s.cg_tolerance {
-                CgTolerance::Fixed(e) => e,
-                CgTolerance::Adaptive { start, .. } => start,
-            };
-            let (b, _h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-            Ok(Box::new(b))
-        })
-        .unwrap();
+    let mut solver = fpga_solver(&qp2, settings(LinSysKind::CpuPcg), custom.config).unwrap().solver;
     assert_eq!(solver.solve().unwrap().status, Status::Solved);
 }
 
@@ -130,19 +106,11 @@ fn wider_datapath_reduces_device_cycles() {
     let qp = generate(Domain::Huber, 4, 3);
     let mut cycles = Vec::new();
     for c in [8usize, 32] {
-        let cfg = ArchConfig::baseline(c);
-        let mut handle = None;
-        let mut solver =
-            Solver::with_backend(&qp, settings(LinSysKind::CpuPcg), &mut |p, a, sigma, rho, s| {
-                let (b, h) =
-                    FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), 1e-6, s.cg_max_iter);
-                handle = Some(h);
-                Ok(Box::new(b))
-            })
-            .unwrap();
+        let FpgaSolver { mut solver, machine, .. } =
+            fpga_solver(&qp, settings(LinSysKind::CpuPcg), ArchConfig::baseline(c)).unwrap();
         let r = solver.solve().unwrap();
         assert_eq!(r.status, Status::Solved);
-        cycles.push(handle.unwrap().borrow().stats().cycles);
+        cycles.push(machine.borrow().stats().cycles);
     }
     assert!(
         cycles[1] < cycles[0],
