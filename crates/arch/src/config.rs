@@ -3,25 +3,13 @@
 use rsqp_encode::{Alphabet, StructureSet};
 
 /// How the compressed vector buffers are organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CvbPolicy {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CvbPolicy {
     /// First-Fit compressed layout (the customized design, §4.3).
-    #[default]
     FirstFit,
     /// `C` full copies of the vector (the paper's baseline design:
     /// "C copies of the vector were stored in CVB", §5.2).
     FullDuplication,
-}
-
-/// Which pack scheduler maps row strings onto the structure set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// The paper's greedy string-replacement scheduler (§4.2).
-    #[default]
-    Greedy,
-    /// The exact dynamic-programming scheduler (our ablation; never more
-    /// cycles than greedy).
-    DpOptimal,
 }
 
 /// Per-instruction-class fixed latencies, in cycles.
@@ -49,19 +37,16 @@ pub struct CostModel {
     pub dot_drain: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            vector_latency: 12,
-            spmv_latency: 40,
-            dup_latency: 12,
-            scalar_latency: 8,
-            control_latency: 4,
-            transfer_latency: 24,
-            dot_drain: 16,
-        }
-    }
-}
+/// The latencies of every machine.
+const LATENCIES: CostModel = CostModel {
+    vector_latency: 12,
+    spmv_latency: 40,
+    dup_latency: 12,
+    scalar_latency: 8,
+    control_latency: 4,
+    transfer_latency: 24,
+    dot_drain: 16,
+};
 
 /// Deterministic, seed-driven fault injection for the cycle-level machine.
 ///
@@ -126,14 +111,12 @@ impl FaultConfig {
 }
 
 /// A concrete architecture instance: datapath width `C`, the customized MAC
-/// structure set `S`, and the cost model.
+/// structure set `S`, and the CVB organization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     c: usize,
     set: StructureSet,
-    cost: CostModel,
     cvb: CvbPolicy,
-    scheduler: SchedulePolicy,
     single_precision: bool,
     fault: Option<FaultConfig>,
 }
@@ -144,9 +127,7 @@ impl ArchConfig {
         ArchConfig {
             c: set.alphabet().c(),
             set,
-            cost: CostModel::default(),
             cvb: CvbPolicy::FirstFit,
-            scheduler: SchedulePolicy::Greedy,
             single_precision: false,
             fault: None,
         }
@@ -157,27 +138,12 @@ impl ArchConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `c` is a power of two in `[2, 1024]`.
+    /// Panics unless `c` is a power of two in `[2, 128]`.
     pub fn baseline(c: usize) -> Self {
-        ArchConfig::new(StructureSet::baseline(Alphabet::new(c)))
-            .with_cvb_policy(CvbPolicy::FullDuplication)
-    }
-
-    /// Overrides the CVB organization.
-    pub fn with_cvb_policy(mut self, cvb: CvbPolicy) -> Self {
-        self.cvb = cvb;
-        self
-    }
-
-    /// Overrides the pack scheduler (greedy is the paper's method).
-    pub fn with_scheduler(mut self, scheduler: SchedulePolicy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The pack-scheduler policy.
-    pub fn scheduler(&self) -> SchedulePolicy {
-        self.scheduler
+        ArchConfig {
+            cvb: CvbPolicy::FullDuplication,
+            ..ArchConfig::new(StructureSet::baseline(Alphabet::new(c)))
+        }
     }
 
     /// Emulates the FPGA's single-precision arithmetic: every functional
@@ -195,14 +161,8 @@ impl ArchConfig {
     }
 
     /// The CVB organization.
-    pub fn cvb_policy(&self) -> CvbPolicy {
+    pub(crate) fn cvb_policy(&self) -> CvbPolicy {
         self.cvb
-    }
-
-    /// Overrides the cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Arms the deterministic fault-injection harness. Pass `None` (the
@@ -227,20 +187,20 @@ impl ArchConfig {
         &self.set
     }
 
-    /// The cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
+    /// The fixed latencies, the same for every configuration.
+    pub fn cost(&self) -> &'static CostModel {
+        &LATENCIES
     }
 
     /// Cycles for a streaming vector instruction over length `l`:
     /// `⌈l/C⌉` plus the fixed latency.
     pub fn vector_cycles(&self, l: usize) -> u64 {
-        self.cost.vector_latency + l.div_ceil(self.c) as u64
+        LATENCIES.vector_latency + l.div_ceil(self.c) as u64
     }
 
     /// Cycles for an HBM transfer of length `l`.
     pub fn transfer_cycles(&self, l: usize) -> u64 {
-        self.cost.transfer_latency + l.div_ceil(self.c) as u64
+        LATENCIES.transfer_latency + l.div_ceil(self.c) as u64
     }
 }
 
@@ -259,7 +219,7 @@ mod tests {
     fn vector_cycles_scale_inversely_with_c() {
         let c16 = ArchConfig::baseline(16);
         let c64 = ArchConfig::baseline(64);
-        let lat = CostModel::default().vector_latency;
+        let lat = c16.cost().vector_latency;
         assert_eq!(c16.vector_cycles(1600), lat + 100);
         assert_eq!(c64.vector_cycles(1600), lat + 25);
         assert_eq!(c16.vector_cycles(0), lat);
@@ -276,12 +236,5 @@ mod tests {
         assert_ne!(a.seed, base.seed, "stream 0 is mixed too");
         assert_eq!(a.hbm_read_flip_prob, 0.5);
         assert_eq!(b.mac_output_flip_prob, 0.25);
-    }
-
-    #[test]
-    fn cost_model_override() {
-        let cfg = ArchConfig::baseline(4)
-            .with_cost_model(CostModel { vector_latency: 0, ..Default::default() });
-        assert_eq!(cfg.vector_cycles(8), 2);
     }
 }

@@ -10,6 +10,8 @@
 //!   arithmetic, data transfer, vector ops, vector duplication, SpMV),
 //! * [`Program`]/[`ProgramBuilder`] — instruction sequences with a single
 //!   hardware loop, as used for Algorithms 1 and 2,
+//! * [`DatapathMap`] — how one matrix maps onto a configured datapath:
+//!   sparsity string, pack schedule, lane accesses, CVB layout,
 //! * [`Machine`] — functional + cycle-accurate execution: every instruction
 //!   computes its real `f64` result *and* advances the cycle counter by the
 //!   cost implied by the architecture configuration (pack schedule for
@@ -32,6 +34,7 @@
 
 pub mod codegen;
 mod config;
+mod datapath;
 mod error;
 pub mod hbm;
 mod isa;
@@ -41,7 +44,8 @@ mod program;
 mod resources;
 pub mod rom;
 
-pub use config::{ArchConfig, CostModel, CvbPolicy, FaultConfig, SchedulePolicy};
+pub use config::{ArchConfig, CostModel, FaultConfig};
+pub use datapath::DatapathMap;
 pub use error::ArchError;
 pub use isa::{Instr, MatrixId, SReg, ScalarOp, VecId};
 pub use machine::{CycleBreakdown, Machine, RunStats};

@@ -1,12 +1,11 @@
 //! The cycle-level machine.
 
-use rsqp_cvb::{first_fit, AccessMatrix, CvbLayout};
-use rsqp_encode::{dp_schedule, greedy_schedule, Schedule, SparsityString};
+use rsqp_cvb::CvbLayout;
+use rsqp_encode::Schedule;
 use rsqp_sparse::CsrMatrix;
 
-use crate::config::{CvbPolicy, SchedulePolicy};
 use crate::program::{class_of, Class};
-use crate::{ArchConfig, ArchError, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
+use crate::{ArchConfig, ArchError, DatapathMap, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
 
 /// Per-instruction-class cycle totals — the machine's answer to "where did
 /// the time go", used for the FPGA-side KKT-fraction analysis and the power
@@ -111,14 +110,11 @@ impl RunStats {
     }
 }
 
-/// One matrix resident in (simulated) HBM with its customization artifacts.
+/// One matrix resident in (simulated) HBM with its map onto the datapath.
 #[derive(Debug, Clone)]
 struct MatrixUnit {
     csr: CsrMatrix,
-    string: SparsityString,
-    schedule: Schedule,
-    layout: CvbLayout,
-    access: AccessMatrix,
+    map: DatapathMap,
     /// Which vector (and write-version) currently sits in this matrix's CVB.
     cvb: Option<(VecId, u64)>,
 }
@@ -178,30 +174,13 @@ impl Machine {
         &self.config
     }
 
-    /// Registers a matrix: builds its pack schedule (greedy, as in the
-    /// paper) and the CVB layout dictated by the configuration's
-    /// [`CvbPolicy`] (First-Fit for customized designs, `C` full copies for
+    /// Registers a matrix with its [`DatapathMap`] under the machine's
+    /// configuration: the greedy pack schedule (as in the paper) and the
+    /// CVB layout (First-Fit for customized designs, `C` full copies for
     /// the baseline).
     pub fn add_matrix(&mut self, m: &CsrMatrix) -> MatrixId {
-        let c = self.config.c();
-        let string = SparsityString::encode(m, c);
-        let schedule = match self.config.scheduler() {
-            SchedulePolicy::Greedy => greedy_schedule(&string, self.config.set()),
-            SchedulePolicy::DpOptimal => dp_schedule(&string, self.config.set()),
-        };
-        let access = AccessMatrix::from_schedule(&schedule, &string, m, self.config.set());
-        let layout = match self.config.cvb_policy() {
-            CvbPolicy::FirstFit => first_fit(&access),
-            CvbPolicy::FullDuplication => CvbLayout::full_duplication(&access),
-        };
-        self.matrices.push(MatrixUnit {
-            csr: m.clone(),
-            string,
-            schedule,
-            layout,
-            access,
-            cvb: None,
-        });
+        let map = DatapathMap::new(m, &self.config);
+        self.matrices.push(MatrixUnit { csr: m.clone(), map, cvb: None });
         MatrixId(self.matrices.len() - 1)
     }
 
@@ -275,12 +254,12 @@ impl Machine {
 
     /// Pack schedule of a registered matrix.
     pub fn schedule_of(&self, id: MatrixId) -> &Schedule {
-        &self.matrices[id.0].schedule
+        self.matrices[id.0].map.schedule()
     }
 
     /// CVB layout of a registered matrix.
     pub fn layout_of(&self, id: MatrixId) -> &CvbLayout {
-        &self.matrices[id.0].layout
+        self.matrices[id.0].map.layout()
     }
 
     /// Cumulative statistics since the last [`Machine::reset_stats`].
@@ -438,7 +417,7 @@ impl Machine {
                     });
                 }
                 let version = self.vec_versions[vec.0];
-                let cycles = cost.dup_latency + unit.layout.update_cycles() as u64;
+                let cycles = cost.dup_latency + unit.map.layout().update_cycles() as u64;
                 self.matrices[matrix.0].cvb = Some((vec, version));
                 Ok(cycles)
             }
@@ -458,7 +437,7 @@ impl Machine {
                         found: self.vecs[output.0].len(),
                     });
                 }
-                let cycles = cost.spmv_latency + unit.schedule.cycles() as u64;
+                let cycles = cost.spmv_latency + unit.map.schedule().cycles() as u64;
                 // The product lands in the output register itself; only an
                 // SpMV that overwrites its own input goes through the
                 // scratch buffer, which then trades places with the register.
@@ -626,15 +605,16 @@ impl Machine {
 /// the customized MAC tree performs, including the `$`-chunk partial-sum
 /// accumulation.
 fn spmv_via_datapath(unit: &MatrixUnit, set: &rsqp_encode::StructureSet, x: &[f64], y: &mut [f64]) {
-    let banks = unit.layout.bank_contents(&unit.access);
+    let map = &unit.map;
+    let banks = map.layout().bank_contents(map.access());
     y.fill(0.0);
     // Rows split across packs ($ chunks) accumulate partial sums into y —
     // the acc_complete/FADD path of the paper's Figure 5.
-    for pack in unit.schedule.packs() {
+    for pack in map.schedule().packs() {
         let st = &set.structures()[pack.structure];
         let offsets = st.slot_offsets();
         for (slot, &lane0) in offsets.iter().enumerate().take(pack.len) {
-            let src = unit.string.sources()[pack.pos + slot];
+            let src = map.string().sources()[pack.pos + slot];
             let (cols, vals) = unit.csr.row(src.row);
             let mut acc = 0.0;
             for t in 0..src.count {
@@ -642,7 +622,7 @@ fn spmv_via_datapath(unit: &MatrixUnit, set: &rsqp_encode::StructureSet, x: &[f6
                 let lane = lane0 + t;
                 // Fetch through the CVB index translation.
                 let addr =
-                    unit.layout.addr_of(j).expect("accessed element must be stored") as usize;
+                    map.layout().addr_of(j).expect("accessed element must be stored") as usize;
                 let served = banks[lane][addr].expect("bank must serve this element");
                 assert_eq!(served, j, "CVB translation fetched the wrong element");
                 acc += vals[src.offset + t] * x[served];
@@ -685,7 +665,7 @@ mod tests {
     }
 
     fn default_vector_latency() -> u64 {
-        crate::CostModel::default().vector_latency
+        ArchConfig::baseline(4).cost().vector_latency
     }
 
     #[test]
@@ -823,7 +803,7 @@ mod tests {
         pb.push(Instr::LoadHbm { vec: x });
         pb.push(Instr::StoreHbm { vec: x });
         m.run(&pb.build().unwrap()).unwrap();
-        let per = crate::CostModel::default().transfer_latency + 4;
+        let per = ArchConfig::baseline(4).cost().transfer_latency + 4;
         assert_eq!(m.stats().breakdown.transfer, 2 * per);
     }
 

@@ -274,19 +274,20 @@ fn main() -> ExitCode {
         let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
+        let serial = ThreadPool::serial();
         // A fresh iterate and workspace per call, as a caller without a
         // long-lived workspace would pay.
         let pcg_alloc = time_ns(reps.min(8), || {
             let mut x = x0.clone();
             let mut ws = PcgWorkspace::new(n);
-            pcg_with(&mut op, &b, &mut x, &settings, &mut ws, None).unwrap();
+            pcg_with(&mut op, &b, &mut x, &settings, &mut ws, &serial).unwrap();
         });
         report.push("pcg_alloc_ns", pcg_alloc);
         let mut ws = PcgWorkspace::new(n);
         let mut xw = vec![0.0; n];
         let pcg_ws = time_ns(reps.min(8), || {
             xw.fill(0.0);
-            pcg_with(&mut op, &b, &mut xw, &settings, &mut ws, None).unwrap();
+            pcg_with(&mut op, &b, &mut xw, &settings, &mut ws, &serial).unwrap();
         });
         report.push("pcg_ws_ns", pcg_ws);
         report.push("speedup_pcg_workspace", pcg_alloc / pcg_ws);

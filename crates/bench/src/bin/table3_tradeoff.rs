@@ -12,7 +12,7 @@ use rsqp_arch::{ArchConfig, ResourceModel};
 use rsqp_bench::{results_path, HarnessOptions};
 use rsqp_core::report::{fmt_f, Table};
 use rsqp_core::{customize, customize_with_config};
-use rsqp_encode::{dp_schedule, greedy_schedule, Alphabet, SparsityString, StructureSet};
+use rsqp_encode::{dp_schedule, Alphabet, SparsityString, StructureSet};
 use rsqp_problems::{generate, Domain};
 
 /// The paper's 11 design points (Table 3), as `(C, notation)`.
@@ -51,15 +51,13 @@ fn main() {
     for &(c, notation) in DESIGN_POINTS {
         let set = StructureSet::parse(notation, Alphabet::new(c));
         let est = model.estimate(&set);
-        let r = customize_with_config(&qp, ArchConfig::new(set.clone()));
         // One reduced-KKT operator evaluation streams P, A, Aᵀ once.
-        let mut greedy_cycles = 0usize;
-        let mut dp_cycles = 0usize;
-        for m in [qp.p(), qp.a(), &at] {
-            let s = SparsityString::encode(m, c);
-            greedy_cycles += greedy_schedule(&s, &set).cycles();
-            dp_cycles += dp_schedule(&s, &set).cycles();
-        }
+        let dp_cycles: usize = [qp.p(), qp.a(), &at]
+            .into_iter()
+            .map(|m| dp_schedule(&SparsityString::encode(m, c), &set).cycles())
+            .sum();
+        let r = customize_with_config(&qp, ArchConfig::new(set));
+        let greedy_cycles: usize = r.matrices.iter().map(|m| m.cycles_custom).sum();
         let spmv_per_us = est.fmax_mhz / greedy_cycles as f64;
         let dp_saving = 100.0 * (greedy_cycles - dp_cycles) as f64 / greedy_cycles as f64;
         t.push([

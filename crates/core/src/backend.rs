@@ -130,20 +130,6 @@ impl FpgaPcgBackend {
         (backend, handle)
     }
 
-    /// Same as [`FpgaPcgBackend::new`] with the baseline architecture (used
-    /// for "no customization" comparisons at a given width).
-    pub fn baseline(
-        p: &CsrMatrix,
-        a: &CsrMatrix,
-        sigma: f64,
-        rho: &[f64],
-        c: usize,
-        cg_eps: f64,
-        cg_max_iter: usize,
-    ) -> (Self, Rc<RefCell<Machine>>) {
-        Self::new(p, a, sigma, rho, ArchConfig::baseline(c), cg_eps, cg_max_iter)
-    }
-
     /// Analytic cycles per ADMM iteration spent in the outer vector updates
     /// (Algorithm 1, lines 4–7) — added to the measured PCG cycles by the
     /// performance model.
@@ -316,7 +302,8 @@ mod tests {
     }
 
     fn backend_at(p: &CsrMatrix, a: &CsrMatrix, rho: f64) -> FpgaPcgBackend {
-        FpgaPcgBackend::baseline(p, a, 1e-6, &vec![rho; a.nrows()], 8, 1e-7, 200).0
+        let config = ArchConfig::baseline(8);
+        FpgaPcgBackend::new(p, a, 1e-6, &vec![rho; a.nrows()], config, 1e-7, 200).0
     }
 
     fn solve(b: &mut FpgaPcgBackend, n: usize, m: usize) -> (Vec<f64>, Vec<f64>) {

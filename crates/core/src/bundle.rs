@@ -23,7 +23,7 @@ use rsqp_linsys::DenseRowPrecond;
 use rsqp_solver::QpProblem;
 
 use crate::backend::load_pcg;
-use crate::{layout_for, CustomizationResult};
+use crate::CustomizationResult;
 
 /// Writes the full hardware-generation bundle for a problem under the
 /// customization `result` into `dir` (created if missing).
@@ -75,14 +75,22 @@ pub fn write_bundle(
     std::fs::write(dir.join("spmv_align.cpp"), codegen::spmv_align_function(result.config.set()))?;
     files += 1;
 
-    // CVB translation tables.
-    let at = problem.a().transpose();
-    for (name, m) in [("P", problem.p()), ("A", problem.a()), ("At", &at)] {
-        let layout = layout_for(m, &result.config);
+    // The PCG kernel and the machine it runs on. The preconditioner's
+    // dense-row set, and so the kernel, depend on A's pattern only.
+    let (p, a) = (problem.p(), problem.a());
+    let at = a.transpose();
+    let precond = DenseRowPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
+    let a_st = precond.a_s().transpose();
+    let mut machine = Machine::new(result.config.clone());
+    let (kernel, ids, _) = load_pcg(&mut machine, p, a, &at, &precond, &a_st, 2000);
+
+    // CVB translation tables: the layouts the kernel runs on.
+    for (name, id) in ["P", "A", "At"].into_iter().zip(ids) {
+        let layout = machine.layout_of(id);
         let mut f = std::fs::File::create(dir.join(format!("cvb_{name}.txt")))?;
         writeln!(f, "# CVB layout for {name}: {} addresses", layout.num_addresses())?;
         writeln!(f, "# element -> address (unlisted elements are never read)")?;
-        for j in 0..m.ncols() {
+        for j in 0..machine.matrix(id).ncols() {
             if let Some(a) = layout.addr_of(j) {
                 writeln!(f, "{j} {a}")?;
             }
@@ -91,21 +99,12 @@ pub fn write_bundle(
     }
 
     // ROM image of the PCG kernel.
-    {
-        // The backend's program: the preconditioner's dense-row set, and so
-        // the kernel, depend on A's pattern only.
-        let (p, a) = (problem.p(), problem.a());
-        let precond = DenseRowPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
-        let a_st = precond.a_s().transpose();
-        let mut machine = Machine::new(result.config.clone());
-        let (kernel, _, _) = load_pcg(&mut machine, p, a, &at, &precond, &a_st, 2000);
-        let image = rom::encode_program(&kernel.program);
-        let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
-        std::fs::write(dir.join("pcg.rom"), bytes)?;
-        files += 1;
-        std::fs::write(dir.join("pcg.lst"), rom::disassemble(&kernel.program))?;
-        files += 1;
-    }
+    let image = rom::encode_program(&kernel.program);
+    let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
+    std::fs::write(dir.join("pcg.rom"), bytes)?;
+    files += 1;
+    std::fs::write(dir.join("pcg.lst"), rom::disassemble(&kernel.program))?;
+    files += 1;
     Ok(files)
 }
 

@@ -121,7 +121,14 @@ impl CustomizationCache {
     }
 
     /// A cache with explicit pipeline parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `params.c` is a datapath width [`customize`] accepts
+    /// (a power of two in `[2, 128]`), so that a bad width fails here and
+    /// not on the first miss.
     pub fn with_params(capacity: usize, params: CacheParams) -> Self {
+        rsqp_encode::Alphabet::new(params.c);
         CustomizationCache {
             params,
             capacity: capacity.max(1),
@@ -217,6 +224,12 @@ impl CustomizationCache {
 mod tests {
     use super::*;
     use rsqp_problems::{generate, Domain};
+
+    #[test]
+    #[should_panic(expected = "power of two in [2, 128], got 256")]
+    fn unsupported_width_fails_when_the_cache_is_built() {
+        CustomizationCache::with_params(4, CacheParams { c: 256, ..CacheParams::default() });
+    }
 
     #[test]
     fn repeat_patterns_hit_and_share() {

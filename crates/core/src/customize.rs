@@ -7,10 +7,8 @@
 //!                   ──► ArchConfig + η report (+ HLS snippets via rsqp-arch)
 //! ```
 
-use rsqp_arch::{ArchConfig, ResourceEstimate, ResourceModel};
-use rsqp_cvb::{first_fit, AccessMatrix, CvbLayout};
-use rsqp_encode::{baseline_set, search_structures};
-use rsqp_encode::{greedy_schedule, SparsityString, StructureSet};
+use rsqp_arch::{ArchConfig, DatapathMap, ResourceEstimate, ResourceModel};
+use rsqp_encode::{greedy_schedule, search_structures, SparsityString};
 use rsqp_solver::QpProblem;
 use rsqp_sparse::CsrMatrix;
 
@@ -71,32 +69,31 @@ impl CustomizationResult {
 /// Runs the full pipeline: string encoding of `P`, `A`, `Aᵀ`, structure
 /// search with `|S| ≤ s_target`, CVB compression, η scoring.
 pub fn customize(problem: &QpProblem, c: usize, s_target: usize) -> CustomizationResult {
-    let p = problem.p();
-    let a = problem.a();
-    let at = a.transpose();
+    let at = problem.a().transpose();
     // Mine the structure set over the concatenated workload string.
-    let sp = SparsityString::encode(p, c);
-    let sa = SparsityString::encode(a, c);
+    let sp = SparsityString::encode(problem.p(), c);
+    let sa = SparsityString::encode(problem.a(), c);
     let sat = SparsityString::encode(&at, c);
     let combined = SparsityString::concat(&[&sp, &sa, &sat]);
     let set = search_structures(&combined, s_target);
-    customize_with_config(problem, ArchConfig::new(set))
+    score(problem, &at, ArchConfig::new(set))
 }
 
 /// Scores a *given* architecture configuration against a problem (used by
 /// the Table 3 harness to evaluate hand-picked design points).
 pub fn customize_with_config(problem: &QpProblem, config: ArchConfig) -> CustomizationResult {
-    let c = config.c();
-    let p = problem.p();
-    let a = problem.a();
-    let at = a.transpose();
-    let base_cfg = ArchConfig::baseline(c);
+    score(problem, &problem.a().transpose(), config)
+}
 
+/// Maps `P`, `A` and `at = Aᵀ` onto `config` and its baseline and scores
+/// both.
+fn score(problem: &QpProblem, at: &CsrMatrix, config: ArchConfig) -> CustomizationResult {
+    let base_cfg = ArchConfig::baseline(config.c());
     let mut matrices = Vec::new();
     let mut base_parts = Vec::new();
     let mut custom_parts = Vec::new();
-    for (name, m) in [("P", p), ("A", a), ("At", &at)] {
-        let (mc, bp, cp) = analyze_matrix(name, m, base_cfg.set(), config.set());
+    for (name, m) in [("P", problem.p()), ("A", problem.a()), ("At", at)] {
+        let (mc, bp, cp) = analyze_matrix(name, m, &base_cfg, &config);
         base_parts.push(bp);
         custom_parts.push(cp);
         matrices.push(mc);
@@ -117,21 +114,18 @@ pub fn customize_with_config(problem: &QpProblem, config: ArchConfig) -> Customi
 fn analyze_matrix(
     name: &'static str,
     m: &CsrMatrix,
-    base_set: &StructureSet,
-    custom_set: &StructureSet,
+    base_cfg: &ArchConfig,
+    config: &ArchConfig,
 ) -> (MatrixCustomization, EtaParts, EtaParts) {
-    let c = base_set.alphabet().c();
-    let s = SparsityString::encode(m, c);
     let l = m.ncols();
-
-    let base_sched = greedy_schedule(&s, base_set);
-    let custom_sched = greedy_schedule(&s, custom_set);
-
-    // Baseline CVB: C full copies (E_c = C). Customized: First-Fit.
-    let access = AccessMatrix::from_schedule(&custom_sched, &s, m, custom_set);
-    let layout = first_fit(&access);
-    let ec_base = c as f64;
-    let ec_custom = layout.ec().min(c as f64);
+    // The customized column is the machine's own map of `m`.
+    let map = DatapathMap::new(m, config);
+    let (custom_sched, layout) = (map.schedule(), map.layout());
+    // The baseline CVB holds C full copies (E_c = C), so only its schedule
+    // is needed.
+    let base_sched = greedy_schedule(map.string(), base_cfg.set());
+    let ec_base = base_cfg.c() as f64;
+    let ec_custom = layout.ec();
 
     let bp = EtaParts { nnz: m.nnz(), l, ep: base_sched.ep(), ec: ec_base };
     let cp = EtaParts { nnz: m.nnz(), l, ep: custom_sched.ep(), ec: ec_custom };
@@ -146,21 +140,6 @@ fn analyze_matrix(
         cvb_addresses: layout.num_addresses(),
     };
     (mc, bp, cp)
-}
-
-/// Re-exported helper: the baseline structure set at width `c` (single
-/// full-width output, full vector duplication).
-pub fn baseline_config(c: usize) -> ArchConfig {
-    ArchConfig::new(baseline_set(rsqp_encode::Alphabet::new(c)))
-}
-
-/// The customized CVB layout for one matrix under a configuration —
-/// exposed for harnesses that need the layout itself (e.g. codegen dumps).
-pub fn layout_for(m: &CsrMatrix, config: &ArchConfig) -> CvbLayout {
-    let s = SparsityString::encode(m, config.c());
-    let sched = greedy_schedule(&s, config.set());
-    let access = AccessMatrix::from_schedule(&sched, &s, m, config.set());
-    first_fit(&access)
 }
 
 #[cfg(test)]
@@ -222,13 +201,5 @@ mod tests {
         let cfg = ArchConfig::new(StructureSet::parse("16a1e", Alphabet::new(16)));
         let r = customize_with_config(&qp, cfg);
         assert!(r.eta_custom >= r.eta_baseline);
-    }
-
-    #[test]
-    fn layout_for_is_consistent() {
-        let qp = generate(Domain::Control, 3, 1);
-        let cfg = baseline_config(8);
-        let layout = layout_for(qp.a(), &cfg);
-        assert!(layout.num_addresses() > 0);
     }
 }

@@ -46,8 +46,5 @@ pub mod report;
 
 pub use backend::{fpga_solver, FpgaPcgBackend, FpgaSolver};
 pub use cache::{CacheLookup, CacheParams, CustomizationCache, PatternArtifacts};
-pub use customize::{
-    baseline_config, customize, customize_with_config, layout_for, CustomizationResult,
-    MatrixCustomization,
-};
+pub use customize::{customize, customize_with_config, CustomizationResult, MatrixCustomization};
 pub use eta::{eta, EtaParts};

@@ -3,6 +3,7 @@
 //! from its entry value. Seeded with the exact solution (from LDLᵀ) a solve
 //! takes at most one CG iteration; seeded with zeros it takes several.
 
+use rsqp_arch::ArchConfig;
 use rsqp_core::FpgaPcgBackend;
 use rsqp_problems::small_suite;
 use rsqp_solver::{CpuPcgBackend, DirectLdltBackend, KktBackend};
@@ -46,7 +47,8 @@ fn pcg_backends_start_from_the_entry_xtilde() {
     let (x_exact, z_exact, _) = solve_from(&mut direct, &iterates, &vec![0.0; n]);
 
     let cpu = CpuPcgBackend::new(p, a, SIGMA, &rho, CG_EPS, 500);
-    let (fpga, _machine) = FpgaPcgBackend::baseline(p, a, SIGMA, &rho, 8, CG_EPS, 500);
+    let baseline = ArchConfig::baseline(8);
+    let (fpga, _machine) = FpgaPcgBackend::new(p, a, SIGMA, &rho, baseline, CG_EPS, 500);
     let backends: [Box<dyn KktBackend>; 2] = [Box::new(cpu), Box::new(fpga)];
     for mut backend in backends {
         let name = backend.name().to_string();

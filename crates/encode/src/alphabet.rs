@@ -21,11 +21,12 @@ impl Alphabet {
     ///
     /// # Panics
     ///
-    /// Panics unless `c` is a power of two in `[2, 1024]`.
+    /// Panics unless `c` is a power of two in `[2, 128]`: the CVB stage
+    /// keeps each element's lane set in a 128-bit mask.
     pub fn new(c: usize) -> Self {
         assert!(
-            c.is_power_of_two() && (2..=1024).contains(&c),
-            "C must be a power of two in [2, 1024], got {c}"
+            c.is_power_of_two() && (2..=128).contains(&c),
+            "C must be a power of two in [2, 128], got {c}"
         );
         Alphabet { c }
     }
@@ -107,7 +108,7 @@ impl SparsityString {
     ///
     /// # Panics
     ///
-    /// Panics if `c` is not a power of two in `[2, 1024]`.
+    /// Panics if `c` is not a power of two in `[2, 128]`.
     pub fn encode(m: &CsrMatrix, c: usize) -> Self {
         let alphabet = Alphabet::new(c);
         let mut chars = Vec::with_capacity(m.nrows());
@@ -233,6 +234,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn alphabet_rejects_non_power_of_two() {
         Alphabet::new(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two in [2, 128], got 256")]
+    fn alphabet_rejects_widths_the_cvb_cannot_hold() {
+        Alphabet::new(256);
     }
 
     #[test]

@@ -541,7 +541,8 @@ mod tests {
         let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
         let mut x = vec![0.0; n];
         let mut ws = crate::PcgWorkspace::new(n);
-        let sol = crate::pcg_with(&mut op, &b, &mut x, &settings, &mut ws, None).unwrap();
+        let sol = crate::pcg_with(&mut op, &b, &mut x, &settings, &mut ws, &ThreadPool::serial())
+            .unwrap();
         assert!(sol.converged && sol.iterations <= 2, "{} iterations", sol.iterations);
         // LDLᵀ of the full KKT system: its x block solves K x = b.
         let kkt = KktMatrix::assemble(p, a, sigma, &rho).unwrap();

@@ -173,11 +173,10 @@ impl PcgWorkspace {
 /// `d = M⁻¹ r` of [`LinearOperator::precondition`]. With a correctly sized
 /// workspace (and an operator whose [`LinearOperator::precondition`] does
 /// not allocate) it performs **zero heap allocations**, which is what lets
-/// the ADMM steady state run allocation-free. With `pool = Some(_)`, dot
-/// products, norms and vector updates run on the pool; results are
-/// bit-identical across pool sizes (see `rsqp-par`'s determinism contract),
-/// though reductions on large systems regroup differently from the serial
-/// path.
+/// the ADMM steady state run allocation-free. Dot products, norms and
+/// vector updates run on `pool` (pass [`ThreadPool::serial`] to run
+/// inline); results are bit-identical across pool sizes (see `rsqp-par`'s
+/// determinism contract).
 ///
 /// # Errors
 ///
@@ -195,7 +194,7 @@ pub fn pcg_with(
     x: &mut [f64],
     settings: &PcgSettings,
     ws: &mut PcgWorkspace,
-    pool: Option<&ThreadPool>,
+    pool: &ThreadPool,
 ) -> Result<PcgSummary, PcgError> {
     let n = op.dim();
     if b.len() != n {
@@ -212,16 +211,7 @@ pub fn pcg_with(
     }
     ws.resize(n);
 
-    let dotf = |a: &[f64], c: &[f64]| match pool {
-        Some(pl) => vec_ops::dot_par(a, c, pl),
-        None => vec_ops::dot(a, c),
-    };
-    let norm2f = |v: &[f64]| match pool {
-        Some(pl) => vec_ops::norm2_par(v, pl),
-        None => vec_ops::norm2(v),
-    };
-
-    let norm_b = norm2f(b);
+    let norm_b = vec_ops::norm2_par(b, pool);
     if !norm_b.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "rhs norm" });
     }
@@ -229,11 +219,8 @@ pub fn pcg_with(
 
     // r0 = K x0 - b
     op.apply(x, &mut ws.r)?;
-    match pool {
-        Some(pl) => vec_ops::axpy_par(-1.0, b, &mut ws.r, pl),
-        None => vec_ops::axpy(-1.0, b, &mut ws.r),
-    }
-    let mut res_norm = norm2f(&ws.r);
+    vec_ops::axpy_par(-1.0, b, &mut ws.r, pool);
+    let mut res_norm = vec_ops::norm2_par(&ws.r, pool);
     if !res_norm.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "residual norm" });
     }
@@ -245,7 +232,7 @@ pub fn pcg_with(
     for (pi, &di) in ws.p.iter_mut().zip(&ws.d) {
         *pi = -di;
     }
-    let mut delta = dotf(&ws.r, &ws.d);
+    let mut delta = vec_ops::dot_par(&ws.r, &ws.d, pool);
     if !delta.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "preconditioned residual" });
     }
@@ -258,7 +245,7 @@ pub fn pcg_with(
     while iterations < settings.max_iter {
         iterations += 1;
         op.apply(&ws.p, &mut ws.kp)?;
-        let pkp = dotf(&ws.p, &ws.kp);
+        let pkp = vec_ops::dot_par(&ws.p, &ws.kp, pool);
         if !pkp.is_finite() {
             return Err(PcgError::NonFinite {
                 iteration: iterations, quantity: "curvature pᵀKp"
@@ -271,17 +258,9 @@ pub fn pcg_with(
         if !lambda.is_finite() {
             return Err(PcgError::NonFinite { iteration: iterations, quantity: "step length α" });
         }
-        match pool {
-            Some(pl) => {
-                vec_ops::axpy_par(lambda, &ws.p, x, pl);
-                vec_ops::axpy_par(lambda, &ws.kp, &mut ws.r, pl);
-            }
-            None => {
-                vec_ops::axpy(lambda, &ws.p, x);
-                vec_ops::axpy(lambda, &ws.kp, &mut ws.r);
-            }
-        }
-        res_norm = norm2f(&ws.r);
+        vec_ops::axpy_par(lambda, &ws.p, x, pool);
+        vec_ops::axpy_par(lambda, &ws.kp, &mut ws.r, pool);
+        res_norm = vec_ops::norm2_par(&ws.r, pool);
         if !res_norm.is_finite() {
             return Err(PcgError::NonFinite { iteration: iterations, quantity: "residual norm" });
         }
@@ -290,7 +269,7 @@ pub fn pcg_with(
             break;
         }
         op.precondition(&ws.r, &mut ws.d);
-        let delta_new = dotf(&ws.r, &ws.d);
+        let delta_new = vec_ops::dot_par(&ws.r, &ws.d, pool);
         if !delta_new.is_finite() {
             return Err(PcgError::NonFinite {
                 iteration: iterations,
@@ -303,14 +282,7 @@ pub fn pcg_with(
         let mu = delta_new / delta;
         delta = delta_new;
         // p = μp − d
-        match pool {
-            Some(pl) => vec_ops::lincomb_par(-1.0, &ws.d, mu, &mut ws.p, pl),
-            None => {
-                for (pi, &di) in ws.p.iter_mut().zip(&ws.d) {
-                    *pi = mu * *pi - di;
-                }
-            }
-        }
+        vec_ops::lincomb_par(-1.0, &ws.d, mu, &mut ws.p, pool);
     }
     Ok(PcgSummary { iterations, residual: res_norm, converged })
 }
@@ -361,7 +333,7 @@ mod tests {
     ) -> Result<(Vec<f64>, PcgSummary), PcgError> {
         let mut x = x0.to_vec();
         let mut ws = PcgWorkspace::new(op.dim());
-        let summary = pcg_with(op, b, &mut x, settings, &mut ws, None)?;
+        let summary = pcg_with(op, b, &mut x, settings, &mut ws, &ThreadPool::serial())?;
         Ok((x, summary))
     }
 

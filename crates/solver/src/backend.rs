@@ -453,7 +453,7 @@ impl KktBackend for CpuPcgBackend {
         // PCG starts from the caller's warm start in `xtilde`.
         let settings = PcgSettings { eps: self.eps, eps_abs: 1e-15, max_iter: self.max_iter };
         let summary =
-            pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, Some(&self.pool));
+            pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool);
         match summary {
             Ok(s) => {
                 self.stats.cg_iterations += s.iterations;

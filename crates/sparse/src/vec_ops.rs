@@ -170,24 +170,6 @@ pub fn axpy_par(a: f64, x: &[f64], y: &mut [f64], pool: &ThreadPool) {
     lincomb_par(a, x, 1.0, y, pool);
 }
 
-/// `out_i = min(max(x_i, l_i), u_i)` on a [`ThreadPool`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn project_box_par(x: &[f64], l: &[f64], u: &[f64], out: &mut [f64], pool: &ThreadPool) {
-    assert_eq!(x.len(), out.len(), "project_box length mismatch");
-    assert_eq!(l.len(), out.len(), "project_box length mismatch");
-    assert_eq!(u.len(), out.len(), "project_box length mismatch");
-    if pool.is_serial() || out.len() < PAR_LEN_THRESHOLD {
-        return project_box(x, l, u, out);
-    }
-    pool.par_chunks_uniform(out, ELEM_CHUNK, |lo, chunk| {
-        let hi = lo + chunk.len();
-        project_box(&x[lo..hi], &l[lo..hi], &u[lo..hi], chunk);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

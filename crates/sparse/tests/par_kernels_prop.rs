@@ -93,16 +93,6 @@ proptest! {
                 "lincomb_par differs from lincomb at {} threads", threads
             );
         }
-        let l: Vec<f64> = x.iter().map(|v| v - 1.0).collect();
-        let u: Vec<f64> = x.iter().map(|v| v + 1.0).collect();
-        let mut want_p = vec![0.0; y.len()];
-        vec_ops::project_box(&y, &l, &u, &mut want_p);
-        for threads in POOLS {
-            let pool = ThreadPool::new(threads);
-            let mut got_p = vec![0.0; y.len()];
-            vec_ops::project_box_par(&y, &l, &u, &mut got_p, &pool);
-            prop_assert!(want_p.iter().zip(&got_p).all(|(w, g)| w.to_bits() == g.to_bits()));
-        }
     }
 
     // Partitioned SpMV is bitwise equal to the serial kernel: each output
