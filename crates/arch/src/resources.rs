@@ -55,16 +55,6 @@ impl ResourceModel {
         let fmax_mhz = (Self::FMAX_CEILING / (1.0 + pressure)).min(Self::FMAX_CEILING);
         ResourceEstimate { dsp, ff, lut, fmax_mhz }
     }
-
-    /// Throughput of one SpMV in operations per microsecond given a cycle
-    /// count — the "SpMV/µs" column of Table 3.
-    pub fn spmv_per_us(&self, set: &StructureSet, cycles_per_spmv: u64) -> f64 {
-        if cycles_per_spmv == 0 {
-            return 0.0;
-        }
-        let est = self.estimate(set);
-        est.fmax_mhz / cycles_per_spmv as f64
-    }
 }
 
 #[cfg(test)]
@@ -121,13 +111,5 @@ mod tests {
         // Within ±30% of the published values.
         assert!((f32a - 173.0).abs() / 173.0 < 0.30, "{f32a}");
         assert!((f64a - 121.0).abs() / 121.0 < 0.30, "{f64a}");
-    }
-
-    #[test]
-    fn spmv_throughput_scales_with_fewer_cycles() {
-        let m = ResourceModel;
-        let s = set("4e1g", 64);
-        assert!(m.spmv_per_us(&s, 1000) > m.spmv_per_us(&s, 2000));
-        assert_eq!(m.spmv_per_us(&s, 0), 0.0);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! Each instruction encodes into two 64-bit words: an opcode/operand word
 //! and an immediate word (used only by `SetScalar`). The encoding
-//! round-trips exactly, and [`rom_size_bytes`] reports the footprint a
-//! program occupies in HBM.
+//! round-trips exactly, and a program occupies `len()` × [`INSTR_BYTES`]
+//! bytes of HBM (the download size of §3.5).
 
 use crate::{ArchError, Instr, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
@@ -216,11 +216,6 @@ pub fn decode_program(rom: &[u64], max_trips: usize) -> Result<Program, ArchErro
     pb.build()
 }
 
-/// ROM footprint of a program in bytes (the HBM download size of §3.5).
-pub fn rom_size_bytes(program: &Program) -> usize {
-    program.len() * INSTR_BYTES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,12 +278,6 @@ mod tests {
         let back = decode_program(&rom, p.max_trips()).expect("decodes");
         assert_eq!(back.instrs(), p.instrs());
         assert_eq!(back.loop_bounds(), p.loop_bounds());
-    }
-
-    #[test]
-    fn rom_size_matches_instruction_count() {
-        let p = sample_program();
-        assert_eq!(rom_size_bytes(&p), p.len() * INSTR_BYTES);
     }
 
     #[test]

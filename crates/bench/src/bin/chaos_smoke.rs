@@ -107,11 +107,8 @@ fn main() {
     quiet_injected_panics();
     let t0 = Instant::now();
 
-    let service = SolveService::new(ServiceConfig {
-        workers: WORKERS,
-        queue_capacity: QUEUE_CAPACITY,
-        ..Default::default()
-    });
+    let service =
+        SolveService::new(ServiceConfig { workers: WORKERS, queue_capacity: QUEUE_CAPACITY });
     let mut handles: Vec<(String, JobHandle)> = Vec::new();
     let mut rejections = 0usize;
 

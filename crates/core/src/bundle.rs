@@ -108,22 +108,6 @@ pub fn write_bundle(
     Ok(files)
 }
 
-/// Convenience: customize and write the bundle in one call.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn generate_bundle(
-    problem: &QpProblem,
-    c: usize,
-    s_target: usize,
-    dir: impl AsRef<Path>,
-) -> std::io::Result<(CustomizationResult, usize)> {
-    let result = crate::customize(problem, c, s_target);
-    let files = write_bundle(problem, &result, dir)?;
-    Ok((result, files))
-}
-
 /// Validates a ROM file written by [`write_bundle`] by decoding it back.
 ///
 /// # Errors
@@ -156,7 +140,8 @@ mod tests {
         let qp = generate(Domain::Svm, 3, 1);
         let dir = std::env::temp_dir().join("rsqp_bundle_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let (result, files) = generate_bundle(&qp, 16, 3, &dir).unwrap();
+        let result = crate::customize(&qp, 16, 3);
+        let files = write_bundle(&qp, &result, &dir).unwrap();
         assert_eq!(files, 8);
         assert!(result.eta_custom > 0.0);
         // Every expected file exists and is non-empty.

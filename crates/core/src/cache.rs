@@ -98,7 +98,6 @@ pub struct CustomizationCache {
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for CustomizationCache {
@@ -135,18 +134,7 @@ impl CustomizationCache {
             inner: Mutex::new(Inner { entries: HashMap::new(), tick: 0 }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The pipeline parameters this cache computes entries under.
-    pub fn params(&self) -> CacheParams {
-        self.params
-    }
-
-    /// Maximum number of cached patterns.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of currently cached patterns.
@@ -167,11 +155,6 @@ impl CustomizationCache {
     /// Lifetime miss count.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Returns the artifacts for `problem`'s sparsity pattern, computing
@@ -204,7 +187,6 @@ impl CustomizationCache {
                 inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k)
             {
                 inner.entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         inner.entries.insert(key, Entry { artifacts: Arc::clone(&artifacts), last_used: tick });
@@ -266,7 +248,6 @@ mod tests {
         cache.get_or_customize(&control).unwrap();
         cache.get_or_customize(&svm).unwrap(); // evicts control
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
         assert!(!cache.get_or_customize(&control).unwrap().hit, "evicted entry re-misses");
     }
 

@@ -24,11 +24,6 @@ impl FpgaPerfModel {
         FpgaPerfModel { fmax_hz: est.fmax_mhz * 1e6 }
     }
 
-    /// Builds directly from a frequency in MHz.
-    pub fn from_fmax_mhz(mhz: f64) -> Self {
-        FpgaPerfModel { fmax_hz: mhz * 1e6 }
-    }
-
     /// End-to-end solve time:
     ///
     /// * the measured PCG cycles (`stats.cycles`),
@@ -51,12 +46,6 @@ impl FpgaPerfModel {
         let transfer_s = ((n + m) as f64 * 2.0 * 8.0) / PCIE_BW;
         Duration::from_secs_f64(device_s + transfer_s + HOST_OVERHEAD_S)
     }
-
-    /// Time of a single SpMV that takes `cycles` machine cycles — the
-    /// "SpMV/µs" basis of Table 3.
-    pub fn spmv_time(&self, cycles: u64) -> Duration {
-        Duration::from_secs_f64(cycles as f64 / self.fmax_hz)
-    }
 }
 
 /// Steady-state board power observed while running the benchmark (§5.4:
@@ -73,8 +62,8 @@ mod tests {
 
     #[test]
     fn time_scales_with_cycles_and_frequency() {
-        let fast = FpgaPerfModel::from_fmax_mhz(300.0);
-        let slow = FpgaPerfModel::from_fmax_mhz(150.0);
+        let fast = FpgaPerfModel { fmax_hz: 300e6 };
+        let slow = FpgaPerfModel { fmax_hz: 150e6 };
         let t_fast = fast.solve_time(stats(3_000_000), 10, 100, 100, 100);
         let t_slow = slow.solve_time(stats(3_000_000), 10, 100, 100, 100);
         assert!(t_slow > t_fast);
@@ -90,16 +79,9 @@ mod tests {
 
     #[test]
     fn host_overhead_dominates_tiny_solves() {
-        let m = FpgaPerfModel::from_fmax_mhz(300.0);
+        let m = FpgaPerfModel { fmax_hz: 300e6 };
         let t = m.solve_time(stats(100), 1, 10, 10, 10);
         assert!(t.as_secs_f64() >= HOST_OVERHEAD_S);
         assert!(t.as_secs_f64() < 2.0 * HOST_OVERHEAD_S);
-    }
-
-    #[test]
-    fn spmv_time_matches_fmax() {
-        let m = FpgaPerfModel::from_fmax_mhz(250.0);
-        let t = m.spmv_time(250);
-        assert!((t.as_secs_f64() - 1e-6).abs() < 1e-12);
     }
 }

@@ -35,11 +35,6 @@ impl GpuPerfModel {
         GpuPerfModel { launch_s: LAUNCH_S, bw_eff: BW_EFF }
     }
 
-    /// Custom constants (for sensitivity studies).
-    pub fn with_constants(launch_s: f64, bw_eff: f64) -> Self {
-        GpuPerfModel { launch_s, bw_eff }
-    }
-
     /// Estimated end-to-end solve time given the iteration counts observed
     /// on the reference solver run.
     ///
@@ -105,15 +100,5 @@ mod tests {
         assert!(g.power_w(100) < 50.0);
         assert!((g.power_w(10_000_000) - 126.0).abs() < 1.0);
         assert!(g.power_w(100_000) > g.power_w(1_000));
-    }
-
-    #[test]
-    fn custom_constants_change_the_estimate() {
-        let fast = GpuPerfModel::with_constants(1e-6, 400e9);
-        let slow = GpuPerfModel::rtx3070();
-        assert!(
-            fast.solve_time(10, 100, 1000, 1000, 10000)
-                < slow.solve_time(10, 100, 1000, 1000, 10000)
-        );
     }
 }

@@ -13,11 +13,6 @@ pub fn throughput_per_watt(solve_time: Duration, power_w: f64) -> f64 {
     (1.0 / t) / power_w
 }
 
-/// Energy per solved instance in joules.
-pub fn energy_per_instance(solve_time: Duration, power_w: f64) -> f64 {
-    solve_time.as_secs_f64() * power_w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -29,12 +24,6 @@ mod tests {
         assert!((throughput_per_watt(t, 20.0) - 0.5).abs() < 1e-12);
         assert_eq!(throughput_per_watt(Duration::ZERO, 20.0), 0.0);
         assert_eq!(throughput_per_watt(t, 0.0), 0.0);
-    }
-
-    #[test]
-    fn energy_is_time_times_power() {
-        let e = energy_per_instance(Duration::from_secs(2), 19.0);
-        assert!((e - 38.0).abs() < 1e-12);
     }
 
     #[test]

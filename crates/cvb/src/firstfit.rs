@@ -53,11 +53,6 @@ impl CvbLayout {
         self.num_addresses
     }
 
-    /// Memory words per bank (= number of addresses).
-    pub fn words_per_bank(&self) -> usize {
-        self.num_addresses
-    }
-
     /// Checks the layout against the access matrix: every accessed element
     /// has an address, and no two elements sharing an address are read by a
     /// common lane.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Alphabet, DOLLAR};
+use crate::Alphabet;
 
 /// One customized input partition of the `C`-wide MAC tree.
 ///
@@ -39,11 +39,6 @@ impl MacStructure {
     /// The slot letters.
     pub fn letters(&self) -> &[u8] {
         &self.letters
-    }
-
-    /// The slot widths (lanes per slot).
-    pub fn widths(&self) -> &[usize] {
-        &self.widths
     }
 
     /// Number of slots (= rows finished per cycle when this structure
@@ -207,12 +202,6 @@ impl fmt::Display for StructureSet {
         }
         write!(f, "}}")
     }
-}
-
-/// Convenience: the `$` character is only consumable by the fallback; this
-/// is enforced by giving `$` width `C` in the alphabet.
-pub(crate) fn _dollar_width_note() -> u8 {
-    DOLLAR
 }
 
 #[cfg(test)]

@@ -340,16 +340,6 @@ impl ReducedKktOp {
         &self.rho
     }
 
-    /// The regularization shift σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// The pool this operator dispatches its SpMVs on.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
-    }
-
     /// Number of SpMV evaluations performed so far, used by the performance
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
     /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and three per

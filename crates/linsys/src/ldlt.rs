@@ -267,43 +267,6 @@ impl Ldlt {
         self.solve_in_place(&mut x)?;
         Ok(x)
     }
-
-    /// Solves with `sweeps` rounds of iterative refinement against the
-    /// original matrix `a` (which must be the factorized matrix): each
-    /// round computes `r = b − A·x` via the symmetric upper-triangular
-    /// product and corrects `x += A⁻¹·r`. Cuts the residual of
-    /// ill-conditioned quasi-definite KKT solves by several digits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinsysError::Dimension`] if the dimensions of `a` or `b`
-    /// disagree with the factorization.
-    pub fn solve_refined(
-        &self,
-        a: &CscMatrix,
-        b: &[f64],
-        sweeps: usize,
-    ) -> Result<Vec<f64>, LinsysError> {
-        if a.ncols() != self.n || a.nrows() != self.n {
-            return Err(LinsysError::Dimension(format!(
-                "refinement matrix {}x{} does not match factorization dimension {}",
-                a.nrows(),
-                a.ncols(),
-                self.n
-            )));
-        }
-        let mut x = self.solve(b)?;
-        let mut ax = vec![0.0; self.n];
-        for _ in 0..sweeps {
-            a.symm_spmv_upper(&x, &mut ax)?;
-            let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-            self.solve_in_place(&mut r)?;
-            for (xi, ri) in x.iter_mut().zip(&r) {
-                *xi += ri;
-            }
-        }
-        Ok(x)
-    }
 }
 
 /// Computes the elimination tree and per-column counts of `L` for the
@@ -468,48 +431,5 @@ mod tests {
         let f = Ldlt::factor(&upper(&dense)).unwrap();
         assert_eq!(f.l_nnz(), n - 1);
         assert_eq!(f.dim(), n);
-    }
-}
-
-#[cfg(test)]
-mod refine_tests {
-    use super::*;
-    use rsqp_sparse::CsrMatrix;
-
-    #[test]
-    fn refinement_reduces_residual_on_ill_conditioned_kkt() {
-        // A quasi-definite matrix with wildly different scales.
-        let n = 6;
-        let mut dense = vec![vec![0.0; n]; n];
-        for i in 0..n / 2 {
-            dense[i][i] = 10f64.powi(4 - 2 * i as i32);
-            dense[i][n / 2 + i] = 1.0;
-            dense[n / 2 + i][i] = 1.0;
-            dense[n / 2 + i][n / 2 + i] = -1e-6;
-        }
-        let upper = CsrMatrix::from_dense(&dense).upper_triangle().to_csc();
-        let f = Ldlt::factor(&upper).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 0.3).collect();
-        let plain = f.solve(&b).unwrap();
-        let refined = f.solve_refined(&upper, &b, 3).unwrap();
-        let res = |x: &[f64]| {
-            let mut ax = vec![0.0; n];
-            upper.symm_spmv_upper(x, &mut ax).unwrap();
-            ax.iter().zip(&b).map(|(a, bb)| (a - bb).abs()).fold(0.0f64, f64::max)
-        };
-        assert!(res(&refined) <= res(&plain) * 1.0001, "{} vs {}", res(&refined), res(&plain));
-        assert!(res(&refined) < 1e-8);
-    }
-
-    #[test]
-    fn refinement_is_noop_on_well_conditioned_systems() {
-        let upper =
-            CsrMatrix::from_dense(&[vec![4.0, 1.0], vec![1.0, 3.0]]).upper_triangle().to_csc();
-        let f = Ldlt::factor(&upper).unwrap();
-        let refined = f.solve_refined(&upper, &[1.0, 2.0], 2).unwrap();
-        let plain = f.solve(&[1.0, 2.0]).unwrap();
-        for (a, b) in refined.iter().zip(&plain) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

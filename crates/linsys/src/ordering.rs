@@ -252,10 +252,10 @@ pub(crate) fn dense_threshold(n: usize, total: usize, count: usize) -> usize {
 /// the order `perm` gives them.
 fn postorder_by_column_count(upper: &CscMatrix, perm: Vec<usize>) -> Vec<usize> {
     let n = perm.len();
-    let iperm = inverse_permutation(&perm).expect("AMD returns a permutation");
+    let new_of = inverse_permutation(&perm).expect("AMD returns a permutation");
     // Strict upper pattern of the permuted matrix, bucketed by column.
     let permuted = |i: usize, j: usize| {
-        let (a, b) = (iperm[i], iperm[j]);
+        let (a, b) = (new_of[i], new_of[j]);
         (a.min(b), a.max(b))
     };
     let mut colptr = vec![0usize; n + 1];
@@ -798,7 +798,6 @@ impl Amd {
 #[derive(Debug, Clone)]
 pub struct SymmetricPermutation {
     perm: Vec<usize>,
-    iperm: Vec<usize>,
     mat: CscMatrix,
     /// `src[k]` = index into the *original* data array whose value belongs
     /// at permuted data slot `k`.
@@ -829,14 +828,14 @@ impl SymmetricPermutation {
                 perm.len()
             )));
         }
-        let iperm = inverse_permutation(&perm)?;
+        let new_of = inverse_permutation(&perm)?;
         // Gather permuted triplets (upper) with their source data index.
         let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(upper.nnz());
         let mut data_idx = 0usize;
         for j in 0..n {
             let (rows, _) = upper.col(j);
             for &i in rows {
-                let (mut pi, mut pj) = (iperm[i], iperm[j]);
+                let (mut pi, mut pj) = (new_of[i], new_of[j]);
                 if pi > pj {
                     std::mem::swap(&mut pi, &mut pj);
                 }
@@ -858,7 +857,7 @@ impl SymmetricPermutation {
         }
         let data: Vec<f64> = src.iter().map(|&d| upper.data()[d]).collect();
         let mat = CscMatrix::from_raw_parts(n, n, colptr, rowidx, data)?;
-        Ok(SymmetricPermutation { perm, iperm, mat, src })
+        Ok(SymmetricPermutation { perm, mat, src })
     }
 
     /// The permuted upper-triangular matrix.
@@ -894,36 +893,17 @@ impl SymmetricPermutation {
     }
 
     /// Permutes a vector into the reordered space (`out[i] = v[perm[i]]`).
-    pub fn permute_vec(&self, v: &[f64]) -> Vec<f64> {
-        self.perm.iter().map(|&p| v[p]).collect()
-    }
-
-    /// Maps a reordered-space vector back (`out[perm[i]] = v[i]`).
-    pub fn unpermute_vec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; v.len()];
-        for (i, &p) in self.perm.iter().enumerate() {
-            out[p] = v[i];
-        }
-        out
-    }
-
-    /// In-place variant of [`Self::permute_vec`] using a scratch buffer.
     pub fn permute_into(&self, v: &[f64], out: &mut [f64]) {
         for (o, &p) in out.iter_mut().zip(&self.perm) {
             *o = v[p];
         }
     }
 
-    /// In-place variant of [`Self::unpermute_vec`].
+    /// Maps a reordered-space vector back (`out[perm[i]] = v[i]`).
     pub fn unpermute_into(&self, v: &[f64], out: &mut [f64]) {
         for (i, &p) in self.perm.iter().enumerate() {
             out[p] = v[i];
         }
-    }
-
-    /// Inverse permutation (old → new).
-    pub fn iperm(&self) -> &[usize] {
-        &self.iperm
     }
 }
 
@@ -1229,9 +1209,11 @@ mod amd_tests {
         let sp = SymmetricPermutation::new(&u, perm).unwrap();
         let f = crate::Ldlt::factor(sp.matrix()).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64) - 4.0).collect();
-        let pb = sp.permute_vec(&b);
+        let mut pb = vec![0.0; n];
+        sp.permute_into(&b, &mut pb);
         let px = f.solve(&pb).unwrap();
-        let x = sp.unpermute_vec(&px);
+        let mut x = vec![0.0; n];
+        sp.unpermute_into(&px, &mut x);
         // Check A x = b against the original dense matrix.
         for i in 0..n {
             let got: f64 = (0..n).map(|j| dense[i][j] * x[j]).sum();
@@ -1259,10 +1241,9 @@ mod amd_tests {
         let u = upper_of(&bad_arrow(5));
         let sp = SymmetricPermutation::new(&u, vec![4, 2, 0, 1, 3]).unwrap();
         let v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(sp.unpermute_vec(&sp.permute_vec(&v)), v);
         let mut buf = vec![0.0; 5];
         sp.permute_into(&v, &mut buf);
-        assert_eq!(buf, sp.permute_vec(&v));
+        assert_eq!(buf, vec![5.0, 3.0, 1.0, 2.0, 4.0]);
         let mut back = vec![0.0; 5];
         sp.unpermute_into(&buf, &mut back);
         assert_eq!(back, v);

@@ -13,7 +13,7 @@
 //!   atomic operation, and [`MetricsRegistry::snapshot`] can run
 //!   concurrently with writers without panicking or tearing individual
 //!   values.
-//! * [`Timeline`] / [`TraceSink`] — hierarchical timed phases (setup →
+//! * [`Timeline`] — hierarchical timed phases (setup →
 //!   scaling → per-ADMM-iteration → KKT solve → polish) recorded as
 //!   [`SpanRecord`]s with explicit nesting depth.
 //! * [`SolveTrace`] — the machine-readable record of one solve:
@@ -40,5 +40,5 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     HISTOGRAM_BUCKETS,
 };
-pub use span::{SpanId, SpanRecord, Timeline, TraceSink, VecSink};
+pub use span::{SpanId, SpanRecord, Timeline};
 pub use trace::{IterationTrace, SolveTrace, TraceEvent};

@@ -1,4 +1,4 @@
-//! Hierarchical timed phases: spans, timelines, and sinks.
+//! Hierarchical timed phases: spans and timelines.
 
 use std::time::Instant;
 
@@ -35,27 +35,6 @@ impl SpanRecord {
         w.u64("start_ns", self.start_ns);
         w.u64("end_ns", self.end_ns);
         w.end_object();
-    }
-}
-
-/// A consumer of finished spans. The solver and runtime record through
-/// this trait so harnesses can stream spans wherever they like; the
-/// bundled [`VecSink`] simply collects them.
-pub trait TraceSink {
-    /// Receives one finished span.
-    fn record(&mut self, span: SpanRecord);
-}
-
-/// The trivial sink: collects spans into a vector.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// Spans in completion (end-time) order.
-    pub spans: Vec<SpanRecord>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, span: SpanRecord) {
-        self.spans.push(span);
     }
 }
 
@@ -96,7 +75,7 @@ impl Timeline {
     }
 
     /// Nanoseconds elapsed since the origin.
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
 
@@ -126,28 +105,10 @@ impl Timeline {
         }
     }
 
-    /// Records an already-measured span verbatim (used to splice phases
-    /// that happened before the timeline existed, e.g. solver setup).
-    pub fn record_external(&mut self, name: &str, depth: u32, start_ns: u64, end_ns: u64) {
-        self.finished.push(SpanRecord { name: name.to_string(), depth, start_ns, end_ns });
-    }
-
-    /// Finished spans so far, in completion order.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.finished
-    }
-
     /// Closes any still-open spans and returns all finished spans.
     pub fn finish(mut self) -> Vec<SpanRecord> {
         self.end(SpanId(0));
         self.finished
-    }
-
-    /// Drains finished spans into a sink (open spans stay open).
-    pub fn drain_into(&mut self, sink: &mut dyn TraceSink) {
-        for span in self.finished.drain(..) {
-            sink.record(span);
-        }
     }
 }
 
@@ -180,16 +141,5 @@ mod tests {
         t.end(outer);
         let spans = t.finish();
         assert_eq!(spans.len(), 2, "inner span must be force-closed");
-    }
-
-    #[test]
-    fn external_spans_and_sinks() {
-        let mut t = Timeline::new();
-        t.record_external("setup", 0, 0, 1000);
-        let mut sink = VecSink::default();
-        t.drain_into(&mut sink);
-        assert_eq!(sink.spans.len(), 1);
-        assert_eq!(sink.spans[0].duration_ns(), 1000);
-        assert!(t.spans().is_empty(), "drained spans must leave the timeline");
     }
 }

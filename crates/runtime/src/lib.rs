@@ -47,7 +47,7 @@
 //!     vec![0.0, 0.0],
 //!     vec![1.0, 1.0],
 //! )?;
-//! let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
+//! let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8 });
 //! let job = JobSpec::new(problem)
 //!     .with_budget(JobBudget::unbounded().with_timeout(Duration::from_secs(5)));
 //! let handle = service.submit(job).expect("queue has room");

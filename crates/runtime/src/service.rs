@@ -19,31 +19,26 @@ use crate::session::{SessionConfig, SolveSession};
 /// Sizing of a [`SolveService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads. Each runs one job at a time.
+    /// Worker threads. Each runs one job at a time. A job whose
+    /// `Settings::threads` is `0` (auto) gets this worker's share of the
+    /// host, `cores / workers` kernel threads (at least one), so concurrent
+    /// solves never oversubscribe it; an explicit `threads >= 1` wins.
     pub workers: usize,
     /// Bounded queue depth. A submit beyond `workers` in-flight jobs plus
     /// this many queued ones is rejected with
     /// [`SubmitError::QueueFull`] — explicit backpressure instead of
     /// unbounded memory growth.
     pub queue_capacity: usize,
-    /// Kernel threads each worker grants a solver whose
-    /// `Settings::threads` is `0` (auto). `None` leaves auto-resolution to
-    /// the solver (one pool per core — oversubscribed when several workers
-    /// solve at once); the default splits the host cores across the
-    /// workers. Explicit `Settings::threads >= 1` always wins.
-    pub kernel_threads: Option<usize>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let cores = thread::available_parallelism().map_or(4, |p| p.get());
-        let workers = cores.min(8);
-        ServiceConfig {
-            workers,
-            queue_capacity: 64,
-            kernel_threads: Some((cores / workers).max(1)),
-        }
+        ServiceConfig { workers: host_cores().min(8), queue_capacity: 64 }
     }
+}
+
+fn host_cores() -> usize {
+    thread::available_parallelism().map_or(4, |p| p.get())
 }
 
 /// Why a submission was rejected. The spec is handed back so the caller can
@@ -88,15 +83,6 @@ impl fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-impl SubmitError {
-    /// Recovers the rejected job spec.
-    pub fn into_spec(self) -> JobSpec {
-        match self {
-            SubmitError::QueueFull { spec, .. } | SubmitError::ShuttingDown { spec } => spec,
-        }
-    }
-}
 
 struct QueuedJob {
     id: u64,
@@ -197,7 +183,7 @@ impl SolveService {
         let capacity = config.queue_capacity.max(1);
         let (tx, rx) = mpsc::sync_channel::<QueuedJob>(capacity);
         let rx = Arc::new(Mutex::new(rx));
-        let kernel_threads = config.kernel_threads;
+        let threads_per_job = (host_cores() / workers).max(1);
         let metrics = MetricsRegistry::new();
         let handles = (0..workers)
             .map(|i| {
@@ -205,7 +191,7 @@ impl SolveService {
                 let registry = metrics.clone();
                 thread::Builder::new()
                     .name(format!("rsqp-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, kernel_threads, &registry))
+                    .spawn(move || worker_loop(&rx, threads_per_job, &registry))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -222,11 +208,6 @@ impl SolveService {
             rejected,
             queue_depth,
         }
-    }
-
-    /// Starts a service with default sizing.
-    pub fn with_defaults() -> Self {
-        Self::new(ServiceConfig::default())
     }
 
     /// Number of worker threads.
@@ -332,7 +313,7 @@ impl Drop for SolveService {
 
 fn worker_loop(
     rx: &Arc<Mutex<Receiver<QueuedJob>>>,
-    kernel_threads: Option<usize>,
+    threads_per_job: usize,
     registry: &MetricsRegistry,
 ) {
     let metrics = WorkerMetrics::new(registry);
@@ -345,7 +326,7 @@ fn worker_loop(
         metrics.queue_depth.sub(1);
         metrics.in_flight.add(1);
         metrics.queue_wait_us.observe(job.submitted_at.elapsed().as_micros() as u64);
-        let report = run_job(job.id, job.spec, &job.cancel, job.deadline, kernel_threads);
+        let report = run_job(job.id, job.spec, &job.cancel, job.deadline, threads_per_job);
         metrics.exec_time_us.observe(started.elapsed().as_micros() as u64);
         metrics.record_outcome(&report);
         metrics.in_flight.sub(1);
@@ -362,15 +343,13 @@ fn run_job(
     spec: JobSpec,
     cancel: &CancelToken,
     deadline: Option<Instant>,
-    kernel_threads: Option<usize>,
+    threads_per_job: usize,
 ) -> JobReport {
     let JobSpec { problem, mut settings, budget, retry, resume_from, mut factory } = spec;
     // Resolve an "auto" kernel-thread request to the service's per-worker
     // share of the host, so concurrent solves never oversubscribe it.
     if settings.threads == 0 {
-        if let Some(t) = kernel_threads {
-            settings.threads = t.max(1);
-        }
+        settings.threads = threads_per_job;
     }
     let mut control = SolveControl::unbounded().with_cancel(cancel.clone());
     if let Some(d) = deadline {

@@ -275,7 +275,7 @@ impl SolveSession {
     /// step (hit after the first step of a pattern); the persistent solver
     /// is built on the first step. A failed update (e.g. a structure
     /// change) returns the error without consuming a step and leaves the
-    /// session usable.
+    /// session usable; the updates before it in `updates` stay applied.
     ///
     /// # Errors
     ///
@@ -362,29 +362,31 @@ impl SolveSession {
 
     /// Routes updates through the persistent solver when it exists (so
     /// scaling and ρ state stay consistent), or mutates the shared problem
-    /// directly before the first step.
+    /// directly before the first step. Either way the updates before a
+    /// failing one stay applied.
     fn apply_updates(&mut self, updates: Vec<StepUpdate>) -> Result<(), SolverError> {
         if updates.is_empty() {
             return Ok(());
         }
         match self.solver.as_mut() {
             Some(solver) => {
-                for update in updates {
-                    match update {
-                        StepUpdate::Bounds { l, u } => solver.update_bounds(l, u)?,
-                        StepUpdate::LinearCost(q) => solver.update_q(q)?,
-                        StepUpdate::Matrices { p, a } => solver.update_matrices(p, a)?,
-                        StepUpdate::Rho(rho) => {
-                            solver.update_rho(rho)?;
-                            // Rebuilds start from the settings, not the solver.
-                            self.settings.rho = rho;
-                        }
+                let applied = updates.into_iter().try_for_each(|update| match update {
+                    StepUpdate::Bounds { l, u } => solver.update_bounds(l, u),
+                    StepUpdate::LinearCost(q) => solver.update_q(q),
+                    StepUpdate::Matrices { p, a } => solver.update_matrices(p, a),
+                    StepUpdate::Rho(rho) => {
+                        solver.update_rho(rho)?;
+                        // Rebuilds start from the settings, not the solver.
+                        self.settings.rho = rho;
+                        Ok(())
                     }
-                }
+                });
                 // The solver's copy-on-write may have detached from the
-                // session's Arc; re-share so retries and rebuilds see the
-                // updated values.
+                // session's Arc; re-share on every exit, a failed update
+                // included, so retries and rebuilds see the values the
+                // solver holds.
                 self.problem = solver.problem_shared();
+                applied?;
             }
             None => {
                 let problem = Arc::make_mut(&mut self.problem);

@@ -46,7 +46,7 @@ proptest! {
         error_prob in 0.0f64..=1.0,
     ) {
         quiet_injected_panics();
-        let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16, ..Default::default() });
+        let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16 });
         let plan = ChaosPlan::new(seed).with_panics(panic_prob).with_errors(error_prob);
 
         let handles: Vec<_> = (0..6)

@@ -1,7 +1,7 @@
 //! End-to-end behaviour of the solve service: backpressure, budgets,
 //! cancellation, panic isolation, and the direct-LDLᵀ retry.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -61,8 +61,7 @@ fn endless_settings() -> Settings {
 
 #[test]
 fn a_batch_of_jobs_all_solve() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 4, queue_capacity: 32, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 4, queue_capacity: 32 });
     let handles: Vec<_> = (0..16)
         .map(|i| service.submit(JobSpec::new(box_qp(2 + i % 5))).expect("queue has room"))
         .collect();
@@ -75,8 +74,7 @@ fn a_batch_of_jobs_all_solve() {
 
 #[test]
 fn queue_full_is_explicit_backpressure() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 1, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 1 });
     // Gate the single worker inside a backend factory so the queue state is
     // deterministic: one job running (blocked), one queued, the next must
     // be rejected.
@@ -110,9 +108,28 @@ fn queue_full_is_explicit_backpressure() {
 }
 
 #[test]
+fn auto_threads_get_the_workers_share_of_the_host() {
+    // A lone worker owns every core, so a `threads: 0` job gets one kernel
+    // thread per core; an explicit count is passed through.
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
+    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+    for (requested, granted) in [(0, cores), (1, 1)] {
+        let seen = Arc::new(AtomicUsize::new(usize::MAX));
+        let log = Arc::clone(&seen);
+        let spec = JobSpec::new(box_qp(3))
+            .with_settings(Settings { threads: requested, ..Default::default() })
+            .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
+                log.store(s.threads, Ordering::SeqCst);
+                Ok(Box::new(DirectLdltBackend::new(p, a, sigma, rho)?))
+            }));
+        assert_eq!(service.submit(spec).unwrap().wait().status(), Some(Status::Solved));
+        assert_eq!(seen.load(Ordering::SeqCst), granted, "threads: {requested}");
+    }
+}
+
+#[test]
 fn cancellation_mid_solve_returns_promptly_with_definite_status() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
     let spec = JobSpec::new(endless_problem()).with_settings(endless_settings());
     let handle = service.submit(spec).expect("queue has room");
     std::thread::sleep(Duration::from_millis(40));
@@ -127,8 +144,7 @@ fn cancellation_mid_solve_returns_promptly_with_definite_status() {
 
 #[test]
 fn deadline_budget_yields_time_limit_status() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
     let spec = JobSpec::new(endless_problem())
         .with_settings(endless_settings())
         .with_budget(JobBudget::unbounded().with_timeout(Duration::from_millis(30)));
@@ -139,8 +155,7 @@ fn deadline_budget_yields_time_limit_status() {
 
 #[test]
 fn iteration_cap_budget_is_enforced() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
     let spec = JobSpec::new(endless_problem())
         .with_settings(endless_settings())
         .with_budget(JobBudget::unbounded().with_iter_cap(7))
@@ -154,8 +169,7 @@ fn iteration_cap_budget_is_enforced() {
 #[test]
 fn panicking_backend_is_isolated_and_ladder_recovers() {
     quiet_injected_panics();
-    let service =
-        SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8 });
     // Every chaos-wrapped KKT solve panics; the one retry drops the factory
     // for direct LDLᵀ and the job still solves.
     let spec = JobSpec::new(box_qp(4)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
@@ -172,8 +186,7 @@ fn panicking_backend_is_isolated_and_ladder_recovers() {
 #[test]
 fn exhausted_ladder_reports_panicked_and_worker_survives() {
     quiet_injected_panics();
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 8, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 8 });
     let spec = JobSpec::new(box_qp(4)).with_retry(RetryPolicy::no_retries()).with_backend_factory(
         Box::new(|p, a, sigma, rho, s| {
             let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
@@ -192,8 +205,7 @@ fn exhausted_ladder_reports_panicked_and_worker_survives() {
 
 #[test]
 fn injected_backend_errors_ride_the_guard_and_retry_ladders() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8 });
     // A high error rate defeats the in-solve guard ladder eventually, but
     // the runtime's direct-LDLᵀ retry (which drops the chaos wrapper
     // with the factory) always lands the job.
@@ -207,8 +219,7 @@ fn injected_backend_errors_ride_the_guard_and_retry_ladders() {
 
 #[test]
 fn shutdown_completes_queued_jobs() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16 });
     let handles: Vec<_> =
         (0..6).map(|_| service.submit(JobSpec::new(box_qp(3))).expect("room")).collect();
     service.shutdown();
@@ -219,22 +230,16 @@ fn shutdown_completes_queued_jobs() {
 
 #[test]
 fn submitting_after_shutdown_is_rejected() {
-    let mut service = Some(SolveService::new(ServiceConfig {
-        workers: 1,
-        queue_capacity: 2,
-        ..Default::default()
-    }));
+    let mut service = Some(SolveService::new(ServiceConfig { workers: 1, queue_capacity: 2 }));
     service.take().unwrap().shutdown();
     // A fresh service is needed per handle; this checks the drop path too.
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 2, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 2 });
     drop(service); // Drop joins workers without deadlock.
 }
 
 #[test]
 fn checkpointed_resume_flows_through_the_service() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
     let problem = box_qp(6);
     let settings = Settings {
         eps_abs: 1e-9,
@@ -274,8 +279,7 @@ fn checkpointed_resume_flows_through_the_service() {
 
 #[test]
 fn metrics_snapshot_tracks_the_job_lifecycle() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16 });
     let handles: Vec<_> = (0..8)
         .map(|i| service.submit(JobSpec::new(box_qp(2 + i % 3))).expect("queue has room"))
         .collect();
@@ -305,8 +309,7 @@ fn metrics_snapshot_tracks_the_job_lifecycle() {
 
 #[test]
 fn metrics_classify_cancelled_jobs_separately() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
     let handle = service
         .submit(JobSpec::new(endless_problem()).with_settings(endless_settings()))
         .expect("queue has room");

@@ -13,8 +13,8 @@ use rsqp_runtime::{
     SolveService, SolveSession, StepUpdate,
 };
 use rsqp_solver::{
-    BackendStats, CpuPcgBackend, DirectLdltBackend, GuardSettings, KktBackend, QpProblem, Settings,
-    Solver, SolverError, Status,
+    BackendStats, CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem, Settings, Solver,
+    SolverError, Status,
 };
 use rsqp_sparse::CsrMatrix;
 
@@ -230,6 +230,21 @@ fn structure_change_is_rejected_and_session_survives() {
 }
 
 #[test]
+fn a_failed_update_batch_leaves_the_problem_in_step_with_the_solver() {
+    // The updates before the failing one reach the persistent solver; the
+    // session's problem, which retries and rebuilds start from, must carry
+    // them too.
+    let mut session = SolveSession::new(control::generate(2, 1), SessionConfig::default());
+    session.step(Vec::new()).unwrap();
+    let target = control::generate(2, 7);
+    let failed = session.step(vec![mpc_bounds(2, 7), StepUpdate::LinearCost(vec![0.0])]);
+    assert!(failed.is_err(), "a wrong-length q must be rejected");
+    assert_eq!(session.steps_taken(), 1);
+    assert_eq!(session.problem().l(), target.l());
+    assert_eq!(session.problem().u(), target.u());
+}
+
+#[test]
 fn service_sessions_share_the_service_registry() {
     let service = SolveService::new(ServiceConfig { workers: 1, ..Default::default() });
     let cache = Arc::new(CustomizationCache::new(2));
@@ -384,10 +399,7 @@ fn chaos_session_falls_back_once_and_stays_on_ldlt() {
     // With the guard off, every injected backend fault reaches the runtime:
     // the first step retries on direct LDLᵀ (replaying the cached ordering)
     // and the session keeps that configuration for good.
-    let settings = Settings {
-        guard: GuardSettings { enabled: false, ..Default::default() },
-        ..Settings::default()
-    };
+    let settings = Settings { guard: false, ..Settings::default() };
     let cache = Arc::new(CustomizationCache::new(2));
     let config = SessionConfig::default().with_settings(settings).with_cache(cache);
     let mut session = SolveSession::new(control::generate(3, 1), config).with_backend_factory(

@@ -12,34 +12,17 @@
 //!    (the reverse of the paper's substitution, used as a safety net),
 //! 4. abort with [`crate::Status::NumericalError`].
 //!
-//! The ladder never revisits a rung and the total number of recoveries is
-//! capped, so a persistently faulty backend cannot loop forever. Every
+//! The ladder never revisits a rung, so a solve gets at most three
+//! recoveries and a persistently faulty backend cannot loop forever. The
+//! guard runs when [`crate::Settings::guard`] is `true` (the default). Every
 //! event is counted in [`GuardReport`], surfaced in
 //! [`crate::SolveResult::guard`].
 
 use crate::SolverError;
 
-/// Configuration of the guard layer (part of [`crate::Settings`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardSettings {
-    /// Enables iterate checking and recovery. When `false`, backend errors
-    /// propagate immediately and iterates are never inspected (the final
-    /// result is still screened: `Solved` is never reported with a
-    /// non-finite solution).
-    pub enabled: bool,
-    /// Infinity-norm bound on the scaled iterates; exceeding it counts as
-    /// divergence even while every entry is still finite.
-    pub divergence_threshold: f64,
-    /// Total recovery events allowed before the solve aborts with
-    /// [`crate::Status::NumericalError`].
-    pub max_recoveries: usize,
-}
-
-impl Default for GuardSettings {
-    fn default() -> Self {
-        GuardSettings { enabled: true, divergence_threshold: 1e12, max_recoveries: 8 }
-    }
-}
+/// Infinity-norm bound on the scaled iterates; exceeding it counts as
+/// divergence even while every entry is still finite.
+const DIVERGENCE_THRESHOLD: f64 = 1e12;
 
 /// What the guard detected at a checkpoint.
 #[derive(Debug, Clone)]
@@ -49,7 +32,7 @@ pub enum Anomaly {
         /// Which quantity was non-finite (e.g. `"iterate x"`).
         what: &'static str,
     },
-    /// An iterate grew past [`GuardSettings::divergence_threshold`].
+    /// An iterate's infinity norm grew past 10¹² while still finite.
     Divergence {
         /// The offending infinity norm.
         norm: f64,
@@ -107,12 +90,10 @@ impl GuardReport {
 /// Watches iterates and drives the recovery ladder for one solve.
 #[derive(Debug)]
 pub struct Guard {
-    settings: GuardSettings,
     good_x: Vec<f64>,
     good_z: Vec<f64>,
     good_y: Vec<f64>,
     stage: usize,
-    recoveries: usize,
     report: GuardReport,
 }
 
@@ -127,14 +108,12 @@ fn inf_norm(v: &[f64]) -> f64 {
 impl Guard {
     /// Creates a guard whose initial known-good snapshot is the current
     /// (scaled) iterate triple.
-    pub fn new(settings: GuardSettings, x: &[f64], z: &[f64], y: &[f64]) -> Self {
+    pub fn new(x: &[f64], z: &[f64], y: &[f64]) -> Self {
         Guard {
-            settings,
             good_x: x.to_vec(),
             good_z: z.to_vec(),
             good_y: y.to_vec(),
             stage: 0,
-            recoveries: 0,
             report: GuardReport::default(),
         }
     }
@@ -165,7 +144,7 @@ impl Guard {
             return Some(Anomaly::NonFinite { what: "dual residual" });
         }
         let norm = inf_norm(x).max(inf_norm(y));
-        if norm > self.settings.divergence_threshold {
+        if norm > DIVERGENCE_THRESHOLD {
             return Some(Anomaly::Divergence { norm });
         }
         None
@@ -190,15 +169,10 @@ impl Guard {
     /// to apply. `can_fallback` is `false` when the active backend is
     /// already the direct LDLᵀ solver (that rung is then skipped).
     ///
-    /// Each rung is used at most once and at most
-    /// [`GuardSettings::max_recoveries`] recoveries are granted in total;
-    /// past either bound the action is [`RecoveryAction::Abort`].
+    /// Each rung is used at most once; past the last one the action is
+    /// [`RecoveryAction::Abort`].
     pub fn recover(&mut self, anomaly: &Anomaly, can_fallback: bool) -> RecoveryAction {
         self.report.faults_detected += 1;
-        if self.recoveries >= self.settings.max_recoveries {
-            return RecoveryAction::Abort;
-        }
-        self.recoveries += 1;
         // A backend fault means the KKT solve itself is unreliable —
         // resetting iterates alone cannot help, so enter the ladder at the
         // tolerance-tightening rung.
@@ -239,7 +213,7 @@ mod tests {
     use super::*;
 
     fn mk_guard() -> Guard {
-        Guard::new(GuardSettings::default(), &[1.0, 2.0], &[0.5], &[0.0])
+        Guard::new(&[1.0, 2.0], &[0.5], &[0.0])
     }
 
     #[test]
@@ -267,17 +241,17 @@ mod tests {
 
     #[test]
     fn detects_divergence_past_threshold() {
-        let g = Guard::new(
-            GuardSettings { divergence_threshold: 100.0, ..Default::default() },
-            &[0.0],
-            &[0.0],
-            &[0.0],
-        );
+        let g = Guard::new(&[0.0], &[0.0], &[0.0]);
+        let past = 1.01 * DIVERGENCE_THRESHOLD;
         assert!(matches!(
-            g.inspect(&[101.0], &[0.0], &[0.0], 0.0, 0.0),
+            g.inspect(&[past], &[0.0], &[0.0], 0.0, 0.0),
             Some(Anomaly::Divergence { .. })
         ));
-        assert!(g.inspect(&[99.0], &[0.0], &[0.0], 0.0, 0.0).is_none());
+        assert!(matches!(
+            g.inspect(&[0.0], &[0.0], &[-past], 0.0, 0.0),
+            Some(Anomaly::Divergence { .. })
+        ));
+        assert!(g.inspect(&[0.99 * DIVERGENCE_THRESHOLD], &[0.0], &[0.0], 0.0, 0.0).is_none());
     }
 
     #[test]
@@ -311,20 +285,6 @@ mod tests {
         assert_eq!(g.recover(&a, true), RecoveryAction::TightenCgTolerance);
         assert_eq!(g.recover(&a, true), RecoveryAction::FallbackToDirect);
         assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
-    }
-
-    #[test]
-    fn recovery_budget_is_enforced() {
-        let mut g = Guard::new(
-            GuardSettings { max_recoveries: 1, ..Default::default() },
-            &[0.0],
-            &[0.0],
-            &[0.0],
-        );
-        let a = Anomaly::NonFinite { what: "iterate x" };
-        assert_eq!(g.recover(&a, true), RecoveryAction::ResetIterates);
-        assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
-        assert_eq!(g.report().faults_detected, 2);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use backend::{kkt_ordering, BackendStats, CpuPcgBackend, DirectLdltBackend, 
 pub use checkpoint::Checkpoint;
 pub use control::{CancelToken, SolveControl};
 pub use error::SolverError;
-pub use guard::{Anomaly, Guard, GuardReport, GuardSettings, RecoveryAction};
+pub use guard::{Anomaly, Guard, GuardReport, RecoveryAction};
 pub use polish::{polish, PolishOutcome};
 pub use problem::QpProblem;
 pub use rho::{ConstraintKind, RhoManager};

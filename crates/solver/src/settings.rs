@@ -1,4 +1,3 @@
-use crate::guard::GuardSettings;
 use crate::SolverError;
 
 /// Which KKT backend [`crate::Solver::new`] constructs.
@@ -106,8 +105,12 @@ pub struct Settings {
     /// Optional wall-clock budget for `solve` (checked at termination
     /// checks; `None` disables the limit).
     pub time_limit: Option<std::time::Duration>,
-    /// Numerical-guard and recovery-ladder configuration.
-    pub guard: GuardSettings,
+    /// Enables the numerical guard: iterate checks at every termination
+    /// check and the recovery ladder of [`crate::Guard`]. When `false`,
+    /// backend errors propagate immediately and iterates are never
+    /// inspected (the final result is still screened: `Solved` is never
+    /// reported with a non-finite solution).
+    pub guard: bool,
     /// Worker threads for the parallel CPU kernels used by PCG-style
     /// backends (`0` = auto-detect from the host, capped at 8; `1` =
     /// strictly serial). Results are bit-identical regardless of the value —
@@ -145,7 +148,7 @@ impl Default for Settings {
             polish_delta: 1e-6,
             polish_refine_iters: 3,
             time_limit: None,
-            guard: GuardSettings::default(),
+            guard: true,
             threads: 1,
             trace: false,
         }
@@ -221,9 +224,6 @@ impl Settings {
         }
         if self.cg_max_iter == 0 {
             return invalid("cg_max_iter must be positive");
-        }
-        if !positive(self.guard.divergence_threshold) {
-            return invalid("guard divergence_threshold must be positive and finite");
         }
         Ok(())
     }
@@ -330,17 +330,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn rejects_bad_guard_threshold() {
-        use crate::guard::GuardSettings;
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let s = Settings {
-                guard: GuardSettings { divergence_threshold: bad, ..Default::default() },
-                ..Default::default()
-            };
-            assert!(s.validate().is_err(), "threshold {bad} accepted");
-        }
     }
 }

@@ -524,11 +524,7 @@ impl Solver {
         let mut iterations = max_iter;
         let mut last_info: Option<ResidualInfo> = None;
         let mut last_rho_iter = 0usize;
-        let mut guard = if s.guard.enabled {
-            Some(Guard::new(s.guard, &self.x, &self.z, &self.y))
-        } else {
-            None
-        };
+        let mut guard = if s.guard { Some(Guard::new(&self.x, &self.z, &self.y)) } else { None };
         // The KKT warm start: x̃ carries over between iterations of this
         // solve, and restarts from x here and after every recovery. Starting
         // each solve from x covers warm/cold starts, checkpoint restores and

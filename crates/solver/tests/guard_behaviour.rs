@@ -6,8 +6,8 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rsqp_solver::{
-    BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, GuardSettings, KktBackend,
-    QpProblem, Settings, Solver, SolverError, Status,
+    BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem, Settings,
+    Solver, SolverError, Status,
 };
 use rsqp_sparse::CsrMatrix;
 
@@ -188,10 +188,7 @@ fn persistent_corruption_on_direct_backend_reports_numerical_error() {
 
 #[test]
 fn disabled_guard_propagates_backend_errors() {
-    let settings = Settings {
-        guard: GuardSettings { enabled: false, ..GuardSettings::default() },
-        ..guarded_settings()
-    };
+    let settings = Settings { guard: false, ..guarded_settings() };
     let mut s = sabotaged_solver(settings, Sabotage::Error, 2, true, false);
     let err = s.solve().unwrap_err();
     assert!(matches!(err, SolverError::Backend(_)), "{err:?}");
@@ -202,11 +199,7 @@ fn disabled_guard_still_never_reports_solved_with_non_finite_x() {
     // Poison on the exact call whose result feeds the final termination
     // check; without the guard the residual math sees NaN (never converges),
     // and the final screen must keep Solved off the table.
-    let settings = Settings {
-        max_iter: 40,
-        guard: GuardSettings { enabled: false, ..GuardSettings::default() },
-        ..guarded_settings()
-    };
+    let settings = Settings { max_iter: 40, guard: false, ..guarded_settings() };
     let mut s = sabotaged_solver(settings, Sabotage::PoisonNan, 1, true, false);
     match s.solve() {
         // Propagating a typed error is fine; claiming Solved is not.

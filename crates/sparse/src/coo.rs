@@ -74,22 +74,6 @@ impl CooMatrix {
         self.vals.push(val);
     }
 
-    /// Appends a whole block `other` with its top-left corner at
-    /// `(row_off, col_off)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block does not fit inside the matrix.
-    pub fn push_block(&mut self, row_off: usize, col_off: usize, other: &CooMatrix) {
-        assert!(row_off + other.nrows <= self.nrows, "block rows exceed matrix");
-        assert!(col_off + other.ncols <= self.ncols, "block cols exceed matrix");
-        for ((&r, &c), &v) in other.rows.iter().zip(&other.cols).zip(&other.vals) {
-            self.rows.push(r + row_off);
-            self.cols.push(c + col_off);
-            self.vals.push(v);
-        }
-    }
-
     /// Iterates over the stored triplets as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.rows.iter().zip(&self.cols).zip(&self.vals).map(|((&r, &c), &v)| (r, c, v))
@@ -193,19 +177,6 @@ mod tests {
         let (cols, vals) = csr.row(1);
         assert_eq!(cols, &[0, 2]);
         assert_eq!(vals, &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn push_block_offsets_indices() {
-        let mut a = CooMatrix::new(2, 2);
-        a.push(0, 0, 1.0);
-        a.push(1, 1, 2.0);
-        let mut big = CooMatrix::new(4, 4);
-        big.push_block(2, 2, &a);
-        let csr = big.to_csr();
-        assert_eq!(csr.get(2, 2), 1.0);
-        assert_eq!(csr.get(3, 3), 2.0);
-        assert_eq!(csr.nnz(), 2);
     }
 
     #[test]

@@ -141,44 +141,6 @@ impl CscMatrix {
         Ok(())
     }
 
-    /// Computes `y = self * x + selfᵀ * x - diag(self) * x` treating `self`
-    /// as the upper triangle of a symmetric matrix.
-    ///
-    /// This is the "symmetric SpMV" used on upper-triangular KKT storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if the matrix is not square
-    /// or the vector lengths disagree with it.
-    pub fn symm_spmv_upper(&self, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
-        if self.nrows != self.ncols {
-            return Err(SparseError::DimensionMismatch {
-                op: "symm_spmv_upper (square required)",
-                expected: self.nrows,
-                found: self.ncols,
-            });
-        }
-        if x.len() != self.ncols || y.len() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "symm_spmv_upper vectors",
-                expected: self.ncols,
-                found: x.len().max(y.len()),
-            });
-        }
-        y.fill(0.0);
-        for j in 0..self.ncols {
-            let (rows, vals) = self.col(j);
-            let xj = x[j];
-            for (&i, &v) in rows.iter().zip(vals) {
-                y[i] += v * xj;
-                if i != j {
-                    y[j] += v * x[i];
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Returns the diagonal, with zeros for unstored diagonal entries.
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.nrows.min(self.ncols);
@@ -219,38 +181,6 @@ mod tests {
         csc.spmv(&x, &mut y1).unwrap();
         csr.spmv(&x, &mut y2).unwrap();
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn symm_spmv_upper_matches_full() {
-        // Full symmetric matrix and its upper triangle.
-        let full = CsrMatrix::from_triplets(
-            3,
-            3,
-            vec![
-                (0, 0, 4.0),
-                (0, 1, 1.0),
-                (1, 0, 1.0),
-                (1, 1, 2.0),
-                (1, 2, -1.0),
-                (2, 1, -1.0),
-                (2, 2, 3.0),
-            ],
-        );
-        let upper = full.upper_triangle().to_csc();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        full.spmv(&x, &mut y1).unwrap();
-        upper.symm_spmv_upper(&x, &mut y2).unwrap();
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn symm_spmv_requires_square() {
-        let m = example();
-        let mut y = vec![0.0; 2];
-        assert!(m.symm_spmv_upper(&[1.0, 1.0, 1.0], &mut y).is_err());
     }
 
     #[test]

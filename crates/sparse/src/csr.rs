@@ -294,6 +294,14 @@ impl CsrMatrix {
 
     /// Materializes the transpose.
     pub fn transpose(&self) -> CsrMatrix {
+        self.transpose_recording(|_, _| {})
+    }
+
+    /// The one counting-sort transpose (`O(nnz + ncols)`), behind
+    /// [`Self::transpose`] and [`TransposeCache::new`](crate::TransposeCache::new):
+    /// `record(dst, src)` runs once per entry with its positions in the
+    /// result's and in `self`'s value arrays.
+    pub(crate) fn transpose_recording(&self, mut record: impl FnMut(usize, usize)) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
         for &j in &self.indices {
             counts[j + 1] += 1;
@@ -305,11 +313,13 @@ impl CsrMatrix {
         let mut data = vec![0.0; self.nnz()];
         let mut next = counts.clone();
         for i in 0..self.nrows {
+            let row_start = self.indptr[i];
             let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
+            for (k, (&j, &v)) in cols.iter().zip(vals).enumerate() {
                 let dst = next[j];
                 indices[dst] = i;
                 data[dst] = v;
+                record(dst, row_start + k);
                 next[j] += 1;
             }
         }
@@ -321,18 +331,6 @@ impl CsrMatrix {
         let t = self.transpose();
         CscMatrix::from_raw_parts(self.nrows, self.ncols, t.indptr, t.indices, t.data)
             .expect("transpose of a valid CSR is a valid CSC")
-    }
-
-    /// Converts to a dense row-major representation.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.ncols]; self.nrows];
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                out[i][j] = v;
-            }
-        }
-        out
     }
 
     /// Returns the diagonal (length `min(nrows, ncols)`), with zeros for
@@ -396,53 +394,11 @@ impl CsrMatrix {
         CsrMatrix { nrows: self.nrows, ncols: self.ncols, indptr, indices, data }
     }
 
-    /// Returns a copy with columns reordered so that new column `j` holds old
-    /// column `perm[j]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..ncols`.
-    pub fn permute_cols(&self, perm: &[usize]) -> CsrMatrix {
-        assert_eq!(perm.len(), self.ncols, "permutation length mismatch");
-        // inverse map: old column -> new column
-        let mut inv = vec![usize::MAX; self.ncols];
-        for (new, &old) in perm.iter().enumerate() {
-            assert!(old < self.ncols && inv[old] == usize::MAX, "perm is not a permutation");
-            inv[old] = new;
-        }
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                coo.push(i, inv[j], v);
-            }
-        }
-        coo.to_csr()
-    }
-
     /// Applies `f` to every stored value, keeping the structure.
     pub fn map_values(&self, f: impl Fn(f64) -> f64) -> CsrMatrix {
         let mut out = self.clone();
         for v in &mut out.data {
             *v = f(*v);
-        }
-        out
-    }
-
-    /// The number of stored entries per row (the paper's `nnz_row`, the basis
-    /// of the sparsity string encoding).
-    pub fn row_nnz_counts(&self) -> Vec<usize> {
-        (0..self.nrows).map(|i| self.row_nnz(i)).collect()
-    }
-
-    /// Column-wise sums of squared values, i.e. `diag(selfᵀ · self)`.
-    ///
-    /// Used to build the Jacobi preconditioner for the reduced KKT operator
-    /// `P + σI + ρ AᵀA` without forming `AᵀA`.
-    pub fn column_sq_norms(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.ncols];
-        for (&j, &v) in self.indices.iter().zip(&self.data) {
-            out[j] += v * v;
         }
         out
     }
@@ -639,7 +595,7 @@ mod tests {
     fn from_dense_drops_zeros() {
         let m = CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.to_dense(), vec![vec![0.0, 1.0], vec![2.0, 0.0]]);
+        assert_eq!((m.get(0, 1), m.get(1, 0)), (1.0, 2.0));
     }
 
     #[test]
@@ -658,16 +614,6 @@ mod tests {
         let p = m.permute_rows(&[1, 0]);
         assert_eq!(p.get(0, 1), 3.0);
         assert_eq!(p.get(1, 0), 1.0);
-    }
-
-    #[test]
-    fn permute_cols_reorders() {
-        let m = example();
-        // new col 0 <- old col 2, new col 1 <- old col 0, new col 2 <- old col 1
-        let p = m.permute_cols(&[2, 0, 1]);
-        assert_eq!(p.get(0, 0), 2.0);
-        assert_eq!(p.get(0, 1), 1.0);
-        assert_eq!(p.get(1, 2), 3.0);
     }
 
     #[test]
@@ -704,13 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn column_sq_norms_match_transpose_product() {
-        let m = example();
-        let sq = m.column_sq_norms();
-        assert_eq!(sq, vec![1.0, 9.0, 4.0]);
-    }
-
-    #[test]
     fn norms_per_row_and_col() {
         let m = example();
         assert_eq!(m.row_inf_norms(), vec![2.0, 3.0]);
@@ -722,10 +661,5 @@ mod tests {
         let m = example().map_values(|v| -v);
         assert_eq!(m.get(0, 0), -1.0);
         assert_eq!(m.nnz(), 3);
-    }
-
-    #[test]
-    fn row_nnz_counts() {
-        assert_eq!(example().row_nnz_counts(), vec![2, 1]);
     }
 }

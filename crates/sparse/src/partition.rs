@@ -39,23 +39,6 @@ impl RowPartition {
         RowPartition { bounds }
     }
 
-    /// Partitions `0..nrows` into at most `max_chunks` equal-length pieces.
-    pub fn uniform(nrows: usize, max_chunks: usize) -> Self {
-        let nchunks = max_chunks.clamp(1, nrows.max(1));
-        let per_chunk = nrows.div_ceil(nchunks).max(1);
-        let mut bounds: Vec<usize> = (0..nchunks).map(|k| k * per_chunk).collect();
-        bounds.push(nrows);
-        bounds.retain({
-            let mut prev = usize::MAX;
-            move |&b| {
-                let keep = b != prev && b <= nrows;
-                prev = b;
-                keep
-            }
-        });
-        RowPartition { bounds }
-    }
-
     /// The chunk boundaries (`len() == num_chunks() + 1`).
     pub fn bounds(&self) -> &[usize] {
         &self.bounds
@@ -113,15 +96,5 @@ mod tests {
         // Perfect balance is impossible at row granularity, but chunks must
         // be within a small factor of each other.
         assert!(max <= 2 * min + 8, "unbalanced loads: {loads:?}");
-    }
-
-    #[test]
-    fn uniform_partition_is_contiguous() {
-        for (nrows, chunks) in [(10usize, 3usize), (1, 8), (0, 4), (100, 100), (5, 1)] {
-            let p = RowPartition::uniform(nrows, chunks);
-            assert_eq!(p.bounds()[0], 0);
-            assert_eq!(p.nrows(), nrows);
-            assert!(p.bounds().windows(2).all(|w| w[0] < w[1]) || nrows == 0);
-        }
     }
 }

@@ -1,56 +1,11 @@
-//! Sparsity-pattern statistics.
+//! Sparsity-pattern helpers.
 //!
 //! The RSQP customization framework keys entirely on the *structure* of the
 //! problem matrices (locations of non-zeros, not their values). This module
-//! provides the structural summaries the encoding layer consumes.
+//! provides the structural fingerprint and comparisons the encoding layer
+//! and the customization cache consume.
 
 use crate::CsrMatrix;
-
-/// Summary statistics of a matrix sparsity pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternStats {
-    /// Number of rows.
-    pub nrows: usize,
-    /// Number of columns.
-    pub ncols: usize,
-    /// Total stored entries.
-    pub nnz: usize,
-    /// Maximum row population.
-    pub max_row_nnz: usize,
-    /// Minimum row population.
-    pub min_row_nnz: usize,
-    /// Mean row population.
-    pub mean_row_nnz: f64,
-    /// Histogram over `⌈log₂(nnz_row)⌉` buckets: index `k` counts rows with
-    /// `nnz_row` in `(2^(k-1), 2^k]` (index 0 counts rows with ≤ 1 entry).
-    pub log2_histogram: Vec<usize>,
-}
-
-/// Computes [`PatternStats`] for a matrix.
-pub fn stats(m: &CsrMatrix) -> PatternStats {
-    let counts = m.row_nnz_counts();
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let min = counts.iter().copied().min().unwrap_or(0);
-    let mean = if counts.is_empty() {
-        0.0
-    } else {
-        counts.iter().sum::<usize>() as f64 / counts.len() as f64
-    };
-    let nbuckets = log2_bucket(max.max(1)) + 1;
-    let mut hist = vec![0usize; nbuckets];
-    for &c in &counts {
-        hist[log2_bucket(c)] += 1;
-    }
-    PatternStats {
-        nrows: m.nrows(),
-        ncols: m.ncols(),
-        nnz: m.nnz(),
-        max_row_nnz: max,
-        min_row_nnz: min,
-        mean_row_nnz: mean,
-        log2_histogram: hist,
-    }
-}
 
 /// Bucket index `⌈log₂(max(n, 1))⌉`: rows with 0 or 1 entries map to bucket
 /// 0, 2 entries to bucket 1, 3–4 to bucket 2, 5–8 to bucket 3, …
@@ -112,8 +67,8 @@ fn fnv1a_matrix(mut h: u64, m: &CsrMatrix) -> u64 {
 pub struct PatternKey {
     n: usize,
     m: usize,
-    p_nnz: usize,
-    a_nnz: usize,
+    p_entries: usize,
+    a_entries: usize,
     hash: u64,
 }
 
@@ -121,7 +76,7 @@ impl PatternKey {
     /// Fingerprints the structure of a `(P, A)` pair.
     pub fn new(p: &CsrMatrix, a: &CsrMatrix) -> Self {
         let hash = fnv1a_matrix(fnv1a_matrix(FNV_OFFSET, p), a);
-        PatternKey { n: p.nrows(), m: a.nrows(), p_nnz: p.nnz(), a_nnz: a.nnz(), hash }
+        PatternKey { n: p.nrows(), m: a.nrows(), p_entries: p.nnz(), a_entries: a.nnz(), hash }
     }
 
     /// Number of primal variables (`P` is `n × n`).
@@ -132,21 +87,6 @@ impl PatternKey {
     /// Number of constraints (`A` is `m × n`).
     pub fn num_constraints(&self) -> usize {
         self.m
-    }
-
-    /// Stored entries in `P`.
-    pub fn p_nnz(&self) -> usize {
-        self.p_nnz
-    }
-
-    /// Stored entries in `A`.
-    pub fn a_nnz(&self) -> usize {
-        self.a_nnz
-    }
-
-    /// The 64-bit structural hash.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
     }
 }
 
@@ -166,22 +106,6 @@ mod tests {
         assert_eq!(log2_bucket(9), 4);
         assert_eq!(log2_bucket(64), 6);
         assert_eq!(log2_bucket(65), 7);
-    }
-
-    #[test]
-    fn stats_of_small_matrix() {
-        let m = CsrMatrix::from_triplets(
-            3,
-            4,
-            vec![(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 3, 1.0)],
-        );
-        let s = stats(&m);
-        assert_eq!(s.nnz, 5);
-        assert_eq!(s.max_row_nnz, 3);
-        assert_eq!(s.min_row_nnz, 1);
-        assert!((s.mean_row_nnz - 5.0 / 3.0).abs() < 1e-12);
-        // rows: 3 -> bucket 2, 1 -> bucket 0, 1 -> bucket 0
-        assert_eq!(s.log2_histogram, vec![2, 0, 1]);
     }
 
     #[test]
@@ -214,9 +138,6 @@ mod tests {
         let key = PatternKey::new(&p, &a);
         assert_eq!(key.num_vars(), 3);
         assert_eq!(key.num_constraints(), 2);
-        assert_eq!(key.p_nnz(), 3);
-        assert_eq!(key.a_nnz(), 2);
-        assert_ne!(key.hash_value(), 0);
     }
 
     #[test]

@@ -1,8 +1,4 @@
-//! Block assembly helpers (vertical/horizontal stacking, block diagonal).
-//!
-//! The benchmark QP formulations (lasso, huber, svm, portfolio, MPC) are all
-//! assembled from blocks; these helpers keep the generators short and make
-//! the block structure explicit.
+//! Block assembly: vertical stacking of matrices with equal column counts.
 
 use crate::{CooMatrix, CsrMatrix};
 
@@ -31,56 +27,6 @@ pub fn vstack(mats: &[&CsrMatrix]) -> CsrMatrix {
     coo.to_csr()
 }
 
-/// Horizontally stacks matrices with identical row counts.
-///
-/// # Panics
-///
-/// Panics if `mats` is empty or the row counts differ.
-pub fn hstack(mats: &[&CsrMatrix]) -> CsrMatrix {
-    assert!(!mats.is_empty(), "hstack of zero matrices");
-    let nrows = mats[0].nrows();
-    assert!(mats.iter().all(|m| m.nrows() == nrows), "hstack requires equal row counts");
-    let ncols: usize = mats.iter().map(|m| m.ncols()).sum();
-    let nnz: usize = mats.iter().map(|m| m.nnz()).sum();
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
-    let mut off = 0;
-    for m in mats {
-        for i in 0..m.nrows() {
-            let (cols, vals) = m.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                coo.push(i, off + j, v);
-            }
-        }
-        off += m.ncols();
-    }
-    coo.to_csr()
-}
-
-/// Block-diagonal assembly.
-///
-/// # Panics
-///
-/// Panics if `mats` is empty.
-pub fn block_diag(mats: &[&CsrMatrix]) -> CsrMatrix {
-    assert!(!mats.is_empty(), "block_diag of zero matrices");
-    let nrows: usize = mats.iter().map(|m| m.nrows()).sum();
-    let ncols: usize = mats.iter().map(|m| m.ncols()).sum();
-    let nnz: usize = mats.iter().map(|m| m.nnz()).sum();
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
-    let (mut ro, mut co) = (0, 0);
-    for m in mats {
-        for i in 0..m.nrows() {
-            let (cols, vals) = m.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                coo.push(ro + i, co + j, v);
-            }
-        }
-        ro += m.nrows();
-        co += m.ncols();
-    }
-    coo.to_csr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,33 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn hstack_shapes_and_values() {
-        let s = hstack(&[&b(), &CsrMatrix::identity(2)]);
-        assert_eq!((s.nrows(), s.ncols()), (2, 4));
-        assert_eq!(s.get(0, 0), 3.0);
-        assert_eq!(s.get(1, 3), 1.0);
-    }
-
-    #[test]
-    fn block_diag_shapes_and_values() {
-        let s = block_diag(&[&a(), &b()]);
-        assert_eq!((s.nrows(), s.ncols()), (3, 4));
-        assert_eq!(s.get(0, 0), 1.0);
-        assert_eq!(s.get(1, 2), 3.0);
-        assert_eq!(s.get(2, 3), 4.0);
-        assert_eq!(s.get(0, 2), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "equal column counts")]
     fn vstack_mismatched_cols_panics() {
         let one = CsrMatrix::identity(1);
         vstack(&[&a(), &one]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal row counts")]
-    fn hstack_mismatched_rows_panics() {
-        hstack(&[&a(), &b()]);
     }
 }

@@ -25,35 +25,11 @@ pub struct TransposeCache {
 }
 
 impl TransposeCache {
-    /// Builds the transpose of `a` and the value map in one counting-sort
-    /// pass (`O(nnz + ncols)`).
+    /// Builds the transpose of `a` and the value map in the counting-sort
+    /// pass of [`CsrMatrix::transpose`].
     pub fn new(a: &CsrMatrix) -> Self {
-        let nnz = a.nnz();
-        let mut counts = vec![0usize; a.ncols() + 1];
-        for &j in a.indices() {
-            counts[j + 1] += 1;
-        }
-        for j in 0..a.ncols() {
-            counts[j + 1] += counts[j];
-        }
-        let mut indices = vec![0usize; nnz];
-        let mut data = vec![0.0; nnz];
-        let mut map = vec![0usize; nnz];
-        let mut next = counts.clone();
-        let indptr = a.indptr();
-        for i in 0..a.nrows() {
-            let (cols, vals) = a.row(i);
-            let row_start = indptr[i];
-            for (k, (&j, &v)) in cols.iter().zip(vals).enumerate() {
-                let dst = next[j];
-                indices[dst] = i;
-                data[dst] = v;
-                map[dst] = row_start + k;
-                next[j] += 1;
-            }
-        }
-        let at = CsrMatrix::from_raw_parts(a.ncols(), a.nrows(), counts, indices, data)
-            .expect("transpose of a valid CSR matrix is valid");
+        let mut map = vec![0usize; a.nnz()];
+        let at = a.transpose_recording(|dst, src| map[dst] = src);
         TransposeCache { at, map }
     }
 

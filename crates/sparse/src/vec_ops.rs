@@ -39,15 +39,6 @@ pub fn lincomb(a: f64, x: &[f64], b: f64, y: &mut [f64]) {
     }
 }
 
-/// `y += a*x`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    lincomb(a, x, 1.0, y);
-}
-
 /// `out = x - y`.
 ///
 /// # Panics
@@ -58,31 +49,6 @@ pub fn sub(x: &[f64], y: &[f64], out: &mut [f64]) {
     assert_eq!(x.len(), out.len(), "sub output length mismatch");
     for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
         *o = a - b;
-    }
-}
-
-/// Element-wise product `out = x ∘ y`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn ew_mul(x: &[f64], y: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "ew_mul length mismatch");
-    assert_eq!(x.len(), out.len(), "ew_mul output length mismatch");
-    for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
-        *o = a * b;
-    }
-}
-
-/// Element-wise reciprocal `out = 1 ./ x`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn ew_recip(x: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), out.len(), "ew_recip length mismatch");
-    for (o, &a) in out.iter_mut().zip(x) {
-        *o = 1.0 / a;
     }
 }
 
@@ -190,21 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 0.0];
-        axpy(0.5, &[2.0, 4.0], &mut y);
-        assert_eq!(y, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn sub_and_ew() {
+    fn sub_is_elementwise() {
         let mut out = vec![0.0; 2];
         sub(&[3.0, 1.0], &[1.0, 1.0], &mut out);
         assert_eq!(out, vec![2.0, 0.0]);
-        ew_mul(&[2.0, 3.0], &[4.0, 5.0], &mut out);
-        assert_eq!(out, vec![8.0, 15.0]);
-        ew_recip(&[2.0, 4.0], &mut out);
-        assert_eq!(out, vec![0.5, 0.25]);
     }
 
     #[test]

@@ -72,32 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn upper_plus_lower_reconstructs_symmetric(n in 1usize..10, ts in prop::collection::vec((0usize..10, 0usize..10, -5.0f64..5.0), 0..40)) {
-        // Build a symmetric matrix M = B + Bᵀ, take its upper triangle, and
-        // verify symm_spmv_upper equals the full product.
-        let ts: Vec<_> = ts.into_iter().filter(|&(i, j, _)| i < n && j < n).collect();
-        let b = CsrMatrix::from_triplets(n, n, ts);
-        let bt = b.transpose();
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            let (cols, vals) = b.row(i);
-            for (&j, &v) in cols.iter().zip(vals) { coo.push(i, j, v); }
-            let (cols, vals) = bt.row(i);
-            for (&j, &v) in cols.iter().zip(vals) { coo.push(i, j, v); }
-        }
-        let full = coo.to_csr();
-        let upper = full.upper_triangle().to_csc();
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        full.spmv(&x, &mut y1).unwrap();
-        upper.symm_spmv_upper(&x, &mut y2).unwrap();
-        for (a, bb) in y1.iter().zip(&y2) {
-            prop_assert!((a - bb).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn vec_ops_lincomb_is_linear(x in prop::collection::vec(-10.0f64..10.0, 1..20), a in -3.0f64..3.0) {
         let y0: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
         let mut y = y0.clone();

@@ -15,8 +15,7 @@ use rsqp::runtime::{JobBudget, JobSpec, RetryPolicy, ServiceConfig, SolveService
 use rsqp::solver::{Settings, Status};
 
 fn main() {
-    let service =
-        SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16, ..Default::default() });
+    let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 16 });
     println!("service up: {} workers\n", service.worker_count());
 
     // A healthy batch across three problem domains.

@@ -16,10 +16,13 @@
 //! thing: identical termination status, objectives matching to 1e-6, and
 //! final residuals within the termination tolerance. The two PCG thread
 //! counts must additionally agree **bit for bit** (the PR 3 determinism
-//! contract).
+//! contract). The infeasibility certificates are checked the same way:
+//! every path must detect them on the random infeasible and unbounded
+//! instances.
 
 use rsqp::arch::ArchConfig;
 use rsqp::core::fpga_solver;
+use rsqp::problems::random::{generate_primal_infeasible, generate_unbounded};
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
 
@@ -186,5 +189,41 @@ fn portfolio_pcg_reaches_tight_tolerance() {
         assert_eq!(r.status, Status::Solved, "{name} after {} iterations", r.iterations);
         let rel = (r.objective - direct.objective).abs() / direct.objective.abs();
         assert!(rel <= 1e-5, "{name}: objective {} vs LDLᵀ {}", r.objective, direct.objective);
+    }
+}
+
+/// Solves `problem` on LDLᵀ, CPU PCG and the machine with default
+/// tolerances and checks that each returns the `expected` certificate.
+fn certificate_on_every_backend(problem: &QpProblem, expected: Status) {
+    let default = |linsys| Settings { linsys, ..Default::default() };
+    let machine = fpga_solver(problem, default(LinSysKind::CpuPcg), ArchConfig::baseline(8));
+    for (backend, mut solver) in [
+        ("direct-ldlt", Solver::new(problem, default(LinSysKind::DirectLdlt)).unwrap()),
+        ("cpu-pcg", Solver::new(problem, default(LinSysKind::CpuPcg)).unwrap()),
+        ("machine", machine.unwrap().solver),
+    ] {
+        let r = solver.solve().unwrap();
+        assert_eq!(
+            r.status,
+            expected,
+            "{} via {backend}: got {:?} after {} iterations",
+            problem.name(),
+            r.status,
+            r.iterations
+        );
+    }
+}
+
+#[test]
+fn primal_infeasibility_is_certified_on_every_backend() {
+    for n in [3, 8, 15] {
+        certificate_on_every_backend(&generate_primal_infeasible(n, 1), Status::PrimalInfeasible);
+    }
+}
+
+#[test]
+fn dual_infeasibility_is_certified_on_every_backend() {
+    for n in [2, 5, 12] {
+        certificate_on_every_backend(&generate_unbounded(n, 1), Status::DualInfeasible);
     }
 }
