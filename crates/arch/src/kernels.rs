@@ -20,10 +20,18 @@
 //! ```
 //!
 //! with `D'⁻¹` in the `minv` register and `A_S`, `C⁻¹`, `A_Sᵀ` as three
-//! more resident matrices ([`DenseRowCorrection`]). It is built from the
-//! instructions of Table 1 alone — three `Duplicate`/`Spmv` pairs, an
-//! `EwMul` and a `Lincomb` — and without dense rows the kernel is the
-//! plain Jacobi program. PCG starts from whatever the `xtilde` register
+//! more resident matrices ([`DenseRowCorrection`]), or, when `A` has dense
+//! columns `D`, their block elimination (`rsqp_linsys::DenseColPrecond`):
+//!
+//! ```text
+//! d = G r + Hᵀ S⁻¹ H r
+//! ```
+//!
+//! with `G` in `minv` when it is diagonal and resident otherwise, and `H`,
+//! `S⁻¹`, `Hᵀ` resident ([`DenseColCorrection`]). Either is built from the
+//! instructions of Table 1 alone — `Duplicate`/`Spmv` pairs, an `EwMul` and
+//! a `Lincomb` — and without a correction the kernel is the plain Jacobi
+//! program. PCG starts from whatever the `xtilde` register
 //! holds — the host leaves the previous KKT solution there — while `x`
 //! only enters the right-hand side. Degenerate denominators (an exact warm
 //! start gives `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
@@ -77,10 +85,37 @@ pub struct DenseRowCorrection {
     pub a_st: MatrixId,
 }
 
+/// The resident matrices of the preconditioner's dense-column elimination:
+/// `G = K_RR⁻¹` (n×n) unless it is diagonal (then it is the `minv`
+/// register), `H = E_D − K_DR G` (k×n), `S⁻¹` (k×k) and `Hᵀ` (n×k). The
+/// host refreshes their values with [`Machine::update_matrix_values`]
+/// whenever ρ or the matrices change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseColCorrection {
+    /// `G`, when some block of `K_RR` has more than one variable.
+    pub g: Option<MatrixId>,
+    /// `H`.
+    pub h: MatrixId,
+    /// `S⁻¹`, every entry stored.
+    pub sinv: MatrixId,
+    /// `Hᵀ`.
+    pub ht: MatrixId,
+}
+
+/// The correction a PCG kernel's preconditioner applies beyond Jacobi.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Correction {
+    /// Woodbury correction for the dense rows of `A`.
+    Rows(DenseRowCorrection),
+    /// Block elimination of the dense columns of `A`.
+    Cols(DenseColCorrection),
+}
+
 /// Builds the PCG kernel on `machine` for matrices `p` (n×n), `a` (m×n) and
 /// `at` (n×m) already registered with the machine, preconditioned with
-/// `minv` alone or, given a `correction`, with its dense-row correction
-/// too. Without one the program is the plain Jacobi PCG.
+/// `minv` alone or, given a `correction`, with its dense-row correction or
+/// dense-column elimination. Without one the program is the plain Jacobi
+/// PCG.
 ///
 /// `max_iter` caps the hardware loop.
 ///
@@ -96,7 +131,7 @@ pub fn build_pcg(
     n: usize,
     m: usize,
     max_iter: usize,
-    correction: Option<DenseRowCorrection>,
+    correction: Option<Correction>,
 ) -> PcgKernel {
     // Vector registers.
     let x = machine.alloc_vec(n);
@@ -133,23 +168,43 @@ pub fn build_pcg(
     let thr = machine.alloc_scalar();
     let eps2 = machine.alloc_scalar();
     let guard = machine.alloc_scalar();
-    // The correction's k-length intermediates `s = A_S d` and `t = C⁻¹ s`;
-    // `A_Sᵀ t` goes through `px`, which is free outside K·v.
+    // The correction's k-length intermediates `s` and `t` (`A_S d` and
+    // `C⁻¹ s`, or `H r` and `S⁻¹ s`); the k-to-n product goes through
+    // `px`, which is free outside K·v.
     let correction = correction.map(|c| {
-        let k = machine.matrix(c.a_s).nrows();
+        let k = match c {
+            Correction::Rows(c) => machine.matrix(c.a_s).nrows(),
+            Correction::Cols(c) => machine.matrix(c.h).nrows(),
+        };
         (c, machine.alloc_vec(k), machine.alloc_vec(k))
     });
-    let precondition = |pb: &mut ProgramBuilder| {
-        pb.push(Instr::EwMul { dst: d, a: minv, b: r });
-        if let Some((c, s, t)) = correction {
-            pb.push(Instr::Duplicate { vec: d, matrix: c.a_s });
-            pb.push(Instr::Spmv { matrix: c.a_s, input: d, output: s });
-            pb.push(Instr::Duplicate { vec: s, matrix: c.cinv });
-            pb.push(Instr::Spmv { matrix: c.cinv, input: s, output: t });
-            pb.push(Instr::Duplicate { vec: t, matrix: c.a_st });
-            pb.push(Instr::Spmv { matrix: c.a_st, input: t, output: px });
+    let spmv = |pb: &mut ProgramBuilder, matrix: MatrixId, input: VecId, output: VecId| {
+        pb.push(Instr::Duplicate { vec: input, matrix });
+        pb.push(Instr::Spmv { matrix, input, output });
+    };
+    let precondition = |pb: &mut ProgramBuilder| match correction {
+        None => {
+            pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+        }
+        Some((Correction::Rows(c), s, t)) => {
+            pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+            spmv(pb, c.a_s, d, s);
+            spmv(pb, c.cinv, s, t);
+            spmv(pb, c.a_st, t, px);
             pb.push(Instr::EwMul { dst: px, a: minv, b: px });
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
+        }
+        Some((Correction::Cols(c), s, t)) => {
+            match c.g {
+                Some(g) => spmv(pb, g, r, d),
+                None => {
+                    pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+                }
+            }
+            spmv(pb, c.h, r, s);
+            spmv(pb, c.sinv, s, t);
+            spmv(pb, c.ht, t, px);
+            pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: one, b: px });
         }
     };
 
@@ -380,11 +435,11 @@ mod tests {
         let mut machine = Machine::new(ArchConfig::baseline(8));
         let (p, a, at) =
             (machine.add_matrix(pm), machine.add_matrix(am), machine.add_matrix(&am.transpose()));
-        let correction = DenseRowCorrection {
+        let correction = Correction::Rows(DenseRowCorrection {
             a_s: machine.add_matrix(pre.a_s()),
             cinv: machine.add_matrix(pre.cinv()),
             a_st: machine.add_matrix(&pre.a_s().transpose()),
-        };
+        });
         let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
         let wave = |len: usize, phase: f64| -> Vec<f64> {
             (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
@@ -411,6 +466,87 @@ mod tests {
         rsqp_linsys::Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
         for (got, want) in machine.read_vec(k.xtilde).iter().zip(&rhs[..n]) {
             assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn dense_column_elimination_solves_from_zero_at_once() {
+        // K_RR is block-diagonal on an SVM (1×1 blocks: G is the `minv`
+        // register) and on a Huber fit (3×3 blocks: G is resident), so the
+        // elimination is K⁻¹ itself.
+        for (domain, size) in [(rsqp_problems::Domain::Svm, 21), (rsqp_problems::Domain::Huber, 19)]
+        {
+            let qp = rsqp_problems::generate(domain, size, 1);
+            let (pm, am, sigma) = (qp.p(), qp.a(), 1e-6);
+            let (n, m) = (pm.nrows(), am.nrows());
+            let rho: Vec<f64> =
+                qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
+            let pre = rsqp_linsys::DenseColPrecond::new(pm, am, sigma, &rho).unwrap();
+            assert!(pre.is_active());
+            let k = pre.rank();
+            let mut sinv = vec![0.0; k * k];
+            pre.write_s_inverse(&mut sinv);
+            let sinv = CsrMatrix::from_raw_parts(
+                k,
+                k,
+                (0..=k).map(|i| i * k).collect(),
+                (0..k * k).map(|e| e % k).collect(),
+                sinv,
+            )
+            .unwrap();
+            let mut machine = Machine::new(ArchConfig::baseline(8));
+            let (p, a, at) = (
+                machine.add_matrix(pm),
+                machine.add_matrix(am),
+                machine.add_matrix(&am.transpose()),
+            );
+            let correction = Correction::Cols(DenseColCorrection {
+                g: pre.g().map(|g| machine.add_matrix(g)),
+                h: machine.add_matrix(&pre.ht().transpose()),
+                sinv: machine.add_matrix(&sinv),
+                ht: machine.add_matrix(pre.ht()),
+            });
+            assert_eq!(pre.g().is_some(), domain == rsqp_problems::Domain::Huber);
+            let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
+            let wave = |len: usize, phase: f64| -> Vec<f64> {
+                (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+            };
+            let (xv, zv, yv, qv) = (wave(n, 0.0), wave(m, 1.0), wave(m, 2.0), wave(n, 3.0));
+            machine.write_vec(k.x, &xv);
+            machine.write_vec(k.z, &zv);
+            machine.write_vec(k.y, &yv);
+            machine.write_vec(k.q, &qv);
+            machine.write_vec(k.rho_vec, &rho);
+            machine.write_vec(k.minv, pre.inv_diag());
+            machine.write_scalar(k.sigma, sigma);
+            machine.write_scalar(k.eps, 1e-12);
+            machine.write_scalar(k.eps_abs_sq, 1e-28);
+            let run = machine.run(&k.program).unwrap();
+            assert!(run.loop_trips <= 2, "{domain}: {} trips", run.loop_trips);
+
+            // The residual of K x = b, evaluated on the CPU.
+            let mut b: Vec<f64> = (0..n).map(|j| sigma * xv[j] - qv[j]).collect();
+            let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
+            am.transpose().spmv_acc(1.0, &w, &mut b).unwrap();
+            let x = machine.read_vec(k.xtilde).to_vec();
+            let mut ax = vec![0.0; m];
+            am.spmv(&x, &mut ax).unwrap();
+            ax.iter_mut().zip(&rho).for_each(|(v, r)| *v *= r);
+            let mut kx: Vec<f64> = x.iter().map(|v| sigma * v).collect();
+            pm.spmv_acc(1.0, &x, &mut kx).unwrap();
+            am.transpose().spmv_acc(1.0, &ax, &mut kx).unwrap();
+            let norm = |v: &[f64]| v.iter().map(|e| e * e).sum::<f64>().sqrt();
+            let r: Vec<f64> = kx.iter().zip(&b).map(|(a, c)| a - c).collect();
+            assert!(norm(&r) <= 1e-12 * norm(&b), "{domain}: residual {:e}", norm(&r) / norm(&b));
+            // LDLᵀ of the full KKT system agrees to its own accuracy (its
+            // relative residual on the Huber fit is about 1e-6).
+            let mut rhs = b.clone();
+            rhs.resize(n + m, 0.0);
+            let kkt = rsqp_linsys::KktMatrix::assemble(pm, am, sigma, &rho).unwrap();
+            rsqp_linsys::Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
+            for (got, want) in x.iter().zip(&rhs[..n]) {
+                assert!((got - want).abs() < 1e-5, "{domain}: {got} vs {want}");
+            }
         }
     }
 

@@ -9,39 +9,133 @@
 //! the solver's warm start into the kernel's `xtilde` register and reads the
 //! solution back from it, so the machine and the CPU PCG start alike.
 //!
-//! The preconditioner is the CPU PCG's own [`DenseRowPrecond`]: the host
-//! computes `D'⁻¹`, `A_S` and `C⁻¹` and uploads them, and the kernel applies
-//! the same operator on the machine.
+//! The preconditioner is the CPU PCG's own [`KktPrecond`]: the host
+//! computes `D'⁻¹`, `A_S` and `C⁻¹` (dense rows) or `G`, `Hᵀ` and the
+//! factor of `S` (dense columns), uploads them — with the explicit `S⁻¹`,
+//! which only the machine needs — and the kernel applies the same operator
+//! on the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, DenseRowCorrection, PcgKernel};
+use rsqp_arch::kernels::{
+    admm_outer_cycles, build_pcg, Correction, DenseColCorrection, DenseRowCorrection, PcgKernel,
+};
 use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, RunStats};
-use rsqp_linsys::DenseRowPrecond;
+use rsqp_linsys::KktPrecond;
 use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
 
-/// Registers `P`, `A`, `Aᵀ` and, when `precond` has dense rows, the
-/// correction's `A_S`, `C⁻¹` and `A_Sᵀ` (`a_st`) on `machine`, and builds
-/// the PCG kernel over them — the program [`FpgaPcgBackend`] runs and the
-/// bundle writer emits.
+/// The host-side copies of the preconditioner correction's matrices that
+/// only the machine needs: the transposed `A_Sᵀ` (dense rows), or `H` and
+/// the explicit `S⁻¹` (dense columns).
+#[derive(Debug, Clone)]
+pub(crate) enum HostCorrection {
+    /// `A_Sᵀ`, refreshed from `A_S`.
+    Rows { a_st: TransposeCache },
+    /// `H`, refreshed from `Hᵀ`, and `S⁻¹` from the factor of `S`.
+    Cols { h: TransposeCache, sinv: CsrMatrix },
+}
+
+impl HostCorrection {
+    /// The copies for `precond`, or `None` when it has no correction.
+    pub(crate) fn new(precond: &KktPrecond) -> Option<Self> {
+        let mut host = match precond {
+            KktPrecond::Rows(pre) if pre.rank() > 0 => {
+                HostCorrection::Rows { a_st: TransposeCache::new(pre.a_s()) }
+            }
+            KktPrecond::Rows(_) => return None,
+            KktPrecond::Cols(pre) => {
+                let k = pre.rank();
+                let sinv = CsrMatrix::from_raw_parts(
+                    k,
+                    k,
+                    (0..=k).map(|i| i * k).collect(),
+                    (0..k * k).map(|e| e % k).collect(),
+                    vec![0.0; k * k],
+                )
+                .expect("a full pattern is a valid CSR matrix");
+                HostCorrection::Cols { h: TransposeCache::new(pre.ht()), sinv }
+            }
+        };
+        host.refresh(precond);
+        Some(host)
+    }
+
+    /// Recomputes the copies from `precond`'s current values.
+    fn refresh(&mut self, precond: &KktPrecond) {
+        match (self, precond) {
+            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre)) => {
+                a_st.refresh_values(pre.a_s()).expect("A_S keeps its shape");
+            }
+            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre)) => {
+                h.refresh_values(pre.ht()).expect("Hᵀ keeps its shape");
+                pre.write_s_inverse(sinv.data_mut());
+            }
+            _ => unreachable!("the correction kind is fixed at construction"),
+        }
+    }
+
+    /// Registers the correction's matrices on `machine`.
+    fn load(&self, machine: &mut Machine, precond: &KktPrecond) -> Correction {
+        match (self, precond) {
+            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre)) => {
+                Correction::Rows(DenseRowCorrection {
+                    a_s: machine.add_matrix(pre.a_s()),
+                    cinv: machine.add_matrix(pre.cinv()),
+                    a_st: machine.add_matrix(a_st.matrix()),
+                })
+            }
+            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre)) => {
+                Correction::Cols(DenseColCorrection {
+                    g: pre.g().map(|g| machine.add_matrix(g)),
+                    h: machine.add_matrix(h.matrix()),
+                    sinv: machine.add_matrix(sinv),
+                    ht: machine.add_matrix(pre.ht()),
+                })
+            }
+            _ => unreachable!("the correction kind is fixed at construction"),
+        }
+    }
+
+    /// Refreshes the copies from `precond` and uploads every matrix of the
+    /// correction in place.
+    fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond, on_device: Correction) {
+        self.refresh(precond);
+        match (&*self, precond, on_device) {
+            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre), Correction::Rows(c)) => {
+                machine.update_matrix_values(c.a_s, pre.a_s());
+                machine.update_matrix_values(c.cinv, pre.cinv());
+                machine.update_matrix_values(c.a_st, a_st.matrix());
+            }
+            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre), Correction::Cols(c)) => {
+                if let (Some(id), Some(g)) = (c.g, pre.g()) {
+                    machine.update_matrix_values(id, g);
+                }
+                machine.update_matrix_values(c.h, h.matrix());
+                machine.update_matrix_values(c.sinv, sinv);
+                machine.update_matrix_values(c.ht, pre.ht());
+            }
+            _ => unreachable!("the correction kind is fixed at construction"),
+        }
+    }
+}
+
+/// Registers `P`, `A`, `Aᵀ` and the matrices of `precond`'s correction
+/// (given its `host` copies) on `machine`, and builds the PCG kernel over
+/// them — the program [`FpgaPcgBackend`] runs and the bundle writer emits.
 pub(crate) fn load_pcg(
     machine: &mut Machine,
     p: &CsrMatrix,
     a: &CsrMatrix,
     at: &CsrMatrix,
-    precond: &DenseRowPrecond,
-    a_st: &CsrMatrix,
+    precond: &KktPrecond,
+    host: Option<&HostCorrection>,
     max_iter: usize,
-) -> (PcgKernel, [MatrixId; 3], Option<DenseRowCorrection>) {
+) -> (PcgKernel, [MatrixId; 3], Option<Correction>) {
     let ids = [machine.add_matrix(p), machine.add_matrix(a), machine.add_matrix(at)];
-    let correction = (precond.rank() > 0).then(|| DenseRowCorrection {
-        a_s: machine.add_matrix(precond.a_s()),
-        cinv: machine.add_matrix(precond.cinv()),
-        a_st: machine.add_matrix(a_st),
-    });
+    let correction = host.map(|h| h.load(machine, precond));
     let [pid, aid, atid] = ids;
     let kernel = build_pcg(machine, pid, aid, atid, p.nrows(), a.nrows(), max_iter, correction);
     (kernel, ids, correction)
@@ -53,22 +147,22 @@ pub struct FpgaPcgBackend {
     kernel: PcgKernel,
     /// `P`, `A` and `Aᵀ` on the machine.
     matrix_ids: [MatrixId; 3],
-    /// The preconditioner's dense-row matrices on the machine, if any.
-    correction: Option<DenseRowCorrection>,
+    /// The preconditioner's correction matrices on the machine, if any.
+    correction: Option<Correction>,
     /// `Aᵀ` as uploaded, refreshed from `A`'s values on every update.
     at: TransposeCache,
     /// Host-side preconditioner, refreshed and re-uploaded on every update.
-    precond: DenseRowPrecond,
-    /// `A_Sᵀ` as uploaded, refreshed from `A_S`'s values on every update.
-    a_st: TransposeCache,
+    precond: KktPrecond,
+    /// The correction's matrices only the machine needs, as uploaded.
+    host: Option<HostCorrection>,
     rho: Vec<f64>,
     sigma: f64,
     eps: f64,
     stats: BackendStats,
     /// SpMVs in the kernel outside and inside its loop: `Aᵀ` for the
-    /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and, with dense rows, the
-    /// preconditioner (`A_S`, `C⁻¹`, `A_Sᵀ`) before the loop and in it, and
-    /// `A` for z̃.
+    /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the preconditioner's
+    /// correction (`A_S`, `C⁻¹`, `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` and a
+    /// non-diagonal `G`) before the loop and in it, and `A` for z̃.
     spmvs: (usize, usize),
     outer_cycles_per_iter: u64,
 }
@@ -99,12 +193,12 @@ impl FpgaPcgBackend {
         let n = p.nrows();
         let m = a.nrows();
         let at = TransposeCache::new(a);
-        let precond = DenseRowPrecond::new(p, a, at.matrix(), sigma, rho);
-        let a_st = TransposeCache::new(precond.a_s());
+        let precond = KktPrecond::new(p, a, at.matrix(), sigma, rho);
+        let host = HostCorrection::new(&precond);
         let outer_cycles_per_iter = admm_outer_cycles(&config, n, m);
         let mut machine = Machine::new(config);
         let (kernel, matrix_ids, correction) =
-            load_pcg(&mut machine, p, a, at.matrix(), &precond, a_st.matrix(), cg_max_iter.max(1));
+            load_pcg(&mut machine, p, a, at.matrix(), &precond, host.as_ref(), cg_max_iter.max(1));
         let is_spmv = |i: &&Instr| matches!(i, Instr::Spmv { .. });
         let (start, end) = kernel.program.loop_bounds().expect("the PCG kernel has a loop");
         let instrs = kernel.program.instrs();
@@ -117,7 +211,7 @@ impl FpgaPcgBackend {
             correction,
             at,
             precond,
-            a_st,
+            host,
             rho: rho.to_vec(),
             sigma,
             eps: cg_eps,
@@ -158,11 +252,8 @@ impl FpgaPcgBackend {
     fn upload_device_constants(&mut self) {
         let mut machine = self.machine.borrow_mut();
         machine.write_vec(self.kernel.minv, self.precond.inv_diag());
-        if let Some(c) = self.correction {
-            self.a_st.refresh_values(self.precond.a_s()).expect("A_S keeps its shape");
-            machine.update_matrix_values(c.a_s, self.precond.a_s());
-            machine.update_matrix_values(c.cinv, self.precond.cinv());
-            machine.update_matrix_values(c.a_st, self.a_st.matrix());
+        if let (Some(host), Some(c)) = (&mut self.host, self.correction) {
+            host.upload(&mut machine, &self.precond, c);
         }
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
@@ -318,32 +409,67 @@ mod tests {
 
     #[test]
     fn updated_backend_solves_like_a_fresh_one() {
-        let (q1, q2) = (generate(Domain::Portfolio, 1, 1), generate(Domain::Portfolio, 1, 2));
-        let (n, m) = (q1.num_vars(), q1.num_constraints());
-        assert_ne!(q1.a().data(), q2.a().data());
-        let mut updated = backend(q1.p(), q1.a());
-        let _ = solve(&mut updated, n, m);
-        updated.update_matrices(q2.p(), q2.a(), &vec![0.1; m]).unwrap();
-        let mut fresh = backend(q2.p(), q2.a());
-        assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m));
-        // A ρ update re-uploads D'⁻¹ and the dense-row correction.
-        assert!(updated.correction.is_some());
-        updated.update_rho(&vec![0.7; m]).unwrap();
-        let mut fresh = backend_at(q2.p(), q2.a(), 0.7);
-        assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m));
+        // The portfolio carries the dense-row correction, the Huber fit the
+        // dense-column elimination with a resident G.
+        for (domain, size) in [(Domain::Portfolio, 1), (Domain::Huber, 19)] {
+            let (q1, q2) = (generate(domain, size, 1), generate(domain, size, 2));
+            let (n, m) = (q1.num_vars(), q1.num_constraints());
+            assert_ne!(q1.a().data(), q2.a().data());
+            let mut updated = backend(q1.p(), q1.a());
+            let _ = solve(&mut updated, n, m);
+            updated.update_matrices(q2.p(), q2.a(), &vec![0.1; m]).unwrap();
+            let mut fresh = backend(q2.p(), q2.a());
+            assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m), "{domain}");
+            // A ρ update re-uploads the diagonal and the correction.
+            assert!(updated.correction.is_some());
+            updated.update_rho(&vec![0.7; m]).unwrap();
+            let mut fresh = backend_at(q2.p(), q2.a(), 0.7);
+            assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m), "{domain}");
+        }
     }
 
     #[test]
     fn spmv_evals_count_every_kernel_spmv() {
-        // K·v, and with dense rows the preconditioner's three SpMVs, run
-        // before the loop and on each of its trips + 1 passes; Aᵀ for the
-        // right-hand side and A for z̃ run once.
-        for (domain, size, per_pass) in [(Domain::Control, 2, 3), (Domain::Portfolio, 1, 6)] {
+        // K·v and the preconditioner's correction — A_S, C⁻¹ and A_Sᵀ with
+        // dense rows; H, S⁻¹, Hᵀ and a non-diagonal G with dense columns —
+        // run before the loop and on each of its trips + 1 passes; Aᵀ for
+        // the right-hand side and A for z̃ run once.
+        for (domain, size, per_pass) in [
+            (Domain::Control, 2, 3),
+            (Domain::Portfolio, 1, 6),
+            (Domain::Svm, 21, 6),
+            (Domain::Huber, 19, 7),
+        ] {
             let qp = generate(domain, size, 1);
             let mut b = backend(qp.p(), qp.a());
             let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
             let stats = b.stats();
             assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 2) + 2, "{domain}");
+        }
+    }
+
+    #[test]
+    fn cpu_spmv_evals_count_the_preconditioner_products() {
+        // CPU PCG converging after `it` iterations runs K·v it + 1 times
+        // and the preconditioner it times, plus Aᵀ for the right-hand side
+        // and A for z̃.
+        for (domain, size, products) in [
+            (Domain::Control, 2, 0),
+            (Domain::Portfolio, 1, 3),
+            (Domain::Svm, 21, 3),
+            (Domain::Huber, 19, 4),
+        ] {
+            let qp = generate(domain, size, 1);
+            let (n, m) = (qp.num_vars(), qp.num_constraints());
+            let mut b =
+                rsqp_solver::CpuPcgBackend::new(qp.p(), qp.a(), 1e-6, &vec![0.1; m], 1e-7, 200);
+            let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
+            let q: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            b.solve_kkt(&vec![0.0; n], &vec![0.0; m], &vec![0.0; m], &q, &mut xt, &mut zt).unwrap();
+            let stats = b.stats();
+            let it = stats.cg_iterations;
+            assert!(it > 0, "{domain}");
+            assert_eq!(stats.spmv_evals, 3 * (it + 1) + products * it + 2, "{domain}");
         }
     }
 

@@ -19,10 +19,10 @@ use std::io::Write;
 use std::path::Path;
 
 use rsqp_arch::{codegen, rom, Machine, ResourceModel};
-use rsqp_linsys::DenseRowPrecond;
+use rsqp_linsys::KktPrecond;
 use rsqp_solver::QpProblem;
 
-use crate::backend::load_pcg;
+use crate::backend::{load_pcg, HostCorrection};
 use crate::CustomizationResult;
 
 /// Writes the full hardware-generation bundle for a problem under the
@@ -76,13 +76,14 @@ pub fn write_bundle(
     files += 1;
 
     // The PCG kernel and the machine it runs on. The preconditioner's
-    // dense-row set, and so the kernel, depend on A's pattern only.
+    // correction, and so the kernel, depend on the patterns of P and A
+    // only.
     let (p, a) = (problem.p(), problem.a());
     let at = a.transpose();
-    let precond = DenseRowPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
-    let a_st = precond.a_s().transpose();
+    let precond = KktPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
+    let host = HostCorrection::new(&precond);
     let mut machine = Machine::new(result.config.clone());
-    let (kernel, ids, _) = load_pcg(&mut machine, p, a, &at, &precond, &a_st, 2000);
+    let (kernel, ids, _) = load_pcg(&mut machine, p, a, &at, &precond, host.as_ref(), 2000);
 
     // CVB translation tables: the layouts the kernel runs on.
     for (name, id) in ["P", "A", "At"].into_iter().zip(ids) {

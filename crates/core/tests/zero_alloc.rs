@@ -3,8 +3,9 @@
 //! heap zero times, and an ADMM solve whose KKT systems run on the machine
 //! allocates as often at 220 iterations as at 20 — also on a portfolio,
 //! whose dense rows put the preconditioner's Woodbury correction into the
-//! kernel — and a manual ρ update, which re-uploads that correction, does
-//! not allocate.
+//! kernel, and on an SVM, a lasso and a Huber fit, whose dense columns put
+//! its block elimination there — and neither a manual ρ update nor a
+//! matrix update, which re-upload the correction, allocates.
 //!
 //! Strategy: a per-thread counting global allocator tallies allocation
 //! calls and bytes, so tests running in parallel do not count each other.
@@ -14,9 +15,10 @@ use std::cell::Cell;
 
 use rsqp_arch::kernels::build_pcg;
 use rsqp_arch::{ArchConfig, Machine};
-use rsqp_core::{customize, fpga_solver};
+use rsqp_core::{customize, fpga_solver, FpgaPcgBackend};
 use rsqp_problems::{generate, Domain};
-use rsqp_solver::{CgTolerance, QpProblem, Settings, Solver, Status};
+use rsqp_solver::{CgTolerance, KktBackend, QpProblem, Settings, Solver, Status};
+use rsqp_sparse::CsrMatrix;
 
 struct CountingAlloc;
 
@@ -117,7 +119,7 @@ fn problem() -> QpProblem {
         a_rows[n][i] = 1.0;
         a_rows[n + 1][i] = if i % 2 == 0 { 1.0 } else { -1.0 };
     }
-    let p = rsqp_sparse::CsrMatrix::from_dense(&p_rows);
+    let p = CsrMatrix::from_dense(&p_rows);
     let a = rsqp_sparse::CsrMatrix::from_dense(&a_rows);
     let q: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).sin()).collect();
     QpProblem::new(p, q, a, vec![-1.0; n + 2], vec![1.0; n + 2]).unwrap()
@@ -167,7 +169,8 @@ fn fpga_backed_admm_steady_state_is_allocation_free() {
     // preconditioner ends most solves after the loop's first pass.
     let mut box_qp = baseline_solver(&problem(), churn_settings(20));
     assert!(box_qp.solve().unwrap().backend.cg_iterations > 0, "the machine must run PCG");
-    for prob in [problem(), generate(Domain::Portfolio, 2, 1)] {
+    let problems = [problem(), generate(Domain::Portfolio, 2, 1)];
+    for prob in problems.into_iter().chain(dense_column_problems()) {
         let _ = fpga_solve_allocs(&prob, 5);
         let (short, short_rho) = fpga_solve_allocs(&prob, 20);
         let (long, long_rho) = fpga_solve_allocs(&prob, 220);
@@ -182,14 +185,54 @@ fn fpga_backed_admm_steady_state_is_allocation_free() {
     }
 }
 
+/// The smallest SVM, lasso and Huber instances whose dense feature
+/// columns the preconditioner eliminates.
+fn dense_column_problems() -> [QpProblem; 3] {
+    [generate(Domain::Svm, 21, 1), generate(Domain::Lasso, 14, 1), generate(Domain::Huber, 19, 1)]
+}
+
 #[test]
 fn fpga_manual_rho_update_is_allocation_free() {
-    let prob = generate(Domain::Portfolio, 2, 1);
-    let mut solver = baseline_solver(&prob, churn_settings(20));
-    let _ = solver.solve().unwrap();
-    let before = allocs();
-    solver.update_rho(0.37).unwrap();
-    solver.update_rho(1.93).unwrap();
-    let (calls, bytes) = since(before);
-    assert_eq!((calls, bytes), (0, 0), "update_rho allocated {calls} times ({bytes} bytes)");
+    for prob in std::iter::once(generate(Domain::Portfolio, 2, 1)).chain(dense_column_problems()) {
+        let mut solver = baseline_solver(&prob, churn_settings(20));
+        let _ = solver.solve().unwrap();
+        let before = allocs();
+        solver.update_rho(0.37).unwrap();
+        solver.update_rho(1.93).unwrap();
+        let (calls, bytes) = since(before);
+        assert_eq!(
+            (calls, bytes),
+            (0, 0),
+            "{}: update_rho allocated {calls} times ({bytes} bytes)",
+            prob.name()
+        );
+    }
+}
+
+#[test]
+fn fpga_matrix_update_is_allocation_free() {
+    // New values for P and A (same patterns) are uploaded in place, with
+    // Aᵀ and the preconditioner's matrices refreshed on the host.
+    for prob in std::iter::once(generate(Domain::Portfolio, 2, 1)).chain(dense_column_problems()) {
+        let (p, a) = (prob.p(), prob.a());
+        let rho = vec![0.1; a.nrows()];
+        let config = ArchConfig::baseline(8);
+        let (mut backend, _) = FpgaPcgBackend::new(p, a, 1e-6, &rho, config, 1e-10, 100);
+        let scaled: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
+            .iter()
+            .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
+            .collect();
+        backend.update_matrices(&scaled[0].0, &scaled[0].1, &rho).unwrap();
+        let before = allocs();
+        for (p2, a2) in &scaled[1..] {
+            backend.update_matrices(p2, a2, &rho).unwrap();
+        }
+        let (calls, bytes) = since(before);
+        assert_eq!(
+            (calls, bytes),
+            (0, 0),
+            "{}: update_matrices allocated {calls} times ({bytes} bytes)",
+            prob.name()
+        );
+    }
 }

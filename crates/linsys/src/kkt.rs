@@ -9,7 +9,7 @@
 //!   `x ↦ (P + σI + Aᵀ diag(ρ) A) x` of Eq. (3), which is what PCG and the
 //!   FPGA datapath evaluate. Following §2.2, `AᵀA` is never formed: the
 //!   product is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`. Its
-//!   preconditioner is the [`DenseRowPrecond`] of the same matrices.
+//!   preconditioner is the [`KktPrecond`] of the same matrices.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use rsqp_par::ThreadPool;
 use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, RowPartition, TransposeCache};
 
 use crate::pcg::LinearOperator;
-use crate::precond::DenseRowPrecond;
+use crate::precond::KktPrecond;
 use crate::LinsysError;
 
 /// The explicit upper-triangular KKT matrix of Eq. (2).
@@ -155,8 +155,9 @@ impl KktMatrix {
 /// nnz-balanced [`RowPartition`]s — bit-identical for every pool size.
 ///
 /// PCG is preconditioned with Jacobi plus the Woodbury correction for the
-/// dense rows of `A` ([`DenseRowPrecond`]), built once with the operator
-/// and refreshed in place with every ρ or value update.
+/// dense rows of `A`, or with the block elimination of its dense columns
+/// ([`KktPrecond`]), built once with the operator and refreshed in place
+/// with every ρ or value update.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
     p: Arc<CsrMatrix>,
@@ -165,7 +166,7 @@ pub struct ReducedKktOp {
     sigma: f64,
     rho: Vec<f64>,
     /// The preconditioner for the current matrices and ρ.
-    precond: DenseRowPrecond,
+    precond: KktPrecond,
     tmp_m: Vec<f64>,
     pool: Arc<ThreadPool>,
     p_part: RowPartition,
@@ -229,7 +230,7 @@ impl ReducedKktOp {
         let p_part = RowPartition::balanced(&p, chunks);
         let a_part = RowPartition::balanced(&a, chunks);
         let at_part = RowPartition::balanced(at.matrix(), chunks);
-        let precond = DenseRowPrecond::new(&p, &a, at.matrix(), sigma, rho);
+        let precond = KktPrecond::new(&p, &a, at.matrix(), sigma, rho);
         Ok(ReducedKktOp {
             p,
             a,
@@ -294,15 +295,21 @@ impl ReducedKktOp {
         }
         self.check_rho_len(rho)?;
         self.rho.copy_from_slice(rho);
-        self.p = Arc::new(p.clone());
-        self.a = Arc::new(a.clone());
+        // In place while the operator owns its copies, so an update does
+        // not allocate.
+        for (own, new) in [(&mut self.p, p), (&mut self.a, a)] {
+            match Arc::get_mut(own) {
+                Some(own) => own.data_mut().copy_from_slice(new.data()),
+                None => *own = Arc::new(new.clone()),
+            }
+        }
         self.at.refresh_values(&self.a)?;
         self.precond.refresh(&self.p, &self.a, self.at.matrix(), &self.rho);
         Ok(())
     }
 
     /// The preconditioner for the current matrices and ρ.
-    pub fn preconditioner(&self) -> &DenseRowPrecond {
+    pub fn preconditioner(&self) -> &KktPrecond {
         &self.precond
     }
 
@@ -342,9 +349,11 @@ impl ReducedKktOp {
 
     /// Number of SpMV evaluations performed so far, used by the performance
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
-    /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and three per
-    /// `precondition` while the dense-row correction is on (`A_S`, `C⁻¹`,
-    /// `A_Sᵀ`).
+    /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and per `precondition`
+    /// the [`KktPrecond::products`] of the correction: three while the
+    /// dense-row correction is on (`A_S`, `C⁻¹`, `A_Sᵀ`), three or four
+    /// while the dense-column elimination is (`H`, `S⁻¹`, `Hᵀ`, and `G`
+    /// when it is not diagonal).
     pub fn spmv_count(&self) -> usize {
         self.spmv_count
     }
@@ -373,16 +382,15 @@ impl LinearOperator for ReducedKktOp {
 
     fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
         self.precond.apply(r, d);
-        if self.precond.is_active() {
-            self.spmv_count += 3;
-        }
+        self.spmv_count += self.precond.products();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ldlt;
+    use crate::{DenseColPrecond, DenseRowPrecond, Ldlt};
+    use rsqp_solver::QpProblem;
 
     fn small_problem() -> (CsrMatrix, CsrMatrix) {
         let p = CsrMatrix::from_dense(&[vec![4.0, 1.0], vec![1.0, 2.0]]);
@@ -483,13 +491,29 @@ mod tests {
         qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 1e3 * rho } else { rho }).collect()
     }
 
+    /// The dense-row (or plain Jacobi) preconditioner of `op`.
+    fn rows(op: &ReducedKktOp) -> &DenseRowPrecond {
+        match op.preconditioner() {
+            KktPrecond::Rows(pre) => pre,
+            KktPrecond::Cols(_) => panic!("expected the dense-row preconditioner"),
+        }
+    }
+
+    /// The dense-column preconditioner of `op`.
+    fn cols(op: &ReducedKktOp) -> &DenseColPrecond {
+        match op.preconditioner() {
+            KktPrecond::Cols(pre) => pre,
+            KktPrecond::Rows(_) => panic!("expected the dense-column preconditioner"),
+        }
+    }
+
     #[test]
     fn jacobi_diag_matches_dense_diagonal() {
         let (p, a) = small_problem();
         let rho = vec![0.1, 0.2, 0.4];
         let sigma = 0.01;
         let op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-        assert_eq!(op.preconditioner().rank(), 0);
+        assert_eq!(rows(&op).rank(), 0);
         let d = op.preconditioner().inv_diag();
         assert!((1.0 / d[0] - (4.0 + sigma + 0.1 + 0.4)).abs() < 1e-12);
         assert!((1.0 / d[1] - (2.0 + sigma + 0.2 + 0.4)).abs() < 1e-12);
@@ -497,21 +521,64 @@ mod tests {
 
     #[test]
     fn without_dense_rows_precondition_is_bitwise_jacobi() {
-        let qp = rsqp_problems::generate(rsqp_problems::Domain::Control, 4, 1);
-        let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
-        let rho = solver_rho(&qp, 0.1);
-        let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
-        assert_eq!(op.preconditioner().rank(), 0, "control has no dense rows");
-        let r: Vec<f64> = (0..p.nrows()).map(|i| (i as f64 * 0.61).sin()).collect();
-        let mut d = vec![0.0; r.len()];
-        op.precondition(&r, &mut d);
-        let want: Vec<u64> = r
-            .iter()
-            .zip(jacobi(p, a, sigma, &rho))
-            .map(|(ri, j)| (ri * (1.0 / j)).to_bits())
+        // The small suite but its portfolios (their factor and budget rows
+        // are dense), the benchmark's control and eqqp instances, and an
+        // SVM with too few dense feature columns: K_RR couples more than
+        // 8 variables, so the column elimination falls back.
+        let mut problems: Vec<_> = rsqp_problems::small_suite(1)
+            .into_iter()
+            .filter(|bp| bp.domain != rsqp_problems::Domain::Portfolio)
+            .map(|bp| bp.problem)
             .collect();
-        assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
-        assert_eq!(op.spmv_count(), 0, "plain Jacobi runs no SpMV");
+        problems.extend([
+            rsqp_problems::generate(rsqp_problems::Domain::Control, 60, 1),
+            rsqp_problems::generate(rsqp_problems::Domain::Eqqp, 400, 1),
+            rsqp_problems::generate(rsqp_problems::Domain::Svm, 14, 1),
+        ]);
+        for qp in &problems {
+            let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
+            let rho = solver_rho(qp, 0.1);
+            let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
+            assert_eq!(rows(&op).rank(), 0, "{} has no dense rows", qp.name());
+            let r: Vec<f64> = (0..p.nrows()).map(|i| (i as f64 * 0.61).sin()).collect();
+            let mut d = vec![0.0; r.len()];
+            op.precondition(&r, &mut d);
+            let want: Vec<u64> = r
+                .iter()
+                .zip(jacobi(p, a, sigma, &rho))
+                .map(|(ri, j)| (ri * (1.0 / j)).to_bits())
+                .collect();
+            assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "{}", qp.name());
+            assert_eq!(op.spmv_count(), 0, "{}: plain Jacobi runs no SpMV", qp.name());
+        }
+    }
+
+    /// Solves `K x = b` by PCG from zero at eps 1e-13 and checks the
+    /// iteration count against `max_iter` and `x` against the x block of
+    /// an LDLᵀ solve of the full KKT system.
+    fn pcg_matches_ldlt(
+        op: &mut ReducedKktOp,
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        sigma: f64,
+        rho: &[f64],
+        max_iter: usize,
+    ) {
+        let n = p.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
+        let mut x = vec![0.0; n];
+        let mut ws = crate::PcgWorkspace::new(n);
+        let sol =
+            crate::pcg_with(op, &b, &mut x, &settings, &mut ws, &ThreadPool::serial()).unwrap();
+        assert!(sol.converged && sol.iterations <= max_iter, "{} iterations", sol.iterations);
+        let kkt = KktMatrix::assemble(p, a, sigma, rho).unwrap();
+        let mut rhs = b.clone();
+        rhs.resize(n + a.nrows(), 0.0);
+        Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
+        for (got, want) in x.iter().zip(&rhs[..n]) {
+            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        }
     }
 
     #[test]
@@ -523,24 +590,42 @@ mod tests {
         let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
         let rho = solver_rho(&qp, 0.1);
         let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
-        let pre = op.preconditioner();
+        let pre = rows(&op);
         assert_eq!(pre.dense_rows(), [0, 1, 2, 3, 4, 5], "five factor rows and the budget row");
         assert!(pre.is_active());
-        let n = p.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-        let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
-        let mut x = vec![0.0; n];
-        let mut ws = crate::PcgWorkspace::new(n);
-        let sol = crate::pcg_with(&mut op, &b, &mut x, &settings, &mut ws, &ThreadPool::serial())
-            .unwrap();
-        assert!(sol.converged && sol.iterations <= 2, "{} iterations", sol.iterations);
-        // LDLᵀ of the full KKT system: its x block solves K x = b.
-        let kkt = KktMatrix::assemble(p, a, sigma, &rho).unwrap();
-        let mut rhs = b.clone();
-        rhs.resize(n + a.nrows(), 0.0);
-        Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
-        for (got, want) in x.iter().zip(&rhs[..n]) {
-            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+        pcg_matches_ldlt(&mut op, p, a, sigma, &rho, 2);
+    }
+
+    /// The smallest SVM, lasso and Huber instances whose feature columns
+    /// the dense-column rule picks, with their feature counts.
+    fn dense_column_instances() -> [(QpProblem, usize); 3] {
+        use rsqp_problems::{generate, Domain};
+        [
+            (generate(Domain::Svm, 21, 1), 21),
+            (generate(Domain::Lasso, 14, 1), 14),
+            (generate(Domain::Huber, 19, 1), 19),
+        ]
+    }
+
+    #[test]
+    fn dense_column_preconditioner_solves_in_one_step() {
+        // K_RR is block-diagonal on all three (1×1 blocks on SVM and lasso,
+        // 3×3 on Huber), so M = K and PCG from zero converges at once.
+        for (qp, features) in dense_column_instances() {
+            let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
+            let rho = solver_rho(&qp, 0.1);
+            let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
+            let pre = cols(&op);
+            assert_eq!(pre.dense_cols(), (0..features).collect::<Vec<_>>(), "{}", qp.name());
+            assert!(pre.is_active(), "{}", qp.name());
+            assert_eq!(pre.g().is_some(), qp.name().starts_with("huber"), "{}", qp.name());
+            // Every apply counts H, S⁻¹, Hᵀ and a non-diagonal G.
+            let products = 3 + usize::from(pre.g().is_some());
+            assert_eq!(pre.products(), products);
+            let r = vec![1.0; p.nrows()];
+            op.precondition(&r, &mut vec![0.0; p.nrows()]);
+            assert_eq!(op.spmv_count(), products);
+            pcg_matches_ldlt(&mut op, p, a, sigma, &rho, 2);
         }
     }
 
@@ -561,7 +646,7 @@ mod tests {
         let (p, a) = (qp.p(), qp.a());
         let mut op = ReducedKktOp::new(p, a, 1e-6, &solver_rho(&qp, 0.1)).unwrap();
         let same = |op: &ReducedKktOp, fresh: &ReducedKktOp| {
-            let (x, y) = (op.preconditioner(), fresh.preconditioner());
+            let (x, y) = (rows(op), rows(fresh));
             assert!(x.is_active() && y.is_active());
             assert_eq!(x.dense_rows(), y.dense_rows());
             assert_eq!(x.inv_diag(), y.inv_diag());
@@ -575,6 +660,32 @@ mod tests {
         let rho = solver_rho(&qp, 0.02);
         op.update_values(&p2, &a2, &rho).unwrap();
         same(&op, &ReducedKktOp::new(&p2, &a2, 1e-6, &rho).unwrap());
+
+        // With dense columns, G, H and S⁻¹ follow them too.
+        let same = |op: &ReducedKktOp, fresh: &ReducedKktOp| {
+            let (x, y) = (cols(op), cols(fresh));
+            assert!(x.is_active() && y.is_active());
+            assert_eq!(x.dense_cols(), y.dense_cols());
+            assert_eq!(x.inv_diag(), y.inv_diag());
+            assert_eq!(x.g(), y.g());
+            assert_eq!(x.ht(), y.ht());
+            let k = x.rank();
+            let (mut sx, mut sy) = (vec![0.0; k * k], vec![0.0; k * k]);
+            x.write_s_inverse(&mut sx);
+            y.write_s_inverse(&mut sy);
+            assert_eq!(sx, sy);
+        };
+        for (qp, _) in dense_column_instances() {
+            let (p, a) = (qp.p(), qp.a());
+            let mut op = ReducedKktOp::new(p, a, 1e-6, &solver_rho(&qp, 0.1)).unwrap();
+            let rho = solver_rho(&qp, 1.7);
+            op.update_rho(&rho).unwrap();
+            same(&op, &ReducedKktOp::new(p, a, 1e-6, &rho).unwrap());
+            let (p2, a2) = (p.map_values(|v| 3.0 * v), a.map_values(|v| 0.25 * v));
+            let rho = solver_rho(&qp, 0.02);
+            op.update_values(&p2, &a2, &rho).unwrap();
+            same(&op, &ReducedKktOp::new(&p2, &a2, 1e-6, &rho).unwrap());
+        }
     }
 
     #[test]

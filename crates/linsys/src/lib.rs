@@ -14,8 +14,9 @@
 //! * [`KktMatrix`] — assembly of the (permuted) KKT matrix from `P`, `A`,
 //!   `σ`, `ρ`, with cheap ρ updates that reuse the symbolic factorization,
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
-//! * [`DenseRowPrecond`] — the PCG preconditioner: Jacobi plus an exact
-//!   Woodbury correction for the dense rows of `A`,
+//! * [`KktPrecond`] — the PCG preconditioner: Jacobi plus an exact
+//!   Woodbury correction for the dense rows of `A` ([`DenseRowPrecond`]),
+//!   or the block elimination of its dense columns ([`DenseColPrecond`]),
 //! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
@@ -57,10 +58,12 @@ mod ldlt;
 mod ordering;
 mod pcg;
 mod precond;
+mod schur;
 
 pub use error::LinsysError;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
 pub use pcg::{pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace};
-pub use precond::DenseRowPrecond;
+pub use precond::{DenseRowPrecond, KktPrecond};
+pub use schur::DenseColPrecond;

@@ -22,16 +22,129 @@
 //! `A_Sᵀ` — and the accelerator's PCG kernel runs the same operator with
 //! the instructions it already has. Without dense rows (`k = 0`) `M`
 //! is the Jacobi diagonal and the correction is skipped.
+//!
+//! [`KktPrecond`] picks a problem's preconditioner: this correction when
+//! `A` has dense rows, else the block elimination of its dense columns
+//! (`crate::schur`) when their structure admits it, else plain Jacobi.
 
 use std::cmp::Reverse;
 
 use rsqp_sparse::{CscMatrix, CsrMatrix};
 
 use crate::ordering::dense_threshold;
+use crate::schur::DenseColPrecond;
 use crate::Ldlt;
 
 /// [`DenseRowPrecond`]'s slot of a row of `A` outside `S`.
 const NOT_DENSE: usize = usize::MAX;
+
+/// The reduced-KKT preconditioner of one problem: the dense-row Woodbury
+/// correction when `A` has dense rows, else the block elimination of its
+/// dense columns when their structure admits it, else plain Jacobi (a
+/// [`DenseRowPrecond`] without rows).
+#[derive(Debug, Clone)]
+pub enum KktPrecond {
+    /// Jacobi, with the Woodbury correction for the dense rows of `A`.
+    Rows(DenseRowPrecond),
+    /// Block elimination of the dense columns of `A`.
+    Cols(DenseColPrecond),
+}
+
+impl KktPrecond {
+    /// Chooses and builds the preconditioner for `P + σI + Aᵀ diag(ρ) A`;
+    /// `at` is `Aᵀ`. Dense rows take precedence over dense columns.
+    ///
+    /// # Panics
+    ///
+    /// As [`DenseRowPrecond::new`].
+    pub fn new(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
+        let rows = dense_rows(a);
+        if rows.is_empty() {
+            if let Some(cols) = DenseColPrecond::new(p, a, sigma, rho) {
+                return KktPrecond::Cols(cols);
+            }
+        }
+        KktPrecond::Rows(DenseRowPrecond::with_rows(p, a, at, sigma, rho, rows))
+    }
+
+    /// Recomputes every value for new `P`, `A` (and its transpose `at`) or
+    /// ρ, in place; the patterns must be the ones given at construction.
+    pub fn refresh(&mut self, p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, rho: &[f64]) {
+        match self {
+            KktPrecond::Rows(pre) => pre.refresh(p, a, at, rho),
+            KktPrecond::Cols(pre) => pre.refresh(p, a, rho),
+        }
+    }
+
+    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, while no correction is on.
+    pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
+        match self {
+            KktPrecond::Rows(pre) => pre.apply(r, d),
+            KktPrecond::Cols(pre) => pre.apply(r, d),
+        }
+    }
+
+    /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
+    /// `C⁻¹` and `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`);
+    /// none while the correction is off.
+    pub fn products(&self) -> usize {
+        match self {
+            KktPrecond::Rows(pre) => 3 * usize::from(pre.is_active()),
+            KktPrecond::Cols(pre) => pre.products(),
+        }
+    }
+
+    /// The diagonal the kernel's `minv` register holds: `D'⁻¹` or the
+    /// diagonal of `G`.
+    pub fn inv_diag(&self) -> &[f64] {
+        match self {
+            KktPrecond::Rows(pre) => pre.inv_diag(),
+            KktPrecond::Cols(pre) => pre.inv_diag(),
+        }
+    }
+}
+
+/// `inv_diag = 1/(diag(P) + σ + Σ_i ρ_i A_{i,·}²)` (`1` where the sum is
+/// zero), the sum over the rows of `A` in increasing order, except those
+/// `skip` names.
+pub(crate) fn jacobi_inv_diag(
+    p: &CsrMatrix,
+    a: &CsrMatrix,
+    sigma: f64,
+    rho: &[f64],
+    skip: impl Fn(usize) -> bool,
+    inv_diag: &mut [f64],
+) {
+    for (i, o) in inv_diag.iter_mut().enumerate() {
+        *o = p.get(i, i) + sigma;
+    }
+    for i in 0..a.nrows() {
+        if skip(i) {
+            continue;
+        }
+        let (cols, vals) = a.row(i);
+        let ri = rho[i];
+        for (&j, &v) in cols.iter().zip(vals) {
+            inv_diag[j] += ri * v * v;
+        }
+    }
+    for v in inv_diag {
+        *v = if *v != 0.0 { 1.0 / *v } else { 1.0 };
+    }
+}
+
+/// The dense rows of `a`, in increasing order: a row is dense when its
+/// nonzero count exceeds AMD's threshold `min(max(16, 10·√n), max(16,
+/// 10·d̄))` with `d̄ = nnz(A)/m`. At most `⌊√nnz(A)⌋` rows are kept, the
+/// densest (ties by index), so `C` never holds more entries than `A`.
+fn dense_rows(a: &CsrMatrix) -> Vec<usize> {
+    let threshold = dense_threshold(a.ncols(), a.nnz(), a.nrows());
+    let mut rows: Vec<usize> = (0..a.nrows()).filter(|&i| a.row_nnz(i) > threshold).collect();
+    rows.sort_by_key(|&i| Reverse(a.row_nnz(i)));
+    rows.truncate(a.nnz().isqrt());
+    rows.sort_unstable();
+    rows
+}
 
 /// Jacobi preconditioner with a Woodbury correction for the dense rows of
 /// `A`, for the reduced KKT operator `P + σI + Aᵀ diag(ρ) A`.
@@ -80,12 +193,19 @@ impl DenseRowPrecond {
     /// Panics if `p` is not `n × n` for `n = a.ncols()`, `at` is not `a`'s
     /// transpose, or `rho.len()` is not `a.nrows()`.
     pub fn new(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
+        Self::with_rows(p, a, at, sigma, rho, dense_rows(a))
+    }
+
+    /// [`Self::new`] for the dense rows `rows` (increasing).
+    fn with_rows(
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        at: &CsrMatrix,
+        sigma: f64,
+        rho: &[f64],
+        rows: Vec<usize>,
+    ) -> Self {
         let (n, m) = (a.ncols(), a.nrows());
-        let threshold = dense_threshold(n, a.nnz(), m);
-        let mut rows: Vec<usize> = (0..m).filter(|&i| a.row_nnz(i) > threshold).collect();
-        rows.sort_by_key(|&i| Reverse(a.row_nnz(i)));
-        rows.truncate(a.nnz().isqrt());
-        rows.sort_unstable();
         let k = rows.len();
         let mut slot = vec![NOT_DENSE; m];
         let mut indptr = Vec::with_capacity(k + 1);
@@ -162,22 +282,9 @@ impl DenseRowPrecond {
     /// `inv_diag = 1/(diag(P) + σ + Σ ρ_i A_{i,·}²)`, the sum over every
     /// row of `A` or, with `skip_dense`, over the rows outside `S`.
     fn fill_inv_diag(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64], skip_dense: bool) {
-        for (i, o) in self.inv_diag.iter_mut().enumerate() {
-            *o = p.get(i, i) + self.sigma;
-        }
-        for i in 0..a.nrows() {
-            if skip_dense && self.slot[i] != NOT_DENSE {
-                continue;
-            }
-            let (cols, vals) = a.row(i);
-            let ri = rho[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                self.inv_diag[j] += ri * v * v;
-            }
-        }
-        for v in &mut self.inv_diag {
-            *v = if *v != 0.0 { 1.0 / *v } else { 1.0 };
-        }
+        let slot = &self.slot;
+        let skip = |i: usize| skip_dense && slot[i] != NOT_DENSE;
+        jacobi_inv_diag(p, a, self.sigma, rho, skip, &mut self.inv_diag);
     }
 
     /// Forms `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ`, factorizes it and writes `C⁻¹`.

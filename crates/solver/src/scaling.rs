@@ -58,19 +58,26 @@ impl Scaling {
         let mut qs = q.to_vec();
         let mut as_ = a.clone();
 
+        // Column infinity norms of the stacked matrix [P; A] for the
+        // variable block, row norms of A for the constraint block; each
+        // scaling pass below leaves the norms of its result for the next
+        // iteration.
+        let mut p_cols = ps.column_inf_norms();
+        let mut p_rows = vec![0.0; n];
+        let mut a_cols = as_.column_inf_norms();
+        let mut a_rows = as_.row_inf_norms();
+        let mut dx = vec![0.0; n];
+        let mut dz = vec![0.0; m];
         for _ in 0..iters {
-            // Column infinity norms of the stacked matrix [P; A] for the
-            // variable block, row norms of A for the constraint block.
-            let p_cols = ps.column_inf_norms();
-            let a_cols = as_.column_inf_norms();
-            let a_rows = as_.row_inf_norms();
-            let dx: Vec<f64> = (0..n).map(|j| inv_sqrt_clamped(p_cols[j].max(a_cols[j]))).collect();
-            let dz: Vec<f64> = (0..m).map(|i| inv_sqrt_clamped(a_rows[i])).collect();
+            for (s, (&pc, &ac)) in dx.iter_mut().zip(p_cols.iter().zip(&a_cols)) {
+                *s = inv_sqrt_clamped(pc.max(ac));
+            }
+            for (s, &ar) in dz.iter_mut().zip(&a_rows) {
+                *s = inv_sqrt_clamped(ar);
+            }
 
-            ps.scale_rows(&dx);
-            ps.scale_cols(&dx);
-            as_.scale_rows(&dz);
-            as_.scale_cols(&dx);
+            ps.scale_with_inf_norms(&dx, &dx, &mut p_rows, &mut p_cols);
+            as_.scale_with_inf_norms(&dz, &dx, &mut a_rows, &mut a_cols);
             for (qi, &s) in qs.iter_mut().zip(&dx) {
                 *qi *= s;
             }
@@ -82,7 +89,6 @@ impl Scaling {
             }
 
             // Cost normalization.
-            let p_cols = ps.column_inf_norms();
             let mean_p = if n == 0 { 0.0 } else { p_cols.iter().sum::<f64>() / n as f64 };
             let norm_q = vec_ops::inf_norm(&qs);
             let denom = mean_p.max(norm_q);
@@ -92,6 +98,11 @@ impl Scaling {
                 1.0
             };
             for v in ps.data_mut() {
+                *v *= gamma;
+            }
+            // Rounding is monotone, so the largest scaled entry of a column
+            // is its largest entry, scaled: the norms of c·P stay exact.
+            for v in &mut p_cols {
                 *v *= gamma;
             }
             for v in &mut qs {

@@ -1,9 +1,10 @@
 //! Asserts the ADMM steady state is allocation-free: once a solver is set
 //! up, extra iterations must not touch the heap. Covered for both KKT
 //! backends: PCG, and LDLᵀ with the ρ updates that refactorize it. PCG
-//! runs on a box-constrained QP without dense rows (plain Jacobi) and on a
+//! runs on a box-constrained QP without dense rows (plain Jacobi), on a
 //! portfolio, whose dense factor and budget rows switch on the
-//! preconditioner's Woodbury correction.
+//! preconditioner's Woodbury correction, and on an SVM, a lasso and a
+//! Huber fit, whose dense feature columns switch on its block elimination.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -16,7 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rsqp_problems::{generate, Domain};
-use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
+use rsqp_solver::{
+    CgTolerance, CpuPcgBackend, KktBackend, LinSysKind, QpProblem, Settings, SolveResult, Solver,
+    Status,
+};
 use rsqp_sparse::CsrMatrix;
 
 struct CountingAlloc;
@@ -122,6 +126,12 @@ fn portfolio() -> QpProblem {
     generate(Domain::Portfolio, 2, 1)
 }
 
+/// The smallest SVM, lasso and Huber instances whose dense feature
+/// columns the preconditioner eliminates.
+fn dense_column_problems() -> [QpProblem; 3] {
+    [generate(Domain::Svm, 21, 1), generate(Domain::Lasso, 14, 1), generate(Domain::Huber, 19, 1)]
+}
+
 /// Runs a cold solve of `problem()` and returns the number of allocations
 /// performed by `solve` itself (setup excluded) with the result.
 fn counted_solve(settings: Settings) -> (usize, SolveResult) {
@@ -141,7 +151,7 @@ fn counted_solve_of(prob: &QpProblem, settings: Settings) -> (usize, SolveResult
 
 #[test]
 fn admm_steady_state_is_allocation_free() {
-    for prob in [problem(), portfolio()] {
+    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
         let allocs_for = |max_iter| counted_solve_of(&prob, settings(max_iter)).0;
         // Warm up lazy runtime allocations (stdout locks, etc.).
         let _ = allocs_for(5);
@@ -164,7 +174,7 @@ fn manual_rho_update_is_allocation_free() {
     // `update_rho` rebuilds the per-constraint ρ vector into the existing
     // buffers and the PCG backend refreshes its preconditioner in place —
     // the whole call must never touch the heap once the solver exists.
-    for prob in [problem(), portfolio()] {
+    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
         let mut solver = Solver::new(&prob, settings(20)).unwrap();
         let _ = solver.solve().unwrap();
         let before = alloc_count();
@@ -212,6 +222,28 @@ fn update_resolve_loop_is_allocation_free_per_iteration() {
          at 20 iterations — the parametric path is allocating per iteration",
         long, short
     );
+}
+
+#[test]
+fn pcg_backend_matrix_update_is_allocation_free() {
+    // New values for P and A (same patterns) refresh the operator, its
+    // transpose and the preconditioner in place.
+    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
+        let (p, a) = (prob.p(), prob.a());
+        let rho = vec![0.1; a.nrows()];
+        let mut backend = CpuPcgBackend::new(p, a, 1e-6, &rho, 1e-10, 100);
+        let scaled: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
+            .iter()
+            .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
+            .collect();
+        backend.update_matrices(&scaled[0].0, &scaled[0].1, &rho).unwrap();
+        let before = alloc_count();
+        for (p2, a2) in &scaled[1..] {
+            backend.update_matrices(p2, a2, &rho).unwrap();
+        }
+        let during = alloc_count() - before;
+        assert_eq!(during, 0, "{}: update_matrices allocated {during} times", prob.name());
+    }
 }
 
 #[test]

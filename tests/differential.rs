@@ -1,7 +1,8 @@
 //! Cross-backend differential test suite.
 //!
-//! Every benchmark family is solved at its two smallest suite sizes with
-//! four independent KKT paths:
+//! Every benchmark family is solved at its two smallest suite sizes, and
+//! the smallest svm, lasso and huber instances whose dense columns the PCG
+//! preconditioner eliminates, with four independent KKT paths:
 //!
 //! 1. sparse LDLᵀ direct factorization,
 //! 2. matrix-free CPU PCG, serial,
@@ -100,32 +101,36 @@ fn assert_agreement(problem: &QpProblem, results: &[(&str, SolveResult)]) {
 fn differential(domain: Domain) {
     let sizes = domain.size_schedule(20);
     for (index, &size) in sizes[..2].iter().enumerate() {
-        let problem = generate(domain, size, 1000 + index as u64);
-        let direct = solve_direct(&problem);
-        let pcg_t1 = solve_pcg(&problem, 1);
-        let pcg_t4 = solve_pcg(&problem, 4);
-        let machine = solve_machine(&problem);
+        differential_on(&generate(domain, size, 1000 + index as u64));
+    }
+}
 
-        // The two pool sizes run the same reduction tree: bit-identical.
-        assert_eq!(pcg_t1.iterations, pcg_t4.iterations, "{}", problem.name());
-        for (i, (a, b)) in pcg_t1.x.iter().zip(&pcg_t4.x).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "{}: x[{i}] differs between 1 and 4 threads: {a:?} vs {b:?}",
-                problem.name()
-            );
-        }
+/// Solves `problem` on the four paths and checks that they agree.
+fn differential_on(problem: &QpProblem) {
+    let direct = solve_direct(problem);
+    let pcg_t1 = solve_pcg(problem, 1);
+    let pcg_t4 = solve_pcg(problem, 4);
+    let machine = solve_machine(problem);
 
-        assert_agreement(
-            &problem,
-            &[
-                ("direct-ldlt", direct),
-                ("cpu-pcg/t1", pcg_t1),
-                ("cpu-pcg/t4", pcg_t4),
-                ("machine", machine),
-            ],
+    // The two pool sizes run the same reduction tree: bit-identical.
+    assert_eq!(pcg_t1.iterations, pcg_t4.iterations, "{}", problem.name());
+    for (i, (a, b)) in pcg_t1.x.iter().zip(&pcg_t4.x).enumerate() {
+        assert!(
+            a.to_bits() == b.to_bits(),
+            "{}: x[{i}] differs between 1 and 4 threads: {a:?} vs {b:?}",
+            problem.name()
         );
     }
+
+    assert_agreement(
+        problem,
+        &[
+            ("direct-ldlt", direct),
+            ("cpu-pcg/t1", pcg_t1),
+            ("cpu-pcg/t4", pcg_t4),
+            ("machine", machine),
+        ],
+    );
 }
 
 #[test]
@@ -156,6 +161,16 @@ fn svm_backends_agree() {
 #[test]
 fn eqqp_backends_agree() {
     differential(Domain::Eqqp);
+}
+
+/// The smallest SVM, lasso and Huber instances whose dense feature columns
+/// the PCG preconditioner eliminates (the suites' first sizes fall back to
+/// Jacobi).
+#[test]
+fn dense_column_backends_agree() {
+    for (domain, size) in [(Domain::Svm, 21), (Domain::Lasso, 14), (Domain::Huber, 19)] {
+        differential_on(&generate(domain, size, 1000));
+    }
 }
 
 /// CPU PCG and the machine with the default (adaptive) inner tolerance
