@@ -31,7 +31,23 @@
 //! `S⁻¹`, `Hᵀ` resident ([`DenseColCorrection`]). Either is built from the
 //! instructions of Table 1 alone — `Duplicate`/`Spmv` pairs, an `EwMul` and
 //! a `Lincomb` — and without a correction the kernel is the plain Jacobi
-//! program. PCG starts from whatever the `xtilde` register
+//! program.
+//!
+//! With the dense-column elimination `M = K`, so the kernel also carries a
+//! loop-free direct solve over the same registers ([`PcgKernel::direct`]):
+//!
+//! ```text
+//! b  = σx − q + Aᵀ(ρ∘z − y)
+//! x̃ = M⁻¹ b                            (G b + Hᵀ S⁻¹ H b)
+//! z̃ = A x̃
+//! ```
+//!
+//! The host runs it while the elimination is on and the PCG program while
+//! a refresh has switched it off. The dense-row correction keeps PCG: a
+//! direct Woodbury solve loses accuracy to cancellation over stiff
+//! equality rows, which PCG's residual test repairs.
+//!
+//! PCG starts from whatever the `xtilde` register
 //! holds — the host leaves the previous KKT solution there — while `x`
 //! only enters the right-hand side. Degenerate denominators (an exact warm
 //! start gives `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
@@ -44,6 +60,12 @@ use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, V
 pub struct PcgKernel {
     /// The compiled program.
     pub program: Program,
+    /// With the dense-column elimination, the loop-free direct solve over
+    /// the same registers: `b`, then `x̃ = M⁻¹ b` (the `precondition`
+    /// sequence applied to `b`) and `z̃ = A x̃`. It is the KKT solve while
+    /// the elimination is on (`M = K`); [`Self::program`] is, while a
+    /// refresh has switched it off.
+    pub direct: Option<Program>,
     /// Input: current primal iterate `x`, read only for `σ·x` in the
     /// right-hand side (length n).
     pub x: VecId,
@@ -182,7 +204,8 @@ pub fn build_pcg(
         pb.push(Instr::Duplicate { vec: input, matrix });
         pb.push(Instr::Spmv { matrix, input, output });
     };
-    let precondition = |pb: &mut ProgramBuilder| match correction {
+    // `d = M⁻¹ r`, for the registers `r` and `d` given.
+    let precondition = |pb: &mut ProgramBuilder, r: VecId, d: VecId| match correction {
         None => {
             pb.push(Instr::EwMul { dst: d, a: minv, b: r });
         }
@@ -207,6 +230,20 @@ pub fn build_pcg(
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: one, b: px });
         }
     };
+    // b = σx − q + Aᵀ(ρ∘z − y)
+    let rhs = |pb: &mut ProgramBuilder| {
+        pb.push(Instr::EwMul { dst: am, a: rho_vec, b: z });
+        pb.push(Instr::Lincomb { dst: am, alpha: one, a: am, beta: neg_one, b: y });
+        pb.push(Instr::Duplicate { vec: am, matrix: at });
+        pb.push(Instr::Spmv { matrix: at, input: am, output: b });
+        pb.push(Instr::Lincomb { dst: b, alpha: sigma, a: x, beta: one, b });
+        pb.push(Instr::Lincomb { dst: b, alpha: neg_one, a: q, beta: one, b });
+    };
+    // z̃ = A·x̃.
+    let ztilde_out = |pb: &mut ProgramBuilder| {
+        pb.push(Instr::Duplicate { vec: xtilde, matrix: a });
+        pb.push(Instr::Spmv { matrix: a, input: xtilde, output: ztilde });
+    };
 
     let mut pb = ProgramBuilder::new();
     pb.max_trips(max_iter.max(1));
@@ -216,19 +253,13 @@ pub fn build_pcg(
     pb.push(Instr::SetScalar { dst: zero, value: 0.0 });
     pb.push(Instr::SetScalar { dst: tiny, value: 1e-300 });
 
-    // b = σx − q + Aᵀ(ρ∘z − y)
-    pb.push(Instr::EwMul { dst: am, a: rho_vec, b: z });
-    pb.push(Instr::Lincomb { dst: am, alpha: one, a: am, beta: neg_one, b: y });
-    pb.push(Instr::Duplicate { vec: am, matrix: at });
-    pb.push(Instr::Spmv { matrix: at, input: am, output: b });
-    pb.push(Instr::Lincomb { dst: b, alpha: sigma, a: x, beta: one, b });
-    pb.push(Instr::Lincomb { dst: b, alpha: neg_one, a: q, beta: one, b });
+    rhs(&mut pb);
 
     // K·x̃ -> kp  (initial residual).
     emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
     // r = kp − b ; d = M⁻¹∘r ; p = −d
     pb.push(Instr::Lincomb { dst: r, alpha: one, a: kp, beta: neg_one, b });
-    precondition(&mut pb);
+    precondition(&mut pb, r, d);
     pb.push(Instr::Lincomb { dst: pv, alpha: neg_one, a: d, beta: zero, b: d });
     pb.push(Instr::Dot { dst: delta, a: r, b: d });
     pb.push(Instr::Dot { dst: normb2, a: b, b });
@@ -246,20 +277,28 @@ pub fn build_pcg(
     pb.push(Instr::Lincomb { dst: xtilde, alpha: lambda, a: pv, beta: one, b: xtilde });
     pb.push(Instr::Lincomb { dst: r, alpha: lambda, a: kp, beta: one, b: r });
     pb.push(Instr::Dot { dst: res2, a: r, b: r });
-    precondition(&mut pb);
+    precondition(&mut pb, r, d);
     pb.push(Instr::Dot { dst: delta_new, a: r, b: d });
     pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: delta, b: tiny });
     pb.push(Instr::Scalar { op: ScalarOp::Div, dst: mu, a: delta_new, b: guard });
     pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: delta, a: delta_new, b: one });
     pb.push(Instr::Lincomb { dst: pv, alpha: mu, a: pv, beta: neg_one, b: d });
     pb.loop_end_if_less(res2, thr);
-
-    // z̃ = A·x̃.
-    pb.push(Instr::Duplicate { vec: xtilde, matrix: a });
-    pb.push(Instr::Spmv { matrix: a, input: xtilde, output: ztilde });
-
+    ztilde_out(&mut pb);
     let program = pb.build().expect("PCG kernel builder is loop-balanced");
-    PcgKernel { program, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
+
+    // The direct solve: x̃ = M⁻¹ b, which is K⁻¹ b while the dense-column
+    // elimination is on.
+    let direct = matches!(correction, Some((Correction::Cols(_), ..))).then(|| {
+        let mut pb = ProgramBuilder::new();
+        pb.push(Instr::SetScalar { dst: one, value: 1.0 });
+        pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
+        rhs(&mut pb);
+        precondition(&mut pb, b, xtilde);
+        ztilde_out(&mut pb);
+        pb.build().expect("the direct solve is straight-line")
+    });
+    PcgKernel { program, direct, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
 }
 
 /// Emits `out = P·v + σ·v + Aᵀ(ρ∘(A·v))`.
@@ -441,6 +480,7 @@ mod tests {
             a_st: machine.add_matrix(&pre.a_s().transpose()),
         });
         let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
+        assert!(k.direct.is_none(), "dense rows keep PCG");
         let wave = |len: usize, phase: f64| -> Vec<f64> {
             (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
         };
@@ -523,21 +563,34 @@ mod tests {
             machine.write_scalar(k.eps_abs_sq, 1e-28);
             let run = machine.run(&k.program).unwrap();
             assert!(run.loop_trips <= 2, "{domain}: {} trips", run.loop_trips);
-
-            // The residual of K x = b, evaluated on the CPU.
-            let mut b: Vec<f64> = (0..n).map(|j| sigma * xv[j] - qv[j]).collect();
-            let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
-            am.transpose().spmv_acc(1.0, &w, &mut b).unwrap();
+            let x_pcg = machine.read_vec(k.xtilde).to_vec();
+            // The loop-free direct solve reads no warm start and gives the
+            // same solution with no loop trip.
+            machine.write_vec(k.xtilde, &vec![f64::NAN; n]);
+            let direct = k.direct.as_ref().expect("a direct solve with dense columns");
+            assert!(direct.loop_bounds().is_none());
+            assert_eq!(machine.run(direct).unwrap().loop_trips, 0);
             let x = machine.read_vec(k.xtilde).to_vec();
             let mut ax = vec![0.0; m];
             am.spmv(&x, &mut ax).unwrap();
-            ax.iter_mut().zip(&rho).for_each(|(v, r)| *v *= r);
-            let mut kx: Vec<f64> = x.iter().map(|v| sigma * v).collect();
-            pm.spmv_acc(1.0, &x, &mut kx).unwrap();
-            am.transpose().spmv_acc(1.0, &ax, &mut kx).unwrap();
+            assert_eq!(machine.read_vec(k.ztilde), &ax[..], "{domain}: z̃ = A x̃");
+
+            // The residual of K x = b, evaluated on the CPU, for both.
+            let mut b: Vec<f64> = (0..n).map(|j| sigma * xv[j] - qv[j]).collect();
+            let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
+            am.transpose().spmv_acc(1.0, &w, &mut b).unwrap();
             let norm = |v: &[f64]| v.iter().map(|e| e * e).sum::<f64>().sqrt();
-            let r: Vec<f64> = kx.iter().zip(&b).map(|(a, c)| a - c).collect();
-            assert!(norm(&r) <= 1e-12 * norm(&b), "{domain}: residual {:e}", norm(&r) / norm(&b));
+            for x in [&x_pcg, &x] {
+                let mut ax = vec![0.0; m];
+                am.spmv(x, &mut ax).unwrap();
+                ax.iter_mut().zip(&rho).for_each(|(v, r)| *v *= r);
+                let mut kx: Vec<f64> = x.iter().map(|v| sigma * v).collect();
+                pm.spmv_acc(1.0, x, &mut kx).unwrap();
+                am.transpose().spmv_acc(1.0, &ax, &mut kx).unwrap();
+                let r: Vec<f64> = kx.iter().zip(&b).map(|(a, c)| a - c).collect();
+                let rel = norm(&r) / norm(&b);
+                assert!(rel <= 1e-12, "{domain}: residual {rel:e}");
+            }
             // LDLᵀ of the full KKT system agrees to its own accuracy (its
             // relative residual on the Huber fit is about 1e-6).
             let mut rhs = b.clone();

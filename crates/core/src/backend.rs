@@ -13,7 +13,9 @@
 //! computes `D'⁻¹`, `A_S` and `C⁻¹` (dense rows) or `G`, `Hᵀ` and the
 //! factor of `S` (dense columns), uploads them — with the explicit `S⁻¹`,
 //! which only the machine needs — and the kernel applies the same operator
-//! on the machine.
+//! on the machine. While the dense-column elimination is on (`M = K`) the
+//! backend runs the kernel's loop-free direct solve instead of PCG, as the
+//! CPU backend does.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,7 +24,7 @@ use std::sync::Arc;
 use rsqp_arch::kernels::{
     admm_outer_cycles, build_pcg, Correction, DenseColCorrection, DenseRowCorrection, PcgKernel,
 };
-use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, RunStats};
+use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, Program, RunStats};
 use rsqp_linsys::KktPrecond;
 use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
@@ -141,6 +143,15 @@ pub(crate) fn load_pcg(
     (kernel, ids, correction)
 }
 
+/// SpMVs of `program` outside and inside its loop.
+fn spmv_split(program: &Program) -> (usize, usize) {
+    let is_spmv = |i: &&Instr| matches!(i, Instr::Spmv { .. });
+    let instrs = program.instrs();
+    let body =
+        program.loop_bounds().map_or(0, |(s, e)| instrs[s..=e].iter().filter(is_spmv).count());
+    (instrs.iter().filter(is_spmv).count() - body, body)
+}
+
 /// A [`KktBackend`] backed by the simulated RSQP accelerator.
 pub struct FpgaPcgBackend {
     machine: Rc<RefCell<Machine>>,
@@ -159,11 +170,14 @@ pub struct FpgaPcgBackend {
     sigma: f64,
     eps: f64,
     stats: BackendStats,
-    /// SpMVs in the kernel outside and inside its loop: `Aᵀ` for the
+    /// SpMVs in the PCG kernel outside and inside its loop: `Aᵀ` for the
     /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the preconditioner's
     /// correction (`A_S`, `C⁻¹`, `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` and a
     /// non-diagonal `G`) before the loop and in it, and `A` for z̃.
     spmvs: (usize, usize),
+    /// SpMVs in the loop-free direct solve: `Aᵀ`, the correction's
+    /// products and `A`.
+    direct_spmvs: usize,
     outer_cycles_per_iter: u64,
 }
 
@@ -199,11 +213,8 @@ impl FpgaPcgBackend {
         let mut machine = Machine::new(config);
         let (kernel, matrix_ids, correction) =
             load_pcg(&mut machine, p, a, at.matrix(), &precond, host.as_ref(), cg_max_iter.max(1));
-        let is_spmv = |i: &&Instr| matches!(i, Instr::Spmv { .. });
-        let (start, end) = kernel.program.loop_bounds().expect("the PCG kernel has a loop");
-        let instrs = kernel.program.instrs();
-        let body = instrs[start..=end].iter().filter(is_spmv).count();
-        let spmvs = (instrs.iter().filter(is_spmv).count() - body, body);
+        let spmvs = spmv_split(&kernel.program);
+        let direct_spmvs = kernel.direct.as_ref().map_or(0, |d| spmv_split(d).0);
         let mut backend = FpgaPcgBackend {
             machine: Rc::new(RefCell::new(machine)),
             kernel,
@@ -217,6 +228,7 @@ impl FpgaPcgBackend {
             eps: cg_eps,
             stats: BackendStats::default(),
             spmvs,
+            direct_spmvs,
             outer_cycles_per_iter,
         };
         backend.upload_device_constants();
@@ -341,10 +353,15 @@ impl KktBackend for FpgaPcgBackend {
         machine.write_vec(self.kernel.z, z);
         machine.write_vec(self.kernel.y, y);
         machine.write_vec(self.kernel.q, q);
+        // The direct solve while the preconditioner is exact, PCG otherwise.
         // `run` reports this solve's stats alone (cumulative counters live
         // on the machine for the perf model).
+        let (program, (straight, body)) = match &self.kernel.direct {
+            Some(direct) if self.precond.is_exact() => (direct, (self.direct_spmvs, 0)),
+            _ => (&self.kernel.program, self.spmvs),
+        };
         let run = machine
-            .run(&self.kernel.program)
+            .run(program)
             .map_err(|e| SolverError::Backend(format!("machine error: {e}")))?;
         xtilde.copy_from_slice(machine.read_vec(self.kernel.xtilde));
         ztilde.copy_from_slice(machine.read_vec(self.kernel.ztilde));
@@ -352,7 +369,6 @@ impl KktBackend for FpgaPcgBackend {
         let trips = run.loop_trips as usize;
         self.stats.cg_iterations += trips;
         // The loop body runs once more than its trips (back-edges taken).
-        let (straight, body) = self.spmvs;
         self.stats.spmv_evals += straight + body * (trips + 1);
         Ok(())
     }
@@ -430,21 +446,26 @@ mod tests {
 
     #[test]
     fn spmv_evals_count_every_kernel_spmv() {
-        // K·v and the preconditioner's correction — A_S, C⁻¹ and A_Sᵀ with
-        // dense rows; H, S⁻¹, Hᵀ and a non-diagonal G with dense columns —
-        // run before the loop and on each of its trips + 1 passes; Aᵀ for
-        // the right-hand side and A for z̃ run once.
-        for (domain, size, per_pass) in [
-            (Domain::Control, 2, 3),
-            (Domain::Portfolio, 1, 6),
-            (Domain::Svm, 21, 6),
-            (Domain::Huber, 19, 7),
-        ] {
+        // PCG: K·v and the preconditioner's correction (A_S, C⁻¹ and A_Sᵀ
+        // with dense rows) run before the loop and on each of its trips + 1
+        // passes; Aᵀ for the right-hand side and A for z̃ run once.
+        for (domain, size, per_pass) in [(Domain::Control, 2, 3), (Domain::Portfolio, 1, 6)] {
             let qp = generate(domain, size, 1);
             let mut b = backend(qp.p(), qp.a());
             let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
             let stats = b.stats();
             assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 2) + 2, "{domain}");
+        }
+        // The direct solve: Aᵀ, then H, S⁻¹, Hᵀ and a non-diagonal G once,
+        // and A; no CG iteration.
+        for (domain, size, products) in [(Domain::Svm, 21, 3), (Domain::Huber, 19, 4)] {
+            let qp = generate(domain, size, 1);
+            let mut b = backend(qp.p(), qp.a());
+            assert_eq!(b.precond.products(), products, "{domain}");
+            let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
+            let stats = b.stats();
+            assert_eq!(stats.cg_iterations, 0, "{domain}");
+            assert_eq!(stats.spmv_evals, products + 2, "{domain}");
         }
     }
 
@@ -452,12 +473,13 @@ mod tests {
     fn cpu_spmv_evals_count_the_preconditioner_products() {
         // CPU PCG converging after `it` iterations runs K·v it + 1 times
         // and the preconditioner it times, plus Aᵀ for the right-hand side
-        // and A for z̃.
-        for (domain, size, products) in [
-            (Domain::Control, 2, 0),
-            (Domain::Portfolio, 1, 3),
-            (Domain::Svm, 21, 3),
-            (Domain::Huber, 19, 4),
+        // and A for z̃; the direct solve runs the preconditioner once
+        // between those two and no CG iteration.
+        for (domain, size, products, direct) in [
+            (Domain::Control, 2, 0, false),
+            (Domain::Portfolio, 1, 3, false),
+            (Domain::Svm, 21, 3, true),
+            (Domain::Huber, 19, 4, true),
         ] {
             let qp = generate(domain, size, 1);
             let (n, m) = (qp.num_vars(), qp.num_constraints());
@@ -468,9 +490,37 @@ mod tests {
             b.solve_kkt(&vec![0.0; n], &vec![0.0; m], &vec![0.0; m], &q, &mut xt, &mut zt).unwrap();
             let stats = b.stats();
             let it = stats.cg_iterations;
-            assert!(it > 0, "{domain}");
-            assert_eq!(stats.spmv_evals, 3 * (it + 1) + products * it + 2, "{domain}");
+            if direct {
+                assert_eq!(it, 0, "{domain}");
+                assert_eq!(stats.spmv_evals, products + 2, "{domain}");
+            } else {
+                assert!(it > 0, "{domain}");
+                assert_eq!(stats.spmv_evals, 3 * (it + 1) + products * it + 2, "{domain}");
+            }
         }
+    }
+
+    #[test]
+    fn a_non_finite_direct_solve_fails_as_pcg_would() {
+        // The guard ladder sees PCG's error for a NaN right-hand side.
+        let qp = generate(Domain::Svm, 21, 1);
+        let (n, m) = (qp.num_vars(), qp.num_constraints());
+        let mut b = rsqp_solver::CpuPcgBackend::new(qp.p(), qp.a(), 1e-6, &vec![0.1; m], 1e-7, 200);
+        let mut q = vec![0.0; n];
+        q[3] = f64::NAN;
+        let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
+        let err = b.solve_kkt(&vec![0.0; n], &vec![0.0; m], &vec![0.0; m], &q, &mut xt, &mut zt);
+        assert!(
+            matches!(
+                err,
+                Err(SolverError::Pcg(rsqp_linsys::PcgError::NonFinite {
+                    iteration: 0,
+                    quantity: "rhs norm"
+                }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(b.stats().kkt_solves, 0);
     }
 
     #[test]

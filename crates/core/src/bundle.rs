@@ -13,6 +13,8 @@
 //!   cvb_<matrix>.txt            # per-matrix CVB index-translation tables
 //!   pcg.rom                     # the Algorithm-2 kernel, ROM-encoded
 //!   pcg.lst                     # human-readable disassembly of the kernel
+//!   direct.rom, direct.lst      # the loop-free direct solve, with dense
+//!                               # columns eliminated
 //! ```
 
 use std::io::Write;
@@ -99,13 +101,17 @@ pub fn write_bundle(
         files += 1;
     }
 
-    // ROM image of the PCG kernel.
-    let image = rom::encode_program(&kernel.program);
-    let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
-    std::fs::write(dir.join("pcg.rom"), bytes)?;
-    files += 1;
-    std::fs::write(dir.join("pcg.lst"), rom::disassemble(&kernel.program))?;
-    files += 1;
+    // ROM images of the PCG kernel and, with the dense-column elimination,
+    // of the direct solve the backend runs while it is on.
+    let programs = std::iter::once(("pcg", &kernel.program))
+        .chain(kernel.direct.as_ref().map(|direct| ("direct", direct)));
+    for (name, program) in programs {
+        let image = rom::encode_program(program);
+        let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(dir.join(format!("{name}.rom")), bytes)?;
+        std::fs::write(dir.join(format!("{name}.lst")), rom::disassemble(program))?;
+        files += 2;
+    }
     Ok(files)
 }
 
@@ -163,6 +169,20 @@ mod tests {
         // The ROM decodes back into a program.
         let instrs = validate_rom(dir.join("pcg.rom")).unwrap();
         assert!(instrs > 20, "PCG kernel has {instrs} instructions");
+        assert!(!dir.join("direct.rom").exists(), "no dense columns at this size");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bundle_ships_the_direct_solve_with_dense_columns() {
+        let qp = generate(Domain::Svm, 21, 1);
+        let dir = std::env::temp_dir().join("rsqp_bundle_direct_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = crate::customize(&qp, 16, 3);
+        assert_eq!(write_bundle(&qp, &result, &dir).unwrap(), 10);
+        let direct = validate_rom(dir.join("direct.rom")).unwrap();
+        let pcg = validate_rom(dir.join("pcg.rom")).unwrap();
+        assert!(direct < pcg, "direct solve {direct} vs PCG {pcg} instructions");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -353,7 +353,9 @@ impl ReducedKktOp {
     /// the [`KktPrecond::products`] of the correction: three while the
     /// dense-row correction is on (`A_S`, `C⁻¹`, `A_Sᵀ`), three or four
     /// while the dense-column elimination is (`H`, `S⁻¹`, `Hᵀ`, and `G`
-    /// when it is not diagonal).
+    /// when it is not diagonal). A KKT solve by [`crate::exact_solve`]
+    /// therefore counts `products() + 2`: `Aᵀ` for the right-hand side,
+    /// one `precondition` and `A` for `z̃`.
     pub fn spmv_count(&self) -> usize {
         self.spmv_count
     }

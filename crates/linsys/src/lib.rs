@@ -18,6 +18,8 @@
 //!   Woodbury correction for the dense rows of `A` ([`DenseRowPrecond`]),
 //!   or the block elimination of its dense columns ([`DenseColPrecond`]),
 //! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
+//!   and [`exact_solve`], the direct solve `x = M⁻¹b` that replaces it
+//!   while the preconditioner is exact ([`KktPrecond::is_exact`]),
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!
@@ -64,6 +66,8 @@ pub use error::LinsysError;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
-pub use pcg::{pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace};
+pub use pcg::{
+    exact_solve, pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace,
+};
 pub use precond::{DenseRowPrecond, KktPrecond};
 pub use schur::DenseColPrecond;

@@ -84,6 +84,15 @@ impl KktPrecond {
         }
     }
 
+    /// Whether `M = K` exactly: the dense-column elimination is on. A KKT
+    /// solve is then `x = M⁻¹ b` ([`crate::exact_solve`]). The dense-row
+    /// correction is exact on some problems too, but a direct Woodbury
+    /// solve loses accuracy to cancellation over stiff equality rows, which
+    /// PCG's residual test repairs, so it never counts as exact.
+    pub fn is_exact(&self) -> bool {
+        matches!(self, KktPrecond::Cols(pre) if pre.is_active())
+    }
+
     /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
     /// `C⁻¹` and `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`);
     /// none while the correction is off.

@@ -8,15 +8,16 @@
 //!   reuses the numeric factorization until ρ changes;
 //! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) iteratively with
 //!   PCG warm-started from the previous solution `x̃` — the same
-//!   computation RSQP maps onto the FPGA;
+//!   computation RSQP maps onto the FPGA — or, while its preconditioner is
+//!   exact (the dense-column elimination), directly as `x̃ = M⁻¹b`;
 //! * `rsqp-core` provides a third implementation that runs the PCG
 //!   instruction stream through the cycle-level architecture simulator.
 
 use std::sync::Arc;
 
 use rsqp_linsys::{
-    amd_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
-    SymmetricPermutation,
+    amd_ordering, exact_solve, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace,
+    ReducedKktOp, SymmetricPermutation,
 };
 use rsqp_par::ThreadPool;
 use rsqp_sparse::{CscMatrix, CsrMatrix};
@@ -328,6 +329,11 @@ impl KktBackend for DirectLdltBackend {
 
 /// Matrix-free PCG backend on the reduced KKT system (Eq. 3).
 ///
+/// While the operator's preconditioner is exact (the dense-column
+/// elimination is on, [`rsqp_linsys::KktPrecond::is_exact`]) a solve is
+/// `x̃ = M⁻¹ b` with no CG iteration ([`exact_solve`]); otherwise, and
+/// whenever a refresh has switched the elimination off, it is PCG.
+///
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
 /// `Aᵀ`), a [`PcgWorkspace`], and the right-hand-side buffers for the whole
 /// solver lifetime, so steady-state ADMM iterations perform **zero heap
@@ -450,13 +456,18 @@ impl KktBackend for CpuPcgBackend {
         }
         self.op.at_spmv_acc(1.0, &self.tmp_m, &mut self.rhs)?;
 
-        // PCG starts from the caller's warm start in `xtilde`.
-        let settings = PcgSettings { eps: self.eps, eps_abs: 1e-15, max_iter: self.max_iter };
-        let summary =
-            pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool);
-        match summary {
-            Ok(s) => {
-                self.stats.cg_iterations += s.iterations;
+        // With an exact preconditioner x̃ = M⁻¹ rhs directly; otherwise PCG
+        // starts from the caller's warm start in `xtilde`.
+        let iterations = if self.op.preconditioner().is_exact() {
+            exact_solve(&mut self.op, &self.rhs, xtilde).map(|()| 0)
+        } else {
+            let settings = PcgSettings { eps: self.eps, eps_abs: 1e-15, max_iter: self.max_iter };
+            pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool)
+                .map(|s| s.iterations)
+        };
+        match iterations {
+            Ok(iterations) => {
+                self.stats.cg_iterations += iterations;
                 // z̃ = A x̃
                 self.op.a_spmv(xtilde, ztilde)?;
                 self.stats.spmv_evals += self.op.spmv_count() - count0;

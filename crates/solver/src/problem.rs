@@ -66,6 +66,32 @@ fn require_bounds_well_formed(l: &[f64], u: &[f64]) -> Result<(), SolverError> {
     Ok(())
 }
 
+/// Rejects a `P` that is not symmetric: its pattern must be, and every
+/// pair of mirrored entries must agree to `1e-10·(1 + max |P_ij|)`.
+/// Allocates nothing.
+fn require_symmetric(p: &CsrMatrix) -> Result<(), SolverError> {
+    let mirror = |i: usize, j: usize| {
+        let (cols, vals) = p.row(j);
+        cols.binary_search(&i).ok().map(|k| vals[k])
+    };
+    let entries = || {
+        (0..p.nrows()).flat_map(|i| {
+            let (cols, vals) = p.row(i);
+            cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v))
+        })
+    };
+    if entries().any(|(i, j, _)| mirror(i, j).is_none()) {
+        return Err(SolverError::InvalidProblem(
+            "P has a structurally non-symmetric sparsity pattern".into(),
+        ));
+    }
+    let scale = 1.0 + vec_ops::inf_norm(p.data());
+    if entries().any(|(i, j, v)| mirror(i, j).is_some_and(|w| (v - w).abs() > 1e-10 * scale)) {
+        return Err(SolverError::InvalidProblem("P is not symmetric".into()));
+    }
+    Ok(())
+}
+
 impl QpProblem {
     /// Builds and validates a problem.
     ///
@@ -113,19 +139,7 @@ impl QpProblem {
         require_finite("A", a.data())?;
         require_finite("q", &q)?;
         require_bounds_well_formed(&l, &u)?;
-        // Symmetry check: P == Pᵀ entry-wise within a relative tolerance.
-        let pt = p.transpose();
-        let scale = 1.0 + vec_ops::inf_norm(p.data());
-        if p.indptr() != pt.indptr() || p.indices() != pt.indices() {
-            return Err(SolverError::InvalidProblem(
-                "P has a structurally non-symmetric sparsity pattern".into(),
-            ));
-        }
-        for (a_v, b_v) in p.data().iter().zip(pt.data()) {
-            if (a_v - b_v).abs() > 1e-10 * scale {
-                return Err(SolverError::InvalidProblem("P is not symmetric".into()));
-            }
-        }
+        require_symmetric(&p)?;
         Ok(QpProblem { p, q, a, l, u, name: String::new() })
     }
 
@@ -235,7 +249,8 @@ impl QpProblem {
     /// # Errors
     ///
     /// Returns [`SolverError::InvalidProblem`] if a replacement has a
-    /// different sparsity structure or breaks the symmetry of `P`.
+    /// different sparsity structure, a non-finite value, or breaks the
+    /// symmetry of `P`; the problem is then unchanged.
     pub fn update_matrices(
         &mut self,
         p: Option<CsrMatrix>,
@@ -255,15 +270,21 @@ impl QpProblem {
                 ));
             }
         }
-        // Validate symmetry of the new P by round-tripping the constructor.
-        let candidate = QpProblem::new(
-            p.clone().unwrap_or_else(|| self.p.clone()),
-            self.q.clone(),
-            a.clone().unwrap_or_else(|| self.a.clone()),
-            self.l.clone(),
-            self.u.clone(),
-        )?;
-        *self = candidate.with_name(self.name.clone());
+        // The checks of the constructor that new values can fail; the
+        // replacements are moved in, so an update does not allocate.
+        if let Some(p_new) = &p {
+            require_finite("P", p_new.data())?;
+        }
+        if let Some(a_new) = &a {
+            require_finite("A", a_new.data())?;
+        }
+        if let Some(p_new) = p {
+            require_symmetric(&p_new)?;
+            self.p = p_new;
+        }
+        if let Some(a_new) = a {
+            self.a = a_new;
+        }
         Ok(())
     }
 

@@ -39,10 +39,9 @@ pub struct RhoManager {
 impl RhoManager {
     /// Builds the manager from the initial ρ̄ and the (scaled) bounds.
     pub fn new(rho_bar: f64, l: &[f64], u: &[f64]) -> Self {
-        let kinds = classify(l, u);
         let mut mgr = RhoManager {
             rho_bar: rho_bar.clamp(RHO_MIN, RHO_MAX),
-            kinds,
+            kinds: l.iter().zip(u).map(|(&li, &ui)| kind(li, ui)).collect(),
             rho_vec: Vec::new(),
             rho_inv_vec: Vec::new(),
             updates: 0,
@@ -67,9 +66,11 @@ impl RhoManager {
         }
     }
 
-    /// Re-derives constraint kinds after a bounds update.
+    /// Re-derives constraint kinds after a bounds update, in place: no
+    /// allocation while the constraint count is unchanged.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) {
-        self.kinds = classify(l, u);
+        self.kinds.clear();
+        self.kinds.extend(l.iter().zip(u).map(|(&li, &ui)| kind(li, ui)));
         self.rebuild();
     }
 
@@ -148,19 +149,15 @@ impl RhoManager {
     }
 }
 
-fn classify(l: &[f64], u: &[f64]) -> Vec<ConstraintKind> {
-    l.iter()
-        .zip(u)
-        .map(|(&li, &ui)| {
-            if li.is_infinite() && li < 0.0 && ui.is_infinite() && ui > 0.0 {
-                ConstraintKind::Loose
-            } else if (ui - li).abs() <= RHO_EQ_TOL {
-                ConstraintKind::Equality
-            } else {
-                ConstraintKind::Inequality
-            }
-        })
-        .collect()
+/// The kind of a constraint with bounds `li ≤ · ≤ ui`.
+fn kind(li: f64, ui: f64) -> ConstraintKind {
+    if li.is_infinite() && li < 0.0 && ui.is_infinite() && ui > 0.0 {
+        ConstraintKind::Loose
+    } else if (ui - li).abs() <= RHO_EQ_TOL {
+        ConstraintKind::Equality
+    } else {
+        ConstraintKind::Inequality
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,28 @@ pub struct ScaledData {
     pub a: CsrMatrix,
 }
 
+/// Scratch for [`Scaling::equilibrate`]: the infinity norms of the rows
+/// and columns of the scaled `P` and `A`.
+#[derive(Debug, Clone)]
+pub(crate) struct RuizWorkspace {
+    p_cols: Vec<f64>,
+    p_rows: Vec<f64>,
+    a_cols: Vec<f64>,
+    a_rows: Vec<f64>,
+}
+
+impl RuizWorkspace {
+    /// Scratch for `n` variables and `m` constraints.
+    pub(crate) fn new(n: usize, m: usize) -> Self {
+        RuizWorkspace {
+            p_cols: vec![0.0; n],
+            p_rows: vec![0.0; n],
+            a_cols: vec![0.0; n],
+            a_rows: vec![0.0; m],
+        }
+    }
+}
+
 impl Scaling {
     /// The identity scaling (used when `scaling_iters == 0`).
     pub fn identity(n: usize, m: usize) -> Self {
@@ -51,70 +73,91 @@ impl Scaling {
     /// Runs `iters` Ruiz iterations on `(P, q, A)` and returns the scaling
     /// together with the scaled matrices.
     pub fn ruiz(p: &CsrMatrix, q: &[f64], a: &CsrMatrix, iters: usize) -> (Self, ScaledData) {
-        let n = p.nrows();
-        let m = a.nrows();
+        let (n, m) = (p.nrows(), a.nrows());
         let mut sc = Scaling::identity(n, m);
-        let mut ps = p.clone();
-        let mut qs = q.to_vec();
-        let mut as_ = a.clone();
+        let mut data = ScaledData { p: p.clone(), q: q.to_vec(), a: a.clone() };
+        sc.equilibrate(&mut data.p, &mut data.q, &mut data.a, iters, &mut RuizWorkspace::new(n, m));
+        (sc, data)
+    }
+
+    /// [`Self::ruiz`] in place, without allocating: `p`, `q` and `a` hold
+    /// the unscaled data on entry and the scaled data on return, and `self`
+    /// (of the same dimensions) becomes their scaling. The result is bit
+    /// for bit that of [`Self::ruiz`].
+    pub(crate) fn equilibrate(
+        &mut self,
+        p: &mut CsrMatrix,
+        q: &mut [f64],
+        a: &mut CsrMatrix,
+        iters: usize,
+        ws: &mut RuizWorkspace,
+    ) {
+        let n = p.nrows();
+        // D and E of one iteration live in the buffers that take D⁻¹ and
+        // E⁻¹ at the end.
+        let Scaling { d, e, dinv: dx, einv: dz, c, cinv } = self;
+        d.fill(1.0);
+        e.fill(1.0);
+        *c = 1.0;
 
         // Column infinity norms of the stacked matrix [P; A] for the
         // variable block, row norms of A for the constraint block; each
         // scaling pass below leaves the norms of its result for the next
         // iteration.
-        let mut p_cols = ps.column_inf_norms();
-        let mut p_rows = vec![0.0; n];
-        let mut a_cols = as_.column_inf_norms();
-        let mut a_rows = as_.row_inf_norms();
-        let mut dx = vec![0.0; n];
-        let mut dz = vec![0.0; m];
+        let RuizWorkspace { p_cols, p_rows, a_cols, a_rows } = ws;
+        p.column_inf_norms_into(p_cols);
+        a.column_inf_norms_into(a_cols);
+        a.row_inf_norms_into(a_rows);
         for _ in 0..iters {
-            for (s, (&pc, &ac)) in dx.iter_mut().zip(p_cols.iter().zip(&a_cols)) {
+            for (s, (&pc, &ac)) in dx.iter_mut().zip(p_cols.iter().zip(a_cols.iter())) {
                 *s = inv_sqrt_clamped(pc.max(ac));
             }
-            for (s, &ar) in dz.iter_mut().zip(&a_rows) {
+            for (s, &ar) in dz.iter_mut().zip(a_rows.iter()) {
                 *s = inv_sqrt_clamped(ar);
             }
 
-            ps.scale_with_inf_norms(&dx, &dx, &mut p_rows, &mut p_cols);
-            as_.scale_with_inf_norms(&dz, &dx, &mut a_rows, &mut a_cols);
-            for (qi, &s) in qs.iter_mut().zip(&dx) {
+            p.scale_with_inf_norms(dx, dx, p_rows, p_cols);
+            a.scale_with_inf_norms(dz, dx, a_rows, a_cols);
+            for (qi, &s) in q.iter_mut().zip(dx.iter()) {
                 *qi *= s;
             }
-            for (di, &s) in sc.d.iter_mut().zip(&dx) {
+            for (di, &s) in d.iter_mut().zip(dx.iter()) {
                 *di *= s;
             }
-            for (ei, &s) in sc.e.iter_mut().zip(&dz) {
+            for (ei, &s) in e.iter_mut().zip(dz.iter()) {
                 *ei *= s;
             }
 
             // Cost normalization.
             let mean_p = if n == 0 { 0.0 } else { p_cols.iter().sum::<f64>() / n as f64 };
-            let norm_q = vec_ops::inf_norm(&qs);
+            let norm_q = vec_ops::inf_norm(q);
             let denom = mean_p.max(norm_q);
             let gamma = if denom > MIN_SCALING {
                 (1.0 / denom).clamp(1.0 / MAX_SCALING, 1.0 / MIN_SCALING)
             } else {
                 1.0
             };
-            for v in ps.data_mut() {
+            for v in p.data_mut() {
                 *v *= gamma;
             }
             // Rounding is monotone, so the largest scaled entry of a column
             // is its largest entry, scaled: the norms of c·P stay exact.
-            for v in &mut p_cols {
+            for v in p_cols.iter_mut() {
                 *v *= gamma;
             }
-            for v in &mut qs {
+            for v in q.iter_mut() {
                 *v *= gamma;
             }
-            sc.c *= gamma;
+            *c *= gamma;
         }
 
-        sc.dinv = sc.d.iter().map(|&v| 1.0 / v).collect();
-        sc.einv = sc.e.iter().map(|&v| 1.0 / v).collect();
-        sc.cinv = 1.0 / sc.c;
-        (sc, ScaledData { p: ps, q: qs, a: as_ })
+        for (inv, &v) in dx.iter_mut().zip(d.iter()) {
+            *inv = 1.0 / v;
+        }
+        for (inv, &v) in dz.iter_mut().zip(e.iter()) {
+            *inv = 1.0 / v;
+        }
+        *cinv = 1.0 / *c;
     }
 
     /// Variable scaling `D` (length `n`).
@@ -149,41 +192,79 @@ impl Scaling {
 
     /// Scales bound vectors: `l̄ = E·l`, `ū = E·u` (infinities survive).
     pub fn scale_bounds(&self, l: &[f64], u: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let ls = l.iter().zip(&self.e).map(|(&v, &s)| v * s).collect();
-        let us = u.iter().zip(&self.e).map(|(&v, &s)| v * s).collect();
-        (ls, us)
+        (mapped(l, |v| mul(v, &self.e)), mapped(u, |v| mul(v, &self.e)))
+    }
+
+    /// [`Self::scale_bounds`] into `ls` and `us`, without allocating.
+    pub(crate) fn scale_bounds_into(&self, l: &[f64], u: &[f64], ls: &mut [f64], us: &mut [f64]) {
+        ls.copy_from_slice(l);
+        us.copy_from_slice(u);
+        mul(ls, &self.e);
+        mul(us, &self.e);
+    }
+
+    /// [`Self::unscale_x`], [`Self::unscale_z`] and [`Self::unscale_y`] in
+    /// place.
+    pub(crate) fn unscale_in_place(&self, x: &mut [f64], z: &mut [f64], y: &mut [f64]) {
+        mul(x, &self.d);
+        mul(z, &self.einv);
+        mul_by(y, &self.e, self.cinv);
+    }
+
+    /// [`Self::scale_x`], [`Self::scale_z`] and [`Self::scale_y`] in place.
+    pub(crate) fn scale_in_place(&self, x: &mut [f64], z: &mut [f64], y: &mut [f64]) {
+        mul(x, &self.dinv);
+        mul(z, &self.e);
+        mul_by(y, &self.einv, self.c);
     }
 
     /// Maps a scaled primal iterate back: `x = D·x̄`.
     pub fn unscale_x(&self, x: &[f64]) -> Vec<f64> {
-        x.iter().zip(&self.d).map(|(&v, &s)| v * s).collect()
+        mapped(x, |v| mul(v, &self.d))
     }
 
     /// Maps a scaled slack iterate back: `z = E⁻¹·z̄`.
     pub fn unscale_z(&self, z: &[f64]) -> Vec<f64> {
-        z.iter().zip(&self.einv).map(|(&v, &s)| v * s).collect()
+        mapped(z, |v| mul(v, &self.einv))
     }
 
     /// Maps a scaled dual iterate back: `y = c⁻¹·E·ȳ`.
     pub fn unscale_y(&self, y: &[f64]) -> Vec<f64> {
-        y.iter().zip(&self.e).map(|(&v, &s)| v * s * self.cinv).collect()
+        mapped(y, |v| mul_by(v, &self.e, self.cinv))
     }
 
     /// Maps an unscaled primal point into scaled space: `x̄ = D⁻¹·x`.
     pub fn scale_x(&self, x: &[f64]) -> Vec<f64> {
-        x.iter().zip(&self.dinv).map(|(&v, &s)| v * s).collect()
+        mapped(x, |v| mul(v, &self.dinv))
     }
 
     /// Maps an unscaled dual point into scaled space: `ȳ = c·E⁻¹·y`.
     pub fn scale_y(&self, y: &[f64]) -> Vec<f64> {
-        y.iter().zip(&self.einv).map(|(&v, &s)| v * s * self.c).collect()
+        mapped(y, |v| mul_by(v, &self.einv, self.c))
     }
 
     /// Maps an unscaled slack point into scaled space: `z̄ = E·z` (the
     /// inverse of [`Scaling::unscale_z`], used by checkpoint restore).
     pub fn scale_z(&self, z: &[f64]) -> Vec<f64> {
-        z.iter().zip(&self.e).map(|(&v, &s)| v * s).collect()
+        mapped(z, |v| mul(v, &self.e))
     }
+}
+
+/// A copy of `v` with `f` applied in place.
+fn mapped(v: &[f64], f: impl FnOnce(&mut [f64])) -> Vec<f64> {
+    let mut out = v.to_vec();
+    f(&mut out);
+    out
+}
+
+/// `v ← v∘s`.
+fn mul(v: &mut [f64], s: &[f64]) {
+    v.iter_mut().zip(s).for_each(|(v, &s)| *v *= s);
+}
+
+/// `v ← (v∘s)·k`, rounded as `v * s * k`.
+fn mul_by(v: &mut [f64], s: &[f64], k: f64) {
+    v.iter_mut().zip(s).for_each(|(v, &s)| *v = *v * s * k);
 }
 
 fn inv_sqrt_clamped(norm: f64) -> f64 {
@@ -227,6 +308,25 @@ mod tests {
             assert_eq!(bits(scaled.data()), bits(orig.data()));
         }
         assert_eq!(bits(&data.q), bits(&q));
+    }
+
+    #[test]
+    fn equilibrating_in_place_forgets_the_old_scaling() {
+        // A scaling of other data, re-run in place on new values, is bit
+        // for bit the scaling of the new values.
+        let (p, q, a) = badly_scaled();
+        let (mut sc, mut data) = Scaling::ruiz(&p, &q, &a, 4);
+        let (p2, q2, a2) = (p.map_values(|v| 3.0 * v), vec![1.0, 2.0], a.map_values(|v| v / 7.0));
+        let (want, want_data) = Scaling::ruiz(&p2, &q2, &a2, 4);
+        data.p.data_mut().copy_from_slice(p2.data());
+        data.q.copy_from_slice(&q2);
+        data.a.data_mut().copy_from_slice(a2.data());
+        sc.equilibrate(&mut data.p, &mut data.q, &mut data.a, 4, &mut RuizWorkspace::new(2, 2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(sc, want);
+        assert_eq!(bits(data.p.data()), bits(want_data.p.data()));
+        assert_eq!(bits(data.a.data()), bits(want_data.a.data()));
+        assert_eq!(bits(&data.q), bits(&want_data.q));
     }
 
     #[test]

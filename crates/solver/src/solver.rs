@@ -11,7 +11,7 @@ use crate::control::SolveControl;
 use crate::guard::{Anomaly, Guard, GuardReport, RecoveryAction};
 use crate::infeasibility::{dual_certificate, primal_certificate};
 use crate::rho::ConstraintKind;
-use crate::scaling::ScaledData;
+use crate::scaling::{RuizWorkspace, ScaledData};
 use crate::settings::{validate_rho, CgTolerance, LinSysKind};
 use crate::termination::{residuals, ResidualInfo};
 use crate::workspace::IterateWorkspace;
@@ -151,6 +151,8 @@ pub struct Solver {
     l: Vec<f64>,
     u: Vec<f64>,
     scaling: Scaling,
+    /// Scratch for re-equilibrating in [`Solver::update_matrices`].
+    ruiz_ws: RuizWorkspace,
     rho_mgr: RhoManager,
     backend: Box<dyn KktBackend>,
     // Scaled iterates.
@@ -252,6 +254,7 @@ impl Solver {
             l,
             u,
             scaling,
+            ruiz_ws: RuizWorkspace::new(n, m),
             rho_mgr,
             backend,
             x: vec![0.0; n],
@@ -397,6 +400,13 @@ impl Solver {
     /// matrices into the backend — OSQP's `update_P_A`. The customized
     /// architecture (which depends only on the structure) stays valid.
     ///
+    /// Everything happens in place, bit for bit as a fresh equilibration,
+    /// and allocates nothing with the CPU PCG or the simulated-FPGA
+    /// backend — unless the problem `Arc` is shared with another owner,
+    /// which `Arc::make_mut` then copies once per call. A session shares it
+    /// again after every step, so each session step with new matrices
+    /// still pays that copy.
+    ///
     /// # Errors
     ///
     /// Returns an error if a replacement changes the structure or the
@@ -406,28 +416,23 @@ impl Solver {
         p_new: Option<CsrMatrix>,
         a_new: Option<CsrMatrix>,
     ) -> Result<(), SolverError> {
+        // Copies the problem when its `Arc` is shared, as a session's is:
+        // `SolveSession` re-shares it after every step.
         Arc::make_mut(&mut self.orig).update_matrices(p_new, a_new)?;
-        // Re-equilibrate on the new values.
-        let (scaling, ScaledData { p, q, a }) =
-            Scaling::ruiz(self.orig.p(), self.orig.q(), self.orig.a(), self.settings.scaling_iters);
-        // Map current iterates into the new scaled space so warm starts
-        // survive the update. The slack z is carried through the scaling
-        // change like x/y — mid-ADMM it is the *projected* iterate, distinct
-        // from A·x̄, and recomputing it would leave the restart outside
-        // [l, u].
-        let x_un = self.scaling.unscale_x(&self.x);
-        let y_un = self.scaling.unscale_y(&self.y);
-        let z_un = self.scaling.unscale_z(&self.z);
-        self.scaling = scaling;
-        self.p = p;
-        self.q = q;
-        self.a = a;
-        let (ls, us) = self.scaling.scale_bounds(self.orig.l(), self.orig.u());
-        self.l = ls;
-        self.u = us;
-        self.x = self.scaling.scale_x(&x_un);
-        self.y = self.scaling.scale_y(&y_un);
-        self.z = self.scaling.scale_z(&z_un);
+        // Map the current iterates out of the old scaled space, and into the
+        // new one below, so warm starts survive the update. The slack z is
+        // carried through the scaling change like x/y — mid-ADMM it is the
+        // *projected* iterate, distinct from A·x̄, and recomputing it would
+        // leave the restart outside [l, u].
+        self.scaling.unscale_in_place(&mut self.x, &mut self.z, &mut self.y);
+        // Re-equilibrate the new values in place.
+        self.p.data_mut().copy_from_slice(self.orig.p().data());
+        self.q.copy_from_slice(self.orig.q());
+        self.a.data_mut().copy_from_slice(self.orig.a().data());
+        let iters = self.settings.scaling_iters;
+        self.scaling.equilibrate(&mut self.p, &mut self.q, &mut self.a, iters, &mut self.ruiz_ws);
+        self.scaling.scale_bounds_into(self.orig.l(), self.orig.u(), &mut self.l, &mut self.u);
+        self.scaling.scale_in_place(&mut self.x, &mut self.z, &mut self.y);
         // The ρ classification is derived from the *scaled* bounds, and the
         // new equilibration can move a constraint across the equality/loose
         // thresholds — re-derive it before the backend sees ρ.

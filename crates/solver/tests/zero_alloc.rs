@@ -247,6 +247,33 @@ fn pcg_backend_matrix_update_is_allocation_free() {
 }
 
 #[test]
+fn solver_matrix_update_is_allocation_free() {
+    // `Solver::update_matrices` re-equilibrates into the solver's scaled
+    // data, rescales the iterates and bounds in place and hands the values
+    // to the backend, which refreshes in place too: the dense-row
+    // correction on the portfolio, the direct dense-column solve on the
+    // Huber fit. The solver owns its problem here; a shared `Arc` would be
+    // copied once.
+    for prob in [portfolio(), generate(Domain::Huber, 19, 1)] {
+        let mut solver = Solver::new(&prob, settings(20)).unwrap();
+        let _ = solver.solve().unwrap();
+        let (p, a) = (prob.p(), prob.a());
+        let updates: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
+            .iter()
+            .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
+            .collect();
+        let before = alloc_count();
+        for (p2, a2) in updates {
+            solver.update_matrices(Some(p2), Some(a2)).unwrap();
+        }
+        let during = alloc_count() - before;
+        assert_eq!(during, 0, "{}: Solver::update_matrices allocated {during} times", prob.name());
+        let result = solver.solve().unwrap();
+        assert_eq!(result.status, Status::MaxIterationsReached);
+    }
+}
+
+#[test]
 fn ldlt_steady_state_with_refactorizations_is_allocation_free() {
     // Every ρ change refactorizes the permuted KKT matrix in place; the
     // 220-iteration solve does many more of them than the 20-iteration one

@@ -454,21 +454,42 @@ impl CsrMatrix {
 
     /// `max |value|` over stored entries of each column.
     pub fn column_inf_norms(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.ncols];
+        let mut out = vec![0.0; self.ncols];
+        self.column_inf_norms_into(&mut out);
+        out
+    }
+
+    /// [`Self::column_inf_norms`] into `out`, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not of length `ncols`.
+    pub fn column_inf_norms_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.ncols, "column length mismatch");
+        out.fill(0.0);
         for (&j, &v) in self.indices.iter().zip(&self.data) {
             out[j] = max_abs(out[j], v);
         }
-        out
     }
 
     /// `max |value|` over stored entries of each row.
     pub fn row_inf_norms(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.nrows];
-        for i in 0..self.nrows {
-            let (_, vals) = self.row(i);
-            out[i] = vals.iter().fold(0.0f64, |m, &v| max_abs(m, v));
-        }
+        self.row_inf_norms_into(&mut out);
         out
+    }
+
+    /// [`Self::row_inf_norms`] into `out`, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not of length `nrows`.
+    pub fn row_inf_norms_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.nrows, "row length mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            let (_, vals) = self.row(i);
+            *o = vals.iter().fold(0.0f64, |m, &v| max_abs(m, v));
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Exact ADMM and CG iteration counts of the benchmark's one-shot CPU PCG
-//! instances at default settings.
+//! instances at default settings, and the ADMM counts of the dense-column
+//! instances at eps 1e-8.
 //!
 //! The counts are deterministic, so a preconditioner or PCG regression
 //! shows here as a changed number even where a wall-clock gate cannot see
@@ -17,12 +18,14 @@
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{LinSysKind, Settings, Solver, Status};
 
-/// `(domain, size, ADMM iterations, CG iterations)`.
+/// `(domain, size, ADMM iterations, CG iterations)`. The lasso, SVM and
+/// Huber instances solve their KKT systems directly (dense-column
+/// elimination), so they take no CG iteration.
 const COUNTS: [(Domain, usize, usize, usize); 6] = [
     (Domain::Control, 60, 75, 1968),
-    (Domain::Lasso, 200, 225, 172),
-    (Domain::Svm, 200, 800, 800),
-    (Domain::Huber, 160, 150, 116),
+    (Domain::Lasso, 200, 175, 0),
+    (Domain::Svm, 200, 800, 0),
+    (Domain::Huber, 160, 50, 0),
     (Domain::Eqqp, 400, 75, 2185),
     (Domain::Portfolio, 30, 375, 300),
 ];
@@ -39,4 +42,31 @@ fn oneshot_pcg_iteration_counts_are_pinned() {
         got.push((domain, size, r.iterations, r.backend.cg_iterations));
     }
     assert_eq!(got, COUNTS, "(domain, size, ADMM, CG) per instance");
+}
+
+/// `(domain, size, ADMM iterations)` at eps 1e-8: the same counts as LDLᵀ.
+const TIGHT_COUNTS: [(Domain, usize, usize); 3] =
+    [(Domain::Huber, 61, 100), (Domain::Huber, 160, 125), (Domain::Lasso, 200, 250)];
+
+#[test]
+#[ignore = "solves three instances at eps 1e-8; run in release with --ignored"]
+fn dense_column_instances_reach_tight_tolerances() {
+    // An exact KKT solve leaves no inner tolerance to hold ADMM back, so
+    // CPU PCG needs as many ADMM iterations as LDLᵀ at eps 1e-8.
+    let settings = Settings {
+        linsys: LinSysKind::CpuPcg,
+        eps_abs: 1e-8,
+        eps_rel: 1e-8,
+        max_iter: 20_000,
+        ..Settings::default()
+    };
+    let mut got = Vec::new();
+    for (domain, size, _) in TIGHT_COUNTS {
+        let qp = generate(domain, size, 1);
+        let r = Solver::new(&qp, settings.clone()).unwrap().solve().unwrap();
+        assert_eq!(r.status, Status::Solved, "{}", qp.name());
+        assert_eq!(r.backend.cg_iterations, 0, "{}", qp.name());
+        got.push((domain, size, r.iterations));
+    }
+    assert_eq!(got, TIGHT_COUNTS, "(domain, size, ADMM) per instance");
 }
