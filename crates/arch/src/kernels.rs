@@ -20,32 +20,26 @@
 //! ```
 //!
 //! with `D'⁻¹` in the `minv` register and `A_S`, `C⁻¹`, `A_Sᵀ` as three
-//! more resident matrices ([`DenseRowCorrection`]), or, when `A` has dense
-//! columns `D`, their block elimination (`rsqp_linsys::DenseColPrecond`):
-//!
-//! ```text
-//! d = G r + Hᵀ S⁻¹ H r
-//! ```
-//!
-//! with `G` in `minv` when it is diagonal and resident otherwise, and `H`,
-//! `S⁻¹`, `Hᵀ` resident ([`DenseColCorrection`]). Either is built from the
+//! more resident matrices ([`DenseRowCorrection`]). It is built from the
 //! instructions of Table 1 alone — `Duplicate`/`Spmv` pairs, an `EwMul` and
 //! a `Lincomb` — and without a correction the kernel is the plain Jacobi
 //! program.
 //!
-//! With the dense-column elimination `M = K`, so the kernel also carries a
-//! loop-free direct solve over the same registers ([`PcgKernel::direct`]):
+//! When `A` has dense columns `D` instead, their block elimination
+//! (`rsqp_linsys::DenseColPrecond`, [`DenseColCorrection`]) is `K⁻¹`
+//! itself, and the kernel is a loop-free direct solve over the same
+//! registers:
 //!
 //! ```text
 //! b  = σx − q + Aᵀ(ρ∘z − y)
-//! x̃ = M⁻¹ b                            (G b + Hᵀ S⁻¹ H b)
+//! x̃ = G b + Hᵀ S⁻¹ H b                  (= K⁻¹ b)
 //! z̃ = A x̃
 //! ```
 //!
-//! The host runs it while the elimination is on and the PCG program while
-//! a refresh has switched it off. The dense-row correction keeps PCG: a
-//! direct Woodbury solve loses accuracy to cancellation over stiff
-//! equality rows, which PCG's residual test repairs.
+//! with `G` in `minv` when it is diagonal and resident otherwise, and `H`,
+//! `S⁻¹`, `Hᵀ` resident. The dense-row correction keeps PCG: a direct
+//! Woodbury solve loses accuracy to cancellation over stiff equality rows,
+//! which PCG's residual test repairs.
 //!
 //! PCG starts from whatever the `xtilde` register
 //! holds — the host leaves the previous KKT solution there — while `x`
@@ -55,21 +49,17 @@
 
 use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
-/// Register map and program of the on-accelerator PCG solve.
+/// Register map and program of the on-accelerator KKT solve.
 #[derive(Debug, Clone)]
 pub struct PcgKernel {
-    /// The compiled program.
+    /// The compiled program: the PCG loop, or with a
+    /// [`DenseColCorrection`] the loop-free direct solve.
     pub program: Program,
-    /// With the dense-column elimination, the loop-free direct solve over
-    /// the same registers: `b`, then `x̃ = M⁻¹ b` (the `precondition`
-    /// sequence applied to `b`) and `z̃ = A x̃`. It is the KKT solve while
-    /// the elimination is on (`M = K`); [`Self::program`] is, while a
-    /// refresh has switched it off.
-    pub direct: Option<Program>,
     /// Input: current primal iterate `x`, read only for `σ·x` in the
     /// right-hand side (length n).
     pub x: VecId,
-    /// In/out: PCG warm start on entry, solution `x̃` on exit (length n).
+    /// In/out: PCG warm start on entry (the direct solve does not read
+    /// it), solution `x̃` on exit (length n).
     pub xtilde: VecId,
     /// Input: current slack iterate `z` (length m).
     pub z: VecId,
@@ -81,15 +71,16 @@ pub struct PcgKernel {
     pub rho_vec: VecId,
     /// Input: inverse preconditioner diagonal `D'⁻¹` — the Jacobi
     /// diagonal, without the dense rows when the kernel carries a
-    /// [`DenseRowCorrection`] (length n).
+    /// [`DenseRowCorrection`] — or the diagonal of `G` (length n).
     pub minv: VecId,
     /// Output: `z̃ = A·x̃` (length m).
     pub ztilde: VecId,
     /// Host-set scalar: σ.
     pub sigma: SReg,
-    /// Host-set scalar: relative CG tolerance ε.
+    /// Host-set scalar: relative CG tolerance ε (read by PCG only).
     pub eps: SReg,
-    /// Host-set scalar: squared absolute tolerance floor.
+    /// Host-set scalar: squared absolute tolerance floor (read by PCG
+    /// only).
     pub eps_abs_sq: SReg,
 }
 
@@ -124,7 +115,7 @@ pub struct DenseColCorrection {
     pub ht: MatrixId,
 }
 
-/// The correction a PCG kernel's preconditioner applies beyond Jacobi.
+/// The correction a kernel's `M⁻¹` applies beyond the diagonal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Correction {
     /// Woodbury correction for the dense rows of `A`.
@@ -133,13 +124,13 @@ pub enum Correction {
     Cols(DenseColCorrection),
 }
 
-/// Builds the PCG kernel on `machine` for matrices `p` (n×n), `a` (m×n) and
-/// `at` (n×m) already registered with the machine, preconditioned with
-/// `minv` alone or, given a `correction`, with its dense-row correction or
-/// dense-column elimination. Without one the program is the plain Jacobi
-/// PCG.
+/// Builds the KKT-solve kernel on `machine` for matrices `p` (n×n), `a`
+/// (m×n) and `at` (n×m) already registered with the machine: PCG
+/// preconditioned with `minv` alone or, given a dense-row `correction`,
+/// with its Woodbury correction, or, given a dense-column one, the
+/// loop-free direct solve through their elimination.
 ///
-/// `max_iter` caps the hardware loop.
+/// `max_iter` caps the PCG loop.
 ///
 /// # Panics
 ///
@@ -191,7 +182,7 @@ pub fn build_pcg(
     let eps2 = machine.alloc_scalar();
     let guard = machine.alloc_scalar();
     // The correction's k-length intermediates `s` and `t` (`A_S d` and
-    // `C⁻¹ s`, or `H r` and `S⁻¹ s`); the k-to-n product goes through
+    // `C⁻¹ s`, or `H b` and `S⁻¹ s`); the k-to-n product goes through
     // `px`, which is free outside K·v.
     let correction = correction.map(|c| {
         let k = match c {
@@ -204,30 +195,15 @@ pub fn build_pcg(
         pb.push(Instr::Duplicate { vec: input, matrix });
         pb.push(Instr::Spmv { matrix, input, output });
     };
-    // `d = M⁻¹ r`, for the registers `r` and `d` given.
-    let precondition = |pb: &mut ProgramBuilder, r: VecId, d: VecId| match correction {
-        None => {
-            pb.push(Instr::EwMul { dst: d, a: minv, b: r });
-        }
-        Some((Correction::Rows(c), s, t)) => {
-            pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+    // `d = M⁻¹ r` for PCG, for the registers `r` and `d` given.
+    let precondition = |pb: &mut ProgramBuilder, r: VecId, d: VecId| {
+        pb.push(Instr::EwMul { dst: d, a: minv, b: r });
+        if let Some((Correction::Rows(c), s, t)) = correction {
             spmv(pb, c.a_s, d, s);
             spmv(pb, c.cinv, s, t);
             spmv(pb, c.a_st, t, px);
             pb.push(Instr::EwMul { dst: px, a: minv, b: px });
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
-        }
-        Some((Correction::Cols(c), s, t)) => {
-            match c.g {
-                Some(g) => spmv(pb, g, r, d),
-                None => {
-                    pb.push(Instr::EwMul { dst: d, a: minv, b: r });
-                }
-            }
-            spmv(pb, c.h, r, s);
-            spmv(pb, c.sinv, s, t);
-            spmv(pb, c.ht, t, px);
-            pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: one, b: px });
         }
     };
     // b = σx − q + Aᵀ(ρ∘z − y)
@@ -246,59 +222,65 @@ pub fn build_pcg(
     };
 
     let mut pb = ProgramBuilder::new();
-    pb.max_trips(max_iter.max(1));
-    // Constants.
-    pb.push(Instr::SetScalar { dst: one, value: 1.0 });
-    pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
-    pb.push(Instr::SetScalar { dst: zero, value: 0.0 });
-    pb.push(Instr::SetScalar { dst: tiny, value: 1e-300 });
-
-    rhs(&mut pb);
-
-    // K·x̃ -> kp  (initial residual).
-    emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
-    // r = kp − b ; d = M⁻¹∘r ; p = −d
-    pb.push(Instr::Lincomb { dst: r, alpha: one, a: kp, beta: neg_one, b });
-    precondition(&mut pb, r, d);
-    pb.push(Instr::Lincomb { dst: pv, alpha: neg_one, a: d, beta: zero, b: d });
-    pb.push(Instr::Dot { dst: delta, a: r, b: d });
-    pb.push(Instr::Dot { dst: normb2, a: b, b });
-    pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: eps2, a: eps, b: eps });
-    pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: thr, a: eps2, b: normb2 });
-    pb.push(Instr::Scalar { op: ScalarOp::Max, dst: thr, a: thr, b: eps_abs_sq });
-    pb.push(Instr::Dot { dst: res2, a: r, b: r });
-
-    // Main loop (Algorithm 2, lines 3–9).
-    pb.loop_start();
-    emit_kapply(&mut pb, p, a, at, pv, kp, px, am, rho_vec, sigma, one);
-    pb.push(Instr::Dot { dst: pkp, a: pv, b: kp });
-    pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: pkp, b: tiny });
-    pb.push(Instr::Scalar { op: ScalarOp::Div, dst: lambda, a: delta, b: guard });
-    pb.push(Instr::Lincomb { dst: xtilde, alpha: lambda, a: pv, beta: one, b: xtilde });
-    pb.push(Instr::Lincomb { dst: r, alpha: lambda, a: kp, beta: one, b: r });
-    pb.push(Instr::Dot { dst: res2, a: r, b: r });
-    precondition(&mut pb, r, d);
-    pb.push(Instr::Dot { dst: delta_new, a: r, b: d });
-    pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: delta, b: tiny });
-    pb.push(Instr::Scalar { op: ScalarOp::Div, dst: mu, a: delta_new, b: guard });
-    pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: delta, a: delta_new, b: one });
-    pb.push(Instr::Lincomb { dst: pv, alpha: mu, a: pv, beta: neg_one, b: d });
-    pb.loop_end_if_less(res2, thr);
-    ztilde_out(&mut pb);
-    let program = pb.build().expect("PCG kernel builder is loop-balanced");
-
-    // The direct solve: x̃ = M⁻¹ b, which is K⁻¹ b while the dense-column
-    // elimination is on.
-    let direct = matches!(correction, Some((Correction::Cols(_), ..))).then(|| {
-        let mut pb = ProgramBuilder::new();
+    if let Some((Correction::Cols(c), s, t)) = correction {
+        // x̃ = G b + Hᵀ S⁻¹ H b = K⁻¹ b, straight through.
         pb.push(Instr::SetScalar { dst: one, value: 1.0 });
         pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
         rhs(&mut pb);
-        precondition(&mut pb, b, xtilde);
+        match c.g {
+            Some(g) => spmv(&mut pb, g, b, xtilde),
+            None => {
+                pb.push(Instr::EwMul { dst: xtilde, a: minv, b });
+            }
+        }
+        spmv(&mut pb, c.h, b, s);
+        spmv(&mut pb, c.sinv, s, t);
+        spmv(&mut pb, c.ht, t, px);
+        pb.push(Instr::Lincomb { dst: xtilde, alpha: one, a: xtilde, beta: one, b: px });
         ztilde_out(&mut pb);
-        pb.build().expect("the direct solve is straight-line")
-    });
-    PcgKernel { program, direct, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
+    } else {
+        pb.max_trips(max_iter.max(1));
+        // Constants.
+        pb.push(Instr::SetScalar { dst: one, value: 1.0 });
+        pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
+        pb.push(Instr::SetScalar { dst: zero, value: 0.0 });
+        pb.push(Instr::SetScalar { dst: tiny, value: 1e-300 });
+
+        rhs(&mut pb);
+
+        // K·x̃ -> kp  (initial residual).
+        emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
+        // r = kp − b ; d = M⁻¹∘r ; p = −d
+        pb.push(Instr::Lincomb { dst: r, alpha: one, a: kp, beta: neg_one, b });
+        precondition(&mut pb, r, d);
+        pb.push(Instr::Lincomb { dst: pv, alpha: neg_one, a: d, beta: zero, b: d });
+        pb.push(Instr::Dot { dst: delta, a: r, b: d });
+        pb.push(Instr::Dot { dst: normb2, a: b, b });
+        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: eps2, a: eps, b: eps });
+        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: thr, a: eps2, b: normb2 });
+        pb.push(Instr::Scalar { op: ScalarOp::Max, dst: thr, a: thr, b: eps_abs_sq });
+        pb.push(Instr::Dot { dst: res2, a: r, b: r });
+
+        // Main loop (Algorithm 2, lines 3–9).
+        pb.loop_start();
+        emit_kapply(&mut pb, p, a, at, pv, kp, px, am, rho_vec, sigma, one);
+        pb.push(Instr::Dot { dst: pkp, a: pv, b: kp });
+        pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: pkp, b: tiny });
+        pb.push(Instr::Scalar { op: ScalarOp::Div, dst: lambda, a: delta, b: guard });
+        pb.push(Instr::Lincomb { dst: xtilde, alpha: lambda, a: pv, beta: one, b: xtilde });
+        pb.push(Instr::Lincomb { dst: r, alpha: lambda, a: kp, beta: one, b: r });
+        pb.push(Instr::Dot { dst: res2, a: r, b: r });
+        precondition(&mut pb, r, d);
+        pb.push(Instr::Dot { dst: delta_new, a: r, b: d });
+        pb.push(Instr::Scalar { op: ScalarOp::Max, dst: guard, a: delta, b: tiny });
+        pb.push(Instr::Scalar { op: ScalarOp::Div, dst: mu, a: delta_new, b: guard });
+        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: delta, a: delta_new, b: one });
+        pb.push(Instr::Lincomb { dst: pv, alpha: mu, a: pv, beta: neg_one, b: d });
+        pb.loop_end_if_less(res2, thr);
+        ztilde_out(&mut pb);
+    }
+    let program = pb.build().expect("the kernel builder is loop-balanced");
+    PcgKernel { program, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
 }
 
 /// Emits `out = P·v + σ·v + Aᵀ(ρ∘(A·v))`.
@@ -480,7 +462,7 @@ mod tests {
             a_st: machine.add_matrix(&pre.a_s().transpose()),
         });
         let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
-        assert!(k.direct.is_none(), "dense rows keep PCG");
+        assert!(k.program.loop_bounds().is_some(), "dense rows keep PCG");
         let wave = |len: usize, phase: f64| -> Vec<f64> {
             (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
         };
@@ -522,7 +504,7 @@ mod tests {
             let rho: Vec<f64> =
                 qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
             let pre = rsqp_linsys::DenseColPrecond::new(pm, am, sigma, &rho).unwrap();
-            assert!(pre.is_active());
+            assert_eq!(pre.failed_pivot(), None);
             let k = pre.rank();
             let mut sinv = vec![0.0; k * k];
             pre.write_s_inverse(&mut sinv);
@@ -559,38 +541,28 @@ mod tests {
             machine.write_vec(k.rho_vec, &rho);
             machine.write_vec(k.minv, pre.inv_diag());
             machine.write_scalar(k.sigma, sigma);
-            machine.write_scalar(k.eps, 1e-12);
-            machine.write_scalar(k.eps_abs_sq, 1e-28);
-            let run = machine.run(&k.program).unwrap();
-            assert!(run.loop_trips <= 2, "{domain}: {} trips", run.loop_trips);
-            let x_pcg = machine.read_vec(k.xtilde).to_vec();
-            // The loop-free direct solve reads no warm start and gives the
-            // same solution with no loop trip.
+            // The program is the loop-free direct solve: it reads no warm
+            // start and takes no loop trip.
             machine.write_vec(k.xtilde, &vec![f64::NAN; n]);
-            let direct = k.direct.as_ref().expect("a direct solve with dense columns");
-            assert!(direct.loop_bounds().is_none());
-            assert_eq!(machine.run(direct).unwrap().loop_trips, 0);
+            assert!(k.program.loop_bounds().is_none(), "{domain}: no PCG loop");
+            assert_eq!(machine.run(&k.program).unwrap().loop_trips, 0);
             let x = machine.read_vec(k.xtilde).to_vec();
             let mut ax = vec![0.0; m];
             am.spmv(&x, &mut ax).unwrap();
             assert_eq!(machine.read_vec(k.ztilde), &ax[..], "{domain}: z̃ = A x̃");
 
-            // The residual of K x = b, evaluated on the CPU, for both.
+            // The residual of K x = b, evaluated on the CPU.
             let mut b: Vec<f64> = (0..n).map(|j| sigma * xv[j] - qv[j]).collect();
             let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
             am.transpose().spmv_acc(1.0, &w, &mut b).unwrap();
             let norm = |v: &[f64]| v.iter().map(|e| e * e).sum::<f64>().sqrt();
-            for x in [&x_pcg, &x] {
-                let mut ax = vec![0.0; m];
-                am.spmv(x, &mut ax).unwrap();
-                ax.iter_mut().zip(&rho).for_each(|(v, r)| *v *= r);
-                let mut kx: Vec<f64> = x.iter().map(|v| sigma * v).collect();
-                pm.spmv_acc(1.0, x, &mut kx).unwrap();
-                am.transpose().spmv_acc(1.0, &ax, &mut kx).unwrap();
-                let r: Vec<f64> = kx.iter().zip(&b).map(|(a, c)| a - c).collect();
-                let rel = norm(&r) / norm(&b);
-                assert!(rel <= 1e-12, "{domain}: residual {rel:e}");
-            }
+            ax.iter_mut().zip(&rho).for_each(|(v, r)| *v *= r);
+            let mut kx: Vec<f64> = x.iter().map(|v| sigma * v).collect();
+            pm.spmv_acc(1.0, &x, &mut kx).unwrap();
+            am.transpose().spmv_acc(1.0, &ax, &mut kx).unwrap();
+            let r: Vec<f64> = kx.iter().zip(&b).map(|(a, c)| a - c).collect();
+            let rel = norm(&r) / norm(&b);
+            assert!(rel <= 1e-12, "{domain}: residual {rel:e}");
             // LDLᵀ of the full KKT system agrees to its own accuracy (its
             // relative residual on the Huber fit is about 1e-6).
             let mut rhs = b.clone();

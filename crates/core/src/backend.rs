@@ -1,7 +1,7 @@
 //! The simulated-FPGA KKT backend.
 //!
-//! Implements [`rsqp_solver::KktBackend`] by executing the PCG kernel of
-//! Algorithm 2 on the cycle-level machine of `rsqp-arch`. The numerical
+//! Implements [`rsqp_solver::KktBackend`] by executing the KKT-solve kernel
+//! of Algorithm 2 on the cycle-level machine of `rsqp-arch`. The numerical
 //! results flowing back into the ADMM loop are the machine's — so the
 //! solver genuinely converges on simulated-accelerator arithmetic — and
 //! every solve advances the machine's cycle counters, which the performance
@@ -9,13 +9,14 @@
 //! the solver's warm start into the kernel's `xtilde` register and reads the
 //! solution back from it, so the machine and the CPU PCG start alike.
 //!
-//! The preconditioner is the CPU PCG's own [`KktPrecond`]: the host
-//! computes `D'⁻¹`, `A_S` and `C⁻¹` (dense rows) or `G`, `Hᵀ` and the
-//! factor of `S` (dense columns), uploads them — with the explicit `S⁻¹`,
-//! which only the machine needs — and the kernel applies the same operator
-//! on the machine. While the dense-column elimination is on (`M = K`) the
-//! backend runs the kernel's loop-free direct solve instead of PCG, as the
-//! CPU backend does.
+//! `M⁻¹` is the CPU PCG's own [`KktPrecond`]: the host computes `D'⁻¹`,
+//! `A_S` and `C⁻¹` (dense rows) or `G`, `Hᵀ` and the factor of `S` (dense
+//! columns), uploads them — with the explicit `S⁻¹`, which only the machine
+//! needs — and the kernel applies the same operator on the machine. The
+//! backend runs one program, fixed at construction: PCG, or with the
+//! dense-column elimination (`M = K`) the loop-free direct solve, as the
+//! CPU backend does. While a refresh of the elimination has failed, a
+//! solve returns PCG's breakdown without running the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,28 +30,37 @@ use rsqp_linsys::KktPrecond;
 use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
 
-/// The host-side copies of the preconditioner correction's matrices that
-/// only the machine needs: the transposed `A_Sᵀ` (dense rows), or `H` and
-/// the explicit `S⁻¹` (dense columns).
+/// The correction of `M⁻¹` as the machine holds it: the ids of its
+/// resident matrices, with the host-side copies only the machine needs —
+/// the transposed `A_Sᵀ` (dense rows), or `H` and the explicit `S⁻¹`
+/// (dense columns).
 #[derive(Debug, Clone)]
-pub(crate) enum HostCorrection {
-    /// `A_Sᵀ`, refreshed from `A_S`.
-    Rows { a_st: TransposeCache },
-    /// `H`, refreshed from `Hᵀ`, and `S⁻¹` from the factor of `S`.
-    Cols { h: TransposeCache, sinv: CsrMatrix },
+pub(crate) enum DeviceCorrection {
+    /// `A_S`, `C⁻¹` and `A_Sᵀ`, with `A_Sᵀ` refreshed from `A_S`.
+    Rows { ids: DenseRowCorrection, a_st: TransposeCache },
+    /// `G` (unless diagonal), `H`, `S⁻¹` and `Hᵀ`, with `H` refreshed from
+    /// `Hᵀ` and `S⁻¹` from the factor of `S`.
+    Cols { ids: DenseColCorrection, h: TransposeCache, sinv: CsrMatrix },
 }
 
-impl HostCorrection {
-    /// The copies for `precond`, or `None` when it has no correction.
-    pub(crate) fn new(precond: &KktPrecond) -> Option<Self> {
-        let mut host = match precond {
-            KktPrecond::Rows(pre) if pre.rank() > 0 => {
-                HostCorrection::Rows { a_st: TransposeCache::new(pre.a_s()) }
+impl DeviceCorrection {
+    /// Registers the matrices of `precond`'s correction on `machine`, or
+    /// returns `None` when it has none (plain Jacobi).
+    fn load(machine: &mut Machine, precond: &KktPrecond) -> Option<Self> {
+        Some(match precond {
+            KktPrecond::Rows(pre) if pre.rank() == 0 => return None,
+            KktPrecond::Rows(pre) => {
+                let a_st = TransposeCache::new(pre.a_s());
+                let ids = DenseRowCorrection {
+                    a_s: machine.add_matrix(pre.a_s()),
+                    cinv: machine.add_matrix(pre.cinv()),
+                    a_st: machine.add_matrix(a_st.matrix()),
+                };
+                DeviceCorrection::Rows { ids, a_st }
             }
-            KktPrecond::Rows(_) => return None,
             KktPrecond::Cols(pre) => {
                 let k = pre.rank();
-                let sinv = CsrMatrix::from_raw_parts(
+                let mut sinv = CsrMatrix::from_raw_parts(
                     k,
                     k,
                     (0..=k).map(|i| i * k).collect(),
@@ -58,88 +68,76 @@ impl HostCorrection {
                     vec![0.0; k * k],
                 )
                 .expect("a full pattern is a valid CSR matrix");
-                HostCorrection::Cols { h: TransposeCache::new(pre.ht()), sinv }
-            }
-        };
-        host.refresh(precond);
-        Some(host)
-    }
-
-    /// Recomputes the copies from `precond`'s current values.
-    fn refresh(&mut self, precond: &KktPrecond) {
-        match (self, precond) {
-            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre)) => {
-                a_st.refresh_values(pre.a_s()).expect("A_S keeps its shape");
-            }
-            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre)) => {
-                h.refresh_values(pre.ht()).expect("Hᵀ keeps its shape");
                 pre.write_s_inverse(sinv.data_mut());
-            }
-            _ => unreachable!("the correction kind is fixed at construction"),
-        }
-    }
-
-    /// Registers the correction's matrices on `machine`.
-    fn load(&self, machine: &mut Machine, precond: &KktPrecond) -> Correction {
-        match (self, precond) {
-            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre)) => {
-                Correction::Rows(DenseRowCorrection {
-                    a_s: machine.add_matrix(pre.a_s()),
-                    cinv: machine.add_matrix(pre.cinv()),
-                    a_st: machine.add_matrix(a_st.matrix()),
-                })
-            }
-            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre)) => {
-                Correction::Cols(DenseColCorrection {
+                let h = TransposeCache::new(pre.ht());
+                let ids = DenseColCorrection {
                     g: pre.g().map(|g| machine.add_matrix(g)),
                     h: machine.add_matrix(h.matrix()),
-                    sinv: machine.add_matrix(sinv),
+                    sinv: machine.add_matrix(&sinv),
                     ht: machine.add_matrix(pre.ht()),
-                })
+                };
+                DeviceCorrection::Cols { ids, h, sinv }
             }
-            _ => unreachable!("the correction kind is fixed at construction"),
+        })
+    }
+
+    /// The ids the kernel addresses the correction's matrices by.
+    fn ids(&self) -> Correction {
+        match self {
+            DeviceCorrection::Rows { ids, .. } => Correction::Rows(*ids),
+            DeviceCorrection::Cols { ids, .. } => Correction::Cols(*ids),
         }
     }
 
-    /// Refreshes the copies from `precond` and uploads every matrix of the
-    /// correction in place.
-    fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond, on_device: Correction) {
-        self.refresh(precond);
-        match (&*self, precond, on_device) {
-            (HostCorrection::Rows { a_st }, KktPrecond::Rows(pre), Correction::Rows(c)) => {
-                machine.update_matrix_values(c.a_s, pre.a_s());
-                machine.update_matrix_values(c.cinv, pre.cinv());
-                machine.update_matrix_values(c.a_st, a_st.matrix());
+    /// Refreshes the host-side copies from `precond`'s current values and
+    /// uploads every matrix of the correction in place.
+    fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond) {
+        match (self, precond) {
+            (DeviceCorrection::Rows { ids, a_st }, KktPrecond::Rows(pre)) => {
+                a_st.refresh_values(pre.a_s()).expect("A_S keeps its shape");
+                machine.update_matrix_values(ids.a_s, pre.a_s());
+                machine.update_matrix_values(ids.cinv, pre.cinv());
+                machine.update_matrix_values(ids.a_st, a_st.matrix());
             }
-            (HostCorrection::Cols { h, sinv }, KktPrecond::Cols(pre), Correction::Cols(c)) => {
-                if let (Some(id), Some(g)) = (c.g, pre.g()) {
+            (DeviceCorrection::Cols { ids, h, sinv }, KktPrecond::Cols(pre)) => {
+                h.refresh_values(pre.ht()).expect("Hᵀ keeps its shape");
+                pre.write_s_inverse(sinv.data_mut());
+                if let (Some(id), Some(g)) = (ids.g, pre.g()) {
                     machine.update_matrix_values(id, g);
                 }
-                machine.update_matrix_values(c.h, h.matrix());
-                machine.update_matrix_values(c.sinv, sinv);
-                machine.update_matrix_values(c.ht, pre.ht());
+                machine.update_matrix_values(ids.h, h.matrix());
+                machine.update_matrix_values(ids.sinv, sinv);
+                machine.update_matrix_values(ids.ht, pre.ht());
             }
             _ => unreachable!("the correction kind is fixed at construction"),
         }
     }
 }
 
-/// Registers `P`, `A`, `Aᵀ` and the matrices of `precond`'s correction
-/// (given its `host` copies) on `machine`, and builds the PCG kernel over
-/// them — the program [`FpgaPcgBackend`] runs and the bundle writer emits.
+/// Registers `P`, `A`, `Aᵀ` and the matrices of `precond`'s correction on
+/// `machine`, and builds the KKT-solve kernel over them — the program
+/// [`FpgaPcgBackend`] runs and the bundle writer emits.
 pub(crate) fn load_pcg(
     machine: &mut Machine,
     p: &CsrMatrix,
     a: &CsrMatrix,
     at: &CsrMatrix,
     precond: &KktPrecond,
-    host: Option<&HostCorrection>,
     max_iter: usize,
-) -> (PcgKernel, [MatrixId; 3], Option<Correction>) {
+) -> (PcgKernel, [MatrixId; 3], Option<DeviceCorrection>) {
     let ids = [machine.add_matrix(p), machine.add_matrix(a), machine.add_matrix(at)];
-    let correction = host.map(|h| h.load(machine, precond));
+    let correction = DeviceCorrection::load(machine, precond);
     let [pid, aid, atid] = ids;
-    let kernel = build_pcg(machine, pid, aid, atid, p.nrows(), a.nrows(), max_iter, correction);
+    let kernel = build_pcg(
+        machine,
+        pid,
+        aid,
+        atid,
+        p.nrows(),
+        a.nrows(),
+        max_iter,
+        correction.as_ref().map(DeviceCorrection::ids),
+    );
     (kernel, ids, correction)
 }
 
@@ -158,26 +156,22 @@ pub struct FpgaPcgBackend {
     kernel: PcgKernel,
     /// `P`, `A` and `Aᵀ` on the machine.
     matrix_ids: [MatrixId; 3],
-    /// The preconditioner's correction matrices on the machine, if any.
-    correction: Option<Correction>,
+    /// The correction of `M⁻¹` on the machine, if any.
+    correction: Option<DeviceCorrection>,
     /// `Aᵀ` as uploaded, refreshed from `A`'s values on every update.
     at: TransposeCache,
-    /// Host-side preconditioner, refreshed and re-uploaded on every update.
+    /// Host-side `M⁻¹`, refreshed and re-uploaded on every update.
     precond: KktPrecond,
-    /// The correction's matrices only the machine needs, as uploaded.
-    host: Option<HostCorrection>,
     rho: Vec<f64>,
     sigma: f64,
     eps: f64,
     stats: BackendStats,
-    /// SpMVs in the PCG kernel outside and inside its loop: `Aᵀ` for the
-    /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the preconditioner's
-    /// correction (`A_S`, `C⁻¹`, `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` and a
-    /// non-diagonal `G`) before the loop and in it, and `A` for z̃.
+    /// SpMVs in the kernel outside and inside its loop. PCG: `Aᵀ` for the
+    /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the dense-row correction
+    /// (`A_S`, `C⁻¹`, `A_Sᵀ`) before the loop and in it, and `A` for z̃.
+    /// The direct solve: `Aᵀ`, `H`, `S⁻¹`, `Hᵀ` and a non-diagonal `G`,
+    /// and `A`, with no loop.
     spmvs: (usize, usize),
-    /// SpMVs in the loop-free direct solve: `Aᵀ`, the correction's
-    /// products and `A`.
-    direct_spmvs: usize,
     outer_cycles_per_iter: u64,
 }
 
@@ -208,13 +202,11 @@ impl FpgaPcgBackend {
         let m = a.nrows();
         let at = TransposeCache::new(a);
         let precond = KktPrecond::new(p, a, at.matrix(), sigma, rho);
-        let host = HostCorrection::new(&precond);
         let outer_cycles_per_iter = admm_outer_cycles(&config, n, m);
         let mut machine = Machine::new(config);
         let (kernel, matrix_ids, correction) =
-            load_pcg(&mut machine, p, a, at.matrix(), &precond, host.as_ref(), cg_max_iter.max(1));
+            load_pcg(&mut machine, p, a, at.matrix(), &precond, cg_max_iter.max(1));
         let spmvs = spmv_split(&kernel.program);
-        let direct_spmvs = kernel.direct.as_ref().map_or(0, |d| spmv_split(d).0);
         let mut backend = FpgaPcgBackend {
             machine: Rc::new(RefCell::new(machine)),
             kernel,
@@ -222,13 +214,11 @@ impl FpgaPcgBackend {
             correction,
             at,
             precond,
-            host,
             rho: rho.to_vec(),
             sigma,
             eps: cg_eps,
             stats: BackendStats::default(),
             spmvs,
-            direct_spmvs,
             outer_cycles_per_iter,
         };
         backend.upload_device_constants();
@@ -248,8 +238,8 @@ impl FpgaPcgBackend {
         self.machine.borrow().stats()
     }
 
-    /// Recomputes the preconditioner in place from the `P`, `A` and `Aᵀ`
-    /// resident on the device and ρ, then uploads it.
+    /// Recomputes `M⁻¹` in place from the `P`, `A` and `Aᵀ` resident on
+    /// the device and ρ, then uploads it.
     fn refresh_device_constants(&mut self) {
         {
             let machine = self.machine.borrow();
@@ -260,12 +250,12 @@ impl FpgaPcgBackend {
         self.upload_device_constants();
     }
 
-    /// Writes the preconditioner, ρ and the scalar settings to the device.
+    /// Writes `M⁻¹`, ρ and the scalar settings to the device.
     fn upload_device_constants(&mut self) {
         let mut machine = self.machine.borrow_mut();
         machine.write_vec(self.kernel.minv, self.precond.inv_diag());
-        if let (Some(host), Some(c)) = (&mut self.host, self.correction) {
-            host.upload(&mut machine, &self.precond, c);
+        if let Some(correction) = &mut self.correction {
+            correction.upload(&mut machine, &self.precond);
         }
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
@@ -347,21 +337,17 @@ impl KktBackend for FpgaPcgBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
+        self.precond.factored()?;
         let mut machine = self.machine.borrow_mut();
         machine.write_vec(self.kernel.x, x);
         machine.write_vec(self.kernel.xtilde, xtilde);
         machine.write_vec(self.kernel.z, z);
         machine.write_vec(self.kernel.y, y);
         machine.write_vec(self.kernel.q, q);
-        // The direct solve while the preconditioner is exact, PCG otherwise.
         // `run` reports this solve's stats alone (cumulative counters live
         // on the machine for the perf model).
-        let (program, (straight, body)) = match &self.kernel.direct {
-            Some(direct) if self.precond.is_exact() => (direct, (self.direct_spmvs, 0)),
-            _ => (&self.kernel.program, self.spmvs),
-        };
         let run = machine
-            .run(program)
+            .run(&self.kernel.program)
             .map_err(|e| SolverError::Backend(format!("machine error: {e}")))?;
         xtilde.copy_from_slice(machine.read_vec(self.kernel.xtilde));
         ztilde.copy_from_slice(machine.read_vec(self.kernel.ztilde));
@@ -369,6 +355,7 @@ impl KktBackend for FpgaPcgBackend {
         let trips = run.loop_trips as usize;
         self.stats.cg_iterations += trips;
         // The loop body runs once more than its trips (back-edges taken).
+        let (straight, body) = self.spmvs;
         self.stats.spmv_evals += straight + body * (trips + 1);
         Ok(())
     }

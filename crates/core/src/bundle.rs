@@ -13,9 +13,10 @@
 //!   cvb_<matrix>.txt            # per-matrix CVB index-translation tables
 //!   pcg.rom                     # the Algorithm-2 kernel, ROM-encoded
 //!   pcg.lst                     # human-readable disassembly of the kernel
-//!   direct.rom, direct.lst      # the loop-free direct solve, with dense
-//!                               # columns eliminated
 //! ```
+//!
+//! With the dense columns of `A` eliminated, the kernel is the loop-free
+//! direct solve, so `pcg.rom` holds no loop.
 
 use std::io::Write;
 use std::path::Path;
@@ -24,7 +25,7 @@ use rsqp_arch::{codegen, rom, Machine, ResourceModel};
 use rsqp_linsys::KktPrecond;
 use rsqp_solver::QpProblem;
 
-use crate::backend::{load_pcg, HostCorrection};
+use crate::backend::load_pcg;
 use crate::CustomizationResult;
 
 /// Writes the full hardware-generation bundle for a problem under the
@@ -77,15 +78,13 @@ pub fn write_bundle(
     std::fs::write(dir.join("spmv_align.cpp"), codegen::spmv_align_function(result.config.set()))?;
     files += 1;
 
-    // The PCG kernel and the machine it runs on. The preconditioner's
-    // correction, and so the kernel, depend on the patterns of P and A
-    // only.
+    // The KKT-solve kernel and the machine it runs on. The correction of
+    // M⁻¹, and so the kernel, depend on the patterns of P and A only.
     let (p, a) = (problem.p(), problem.a());
     let at = a.transpose();
     let precond = KktPrecond::new(p, a, &at, 1e-6, &vec![0.1; a.nrows()]);
-    let host = HostCorrection::new(&precond);
     let mut machine = Machine::new(result.config.clone());
-    let (kernel, ids, _) = load_pcg(&mut machine, p, a, &at, &precond, host.as_ref(), 2000);
+    let (kernel, ids, _) = load_pcg(&mut machine, p, a, &at, &precond, 2000);
 
     // CVB translation tables: the layouts the kernel runs on.
     for (name, id) in ["P", "A", "At"].into_iter().zip(ids) {
@@ -101,17 +100,12 @@ pub fn write_bundle(
         files += 1;
     }
 
-    // ROM images of the PCG kernel and, with the dense-column elimination,
-    // of the direct solve the backend runs while it is on.
-    let programs = std::iter::once(("pcg", &kernel.program))
-        .chain(kernel.direct.as_ref().map(|direct| ("direct", direct)));
-    for (name, program) in programs {
-        let image = rom::encode_program(program);
-        let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
-        std::fs::write(dir.join(format!("{name}.rom")), bytes)?;
-        std::fs::write(dir.join(format!("{name}.lst")), rom::disassemble(program))?;
-        files += 2;
-    }
+    // The kernel's ROM image and disassembly.
+    let image = rom::encode_program(&kernel.program);
+    let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
+    std::fs::write(dir.join("pcg.rom"), bytes)?;
+    std::fs::write(dir.join("pcg.lst"), rom::disassemble(&kernel.program))?;
+    files += 2;
     Ok(files)
 }
 
@@ -169,7 +163,6 @@ mod tests {
         // The ROM decodes back into a program.
         let instrs = validate_rom(dir.join("pcg.rom")).unwrap();
         assert!(instrs > 20, "PCG kernel has {instrs} instructions");
-        assert!(!dir.join("direct.rom").exists(), "no dense columns at this size");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -179,10 +172,15 @@ mod tests {
         let dir = std::env::temp_dir().join("rsqp_bundle_direct_test");
         let _ = std::fs::remove_dir_all(&dir);
         let result = crate::customize(&qp, 16, 3);
-        assert_eq!(write_bundle(&qp, &result, &dir).unwrap(), 10);
-        let direct = validate_rom(dir.join("direct.rom")).unwrap();
-        let pcg = validate_rom(dir.join("pcg.rom")).unwrap();
-        assert!(direct < pcg, "direct solve {direct} vs PCG {pcg} instructions");
+        assert_eq!(write_bundle(&qp, &result, &dir).unwrap(), 8);
+        assert!(!dir.join("direct.rom").exists(), "one program per kernel");
+        let words: Vec<u64> = std::fs::read(dir.join("pcg.rom"))
+            .unwrap()
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let program = rom::decode_program(&words, 2000).unwrap();
+        assert!(program.loop_bounds().is_none(), "the direct solve has no loop");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

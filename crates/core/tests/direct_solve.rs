@@ -1,13 +1,13 @@
 //! The direct KKT solve of the dense-column instances, on the CPU and on
 //! the machine, against a refined LDLᵀ reference.
 //!
-//! While the dense-column elimination is on, `M = K` and both PCG backends
+//! With the dense-column elimination `M = K`, and both PCG backends
 //! solve `K x̃ = b` as `x̃ = M⁻¹ b`. The reference is the `x` block of an
 //! LDLᵀ solve of the full KKT system plus one step of iterative refinement,
 //! computed here: LDLᵀ alone leaves a relative residual near 1e-6 on the
 //! Huber fit (stiff equality rows, ρ = 100 against σ = 1e-6).
 
-use rsqp_arch::ArchConfig;
+use rsqp_arch::{ArchConfig, CycleBreakdown, RunStats};
 use rsqp_core::FpgaPcgBackend;
 use rsqp_linsys::{KktMatrix, Ldlt};
 use rsqp_problems::{generate, Domain};
@@ -121,5 +121,73 @@ fn direct_solves_match_a_refined_ldlt_reference() {
     for (domain, cpu, machine) in errors() {
         assert!(cpu <= 1e-10, "{domain}: CPU x̃ relative error {cpu:e}");
         assert!(machine <= 1e-10, "{domain}: machine x̃ relative error {machine:e}");
+    }
+}
+
+#[test]
+fn one_kkt_solve_costs_the_loop_free_program() {
+    // The machine's counters for one solve on the baseline C = 8: the
+    // loop-free program of Aᵀ, G (or `minv`), H, S⁻¹, Hᵀ and A, with no
+    // loop trip and no HBM traffic.
+    let want = [
+        (
+            Domain::Svm,
+            RunStats {
+                cycles: 2584,
+                breakdown: CycleBreakdown {
+                    spmv: 1306,
+                    vector: 294,
+                    duplication: 984,
+                    ..CycleBreakdown::default()
+                },
+                instructions: 18,
+                ..RunStats::default()
+            },
+        ),
+        (
+            Domain::Lasso,
+            RunStats {
+                cycles: 1588,
+                breakdown: CycleBreakdown {
+                    spmv: 798,
+                    vector: 198,
+                    duplication: 592,
+                    ..CycleBreakdown::default()
+                },
+                instructions: 18,
+                ..RunStats::default()
+            },
+        ),
+        (
+            Domain::Huber,
+            RunStats {
+                cycles: 5762,
+                breakdown: CycleBreakdown {
+                    spmv: 2889,
+                    vector: 426,
+                    duplication: 2447,
+                    ..CycleBreakdown::default()
+                },
+                instructions: 19,
+                ..RunStats::default()
+            },
+        ),
+    ];
+    for (&(domain, size), (want_domain, want)) in INSTANCES.iter().zip(want) {
+        assert_eq!(domain, want_domain);
+        let qp = generate(domain, size, 1);
+        let (n, m) = (qp.num_vars(), qp.num_constraints());
+        let inp = Inputs { x: wave(n, 0.0), z: wave(m, 1.0), y: wave(m, 2.0), q: wave(n, 3.0) };
+        let (mut fpga, _) = FpgaPcgBackend::new(
+            qp.p(),
+            qp.a(),
+            SIGMA,
+            &rho_of(&qp),
+            ArchConfig::baseline(8),
+            1e-7,
+            200,
+        );
+        let _ = solve(&mut fpga, &inp, m);
+        assert_eq!(fpga.machine_stats(), want, "{domain}");
     }
 }

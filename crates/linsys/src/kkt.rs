@@ -350,10 +350,10 @@ impl ReducedKktOp {
     /// Number of SpMV evaluations performed so far, used by the performance
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
     /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and per `precondition`
-    /// the [`KktPrecond::products`] of the correction: three while the
-    /// dense-row correction is on (`A_S`, `C⁻¹`, `A_Sᵀ`), three or four
-    /// while the dense-column elimination is (`H`, `S⁻¹`, `Hᵀ`, and `G`
-    /// when it is not diagonal). A KKT solve by [`crate::exact_solve`]
+    /// the [`KktPrecond::products`] of `M⁻¹`: three while the dense-row
+    /// correction is on (`A_S`, `C⁻¹`, `A_Sᵀ`), or three or four for the
+    /// dense-column elimination (`H`, `S⁻¹`, `Hᵀ`, and `G` when it is not
+    /// diagonal). A dense-column KKT solve, by [`crate::exact_solve`],
     /// therefore counts `products() + 2`: `Aᵀ` for the right-hand side,
     /// one `precondition` and `A` for `z̃`.
     pub fn spmv_count(&self) -> usize {
@@ -619,7 +619,7 @@ mod tests {
             let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
             let pre = cols(&op);
             assert_eq!(pre.dense_cols(), (0..features).collect::<Vec<_>>(), "{}", qp.name());
-            assert!(pre.is_active(), "{}", qp.name());
+            assert_eq!(pre.failed_pivot(), None, "{}", qp.name());
             assert_eq!(pre.g().is_some(), qp.name().starts_with("huber"), "{}", qp.name());
             // Every apply counts H, S⁻¹, Hᵀ and a non-diagonal G.
             let products = 3 + usize::from(pre.g().is_some());
@@ -666,7 +666,7 @@ mod tests {
         // With dense columns, G, H and S⁻¹ follow them too.
         let same = |op: &ReducedKktOp, fresh: &ReducedKktOp| {
             let (x, y) = (cols(op), cols(fresh));
-            assert!(x.is_active() && y.is_active());
+            assert_eq!((x.failed_pivot(), y.failed_pivot()), (None, None));
             assert_eq!(x.dense_cols(), y.dense_cols());
             assert_eq!(x.inv_diag(), y.inv_diag());
             assert_eq!(x.g(), y.g());
@@ -688,6 +688,46 @@ mod tests {
             op.update_values(&p2, &a2, &rho).unwrap();
             same(&op, &ReducedKktOp::new(&p2, &a2, 1e-6, &rho).unwrap());
         }
+    }
+
+    /// `P` of `qp` with `value` on the diagonal of variable `j`, added to
+    /// its pattern.
+    fn with_diagonal(qp: &QpProblem, j: usize, value: f64) -> CsrMatrix {
+        let p = qp.p();
+        let entries = (0..p.nrows()).flat_map(|i| {
+            let (cols, vals) = p.row(i);
+            cols.iter().zip(vals).map(move |(&c, &v)| (i, c, v))
+        });
+        CsrMatrix::from_triplets(p.nrows(), p.ncols(), entries.chain([(j, j, value)]))
+    }
+
+    #[test]
+    fn a_failed_refresh_keeps_its_pivot_until_the_next_one() {
+        // A negative curvature on the first slack of an SVM (a 1×1 block
+        // of K_RR, touched by its hinge row and its sign row) leaves the
+        // elimination without a factor; valid values restore it exactly.
+        let (qp, _) = &dense_column_instances()[0];
+        let (a, sigma, t0) = (qp.a(), 1e-6, 21);
+        let rho = solver_rho(qp, 0.1);
+        let valid = with_diagonal(qp, t0, 0.0);
+        let mut op = ReducedKktOp::new(&valid, a, sigma, &rho).unwrap();
+        assert_eq!(cols(&op).failed_pivot(), None);
+        op.update_values(&with_diagonal(qp, t0, -5.0), a, &rho).unwrap();
+        let pivot = sigma - 5.0 + 0.1 + 0.1;
+        assert_eq!(cols(&op).failed_pivot(), Some(pivot));
+        let err = op.preconditioner().factored().unwrap_err();
+        assert_eq!(err, crate::PcgError::Breakdown { iteration: 0, curvature: pivot });
+        op.update_values(&valid, a, &rho).unwrap();
+        let fresh = ReducedKktOp::new(&valid, a, sigma, &rho).unwrap();
+        assert!(op.preconditioner().factored().is_ok());
+        let (x, y) = (cols(&op), cols(&fresh));
+        assert_eq!(x.inv_diag(), y.inv_diag());
+        assert_eq!(x.ht(), y.ht());
+        let k = x.rank();
+        let (mut sx, mut sy) = (vec![0.0; k * k], vec![0.0; k * k]);
+        x.write_s_inverse(&mut sx);
+        y.write_s_inverse(&mut sy);
+        assert_eq!(sx, sy);
     }
 
     #[test]

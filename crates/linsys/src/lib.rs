@@ -14,12 +14,13 @@
 //! * [`KktMatrix`] — assembly of the (permuted) KKT matrix from `P`, `A`,
 //!   `σ`, `ρ`, with cheap ρ updates that reuse the symbolic factorization,
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
-//! * [`KktPrecond`] — the PCG preconditioner: Jacobi plus an exact
+//! * [`KktPrecond`] — the reduced-KKT solve's `M⁻¹`: Jacobi plus an exact
 //!   Woodbury correction for the dense rows of `A` ([`DenseRowPrecond`]),
-//!   or the block elimination of its dense columns ([`DenseColPrecond`]),
+//!   preconditioning PCG, or the block elimination of its dense columns
+//!   ([`DenseColPrecond`]), which is `K⁻¹` itself,
 //! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
 //!   and [`exact_solve`], the direct solve `x = M⁻¹b` that replaces it
-//!   while the preconditioner is exact ([`KktPrecond::is_exact`]),
+//!   on the dense-column elimination ([`KktPrecond::is_exact`]),
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!

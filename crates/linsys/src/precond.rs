@@ -25,7 +25,9 @@
 //!
 //! [`KktPrecond`] picks a problem's preconditioner: this correction when
 //! `A` has dense rows, else the block elimination of its dense columns
-//! (`crate::schur`) when their structure admits it, else plain Jacobi.
+//! (`crate::schur`) when their structure admits it, else plain Jacobi. The
+//! elimination is exact (`M = K`), so with it the KKT solve is `x = M⁻¹b`
+//! ([`crate::exact_solve`]) and PCG never runs.
 
 use std::cmp::Reverse;
 
@@ -33,7 +35,7 @@ use rsqp_sparse::{CscMatrix, CsrMatrix};
 
 use crate::ordering::dense_threshold;
 use crate::schur::DenseColPrecond;
-use crate::Ldlt;
+use crate::{Ldlt, PcgError};
 
 /// [`DenseRowPrecond`]'s slot of a row of `A` outside `S`.
 const NOT_DENSE: usize = usize::MAX;
@@ -76,7 +78,13 @@ impl KktPrecond {
         }
     }
 
-    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, while no correction is on.
+    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, while no dense-row
+    /// correction is on.
+    ///
+    /// # Panics
+    ///
+    /// As [`DenseColPrecond::apply`] while a failed refresh of the
+    /// elimination stands ([`Self::factored`]).
     pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
         match self {
             KktPrecond::Rows(pre) => pre.apply(r, d),
@@ -84,18 +92,38 @@ impl KktPrecond {
         }
     }
 
-    /// Whether `M = K` exactly: the dense-column elimination is on. A KKT
-    /// solve is then `x = M⁻¹ b` ([`crate::exact_solve`]). The dense-row
-    /// correction is exact on some problems too, but a direct Woodbury
-    /// solve loses accuracy to cancellation over stiff equality rows, which
-    /// PCG's residual test repairs, so it never counts as exact.
+    /// Whether `M = K` exactly, which holds by construction for the
+    /// dense-column elimination: a KKT solve is then `x = M⁻¹ b`
+    /// ([`crate::exact_solve`]). The dense-row correction is exact on some
+    /// problems too, but a direct Woodbury solve loses accuracy to
+    /// cancellation over stiff equality rows, which PCG's residual test
+    /// repairs, so it never counts as exact.
     pub fn is_exact(&self) -> bool {
-        matches!(self, KktPrecond::Cols(pre) if pre.is_active())
+        matches!(self, KktPrecond::Cols(_))
+    }
+
+    /// `Ok` unless the last refresh of the dense-column elimination met a
+    /// pivot that is not positive and finite: then the error a KKT solve
+    /// returns without solving until a refresh succeeds, PCG's
+    /// [`PcgError::Breakdown`] at iteration 0 with that pivot as the
+    /// curvature, for the solver's guard ladder.
+    ///
+    /// # Errors
+    ///
+    /// That breakdown.
+    pub fn factored(&self) -> Result<(), PcgError> {
+        match self {
+            KktPrecond::Cols(pre) => match pre.failed_pivot() {
+                Some(curvature) => Err(PcgError::Breakdown { iteration: 0, curvature }),
+                None => Ok(()),
+            },
+            KktPrecond::Rows(_) => Ok(()),
+        }
     }
 
     /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
-    /// `C⁻¹` and `A_Sᵀ`, or `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`);
-    /// none while the correction is off.
+    /// `C⁻¹` and `A_Sᵀ` while the dense-row correction is on, none while it
+    /// is off, or `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`).
     pub fn products(&self) -> usize {
         match self {
             KktPrecond::Rows(pre) => 3 * usize::from(pre.is_active()),
@@ -116,7 +144,7 @@ impl KktPrecond {
 /// `inv_diag = 1/(diag(P) + σ + Σ_i ρ_i A_{i,·}²)` (`1` where the sum is
 /// zero), the sum over the rows of `A` in increasing order, except those
 /// `skip` names.
-pub(crate) fn jacobi_inv_diag(
+fn jacobi_inv_diag(
     p: &CsrMatrix,
     a: &CsrMatrix,
     sigma: f64,

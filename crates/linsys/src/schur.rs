@@ -36,15 +36,14 @@
 //! The structure is fixed by the patterns alone; [`DenseColPrecond::new`]
 //! declines (and the caller keeps plain Jacobi) when there are no dense
 //! columns, when `P` couples `D` to `R`, or when a component of `K_RR` has
-//! more than 8 variables. A refresh whose `K_RR` blocks or `S`
-//! meet a non-positive pivot switches the elimination off, and
-//! [`DenseColPrecond::apply`] is then Jacobi bit for bit.
+//! more than 8 variables. A refresh whose `K_RR` blocks or `S` meet a
+//! non-positive pivot leaves no factor to apply: it records the pivot
+//! ([`DenseColPrecond::failed_pivot`]), and the KKT solve reports it as a
+//! PCG breakdown until the next refresh succeeds.
 
 use std::cmp::Reverse;
 
 use rsqp_sparse::CsrMatrix;
-
-use crate::precond::jacobi_inv_diag;
 
 /// The largest component of `K_RR` eliminated exactly.
 const MAX_BLOCK: usize = 8;
@@ -102,7 +101,7 @@ pub struct DenseColPrecond {
     /// `K_cc⁻¹` of each component, row-major, at `binv[blk_ptr[c]..]`.
     blk_ptr: Vec<usize>,
     binv: Vec<f64>,
-    /// The diagonal of `G` (Jacobi while the elimination is off).
+    /// The diagonal of `G`.
     inv_diag: Vec<f64>,
     /// `G` as a matrix, when some component has more than one variable.
     g: Option<CsrMatrix>,
@@ -110,7 +109,8 @@ pub struct DenseColPrecond {
     ht: CsrMatrix,
     /// `U` with `UᵀU = S`, row-major upper triangle (`k × k`).
     chol: Vec<f64>,
-    active: bool,
+    /// The pivot the last refresh failed at, if it did.
+    failed: Option<f64>,
     s: Vec<f64>,
 }
 
@@ -363,7 +363,7 @@ impl DenseColPrecond {
             g,
             ht,
             chol: vec![0.0; k * k],
-            active: false,
+            failed: None,
             s: vec![0.0; k],
         };
         pre.refresh(p, a, rho);
@@ -375,8 +375,9 @@ impl DenseColPrecond {
     /// construction.
     ///
     /// If a block of `K_RR` or `S` is not numerically positive definite,
-    /// the elimination is switched off until the next refresh: `G` is then
-    /// the Jacobi diagonal and `Hᵀ` is zero.
+    /// the refresh stops at the failing pivot and records it
+    /// ([`Self::failed_pivot`]); [`Self::apply`] must not be called until
+    /// a later refresh succeeds.
     ///
     /// # Panics
     ///
@@ -387,30 +388,18 @@ impl DenseColPrecond {
         for (dst, &e) in self.a_d.data_mut().iter_mut().zip(&self.a_d_src) {
             *dst = src[e];
         }
-        self.active = self.eliminate_blocks(p, a, rho) && self.factor_schur(p, a, rho);
-        if self.active {
+        self.failed =
+            self.eliminate_blocks(p, a, rho).and_then(|()| self.factor_schur(p, a, rho)).err();
+        if self.failed.is_none() {
             self.fill_ht();
-        } else {
-            jacobi_inv_diag(p, a, self.sigma, rho, |_| false, &mut self.inv_diag);
-            if let Some(g) = &mut self.g {
-                g.data_mut().fill(0.0);
-                for (l, &v) in self.inv_diag.iter().enumerate() {
-                    let pos = g.indptr()[l] + if self.local[l] == NONE { 0 } else { self.local[l] };
-                    g.data_mut()[pos] = v;
-                }
-            }
-            self.ht.data_mut().fill(0.0);
         }
     }
 
     /// Inverts each block `K_cc` of `K_RR` into `binv`, `G` and the
-    /// diagonal, and forms `z_i` and the Gram weights `W̃_ii`. Returns
-    /// `false` at a block that is not positive definite.
-    fn eliminate_blocks(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64]) -> bool {
+    /// diagonal, and forms `z_i` and the Gram weights `W̃_ii`. Fails with
+    /// the pivot of a block that is not positive definite.
+    fn eliminate_blocks(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64]) -> Result<(), f64> {
         self.w.copy_from_slice(rho);
-        for &j in &self.cols {
-            self.inv_diag[j] = 0.0;
-        }
         let mut b = [0.0; MAX_BLOCK * MAX_BLOCK];
         for c in 0..self.comp_ptr.len() - 1 {
             let vars = &self.comp_vars[self.comp_ptr[c]..self.comp_ptr[c + 1]];
@@ -440,9 +429,7 @@ impl DenseColPrecond {
                     }
                 }
             }
-            if !cholesky_upper(b, s) {
-                return false;
-            }
+            cholesky_upper(b, s)?;
             // K_cc⁻¹ column by column; only the upper triangle is kept,
             // then mirrored, so the block is exactly symmetric.
             let binv = &mut self.binv[self.blk_ptr[c]..self.blk_ptr[c] + s * s];
@@ -486,12 +473,12 @@ impl DenseColPrecond {
                 self.w[i] = rho[i] - rho[i] * dot;
             }
         }
-        true
+        Ok(())
     }
 
     /// Forms `S = σI + P_DD + A_Dᵀ W̃ A_D` (upper triangle) and factorizes
-    /// it. Returns `false` unless every pivot is positive and finite.
-    fn factor_schur(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64]) -> bool {
+    /// it. Fails with the first pivot that is not positive and finite.
+    fn factor_schur(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64]) -> Result<(), f64> {
         let k = self.cols.len();
         let s = &mut self.chol;
         s.fill(0.0);
@@ -591,25 +578,21 @@ impl DenseColPrecond {
     /// the rows of `Hᵀ`, `s ← S⁻¹ s` by two triangular solves, and
     /// `d += Hᵀ s`.
     ///
-    /// With the elimination off this is exactly `d = r∘(1/D)` for the
-    /// Jacobi diagonal `D`.
-    ///
     /// # Panics
     ///
-    /// Panics if `r` or `d` is not of length `n`.
+    /// Panics if `r` or `d` is not of length `n`, or while a failed
+    /// refresh stands ([`Self::failed_pivot`]).
     pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
         assert_eq!(r.len(), self.inv_diag.len(), "preconditioner input length mismatch");
         assert_eq!(d.len(), self.inv_diag.len(), "preconditioner output length mismatch");
+        assert!(self.failed.is_none(), "the last refresh left no factor to apply");
         match &self.g {
-            Some(g) if self.active => g.spmv(r, d).expect("G is n × n"),
-            _ => {
+            Some(g) => g.spmv(r, d).expect("G is n × n"),
+            None => {
                 for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
                     *di = ri * inv;
                 }
             }
-        }
-        if !self.active {
-            return;
         }
         self.s.fill(0.0);
         for (l, &rl) in r.iter().enumerate() {
@@ -626,13 +609,9 @@ impl DenseColPrecond {
     }
 
     /// Sparse products one [`Self::apply`] runs: `H`, `S⁻¹` and `Hᵀ`, and
-    /// `G` when it is not diagonal; none while the elimination is off.
+    /// `G` when it is not diagonal.
     pub fn products(&self) -> usize {
-        if self.active {
-            3 + usize::from(self.g.is_some())
-        } else {
-            0
-        }
+        3 + usize::from(self.g.is_some())
     }
 
     /// Number of dense columns `k = |D|` (structural: fixed at
@@ -641,10 +620,10 @@ impl DenseColPrecond {
         self.cols.len()
     }
 
-    /// Whether the elimination is applied (every block of `K_RR` and `S`
-    /// were positive definite at the last refresh).
-    pub fn is_active(&self) -> bool {
-        self.active
+    /// The pivot the last refresh met that was not positive and finite, in
+    /// a block of `K_RR` or in `S`, or `None` when it factored both.
+    pub fn failed_pivot(&self) -> Option<f64> {
+        self.failed
     }
 
     /// The dense columns `D`, in increasing order.
@@ -652,26 +631,25 @@ impl DenseColPrecond {
         &self.cols
     }
 
-    /// The diagonal of `G` (zero on `D`), or the inverse Jacobi diagonal
-    /// while the elimination is off.
+    /// The diagonal of `G` (zero on `D`).
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
     }
 
     /// `G = K_RR⁻¹` as an `n × n` block-diagonal matrix (one entry on each
-    /// variable of `D`), when some block has more than one variable; the
-    /// Jacobi diagonal while the elimination is off.
+    /// variable of `D`), when some block has more than one variable.
     pub fn g(&self) -> Option<&CsrMatrix> {
         self.g.as_ref()
     }
 
-    /// `Hᵀ = E_Dᵀ − G K_RD` (`n × k`; zero while the elimination is off).
+    /// `Hᵀ = E_Dᵀ − G K_RD` (`n × k`).
     pub fn ht(&self) -> &CsrMatrix {
         &self.ht
     }
 
-    /// Writes `S⁻¹` (`k × k`, row-major, exactly symmetric; zero while the
-    /// elimination is off) from the Cholesky factor, one column at a time.
+    /// Writes `S⁻¹` (`k × k`, row-major, exactly symmetric) from the
+    /// Cholesky factor, one column at a time; meaningless while a failed
+    /// refresh stands.
     ///
     /// # Panics
     ///
@@ -680,9 +658,6 @@ impl DenseColPrecond {
         let k = self.cols.len();
         assert_eq!(out.len(), k * k, "S⁻¹ is k × k");
         out.fill(0.0);
-        if !self.active {
-            return;
-        }
         // Row j of S⁻¹ is its column j; only the upper triangle is kept,
         // then mirrored.
         for j in 0..k {
@@ -716,25 +691,21 @@ fn prefix(sizes: impl Iterator<Item = usize>) -> Vec<usize> {
 
 /// Factors the symmetric positive definite `k × k` matrix whose upper
 /// triangle is stored row-major in `a` as `UᵀU`, overwriting the upper
-/// triangle with `U`. Returns `false` at the first pivot that is not
-/// positive and finite.
-fn cholesky_upper(a: &mut [f64], k: usize) -> bool {
+/// triangle with `U`. Fails with the first pivot that is not positive and
+/// finite.
+fn cholesky_upper(a: &mut [f64], k: usize) -> Result<(), f64> {
     // Two pivot rows at a time: the trailing rows take both updates in
     // one pass, in the order a one-row step would apply them.
     let mut d = 0;
     while d + 1 < k {
-        if !pivot_row(a, k, d) {
-            return false;
-        }
+        pivot_row(a, k, d)?;
         let (head, tail) = a.split_at_mut((d + 1) * k);
         let (r0, r1) = (&head[d * k..], &mut tail[..k]);
         let f = r0[d + 1];
         for (x, &y) in r1[d + 1..].iter_mut().zip(&r0[d + 1..]) {
             *x -= f * y;
         }
-        if !pivot_row(a, k, d + 1) {
-            return false;
-        }
+        pivot_row(a, k, d + 1)?;
         let (head, tail) = a.split_at_mut((d + 2) * k);
         let (r0, r1) = (&head[d * k..(d + 1) * k], &head[(d + 1) * k..]);
         for (q, rq) in (d + 2..).zip(tail.chunks_exact_mut(k)) {
@@ -745,23 +716,26 @@ fn cholesky_upper(a: &mut [f64], k: usize) -> bool {
         }
         d += 2;
     }
-    d == k || pivot_row(a, k, d)
+    if d < k {
+        pivot_row(a, k, d)?;
+    }
+    Ok(())
 }
 
 /// Takes the square root of pivot `d` and divides the rest of row `d` by
-/// it. Returns `false` unless the pivot is positive and finite.
-fn pivot_row(a: &mut [f64], k: usize, d: usize) -> bool {
+/// it. Fails with the pivot unless it is positive and finite.
+fn pivot_row(a: &mut [f64], k: usize, d: usize) -> Result<(), f64> {
     let row = &mut a[d * k..(d + 1) * k];
     let pivot = row[d];
     if !(pivot > 0.0 && pivot.is_finite()) {
-        return false;
+        return Err(pivot);
     }
     let u = pivot.sqrt();
     row[d] = u;
     for v in &mut row[d + 1..] {
         *v /= u;
     }
-    true
+    Ok(())
 }
 
 /// Solves `UᵀU x = b` in place for the factor of [`cholesky_upper`].

@@ -39,6 +39,9 @@ use crate::job::{AttemptSummary, BackendFactory, JobBudget, JobError};
 use crate::retry::{build_solver, run_attempts};
 use crate::RetryPolicy;
 
+/// Why [`SolveSession`] holds its problem whenever it holds no solver.
+const HELD: &str = "the session holds the problem while no solver does";
+
 /// One parametric update applied before a session step's solve.
 #[derive(Debug, Clone)]
 pub enum StepUpdate {
@@ -172,7 +175,10 @@ impl SessionMetrics {
 /// with the per-structure artifacts taken from a shared
 /// [`CustomizationCache`].
 pub struct SolveSession {
-    problem: Arc<QpProblem>,
+    /// The problem while no persistent solver holds it: before the first
+    /// step and after a failed one. The solver owns the only handle
+    /// otherwise, so its updates never copy the data.
+    problem: Option<Arc<QpProblem>>,
     settings: Settings,
     budget: JobBudget,
     retry: RetryPolicy,
@@ -190,7 +196,7 @@ pub struct SolveSession {
 impl std::fmt::Debug for SolveSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveSession")
-            .field("problem", &self.problem.name())
+            .field("problem", &self.problem().name())
             .field("steps", &self.steps)
             .field("cached", &self.artifacts.is_some())
             .finish_non_exhaustive()
@@ -216,7 +222,7 @@ impl SolveSession {
         let SessionConfig { settings, budget, retry, warm_start, cache } = config;
         let metrics = SessionMetrics::new(&registry);
         SolveSession {
-            problem: problem.into(),
+            problem: Some(problem.into()),
             settings,
             budget,
             retry,
@@ -243,7 +249,10 @@ impl SolveSession {
 
     /// The problem as of the latest applied update.
     pub fn problem(&self) -> &QpProblem {
-        &self.problem
+        match &self.solver {
+            Some(solver) => solver.problem(),
+            None => self.problem.as_deref().expect(HELD),
+        }
     }
 
     /// Completed steps so far.
@@ -292,7 +301,7 @@ impl SolveSession {
         // ledger-counted hit. Value updates never change the key.
         let mut cache_hit = false;
         if let Some(cache) = self.cache.clone() {
-            let CacheLookup { artifacts, hit } = cache.get_or_customize(&self.problem)?;
+            let CacheLookup { artifacts, hit } = cache.get_or_customize(self.problem())?;
             if hit {
                 self.metrics.cache_hits.inc();
             } else {
@@ -313,13 +322,16 @@ impl SolveSession {
         // Attempt 0 runs on the persistent solver (built on first use); a
         // failed attempt's solver is dropped, so a retry rebuilds it on the
         // fallback rung the loop applied to the session's own settings and
-        // factory, which later steps keep.
+        // factory, which later steps keep. Each attempt leaves the session a
+        // handle to the problem for such a rebuild; a successful step drops
+        // it, so between steps the solver holds the only one.
         let cached_perm = self
             .artifacts
             .as_deref()
             .filter(|a| a.params.ordering == self.settings.ordering)
             .and_then(|a| a.kkt_perm.as_deref());
-        let (problem, persistent, warm_start) = (&self.problem, &mut self.solver, self.warm_start);
+        let (problem, persistent, warm_start) =
+            (&mut self.problem, &mut self.solver, self.warm_start);
         let (attempts, outcome) =
             run_attempts(self.retry, &mut self.settings, &mut self.factory, None, |attempt| {
                 let mut run = || -> Result<_, SolverError> {
@@ -327,7 +339,7 @@ impl SolveSession {
                         Some(solver) => solver,
                         None => {
                             let mut solver = build_solver(
-                                problem,
+                                problem.as_ref().expect(HELD),
                                 attempt.settings,
                                 attempt.factory,
                                 cached_perm,
@@ -341,6 +353,7 @@ impl SolveSession {
                     if attempt.index == 0 && !warm_start {
                         solver.cold_start();
                     }
+                    *problem = Some(solver.problem_shared());
                     Ok((solver.solve_with_control(&control)?, solver))
                 };
                 run().map_err(JobError::Solver)
@@ -348,21 +361,22 @@ impl SolveSession {
         match outcome {
             Ok((result, solver)) => {
                 self.solver = Some(solver);
+                self.problem = None;
                 self.steps += 1;
                 self.metrics.steps.inc();
                 self.metrics.step_us.observe(started.elapsed().as_micros() as u64);
                 Ok(StepReport { step: self.steps, result, attempts, cache_hit })
             }
             // The failed solver is gone; the next step rebuilds it from the
-            // shared problem and the session's settings.
+            // session's problem and settings.
             Err(JobError::Solver(e)) => Err(e),
             Err(other) => unreachable!("session attempts fail only with solver errors: {other}"),
         }
     }
 
     /// Routes updates through the persistent solver when it exists (so
-    /// scaling and ρ state stay consistent), or mutates the shared problem
-    /// directly before the first step. Either way the updates before a
+    /// scaling and ρ state stay consistent), or mutates the session's
+    /// problem directly while none does. Either way the updates before a
     /// failing one stay applied.
     fn apply_updates(&mut self, updates: Vec<StepUpdate>) -> Result<(), SolverError> {
         if updates.is_empty() {
@@ -370,7 +384,7 @@ impl SolveSession {
         }
         match self.solver.as_mut() {
             Some(solver) => {
-                let applied = updates.into_iter().try_for_each(|update| match update {
+                updates.into_iter().try_for_each(|update| match update {
                     StepUpdate::Bounds { l, u } => solver.update_bounds(l, u),
                     StepUpdate::LinearCost(q) => solver.update_q(q),
                     StepUpdate::Matrices { p, a } => solver.update_matrices(p, a),
@@ -380,16 +394,10 @@ impl SolveSession {
                         self.settings.rho = rho;
                         Ok(())
                     }
-                });
-                // The solver's copy-on-write may have detached from the
-                // session's Arc; re-share on every exit, a failed update
-                // included, so retries and rebuilds see the values the
-                // solver holds.
-                self.problem = solver.problem_shared();
-                applied?;
+                })?;
             }
             None => {
-                let problem = Arc::make_mut(&mut self.problem);
+                let problem = Arc::make_mut(self.problem.as_mut().expect(HELD));
                 for update in updates {
                     match update {
                         StepUpdate::Bounds { l, u } => problem.update_bounds(l, u)?,

@@ -245,6 +245,20 @@ fn a_failed_update_batch_leaves_the_problem_in_step_with_the_solver() {
 }
 
 #[test]
+fn bounds_only_steps_do_not_copy_the_problem() {
+    // Between steps the persistent solver holds the only handle to the
+    // problem, so a bounds update writes into it instead of copying P and A.
+    let mut session = SolveSession::new(control::generate(3, 1), SessionConfig::default());
+    session.step(Vec::new()).unwrap();
+    let a = session.problem().a().data().as_ptr();
+    for seed in [2, 3] {
+        session.step(vec![mpc_bounds(3, seed)]).unwrap();
+        assert_eq!(session.problem().a().data().as_ptr(), a, "step to seed {seed}");
+        assert_eq!(session.problem().l(), control::generate(3, seed).l());
+    }
+}
+
+#[test]
 fn service_sessions_share_the_service_registry() {
     let service = SolveService::new(ServiceConfig { workers: 1, ..Default::default() });
     let cache = Arc::new(CustomizationCache::new(2));

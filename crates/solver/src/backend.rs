@@ -8,8 +8,8 @@
 //!   reuses the numeric factorization until ρ changes;
 //! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) iteratively with
 //!   PCG warm-started from the previous solution `x̃` — the same
-//!   computation RSQP maps onto the FPGA — or, while its preconditioner is
-//!   exact (the dense-column elimination), directly as `x̃ = M⁻¹b`;
+//!   computation RSQP maps onto the FPGA — or, on problems whose dense
+//!   columns it eliminates (an exact `M`), directly as `x̃ = M⁻¹b`;
 //! * `rsqp-core` provides a third implementation that runs the PCG
 //!   instruction stream through the cycle-level architecture simulator.
 
@@ -329,10 +329,11 @@ impl KktBackend for DirectLdltBackend {
 
 /// Matrix-free PCG backend on the reduced KKT system (Eq. 3).
 ///
-/// While the operator's preconditioner is exact (the dense-column
-/// elimination is on, [`rsqp_linsys::KktPrecond::is_exact`]) a solve is
-/// `x̃ = M⁻¹ b` with no CG iteration ([`exact_solve`]); otherwise, and
-/// whenever a refresh has switched the elimination off, it is PCG.
+/// With the dense-column elimination, whose `M` is exact
+/// ([`rsqp_linsys::KktPrecond::is_exact`]), a solve is `x̃ = M⁻¹ b` with
+/// no CG iteration ([`exact_solve`]); otherwise it is PCG. While a refresh
+/// of the elimination has failed ([`rsqp_linsys::KktPrecond::factored`])
+/// a solve returns PCG's breakdown without solving, for the guard ladder.
 ///
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
 /// `Aᵀ`), a [`PcgWorkspace`], and the right-hand-side buffers for the whole
@@ -445,6 +446,7 @@ impl KktBackend for CpuPcgBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
+        self.op.preconditioner().factored()?;
         let count0 = self.op.spmv_count();
         // rhs = σx − q + Aᵀ(ρ∘z − y)
         let rho = self.op.rho();
@@ -456,7 +458,7 @@ impl KktBackend for CpuPcgBackend {
         }
         self.op.at_spmv_acc(1.0, &self.tmp_m, &mut self.rhs)?;
 
-        // With an exact preconditioner x̃ = M⁻¹ rhs directly; otherwise PCG
+        // With the exact elimination x̃ = M⁻¹ rhs directly; otherwise PCG
         // starts from the caller's warm start in `xtilde`.
         let iterations = if self.op.preconditioner().is_exact() {
             exact_solve(&mut self.op, &self.rhs, xtilde).map(|()| 0)

@@ -53,25 +53,30 @@ impl RhoManager {
     /// Re-derives the ρ and 1/ρ vectors from the current ρ̄ and kinds,
     /// reusing the existing buffers (adaptive updates run mid-solve on the
     /// allocation-free hot path; only a bounds update may resize).
-    fn rebuild(&mut self) {
+    fn rebuild(&mut self) -> bool {
         self.rho_vec.resize(self.kinds.len(), 0.0);
         self.rho_inv_vec.resize(self.kinds.len(), 0.0);
+        let mut changed = false;
         for ((r, ri), k) in self.rho_vec.iter_mut().zip(&mut self.rho_inv_vec).zip(&self.kinds) {
-            *r = match k {
+            let rho = match k {
                 ConstraintKind::Equality => (RHO_EQ_FACTOR * self.rho_bar).clamp(RHO_MIN, RHO_MAX),
                 ConstraintKind::Inequality => self.rho_bar,
                 ConstraintKind::Loose => RHO_MIN,
             };
-            *ri = 1.0 / *r;
+            changed |= *r != rho;
+            *r = rho;
+            *ri = 1.0 / rho;
         }
+        changed
     }
 
     /// Re-derives constraint kinds after a bounds update, in place: no
-    /// allocation while the constraint count is unchanged.
-    pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) {
+    /// allocation while the constraint count is unchanged. Returns whether
+    /// the ρ vector changed.
+    pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> bool {
         self.kinds.clear();
         self.kinds.extend(l.iter().zip(u).map(|(&li, &ui)| kind(li, ui)));
-        self.rebuild();
+        self.rebuild()
     }
 
     /// Replaces the scalar base ρ̄ in place (OSQP's manual `update_rho`),
@@ -245,7 +250,8 @@ mod tests {
     fn bounds_update_reclassifies() {
         let mut mgr = RhoManager::new(0.1, &[0.0], &[1.0]);
         assert_eq!(mgr.kinds()[0], ConstraintKind::Inequality);
-        mgr.update_bounds(&[1.0], &[1.0]);
+        assert!(mgr.update_bounds(&[1.0], &[1.0]), "ρ changes with the kind");
         assert_eq!(mgr.kinds()[0], ConstraintKind::Equality);
+        assert!(!mgr.update_bounds(&[2.0], &[2.0]), "an equality stays one");
     }
 }

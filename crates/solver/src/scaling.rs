@@ -195,6 +195,12 @@ impl Scaling {
         (mapped(l, |v| mul(v, &self.e)), mapped(u, |v| mul(v, &self.e)))
     }
 
+    /// The scaled linear cost `q̄ = c·D·q` into `qs`, without allocating.
+    pub(crate) fn scale_q_into(&self, q: &[f64], qs: &mut [f64]) {
+        qs.copy_from_slice(q);
+        mul_by(qs, &self.d, self.c);
+    }
+
     /// [`Self::scale_bounds`] into `ls` and `us`, without allocating.
     pub(crate) fn scale_bounds_into(&self, l: &[f64], u: &[f64], ls: &mut [f64], us: &mut [f64]) {
         ls.copy_from_slice(l);

@@ -339,9 +339,9 @@ impl Solver {
     }
 
     /// A clone of the shared problem handle, reflecting every parametric
-    /// update applied so far. Sessions use this to keep their own `Arc` in
-    /// sync after updates go through the solver (whose copy-on-write may
-    /// have detached from the originally shared allocation).
+    /// update applied so far: what a session rebuilds a failed solver
+    /// from. While the clone lives, the next update copies the problem
+    /// (`Arc::make_mut`), so hold it no longer than needed.
     pub fn problem_shared(&self) -> Arc<QpProblem> {
         Arc::clone(&self.orig)
     }
@@ -384,12 +384,8 @@ impl Solver {
     /// Returns an error for invalid bounds or a failed refactorization.
     pub fn update_bounds(&mut self, l: Vec<f64>, u: Vec<f64>) -> Result<(), SolverError> {
         Arc::make_mut(&mut self.orig).update_bounds(l, u)?;
-        let (ls, us) = self.scaling.scale_bounds(self.orig.l(), self.orig.u());
-        self.l = ls;
-        self.u = us;
-        let old = self.rho_mgr.rho_vec().to_vec();
-        self.rho_mgr.update_bounds(&self.l, &self.u);
-        if self.rho_mgr.rho_vec() != old.as_slice() {
+        self.scaling.scale_bounds_into(self.orig.l(), self.orig.u(), &mut self.l, &mut self.u);
+        if self.rho_mgr.update_bounds(&self.l, &self.u) {
             self.backend.update_rho(self.rho_mgr.rho_vec())?;
         }
         Ok(())
@@ -403,9 +399,7 @@ impl Solver {
     /// Everything happens in place, bit for bit as a fresh equilibration,
     /// and allocates nothing with the CPU PCG or the simulated-FPGA
     /// backend — unless the problem `Arc` is shared with another owner,
-    /// which `Arc::make_mut` then copies once per call. A session shares it
-    /// again after every step, so each session step with new matrices
-    /// still pays that copy.
+    /// which `Arc::make_mut` then copies once.
     ///
     /// # Errors
     ///
@@ -416,8 +410,6 @@ impl Solver {
         p_new: Option<CsrMatrix>,
         a_new: Option<CsrMatrix>,
     ) -> Result<(), SolverError> {
-        // Copies the problem when its `Arc` is shared, as a session's is:
-        // `SolveSession` re-shares it after every step.
         Arc::make_mut(&mut self.orig).update_matrices(p_new, a_new)?;
         // Map the current iterates out of the old scaled space, and into the
         // new one below, so warm starts survive the update. The slack z is
@@ -448,14 +440,7 @@ impl Solver {
     /// Returns an error on length mismatch.
     pub fn update_q(&mut self, q: Vec<f64>) -> Result<(), SolverError> {
         Arc::make_mut(&mut self.orig).update_q(q)?;
-        // q̄ = c·D·q
-        self.q = self
-            .orig
-            .q()
-            .iter()
-            .zip(self.scaling.d())
-            .map(|(&v, &d)| v * d * self.scaling.c())
-            .collect();
+        self.scaling.scale_q_into(self.orig.q(), &mut self.q);
         Ok(())
     }
 

@@ -274,6 +274,33 @@ fn solver_matrix_update_is_allocation_free() {
 }
 
 #[test]
+fn solver_cost_and_bounds_updates_are_allocation_free() {
+    // `Solver::update_q` and `Solver::update_bounds` move the new vectors
+    // into the problem and scale them into the solver's buffers; a ρ
+    // reclassification refreshes the backend in place. The new values come
+    // from other seeds of the same structure, built outside the counted
+    // region.
+    for (domain, size) in [(Domain::Portfolio, 2), (Domain::Control, 4)] {
+        let mut solver = Solver::new(generate(domain, size, 1), settings(20)).unwrap();
+        let _ = solver.solve().unwrap();
+        let updates: Vec<QpProblem> = (2..4).map(|seed| generate(domain, size, seed)).collect();
+        let vectors: Vec<_> =
+            updates.iter().map(|qp| (qp.q().to_vec(), qp.l().to_vec(), qp.u().to_vec())).collect();
+        let before = alloc_count();
+        for (q, l, u) in vectors {
+            solver.update_q(q).unwrap();
+            solver.update_bounds(l, u).unwrap();
+        }
+        let during = alloc_count() - before;
+        assert_eq!(during, 0, "{domain}: update_q/update_bounds allocated {during} times");
+        assert_eq!(solver.problem().q(), updates[1].q());
+        assert_eq!(solver.problem().l(), updates[1].l());
+        let result = solver.solve().unwrap();
+        assert_eq!(result.status, Status::MaxIterationsReached);
+    }
+}
+
+#[test]
 fn ldlt_steady_state_with_refactorizations_is_allocation_free() {
     // Every ρ change refactorizes the permuted KKT matrix in place; the
     // 220-iteration solve does many more of them than the 20-iteration one
