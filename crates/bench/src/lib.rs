@@ -40,7 +40,7 @@ pub struct Measurement {
     pub n: usize,
     /// Constraints.
     pub m: usize,
-    /// Measured CPU solve time (PCG backend).
+    /// Measured CPU solve time (PCG backend), the median of five solves.
     pub cpu_time: Duration,
     /// Fraction of CPU solve time inside the KKT solve (Figure 8).
     pub cpu_kkt_fraction: f64,
@@ -146,10 +146,22 @@ pub fn solve_fpga(problem: &QpProblem, config: &ArchConfig) -> (SolveResult, Dur
     (result, time)
 }
 
+/// CPU solves timed per problem; [`Measurement::cpu_time`] is their median.
+const CPU_SOLVES: usize = 5;
+
 /// Produces the full [`Measurement`] for one benchmark problem.
+///
+/// The CPU time is the median of five solves, since one solve's
+/// wall time moves by tens of percent between runs; the iteration counts
+/// and the KKT fraction come from the first, the counts being the same in
+/// every solve.
 pub fn measure_problem(bp: &BenchmarkProblem, opts: &HarnessOptions) -> Measurement {
     let problem = &bp.problem;
     let cpu = solve_cpu(problem);
+    let mut cpu_times: Vec<Duration> = std::iter::once(cpu.timings.solve)
+        .chain((1..CPU_SOLVES).map(|_| solve_cpu(problem).timings.solve))
+        .collect();
+    cpu_times.sort_unstable();
     let gpu_model = GpuPerfModel::rtx3070();
     let gpu_time = gpu_model.solve_time(
         cpu.iterations,
@@ -169,7 +181,7 @@ pub fn measure_problem(bp: &BenchmarkProblem, opts: &HarnessOptions) -> Measurem
         nnz: problem.total_nnz(),
         n: problem.num_vars(),
         m: problem.num_constraints(),
-        cpu_time: cpu.timings.solve,
+        cpu_time: cpu_times[CPU_SOLVES / 2],
         cpu_kkt_fraction: cpu.timings.kkt_fraction(),
         admm_iters: cpu.iterations,
         cg_iters: cpu.backend.cg_iterations,

@@ -602,10 +602,7 @@ impl DenseColPrecond {
             }
         }
         cholesky_solve(&self.chol, self.cols.len(), &mut self.s);
-        for (l, dl) in d.iter_mut().enumerate() {
-            let (idx, vals) = self.ht.row(l);
-            *dl += idx.iter().zip(vals).fold(0.0, |acc, (&q, &v)| acc + v * self.s[q]);
-        }
+        self.ht.spmv_acc(1.0, &self.s, d).expect("Hᵀ is n × k");
     }
 
     /// Sparse products one [`Self::apply`] runs: `H`, `S⁻¹` and `Hᵀ`, and
@@ -752,5 +749,56 @@ fn cholesky_solve(u: &[f64], k: usize, x: &mut [f64]) {
         let row = &u[d * k..(d + 1) * k];
         let acc = row[d + 1..].iter().zip(&x[d + 1..]).fold(x[d], |acc, (&v, &xq)| acc - v * xq);
         x[d] = acc / row[d];
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsqp_problems::{generate, Domain};
+
+    /// [`DenseColPrecond::apply`] with `d += Hᵀ s` written out as one fold
+    /// per row of `Hᵀ`: the reference its `Hᵀ` product through the CSR row
+    /// kernel must match bit for bit.
+    fn apply_with_row_fold(pre: &mut DenseColPrecond, r: &[f64], d: &mut [f64]) {
+        match &pre.g {
+            Some(g) => g.spmv(r, d).unwrap(),
+            None => {
+                for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&pre.inv_diag) {
+                    *di = ri * inv;
+                }
+            }
+        }
+        pre.s.fill(0.0);
+        for (l, &rl) in r.iter().enumerate() {
+            let (idx, vals) = pre.ht.row(l);
+            for (&q, &v) in idx.iter().zip(vals) {
+                pre.s[q] += v * rl;
+            }
+        }
+        cholesky_solve(&pre.chol, pre.cols.len(), &mut pre.s);
+        for (l, dl) in d.iter_mut().enumerate() {
+            let (idx, vals) = pre.ht.row(l);
+            *dl += idx.iter().zip(vals).fold(0.0, |acc, (&q, &v)| acc + v * pre.s[q]);
+        }
+    }
+
+    #[test]
+    fn apply_equals_the_row_fold_bit_for_bit() {
+        for (domain, size) in [(Domain::Svm, 21), (Domain::Lasso, 14), (Domain::Huber, 19)] {
+            let qp = generate(domain, size, 1);
+            let rho: Vec<f64> =
+                qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
+            let mut pre = DenseColPrecond::new(qp.p(), qp.a(), 1e-6, &rho).unwrap();
+            let n = qp.p().nrows();
+            for phase in [0.0, 1.3] {
+                let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
+                let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+                pre.apply(&r, &mut got);
+                apply_with_row_fold(&mut pre, &r, &mut want);
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{}", qp.name());
+            }
+        }
     }
 }

@@ -199,39 +199,63 @@ impl CsrMatrix {
 
     /// Computes `y = self * x`.
     ///
+    /// Each `y[i]` is row `i` summed left to right from `0.0`
+    /// (`acc += v * x[j]` over the row's stored entries in column order),
+    /// bit for bit the one-row loop and the simulated machine's
+    /// non-lane-exact SpMV. The kernel sums four rows at once to hide the
+    /// latency of each row's chain of adds; the order within a row does not
+    /// change.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `x.len() != ncols` or
     /// `y.len() != nrows`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
         self.check_spmv_dims(x, y)?;
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            let mut acc = 0.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
-            }
-            y[i] = acc;
-        }
+        self.row_dots(x, 0, y, |yi, dot| *yi = dot);
         Ok(())
     }
 
-    /// Computes `y += alpha * self * x`.
+    /// Computes `y += alpha * self * x`, as `y[i] += alpha * dot` with
+    /// `dot` row `i` summed exactly as in [`Self::spmv`].
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] on shape mismatch.
     pub fn spmv_acc(&self, alpha: f64, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
         self.check_spmv_dims(x, y)?;
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            let mut acc = 0.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
-            }
-            y[i] += alpha * acc;
-        }
+        self.row_dots(x, 0, y, |yi, dot| *yi += alpha * dot);
         Ok(())
+    }
+
+    /// The row kernel behind every row product: calls
+    /// `store(&mut out[r], dot)` for each row `lo + r`, `dot` summed left to
+    /// right from `0.0`. Blocks of [`ROWS`] rows share one loop over the
+    /// shortest row's length with one accumulator per row, so the rows'
+    /// add chains overlap; then each row finishes its own tail.
+    fn row_dots(&self, x: &[f64], lo: usize, out: &mut [f64], store: impl Fn(&mut f64, f64)) {
+        let mut blocks = out.chunks_exact_mut(ROWS);
+        let mut i = lo;
+        for block in &mut blocks {
+            let rows: [(&[usize], &[f64]); ROWS] = std::array::from_fn(|r| self.row(i + r));
+            let common = rows.iter().map(|(cols, _)| cols.len()).min().unwrap_or(0);
+            let cols: [&[usize]; ROWS] = std::array::from_fn(|r| &rows[r].0[..common]);
+            let vals: [&[f64]; ROWS] = std::array::from_fn(|r| &rows[r].1[..common]);
+            let mut acc = [0.0; ROWS];
+            for k in 0..common {
+                for r in 0..ROWS {
+                    acc[r] += vals[r][k] * x[cols[r][k]];
+                }
+            }
+            for ((y, a), (cols, vals)) in block.iter_mut().zip(acc).zip(rows) {
+                store(y, dot_from(a, &cols[common..], &vals[common..], x));
+            }
+            i += ROWS;
+        }
+        for (r, y) in blocks.into_remainder().iter_mut().enumerate() {
+            let (cols, vals) = self.row(i + r);
+            store(y, dot_from(0.0, cols, vals, x));
+        }
     }
 
     /// Computes `y = selfᵀ * x` without materializing the transpose.
@@ -525,14 +549,7 @@ impl CsrMatrix {
             return self.spmv(x, y);
         }
         pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            for (k, yi) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(lo + k);
-                let mut acc = 0.0;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    acc += v * x[j];
-                }
-                *yi = acc;
-            }
+            self.row_dots(x, lo, chunk, |yi, dot| *yi = dot)
         });
         Ok(())
     }
@@ -564,17 +581,21 @@ impl CsrMatrix {
             return self.spmv_acc(alpha, x, y);
         }
         pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            for (k, yi) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(lo + k);
-                let mut acc = 0.0;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    acc += v * x[j];
-                }
-                *yi += alpha * acc;
-            }
+            self.row_dots(x, lo, chunk, |yi, dot| *yi += alpha * dot)
         });
         Ok(())
     }
+}
+
+/// Rows [`CsrMatrix::row_dots`] sums at once.
+const ROWS: usize = 4;
+
+/// `acc` plus the row entries `(cols, vals)` against `x`, left to right.
+fn dot_from(mut acc: f64, cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
+    for (&j, &v) in cols.iter().zip(vals) {
+        acc += v * x[j];
+    }
+    acc
 }
 
 /// `max(m, |v|)` for a norm `m ≥ 0`, ignoring a NaN `v` as `f64::max`
