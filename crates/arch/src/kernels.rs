@@ -5,12 +5,12 @@
 //! time in. It computes, entirely on the machine,
 //!
 //! ```text
-//! b  = σx − q + Aᵀ(ρ∘z − y)            (right-hand side of Eq. 3)
+//! b  = (σx − q) + Aᵀ(ρ∘z − y)          (right-hand side of Eq. 3)
 //! x̃ = PCG(K, b, x₀ = x̃)                (Algorithm 2)
 //! z̃ = A x̃
 //! ```
 //!
-//! with `K·v` evaluated incrementally as `P·v + σ·v + Aᵀ(ρ∘(A·v))`, never
+//! with `K·v` evaluated incrementally as `(P·v + σ·v) + Aᵀ(ρ∘(A·v))`, never
 //! forming `AᵀA` (§2.2). The preconditioner `d = M⁻¹r` is Jacobi plus, when
 //! `A` has dense rows `S`, the Woodbury correction for them
 //! (`rsqp_linsys::DenseRowPrecond`):
@@ -31,7 +31,7 @@
 //! registers:
 //!
 //! ```text
-//! b  = σx − q + Aᵀ(ρ∘z − y)
+//! b  = (σx − q) + Aᵀ(ρ∘z − y)
 //! x̃ = G b + Hᵀ S⁻¹ H b                  (= K⁻¹ b)
 //! z̃ = A x̃
 //! ```
@@ -41,11 +41,16 @@
 //! Woodbury solve loses accuracy to cancellation over stiff equality rows,
 //! which PCG's residual test repairs.
 //!
-//! PCG starts from whatever the `xtilde` register
-//! holds — the host leaves the previous KKT solution there — while `x`
-//! only enters the right-hand side. Degenerate denominators (an exact warm
-//! start gives `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
+//! The PCG loop is the specification of `rsqp_linsys::pcg_with`, operation
+//! for operation. It starts from whatever the `xtilde` register holds —
+//! the host leaves the previous KKT solution there — while `x` only enters
+//! the right-hand side. An exact warm start (`r₀ = 0`) takes one step with
+//! `λ = 0` that leaves `x̃` as it is; the host reads `r₀·r₀` from `res0`
+//! to count it as none, as the CPU takes none. Degenerate denominators
+//! (that step's `δ = pᵀKp = 0`) are guarded with a `max(·, tiny)` — the
 //! hardware equivalent of a saturating divider.
+
+use rsqp_sparse::vec_ops::PCG_EPS_ABS;
 
 use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
@@ -79,9 +84,9 @@ pub struct PcgKernel {
     pub sigma: SReg,
     /// Host-set scalar: relative CG tolerance ε (read by PCG only).
     pub eps: SReg,
-    /// Host-set scalar: squared absolute tolerance floor (read by PCG
-    /// only).
-    pub eps_abs_sq: SReg,
+    /// Output of PCG: `r₀·r₀`, zero when the warm start solves the system
+    /// exactly (the one step then taken has `λ = 0`).
+    pub res0: SReg,
 }
 
 /// The resident matrices of the preconditioner's dense-row correction:
@@ -166,7 +171,7 @@ pub fn build_pcg(
     // Scalar registers.
     let sigma = machine.alloc_scalar();
     let eps = machine.alloc_scalar();
-    let eps_abs_sq = machine.alloc_scalar();
+    let res0 = machine.alloc_scalar();
     let one = machine.alloc_scalar();
     let neg_one = machine.alloc_scalar();
     let zero = machine.alloc_scalar();
@@ -179,7 +184,6 @@ pub fn build_pcg(
     let res2 = machine.alloc_scalar();
     let normb2 = machine.alloc_scalar();
     let thr = machine.alloc_scalar();
-    let eps2 = machine.alloc_scalar();
     let guard = machine.alloc_scalar();
     // The correction's k-length intermediates `s` and `t` (`A_S d` and
     // `C⁻¹ s`, or `H b` and `S⁻¹ s`); the k-to-n product goes through
@@ -206,14 +210,14 @@ pub fn build_pcg(
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
         }
     };
-    // b = σx − q + Aᵀ(ρ∘z − y)
+    // b = (σx − q) + Aᵀ(ρ∘z − y)
     let rhs = |pb: &mut ProgramBuilder| {
         pb.push(Instr::EwMul { dst: am, a: rho_vec, b: z });
         pb.push(Instr::Lincomb { dst: am, alpha: one, a: am, beta: neg_one, b: y });
+        pb.push(Instr::Lincomb { dst: px, alpha: sigma, a: x, beta: neg_one, b: q });
         pb.push(Instr::Duplicate { vec: am, matrix: at });
         pb.push(Instr::Spmv { matrix: at, input: am, output: b });
-        pb.push(Instr::Lincomb { dst: b, alpha: sigma, a: x, beta: one, b });
-        pb.push(Instr::Lincomb { dst: b, alpha: neg_one, a: q, beta: one, b });
+        pb.push(Instr::Lincomb { dst: b, alpha: one, a: px, beta: one, b });
     };
     // z̃ = A·x̃.
     let ztilde_out = |pb: &mut ProgramBuilder| {
@@ -255,11 +259,13 @@ pub fn build_pcg(
         precondition(&mut pb, r, d);
         pb.push(Instr::Lincomb { dst: pv, alpha: neg_one, a: d, beta: zero, b: d });
         pb.push(Instr::Dot { dst: delta, a: r, b: d });
+        // thr = max(ε²·(b·b), PCG_EPS_ABS²), the floor in `guard`.
         pb.push(Instr::Dot { dst: normb2, a: b, b });
-        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: eps2, a: eps, b: eps });
-        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: thr, a: eps2, b: normb2 });
-        pb.push(Instr::Scalar { op: ScalarOp::Max, dst: thr, a: thr, b: eps_abs_sq });
-        pb.push(Instr::Dot { dst: res2, a: r, b: r });
+        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: thr, a: eps, b: eps });
+        pb.push(Instr::Scalar { op: ScalarOp::Mul, dst: thr, a: thr, b: normb2 });
+        pb.push(Instr::SetScalar { dst: guard, value: PCG_EPS_ABS * PCG_EPS_ABS });
+        pb.push(Instr::Scalar { op: ScalarOp::Max, dst: thr, a: thr, b: guard });
+        pb.push(Instr::Dot { dst: res0, a: r, b: r });
 
         // Main loop (Algorithm 2, lines 3–9).
         pb.loop_start();
@@ -280,10 +286,10 @@ pub fn build_pcg(
         ztilde_out(&mut pb);
     }
     let program = pb.build().expect("the kernel builder is loop-balanced");
-    PcgKernel { program, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, eps_abs_sq }
+    PcgKernel { program, x, xtilde, z, y, q, rho_vec, minv, ztilde, sigma, eps, res0 }
 }
 
-/// Emits `out = P·v + σ·v + Aᵀ(ρ∘(A·v))`.
+/// Emits `out = (P·v + σ·v) + Aᵀ(ρ∘(A·v))`.
 #[allow(clippy::too_many_arguments)]
 fn emit_kapply(
     pb: &mut ProgramBuilder,
@@ -300,13 +306,13 @@ fn emit_kapply(
 ) {
     pb.push(Instr::Duplicate { vec: v, matrix: p });
     pb.push(Instr::Spmv { matrix: p, input: v, output: px });
+    pb.push(Instr::Lincomb { dst: px, alpha: sigma, a: v, beta: one, b: px });
     pb.push(Instr::Duplicate { vec: v, matrix: a });
     pb.push(Instr::Spmv { matrix: a, input: v, output: am });
     pb.push(Instr::EwMul { dst: am, a: rho_vec, b: am });
     pb.push(Instr::Duplicate { vec: am, matrix: at });
     pb.push(Instr::Spmv { matrix: at, input: am, output: out });
     pb.push(Instr::Lincomb { dst: out, alpha: one, a: px, beta: one, b: out });
-    pb.push(Instr::Lincomb { dst: out, alpha: sigma, a: v, beta: one, b: out });
 }
 
 /// Analytic cycle cost of one ADMM outer update (Algorithm 1 lines 4–7 plus
@@ -374,7 +380,6 @@ mod tests {
         machine.write_vec(k.minv, &minv);
         machine.write_scalar(k.sigma, sigma);
         machine.write_scalar(k.eps, 1e-10);
-        machine.write_scalar(k.eps_abs_sq, 1e-28);
         machine.run(&k.program).unwrap();
 
         // Reference: dense solve of (P + σI + Aᵀdiag(ρ)A)x = rhs.
@@ -414,7 +419,6 @@ mod tests {
         machine.write_vec(k.minv, &[1.0, 1.0]);
         machine.write_scalar(k.sigma, 1e-6);
         machine.write_scalar(k.eps, 1e-8);
-        machine.write_scalar(k.eps_abs_sq, 1e-24);
         machine.run(&k.program).unwrap();
         let x = machine.read_vec(k.xtilde);
         assert!(x.iter().all(|v| v.is_finite()));
@@ -428,7 +432,6 @@ mod tests {
         machine.write_vec(k.rho_vec, &[0.5, 0.25]);
         machine.write_vec(k.minv, &[0.2, 0.3]);
         machine.write_scalar(k.sigma, 1e-6);
-        machine.write_scalar(k.eps_abs_sq, 1e-28);
         // Loose tolerance -> fewer trips -> fewer cycles.
         machine.write_scalar(k.eps, 1e-2);
         machine.run(&k.program).unwrap();
@@ -475,7 +478,6 @@ mod tests {
         machine.write_vec(k.minv, pre.inv_diag());
         machine.write_scalar(k.sigma, sigma);
         machine.write_scalar(k.eps, 1e-12);
-        machine.write_scalar(k.eps_abs_sq, 1e-28);
         let run = machine.run(&k.program).unwrap();
         assert!(run.loop_trips <= 2, "{} trips", run.loop_trips);
 

@@ -118,7 +118,6 @@ fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
     machine.write_vec(k.y, &wave(m, 2.0, 0.2));
     machine.write_scalar(k.sigma, sigma);
     machine.write_scalar(k.eps, 1e-7);
-    machine.write_scalar(k.eps_abs_sq, 1e-28);
 
     let inputs: [VecId; 6] = [k.x, k.z, k.y, k.q, k.rho_vec, k.minv];
     let mut pb = ProgramBuilder::new();
@@ -157,30 +156,30 @@ const PINNED: [(Domain, usize, [u64; 4]); 3] = [
         Domain::Control,
         2,
         [
-            0x656f_c73e_8887_20a4,
-            0x79a7_64fa_75e5_3109,
-            0xf001_4404_96d8_efad,
-            0x81ca_55ea_c47a_8a14,
+            0x8125_20a4_b2d9_7603,
+            0x04fa_f641_15d4_2fbe,
+            0x60d5_e2e4_7956_233d,
+            0xaf03_4b0e_75ad_a530,
         ],
     ),
     (
         Domain::Portfolio,
         1,
         [
-            0xbae0_8a47_394f_d2b1,
-            0xbe02_7ecb_380e_9159,
-            0x33dc_1cab_9580_48e2,
-            0xbf91_d9d0_cd8c_12ee,
+            0x087a_fe92_795d_d9dc,
+            0xa5f0_88d7_4616_12b4,
+            0xd138_3501_207c_9185,
+            0xb5e6_ad57_2cc7_844e,
         ],
     ),
     (
         Domain::Svm,
         2,
         [
-            0x7e32_bd88_20f1_4bdf,
-            0x82e4_5cd6_9f35_8cef,
-            0xb6ae_7ae0_8aca_b769,
-            0xb27a_e4c5_cade_376b,
+            0x3300_c3e8_7a49_8cd6,
+            0x690f_7dfd_464d_39da,
+            0x55cb_bf80_a70b_dd2f,
+            0x23e0_98a3_0303_c7d5,
         ],
     ),
 ];

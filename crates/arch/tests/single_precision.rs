@@ -24,7 +24,6 @@ fn run_pcg(single: bool, eps: f64) -> Vec<f64> {
     machine.write_vec(k.minv, &[1.0 / 4.75, 1.0 / 2.5]);
     machine.write_scalar(k.sigma, 1e-6);
     machine.write_scalar(k.eps, eps);
-    machine.write_scalar(k.eps_abs_sq, 1e-20);
     machine.run(&k.program).unwrap();
     machine.read_vec(k.xtilde).to_vec()
 }

@@ -32,6 +32,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rsqp_bench::median;
 use rsqp_problems::control;
 use rsqp_runtime::{CustomizationCache, SessionConfig, SolveSession, StepUpdate};
 use rsqp_solver::{QpProblem, Settings, Solver, Status};
@@ -200,16 +201,6 @@ fn run_cold(problems: &[QpProblem], settings: &Settings, pair: &mut Pair) {
         pair.cold_ns += t.elapsed().as_nanos() as f64;
         assert_eq!(result.status, Status::Solved, "cold step {} did not solve", k + 1);
         pair.cold_iters += result.iterations as u64;
-    }
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        0.5 * (v[mid - 1] + v[mid])
     }
 }
 

@@ -146,6 +146,17 @@ pub fn solve_fpga(problem: &QpProblem, config: &ArchConfig) -> (SolveResult, Dur
     (result, time)
 }
 
+/// Median of `v` (the mean of the two middle values for an even length).
+pub fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        0.5 * (v[mid - 1] + v[mid])
+    }
+}
+
 /// CPU solves timed per problem; [`Measurement::cpu_time`] is their median.
 const CPU_SOLVES: usize = 5;
 

@@ -15,8 +15,8 @@
 //! needs — and the kernel applies the same operator on the machine. The
 //! backend runs one program, fixed at construction: PCG, or with the
 //! dense-column elimination (`M = K`) the loop-free direct solve, as the
-//! CPU backend does. While a refresh of the elimination has failed, a
-//! solve returns PCG's breakdown without running the machine.
+//! CPU backend does, and takes the CPU's steps bit for bit. While a refresh
+//! of `M⁻¹` has failed, a solve returns PCG's breakdown without running it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -260,7 +260,6 @@ impl FpgaPcgBackend {
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
-        machine.write_scalar(self.kernel.eps_abs_sq, 1e-28);
     }
 }
 
@@ -352,11 +351,15 @@ impl KktBackend for FpgaPcgBackend {
         xtilde.copy_from_slice(machine.read_vec(self.kernel.xtilde));
         ztilde.copy_from_slice(machine.read_vec(self.kernel.ztilde));
         self.stats.kkt_solves += 1;
-        let trips = run.loop_trips as usize;
-        self.stats.cg_iterations += trips;
-        // The loop body runs once more than its trips (back-edges taken).
+        // The loop body runs once more than its trips (back-edges taken),
+        // one PCG step per pass, but an exact warm start (`r₀ = 0`) counts
+        // none, as on the CPU; the direct solve takes none.
+        let passes = run.loop_trips as usize + 1;
         let (straight, body) = self.spmvs;
-        self.stats.spmv_evals += straight + body * (trips + 1);
+        self.stats.spmv_evals += straight + body * passes;
+        if body > 0 && machine.read_scalar(self.kernel.res0) != 0.0 {
+            self.stats.cg_iterations += passes;
+        }
         Ok(())
     }
 
@@ -432,16 +435,57 @@ mod tests {
     }
 
     #[test]
+    fn cpu_and_machine_kkt_solves_are_bit_identical() {
+        // One PCG specification: the same x̃ and z̃ bits and the same CG
+        // count per solve — from an exact zero warm start (r₀ = 0: no
+        // step on either), from zero, and warm-started with a new q.
+        for (domain, size) in [(Domain::Control, 2), (Domain::Eqqp, 10), (Domain::Portfolio, 1)] {
+            let qp = generate(domain, size, 1);
+            let (n, m) = (qp.num_vars(), qp.num_constraints());
+            let rho = vec![0.1; m];
+            let mut cpu = rsqp_solver::CpuPcgBackend::new(qp.p(), qp.a(), 1e-6, &rho, 1e-7, 200);
+            let mut fpga = backend(qp.p(), qp.a());
+            let wave = |len: usize, phase: f64| -> Vec<f64> {
+                (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+            };
+            let (x, z, y) = (wave(n, 0.0), wave(m, 1.0), wave(m, 2.0));
+            let zero = (vec![0.0; n], vec![0.0; m]);
+            let mut warm = [vec![0.0; n], vec![0.0; n]];
+            for (step, (x, z, y, q)) in [
+                (&zero.0, &zero.1, &zero.1, zero.0.clone()),
+                (&x, &z, &y, wave(n, 3.0)),
+                (&x, &z, &y, wave(n, 4.0)),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut out = Vec::new();
+                for (b, xt) in
+                    [&mut cpu as &mut dyn KktBackend, &mut fpga].into_iter().zip(&mut warm)
+                {
+                    let mut zt = vec![0.0; m];
+                    let before = b.stats().cg_iterations;
+                    b.solve_kkt(x, z, y, &q, xt, &mut zt).unwrap();
+                    let bits: Vec<u64> = xt.iter().chain(&zt).map(|v| v.to_bits()).collect();
+                    out.push((bits, b.stats().cg_iterations - before));
+                }
+                assert_eq!(out[0], out[1], "{domain}, solve {step}");
+                assert_eq!(out[0].1 == 0, step == 0, "{domain}, solve {step}: CG steps");
+            }
+        }
+    }
+
+    #[test]
     fn spmv_evals_count_every_kernel_spmv() {
         // PCG: K·v and the preconditioner's correction (A_S, C⁻¹ and A_Sᵀ
-        // with dense rows) run before the loop and on each of its trips + 1
-        // passes; Aᵀ for the right-hand side and A for z̃ run once.
+        // with dense rows) run before the loop and on each of its passes,
+        // one per CG step; Aᵀ for the right-hand side and A for z̃ run once.
         for (domain, size, per_pass) in [(Domain::Control, 2, 3), (Domain::Portfolio, 1, 6)] {
             let qp = generate(domain, size, 1);
             let mut b = backend(qp.p(), qp.a());
             let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
             let stats = b.stats();
-            assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 2) + 2, "{domain}");
+            assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 1) + 2, "{domain}");
         }
         // The direct solve: Aᵀ, then H, S⁻¹, Hᵀ and a non-diagonal G once,
         // and A; no CG iteration.

@@ -63,7 +63,6 @@ fn pcg_run(qp: &QpProblem, at: &CsrMatrix, config: &ArchConfig, eps: f64) -> [u6
     machine.write_vec(k.q, &(0..n).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>());
     machine.write_scalar(k.sigma, 1e-6);
     machine.write_scalar(k.eps, eps);
-    machine.write_scalar(k.eps_abs_sq, 1e-28);
     let run = machine.run(&k.program).unwrap();
     [run.loop_trips, run.breakdown.spmv, run.breakdown.duplication]
 }

@@ -350,8 +350,8 @@ impl ReducedKktOp {
     /// Number of SpMV evaluations performed so far, used by the performance
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
     /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and per `precondition`
-    /// the [`KktPrecond::products`] of `M⁻¹`: three while the dense-row
-    /// correction is on (`A_S`, `C⁻¹`, `A_Sᵀ`), or three or four for the
+    /// the [`KktPrecond::products`] of `M⁻¹`: three with dense rows
+    /// (`A_S`, `C⁻¹`, `A_Sᵀ`), or three or four for the
     /// dense-column elimination (`H`, `S⁻¹`, `Hᵀ`, and `G` when it is not
     /// diagonal). A dense-column KKT solve, by [`crate::exact_solve`],
     /// therefore counts `products() + 2`: `Aᵀ` for the right-hand side,
@@ -568,7 +568,7 @@ mod tests {
     ) {
         let n = p.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-        let settings = crate::PcgSettings { eps: 1e-13, eps_abs: 0.0, max_iter: 100 };
+        let settings = crate::PcgSettings { eps: 1e-13, max_iter: 100 };
         let mut x = vec![0.0; n];
         let mut ws = crate::PcgWorkspace::new(n);
         let sol =
@@ -594,7 +594,7 @@ mod tests {
         let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
         let pre = rows(&op);
         assert_eq!(pre.dense_rows(), [0, 1, 2, 3, 4, 5], "five factor rows and the budget row");
-        assert!(pre.is_active());
+        assert_eq!(pre.failed_pivot(), None);
         pcg_matches_ldlt(&mut op, p, a, sigma, &rho, 2);
     }
 
@@ -649,7 +649,7 @@ mod tests {
         let mut op = ReducedKktOp::new(p, a, 1e-6, &solver_rho(&qp, 0.1)).unwrap();
         let same = |op: &ReducedKktOp, fresh: &ReducedKktOp| {
             let (x, y) = (rows(op), rows(fresh));
-            assert!(x.is_active() && y.is_active());
+            assert_eq!((x.failed_pivot(), y.failed_pivot()), (None, None));
             assert_eq!(x.dense_rows(), y.dense_rows());
             assert_eq!(x.inv_diag(), y.inv_diag());
             assert_eq!(x.a_s(), y.a_s());

@@ -1,17 +1,38 @@
 //! Preconditioned Conjugate Gradient (Algorithm 2 of the RSQP paper).
 //!
+//! [`pcg_with`] is the one PCG specification, and the accelerator's kernel
+//! (`rsqp_arch::kernels::build_pcg`) takes the same steps, operation for
+//! operation: in f64 both return the same bits and count the same steps.
+//!
+//! ```text
+//! r = K x₀ − b ;  if r = 0: return x₀ (0 steps; δ would be 0)
+//! d = M⁻¹ r ;  p = 0 − d ;  δ = r·d ;  thr = max(ε²·(b·b), PCG_EPS_ABS²)
+//! repeat:  λ = δ/(p·Kp) ;  x = λp + x ;  r = λKp + r     (one step)
+//!          stop if r·r < thr
+//!          d = M⁻¹ r ;  δ' = r·d ;  μ = δ'/δ ;  δ = δ' ;  p = μp − d
+//! ```
+//!
+//! with `K·v = (P·v + σ·v) + Aᵀ(ρ∘(A·v))`, the right-hand side formed as
+//! `(σx − q) + Aᵀ(ρ∘z − y)`, and each dot product summed left to right.
+//! A warm start that already meets the test still takes one step. Two
+//! differences remain: the machine's loop tests at its end, so it applies
+//! `M⁻¹` once more after its final step (the iterate is the same), and it
+//! sums every dot product serially, where the CPU sums vectors of
+//! `rsqp_par::PAR_LEN_THRESHOLD` (8 192) elements or more in chunks.
+//!
 //! Unlike a direct LDLᵀ solve, PCG can fail mid-iteration: the operator may
 //! turn out indefinite along a search direction (`pᵀKp ≤ 0`), or corrupted
 //! input (NaN/Inf from an upstream ρ update or a faulty datapath) can poison
 //! α/β. Both conditions are detected and reported as a typed [`PcgError`]
 //! instead of silently returning the poisoned iterate, so callers can run a
-//! recovery policy (see `solver::guard`).
+//! recovery policy (see `solver::guard`; the machine guards its divisors
+//! with `max(·, 1e-300)` instead, which agrees whenever they are positive).
 
 use std::error::Error;
 use std::fmt;
 
 use rsqp_par::ThreadPool;
-use rsqp_sparse::vec_ops;
+use rsqp_sparse::vec_ops::{self, PCG_EPS_ABS};
 
 use crate::LinsysError;
 
@@ -105,15 +126,13 @@ pub struct PcgSettings {
     /// Relative tolerance: iterate until `‖r‖₂ < eps·‖b‖₂` (Algorithm 2,
     /// line 10).
     pub eps: f64,
-    /// Absolute floor on the residual test, guarding `b ≈ 0`.
-    pub eps_abs: f64,
     /// Iteration cap.
     pub max_iter: usize,
 }
 
 impl Default for PcgSettings {
     fn default() -> Self {
-        PcgSettings { eps: 1e-8, eps_abs: 1e-12, max_iter: 5000 }
+        PcgSettings { eps: 1e-8, max_iter: 5000 }
     }
 }
 
@@ -121,7 +140,7 @@ impl Default for PcgSettings {
 /// is returned through the `x` argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcgSummary {
-    /// Number of iterations performed (operator applications minus one).
+    /// Steps taken (operator applications minus one).
     pub iterations: usize,
     /// Final residual 2-norm `‖K x − b‖₂`.
     pub residual: f64,
@@ -148,11 +167,6 @@ impl PcgWorkspace {
         PcgWorkspace { r: vec![0.0; n], d: vec![0.0; n], p: vec![0.0; n], kp: vec![0.0; n] }
     }
 
-    /// Current workspace dimension.
-    pub fn dim(&self) -> usize {
-        self.r.len()
-    }
-
     /// Grows or shrinks the buffers to dimension `n` (no-op when already
     /// that size).
     pub fn resize(&mut self, n: usize) {
@@ -169,14 +183,14 @@ impl PcgWorkspace {
 /// place, warm-started at the incoming value of `x`, reusing `ws` for every
 /// intermediate vector.
 ///
-/// Implements Algorithm 2 of the paper with the preconditioner
-/// `d = M⁻¹ r` of [`LinearOperator::precondition`]. With a correctly sized
-/// workspace (and an operator whose [`LinearOperator::precondition`] does
-/// not allocate) it performs **zero heap allocations**, which is what lets
-/// the ADMM steady state run allocation-free. Dot products, norms and
-/// vector updates run on `pool` (pass [`ThreadPool::serial`] to run
-/// inline); results are bit-identical across pool sizes (see `rsqp-par`'s
-/// determinism contract).
+/// Implements Algorithm 2 of the paper as the module documentation
+/// specifies it, with `d = M⁻¹ r` from [`LinearOperator::precondition`].
+/// With a correctly sized workspace (and an operator whose
+/// [`LinearOperator::precondition`] does not allocate) it performs **zero
+/// heap allocations**, which is what lets the ADMM steady state run
+/// allocation-free. Dot products and vector updates run on `pool` (pass
+/// [`ThreadPool::serial`] to run inline); results are bit-identical across
+/// pool sizes (see `rsqp-par`'s determinism contract).
 ///
 /// # Errors
 ///
@@ -200,26 +214,26 @@ pub fn pcg_with(
     check_lengths(n, b, x)?;
     ws.resize(n);
 
-    let norm_b = vec_ops::norm2_par(b, pool);
-    if !norm_b.is_finite() {
+    let bb = vec_ops::dot_par(b, b, pool);
+    if !bb.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "rhs norm" });
     }
-    let tol = (settings.eps * norm_b).max(settings.eps_abs);
+    let thr = (settings.eps * settings.eps * bb).max(PCG_EPS_ABS * PCG_EPS_ABS);
 
     // r0 = K x0 - b
     op.apply(x, &mut ws.r)?;
     vec_ops::axpy_par(-1.0, b, &mut ws.r, pool);
-    let mut res_norm = vec_ops::norm2_par(&ws.r, pool);
-    if !res_norm.is_finite() {
+    let mut rr = vec_ops::dot_par(&ws.r, &ws.r, pool);
+    if !rr.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "residual norm" });
     }
-    if res_norm <= tol {
-        return Ok(PcgSummary { iterations: 0, residual: res_norm, converged: true });
+    if rr == 0.0 {
+        return Ok(PcgSummary { iterations: 0, residual: 0.0, converged: true });
     }
-    // d0 = M^{-1} r0 ; p0 = -d0
+    // d0 = M^{-1} r0 ; p0 = 0 - d0, the machine's -d0 + 0·d0 (+0 at ±0)
     op.precondition(&ws.r, &mut ws.d);
     for (pi, &di) in ws.p.iter_mut().zip(&ws.d) {
-        *pi = -di;
+        *pi = 0.0 - di;
     }
     let mut delta = vec_ops::dot_par(&ws.r, &ws.d, pool);
     if !delta.is_finite() {
@@ -249,11 +263,11 @@ pub fn pcg_with(
         }
         vec_ops::axpy_par(lambda, &ws.p, x, pool);
         vec_ops::axpy_par(lambda, &ws.kp, &mut ws.r, pool);
-        res_norm = vec_ops::norm2_par(&ws.r, pool);
-        if !res_norm.is_finite() {
+        rr = vec_ops::dot_par(&ws.r, &ws.r, pool);
+        if !rr.is_finite() {
             return Err(PcgError::NonFinite { iteration: iterations, quantity: "residual norm" });
         }
-        if res_norm < tol {
+        if rr < thr {
             converged = true;
             break;
         }
@@ -273,7 +287,7 @@ pub fn pcg_with(
         // p = μp − d
         vec_ops::lincomb_par(-1.0, &ws.d, mu, &mut ws.p, pool);
     }
-    Ok(PcgSummary { iterations, residual: res_norm, converged })
+    Ok(PcgSummary { iterations, residual: rr.sqrt(), converged })
 }
 
 /// Solves `K x = b` as `x = M⁻¹ b`, for an operator whose
@@ -443,13 +457,9 @@ mod tests {
         let m = spd_matrix(n);
         let b = vec![1.0; n];
         let mut op = MatOp { m };
-        let (_, r) = solve_from(
-            &mut op,
-            &b,
-            &vec![0.0; n],
-            &PcgSettings { eps: 1e-14, eps_abs: 0.0, max_iter: 2 },
-        )
-        .unwrap();
+        let (_, r) =
+            solve_from(&mut op, &b, &vec![0.0; n], &PcgSettings { eps: 1e-14, max_iter: 2 })
+                .unwrap();
         assert!(!r.converged);
         assert_eq!(r.iterations, 2);
     }

@@ -21,7 +21,12 @@
 //! applying `M⁻¹` takes three sparse products — with `A_S`, `C⁻¹` and
 //! `A_Sᵀ` — and the accelerator's PCG kernel runs the same operator with
 //! the instructions it already has. Without dense rows (`k = 0`) `M`
-//! is the Jacobi diagonal and the correction is skipped.
+//! is the Jacobi diagonal and the correction is skipped. Which of the two
+//! `M` is fixed by `A`'s pattern: a refresh whose `C` meets a pivot that is
+//! not positive and finite records it ([`DenseRowPrecond::failed_pivot`]),
+//! and the KKT solve reports it as a PCG breakdown until the next refresh
+//! succeeds, as for the dense columns. Only a non-convex `P` can do that:
+//! a convex one gives `D' ≥ σ > 0`, so `C` is SPD.
 //!
 //! [`KktPrecond`] picks a problem's preconditioner: this correction when
 //! `A` has dense rows, else the block elimination of its dense columns
@@ -78,13 +83,12 @@ impl KktPrecond {
         }
     }
 
-    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, while no dense-row
-    /// correction is on.
+    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, without dense rows.
     ///
     /// # Panics
     ///
-    /// As [`DenseColPrecond::apply`] while a failed refresh of the
-    /// elimination stands ([`Self::factored`]).
+    /// As [`DenseRowPrecond::apply`] and [`DenseColPrecond::apply`] while a
+    /// failed refresh stands ([`Self::factored`]).
     pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
         match self {
             KktPrecond::Rows(pre) => pre.apply(r, d),
@@ -102,31 +106,32 @@ impl KktPrecond {
         matches!(self, KktPrecond::Cols(_))
     }
 
-    /// `Ok` unless the last refresh of the dense-column elimination met a
-    /// pivot that is not positive and finite: then the error a KKT solve
-    /// returns without solving until a refresh succeeds, PCG's
-    /// [`PcgError::Breakdown`] at iteration 0 with that pivot as the
-    /// curvature, for the solver's guard ladder.
+    /// `Ok` unless the last refresh met a pivot that is not positive and
+    /// finite, in the dense-row `C` or in the dense-column elimination:
+    /// then the error a KKT solve returns without solving until a refresh
+    /// succeeds, PCG's [`PcgError::Breakdown`] at iteration 0 with that
+    /// pivot as the curvature, for the solver's guard ladder.
     ///
     /// # Errors
     ///
     /// That breakdown.
     pub fn factored(&self) -> Result<(), PcgError> {
-        match self {
-            KktPrecond::Cols(pre) => match pre.failed_pivot() {
-                Some(curvature) => Err(PcgError::Breakdown { iteration: 0, curvature }),
-                None => Ok(()),
-            },
-            KktPrecond::Rows(_) => Ok(()),
+        let failed = match self {
+            KktPrecond::Rows(pre) => pre.failed_pivot(),
+            KktPrecond::Cols(pre) => pre.failed_pivot(),
+        };
+        match failed {
+            Some(curvature) => Err(PcgError::Breakdown { iteration: 0, curvature }),
+            None => Ok(()),
         }
     }
 
     /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
-    /// `C⁻¹` and `A_Sᵀ` while the dense-row correction is on, none while it
-    /// is off, or `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`).
+    /// `C⁻¹` and `A_Sᵀ` with dense rows, none without, or `H`, `S⁻¹`, `Hᵀ`
+    /// (and a non-diagonal `G`).
     pub fn products(&self) -> usize {
         match self {
-            KktPrecond::Rows(pre) => 3 * usize::from(pre.is_active()),
+            KktPrecond::Rows(pre) => 3 * usize::from(pre.rank() > 0),
             KktPrecond::Cols(pre) => pre.products(),
         }
     }
@@ -138,35 +143,6 @@ impl KktPrecond {
             KktPrecond::Rows(pre) => pre.inv_diag(),
             KktPrecond::Cols(pre) => pre.inv_diag(),
         }
-    }
-}
-
-/// `inv_diag = 1/(diag(P) + σ + Σ_i ρ_i A_{i,·}²)` (`1` where the sum is
-/// zero), the sum over the rows of `A` in increasing order, except those
-/// `skip` names.
-fn jacobi_inv_diag(
-    p: &CsrMatrix,
-    a: &CsrMatrix,
-    sigma: f64,
-    rho: &[f64],
-    skip: impl Fn(usize) -> bool,
-    inv_diag: &mut [f64],
-) {
-    for (i, o) in inv_diag.iter_mut().enumerate() {
-        *o = p.get(i, i) + sigma;
-    }
-    for i in 0..a.nrows() {
-        if skip(i) {
-            continue;
-        }
-        let (cols, vals) = a.row(i);
-        let ri = rho[i];
-        for (&j, &v) in cols.iter().zip(vals) {
-            inv_diag[j] += ri * v * v;
-        }
-    }
-    for v in inv_diag {
-        *v = if *v != 0.0 { 1.0 / *v } else { 1.0 };
     }
 }
 
@@ -205,8 +181,9 @@ pub struct DenseRowPrecond {
     a_s: CsrMatrix,
     /// `C⁻¹` with every one of its `k²` entries stored (`k × k`).
     cinv: CsrMatrix,
-    /// Whether the correction is applied: `k > 0` and `C` factorized.
-    active: bool,
+    /// The pivot of `C` the last refresh met that was not positive and
+    /// finite, if any.
+    failed: Option<f64>,
     /// `C`'s upper triangle (every entry stored) and its LDLᵀ
     /// factorization, absent until `C` first factorizes.
     c: CscMatrix,
@@ -217,13 +194,9 @@ pub struct DenseRowPrecond {
 }
 
 impl DenseRowPrecond {
-    /// Picks the dense rows of `a` and computes the preconditioner for
-    /// `P + σI + Aᵀ diag(ρ) A`; `at` is `Aᵀ`.
-    ///
-    /// A row is dense when its nonzero count exceeds AMD's threshold
-    /// `min(max(16, 10·√n), max(16, 10·d̄))` with `d̄ = nnz(A)/m`. At most
-    /// `⌊√nnz(A)⌋` rows are kept, the densest (ties by index), so `C` never
-    /// holds more entries than `A`.
+    /// Picks the dense rows of `a` (by the rule of `dense_rows`: AMD's
+    /// dense threshold, at most `⌊√nnz(A)⌋` rows) and computes the
+    /// preconditioner for `P + σI + Aᵀ diag(ρ) A`; `at` is `Aᵀ`.
     ///
     /// # Panics
     ///
@@ -280,7 +253,7 @@ impl DenseRowPrecond {
             inv_diag: vec![0.0; n],
             a_s,
             cinv,
-            active: false,
+            failed: None,
             c,
             c_ldlt: None,
             s: vec![0.0; k],
@@ -295,9 +268,9 @@ impl DenseRowPrecond {
     /// its transpose `at`) or ρ, in place. The patterns must be the ones
     /// given at construction.
     ///
-    /// If `C` is not numerically positive definite the correction is
-    /// switched off until the next refresh: `D'` then keeps every row
-    /// (plain Jacobi) and `C⁻¹` is zero.
+    /// If `C` is not numerically positive definite the refresh records
+    /// the failing pivot ([`Self::failed_pivot`]), and [`Self::apply`] must
+    /// not be called until a later refresh succeeds.
     ///
     /// # Panics
     ///
@@ -308,25 +281,27 @@ impl DenseRowPrecond {
             let (start, end) = (self.a_s.indptr()[r], self.a_s.indptr()[r + 1]);
             self.a_s.data_mut()[start..end].copy_from_slice(a.row(i).1);
         }
-        self.fill_inv_diag(p, a, rho, true);
-        self.active = !self.rows.is_empty() && self.invert_c(at, rho);
-        if !self.active && !self.rows.is_empty() {
-            self.fill_inv_diag(p, a, rho, false);
-            self.cinv.data_mut().fill(0.0);
+        // D' = diag(P) + σ + Σ_{i∉S} ρ_i A_{i,·}², over the rows of A in
+        // increasing order; D'⁻¹ is 1 where D' is zero.
+        for (j, d) in self.inv_diag.iter_mut().enumerate() {
+            *d = p.get(j, j) + self.sigma;
         }
-    }
-
-    /// `inv_diag = 1/(diag(P) + σ + Σ ρ_i A_{i,·}²)`, the sum over every
-    /// row of `A` or, with `skip_dense`, over the rows outside `S`.
-    fn fill_inv_diag(&mut self, p: &CsrMatrix, a: &CsrMatrix, rho: &[f64], skip_dense: bool) {
-        let slot = &self.slot;
-        let skip = |i: usize| skip_dense && slot[i] != NOT_DENSE;
-        jacobi_inv_diag(p, a, self.sigma, rho, skip, &mut self.inv_diag);
+        for (i, &ri) in rho.iter().enumerate().filter(|&(i, _)| self.slot[i] == NOT_DENSE) {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                self.inv_diag[j] += ri * v * v;
+            }
+        }
+        for d in &mut self.inv_diag {
+            *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
+        }
+        self.failed = if self.rows.is_empty() { None } else { self.invert_c(at, rho).err() };
     }
 
     /// Forms `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ`, factorizes it and writes `C⁻¹`.
-    /// Returns `false` unless every pivot is positive and finite.
-    fn invert_c(&mut self, at: &CsrMatrix, rho: &[f64]) -> bool {
+    /// Fails with the first pivot that is not positive and finite (`0` for
+    /// an exactly zero one).
+    fn invert_c(&mut self, at: &CsrMatrix, rho: &[f64]) -> Result<(), f64> {
         let k = self.rows.len();
         // The upper triangle of C, column by column: entry (i, j), i ≤ j,
         // sits at j(j+1)/2 + i.
@@ -356,16 +331,15 @@ impl DenseRowPrecond {
             }
         }
         let factored = match &mut self.c_ldlt {
-            Some(f) => f.refactor(&self.c).is_ok(),
-            None => Ldlt::factor(&self.c).map(|f| self.c_ldlt = Some(f)).is_ok(),
+            Some(f) => f.refactor(&self.c),
+            None => Ldlt::factor(&self.c).map(|f| self.c_ldlt = Some(f)),
         };
-        let Some(f) = self
-            .c_ldlt
-            .as_ref()
-            .filter(|f| factored && f.d().iter().all(|&d| d > 0.0 && d.is_finite()))
-        else {
-            return false;
+        let Some(f) = self.c_ldlt.as_ref().filter(|_| factored.is_ok()) else {
+            return Err(0.0);
         };
+        if let Some(&d) = f.d().iter().find(|&&d| !(d > 0.0 && d.is_finite())) {
+            return Err(d);
+        }
         // C⁻¹ column by column. Only the upper triangle is kept, then
         // mirrored, so C⁻¹ is exactly symmetric.
         let cinv = self.cinv.data_mut();
@@ -383,24 +357,26 @@ impl DenseRowPrecond {
                 cinv[i * k + j] = cinv[j * k + i];
             }
         }
-        true
+        Ok(())
     }
 
-    /// `d = M⁻¹ r`: `d = D'⁻¹∘r`, then, with the correction on,
-    /// `s = A_S d`, `t = C⁻¹ s` and `d ← d − D'⁻¹∘(A_Sᵀ t)`.
+    /// `d = M⁻¹ r`: `d = D'⁻¹∘r`, then, with dense rows, `s = A_S d`,
+    /// `t = C⁻¹ s` and `d ← d − D'⁻¹∘(A_Sᵀ t)`.
     ///
-    /// Without the correction this is exactly `d = r∘(1/D')`.
+    /// Without dense rows this is exactly `d = r∘(1/D')`.
     ///
     /// # Panics
     ///
-    /// Panics if `r` or `d` is not of length `n`.
+    /// Panics if `r` or `d` is not of length `n`, or while a failed refresh
+    /// stands ([`Self::failed_pivot`]).
     pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
         assert_eq!(r.len(), self.inv_diag.len(), "preconditioner input length mismatch");
         assert_eq!(d.len(), self.inv_diag.len(), "preconditioner output length mismatch");
+        assert!(self.failed.is_none(), "the last refresh left no C⁻¹ to apply");
         for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
             *di = ri * inv;
         }
-        if !self.active {
+        if self.rows.is_empty() {
             return;
         }
         self.a_s.spmv(d, &mut self.s).expect("A_S is k × n");
@@ -424,10 +400,10 @@ impl DenseRowPrecond {
         self.rows.len()
     }
 
-    /// Whether the Woodbury correction is applied (`k > 0` and `C` was
-    /// positive definite at the last refresh).
-    pub fn is_active(&self) -> bool {
-        self.active
+    /// The pivot of `C` the last refresh met that was not positive and
+    /// finite, or `None` when it factored `C` (always without dense rows).
+    pub fn failed_pivot(&self) -> Option<f64> {
+        self.failed
     }
 
     /// The rows of `A` in `S`, in increasing order.
@@ -435,8 +411,7 @@ impl DenseRowPrecond {
         &self.rows
     }
 
-    /// `D'⁻¹`, the inverse of the Jacobi diagonal without the dense rows
-    /// (with every row while the correction is off).
+    /// `D'⁻¹`, the inverse of the Jacobi diagonal without the dense rows.
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
     }
@@ -446,8 +421,8 @@ impl DenseRowPrecond {
         &self.a_s
     }
 
-    /// `C⁻¹` (`k × k`, every entry stored; zero while the correction is
-    /// off).
+    /// `C⁻¹` (`k × k`, every entry stored; stale while a failed refresh
+    /// stands).
     pub fn cinv(&self) -> &CsrMatrix {
         &self.cinv
     }

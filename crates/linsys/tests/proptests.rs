@@ -100,7 +100,7 @@ proptest! {
             &mut op,
             &reduced_b,
             &mut x,
-            &PcgSettings { eps: 1e-12, eps_abs: 1e-14, max_iter: 10_000 },
+            &PcgSettings { eps: 1e-12, max_iter: 10_000 },
             &mut PcgWorkspace::new(n),
             &ThreadPool::serial(),
         )

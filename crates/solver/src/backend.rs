@@ -332,7 +332,7 @@ impl KktBackend for DirectLdltBackend {
 /// With the dense-column elimination, whose `M` is exact
 /// ([`rsqp_linsys::KktPrecond::is_exact`]), a solve is `x̃ = M⁻¹ b` with
 /// no CG iteration ([`exact_solve`]); otherwise it is PCG. While a refresh
-/// of the elimination has failed ([`rsqp_linsys::KktPrecond::factored`])
+/// of `M⁻¹` has failed ([`rsqp_linsys::KktPrecond::factored`])
 /// a solve returns PCG's breakdown without solving, for the guard ladder.
 ///
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
@@ -463,7 +463,7 @@ impl KktBackend for CpuPcgBackend {
         let iterations = if self.op.preconditioner().is_exact() {
             exact_solve(&mut self.op, &self.rhs, xtilde).map(|()| 0)
         } else {
-            let settings = PcgSettings { eps: self.eps, eps_abs: 1e-15, max_iter: self.max_iter };
+            let settings = PcgSettings { eps: self.eps, max_iter: self.max_iter };
             pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool)
                 .map(|s| s.iterations)
         };

@@ -7,6 +7,10 @@
 //! in terms of these kernels plus SpMV, which is what makes the instruction
 //! compilation in `rsqp-arch` a mechanical translation.
 
+/// Absolute floor of the PCG stopping test `r·r < max(ε²·(b·b), PCG_EPS_ABS²)`,
+/// shared by `rsqp_linsys::pcg_with` and the machine's PCG kernel.
+pub const PCG_EPS_ABS: f64 = 1e-15;
+
 /// Dot product `xᵀy`.
 ///
 /// # Panics
@@ -20,11 +24,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// Infinity norm `max |x_i|` (0 for an empty vector).
 pub fn inf_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
 }
 
 /// `y = a*x + b*y` (general linear combination, in place on `y`).
@@ -81,7 +80,7 @@ pub fn scaled_inf_norm(d: &[f64], x: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 // Parallel variants.
 //
-// Reductions (`dot_par`, `norm2_par`) switch to a fixed chunk grid above
+// Reductions (`dot_par`) switch to a fixed chunk grid above
 // `PAR_LEN_THRESHOLD` elements. The grid depends only on the length, and
 // partial sums are combined in chunk order, so results are bit-identical
 // across thread counts (including a serial pool) — though above the
@@ -105,11 +104,6 @@ pub fn dot_par(x: &[f64], y: &[f64], pool: &ThreadPool) -> f64 {
     }
     let chunk = reduce_chunk_len(x.len());
     pool.par_sum(x.len(), chunk, |r| dot(&x[r.clone()], &y[r]))
-}
-
-/// Euclidean norm on a [`ThreadPool`] (ordered chunked reduction).
-pub fn norm2_par(x: &[f64], pool: &ThreadPool) -> f64 {
-    dot_par(x, x, pool).sqrt()
 }
 
 /// `y = a*x + b*y` on a [`ThreadPool`].
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(inf_norm(&[-3.0, 2.0]), 3.0);
         assert_eq!(inf_norm(&[]), 0.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
     }
 
     #[test]

@@ -58,20 +58,6 @@ proptest! {
         prop_assert!(bits.windows(2).all(|w| w[0] == w[1]), "dot_par varies across pools");
     }
 
-    // `norm2_par` is bit-identical across pools.
-    #[test]
-    fn norm2_par_is_pool_independent(x in arb_vec(1000)) {
-        let mut bits = Vec::new();
-        for threads in POOLS {
-            let pool = ThreadPool::new(threads);
-            bits.push(vec_ops::norm2_par(&x, &pool).to_bits());
-        }
-        prop_assert!(bits.windows(2).all(|w| w[0] == w[1]));
-        let serial = vec_ops::norm2(&x);
-        let pool = ThreadPool::new(2);
-        prop_assert!((vec_ops::norm2_par(&x, &pool) - serial).abs() <= 1e-12 * (1.0 + serial));
-    }
-
     // Elementwise `_par` kernels are *bitwise* equal to their serial
     // counterparts for any pool size (each element's arithmetic is
     // identical; only the writer thread differs).

@@ -17,12 +17,16 @@
 //! thing: identical termination status, objectives matching to 1e-6, and
 //! final residuals within the termination tolerance. The two PCG thread
 //! counts must additionally agree **bit for bit** (the PR 3 determinism
-//! contract). The infeasibility certificates are checked the same way:
+//! contract). Serial CPU PCG and the machine run one PCG specification
+//! (`rsqp_linsys::pcg_with`), so where the KKT solve runs the PCG loop they
+//! take the same steps: equal ADMM and CG counts and bit-identical
+//! iterates. The infeasibility certificates are checked the same way:
 //! every path must detect them on the random infeasible and unbounded
 //! instances.
 
 use rsqp::arch::ArchConfig;
 use rsqp::core::fpga_solver;
+use rsqp::linsys::KktPrecond;
 use rsqp::problems::random::{generate_primal_infeasible, generate_unbounded};
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
@@ -98,6 +102,31 @@ fn assert_agreement(problem: &QpProblem, results: &[(&str, SolveResult)]) {
     }
 }
 
+/// Whether `problem`'s KKT solves run the PCG loop rather than the
+/// dense-column elimination's direct solve, which `A`'s pattern decides.
+fn runs_pcg_loop(problem: &QpProblem) -> bool {
+    let (p, a) = (problem.p(), problem.a());
+    !KktPrecond::new(p, a, &a.transpose(), 1e-6, &vec![0.1; a.nrows()]).is_exact()
+}
+
+/// Asserts that serial CPU PCG and the machine took the same steps: equal
+/// ADMM and CG counts and, on the PCG loop, bit-identical `x` and `y`.
+/// (The direct solve uses the factor of `S` on the CPU and an explicit
+/// `S⁻¹` on the machine, so only its counts agree.)
+fn assert_same_steps(problem: &QpProblem, cpu: &SolveResult, machine: &SolveResult) {
+    let name = problem.name();
+    assert_eq!(
+        (cpu.iterations, cpu.backend.cg_iterations),
+        (machine.iterations, machine.backend.cg_iterations),
+        "{name}: (ADMM, CG) on the CPU and on the machine"
+    );
+    if runs_pcg_loop(problem) {
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&cpu.x) == bits(&machine.x), "{name}: x differs between CPU and machine");
+        assert!(bits(&cpu.y) == bits(&machine.y), "{name}: y differs between CPU and machine");
+    }
+}
+
 fn differential(domain: Domain) {
     let sizes = domain.size_schedule(20);
     for (index, &size) in sizes[..2].iter().enumerate() {
@@ -121,6 +150,8 @@ fn differential_on(problem: &QpProblem) {
             problem.name()
         );
     }
+
+    assert_same_steps(problem, &pcg_t1, &machine);
 
     assert_agreement(
         problem,
@@ -171,6 +202,45 @@ fn dense_column_backends_agree() {
     for (domain, size) in [(Domain::Svm, 21), (Domain::Lasso, 14), (Domain::Huber, 19)] {
         differential_on(&generate(domain, size, 1000));
     }
+}
+
+/// Solves control_0008, control_0020, eqqp_0100, portfolio_0005 and
+/// portfolio_0020 on serial CPU PCG and on the machine under `settings`
+/// and checks that they take the same steps.
+fn same_steps_under(settings: Settings) {
+    let instances = [
+        (Domain::Control, 8),
+        (Domain::Control, 20),
+        (Domain::Eqqp, 100),
+        (Domain::Portfolio, 5),
+        (Domain::Portfolio, 20),
+    ];
+    for (domain, size) in instances {
+        let problem = generate(domain, size, 1);
+        assert!(runs_pcg_loop(&problem), "{}", problem.name());
+        let cpu = Solver::new(&problem, settings.clone()).unwrap().solve().unwrap();
+        let mut machine =
+            fpga_solver(&problem, settings.clone(), ArchConfig::baseline(32)).unwrap();
+        assert_same_steps(&problem, &cpu, &machine.solver.solve().unwrap());
+    }
+}
+
+/// Serial CPU PCG and the machine take the same steps at default settings,
+/// including control's cold first KKT solve (`q = 0` from a zero warm
+/// start: `r₀ = 0`, no step on either).
+#[test]
+fn cpu_and_machine_take_the_same_steps() {
+    same_steps_under(Settings { linsys: LinSysKind::CpuPcg, ..Default::default() });
+}
+
+/// The same at the suite's tight settings, where the machine simulates
+/// about 50 000 CG steps (a few seconds in release, minutes in a debug
+/// build; `differential_on` checks these settings on the suite's smaller
+/// instances in every build).
+#[test]
+#[ignore = "simulates about 50 000 CG steps; run in release with --ignored"]
+fn cpu_and_machine_take_the_same_steps_at_tight_settings() {
+    same_steps_under(settings(LinSysKind::CpuPcg, 1));
 }
 
 /// CPU PCG and the machine with the default (adaptive) inner tolerance

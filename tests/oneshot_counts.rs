@@ -27,7 +27,7 @@ const COUNTS: [(Domain, usize, usize, usize); 6] = [
     (Domain::Svm, 200, 800, 0),
     (Domain::Huber, 160, 50, 0),
     (Domain::Eqqp, 400, 75, 2185),
-    (Domain::Portfolio, 30, 375, 300),
+    (Domain::Portfolio, 30, 300, 300),
 ];
 
 #[test]
