@@ -13,6 +13,11 @@ pub struct SReg(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixId(pub(crate) usize);
 
+/// Factor identifier (one LDLᵀ factor resident in HBM: its permutation,
+/// `L` and `D⁻¹`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FactorId(pub(crate) usize);
+
 impl VecId {
     /// Raw index (for display/debug).
     pub fn index(self) -> usize {
@@ -55,6 +60,20 @@ impl MatrixId {
     }
 }
 
+impl FactorId {
+    /// Raw index (for display/debug).
+    pub fn index(self) -> usize {
+        self.0
+    }
+
+    /// Builds an id from a raw index. Intended for ROM decoding and test
+    /// harnesses; the machine validates ids at execution time and reports
+    /// [`crate::ArchError::BadRegister`] for out-of-range values.
+    pub fn from_raw(index: usize) -> Self {
+        FactorId(index)
+    }
+}
+
 /// Scalar ALU operations ("scalar arithmetic" row of Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarOp {
@@ -81,7 +100,7 @@ pub enum ScalarOp {
 /// | Data transfer | [`Instr::LoadHbm`], [`Instr::StoreHbm`] |
 /// | Vector operations | [`Instr::Lincomb`], [`Instr::EwMul`], [`Instr::EwMax`], [`Instr::EwMin`], [`Instr::Dot`] |
 /// | Vector duplication | [`Instr::Duplicate`] |
-/// | SpMV | [`Instr::Spmv`] |
+/// | SpMV | [`Instr::Spmv`], [`Instr::FactorSolve`] |
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// Marks the top of the (single) hardware loop.
@@ -192,6 +211,17 @@ pub enum Instr {
         /// Output vector.
         output: VecId,
     },
+    /// `vecs[vec] = K⁻¹·vecs[vec]` through the resident factor
+    /// `PᵀKP = L·D·Lᵀ`: the vector permuted, a forward sweep through `L`,
+    /// `D⁻¹`, a backward sweep through `Lᵀ`, and the result permuted back.
+    /// The sweeps stream `L` through the SpMV engine twice, one elimination
+    /// level after another.
+    FactorSolve {
+        /// The resident factor.
+        factor: FactorId,
+        /// The vector solved in place.
+        vec: VecId,
+    },
 }
 
 #[cfg(test)]
@@ -203,6 +233,7 @@ mod tests {
         assert_eq!(VecId(3).index(), 3);
         assert_eq!(SReg(1).index(), 1);
         assert_eq!(MatrixId(0).index(), 0);
+        assert_eq!(FactorId(2).index(), 2);
     }
 
     #[test]

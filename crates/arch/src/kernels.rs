@@ -23,7 +23,8 @@
 //! more resident matrices ([`DenseRowCorrection`]). It is built from the
 //! instructions of Table 1 alone — `Duplicate`/`Spmv` pairs, an `EwMul` and
 //! a `Lincomb` — and without a correction the kernel is the plain Jacobi
-//! program.
+//! program of Algorithm 2, which the solver backends no longer run but the
+//! paper's tables and the η model measure.
 //!
 //! When `A` has dense columns `D` instead, their block elimination
 //! (`rsqp_linsys::DenseColPrecond`, [`DenseColCorrection`]) is `K⁻¹`
@@ -37,9 +38,23 @@
 //! ```
 //!
 //! with `G` in `minv` when it is diagonal and resident otherwise, and `H`,
-//! `S⁻¹`, `Hᵀ` resident. The dense-row correction keeps PCG: a direct
-//! Woodbury solve loses accuracy to cancellation over stiff equality rows,
-//! which PCG's residual test repairs.
+//! `S⁻¹`, `Hᵀ` resident.
+//!
+//! With neither, the host factors the reduced `K` itself
+//! (`rsqp_linsys::KktFactor`: `PᵀKP = L·D·Lᵀ` under AMD) and uploads the
+//! factor after each refactorization ([`Machine::load_factor`]); the kernel
+//! is the loop-free direct solve through one [`Instr::FactorSolve`]:
+//!
+//! ```text
+//! x̃ = (σx − q) + Aᵀ(ρ∘z − y)
+//! x̃ = K⁻¹ x̃                              (permute, L⁻¹, D⁻¹, L⁻ᵀ, permute back)
+//! z̃ = A x̃
+//! ```
+//!
+//! The instruction runs the CPU's own sweeps (`rsqp_sparse::ldl_solve_in_place`),
+//! so both backends return the same bits. The dense-row correction keeps
+//! PCG: a direct Woodbury solve loses accuracy to cancellation over stiff
+//! equality rows, which PCG's residual test repairs.
 //!
 //! The PCG loop is the specification of `rsqp_linsys::pcg_with`, operation
 //! for operation. It starts from whatever the `xtilde` register holds —
@@ -52,13 +67,13 @@
 
 use rsqp_sparse::vec_ops::PCG_EPS_ABS;
 
-use crate::{Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
+use crate::{FactorId, Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
 /// Register map and program of the on-accelerator KKT solve.
 #[derive(Debug, Clone)]
 pub struct PcgKernel {
     /// The compiled program: the PCG loop, or with a
-    /// [`DenseColCorrection`] the loop-free direct solve.
+    /// [`DenseColCorrection`] or a factor the loop-free direct solve.
     pub program: Program,
     /// Input: current primal iterate `x`, read only for `σ·x` in the
     /// right-hand side (length n).
@@ -127,13 +142,16 @@ pub enum Correction {
     Rows(DenseRowCorrection),
     /// Block elimination of the dense columns of `A`.
     Cols(DenseColCorrection),
+    /// The resident factor of `K` itself, which the host (re)loads with
+    /// [`Machine::load_factor`] whenever ρ or the matrices change.
+    Factor(FactorId),
 }
 
 /// Builds the KKT-solve kernel on `machine` for matrices `p` (n×n), `a`
 /// (m×n) and `at` (n×m) already registered with the machine: PCG
 /// preconditioned with `minv` alone or, given a dense-row `correction`,
-/// with its Woodbury correction, or, given a dense-column one, the
-/// loop-free direct solve through their elimination.
+/// with its Woodbury correction, or, given a dense-column one or a factor,
+/// the loop-free direct solve through the elimination or the factor.
 ///
 /// `max_iter` caps the PCG loop.
 ///
@@ -186,12 +204,13 @@ pub fn build_pcg(
     let thr = machine.alloc_scalar();
     let guard = machine.alloc_scalar();
     // The correction's k-length intermediates `s` and `t` (`A_S d` and
-    // `C⁻¹ s`, or `H b` and `S⁻¹ s`); the k-to-n product goes through
-    // `px`, which is free outside K·v.
+    // `C⁻¹ s`, or `H b` and `S⁻¹ s`; empty for a factor); the k-to-n
+    // product goes through `px`, which is free outside K·v.
     let correction = correction.map(|c| {
         let k = match c {
             Correction::Rows(c) => machine.matrix(c.a_s).nrows(),
             Correction::Cols(c) => machine.matrix(c.h).nrows(),
+            Correction::Factor(_) => 0,
         };
         (c, machine.alloc_vec(k), machine.alloc_vec(k))
     });
@@ -210,8 +229,8 @@ pub fn build_pcg(
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
         }
     };
-    // b = (σx − q) + Aᵀ(ρ∘z − y)
-    let rhs = |pb: &mut ProgramBuilder| {
+    // b = (σx − q) + Aᵀ(ρ∘z − y), into the register `b` given.
+    let rhs = |pb: &mut ProgramBuilder, b: VecId| {
         pb.push(Instr::EwMul { dst: am, a: rho_vec, b: z });
         pb.push(Instr::Lincomb { dst: am, alpha: one, a: am, beta: neg_one, b: y });
         pb.push(Instr::Lincomb { dst: px, alpha: sigma, a: x, beta: neg_one, b: q });
@@ -226,11 +245,18 @@ pub fn build_pcg(
     };
 
     let mut pb = ProgramBuilder::new();
-    if let Some((Correction::Cols(c), s, t)) = correction {
+    if let Some((Correction::Factor(f), _, _)) = correction {
+        // x̃ = K⁻¹ b through the factor, in place.
+        pb.push(Instr::SetScalar { dst: one, value: 1.0 });
+        pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
+        rhs(&mut pb, xtilde);
+        pb.push(Instr::FactorSolve { factor: f, vec: xtilde });
+        ztilde_out(&mut pb);
+    } else if let Some((Correction::Cols(c), s, t)) = correction {
         // x̃ = G b + Hᵀ S⁻¹ H b = K⁻¹ b, straight through.
         pb.push(Instr::SetScalar { dst: one, value: 1.0 });
         pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
-        rhs(&mut pb);
+        rhs(&mut pb, b);
         match c.g {
             Some(g) => spmv(&mut pb, g, b, xtilde),
             None => {
@@ -250,7 +276,7 @@ pub fn build_pcg(
         pb.push(Instr::SetScalar { dst: zero, value: 0.0 });
         pb.push(Instr::SetScalar { dst: tiny, value: 1e-300 });
 
-        rhs(&mut pb);
+        rhs(&mut pb, b);
 
         // K·x̃ -> kp  (initial residual).
         emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
@@ -454,8 +480,8 @@ mod tests {
         let (n, m) = (pm.nrows(), am.nrows());
         let rho: Vec<f64> =
             qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
-        let pre = rsqp_linsys::DenseRowPrecond::new(pm, am, &am.transpose(), sigma, &rho);
-        assert_eq!(pre.rank(), 2, "the factor row and the budget row");
+        let pre = rsqp_linsys::DenseRowPrecond::new(pm, am, &am.transpose(), sigma, &rho).unwrap();
+        assert_eq!(pre.dense_rows().len(), 2, "the factor row and the budget row");
         let mut machine = Machine::new(ArchConfig::baseline(8));
         let (p, a, at) =
             (machine.add_matrix(pm), machine.add_matrix(am), machine.add_matrix(&am.transpose()));
@@ -575,6 +601,94 @@ mod tests {
                 assert!((got - want).abs() < 1e-5, "{domain}: {got} vs {want}");
             }
         }
+    }
+
+    /// control_0008's reduced KKT operator at ρ = 0.1 (100 on equality
+    /// rows), factored, with its ρ vector.
+    fn factored_control() -> (rsqp_solver::QpProblem, rsqp_linsys::ReducedKktOp, Vec<f64>) {
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Control, 8, 1);
+        let rho: Vec<f64> =
+            qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
+        let mut op = rsqp_linsys::ReducedKktOp::new(qp.p(), qp.a(), 1e-6, &rho).unwrap();
+        op.prepare().unwrap();
+        (qp, op, rho)
+    }
+
+    /// The factor of `op` as the machine takes it.
+    fn factor_of(op: &rsqp_linsys::ReducedKktOp) -> crate::FactorRef<'_> {
+        let rsqp_linsys::KktPrecond::Factor(f) = op.preconditioner() else {
+            panic!("control takes the factor of K");
+        };
+        let ldlt = f.ldlt().unwrap();
+        let (l_colptr, l_rowidx, l_data) = ldlt.l();
+        crate::FactorRef {
+            perm: f.perm().unwrap(),
+            l_colptr,
+            l_rowidx,
+            l_data,
+            dinv: ldlt.dinv(),
+            etree_height: ldlt.etree_height(),
+        }
+    }
+
+    #[test]
+    fn factor_solve_costs_two_sweeps_of_levels_and_one_vector_pass() {
+        let (qp, op, _) = factored_control();
+        let n = qp.num_vars();
+        let f = factor_of(&op);
+        for c in [8, 32] {
+            let config = ArchConfig::baseline(c);
+            let mut machine = Machine::new(config.clone());
+            let id = machine.add_factor(n);
+            machine.load_factor(id, f);
+            let v = machine.alloc_vec(n);
+            let mut pb = ProgramBuilder::new();
+            pb.push(Instr::FactorSolve { factor: id, vec: v });
+            let run = machine.run(&pb.build().unwrap()).unwrap();
+            let (h, l_nnz) = (f.etree_height as u64, f.l_data.len() as u64);
+            let cycles = 2 * (h * config.cost().spmv_latency + l_nnz.div_ceil(c as u64))
+                + config.vector_cycles(n);
+            assert_eq!((run.cycles, run.breakdown.spmv), (cycles, cycles), "C = {c}");
+            assert_eq!(run.hbm_bytes, 2 * l_nnz * crate::hbm::BYTES_PER_NNZ as u64, "C = {c}");
+        }
+    }
+
+    #[test]
+    fn factor_solve_returns_the_cpu_exact_solve_bits() {
+        // The direct program against the CPU's x̃ = K⁻¹b and z̃ = A x̃.
+        let (qp, mut op, rho) = factored_control();
+        let (pm, am) = (qp.p(), qp.a());
+        let (n, m) = (pm.nrows(), am.nrows());
+        let mut machine = Machine::new(ArchConfig::baseline(8));
+        let (p, a, at) =
+            (machine.add_matrix(pm), machine.add_matrix(am), machine.add_matrix(&am.transpose()));
+        let id = machine.add_factor(n);
+        machine.load_factor(id, factor_of(&op));
+        let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(Correction::Factor(id)));
+        assert!(k.program.loop_bounds().is_none(), "no PCG loop");
+        let wave = |len: usize, phase: f64| -> Vec<f64> {
+            (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+        };
+        let (xv, zv, yv, qv) = (wave(n, 0.0), wave(m, 1.0), wave(m, 2.0), wave(n, 3.0));
+        machine.write_vec(k.x, &xv);
+        machine.write_vec(k.xtilde, &vec![f64::NAN; n]);
+        machine.write_vec(k.z, &zv);
+        machine.write_vec(k.y, &yv);
+        machine.write_vec(k.q, &qv);
+        machine.write_vec(k.rho_vec, &rho);
+        machine.write_scalar(k.sigma, 1e-6);
+        assert_eq!(machine.run(&k.program).unwrap().loop_trips, 0);
+
+        let mut b: Vec<f64> = (0..n).map(|j| 1e-6 * xv[j] - qv[j]).collect();
+        let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
+        op.at_spmv_acc(1.0, &w, &mut b).unwrap();
+        let mut x = vec![0.0; n];
+        rsqp_linsys::exact_solve(&mut op, &b, &mut x).unwrap();
+        let mut z = vec![0.0; m];
+        am.spmv(&x, &mut z).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(machine.read_vec(k.xtilde)), bits(&x));
+        assert_eq!(bits(machine.read_vec(k.ztilde)), bits(&z));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!
 //! * [`Instr`] — the instruction set of Table 1 (control, scalar
 //!   arithmetic, data transfer, vector ops, vector duplication, SpMV),
+//!   plus a factor solve that streams a resident LDLᵀ factor through the
+//!   SpMV engine,
 //! * [`Program`]/[`ProgramBuilder`] — instruction sequences with a single
 //!   hardware loop, as used for Algorithms 1 and 2,
 //! * [`DatapathMap`] — how one matrix maps onto a configured datapath:
@@ -26,8 +28,10 @@
 //! back-to-back ("each instruction can only start after the previous
 //! instruction has completed"), vector instructions take `⌈L/C⌉` cycles plus
 //! a pipeline-fill latency, the SpMV instruction takes exactly the scheduled
-//! pack count, and vector duplication takes one cycle per compressed CVB
-//! address.
+//! pack count, vector duplication takes one cycle per compressed CVB
+//! address, and a factor solve takes two sweeps of `h` dependent levels
+//! (the elimination-tree height) at the SpMV latency each plus `⌈l_nnz/C⌉`
+//! streaming cycles, and one vector pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +51,7 @@ pub mod rom;
 pub use config::{ArchConfig, CostModel, FaultConfig};
 pub use datapath::DatapathMap;
 pub use error::ArchError;
-pub use isa::{Instr, MatrixId, SReg, ScalarOp, VecId};
-pub use machine::{CycleBreakdown, Machine, RunStats};
+pub use isa::{FactorId, Instr, MatrixId, SReg, ScalarOp, VecId};
+pub use machine::{CycleBreakdown, FactorRef, Machine, RunStats};
 pub use program::{instruction_class, Program, ProgramBuilder};
 pub use resources::{ResourceEstimate, ResourceModel};

@@ -2,10 +2,13 @@
 
 use rsqp_cvb::CvbLayout;
 use rsqp_encode::Schedule;
-use rsqp_sparse::CsrMatrix;
+use rsqp_sparse::{ldl_solve_in_place, CsrMatrix};
 
+use crate::hbm::BYTES_PER_NNZ;
 use crate::program::{class_of, Class};
-use crate::{ArchConfig, ArchError, DatapathMap, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
+use crate::{
+    ArchConfig, ArchError, DatapathMap, FactorId, Instr, MatrixId, Program, SReg, ScalarOp, VecId,
+};
 
 /// Per-instruction-class cycle totals — the machine's answer to "where did
 /// the time go", used for the FPGA-side KKT-fraction analysis and the power
@@ -119,6 +122,39 @@ struct MatrixUnit {
     cvb: Option<(VecId, u64)>,
 }
 
+/// A borrowed LDLᵀ factor `PᵀKP = L·D·Lᵀ` of an `n × n` matrix, as the
+/// host uploads it with [`Machine::load_factor`].
+#[derive(Debug, Clone, Copy)]
+pub struct FactorRef<'a> {
+    /// The permutation `P`, new index → old index (length n).
+    pub perm: &'a [usize],
+    /// Column pointers of the strictly lower part of the unit lower
+    /// triangular `L` (length n + 1).
+    pub l_colptr: &'a [usize],
+    /// Row indices of `L`, by columns.
+    pub l_rowidx: &'a [usize],
+    /// Values of `L`, by columns.
+    pub l_data: &'a [f64],
+    /// `D⁻¹` (length n).
+    pub dinv: &'a [f64],
+    /// Nodes on the longest leaf-to-root path of the elimination tree:
+    /// the dependent levels of each sweep.
+    pub etree_height: usize,
+}
+
+/// One LDLᵀ factor resident in (simulated) HBM, in the layout of
+/// [`FactorRef`], with the permuted vector a solve works on.
+#[derive(Debug, Clone)]
+struct FactorUnit {
+    perm: Vec<usize>,
+    l_colptr: Vec<usize>,
+    l_rowidx: Vec<usize>,
+    l_data: Vec<f64>,
+    dinv: Vec<f64>,
+    etree_height: usize,
+    work: Vec<f64>,
+}
+
 /// The simulated RSQP accelerator.
 ///
 /// Holds the register files, the matrices with their pack schedules and CVB
@@ -135,6 +171,7 @@ pub struct Machine {
     vec_versions: Vec<u64>,
     sregs: Vec<f64>,
     matrices: Vec<MatrixUnit>,
+    factors: Vec<FactorUnit>,
     stats: RunStats,
     lane_exact: bool,
     /// SplitMix64 state of the fault-injection stream.
@@ -154,6 +191,7 @@ impl Machine {
             vec_versions: Vec::new(),
             sregs: Vec::new(),
             matrices: Vec::new(),
+            factors: Vec::new(),
             stats: RunStats::default(),
             lane_exact: false,
             fault_rng,
@@ -182,6 +220,45 @@ impl Machine {
         let map = DatapathMap::new(m, &self.config);
         self.matrices.push(MatrixUnit { csr: m.clone(), map, cvb: None });
         MatrixId(self.matrices.len() - 1)
+    }
+
+    /// Registers an `n × n` factor slot, holding the identity (`L = I`,
+    /// `D = I`) until the host loads a factor into it.
+    pub fn add_factor(&mut self, n: usize) -> FactorId {
+        self.factors.push(FactorUnit {
+            perm: (0..n).collect(),
+            l_colptr: vec![0; n + 1],
+            l_rowidx: Vec::new(),
+            l_data: Vec::new(),
+            dinv: vec![1.0; n],
+            etree_height: 0,
+            work: vec![0.0; n],
+        });
+        FactorId(self.factors.len() - 1)
+    }
+
+    /// Host upload of a factor into a registered slot (cycle-free, like
+    /// [`Machine::update_matrix_values`]). The arrays are copied in place,
+    /// so reloading a factor of the same pattern does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the factor's dimension is not the slot's.
+    pub fn load_factor(&mut self, id: FactorId, f: FactorRef<'_>) {
+        let unit = &mut self.factors[id.0];
+        let n = unit.dinv.len();
+        assert!(
+            f.perm.len() == n && f.dinv.len() == n && f.l_colptr.len() == n + 1,
+            "factor dimension mismatch"
+        );
+        unit.perm.copy_from_slice(f.perm);
+        unit.l_colptr.copy_from_slice(f.l_colptr);
+        unit.l_rowidx.clear();
+        unit.l_rowidx.extend_from_slice(f.l_rowidx);
+        unit.l_data.clear();
+        unit.l_data.extend_from_slice(f.l_data);
+        unit.dinv.copy_from_slice(f.dinv);
+        unit.etree_height = f.etree_height;
     }
 
     /// Allocates a vector register of length `len`, zero-initialized.
@@ -460,14 +537,46 @@ impl Machine {
                 } else {
                     self.vecs[output.0] = out;
                 }
-                // A MAC-tree upset corrupts one freshly reduced output word.
-                let len = self.vecs[output.0].len();
-                if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, len) {
-                    let v = &mut self.vecs[output.0][idx];
-                    *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
-                    self.stats.faults += 1;
-                }
+                self.mac_upset(output);
                 self.bump(output);
+                Ok(cycles)
+            }
+            Instr::FactorSolve { factor, vec } => {
+                self.check_factor(factor)?;
+                self.check_vec(vec)?;
+                let unit = &mut self.factors[factor.0];
+                let v = &mut self.vecs[vec.0];
+                let n = unit.dinv.len();
+                if v.len() != n {
+                    return Err(ArchError::LengthMismatch {
+                        instr: "factor_solve".into(),
+                        expected: n,
+                        found: v.len(),
+                    });
+                }
+                // Two sweeps of `h` dependent levels through the SpMV
+                // engine, each streaming L once, and one vector pass for
+                // D⁻¹ and the permutations.
+                let l_nnz = unit.l_data.len();
+                let sweep = unit.etree_height as u64 * cost.spmv_latency
+                    + l_nnz.div_ceil(self.config.c()) as u64;
+                let cycles = 2 * sweep + self.config.vector_cycles(n);
+                for (w, &p) in unit.work.iter_mut().zip(&unit.perm) {
+                    *w = v[p];
+                }
+                ldl_solve_in_place(
+                    &unit.l_colptr,
+                    &unit.l_rowidx,
+                    &unit.l_data,
+                    &unit.dinv,
+                    &mut unit.work,
+                );
+                for (&w, &p) in unit.work.iter().zip(&unit.perm) {
+                    v[p] = w;
+                }
+                self.stats.hbm_bytes += 2 * (l_nnz * BYTES_PER_NNZ) as u64;
+                self.mac_upset(vec);
+                self.bump(vec);
                 Ok(cycles)
             }
         }
@@ -497,6 +606,17 @@ impl Machine {
         let idx = (self.next_fault_u64() % len as u64) as usize;
         let bit = (self.next_fault_u64() % 64) as u32;
         Some((idx, bit))
+    }
+
+    /// A MAC-tree upset: with the armed probability, one freshly reduced
+    /// word of `vec` gets a bit flipped.
+    fn mac_upset(&mut self, vec: VecId) {
+        let len = self.vecs[vec.0].len();
+        if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, len) {
+            let v = &mut self.vecs[vec.0][idx];
+            *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
+            self.stats.faults += 1;
+        }
     }
 
     /// SplitMix64 step of the fault stream.
@@ -564,6 +684,13 @@ impl Machine {
     fn check_sreg(&self, id: SReg) -> Result<(), ArchError> {
         if id.0 >= self.sregs.len() {
             return Err(ArchError::BadRegister(format!("scalar s{}", id.0)));
+        }
+        Ok(())
+    }
+
+    fn check_factor(&self, id: FactorId) -> Result<(), ArchError> {
+        if id.0 >= self.factors.len() {
+            return Err(ArchError::BadRegister(format!("factor f{}", id.0)));
         }
         Ok(())
     }

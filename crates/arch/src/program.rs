@@ -147,7 +147,7 @@ pub(crate) fn class_of(i: &Instr) -> Class {
         | Instr::EwMin { .. }
         | Instr::Dot { .. } => Class::Vector,
         Instr::Duplicate { .. } => Class::Duplication,
-        Instr::Spmv { .. } => Class::Spmv,
+        Instr::Spmv { .. } | Instr::FactorSolve { .. } => Class::Spmv,
     }
 }
 

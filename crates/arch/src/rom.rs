@@ -7,7 +7,7 @@
 //! round-trips exactly, and a program occupies `len()` × [`INSTR_BYTES`]
 //! bytes of HBM (the download size of §3.5).
 
-use crate::{ArchError, Instr, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
+use crate::{ArchError, FactorId, Instr, MatrixId, Program, ProgramBuilder, SReg, ScalarOp, VecId};
 
 /// Bytes one encoded instruction occupies.
 pub const INSTR_BYTES: usize = 16;
@@ -25,6 +25,7 @@ const OP_EW_MIN: u8 = 9;
 const OP_DOT: u8 = 10;
 const OP_DUP: u8 = 11;
 const OP_SPMV: u8 = 12;
+const OP_FACTOR_SOLVE: u8 = 13;
 
 fn pack(op: u8, fields: [u16; 4]) -> u64 {
     let mut w = (op as u64) << 56;
@@ -109,6 +110,9 @@ pub fn encode_instr(i: &Instr) -> [u64; 2] {
             pack(OP_SPMV, [matrix.index() as u16, input.index() as u16, output.index() as u16, 0]),
             0.0,
         ),
+        Instr::FactorSolve { factor, vec } => {
+            (pack(OP_FACTOR_SOLVE, [factor.index() as u16, vec.index() as u16, 0, 0]), 0.0)
+        }
     };
     [word, imm.to_bits()]
 }
@@ -179,6 +183,9 @@ pub fn decode_instr(words: [u64; 2]) -> Result<Instr, ArchError> {
             input: VecId(f[1] as usize),
             output: VecId(f[2] as usize),
         },
+        OP_FACTOR_SOLVE => {
+            Instr::FactorSolve { factor: FactorId(f[0] as usize), vec: VecId(f[1] as usize) }
+        }
         other => return Err(ArchError::BadRegister(format!("opcode {other}"))),
     })
 }
@@ -263,6 +270,7 @@ mod tests {
             Instr::Dot { dst: SReg(7), a: VecId(8), b: VecId(9) },
             Instr::Duplicate { vec: VecId(3), matrix: MatrixId(2) },
             Instr::Spmv { matrix: MatrixId(0), input: VecId(1), output: VecId(2) },
+            Instr::FactorSolve { factor: FactorId(4), vec: VecId(5) },
         ];
         for i in &all {
             let decoded = decode_instr(encode_instr(i)).expect("decodes");
@@ -351,6 +359,9 @@ pub fn disassemble(program: &Program) -> String {
             }
             Instr::Spmv { matrix, input, output } => {
                 format!("v{} = spmv(m{}, v{})", output.index(), matrix.index(), input.index())
+            }
+            Instr::FactorSolve { factor, vec } => {
+                format!("v{} = factor_solve(f{}, v{})", vec.index(), factor.index(), vec.index())
             }
         };
         let _ = writeln!(out, "{pc:>4}: {:016x} {:016x}  {text}", words[0], words[1]);

@@ -1,16 +1,21 @@
 //! Pins the machine's functional results and cycle accounting bit for bit.
 //!
-//! Runs the PCG kernel of Algorithm 2 on small fixed problems under four
-//! architecture configurations — the baseline, a customized (First-Fit)
-//! design, single-precision emulation, and an armed fault injector with
-//! both HBM-read and MAC-output flips — and compares an FNV-1a digest of
-//! the returned `x̃`/`z̃` bits and of every [`RunStats`] field against
-//! recorded values. Any change to the order of floating-point operations,
-//! to the cycle model or to the fault stream changes a digest.
+//! Runs the PCG kernel of Algorithm 2 on small fixed problems, and the
+//! direct solve through a resident factor of `K` on a small control
+//! problem, under four architecture configurations — the baseline, a
+//! customized (First-Fit) design, single-precision emulation, and an armed
+//! fault injector with both HBM-read and MAC-output flips — and compares
+//! an FNV-1a digest of the returned `x̃`/`z̃` bits and of every
+//! [`RunStats`] field against recorded values. Any change to the order of
+//! floating-point operations, to the cycle model or to the fault stream
+//! changes a digest.
 
-use rsqp_arch::kernels::build_pcg;
-use rsqp_arch::{ArchConfig, FaultConfig, Instr, Machine, ProgramBuilder, RunStats, VecId};
+use rsqp_arch::kernels::{build_pcg, Correction};
+use rsqp_arch::{
+    ArchConfig, FactorRef, FaultConfig, Instr, Machine, ProgramBuilder, RunStats, VecId,
+};
 use rsqp_encode::{search_structures, SparsityString};
+use rsqp_linsys::{KktPrecond, ReducedKktOp};
 use rsqp_problems::{generate, Domain};
 use rsqp_sparse::CsrMatrix;
 
@@ -84,10 +89,12 @@ fn wave(len: usize, phase: f64, amp: f64) -> Vec<f64> {
     (0..len).map(|i| amp * ((i as f64) * 0.61 + phase).sin()).collect()
 }
 
-/// Runs an HBM round trip of the kernel inputs followed by the PCG kernel,
-/// twice (the second solve warm-started from the first with a new `q`),
-/// and digests everything the machine produced.
-fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
+/// Runs an HBM round trip of the kernel inputs followed by the KKT-solve
+/// kernel, twice (the second solve warm-started from the first with a new
+/// `q`), and digests everything the machine produced. The kernel is the
+/// Jacobi PCG loop, or with `factored` the direct solve through the factor
+/// of `K` that `rsqp_linsys` forms on the host.
+fn digest(domain: Domain, size: usize, variant: Variant, factored: bool) -> u64 {
     let qp = generate(domain, size, 3);
     let (p, a) = (qp.p().clone(), qp.a().clone());
     let at = a.transpose();
@@ -96,10 +103,32 @@ fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
     let pid = machine.add_matrix(&p);
     let aid = machine.add_matrix(&a);
     let atid = machine.add_matrix(&at);
-    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400, None);
 
     let sigma = 1e-6;
     let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();
+    let correction = factored.then(|| {
+        let mut op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
+        op.prepare().unwrap();
+        let KktPrecond::Factor(f) = op.preconditioner() else {
+            panic!("{domain:?}_{size} takes the factor of K");
+        };
+        let ldlt = f.ldlt().unwrap();
+        let (l_colptr, l_rowidx, l_data) = ldlt.l();
+        let id = machine.add_factor(n);
+        machine.load_factor(
+            id,
+            FactorRef {
+                perm: f.perm().unwrap(),
+                l_colptr,
+                l_rowidx,
+                l_data,
+                dinv: ldlt.dinv(),
+                etree_height: ldlt.etree_height(),
+            },
+        );
+        Correction::Factor(id)
+    });
+    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400, correction);
     let mut diag = p.diagonal();
     for d in &mut diag {
         *d += sigma;
@@ -184,15 +213,32 @@ const PINNED: [(Domain, usize, [u64; 4]); 3] = [
     ),
 ];
 
+/// The factored direct solve on control_0002:
+/// `[baseline, customized, single precision, faulty]`.
+const FACTORED: [u64; 4] =
+    [0xd1f8_0a12_c389_73b9, 0x659f_2c14_8b85_42b2, 0xcdb3_15f3_4f2d_fbfb, 0x18cc_be1a_6c9b_d3d0];
+
 const VARIANTS: [Variant; 4] =
     [Variant::Baseline, Variant::Customized, Variant::SinglePrecision, Variant::Faulty];
+
+#[test]
+fn factored_direct_solve_results_and_stats_are_bit_identical() {
+    let mut mismatches = Vec::new();
+    for (variant, want) in VARIANTS.into_iter().zip(FACTORED) {
+        let got = digest(Domain::Control, 2, variant, true);
+        if got != want {
+            mismatches.push(format!("{variant:?}: {got:#018x} (pinned {want:#018x})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));
+}
 
 #[test]
 fn pcg_kernel_results_and_stats_are_bit_identical() {
     let mut mismatches = Vec::new();
     for (domain, size, want) in PINNED {
         for (variant, want) in VARIANTS.into_iter().zip(want) {
-            let got = digest(domain, size, variant);
+            let got = digest(domain, size, variant, false);
             if got != want {
                 mismatches.push(format!(
                     "{domain:?}_{size} {variant:?}: {got:#018x} (pinned {want:#018x})"

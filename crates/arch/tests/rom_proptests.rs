@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rsqp_arch::rom::{decode_instr, decode_program, encode_instr, encode_program};
-use rsqp_arch::{Instr, MatrixId, ProgramBuilder, SReg, ScalarOp, VecId};
+use rsqp_arch::{FactorId, Instr, MatrixId, ProgramBuilder, SReg, ScalarOp, VecId};
 
 fn arb_sreg() -> impl Strategy<Value = SReg> {
     (0usize..128).prop_map(SReg::from_raw)
@@ -15,6 +15,10 @@ fn arb_vec() -> impl Strategy<Value = VecId> {
 
 fn arb_matrix() -> impl Strategy<Value = MatrixId> {
     (0usize..16).prop_map(MatrixId::from_raw)
+}
+
+fn arb_factor() -> impl Strategy<Value = FactorId> {
+    (0usize..16).prop_map(FactorId::from_raw)
 }
 
 fn arb_scalar_op() -> impl Strategy<Value = ScalarOp> {
@@ -46,6 +50,7 @@ fn arb_body_instr() -> impl Strategy<Value = Instr> {
             input,
             output
         }),
+        (arb_factor(), arb_vec()).prop_map(|(factor, vec)| Instr::FactorSolve { factor, vec }),
     ]
 }
 

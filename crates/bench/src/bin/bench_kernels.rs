@@ -6,8 +6,8 @@
 //! * CSR SpMV, serial vs. pool-partitioned;
 //! * `Aᵀx`, scatter kernel vs. the cached gather transpose;
 //! * the reduced-KKT operator apply (Eq. 3), serial vs. 4-thread pool;
-//! * a full PCG solve, a fresh iterate and workspace per call vs. a reused
-//!   workspace (both `pcg_with`);
+//! * a full Jacobi-preconditioned PCG solve, a fresh iterate and workspace
+//!   per call vs. a reused workspace (both `pcg_with`);
 //! * end-to-end PCG-backend solves of the largest control/lasso suite
 //!   instances at 1 and 4 kernel threads;
 //! * a telemetry-overhead check: the disabled-tracing solve path must stay
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rsqp_bench::median;
-use rsqp_linsys::{pcg_with, LinearOperator, PcgSettings, PcgWorkspace, ReducedKktOp};
+use rsqp_linsys::{pcg_with, LinearOperator, LinsysError, PcgSettings, PcgWorkspace, ReducedKktOp};
 use rsqp_par::{available_threads, ThreadPool};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
@@ -98,6 +98,45 @@ fn random_csr(nrows: usize, ncols: usize, per_row: usize, rng: &mut Rng) -> CsrM
         }
     }
     coo.to_csr()
+}
+
+/// The reduced-KKT operator with Algorithm 2's Jacobi preconditioner
+/// `diag(P) + σ + Σ_i ρ_i A_{i,·}²`, so the PCG timings measure CG
+/// iterations rather than the factor of `K` the operator's own `M⁻¹`
+/// would form on this matrix.
+struct JacobiKkt {
+    op: ReducedKktOp,
+    inv_diag: Vec<f64>,
+}
+
+impl JacobiKkt {
+    fn new(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
+        let mut diag: Vec<f64> = (0..p.nrows()).map(|j| p.get(j, j) + sigma).collect();
+        for (i, &r) in rho.iter().enumerate() {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                diag[j] += r * v * v;
+            }
+        }
+        let op = ReducedKktOp::new(p, a, sigma, rho).unwrap();
+        JacobiKkt { op, inv_diag: diag.iter().map(|d| 1.0 / d).collect() }
+    }
+}
+
+impl LinearOperator for JacobiKkt {
+    fn dim(&self) -> usize {
+        self.op.dim()
+    }
+
+    fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
+        self.op.apply(x, y)
+    }
+
+    fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
+        for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
+            *di = ri * inv;
+        }
+    }
 }
 
 /// Diagonally dominant PSD band matrix (a well-conditioned `P`).
@@ -272,7 +311,7 @@ fn main() -> ExitCode {
     {
         let pcg_iters = if opts.quick { 30 } else { 60 };
         let settings = PcgSettings { eps: 1e-30, max_iter: pcg_iters };
-        let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
+        let mut op = JacobiKkt::new(&p, &a, 1e-6, &rho);
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
         let serial = ThreadPool::serial();

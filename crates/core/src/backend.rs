@@ -10,13 +10,17 @@
 //! solution back from it, so the machine and the CPU PCG start alike.
 //!
 //! `M⁻¹` is the CPU PCG's own [`KktPrecond`]: the host computes `D'⁻¹`,
-//! `A_S` and `C⁻¹` (dense rows) or `G`, `Hᵀ` and the factor of `S` (dense
-//! columns), uploads them — with the explicit `S⁻¹`, which only the machine
-//! needs — and the kernel applies the same operator on the machine. The
-//! backend runs one program, fixed at construction: PCG, or with the
-//! dense-column elimination (`M = K`) the loop-free direct solve, as the
-//! CPU backend does, and takes the CPU's steps bit for bit. While a refresh
-//! of `M⁻¹` has failed, a solve returns PCG's breakdown without running it.
+//! `A_S` and `C⁻¹` (dense rows), `G`, `Hᵀ` and the factor of `S` (dense
+//! columns), or the LDLᵀ factor of `K` itself (neither), uploads them —
+//! with the explicit `S⁻¹`, which only the machine needs — and the kernel
+//! applies the same operator on the machine. The factor of `K` is formed
+//! and refactored on the host at the first solve after construction and
+//! after each ρ or matrix update, and `L`, `D⁻¹` and the permutation are
+//! uploaded then, as `C⁻¹` and `S⁻¹` are on each update. The backend runs
+//! one program, fixed at construction: PCG, or with an exact `M = K` the
+//! loop-free direct solve, as the CPU backend does, and takes the CPU's
+//! steps bit for bit. While a pivot of `M⁻¹` is not positive and finite, a
+//! solve returns PCG's breakdown without running the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,7 +29,7 @@ use std::sync::Arc;
 use rsqp_arch::kernels::{
     admm_outer_cycles, build_pcg, Correction, DenseColCorrection, DenseRowCorrection, PcgKernel,
 };
-use rsqp_arch::{ArchConfig, Instr, Machine, MatrixId, Program, RunStats};
+use rsqp_arch::{ArchConfig, FactorId, FactorRef, Instr, Machine, MatrixId, Program, RunStats};
 use rsqp_linsys::KktPrecond;
 use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::{CsrMatrix, TransposeCache};
@@ -33,7 +37,7 @@ use rsqp_sparse::{CsrMatrix, TransposeCache};
 /// The correction of `M⁻¹` as the machine holds it: the ids of its
 /// resident matrices, with the host-side copies only the machine needs —
 /// the transposed `A_Sᵀ` (dense rows), or `H` and the explicit `S⁻¹`
-/// (dense columns).
+/// (dense columns) — or the slot of the factor of `K`.
 #[derive(Debug, Clone)]
 pub(crate) enum DeviceCorrection {
     /// `A_S`, `C⁻¹` and `A_Sᵀ`, with `A_Sᵀ` refreshed from `A_S`.
@@ -41,14 +45,16 @@ pub(crate) enum DeviceCorrection {
     /// `G` (unless diagonal), `H`, `S⁻¹` and `Hᵀ`, with `H` refreshed from
     /// `Hᵀ` and `S⁻¹` from the factor of `S`.
     Cols { ids: DenseColCorrection, h: TransposeCache, sinv: CsrMatrix },
+    /// The factor of `K`, loaded at the first solve after each update
+    /// (`pending` until then).
+    Factor { id: FactorId, pending: bool },
 }
 
 impl DeviceCorrection {
     /// Registers the matrices of `precond`'s correction on `machine`, or
-    /// returns `None` when it has none (plain Jacobi).
-    fn load(machine: &mut Machine, precond: &KktPrecond) -> Option<Self> {
-        Some(match precond {
-            KktPrecond::Rows(pre) if pre.rank() == 0 => return None,
+    /// an empty slot for the factor of `K` (`n × n`).
+    fn load(machine: &mut Machine, precond: &KktPrecond, n: usize) -> Self {
+        match precond {
             KktPrecond::Rows(pre) => {
                 let a_st = TransposeCache::new(pre.a_s());
                 let ids = DenseRowCorrection {
@@ -78,7 +84,10 @@ impl DeviceCorrection {
                 };
                 DeviceCorrection::Cols { ids, h, sinv }
             }
-        })
+            KktPrecond::Factor(_) => {
+                DeviceCorrection::Factor { id: machine.add_factor(n), pending: true }
+            }
+        }
     }
 
     /// The ids the kernel addresses the correction's matrices by.
@@ -86,11 +95,13 @@ impl DeviceCorrection {
         match self {
             DeviceCorrection::Rows { ids, .. } => Correction::Rows(*ids),
             DeviceCorrection::Cols { ids, .. } => Correction::Cols(*ids),
+            DeviceCorrection::Factor { id, .. } => Correction::Factor(*id),
         }
     }
 
     /// Refreshes the host-side copies from `precond`'s current values and
-    /// uploads every matrix of the correction in place.
+    /// uploads every matrix of the correction in place; the factor of `K`
+    /// is only marked for upload at the next solve, which factors it.
     fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond) {
         match (self, precond) {
             (DeviceCorrection::Rows { ids, a_st }, KktPrecond::Rows(pre)) => {
@@ -109,14 +120,41 @@ impl DeviceCorrection {
                 machine.update_matrix_values(ids.sinv, sinv);
                 machine.update_matrix_values(ids.ht, pre.ht());
             }
+            (DeviceCorrection::Factor { pending, .. }, KktPrecond::Factor(_)) => *pending = true,
             _ => unreachable!("the correction kind is fixed at construction"),
         }
     }
+
+    /// Uploads the factor of `K` if it was refactored since the last
+    /// upload; `precond` must be prepared.
+    pub(crate) fn upload_factor(&mut self, machine: &mut Machine, precond: &KktPrecond) {
+        let (DeviceCorrection::Factor { id, pending }, KktPrecond::Factor(f)) = (self, precond)
+        else {
+            return;
+        };
+        if !std::mem::take(pending) {
+            return;
+        }
+        let (ldlt, perm) = f.ldlt().zip(f.perm()).expect("a prepared factor");
+        let (l_colptr, l_rowidx, l_data) = ldlt.l();
+        machine.load_factor(
+            *id,
+            FactorRef {
+                perm,
+                l_colptr,
+                l_rowidx,
+                l_data,
+                dinv: ldlt.dinv(),
+                etree_height: ldlt.etree_height(),
+            },
+        );
+    }
 }
 
-/// Registers `P`, `A`, `Aᵀ` and the matrices of `precond`'s correction on
-/// `machine`, and builds the KKT-solve kernel over them — the program
-/// [`FpgaPcgBackend`] runs and the bundle writer emits.
+/// Registers `P`, `A`, `Aᵀ` and the matrices of `precond`'s correction (or
+/// the slot of its factor of `K`) on `machine`, and builds the KKT-solve
+/// kernel over them — the program [`FpgaPcgBackend`] runs and the bundle
+/// writer emits.
 pub(crate) fn load_pcg(
     machine: &mut Machine,
     p: &CsrMatrix,
@@ -124,30 +162,31 @@ pub(crate) fn load_pcg(
     at: &CsrMatrix,
     precond: &KktPrecond,
     max_iter: usize,
-) -> (PcgKernel, [MatrixId; 3], Option<DeviceCorrection>) {
+) -> (PcgKernel, [MatrixId; 3], DeviceCorrection) {
     let ids = [machine.add_matrix(p), machine.add_matrix(a), machine.add_matrix(at)];
-    let correction = DeviceCorrection::load(machine, precond);
+    let correction = DeviceCorrection::load(machine, precond, p.nrows());
     let [pid, aid, atid] = ids;
-    let kernel = build_pcg(
-        machine,
-        pid,
-        aid,
-        atid,
-        p.nrows(),
-        a.nrows(),
-        max_iter,
-        correction.as_ref().map(DeviceCorrection::ids),
-    );
+    let kernel =
+        build_pcg(machine, pid, aid, atid, p.nrows(), a.nrows(), max_iter, Some(correction.ids()));
     (kernel, ids, correction)
 }
 
-/// SpMVs of `program` outside and inside its loop.
+/// SpMVs of `program` outside and inside its loop, a factor solve
+/// counting two (its sweeps through `L` and `Lᵀ`).
 fn spmv_split(program: &Program) -> (usize, usize) {
-    let is_spmv = |i: &&Instr| matches!(i, Instr::Spmv { .. });
+    let spmvs = |instrs: &[Instr]| -> usize {
+        instrs
+            .iter()
+            .map(|i| match i {
+                Instr::Spmv { .. } => 1,
+                Instr::FactorSolve { .. } => 2,
+                _ => 0,
+            })
+            .sum()
+    };
     let instrs = program.instrs();
-    let body =
-        program.loop_bounds().map_or(0, |(s, e)| instrs[s..=e].iter().filter(is_spmv).count());
-    (instrs.iter().filter(is_spmv).count() - body, body)
+    let body = program.loop_bounds().map_or(0, |(s, e)| spmvs(&instrs[s..=e]));
+    (spmvs(instrs) - body, body)
 }
 
 /// A [`KktBackend`] backed by the simulated RSQP accelerator.
@@ -156,8 +195,8 @@ pub struct FpgaPcgBackend {
     kernel: PcgKernel,
     /// `P`, `A` and `Aᵀ` on the machine.
     matrix_ids: [MatrixId; 3],
-    /// The correction of `M⁻¹` on the machine, if any.
-    correction: Option<DeviceCorrection>,
+    /// The correction of `M⁻¹` on the machine.
+    correction: DeviceCorrection,
     /// `Aᵀ` as uploaded, refreshed from `A`'s values on every update.
     at: TransposeCache,
     /// Host-side `M⁻¹`, refreshed and re-uploaded on every update.
@@ -169,8 +208,8 @@ pub struct FpgaPcgBackend {
     /// SpMVs in the kernel outside and inside its loop. PCG: `Aᵀ` for the
     /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the dense-row correction
     /// (`A_S`, `C⁻¹`, `A_Sᵀ`) before the loop and in it, and `A` for z̃.
-    /// The direct solve: `Aᵀ`, `H`, `S⁻¹`, `Hᵀ` and a non-diagonal `G`,
-    /// and `A`, with no loop.
+    /// The direct solve: `Aᵀ`, `H`, `S⁻¹`, `Hᵀ` and a non-diagonal `G`
+    /// (or the two sweeps of the factor of `K`), and `A`, with no loop.
     spmvs: (usize, usize),
     outer_cycles_per_iter: u64,
 }
@@ -250,13 +289,14 @@ impl FpgaPcgBackend {
         self.upload_device_constants();
     }
 
-    /// Writes `M⁻¹`, ρ and the scalar settings to the device.
+    /// Writes `M⁻¹` (the factor of `K` at the next solve), ρ and the
+    /// scalar settings to the device.
     fn upload_device_constants(&mut self) {
         let mut machine = self.machine.borrow_mut();
-        machine.write_vec(self.kernel.minv, self.precond.inv_diag());
-        if let Some(correction) = &mut self.correction {
-            correction.upload(&mut machine, &self.precond);
+        if let Some(inv_diag) = self.precond.inv_diag() {
+            machine.write_vec(self.kernel.minv, inv_diag);
         }
+        self.correction.upload(&mut machine, &self.precond);
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
@@ -336,8 +376,13 @@ impl KktBackend for FpgaPcgBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
-        self.precond.factored()?;
         let mut machine = self.machine.borrow_mut();
+        {
+            let [pid, aid, atid] = self.matrix_ids;
+            let (p, a, at) = (machine.matrix(pid), machine.matrix(aid), machine.matrix(atid));
+            self.precond.prepare(p, a, at, &self.rho)?;
+        }
+        self.correction.upload_factor(&mut machine, &self.precond);
         machine.write_vec(self.kernel.x, x);
         machine.write_vec(self.kernel.xtilde, xtilde);
         machine.write_vec(self.kernel.z, z);
@@ -385,7 +430,7 @@ impl KktBackend for FpgaPcgBackend {
     }
 
     fn stats(&self) -> BackendStats {
-        self.stats
+        BackendStats { factorizations: self.precond.factorizations(), ..self.stats }
     }
 }
 
@@ -416,8 +461,9 @@ mod tests {
     #[test]
     fn updated_backend_solves_like_a_fresh_one() {
         // The portfolio carries the dense-row correction, the Huber fit the
-        // dense-column elimination with a resident G.
-        for (domain, size) in [(Domain::Portfolio, 1), (Domain::Huber, 19)] {
+        // dense-column elimination with a resident G, the control problem
+        // the factor of K.
+        for (domain, size) in [(Domain::Portfolio, 1), (Domain::Huber, 19), (Domain::Control, 4)] {
             let (q1, q2) = (generate(domain, size, 1), generate(domain, size, 2));
             let (n, m) = (q1.num_vars(), q1.num_constraints());
             assert_ne!(q1.a().data(), q2.a().data());
@@ -426,8 +472,8 @@ mod tests {
             updated.update_matrices(q2.p(), q2.a(), &vec![0.1; m]).unwrap();
             let mut fresh = backend(q2.p(), q2.a());
             assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m), "{domain}");
-            // A ρ update re-uploads the diagonal and the correction.
-            assert!(updated.correction.is_some());
+            // A ρ update re-uploads the diagonal and the correction, or
+            // refactors K at the next solve.
             updated.update_rho(&vec![0.7; m]).unwrap();
             let mut fresh = backend_at(q2.p(), q2.a(), 0.7);
             assert_eq!(solve(&mut updated, n, m), solve(&mut fresh, n, m), "{domain}");
@@ -436,9 +482,11 @@ mod tests {
 
     #[test]
     fn cpu_and_machine_kkt_solves_are_bit_identical() {
-        // One PCG specification: the same x̃ and z̃ bits and the same CG
-        // count per solve — from an exact zero warm start (r₀ = 0: no
-        // step on either), from zero, and warm-started with a new q.
+        // One KKT solve specification: the same x̃ and z̃ bits and the
+        // same CG count per solve — from an exact zero warm start (r₀ = 0:
+        // no PCG step on either), from zero, and warm-started with a new
+        // q. Control and eqqp solve through the factor of K (no CG step),
+        // the portfolio by PCG.
         for (domain, size) in [(Domain::Control, 2), (Domain::Eqqp, 10), (Domain::Portfolio, 1)] {
             let qp = generate(domain, size, 1);
             let (n, m) = (qp.num_vars(), qp.num_constraints());
@@ -470,7 +518,8 @@ mod tests {
                     out.push((bits, b.stats().cg_iterations - before));
                 }
                 assert_eq!(out[0], out[1], "{domain}, solve {step}");
-                assert_eq!(out[0].1 == 0, step == 0, "{domain}, solve {step}: CG steps");
+                let pcg = domain == Domain::Portfolio;
+                assert_eq!(out[0].1 == 0, step == 0 || !pcg, "{domain}, solve {step}: CG steps");
             }
         }
     }
@@ -480,16 +529,16 @@ mod tests {
         // PCG: K·v and the preconditioner's correction (A_S, C⁻¹ and A_Sᵀ
         // with dense rows) run before the loop and on each of its passes,
         // one per CG step; Aᵀ for the right-hand side and A for z̃ run once.
-        for (domain, size, per_pass) in [(Domain::Control, 2, 3), (Domain::Portfolio, 1, 6)] {
-            let qp = generate(domain, size, 1);
-            let mut b = backend(qp.p(), qp.a());
-            let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
-            let stats = b.stats();
-            assert_eq!(stats.spmv_evals, per_pass * (stats.cg_iterations + 1) + 2, "{domain}");
-        }
-        // The direct solve: Aᵀ, then H, S⁻¹, Hᵀ and a non-diagonal G once,
-        // and A; no CG iteration.
-        for (domain, size, products) in [(Domain::Svm, 21, 3), (Domain::Huber, 19, 4)] {
+        let qp = generate(Domain::Portfolio, 1, 1);
+        let mut b = backend(qp.p(), qp.a());
+        let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
+        let stats = b.stats();
+        assert_eq!(stats.spmv_evals, 6 * (stats.cg_iterations + 1) + 2);
+        // The direct solve: Aᵀ, then H, S⁻¹, Hᵀ and a non-diagonal G once
+        // (or the two sweeps of the factor of K), and A; no CG iteration.
+        for (domain, size, products) in
+            [(Domain::Svm, 21, 3), (Domain::Huber, 19, 4), (Domain::Control, 2, 2)]
+        {
             let qp = generate(domain, size, 1);
             let mut b = backend(qp.p(), qp.a());
             assert_eq!(b.precond.products(), products, "{domain}");
@@ -507,7 +556,7 @@ mod tests {
         // and A for z̃; the direct solve runs the preconditioner once
         // between those two and no CG iteration.
         for (domain, size, products, direct) in [
-            (Domain::Control, 2, 0, false),
+            (Domain::Control, 2, 2, true),
             (Domain::Portfolio, 1, 3, false),
             (Domain::Svm, 21, 3, true),
             (Domain::Huber, 19, 4, true),

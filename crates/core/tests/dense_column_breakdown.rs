@@ -2,20 +2,28 @@
 //!
 //! `M⁻¹` is fixed by `A`'s pattern: the dense-column elimination needs
 //! every block of `K_RR` and its Schur complement `S` positive definite,
-//! and the dense-row correction needs `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ` positive
-//! definite. A non-convex `P` breaks either. Two inputs:
+//! the dense-row correction needs `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ` positive
+//! definite, and the factor of `K` needs `K` itself positive definite. A
+//! non-convex `P` breaks any of them. Three inputs:
 //!
 //! - svm_0021 with `P[t₀, t₀] = −5` on its first slack `t₀` (an `R`
 //!   variable, a 1×1 block);
 //! - portfolio_0005 with `P[0, 0] = −0.1000011` on its first asset, whose
 //!   only row outside the dense rows is its box row, so at ρ = 0.1
-//!   `D'₀ = −0.1000011 + σ + ρ < 0` and `C` fails to factor.
+//!   `D'₀ = −0.1000011 + σ + ρ < 0` and `C` fails to factor;
+//! - control_0004 with `P[0, 0] = −1000` on its first state, so `K` is
+//!   indefinite and its LDLᵀ meets a negative pivot.
 //!
-//! The refresh then records the failed pivot, and every KKT solve returns
-//! PCG's breakdown at iteration 0 without solving, for the solver's guard
-//! ladder, until a refresh succeeds again.
+//! The refresh (or, for the factor of `K`, the refactorization at the
+//! next KKT solve) then records the failed pivot, and every KKT solve
+//! returns PCG's breakdown at iteration 0 without solving — no SpMV, no
+//! machine run — for the solver's guard ladder, until a refresh succeeds
+//! again.
 
-use rsqp_arch::ArchConfig;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use rsqp_arch::{ArchConfig, Machine};
 use rsqp_core::{fpga_solver, FpgaPcgBackend};
 use rsqp_linsys::PcgError;
 use rsqp_problems::{generate, Domain};
@@ -28,9 +36,13 @@ use rsqp_sparse::CsrMatrix;
 const SIGMA: f64 = 1e-6;
 
 /// `(domain, size, variable j, indefinite P[j, j])`: svm_0021's first
-/// slack `t₀` (after its 21 features) and portfolio_0005's first asset.
-const CASES: [(Domain, usize, usize, f64); 2] =
-    [(Domain::Svm, 21, 21, -5.0), (Domain::Portfolio, 5, 0, -0.1000011)];
+/// slack `t₀` (after its 21 features), portfolio_0005's first asset and
+/// control_0004's first state.
+const CASES: [(Domain, usize, usize, f64); 3] = [
+    (Domain::Svm, 21, 21, -5.0),
+    (Domain::Portfolio, 5, 0, -0.1000011),
+    (Domain::Control, 4, 0, -1000.0),
+];
 
 fn wave(len: usize, phase: f64) -> Vec<f64> {
     (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
@@ -56,12 +68,19 @@ fn instances((domain, size, j, value): (Domain, usize, usize, f64)) -> [QpProble
     [with_curvature(domain, size, j, generated), with_curvature(domain, size, j, value)]
 }
 
-/// The CPU and the machine backend for `qp`'s unscaled matrices at ρ = 0.1.
-fn backends(qp: &QpProblem) -> [Box<dyn KktBackend>; 2] {
+/// The CPU and the machine backend for `qp`'s unscaled matrices at ρ = 0.1,
+/// with the machine.
+fn backends_and_machine(qp: &QpProblem) -> ([Box<dyn KktBackend>; 2], Rc<RefCell<Machine>>) {
     let (p, a, rho) = (qp.p(), qp.a(), vec![0.1; qp.num_constraints()]);
     let cpu = CpuPcgBackend::new(p, a, SIGMA, &rho, 1e-7, 200);
-    let (fpga, _) = FpgaPcgBackend::new(p, a, SIGMA, &rho, ArchConfig::baseline(8), 1e-7, 200);
-    [Box::new(cpu), Box::new(fpga)]
+    let (fpga, machine) =
+        FpgaPcgBackend::new(p, a, SIGMA, &rho, ArchConfig::baseline(8), 1e-7, 200);
+    ([Box::new(cpu), Box::new(fpga)], machine)
+}
+
+/// The CPU and the machine backend for `qp`'s unscaled matrices at ρ = 0.1.
+fn backends(qp: &QpProblem) -> [Box<dyn KktBackend>; 2] {
+    backends_and_machine(qp).0
 }
 
 /// One KKT solve from a zero warm start: `(x̃, z̃)` or the error.
@@ -82,7 +101,8 @@ fn solve(backend: &mut dyn KktBackend, n: usize, m: usize) -> Result<Vec<f64>, S
 /// The breakdown a solve of `case`'s indefinite instance returns on both
 /// backends: at iteration 0, with the failed pivot as the curvature. On
 /// the svm slack that is its block `σ − 5 + ρ·1² + ρ·1²` (its hinge row
-/// and its sign row); on the portfolio a pivot of `C`.
+/// and its sign row); on the portfolio a pivot of `C`, on control one of
+/// `K`'s LDLᵀ.
 fn assert_breakdown(case: (Domain, usize, usize, f64), err: &SolverError, backend: &str) {
     let Domain::Svm = case.0 else {
         assert!(
@@ -102,7 +122,8 @@ fn an_indefinite_block_is_a_breakdown_on_both_backends() {
     for case in CASES {
         let [_, qp] = instances(case);
         let (n, m) = (qp.num_vars(), qp.num_constraints());
-        let [cpu, machine] = backends(&qp).map(|mut backend| {
+        let (backends, device) = backends_and_machine(&qp);
+        let [cpu, machine] = backends.map(|mut backend| {
             let err = solve(backend.as_mut(), n, m).unwrap_err();
             assert_breakdown(case, &err, backend.name());
             let stats = backend.stats();
@@ -115,6 +136,7 @@ fn an_indefinite_block_is_a_breakdown_on_both_backends() {
             err.to_string()
         });
         assert_eq!(cpu, machine, "{:?}: one breakdown", case.0);
+        assert_eq!(device.borrow().stats().cycles, 0, "{:?}: the machine never ran", case.0);
     }
 }
 
@@ -138,9 +160,10 @@ fn the_next_successful_refresh_restores_the_kkt_solve() {
             let after = solve(updated.as_mut(), n, m).unwrap();
             assert_eq!(after, solve(fresh.as_mut(), n, m).unwrap(), "{name}");
             assert_eq!(after, before, "{name}");
-            // The svm solves directly; the portfolio runs PCG with the
-            // dense-row correction, and takes the same steps again.
-            let expected = if case.0 == Domain::Svm { 0 } else { 2 * cg };
+            // The svm and control solve directly; the portfolio runs PCG
+            // with the dense-row correction, and takes the same steps
+            // again.
+            let expected = if case.0 == Domain::Portfolio { 2 * cg } else { 0 };
             assert_eq!(updated.stats().cg_iterations, expected, "{name}");
         }
     }
@@ -164,8 +187,9 @@ fn solve_end_to_end(
 #[test]
 fn the_guard_ladder_takes_the_breakdown_to_ldlt() {
     // Reset, tighten, then LDLᵀ, which cannot solve a non-convex problem
-    // either. The portfolio runs unscaled (at the default ρ = 0.1 of its
-    // box rows): Ruiz scaling lifts its D'₀ above zero.
+    // either. The portfolio and the control problem run unscaled (at the
+    // default ρ = 0.1 of the portfolio's box rows): Ruiz scaling lifts the
+    // portfolio's D'₀ above zero and leaves control's K positive definite.
     let report = GuardReport {
         faults_detected: 3,
         iterate_resets: 2,
@@ -173,7 +197,9 @@ fn the_guard_ladder_takes_the_breakdown_to_ldlt() {
         backend_fallbacks: 1,
     };
     let scaled = Settings::default().scaling_iters;
-    for (case, scaling_iters, admm) in [(CASES[0], scaled, 75), (CASES[1], 0, 25)] {
+    for (case, scaling_iters, admm) in
+        [(CASES[0], scaled, 75), (CASES[1], 0, 25), (CASES[2], 0, 125)]
+    {
         let [_, qp] = instances(case);
         let machine = Settings { scaling_iters, ..Settings::default() };
         let cpu = Settings { linsys: LinSysKind::CpuPcg, ..machine.clone() };

@@ -86,11 +86,21 @@ fn fpga_backend_survives_rho_updates() {
 }
 
 #[test]
-fn backend_reports_cg_iterations() {
-    let qp = generate(Domain::Lasso, 4, 2);
+fn backend_reports_cg_iterations_and_factorizations() {
+    // The portfolio's dense rows keep PCG; the small lasso takes the
+    // factor of K, formed at the first solve and refactored after each ρ
+    // update, with no CG iteration.
+    let qp = generate(Domain::Portfolio, 2, 2);
     let (result, _, _) = solve_on_fpga(&qp, ArchConfig::baseline(16));
     assert_eq!(result.status, Status::Solved);
     assert!(result.backend.cg_iterations > 0);
+    assert_eq!(result.backend.factorizations, 0);
+    assert_eq!(result.backend.kkt_solves, result.iterations);
+    let qp = generate(Domain::Lasso, 4, 2);
+    let (result, _, _) = solve_on_fpga(&qp, ArchConfig::baseline(16));
+    assert_eq!(result.status, Status::Solved);
+    assert_eq!(result.backend.cg_iterations, 0);
+    assert_eq!(result.backend.factorizations, result.rho_updates + 1);
     assert_eq!(result.backend.kkt_solves, result.iterations);
 }
 

@@ -1,11 +1,13 @@
 //! Asserts the simulated-FPGA path is allocation-free in steady state: a
 //! repeated run of the PCG kernel on the cycle-level machine touches the
 //! heap zero times, and an ADMM solve whose KKT systems run on the machine
-//! allocates as often at 220 iterations as at 20 — also on a portfolio,
-//! whose dense rows put the preconditioner's Woodbury correction into the
-//! kernel, and on an SVM, a lasso and a Huber fit, whose dense columns put
-//! its block elimination there — and neither a manual ρ update nor a
-//! matrix update, which re-upload the correction, allocates.
+//! allocates as often at 220 iterations as at 20 — on a box QP, whose KKT
+//! solve is the factor of `K` (refactored on the host and re-uploaded
+//! after each of its ρ updates), on a portfolio, whose dense rows put the
+//! preconditioner's Woodbury correction into the kernel, and on an SVM, a
+//! lasso and a Huber fit, whose dense columns put its block elimination
+//! there — and neither a manual ρ update nor a matrix update, which
+//! re-upload the correction or refactor `K` at the next solve, allocates.
 //!
 //! Strategy: a per-thread counting global allocator tallies allocation
 //! calls and bytes, so tests running in parallel do not count each other.
@@ -165,10 +167,13 @@ fn fpga_solve_allocs(prob: &QpProblem, max_iter: usize) -> ((usize, usize), usiz
 
 #[test]
 fn fpga_backed_admm_steady_state_is_allocation_free() {
-    // The box QP's PCG loop takes trips; the portfolio's exact
-    // preconditioner ends most solves after the loop's first pass.
+    // The box QP refactors K at every ρ update and runs no CG iteration;
+    // the portfolio's exact preconditioner ends most solves after the PCG
+    // loop's first pass.
     let mut box_qp = baseline_solver(&problem(), churn_settings(20));
-    assert!(box_qp.solve().unwrap().backend.cg_iterations > 0, "the machine must run PCG");
+    let backend = box_qp.solve().unwrap().backend;
+    assert_eq!(backend.cg_iterations, 0, "the box QP solves through the factor of K");
+    assert!(backend.factorizations > 10, "{} factorizations", backend.factorizations);
     let problems = [problem(), generate(Domain::Portfolio, 2, 1)];
     for prob in problems.into_iter().chain(dense_column_problems()) {
         let _ = fpga_solve_allocs(&prob, 5);
@@ -193,7 +198,9 @@ fn dense_column_problems() -> [QpProblem; 3] {
 
 #[test]
 fn fpga_manual_rho_update_is_allocation_free() {
-    for prob in std::iter::once(generate(Domain::Portfolio, 2, 1)).chain(dense_column_problems()) {
+    for prob in
+        [problem(), generate(Domain::Portfolio, 2, 1)].into_iter().chain(dense_column_problems())
+    {
         let mut solver = baseline_solver(&prob, churn_settings(20));
         let _ = solver.solve().unwrap();
         let before = allocs();
@@ -212,20 +219,29 @@ fn fpga_manual_rho_update_is_allocation_free() {
 #[test]
 fn fpga_matrix_update_is_allocation_free() {
     // New values for P and A (same patterns) are uploaded in place, with
-    // Aᵀ and the preconditioner's matrices refreshed on the host.
-    for prob in std::iter::once(generate(Domain::Portfolio, 2, 1)).chain(dense_column_problems()) {
+    // Aᵀ and the preconditioner's matrices refreshed on the host; the box
+    // QP's factor of K is refactored and re-uploaded by the KKT solve that
+    // follows each update.
+    for prob in
+        [problem(), generate(Domain::Portfolio, 2, 1)].into_iter().chain(dense_column_problems())
+    {
         let (p, a) = (prob.p(), prob.a());
-        let rho = vec![0.1; a.nrows()];
+        let (n, m) = (p.nrows(), a.nrows());
+        let rho = vec![0.1; m];
         let config = ArchConfig::baseline(8);
         let (mut backend, _) = FpgaPcgBackend::new(p, a, 1e-6, &rho, config, 1e-10, 100);
         let scaled: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
             .iter()
             .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
             .collect();
+        let (x, z, y, q) = (vec![0.1; n], vec![0.2; m], vec![-0.1; m], vec![0.3; n]);
+        let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
         backend.update_matrices(&scaled[0].0, &scaled[0].1, &rho).unwrap();
+        backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
         let before = allocs();
         for (p2, a2) in &scaled[1..] {
             backend.update_matrices(p2, a2, &rho).unwrap();
+            backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
         }
         let (calls, bytes) = since(before);
         assert_eq!(

@@ -7,9 +7,11 @@
 //!   direct LDLᵀ path, with in-place ρ updates;
 //! * [`ReducedKktOp`] — the matrix-free operator
 //!   `x ↦ (P + σI + Aᵀ diag(ρ) A) x` of Eq. (3), which is what PCG and the
-//!   FPGA datapath evaluate. Following §2.2, `AᵀA` is never formed: the
-//!   product is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`. Its
-//!   preconditioner is the [`KktPrecond`] of the same matrices.
+//!   FPGA datapath evaluate. Following §2.2, `AᵀA` is never formed for the
+//!   product, which is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`.
+//!   Its `M⁻¹` is the [`KktPrecond`] of the same matrices, which on
+//!   problems without dense rows or eliminable dense columns forms and
+//!   factors `K` itself.
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, RowPartition, TransposeCache}
 
 use crate::pcg::LinearOperator;
 use crate::precond::KktPrecond;
-use crate::LinsysError;
+use crate::{LinsysError, PcgError};
 
 /// The explicit upper-triangular KKT matrix of Eq. (2).
 #[derive(Debug, Clone)]
@@ -154,10 +156,11 @@ impl KktMatrix {
 /// without cloning data, and runs its SpMVs on a shared [`ThreadPool`] over
 /// nnz-balanced [`RowPartition`]s — bit-identical for every pool size.
 ///
-/// PCG is preconditioned with Jacobi plus the Woodbury correction for the
-/// dense rows of `A`, or with the block elimination of its dense columns
-/// ([`KktPrecond`]), built once with the operator and refreshed in place
-/// with every ρ or value update.
+/// Its `M⁻¹` ([`KktPrecond`]) is Jacobi plus the Woodbury correction for
+/// the dense rows of `A`, the block elimination of its dense columns, or
+/// the sparse LDLᵀ of `K`. It is chosen with the operator, refreshed with
+/// every ρ or value update, and readied by [`Self::prepare`] before a
+/// solve, which is where the factor of `K` is formed and refactored.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
     p: Arc<CsrMatrix>,
@@ -313,6 +316,18 @@ impl ReducedKktOp {
         &self.precond
     }
 
+    /// Readies `M⁻¹` for the current matrices and ρ
+    /// ([`KktPrecond::prepare`]): factors `K` at the first call and after
+    /// each update when `M⁻¹` is its factor.
+    ///
+    /// # Errors
+    ///
+    /// [`PcgError::Breakdown`] at iteration 0 while a pivot of `M⁻¹` is
+    /// not positive and finite.
+    pub fn prepare(&mut self) -> Result<(), PcgError> {
+        self.precond.prepare(&self.p, &self.a, self.at.matrix(), &self.rho)
+    }
+
     /// `y = A x` on the operator's pool — the `z̃ = A x̃` step of a KKT
     /// solve, counted in [`Self::spmv_count`].
     ///
@@ -351,11 +366,11 @@ impl ReducedKktOp {
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
     /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and per `precondition`
     /// the [`KktPrecond::products`] of `M⁻¹`: three with dense rows
-    /// (`A_S`, `C⁻¹`, `A_Sᵀ`), or three or four for the
-    /// dense-column elimination (`H`, `S⁻¹`, `Hᵀ`, and `G` when it is not
-    /// diagonal). A dense-column KKT solve, by [`crate::exact_solve`],
-    /// therefore counts `products() + 2`: `Aᵀ` for the right-hand side,
-    /// one `precondition` and `A` for `z̃`.
+    /// (`A_S`, `C⁻¹`, `A_Sᵀ`), three or four for the dense-column
+    /// elimination (`H`, `S⁻¹`, `Hᵀ`, and `G` when it is not diagonal), or
+    /// two for the factor of `K` (its two sweeps through `L`). An exact KKT
+    /// solve, by [`crate::exact_solve`], therefore counts `products() + 2`:
+    /// `Aᵀ` for the right-hand side, one `precondition` and `A` for `z̃`.
     pub fn spmv_count(&self) -> usize {
         self.spmv_count
     }
@@ -382,7 +397,14 @@ impl LinearOperator for ReducedKktOp {
         Ok(())
     }
 
+    /// `d = M⁻¹ r`, readying `M⁻¹` first ([`Self::prepare`]) for callers
+    /// that run PCG on the operator directly. While `M⁻¹` has a failed
+    /// pivot, `d = 0`, which PCG reports as a breakdown.
     fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
+        if self.prepare().is_err() {
+            d.fill(0.0);
+            return;
+        }
         self.precond.apply(r, d);
         self.spmv_count += self.precond.products();
     }
@@ -391,7 +413,7 @@ impl LinearOperator for ReducedKktOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DenseColPrecond, DenseRowPrecond, Ldlt};
+    use crate::{DenseColPrecond, DenseRowPrecond, KktFactor, Ldlt};
     use rsqp_solver::QpProblem;
 
     fn small_problem() -> (CsrMatrix, CsrMatrix) {
@@ -474,30 +496,17 @@ mod tests {
         assert_eq!(op.spmv_count(), 3);
     }
 
-    /// The Jacobi diagonal `diag(P) + σ + Σ_i ρ_i A_{i,·}²`, summed row by
-    /// row.
-    fn jacobi(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Vec<f64> {
-        let mut d: Vec<f64> = (0..p.nrows()).map(|i| p.get(i, i) + sigma).collect();
-        for (i, &ri) in rho.iter().enumerate() {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                d[j] += ri * v * v;
-            }
-        }
-        d
-    }
-
     /// Per-constraint ρ as the solver sets it: `rho` on inequality rows and
     /// `1e3·rho` on equality rows.
     fn solver_rho(qp: &rsqp_solver::QpProblem, rho: f64) -> Vec<f64> {
         qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 1e3 * rho } else { rho }).collect()
     }
 
-    /// The dense-row (or plain Jacobi) preconditioner of `op`.
+    /// The dense-row preconditioner of `op`.
     fn rows(op: &ReducedKktOp) -> &DenseRowPrecond {
         match op.preconditioner() {
             KktPrecond::Rows(pre) => pre,
-            KktPrecond::Cols(_) => panic!("expected the dense-row preconditioner"),
+            _ => panic!("expected the dense-row preconditioner"),
         }
     }
 
@@ -505,28 +514,50 @@ mod tests {
     fn cols(op: &ReducedKktOp) -> &DenseColPrecond {
         match op.preconditioner() {
             KktPrecond::Cols(pre) => pre,
-            KktPrecond::Rows(_) => panic!("expected the dense-column preconditioner"),
+            _ => panic!("expected the dense-column preconditioner"),
         }
     }
 
-    #[test]
-    fn jacobi_diag_matches_dense_diagonal() {
-        let (p, a) = small_problem();
-        let rho = vec![0.1, 0.2, 0.4];
-        let sigma = 0.01;
-        let op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-        assert_eq!(rows(&op).rank(), 0);
-        let d = op.preconditioner().inv_diag();
-        assert!((1.0 / d[0] - (4.0 + sigma + 0.1 + 0.4)).abs() < 1e-12);
-        assert!((1.0 / d[1] - (2.0 + sigma + 0.2 + 0.4)).abs() < 1e-12);
+    /// The factor of `K` of `op`.
+    fn factor(op: &ReducedKktOp) -> &KktFactor {
+        match op.preconditioner() {
+            KktPrecond::Factor(pre) => pre,
+            _ => panic!("expected the factor of K"),
+        }
+    }
+
+    /// `‖K x − b‖ / ‖b‖` through the operator.
+    fn relative_residual(op: &mut ReducedKktOp, x: &[f64], b: &[f64]) -> f64 {
+        let mut kx = vec![0.0; x.len()];
+        op.apply(x, &mut kx).unwrap();
+        let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|e| e * e).sum::<f64>().sqrt();
+        norm(&mut kx.iter().zip(b).map(|(k, b)| k - b)) / norm(&mut b.iter().copied())
     }
 
     #[test]
-    fn without_dense_rows_precondition_is_bitwise_jacobi() {
+    fn the_factor_is_formed_at_the_first_prepare() {
+        let (p, a) = small_problem();
+        let mut op = ReducedKktOp::new(&p, &a, 0.01, &[0.1, 0.2, 0.4]).unwrap();
+        assert!(op.preconditioner().is_exact());
+        assert!(op.preconditioner().inv_diag().is_none());
+        assert!(factor(&op).upper().is_none(), "nothing is formed at construction");
+        op.prepare().unwrap();
+        assert_eq!(factor(&op).upper().unwrap().nnz(), 3, "triu(K) is full");
+        assert_eq!(op.preconditioner().factorizations(), 1);
+        // A ρ update refactors at the next prepare, not before.
+        op.update_rho(&[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(op.preconditioner().factorizations(), 1);
+        op.prepare().unwrap();
+        op.prepare().unwrap();
+        assert_eq!(op.preconditioner().factorizations(), 2);
+    }
+
+    #[test]
+    fn without_dense_rows_or_columns_the_kkt_solve_is_the_factor() {
         // The small suite but its portfolios (their factor and budget rows
         // are dense), the benchmark's control and eqqp instances, and an
         // SVM with too few dense feature columns: K_RR couples more than
-        // 8 variables, so the column elimination falls back.
+        // 8 variables, so the column elimination declines.
         let mut problems: Vec<_> = rsqp_problems::small_suite(1)
             .into_iter()
             .filter(|bp| bp.domain != rsqp_problems::Domain::Portfolio)
@@ -541,17 +572,23 @@ mod tests {
             let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
             let rho = solver_rho(qp, 0.1);
             let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
-            assert_eq!(rows(&op).rank(), 0, "{} has no dense rows", qp.name());
+            let name = qp.name();
+            if !matches!(op.preconditioner(), KktPrecond::Factor(_)) {
+                assert!(
+                    name.starts_with("svm")
+                        || name.starts_with("lasso")
+                        || name.starts_with("huber"),
+                    "{name}"
+                );
+                continue;
+            }
+            op.prepare().unwrap();
             let r: Vec<f64> = (0..p.nrows()).map(|i| (i as f64 * 0.61).sin()).collect();
             let mut d = vec![0.0; r.len()];
             op.precondition(&r, &mut d);
-            let want: Vec<u64> = r
-                .iter()
-                .zip(jacobi(p, a, sigma, &rho))
-                .map(|(ri, j)| (ri * (1.0 / j)).to_bits())
-                .collect();
-            assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "{}", qp.name());
-            assert_eq!(op.spmv_count(), 0, "{}: plain Jacobi runs no SpMV", qp.name());
+            assert_eq!(op.spmv_count(), 2, "{name}: two sweeps through L");
+            let rel = relative_residual(&mut op, &d, &r);
+            assert!(rel <= 1e-10, "{name}: ‖Kx − b‖/‖b‖ = {rel:e}");
         }
     }
 
@@ -633,15 +670,25 @@ mod tests {
 
     #[test]
     fn cached_preconditioner_follows_rho_and_value_updates() {
+        // The factor of K refactors to the bits of a fresh one.
+        let same = |op: &mut ReducedKktOp, fresh: &mut ReducedKktOp| {
+            op.prepare().unwrap();
+            fresh.prepare().unwrap();
+            assert_eq!(factor(op).upper(), factor(fresh).upper());
+            let r = [1.0, -0.5];
+            let (mut x, mut y) = ([0.0; 2], [0.0; 2]);
+            op.precondition(&r, &mut x);
+            fresh.precondition(&r, &mut y);
+            assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
+        };
         let (p, a) = small_problem();
         let mut op = ReducedKktOp::new(&p, &a, 0.01, &[0.1, 0.2, 0.4]).unwrap();
+        op.prepare().unwrap();
         op.update_rho(&[1.0, 2.0, 3.0]).unwrap();
-        let fresh = ReducedKktOp::new(&p, &a, 0.01, &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(op.preconditioner().inv_diag(), fresh.preconditioner().inv_diag());
+        same(&mut op, &mut ReducedKktOp::new(&p, &a, 0.01, &[1.0, 2.0, 3.0]).unwrap());
         let (p2, a2) = (p.map_values(|v| 2.0 * v), a.map_values(|v| 0.5 * v));
         op.update_values(&p2, &a2, &[0.3, 0.2, 0.1]).unwrap();
-        let fresh = ReducedKktOp::new(&p2, &a2, 0.01, &[0.3, 0.2, 0.1]).unwrap();
-        assert_eq!(op.preconditioner().inv_diag(), fresh.preconditioner().inv_diag());
+        same(&mut op, &mut ReducedKktOp::new(&p2, &a2, 0.01, &[0.3, 0.2, 0.1]).unwrap());
 
         // With dense rows, D'⁻¹, A_S and C⁻¹ all follow the updates.
         let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 2, 1);
@@ -715,11 +762,11 @@ mod tests {
         op.update_values(&with_diagonal(qp, t0, -5.0), a, &rho).unwrap();
         let pivot = sigma - 5.0 + 0.1 + 0.1;
         assert_eq!(cols(&op).failed_pivot(), Some(pivot));
-        let err = op.preconditioner().factored().unwrap_err();
+        let err = op.prepare().unwrap_err();
         assert_eq!(err, crate::PcgError::Breakdown { iteration: 0, curvature: pivot });
         op.update_values(&valid, a, &rho).unwrap();
         let fresh = ReducedKktOp::new(&valid, a, sigma, &rho).unwrap();
-        assert!(op.preconditioner().factored().is_ok());
+        assert!(op.prepare().is_ok());
         let (x, y) = (cols(&op), cols(&fresh));
         assert_eq!(x.inv_diag(), y.inv_diag());
         assert_eq!(x.ht(), y.ht());

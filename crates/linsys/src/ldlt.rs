@@ -10,7 +10,7 @@
 //! again whenever values change, e.g. on a ρ update) — exactly the three-
 //! stage structure described in §2.2 of the RSQP paper.
 
-use rsqp_sparse::CscMatrix;
+use rsqp_sparse::{ldl_solve_in_place, CscMatrix};
 
 use crate::LinsysError;
 
@@ -20,6 +20,8 @@ use crate::LinsysError;
 pub struct Ldlt {
     n: usize,
     etree: Vec<isize>,
+    /// Nodes on the longest leaf-to-root path of the elimination tree.
+    height: usize,
     lnz: Vec<usize>,
     l_colptr: Vec<usize>,
     l_rowidx: Vec<usize>,
@@ -52,6 +54,21 @@ impl Ldlt {
     /// * [`LinsysError::MissingDiagonal`] if a column lacks its diagonal,
     /// * [`LinsysError::ZeroPivot`] if a pivot is exactly zero.
     pub fn factor(a: &CscMatrix) -> Result<Self, LinsysError> {
+        let mut fac = Self::symbolic(a)?;
+        fac.refactor(a)?;
+        Ok(fac)
+    }
+
+    /// The symbolic phase alone: the elimination tree, the column counts of
+    /// `L` and every buffer the numeric phase fills. The result holds no
+    /// factorization until [`Ldlt::refactor`] succeeds on a matrix of the
+    /// same pattern.
+    ///
+    /// # Errors
+    ///
+    /// [`LinsysError::Dimension`] for a non-square matrix and
+    /// [`LinsysError::NotUpperTriangular`] for an entry below the diagonal.
+    pub(crate) fn symbolic(a: &CscMatrix) -> Result<Self, LinsysError> {
         let n = a.ncols();
         if a.nrows() != n {
             return Err(LinsysError::Dimension(format!(
@@ -62,9 +79,19 @@ impl Ldlt {
         }
         let (etree, lnz) = etree_and_counts(a.colptr(), a.rowidx())?;
         let total_lnz: usize = lnz.iter().sum();
+        // A parent follows its children, so one backward pass finds every
+        // node's depth.
+        let mut depth = vec![1usize; n];
+        for j in (0..n).rev() {
+            if let Ok(parent) = usize::try_from(etree[j]) {
+                depth[j] = depth[parent] + 1;
+            }
+        }
+        let height = depth.into_iter().max().unwrap_or(0);
         let mut fac = Ldlt {
             n,
             etree,
+            height,
             lnz,
             l_colptr: vec![0; n + 1],
             l_rowidx: vec![0; total_lnz],
@@ -81,7 +108,6 @@ impl Ldlt {
         for j in 0..n {
             fac.l_colptr[j + 1] = fac.l_colptr[j] + fac.lnz[j];
         }
-        fac.refactor(a)?;
         Ok(fac)
     }
 
@@ -216,6 +242,23 @@ impl Ldlt {
         &self.d
     }
 
+    /// `D⁻¹`.
+    pub fn dinv(&self) -> &[f64] {
+        &self.dinv
+    }
+
+    /// The strictly lower part of the unit lower triangular `L`, by
+    /// columns: `(colptr, rowidx, values)`.
+    pub fn l(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.l_colptr, &self.l_rowidx, &self.l_data)
+    }
+
+    /// Nodes on the longest leaf-to-root path of the elimination tree: the
+    /// number of dependent steps in each triangular sweep.
+    pub fn etree_height(&self) -> usize {
+        self.height
+    }
+
     /// Number of positive entries in `D` — for a quasi-definite KKT matrix
     /// this must equal the number of primal variables.
     pub fn num_positive_d(&self) -> usize {
@@ -235,25 +278,7 @@ impl Ldlt {
                 self.n
             )));
         }
-        // x = L^{-1} b   (L is unit lower triangular, stored by columns)
-        for j in 0..self.n {
-            let bj = b[j];
-            for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                b[self.l_rowidx[p]] -= self.l_data[p] * bj;
-            }
-        }
-        // x = D^{-1} x
-        for i in 0..self.n {
-            b[i] *= self.dinv[i];
-        }
-        // x = L^{-T} x
-        for j in (0..self.n).rev() {
-            let mut bj = b[j];
-            for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                bj -= self.l_data[p] * b[self.l_rowidx[p]];
-            }
-            b[j] = bj;
-        }
+        ldl_solve_in_place(&self.l_colptr, &self.l_rowidx, &self.l_data, &self.dinv, b);
         Ok(())
     }
 
@@ -431,5 +456,29 @@ mod tests {
         let f = Ldlt::factor(&upper(&dense)).unwrap();
         assert_eq!(f.l_nnz(), n - 1);
         assert_eq!(f.dim(), n);
+        // Every column hangs off the last one.
+        assert_eq!(f.etree_height(), 2);
+    }
+
+    #[test]
+    fn a_tridiagonal_etree_is_a_chain() {
+        let n: usize = 7;
+        let dense: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        if i == j {
+                            4.0
+                        } else if i.abs_diff(j) == 1 {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let f = Ldlt::factor(&upper(&dense)).unwrap();
+        assert_eq!((f.etree_height(), f.l_nnz()), (n, n - 1));
     }
 }

@@ -16,11 +16,12 @@
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
 //! * [`KktPrecond`] — the reduced-KKT solve's `M⁻¹`: Jacobi plus an exact
 //!   Woodbury correction for the dense rows of `A` ([`DenseRowPrecond`]),
-//!   preconditioning PCG, or the block elimination of its dense columns
-//!   ([`DenseColPrecond`]), which is `K⁻¹` itself,
+//!   preconditioning PCG, or `K⁻¹` itself — the block elimination of its
+//!   dense columns ([`DenseColPrecond`]) or else the sparse LDLᵀ of `K`
+//!   under AMD ([`KktFactor`]),
 //! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
 //!   and [`exact_solve`], the direct solve `x = M⁻¹b` that replaces it
-//!   on the dense-column elimination ([`KktPrecond::is_exact`]),
+//!   wherever `M = K` ([`KktPrecond::is_exact`]),
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!
@@ -56,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod factor;
 mod kkt;
 mod ldlt;
 mod ordering;
@@ -64,6 +66,7 @@ mod precond;
 mod schur;
 
 pub use error::LinsysError;
+pub use factor::KktFactor;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};

@@ -1,5 +1,6 @@
-//! The reduced-KKT preconditioner: Jacobi plus an exact Woodbury correction
-//! for the dense rows of `A`.
+//! The reduced-KKT solve's `M⁻¹`, one of three kinds fixed by the
+//! patterns of `P` and `A` ([`KktPrecond`]), and the first of them: Jacobi
+//! plus an exact Woodbury correction for the dense rows of `A`.
 //!
 //! PCG on `K = P + σI + Aᵀ diag(ρ) A` (Eq. 3) is preconditioned with
 //!
@@ -7,10 +8,11 @@
 //! M  = D' + A_Sᵀ R_S A_S,      D' = diag(P) + σ + Σ_{i∉S} ρ_i A_{i,·}²
 //! ```
 //!
-//! where `S` is the set of dense rows of `A` and `R_S = diag(ρ_S)`. A dense
-//! row adds a rank-one term to `K` that no diagonal approximates (a
-//! portfolio's factor and budget rows span thousands of columns). With
-//! `k = |S|`, Woodbury's identity inverts `M` through a `k × k` system:
+//! where `S` is the (non-empty) set of dense rows of `A` and
+//! `R_S = diag(ρ_S)`. A dense row adds a rank-one term to `K` that no
+//! diagonal approximates (a portfolio's factor and budget rows span
+//! thousands of columns). With `k = |S|`, Woodbury's identity inverts `M`
+//! through a `k × k` system:
 //!
 //! ```text
 //! M⁻¹ r = D'⁻¹r − D'⁻¹ A_Sᵀ C⁻¹ A_S D'⁻¹r,   C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ  (SPD)
@@ -20,24 +22,24 @@
 //! whose pivots must all be positive (a Cholesky factorization), so
 //! applying `M⁻¹` takes three sparse products — with `A_S`, `C⁻¹` and
 //! `A_Sᵀ` — and the accelerator's PCG kernel runs the same operator with
-//! the instructions it already has. Without dense rows (`k = 0`) `M`
-//! is the Jacobi diagonal and the correction is skipped. Which of the two
-//! `M` is fixed by `A`'s pattern: a refresh whose `C` meets a pivot that is
-//! not positive and finite records it ([`DenseRowPrecond::failed_pivot`]),
+//! the instructions it already has. A refresh whose `C` meets a pivot that
+//! is not positive and finite records it ([`DenseRowPrecond::failed_pivot`]),
 //! and the KKT solve reports it as a PCG breakdown until the next refresh
-//! succeeds, as for the dense columns. Only a non-convex `P` can do that:
-//! a convex one gives `D' ≥ σ > 0`, so `C` is SPD.
+//! succeeds. Only a non-convex `P` can do that: a convex one gives
+//! `D' ≥ σ > 0`, so `C` is SPD.
 //!
-//! [`KktPrecond`] picks a problem's preconditioner: this correction when
-//! `A` has dense rows, else the block elimination of its dense columns
-//! (`crate::schur`) when their structure admits it, else plain Jacobi. The
-//! elimination is exact (`M = K`), so with it the KKT solve is `x = M⁻¹b`
-//! ([`crate::exact_solve`]) and PCG never runs.
+//! [`KktPrecond`] picks a problem's kind: this correction when `A` has
+//! dense rows, else the block elimination of its dense columns
+//! (`crate::schur`) when their structure admits it, else the sparse LDLᵀ
+//! of `K` under AMD (`crate::factor`). The last two are exact (`M = K`),
+//! so with them the KKT solve is `x = M⁻¹b` ([`crate::exact_solve`]) and
+//! PCG never runs. There is no plain-Jacobi kind.
 
 use std::cmp::Reverse;
 
 use rsqp_sparse::{CscMatrix, CsrMatrix};
 
+use crate::factor::KktFactor;
 use crate::ordering::dense_threshold;
 use crate::schur::DenseColPrecond;
 use crate::{Ldlt, PcgError};
@@ -45,80 +47,73 @@ use crate::{Ldlt, PcgError};
 /// [`DenseRowPrecond`]'s slot of a row of `A` outside `S`.
 const NOT_DENSE: usize = usize::MAX;
 
-/// The reduced-KKT preconditioner of one problem: the dense-row Woodbury
+/// The reduced-KKT solve's `M⁻¹` for one problem: the dense-row Woodbury
 /// correction when `A` has dense rows, else the block elimination of its
-/// dense columns when their structure admits it, else plain Jacobi (a
-/// [`DenseRowPrecond`] without rows).
+/// dense columns when their structure admits it, else the sparse LDLᵀ of
+/// `K` itself.
 #[derive(Debug, Clone)]
 pub enum KktPrecond {
     /// Jacobi, with the Woodbury correction for the dense rows of `A`.
     Rows(DenseRowPrecond),
     /// Block elimination of the dense columns of `A`.
     Cols(DenseColPrecond),
+    /// The sparse LDLᵀ of `K` under AMD.
+    Factor(KktFactor),
 }
 
 impl KktPrecond {
     /// Chooses and builds the preconditioner for `P + σI + Aᵀ diag(ρ) A`;
-    /// `at` is `Aᵀ`. Dense rows take precedence over dense columns.
+    /// `at` is `Aᵀ`. Dense rows take precedence over dense columns. The
+    /// factor of `K` is formed later, at the first [`Self::prepare`].
     ///
     /// # Panics
     ///
     /// As [`DenseRowPrecond::new`].
     pub fn new(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
         let rows = dense_rows(a);
-        if rows.is_empty() {
-            if let Some(cols) = DenseColPrecond::new(p, a, sigma, rho) {
-                return KktPrecond::Cols(cols);
-            }
+        if !rows.is_empty() {
+            return KktPrecond::Rows(DenseRowPrecond::with_rows(p, a, at, sigma, rho, rows));
         }
-        KktPrecond::Rows(DenseRowPrecond::with_rows(p, a, at, sigma, rho, rows))
+        match DenseColPrecond::new(p, a, sigma, rho) {
+            Some(cols) => KktPrecond::Cols(cols),
+            None => KktPrecond::Factor(KktFactor::new(p.nrows(), sigma)),
+        }
     }
 
-    /// Recomputes every value for new `P`, `A` (and its transpose `at`) or
-    /// ρ, in place; the patterns must be the ones given at construction.
+    /// Takes new values of `P`, `A` (and its transpose `at`) or ρ: the
+    /// dense-row and dense-column kinds recompute every value in place,
+    /// the factor refactors at the next [`Self::prepare`]. The patterns
+    /// must be the ones given at construction.
     pub fn refresh(&mut self, p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, rho: &[f64]) {
         match self {
             KktPrecond::Rows(pre) => pre.refresh(p, a, at, rho),
             KktPrecond::Cols(pre) => pre.refresh(p, a, rho),
+            KktPrecond::Factor(pre) => pre.refresh(),
         }
     }
 
-    /// `d = M⁻¹ r`; plain Jacobi, bit for bit, without dense rows.
-    ///
-    /// # Panics
-    ///
-    /// As [`DenseRowPrecond::apply`] and [`DenseColPrecond::apply`] while a
-    /// failed refresh stands ([`Self::factored`]).
-    pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
-        match self {
-            KktPrecond::Rows(pre) => pre.apply(r, d),
-            KktPrecond::Cols(pre) => pre.apply(r, d),
-        }
-    }
-
-    /// Whether `M = K` exactly, which holds by construction for the
-    /// dense-column elimination: a KKT solve is then `x = M⁻¹ b`
-    /// ([`crate::exact_solve`]). The dense-row correction is exact on some
-    /// problems too, but a direct Woodbury solve loses accuracy to
-    /// cancellation over stiff equality rows, which PCG's residual test
-    /// repairs, so it never counts as exact.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, KktPrecond::Cols(_))
-    }
-
-    /// `Ok` unless the last refresh met a pivot that is not positive and
-    /// finite, in the dense-row `C` or in the dense-column elimination:
-    /// then the error a KKT solve returns without solving until a refresh
-    /// succeeds, PCG's [`PcgError::Breakdown`] at iteration 0 with that
-    /// pivot as the curvature, for the solver's guard ladder.
+    /// Readies `M⁻¹` for the current `P`, `A`, `at = Aᵀ` and ρ — the
+    /// factor of `K` is (re)factored here if its values changed — and
+    /// returns `Ok` unless a pivot was not positive and finite, in the
+    /// dense-row `C`, in the dense-column elimination or in `K`'s factor.
+    /// A KKT solve then returns PCG's [`PcgError::Breakdown`] at iteration
+    /// 0 with that pivot as the curvature, without solving, until a
+    /// refresh succeeds, for the solver's guard ladder.
     ///
     /// # Errors
     ///
     /// That breakdown.
-    pub fn factored(&self) -> Result<(), PcgError> {
+    pub fn prepare(
+        &mut self,
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        at: &CsrMatrix,
+        rho: &[f64],
+    ) -> Result<(), PcgError> {
         let failed = match self {
             KktPrecond::Rows(pre) => pre.failed_pivot(),
             KktPrecond::Cols(pre) => pre.failed_pivot(),
+            KktPrecond::Factor(pre) => pre.prepare(p, a, at, rho).err(),
         };
         match failed {
             Some(curvature) => Err(PcgError::Breakdown { iteration: 0, curvature }),
@@ -126,22 +121,58 @@ impl KktPrecond {
         }
     }
 
+    /// `d = M⁻¹ r`.
+    ///
+    /// # Panics
+    ///
+    /// As [`DenseRowPrecond::apply`], [`DenseColPrecond::apply`] and
+    /// [`KktFactor::apply`] unless the last [`Self::prepare`] succeeded.
+    pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
+        match self {
+            KktPrecond::Rows(pre) => pre.apply(r, d),
+            KktPrecond::Cols(pre) => pre.apply(r, d),
+            KktPrecond::Factor(pre) => pre.apply(r, d),
+        }
+    }
+
+    /// Whether `M = K` exactly, which holds by construction for the
+    /// dense-column elimination and the factor of `K`: a KKT solve is then
+    /// `x = M⁻¹ b` ([`crate::exact_solve`]). The dense-row correction is
+    /// exact on some problems too, but a direct Woodbury solve loses
+    /// accuracy to cancellation over stiff equality rows, which PCG's
+    /// residual test repairs, so it never counts as exact.
+    pub fn is_exact(&self) -> bool {
+        !matches!(self, KktPrecond::Rows(_))
+    }
+
     /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
-    /// `C⁻¹` and `A_Sᵀ` with dense rows, none without, or `H`, `S⁻¹`, `Hᵀ`
-    /// (and a non-diagonal `G`).
+    /// `C⁻¹` and `A_Sᵀ` with dense rows; `H`, `S⁻¹`, `Hᵀ` (and a
+    /// non-diagonal `G`) with dense columns; the two sweeps through `L`
+    /// with the factor.
     pub fn products(&self) -> usize {
         match self {
-            KktPrecond::Rows(pre) => 3 * usize::from(pre.rank() > 0),
+            KktPrecond::Rows(_) => 3,
             KktPrecond::Cols(pre) => pre.products(),
+            KktPrecond::Factor(_) => 2,
         }
     }
 
     /// The diagonal the kernel's `minv` register holds: `D'⁻¹` or the
-    /// diagonal of `G`.
-    pub fn inv_diag(&self) -> &[f64] {
+    /// diagonal of `G`; the factor has none.
+    pub fn inv_diag(&self) -> Option<&[f64]> {
         match self {
-            KktPrecond::Rows(pre) => pre.inv_diag(),
-            KktPrecond::Cols(pre) => pre.inv_diag(),
+            KktPrecond::Rows(pre) => Some(pre.inv_diag()),
+            KktPrecond::Cols(pre) => Some(pre.inv_diag()),
+            KktPrecond::Factor(_) => None,
+        }
+    }
+
+    /// Numeric factorizations of `K` run so far (none but with the
+    /// factor).
+    pub fn factorizations(&self) -> usize {
+        match self {
+            KktPrecond::Factor(pre) => pre.factorizations(),
+            _ => 0,
         }
     }
 }
@@ -196,17 +227,25 @@ pub struct DenseRowPrecond {
 impl DenseRowPrecond {
     /// Picks the dense rows of `a` (by the rule of `dense_rows`: AMD's
     /// dense threshold, at most `⌊√nnz(A)⌋` rows) and computes the
-    /// preconditioner for `P + σI + Aᵀ diag(ρ) A`; `at` is `Aᵀ`.
+    /// preconditioner for `P + σI + Aᵀ diag(ρ) A`; `at` is `Aᵀ`. Returns
+    /// `None` when `A` has no dense row.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not `n × n` for `n = a.ncols()`, `at` is not `a`'s
     /// transpose, or `rho.len()` is not `a.nrows()`.
-    pub fn new(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
-        Self::with_rows(p, a, at, sigma, rho, dense_rows(a))
+    pub fn new(
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        at: &CsrMatrix,
+        sigma: f64,
+        rho: &[f64],
+    ) -> Option<Self> {
+        let rows = dense_rows(a);
+        (!rows.is_empty()).then(|| Self::with_rows(p, a, at, sigma, rho, rows))
     }
 
-    /// [`Self::new`] for the dense rows `rows` (increasing).
+    /// [`Self::new`] for the dense rows `rows` (increasing, not empty).
     fn with_rows(
         p: &CsrMatrix,
         a: &CsrMatrix,
@@ -295,7 +334,7 @@ impl DenseRowPrecond {
         for d in &mut self.inv_diag {
             *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
         }
-        self.failed = if self.rows.is_empty() { None } else { self.invert_c(at, rho).err() };
+        self.failed = self.invert_c(at, rho).err();
     }
 
     /// Forms `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ`, factorizes it and writes `C⁻¹`.
@@ -360,10 +399,8 @@ impl DenseRowPrecond {
         Ok(())
     }
 
-    /// `d = M⁻¹ r`: `d = D'⁻¹∘r`, then, with dense rows, `s = A_S d`,
-    /// `t = C⁻¹ s` and `d ← d − D'⁻¹∘(A_Sᵀ t)`.
-    ///
-    /// Without dense rows this is exactly `d = r∘(1/D')`.
+    /// `d = M⁻¹ r`: `d = D'⁻¹∘r`, then `s = A_S d`, `t = C⁻¹ s` and
+    /// `d ← d − D'⁻¹∘(A_Sᵀ t)`.
     ///
     /// # Panics
     ///
@@ -375,9 +412,6 @@ impl DenseRowPrecond {
         assert!(self.failed.is_none(), "the last refresh left no C⁻¹ to apply");
         for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
             *di = ri * inv;
-        }
-        if self.rows.is_empty() {
-            return;
         }
         self.a_s.spmv(d, &mut self.s).expect("A_S is k × n");
         self.cinv.spmv(&self.s, &mut self.t).expect("C⁻¹ is k × k");
@@ -395,13 +429,8 @@ impl DenseRowPrecond {
         }
     }
 
-    /// Number of dense rows `k = |S|` (structural: fixed at construction).
-    pub fn rank(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The pivot of `C` the last refresh met that was not positive and
-    /// finite, or `None` when it factored `C` (always without dense rows).
+    /// finite, or `None` when it factored `C`.
     pub fn failed_pivot(&self) -> Option<f64> {
         self.failed
     }

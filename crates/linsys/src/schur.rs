@@ -34,7 +34,7 @@
 //! plus two triangular solves, and PCG on `K` converges in one iteration.
 //!
 //! The structure is fixed by the patterns alone; [`DenseColPrecond::new`]
-//! declines (and the caller keeps plain Jacobi) when there are no dense
+//! declines (and the caller factors `K` itself) when there are no dense
 //! columns, when `P` couples `D` to `R`, or when a component of `K_RR` has
 //! more than 8 variables. A refresh whose `K_RR` blocks or `S` meet a
 //! non-positive pivot leaves no factor to apply: it records the pivot

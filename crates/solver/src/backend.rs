@@ -6,12 +6,16 @@
 //!
 //! * [`DirectLdltBackend`] factors the quasi-definite KKT matrix once and
 //!   reuses the numeric factorization until ρ changes;
-//! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) iteratively with
-//!   PCG warm-started from the previous solution `x̃` — the same
-//!   computation RSQP maps onto the FPGA — or, on problems whose dense
-//!   columns it eliminates (an exact `M`), directly as `x̃ = M⁻¹b`;
-//! * `rsqp-core` provides a third implementation that runs the PCG
-//!   instruction stream through the cycle-level architecture simulator.
+//! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) with the
+//!   `M⁻¹` its problem's patterns fix ([`rsqp_linsys::KktPrecond`]): with
+//!   dense rows in `A`, iteratively by PCG warm-started from the previous
+//!   solution `x̃` — the computation RSQP maps onto the FPGA — and
+//!   otherwise directly as `x̃ = M⁻¹b`, through the block elimination of
+//!   `A`'s dense columns or the sparse LDLᵀ of the reduced `K` itself,
+//!   factored at the first solve after each ρ or matrix update;
+//! * `rsqp-core` provides a third implementation that runs the same KKT
+//!   solve as an instruction stream on the cycle-level architecture
+//!   simulator.
 
 use std::sync::Arc;
 
@@ -30,7 +34,8 @@ use crate::SolverError;
 pub struct BackendStats {
     /// Number of KKT solves (one per ADMM iteration).
     pub kkt_solves: usize,
-    /// Numeric factorizations performed (direct method only).
+    /// Numeric factorizations performed: of the KKT matrix (LDLᵀ) or of the
+    /// reduced `K` (PCG backends whose `M⁻¹` is its factor).
     pub factorizations: usize,
     /// Total inner PCG iterations (indirect methods only).
     pub cg_iterations: usize,
@@ -329,11 +334,13 @@ impl KktBackend for DirectLdltBackend {
 
 /// Matrix-free PCG backend on the reduced KKT system (Eq. 3).
 ///
-/// With the dense-column elimination, whose `M` is exact
-/// ([`rsqp_linsys::KktPrecond::is_exact`]), a solve is `x̃ = M⁻¹ b` with
-/// no CG iteration ([`exact_solve`]); otherwise it is PCG. While a refresh
-/// of `M⁻¹` has failed ([`rsqp_linsys::KktPrecond::factored`])
-/// a solve returns PCG's breakdown without solving, for the guard ladder.
+/// With an exact `M` ([`rsqp_linsys::KktPrecond::is_exact`]: the
+/// dense-column elimination or the factor of `K`), a solve is `x̃ = M⁻¹ b`
+/// with no CG iteration ([`exact_solve`]); with dense rows it is PCG. Each
+/// solve first readies `M⁻¹` ([`ReducedKktOp::prepare`]), which factors
+/// `K` after construction and after each update; while a pivot of `M⁻¹`
+/// is not positive and finite, a solve returns PCG's breakdown without
+/// solving, for the guard ladder.
 ///
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
 /// `Aᵀ`), a [`PcgWorkspace`], and the right-hand-side buffers for the whole
@@ -446,7 +453,7 @@ impl KktBackend for CpuPcgBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
-        self.op.preconditioner().factored()?;
+        self.op.prepare()?;
         let count0 = self.op.spmv_count();
         // rhs = σx − q + Aᵀ(ρ∘z − y)
         let rho = self.op.rho();
@@ -458,8 +465,8 @@ impl KktBackend for CpuPcgBackend {
         }
         self.op.at_spmv_acc(1.0, &self.tmp_m, &mut self.rhs)?;
 
-        // With the exact elimination x̃ = M⁻¹ rhs directly; otherwise PCG
-        // starts from the caller's warm start in `xtilde`.
+        // With an exact M, x̃ = M⁻¹ rhs directly; otherwise PCG starts from
+        // the caller's warm start in `xtilde`.
         let iterations = if self.op.preconditioner().is_exact() {
             exact_solve(&mut self.op, &self.rhs, xtilde).map(|()| 0)
         } else {
@@ -493,7 +500,7 @@ impl KktBackend for CpuPcgBackend {
     }
 
     fn stats(&self) -> BackendStats {
-        self.stats
+        BackendStats { factorizations: self.op.preconditioner().factorizations(), ..self.stats }
     }
 }
 
@@ -571,14 +578,22 @@ mod tests {
     }
 
     #[test]
-    fn pcg_backend_tracks_cg_iterations() {
+    fn pcg_backend_tracks_its_work() {
+        // Without dense rows or columns the KKT solve is the factor of K:
+        // formed at the first solve, refactored after a ρ update, with the
+        // two sweeps through L between Aᵀ and A and no CG iteration.
         let (p, a, rho) = data();
         let mut b = CpuPcgBackend::new(&p, &a, 1e-6, &rho, 1e-10, 1000);
+        assert_eq!(b.stats().factorizations, 0, "nothing is factored at construction");
         let (mut xt, mut zt) = (vec![0.0; 2], vec![0.0; 2]);
+        for _ in 0..2 {
+            b.solve_kkt(&[0.0; 2], &[0.0; 2], &[0.0; 2], &[1.0, 1.0], &mut xt, &mut zt).unwrap();
+        }
+        b.update_rho(&[1.0, 1.0]).unwrap();
         b.solve_kkt(&[0.0; 2], &[0.0; 2], &[0.0; 2], &[1.0, 1.0], &mut xt, &mut zt).unwrap();
-        assert!(b.stats().cg_iterations > 0);
-        assert!(b.stats().spmv_evals > 0);
-        assert_eq!(b.stats().kkt_solves, 1);
+        let stats = b.stats();
+        assert_eq!((stats.kkt_solves, stats.factorizations, stats.cg_iterations), (3, 2, 0));
+        assert_eq!(stats.spmv_evals, 3 * 4);
     }
 
     #[test]

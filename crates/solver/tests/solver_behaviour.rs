@@ -240,7 +240,9 @@ fn fixed_cg_tolerance_solves() {
         eps_rel: 1e-6,
         ..Default::default()
     };
-    let mut s = Solver::new(box_qp(), settings).unwrap();
+    // A portfolio's dense rows keep PCG (the box QP's KKT solve is the
+    // factor of K, with no CG iteration).
+    let mut s = Solver::new(generate(Domain::Portfolio, 2, 1), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(r.backend.cg_iterations > 0);

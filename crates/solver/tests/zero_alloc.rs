@@ -1,10 +1,12 @@
 //! Asserts the ADMM steady state is allocation-free: once a solver is set
 //! up, extra iterations must not touch the heap. Covered for both KKT
-//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it. PCG
-//! runs on a box-constrained QP without dense rows (plain Jacobi), on a
-//! portfolio, whose dense factor and budget rows switch on the
-//! preconditioner's Woodbury correction, and on an SVM, a lasso and a
-//! Huber fit, whose dense feature columns switch on its block elimination.
+//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it. The
+//! PCG backend runs on a box-constrained QP without dense rows or columns,
+//! whose KKT solve is the factor of the reduced `K` (refactored in place
+//! at the first solve after each ρ or matrix update), on a portfolio,
+//! whose dense factor and budget rows switch on the preconditioner's
+//! Woodbury correction, and on an SVM, a lasso and a Huber fit, whose
+//! dense feature columns switch on its block elimination.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -226,20 +228,30 @@ fn update_resolve_loop_is_allocation_free_per_iteration() {
 
 #[test]
 fn pcg_backend_matrix_update_is_allocation_free() {
-    // New values for P and A (same patterns) refresh the operator, its
-    // transpose and the preconditioner in place.
+    // New values for P and A (same patterns) and a new ρ refresh the
+    // operator, its transpose and the preconditioner in place, and the box
+    // QP's factor of K is refactored in place by the KKT solve that
+    // follows.
     for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
         let (p, a) = (prob.p(), prob.a());
-        let rho = vec![0.1; a.nrows()];
+        let (n, m) = (p.nrows(), a.nrows());
+        let rho = vec![0.1; m];
         let mut backend = CpuPcgBackend::new(p, a, 1e-6, &rho, 1e-10, 100);
         let scaled: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
             .iter()
             .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
             .collect();
+        let rhos: Vec<Vec<f64>> = [0.3, 1.7].iter().map(|&r| vec![r; m]).collect();
+        let (x, z, y, q) = (vec![0.1; n], vec![0.2; m], vec![-0.1; m], vec![0.3; n]);
+        let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
         backend.update_matrices(&scaled[0].0, &scaled[0].1, &rho).unwrap();
+        backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
         let before = alloc_count();
-        for (p2, a2) in &scaled[1..] {
-            backend.update_matrices(p2, a2, &rho).unwrap();
+        for ((p2, a2), rho) in scaled[1..].iter().zip(&rhos) {
+            backend.update_matrices(p2, a2, rho).unwrap();
+            backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
+            backend.update_rho(rho).unwrap();
+            backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
         }
         let during = alloc_count() - before;
         assert_eq!(during, 0, "{}: update_matrices allocated {during} times", prob.name());

@@ -14,7 +14,9 @@
 //!   paper),
 //! * [`RowPartition`] / [`TransposeCache`] plus the `*_partitioned` SpMV and
 //!   `*_par` vector kernels — the deterministic parallel CPU layer (built on
-//!   `rsqp-par`) used by the reference PCG/ADMM hot path.
+//!   `rsqp-par`) used by the reference PCG/ADMM hot path,
+//! * [`ldl_solve_in_place`] — the triangular sweeps of an LDLᵀ solve,
+//!   shared by the CPU factorization and the simulated accelerator.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ mod partition;
 pub mod pattern;
 pub mod stack;
 mod transpose;
+mod triangular;
 pub mod vec_ops;
 
 pub use coo::CooMatrix;
@@ -56,3 +59,4 @@ pub use error::SparseError;
 pub use partition::RowPartition;
 pub use pattern::PatternKey;
 pub use transpose::TransposeCache;
+pub use triangular::ldl_solve_in_place;

@@ -1,28 +1,31 @@
 //! Cross-backend differential test suite.
 //!
 //! Every benchmark family is solved at its two smallest suite sizes, and
-//! the smallest svm, lasso and huber instances whose dense columns the PCG
-//! preconditioner eliminates, with four independent KKT paths:
+//! the smallest svm, lasso and huber instances whose dense columns the
+//! reduced KKT solve eliminates, with four KKT paths:
 //!
 //! 1. sparse LDLᵀ direct factorization,
 //! 2. matrix-free CPU PCG, serial,
 //! 3. matrix-free CPU PCG on a 4-thread pool,
 //! 4. the cycle-level simulated-FPGA machine (`rsqp-arch`).
 //!
-//! The paths share no linear-algebra code below the solver loop — the
-//! direct backend factorizes the full KKT system, the PCG backends iterate
-//! on the reduced operator, and the machine executes the PCG kernel
-//! instruction by instruction on simulated hardware. Agreement between
-//! them is therefore strong evidence that each is computing the right
-//! thing: identical termination status, objectives matching to 1e-6, and
-//! final residuals within the termination tolerance. The two PCG thread
-//! counts must additionally agree **bit for bit** (the PR 3 determinism
-//! contract). Serial CPU PCG and the machine run one PCG specification
-//! (`rsqp_linsys::pcg_with`), so where the KKT solve runs the PCG loop they
-//! take the same steps: equal ADMM and CG counts and bit-identical
-//! iterates. The infeasibility certificates are checked the same way:
-//! every path must detect them on the random infeasible and unbounded
-//! instances.
+//! The direct backend factorizes the full quasi-definite KKT system; the
+//! PCG backends solve the reduced one — by PCG with dense rows in `A`, by
+//! the block elimination of its dense columns, or else through the sparse
+//! LDLᵀ of the reduced `K` (which shares only the triangular sweeps with
+//! the first path); and the machine executes the same solve instruction by
+//! instruction on simulated hardware. Agreement between them is therefore
+//! strong evidence that each is computing the right thing: identical
+//! termination status, objectives matching to 1e-6, and final residuals
+//! within the termination tolerance. The two PCG thread counts must
+//! additionally agree **bit for bit** (the PR 3 determinism contract).
+//! Serial CPU PCG and the machine run one KKT-solve specification (the PCG
+//! loop of `rsqp_linsys::pcg_with`, or one factor solve through
+//! `rsqp_sparse::ldl_solve_in_place`), so except under the dense-column
+//! elimination they take the same steps: equal ADMM and CG counts and
+//! bit-identical iterates. The infeasibility certificates are checked the
+//! same way: every path must detect them on the random infeasible and
+//! unbounded instances.
 
 use rsqp::arch::ArchConfig;
 use rsqp::core::fpga_solver;
@@ -102,17 +105,17 @@ fn assert_agreement(problem: &QpProblem, results: &[(&str, SolveResult)]) {
     }
 }
 
-/// Whether `problem`'s KKT solves run the PCG loop rather than the
-/// dense-column elimination's direct solve, which `A`'s pattern decides.
-fn runs_pcg_loop(problem: &QpProblem) -> bool {
+/// The reduced-KKT `M⁻¹` of `problem`, whose kind `A`'s pattern decides.
+fn kkt_precond(problem: &QpProblem) -> KktPrecond {
     let (p, a) = (problem.p(), problem.a());
-    !KktPrecond::new(p, a, &a.transpose(), 1e-6, &vec![0.1; a.nrows()]).is_exact()
+    KktPrecond::new(p, a, &a.transpose(), 1e-6, &vec![0.1; a.nrows()])
 }
 
 /// Asserts that serial CPU PCG and the machine took the same steps: equal
-/// ADMM and CG counts and, on the PCG loop, bit-identical `x` and `y`.
-/// (The direct solve uses the factor of `S` on the CPU and an explicit
-/// `S⁻¹` on the machine, so only its counts agree.)
+/// ADMM and CG counts and, but for the dense-column elimination,
+/// bit-identical `x` and `y`. (The elimination uses the factor of `S` on
+/// the CPU and an explicit `S⁻¹` on the machine, so only its counts
+/// agree.)
 fn assert_same_steps(problem: &QpProblem, cpu: &SolveResult, machine: &SolveResult) {
     let name = problem.name();
     assert_eq!(
@@ -120,7 +123,7 @@ fn assert_same_steps(problem: &QpProblem, cpu: &SolveResult, machine: &SolveResu
         (machine.iterations, machine.backend.cg_iterations),
         "{name}: (ADMM, CG) on the CPU and on the machine"
     );
-    if runs_pcg_loop(problem) {
+    if !matches!(kkt_precond(problem), KktPrecond::Cols(_)) {
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         assert!(bits(&cpu.x) == bits(&machine.x), "{name}: x differs between CPU and machine");
         assert!(bits(&cpu.y) == bits(&machine.y), "{name}: y differs between CPU and machine");
@@ -195,8 +198,8 @@ fn eqqp_backends_agree() {
 }
 
 /// The smallest SVM, lasso and Huber instances whose dense feature columns
-/// the PCG preconditioner eliminates (the suites' first sizes fall back to
-/// Jacobi).
+/// the PCG preconditioner eliminates (the suites' first sizes take the
+/// factor of `K` instead).
 #[test]
 fn dense_column_backends_agree() {
     for (domain, size) in [(Domain::Svm, 21), (Domain::Lasso, 14), (Domain::Huber, 19)] {
@@ -206,7 +209,9 @@ fn dense_column_backends_agree() {
 
 /// Solves control_0008, control_0020, eqqp_0100, portfolio_0005 and
 /// portfolio_0020 on serial CPU PCG and on the machine under `settings`
-/// and checks that they take the same steps.
+/// and checks that they take the same steps: the direct solve through the
+/// factor of `K` on control and eqqp (no CG iteration), PCG with the
+/// dense-row correction on the portfolios.
 fn same_steps_under(settings: Settings) {
     let instances = [
         (Domain::Control, 8),
@@ -217,11 +222,17 @@ fn same_steps_under(settings: Settings) {
     ];
     for (domain, size) in instances {
         let problem = generate(domain, size, 1);
-        assert!(runs_pcg_loop(&problem), "{}", problem.name());
+        let direct = domain != Domain::Portfolio;
+        let precond = kkt_precond(&problem);
+        assert_eq!(precond.is_exact(), direct, "{}: direct path", problem.name());
+        assert_eq!(matches!(precond, KktPrecond::Factor(_)), direct, "{}", problem.name());
         let cpu = Solver::new(&problem, settings.clone()).unwrap().solve().unwrap();
         let mut machine =
             fpga_solver(&problem, settings.clone(), ArchConfig::baseline(32)).unwrap();
         assert_same_steps(&problem, &cpu, &machine.solver.solve().unwrap());
+        if direct {
+            assert_eq!(cpu.backend.cg_iterations, 0, "{}: no CG iteration", problem.name());
+        }
     }
 }
 
@@ -234,11 +245,12 @@ fn cpu_and_machine_take_the_same_steps() {
 }
 
 /// The same at the suite's tight settings, where the machine simulates
-/// about 50 000 CG steps (a few seconds in release, minutes in a debug
-/// build; `differential_on` checks these settings on the suite's smaller
-/// instances in every build).
+/// the portfolios' CG steps and control's and eqqp's factor solves (about
+/// a second in release, minutes in a debug build; `differential_on`
+/// checks these settings on the suite's smaller instances in every
+/// build).
 #[test]
-#[ignore = "simulates about 50 000 CG steps; run in release with --ignored"]
+#[ignore = "simulates the tight-settings solves; run in release with --ignored"]
 fn cpu_and_machine_take_the_same_steps_at_tight_settings() {
     same_steps_under(settings(LinSysKind::CpuPcg, 1));
 }

@@ -1,6 +1,7 @@
 //! Exact ADMM and CG iteration counts of the benchmark's one-shot CPU PCG
-//! instances at default settings, and the ADMM counts of the dense-column
-//! instances at eps 1e-8.
+//! instances at default settings, and the ADMM counts of the instances
+//! whose KKT solve is exact (the dense-column elimination or the factor of
+//! `K`) at eps 1e-8.
 //!
 //! The counts are deterministic, so a preconditioner or PCG regression
 //! shows here as a changed number even where a wall-clock gate cannot see
@@ -18,15 +19,17 @@
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{LinSysKind, Settings, Solver, Status};
 
-/// `(domain, size, ADMM iterations, CG iterations)`. The lasso, SVM and
-/// Huber instances solve their KKT systems directly (dense-column
-/// elimination), so they take no CG iteration.
+/// `(domain, size, ADMM iterations, CG iterations)`. Only the portfolio
+/// runs PCG (its dense rows); the lasso, SVM and Huber instances solve
+/// their KKT systems through the dense-column elimination and the control
+/// and eqqp instances through the factor of `K`, so they take no CG
+/// iteration.
 const COUNTS: [(Domain, usize, usize, usize); 6] = [
-    (Domain::Control, 60, 75, 1968),
+    (Domain::Control, 60, 75, 0),
     (Domain::Lasso, 200, 175, 0),
     (Domain::Svm, 200, 800, 0),
     (Domain::Huber, 160, 50, 0),
-    (Domain::Eqqp, 400, 75, 2185),
+    (Domain::Eqqp, 400, 50, 0),
     (Domain::Portfolio, 30, 300, 300),
 ];
 
@@ -45,12 +48,17 @@ fn oneshot_pcg_iteration_counts_are_pinned() {
 }
 
 /// `(domain, size, ADMM iterations)` at eps 1e-8: the same counts as LDLᵀ.
-const TIGHT_COUNTS: [(Domain, usize, usize); 3] =
-    [(Domain::Huber, 61, 100), (Domain::Huber, 160, 125), (Domain::Lasso, 200, 250)];
+const TIGHT_COUNTS: [(Domain, usize, usize); 5] = [
+    (Domain::Huber, 61, 100),
+    (Domain::Huber, 160, 125),
+    (Domain::Lasso, 200, 250),
+    (Domain::Control, 60, 225),
+    (Domain::Eqqp, 400, 75),
+];
 
 #[test]
-#[ignore = "solves three instances at eps 1e-8; run in release with --ignored"]
-fn dense_column_instances_reach_tight_tolerances() {
+#[ignore = "solves five instances at eps 1e-8; run in release with --ignored"]
+fn exact_kkt_instances_reach_tight_tolerances() {
     // An exact KKT solve leaves no inner tolerance to hold ADMM back, so
     // CPU PCG needs as many ADMM iterations as LDLᵀ at eps 1e-8.
     let settings = Settings {
