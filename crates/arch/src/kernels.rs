@@ -52,8 +52,26 @@
 //! ```
 //!
 //! The instruction runs the CPU's own sweeps (`rsqp_sparse::ldl_solve_in_place`),
-//! so both backends return the same bits. The dense-row correction keeps
-//! PCG: a direct Woodbury solve loses accuracy to cancellation over stiff
+//! so both backends return the same bits.
+//!
+//! With dense rows over a diagonal `K_R = P + σI + A_Rᵀ R_R A_R` (`R` the
+//! rows outside `S`), `D' = K_R` and the kernel is the loop-free solve of
+//! the dense rows in OSQP's augmented form
+//! (`rsqp_linsys::DenseRowPrecond::solve_augmented`, [`AugmentedRows`]):
+//!
+//! ```text
+//! b  = (σx − q) + Aᵀ(mask_R∘(ρ∘z − y))
+//! w  = D'⁻¹∘b ;  u = z − ρ⁻¹∘y
+//! ν  = C⁻¹(A_S w − E_S u)
+//! x̃ = w − D'⁻¹∘(A_Sᵀν)
+//! z̃ = mask_R∘(A x̃) + ((u − mask_R∘u) + Bν)  (A x̃ outside S, u_S + ρ_S⁻¹∘ν on S)
+//! ```
+//!
+//! with `E_S` the `k × m` selection of the dense rows and `B = E_Sᵀ
+//! diag(ρ_S⁻¹)` resident, and `mask_R` and `ρ⁻¹` in device vectors. It
+//! needs no new instruction and returns the CPU's bits. Dense rows over a
+//! non-diagonal `K_R` keep PCG with the Woodbury `M⁻¹`: a direct solve on
+//! the reduced right-hand side loses accuracy to cancellation over stiff
 //! equality rows, which PCG's residual test repairs.
 //!
 //! The PCG loop is the specification of `rsqp_linsys::pcg_with`, operation
@@ -72,7 +90,7 @@ use crate::{FactorId, Instr, Machine, MatrixId, Program, ProgramBuilder, SReg, S
 /// Register map and program of the on-accelerator KKT solve.
 #[derive(Debug, Clone)]
 pub struct PcgKernel {
-    /// The compiled program: the PCG loop, or with a
+    /// The compiled program: the PCG loop, or with [`AugmentedRows`], a
     /// [`DenseColCorrection`] or a factor the loop-free direct solve.
     pub program: Program,
     /// Input: current primal iterate `x`, read only for `σ·x` in the
@@ -91,7 +109,8 @@ pub struct PcgKernel {
     pub rho_vec: VecId,
     /// Input: inverse preconditioner diagonal `D'⁻¹` — the Jacobi
     /// diagonal, without the dense rows when the kernel carries a
-    /// [`DenseRowCorrection`] — or the diagonal of `G` (length n).
+    /// [`DenseRowCorrection`] (`K_R⁻¹` in the augmented solve) — or the
+    /// diagonal of `G` (length n).
     pub minv: VecId,
     /// Output: `z̃ = A·x̃` (length m).
     pub ztilde: VecId,
@@ -116,6 +135,26 @@ pub struct DenseRowCorrection {
     pub cinv: MatrixId,
     /// `A_Sᵀ`.
     pub a_st: MatrixId,
+    /// With a diagonal `K_R`, the operands of the loop-free augmented
+    /// solve; without, the kernel runs PCG.
+    pub augmented: Option<AugmentedRows>,
+}
+
+/// The operands the augmented dense-row solve adds to a
+/// [`DenseRowCorrection`]: the resident `E_S` (k×m, a 1 at `(r, S_r)`) and
+/// `B = E_Sᵀ diag(ρ_S⁻¹)` (m×k), and the device vectors `mask_R` (1 outside
+/// `S`, 0 on it) and `ρ⁻¹` (length m). The host writes `mask_R` and `E_S`
+/// once and refreshes `B` and `ρ⁻¹` whenever ρ changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AugmentedRows {
+    /// `E_S`.
+    pub e_s: MatrixId,
+    /// `B = E_Sᵀ diag(ρ_S⁻¹)`.
+    pub b: MatrixId,
+    /// `mask_R`.
+    pub mask: VecId,
+    /// `ρ⁻¹`.
+    pub rho_inv: VecId,
 }
 
 /// The resident matrices of the preconditioner's dense-column elimination:
@@ -150,8 +189,9 @@ pub enum Correction {
 /// Builds the KKT-solve kernel on `machine` for matrices `p` (n×n), `a`
 /// (m×n) and `at` (n×m) already registered with the machine: PCG
 /// preconditioned with `minv` alone or, given a dense-row `correction`,
-/// with its Woodbury correction, or, given a dense-column one or a factor,
-/// the loop-free direct solve through the elimination or the factor.
+/// with its Woodbury correction, or, given an augmented dense-row one, a
+/// dense-column one or a factor, the loop-free direct solve through the
+/// augmented form, the elimination or the factor.
 ///
 /// `max_iter` caps the PCG loop.
 ///
@@ -229,10 +269,14 @@ pub fn build_pcg(
             pb.push(Instr::Lincomb { dst: d, alpha: one, a: d, beta: neg_one, b: px });
         }
     };
-    // b = (σx − q) + Aᵀ(ρ∘z − y), into the register `b` given.
-    let rhs = |pb: &mut ProgramBuilder, b: VecId| {
+    // b = (σx − q) + Aᵀ(ρ∘z − y), into the register `b` given, with the
+    // rows of `mask`'s zeros left out.
+    let rhs = |pb: &mut ProgramBuilder, b: VecId, mask: Option<VecId>| {
         pb.push(Instr::EwMul { dst: am, a: rho_vec, b: z });
         pb.push(Instr::Lincomb { dst: am, alpha: one, a: am, beta: neg_one, b: y });
+        if let Some(mask) = mask {
+            pb.push(Instr::EwMul { dst: am, a: mask, b: am });
+        }
         pb.push(Instr::Lincomb { dst: px, alpha: sigma, a: x, beta: neg_one, b: q });
         pb.push(Instr::Duplicate { vec: am, matrix: at });
         pb.push(Instr::Spmv { matrix: at, input: am, output: b });
@@ -245,18 +289,47 @@ pub fn build_pcg(
     };
 
     let mut pb = ProgramBuilder::new();
-    if let Some((Correction::Factor(f), _, _)) = correction {
+    if let Some((Correction::Rows(c @ DenseRowCorrection { augmented: Some(aug), .. }), s, t)) =
+        correction
+    {
+        // Two m-length intermediates: u = z − ρ⁻¹∘y and Bν.
+        let (u, g) = (machine.alloc_vec(m), machine.alloc_vec(m));
+        pb.push(Instr::SetScalar { dst: one, value: 1.0 });
+        pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
+        rhs(&mut pb, b, Some(aug.mask));
+        // w = D'⁻¹∘b, in place; u = z − ρ⁻¹∘y.
+        pb.push(Instr::EwMul { dst: b, a: minv, b });
+        pb.push(Instr::EwMul { dst: u, a: aug.rho_inv, b: y });
+        pb.push(Instr::Lincomb { dst: u, alpha: one, a: z, beta: neg_one, b: u });
+        // ν = C⁻¹(A_S w − E_S u), in t.
+        spmv(&mut pb, c.a_s, b, s);
+        spmv(&mut pb, aug.e_s, u, t);
+        pb.push(Instr::Lincomb { dst: s, alpha: one, a: s, beta: neg_one, b: t });
+        spmv(&mut pb, c.cinv, s, t);
+        // x̃ = w − D'⁻¹∘(A_Sᵀν).
+        spmv(&mut pb, c.a_st, t, px);
+        pb.push(Instr::EwMul { dst: px, a: minv, b: px });
+        pb.push(Instr::Lincomb { dst: xtilde, alpha: one, a: b, beta: neg_one, b: px });
+        // z̃ = mask_R∘(A x̃) + ((u − mask_R∘u) + Bν).
+        ztilde_out(&mut pb);
+        pb.push(Instr::EwMul { dst: ztilde, a: aug.mask, b: ztilde });
+        spmv(&mut pb, aug.b, t, g);
+        pb.push(Instr::EwMul { dst: am, a: aug.mask, b: u });
+        pb.push(Instr::Lincomb { dst: am, alpha: one, a: u, beta: neg_one, b: am });
+        pb.push(Instr::Lincomb { dst: g, alpha: one, a: am, beta: one, b: g });
+        pb.push(Instr::Lincomb { dst: ztilde, alpha: one, a: ztilde, beta: one, b: g });
+    } else if let Some((Correction::Factor(f), _, _)) = correction {
         // x̃ = K⁻¹ b through the factor, in place.
         pb.push(Instr::SetScalar { dst: one, value: 1.0 });
         pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
-        rhs(&mut pb, xtilde);
+        rhs(&mut pb, xtilde, None);
         pb.push(Instr::FactorSolve { factor: f, vec: xtilde });
         ztilde_out(&mut pb);
     } else if let Some((Correction::Cols(c), s, t)) = correction {
         // x̃ = G b + Hᵀ S⁻¹ H b = K⁻¹ b, straight through.
         pb.push(Instr::SetScalar { dst: one, value: 1.0 });
         pb.push(Instr::SetScalar { dst: neg_one, value: -1.0 });
-        rhs(&mut pb, b);
+        rhs(&mut pb, b, None);
         match c.g {
             Some(g) => spmv(&mut pb, g, b, xtilde),
             None => {
@@ -276,7 +349,7 @@ pub fn build_pcg(
         pb.push(Instr::SetScalar { dst: zero, value: 0.0 });
         pb.push(Instr::SetScalar { dst: tiny, value: 1e-300 });
 
-        rhs(&mut pb, b);
+        rhs(&mut pb, b, None);
 
         // K·x̃ -> kp  (initial residual).
         emit_kapply(&mut pb, p, a, at, xtilde, kp, px, am, rho_vec, sigma, one);
@@ -489,9 +562,10 @@ mod tests {
             a_s: machine.add_matrix(pre.a_s()),
             cinv: machine.add_matrix(pre.cinv()),
             a_st: machine.add_matrix(&pre.a_s().transpose()),
+            augmented: None,
         });
         let k = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
-        assert!(k.program.loop_bounds().is_some(), "dense rows keep PCG");
+        assert!(k.program.loop_bounds().is_some(), "without its augmented operands, PCG");
         let wave = |len: usize, phase: f64| -> Vec<f64> {
             (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
         };
@@ -603,6 +677,103 @@ mod tests {
         }
     }
 
+    /// The augmented dense-row kernel of `qp` on a `c`-wide machine, its
+    /// inputs `(x, z, y, q)` written and `x̃` set to NaN, with the CPU's
+    /// operator and ρ (0.1, and 100 on equality rows).
+    fn augmented_kernel(
+        qp: &rsqp_solver::QpProblem,
+        c: usize,
+    ) -> (Machine, PcgKernel, rsqp_linsys::ReducedKktOp, Vec<f64>, [Vec<f64>; 4]) {
+        let (pm, am, sigma) = (qp.p(), qp.a(), 1e-6);
+        let (n, m) = (pm.nrows(), am.nrows());
+        let rho: Vec<f64> =
+            qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
+        let op = rsqp_linsys::ReducedKktOp::new(pm, am, sigma, &rho).unwrap();
+        let rsqp_linsys::KktPrecond::Rows(pre) = op.preconditioner() else {
+            panic!("{} has dense rows", qp.name());
+        };
+        assert!(pre.is_exact(), "{}: K_R is diagonal", qp.name());
+        let rows = pre.dense_rows();
+        let k = rows.len();
+        let e_s = CsrMatrix::from_raw_parts(k, m, (0..=k).collect(), rows.to_vec(), vec![1.0; k])
+            .unwrap();
+        let mut b = e_s.transpose();
+        b.data_mut().copy_from_slice(pre.rho_s_inv());
+        let mut machine = Machine::new(ArchConfig::baseline(c));
+        let (p, a, at) =
+            (machine.add_matrix(pm), machine.add_matrix(am), machine.add_matrix(&am.transpose()));
+        let (mask, rho_inv) = (machine.alloc_vec(m), machine.alloc_vec(m));
+        machine.write_vec(mask, pre.mask());
+        machine.write_vec(rho_inv, &rho.iter().map(|r| 1.0 / r).collect::<Vec<_>>());
+        let correction = Correction::Rows(DenseRowCorrection {
+            a_s: machine.add_matrix(pre.a_s()),
+            cinv: machine.add_matrix(pre.cinv()),
+            a_st: machine.add_matrix(&pre.a_s().transpose()),
+            augmented: Some(AugmentedRows {
+                e_s: machine.add_matrix(&e_s),
+                b: machine.add_matrix(&b),
+                mask,
+                rho_inv,
+            }),
+        });
+        let kernel = build_pcg(&mut machine, p, a, at, n, m, 500, Some(correction));
+        let wave = |len: usize, phase: f64| -> Vec<f64> {
+            (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+        };
+        let inputs = [wave(n, 0.0), wave(m, 1.0), wave(m, 2.0), wave(n, 3.0)];
+        for (reg, v) in [kernel.x, kernel.z, kernel.y, kernel.q].into_iter().zip(&inputs) {
+            machine.write_vec(reg, v);
+        }
+        machine.write_vec(kernel.xtilde, &vec![f64::NAN; n]);
+        machine.write_vec(kernel.rho_vec, &rho);
+        machine.write_vec(kernel.minv, pre.inv_diag());
+        machine.write_scalar(kernel.sigma, sigma);
+        (machine, kernel, op, rho, inputs)
+    }
+
+    #[test]
+    fn the_augmented_dense_row_solve_has_no_loop() {
+        // Straight through: 32 instructions, 7 SpMVs (Aᵀ, A_S, E_S, C⁻¹,
+        // A_Sᵀ, A, B), no loop trip, and the warm start is not read.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 5, 1);
+        let (mut machine, k, ..) = augmented_kernel(&qp, 8);
+        assert!(k.program.loop_bounds().is_none(), "no PCG loop");
+        assert_eq!(k.program.len(), 32);
+        let spmvs = k.program.instrs().iter().filter(|i| matches!(i, Instr::Spmv { .. })).count();
+        assert_eq!(spmvs, 7);
+        let run = machine.run(&k.program).unwrap();
+        assert_eq!((run.loop_trips, run.instructions), (0, 32));
+        assert!(machine.read_vec(k.xtilde).iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn the_augmented_dense_row_solve_returns_the_cpu_bits() {
+        // The program against rsqp_linsys's exact_solve, on two portfolios
+        // at two widths, over 16 inputs each: a change of association
+        // moves a last bit in a few percent of the entries, and y of the
+        // size of ρ∘z keeps ρ⁻¹∘y as large as z.
+        for (size, c) in [(5, 8), (20, 32)] {
+            let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, size, 1);
+            let (mut machine, k, mut op, rho, [x, _, _, q]) = augmented_kernel(&qp, c);
+            let (n, m) = (x.len(), rho.len());
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            for round in 0..16 {
+                let phase = 0.7 * f64::from(round);
+                let z: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
+                let y: Vec<f64> =
+                    (0..m).map(|i| rho[i] * (i as f64 * 0.53 + 2.0 * phase).cos()).collect();
+                machine.write_vec(k.z, &z);
+                machine.write_vec(k.y, &y);
+                machine.run(&k.program).unwrap();
+                let (mut xt, mut zt) = (vec![0.0; n], vec![0.0; m]);
+                op.exact_solve(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
+                let name = qp.name();
+                assert_eq!(bits(machine.read_vec(k.xtilde)), bits(&xt), "{name} {round}: x̃");
+                assert_eq!(bits(machine.read_vec(k.ztilde)), bits(&zt), "{name} {round}: z̃");
+            }
+        }
+    }
+
     /// control_0008's reduced KKT operator at ρ = 0.1 (100 on equality
     /// rows), factored, with its ρ vector.
     fn factored_control() -> (rsqp_solver::QpProblem, rsqp_linsys::ReducedKktOp, Vec<f64>) {
@@ -679,13 +850,8 @@ mod tests {
         machine.write_scalar(k.sigma, 1e-6);
         assert_eq!(machine.run(&k.program).unwrap().loop_trips, 0);
 
-        let mut b: Vec<f64> = (0..n).map(|j| 1e-6 * xv[j] - qv[j]).collect();
-        let w: Vec<f64> = (0..m).map(|i| rho[i] * zv[i] - yv[i]).collect();
-        op.at_spmv_acc(1.0, &w, &mut b).unwrap();
-        let mut x = vec![0.0; n];
-        rsqp_linsys::exact_solve(&mut op, &b, &mut x).unwrap();
-        let mut z = vec![0.0; m];
-        am.spmv(&x, &mut z).unwrap();
+        let (mut x, mut z) = (vec![0.0; n], vec![0.0; m]);
+        op.exact_solve(&xv, &zv, &yv, &qv, &mut x, &mut z).unwrap();
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(machine.read_vec(k.xtilde)), bits(&x));
         assert_eq!(bits(machine.read_vec(k.ztilde)), bits(&z));

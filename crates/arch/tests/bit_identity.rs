@@ -1,8 +1,9 @@
 //! Pins the machine's functional results and cycle accounting bit for bit.
 //!
-//! Runs the PCG kernel of Algorithm 2 on small fixed problems, and the
-//! direct solve through a resident factor of `K` on a small control
-//! problem, under four architecture configurations — the baseline, a
+//! Runs the PCG kernel of Algorithm 2 on small fixed problems, the direct
+//! solve through a resident factor of `K` on a small control problem, and
+//! the augmented dense-row solve on a small portfolio, under four
+//! architecture configurations — the baseline, a
 //! customized (First-Fit) design, single-precision emulation, and an armed
 //! fault injector with both HBM-read and MAC-output flips — and compares
 //! an FNV-1a digest of the returned `x̃`/`z̃` bits and of every
@@ -10,7 +11,7 @@
 //! floating-point operations, to the cycle model or to the fault stream
 //! changes a digest.
 
-use rsqp_arch::kernels::{build_pcg, Correction};
+use rsqp_arch::kernels::{build_pcg, AugmentedRows, Correction, DenseRowCorrection};
 use rsqp_arch::{
     ArchConfig, FactorRef, FaultConfig, Instr, Machine, ProgramBuilder, RunStats, VecId,
 };
@@ -89,12 +90,23 @@ fn wave(len: usize, phase: f64, amp: f64) -> Vec<f64> {
     (0..len).map(|i| amp * ((i as f64) * 0.61 + phase).sin()).collect()
 }
 
+/// The KKT-solve kernel a digest runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Kernel {
+    /// The Jacobi PCG loop.
+    Jacobi,
+    /// The direct solve through the factor of `K` that `rsqp_linsys` forms
+    /// on the host.
+    Factored,
+    /// The augmented dense-row solve over `rsqp_linsys`'s dense-row
+    /// correction.
+    Augmented,
+}
+
 /// Runs an HBM round trip of the kernel inputs followed by the KKT-solve
 /// kernel, twice (the second solve warm-started from the first with a new
-/// `q`), and digests everything the machine produced. The kernel is the
-/// Jacobi PCG loop, or with `factored` the direct solve through the factor
-/// of `K` that `rsqp_linsys` forms on the host.
-fn digest(domain: Domain, size: usize, variant: Variant, factored: bool) -> u64 {
+/// `q`), and digests everything the machine produced.
+fn digest(domain: Domain, size: usize, variant: Variant, kernel: Kernel) -> u64 {
     let qp = generate(domain, size, 3);
     let (p, a) = (qp.p().clone(), qp.a().clone());
     let at = a.transpose();
@@ -106,28 +118,60 @@ fn digest(domain: Domain, size: usize, variant: Variant, factored: bool) -> u64 
 
     let sigma = 1e-6;
     let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();
-    let correction = factored.then(|| {
-        let mut op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-        op.prepare().unwrap();
-        let KktPrecond::Factor(f) = op.preconditioner() else {
-            panic!("{domain:?}_{size} takes the factor of K");
-        };
-        let ldlt = f.ldlt().unwrap();
-        let (l_colptr, l_rowidx, l_data) = ldlt.l();
-        let id = machine.add_factor(n);
-        machine.load_factor(
-            id,
-            FactorRef {
-                perm: f.perm().unwrap(),
-                l_colptr,
-                l_rowidx,
-                l_data,
-                dinv: ldlt.dinv(),
-                etree_height: ldlt.etree_height(),
-            },
-        );
-        Correction::Factor(id)
-    });
+    let mut op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
+    let mut dense_row_minv = None;
+    let correction = match kernel {
+        Kernel::Jacobi => None,
+        Kernel::Augmented => {
+            let KktPrecond::Rows(pre) = op.preconditioner() else {
+                panic!("{domain:?}_{size} has dense rows");
+            };
+            assert!(pre.is_exact(), "{domain:?}_{size}: K_R is diagonal");
+            let rows = pre.dense_rows();
+            let k = rows.len();
+            let e_s =
+                CsrMatrix::from_raw_parts(k, m, (0..=k).collect(), rows.to_vec(), vec![1.0; k])
+                    .unwrap();
+            let mut b = e_s.transpose();
+            b.data_mut().copy_from_slice(pre.rho_s_inv());
+            let (mask, rho_inv) = (machine.alloc_vec(m), machine.alloc_vec(m));
+            machine.write_vec(mask, pre.mask());
+            machine.write_vec(rho_inv, &rho.iter().map(|r| 1.0 / r).collect::<Vec<_>>());
+            dense_row_minv = Some(pre.inv_diag().to_vec());
+            Some(Correction::Rows(DenseRowCorrection {
+                a_s: machine.add_matrix(pre.a_s()),
+                cinv: machine.add_matrix(pre.cinv()),
+                a_st: machine.add_matrix(&pre.a_s().transpose()),
+                augmented: Some(AugmentedRows {
+                    e_s: machine.add_matrix(&e_s),
+                    b: machine.add_matrix(&b),
+                    mask,
+                    rho_inv,
+                }),
+            }))
+        }
+        Kernel::Factored => {
+            op.prepare().unwrap();
+            let KktPrecond::Factor(f) = op.preconditioner() else {
+                panic!("{domain:?}_{size} takes the factor of K");
+            };
+            let ldlt = f.ldlt().unwrap();
+            let (l_colptr, l_rowidx, l_data) = ldlt.l();
+            let id = machine.add_factor(n);
+            machine.load_factor(
+                id,
+                FactorRef {
+                    perm: f.perm().unwrap(),
+                    l_colptr,
+                    l_rowidx,
+                    l_data,
+                    dinv: ldlt.dinv(),
+                    etree_height: ldlt.etree_height(),
+                },
+            );
+            Some(Correction::Factor(id))
+        }
+    };
     let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400, correction);
     let mut diag = p.diagonal();
     for d in &mut diag {
@@ -139,7 +183,8 @@ fn digest(domain: Domain, size: usize, variant: Variant, factored: bool) -> u64 
             diag[j] += rho[i] * v * v;
         }
     }
-    let minv: Vec<f64> = diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect();
+    let minv = dense_row_minv
+        .unwrap_or_else(|| diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect());
     machine.write_vec(k.rho_vec, &rho);
     machine.write_vec(k.minv, &minv);
     machine.write_vec(k.x, &wave(n, 0.0, 0.5));
@@ -218,6 +263,11 @@ const PINNED: [(Domain, usize, [u64; 4]); 3] = [
 const FACTORED: [u64; 4] =
     [0xd1f8_0a12_c389_73b9, 0x659f_2c14_8b85_42b2, 0xcdb3_15f3_4f2d_fbfb, 0x18cc_be1a_6c9b_d3d0];
 
+/// The augmented dense-row solve on portfolio_0002:
+/// `[baseline, customized, single precision, faulty]`.
+const AUGMENTED: [u64; 4] =
+    [0xb481_1257_a542_f9b0, 0x8aeb_f68e_fe09_f196, 0x767c_749e_4d68_5e8e, 0x5b1b_cbb0_6147_aef4];
+
 const VARIANTS: [Variant; 4] =
     [Variant::Baseline, Variant::Customized, Variant::SinglePrecision, Variant::Faulty];
 
@@ -225,7 +275,7 @@ const VARIANTS: [Variant; 4] =
 fn factored_direct_solve_results_and_stats_are_bit_identical() {
     let mut mismatches = Vec::new();
     for (variant, want) in VARIANTS.into_iter().zip(FACTORED) {
-        let got = digest(Domain::Control, 2, variant, true);
+        let got = digest(Domain::Control, 2, variant, Kernel::Factored);
         if got != want {
             mismatches.push(format!("{variant:?}: {got:#018x} (pinned {want:#018x})"));
         }
@@ -238,12 +288,24 @@ fn pcg_kernel_results_and_stats_are_bit_identical() {
     let mut mismatches = Vec::new();
     for (domain, size, want) in PINNED {
         for (variant, want) in VARIANTS.into_iter().zip(want) {
-            let got = digest(domain, size, variant, false);
+            let got = digest(domain, size, variant, Kernel::Jacobi);
             if got != want {
                 mismatches.push(format!(
                     "{domain:?}_{size} {variant:?}: {got:#018x} (pinned {want:#018x})"
                 ));
             }
+        }
+    }
+    assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));
+}
+
+#[test]
+fn augmented_dense_row_solve_results_and_stats_are_bit_identical() {
+    let mut mismatches = Vec::new();
+    for (variant, want) in VARIANTS.into_iter().zip(AUGMENTED) {
+        let got = digest(Domain::Portfolio, 2, variant, Kernel::Augmented);
+        if got != want {
+            mismatches.push(format!("{variant:?}: {got:#018x} (pinned {want:#018x})"));
         }
     }
     assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));

@@ -12,22 +12,26 @@
 //! `M⁻¹` is the CPU PCG's own [`KktPrecond`]: the host computes `D'⁻¹`,
 //! `A_S` and `C⁻¹` (dense rows), `G`, `Hᵀ` and the factor of `S` (dense
 //! columns), or the LDLᵀ factor of `K` itself (neither), uploads them —
-//! with the explicit `S⁻¹`, which only the machine needs — and the kernel
-//! applies the same operator on the machine. The factor of `K` is formed
-//! and refactored on the host at the first solve after construction and
-//! after each ρ or matrix update, and `L`, `D⁻¹` and the permutation are
-//! uploaded then, as `C⁻¹` and `S⁻¹` are on each update. The backend runs
-//! one program, fixed at construction: PCG, or with an exact `M = K` the
-//! loop-free direct solve, as the CPU backend does, and takes the CPU's
-//! steps bit for bit. While a pivot of `M⁻¹` is not positive and finite, a
-//! solve returns PCG's breakdown without running the machine.
+//! with the explicit `S⁻¹`, and for the augmented dense-row solve `E_S`,
+//! `B = E_Sᵀ diag(ρ_S⁻¹)`, `mask_R` and `ρ⁻¹`, which only the machine
+//! needs — and the kernel applies the same operator on the machine. The
+//! factor of `K` is formed and refactored on the host at the first solve
+//! after construction and after each ρ or matrix update, and `L`, `D⁻¹`
+//! and the permutation are uploaded then, as `C⁻¹`, `B`, `ρ⁻¹` and `S⁻¹`
+//! are on each update. The backend runs one program, fixed at
+//! construction: PCG, or where the CPU backend solves directly (dense rows
+//! over a diagonal `K_R`, dense columns, the factor of `K`) the loop-free
+//! direct solve, and takes the CPU's steps bit for bit. While a pivot of
+//! `M⁻¹` is not positive and finite, a solve returns PCG's breakdown
+//! without running the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use rsqp_arch::kernels::{
-    admm_outer_cycles, build_pcg, Correction, DenseColCorrection, DenseRowCorrection, PcgKernel,
+    admm_outer_cycles, build_pcg, AugmentedRows, Correction, DenseColCorrection,
+    DenseRowCorrection, PcgKernel,
 };
 use rsqp_arch::{ArchConfig, FactorId, FactorRef, Instr, Machine, MatrixId, Program, RunStats};
 use rsqp_linsys::KktPrecond;
@@ -36,12 +40,15 @@ use rsqp_sparse::{CsrMatrix, TransposeCache};
 
 /// The correction of `M⁻¹` as the machine holds it: the ids of its
 /// resident matrices, with the host-side copies only the machine needs —
-/// the transposed `A_Sᵀ` (dense rows), or `H` and the explicit `S⁻¹`
-/// (dense columns) — or the slot of the factor of `K`.
+/// the transposed `A_Sᵀ`, and for the augmented solve `B` and `ρ⁻¹` (dense
+/// rows), or `H` and the explicit `S⁻¹` (dense columns) — or the slot of
+/// the factor of `K`.
 #[derive(Debug, Clone)]
 pub(crate) enum DeviceCorrection {
-    /// `A_S`, `C⁻¹` and `A_Sᵀ`, with `A_Sᵀ` refreshed from `A_S`.
-    Rows { ids: DenseRowCorrection, a_st: TransposeCache },
+    /// `A_S`, `C⁻¹` and `A_Sᵀ`, with `A_Sᵀ` refreshed from `A_S`, and with
+    /// a diagonal `K_R` the host copies of `B` (values `ρ_S⁻¹`) and `ρ⁻¹`
+    /// (length m).
+    Rows { ids: DenseRowCorrection, a_st: TransposeCache, augmented: Option<(CsrMatrix, Vec<f64>)> },
     /// `G` (unless diagonal), `H`, `S⁻¹` and `Hᵀ`, with `H` refreshed from
     /// `Hᵀ` and `S⁻¹` from the factor of `S`.
     Cols { ids: DenseColCorrection, h: TransposeCache, sinv: CsrMatrix },
@@ -51,18 +58,44 @@ pub(crate) enum DeviceCorrection {
 }
 
 impl DeviceCorrection {
-    /// Registers the matrices of `precond`'s correction on `machine`, or
-    /// an empty slot for the factor of `K` (`n × n`).
+    /// Registers the matrices of `precond`'s correction on `machine` —
+    /// with a diagonal `K_R` also `E_S`, `B` and the vectors `mask_R`
+    /// (written here) and `ρ⁻¹` — or an empty slot for the factor of `K`
+    /// (`n × n`).
     fn load(machine: &mut Machine, precond: &KktPrecond, n: usize) -> Self {
         match precond {
             KktPrecond::Rows(pre) => {
                 let a_st = TransposeCache::new(pre.a_s());
-                let ids = DenseRowCorrection {
+                let mut ids = DenseRowCorrection {
                     a_s: machine.add_matrix(pre.a_s()),
                     cinv: machine.add_matrix(pre.cinv()),
                     a_st: machine.add_matrix(a_st.matrix()),
+                    augmented: None,
                 };
-                DeviceCorrection::Rows { ids, a_st }
+                let augmented = pre.is_exact().then(|| {
+                    let (m, rows) = (pre.mask().len(), pre.dense_rows());
+                    let k = rows.len();
+                    let e_s = CsrMatrix::from_raw_parts(
+                        k,
+                        m,
+                        (0..=k).collect(),
+                        rows.to_vec(),
+                        vec![1.0; k],
+                    )
+                    .expect("one entry per dense row is a valid CSR matrix");
+                    let mut b = e_s.transpose();
+                    b.data_mut().copy_from_slice(pre.rho_s_inv());
+                    let mask = machine.alloc_vec(m);
+                    machine.write_vec(mask, pre.mask());
+                    ids.augmented = Some(AugmentedRows {
+                        e_s: machine.add_matrix(&e_s),
+                        b: machine.add_matrix(&b),
+                        mask,
+                        rho_inv: machine.alloc_vec(m),
+                    });
+                    (b, vec![0.0; m])
+                });
+                DeviceCorrection::Rows { ids, a_st, augmented }
             }
             KktPrecond::Cols(pre) => {
                 let k = pre.rank();
@@ -100,15 +133,24 @@ impl DeviceCorrection {
     }
 
     /// Refreshes the host-side copies from `precond`'s current values and
-    /// uploads every matrix of the correction in place; the factor of `K`
-    /// is only marked for upload at the next solve, which factors it.
-    fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond) {
+    /// ρ and uploads every matrix and vector of the correction in place;
+    /// the factor of `K` is only marked for upload at the next solve,
+    /// which factors it.
+    fn upload(&mut self, machine: &mut Machine, precond: &KktPrecond, rho: &[f64]) {
         match (self, precond) {
-            (DeviceCorrection::Rows { ids, a_st }, KktPrecond::Rows(pre)) => {
+            (DeviceCorrection::Rows { ids, a_st, augmented }, KktPrecond::Rows(pre)) => {
                 a_st.refresh_values(pre.a_s()).expect("A_S keeps its shape");
                 machine.update_matrix_values(ids.a_s, pre.a_s());
                 machine.update_matrix_values(ids.cinv, pre.cinv());
                 machine.update_matrix_values(ids.a_st, a_st.matrix());
+                if let (Some(aug), Some((b, rho_inv))) = (ids.augmented, augmented) {
+                    b.data_mut().copy_from_slice(pre.rho_s_inv());
+                    machine.update_matrix_values(aug.b, b);
+                    for (inv, &r) in rho_inv.iter_mut().zip(rho) {
+                        *inv = 1.0 / r;
+                    }
+                    machine.write_vec(aug.rho_inv, rho_inv);
+                }
             }
             (DeviceCorrection::Cols { ids, h, sinv }, KktPrecond::Cols(pre)) => {
                 h.refresh_values(pre.ht()).expect("Hᵀ keeps its shape");
@@ -171,19 +213,16 @@ pub(crate) fn load_pcg(
     (kernel, ids, correction)
 }
 
-/// SpMVs of `program` outside and inside its loop, a factor solve
-/// counting two (its sweeps through `L` and `Lᵀ`).
-fn spmv_split(program: &Program) -> (usize, usize) {
-    let spmvs = |instrs: &[Instr]| -> usize {
-        instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Spmv { .. } => 1,
-                Instr::FactorSolve { .. } => 2,
-                _ => 0,
-            })
-            .sum()
-    };
+/// SpMVs a KKT solve of `program` runs outside and inside its loop: for a
+/// direct solve the CPU's count, `precond.products() + 2` (`Aᵀ`, `M⁻¹`'s
+/// products and `A`; the augmented dense-row solve's selections `E_S` and
+/// `B` are not counted), and for PCG the program's `Spmv` instructions.
+fn spmv_split(program: &Program, precond: &KktPrecond) -> (usize, usize) {
+    if precond.is_exact() {
+        return (precond.products() + 2, 0);
+    }
+    let spmvs =
+        |instrs: &[Instr]| instrs.iter().filter(|i| matches!(i, Instr::Spmv { .. })).count();
     let instrs = program.instrs();
     let body = program.loop_bounds().map_or(0, |(s, e)| spmvs(&instrs[s..=e]));
     (spmvs(instrs) - body, body)
@@ -208,8 +247,9 @@ pub struct FpgaPcgBackend {
     /// SpMVs in the kernel outside and inside its loop. PCG: `Aᵀ` for the
     /// right-hand side, K·v (`P`, `A`, `Aᵀ`) and the dense-row correction
     /// (`A_S`, `C⁻¹`, `A_Sᵀ`) before the loop and in it, and `A` for z̃.
-    /// The direct solve: `Aᵀ`, `H`, `S⁻¹`, `Hᵀ` and a non-diagonal `G`
-    /// (or the two sweeps of the factor of `K`), and `A`, with no loop.
+    /// The direct solve: `Aᵀ`, `A_S`, `C⁻¹` and `A_Sᵀ` (or `H`, `S⁻¹`,
+    /// `Hᵀ` and a non-diagonal `G`, or the two sweeps of the factor of
+    /// `K`), and `A`, with no loop.
     spmvs: (usize, usize),
     outer_cycles_per_iter: u64,
 }
@@ -245,7 +285,7 @@ impl FpgaPcgBackend {
         let mut machine = Machine::new(config);
         let (kernel, matrix_ids, correction) =
             load_pcg(&mut machine, p, a, at.matrix(), &precond, cg_max_iter.max(1));
-        let spmvs = spmv_split(&kernel.program);
+        let spmvs = spmv_split(&kernel.program, &precond);
         let mut backend = FpgaPcgBackend {
             machine: Rc::new(RefCell::new(machine)),
             kernel,
@@ -296,7 +336,7 @@ impl FpgaPcgBackend {
         if let Some(inv_diag) = self.precond.inv_diag() {
             machine.write_vec(self.kernel.minv, inv_diag);
         }
-        self.correction.upload(&mut machine, &self.precond);
+        self.correction.upload(&mut machine, &self.precond, &self.rho);
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
@@ -437,6 +477,7 @@ impl KktBackend for FpgaPcgBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsqp_problems::random::generate_budget;
     use rsqp_problems::{generate, Domain};
 
     fn backend(p: &CsrMatrix, a: &CsrMatrix) -> FpgaPcgBackend {
@@ -460,9 +501,9 @@ mod tests {
 
     #[test]
     fn updated_backend_solves_like_a_fresh_one() {
-        // The portfolio carries the dense-row correction, the Huber fit the
-        // dense-column elimination with a resident G, the control problem
-        // the factor of K.
+        // The portfolio carries the augmented dense-row solve (B and ρ⁻¹
+        // follow ρ), the Huber fit the dense-column elimination with a
+        // resident G, the control problem the factor of K.
         for (domain, size) in [(Domain::Portfolio, 1), (Domain::Huber, 19), (Domain::Control, 4)] {
             let (q1, q2) = (generate(domain, size, 1), generate(domain, size, 2));
             let (n, m) = (q1.num_vars(), q1.num_constraints());
@@ -485,10 +526,17 @@ mod tests {
         // One KKT solve specification: the same x̃ and z̃ bits and the
         // same CG count per solve — from an exact zero warm start (r₀ = 0:
         // no PCG step on either), from zero, and warm-started with a new
-        // q. Control and eqqp solve through the factor of K (no CG step),
-        // the portfolio by PCG.
-        for (domain, size) in [(Domain::Control, 2), (Domain::Eqqp, 10), (Domain::Portfolio, 1)] {
-            let qp = generate(domain, size, 1);
+        // q. Control and eqqp solve through the factor of K, the portfolio
+        // in the augmented dense-row form (no CG step), the budget QP by
+        // PCG.
+        let problems = [
+            generate(Domain::Control, 2, 1),
+            generate(Domain::Eqqp, 10, 1),
+            generate(Domain::Portfolio, 1, 1),
+            generate_budget(40),
+        ];
+        for qp in problems {
+            let name = qp.name();
             let (n, m) = (qp.num_vars(), qp.num_constraints());
             let rho = vec![0.1; m];
             let mut cpu = rsqp_solver::CpuPcgBackend::new(qp.p(), qp.a(), 1e-6, &rho, 1e-7, 200);
@@ -517,9 +565,9 @@ mod tests {
                     let bits: Vec<u64> = xt.iter().chain(&zt).map(|v| v.to_bits()).collect();
                     out.push((bits, b.stats().cg_iterations - before));
                 }
-                assert_eq!(out[0], out[1], "{domain}, solve {step}");
-                let pcg = domain == Domain::Portfolio;
-                assert_eq!(out[0].1 == 0, step == 0 || !pcg, "{domain}, solve {step}: CG steps");
+                assert_eq!(out[0], out[1], "{name}, solve {step}");
+                let pcg = name.starts_with("budget");
+                assert_eq!(out[0].1 == 0, step == 0 || !pcg, "{name}, solve {step}: CG steps");
             }
         }
     }
@@ -529,16 +577,22 @@ mod tests {
         // PCG: K·v and the preconditioner's correction (A_S, C⁻¹ and A_Sᵀ
         // with dense rows) run before the loop and on each of its passes,
         // one per CG step; Aᵀ for the right-hand side and A for z̃ run once.
-        let qp = generate(Domain::Portfolio, 1, 1);
+        let qp = generate_budget(40);
         let mut b = backend(qp.p(), qp.a());
         let _ = solve(&mut b, qp.num_vars(), qp.num_constraints());
         let stats = b.stats();
+        assert!(stats.cg_iterations > 1, "{} CG steps", stats.cg_iterations);
         assert_eq!(stats.spmv_evals, 6 * (stats.cg_iterations + 1) + 2);
-        // The direct solve: Aᵀ, then H, S⁻¹, Hᵀ and a non-diagonal G once
-        // (or the two sweeps of the factor of K), and A; no CG iteration.
-        for (domain, size, products) in
-            [(Domain::Svm, 21, 3), (Domain::Huber, 19, 4), (Domain::Control, 2, 2)]
-        {
+        // The direct solve: Aᵀ, then A_S, C⁻¹ and A_Sᵀ (the augmented
+        // dense-row solve, whose selections E_S and B are not counted), or
+        // H, S⁻¹, Hᵀ and a non-diagonal G, or the two sweeps of the factor
+        // of K, once, and A; no CG iteration.
+        for (domain, size, products) in [
+            (Domain::Portfolio, 1, 3),
+            (Domain::Svm, 21, 3),
+            (Domain::Huber, 19, 4),
+            (Domain::Control, 2, 2),
+        ] {
             let qp = generate(domain, size, 1);
             let mut b = backend(qp.p(), qp.a());
             assert_eq!(b.precond.products(), products, "{domain}");
@@ -555,13 +609,14 @@ mod tests {
         // and the preconditioner it times, plus Aᵀ for the right-hand side
         // and A for z̃; the direct solve runs the preconditioner once
         // between those two and no CG iteration.
-        for (domain, size, products, direct) in [
-            (Domain::Control, 2, 2, true),
-            (Domain::Portfolio, 1, 3, false),
-            (Domain::Svm, 21, 3, true),
-            (Domain::Huber, 19, 4, true),
+        for (qp, products, direct) in [
+            (generate(Domain::Control, 2, 1), 2, true),
+            (generate(Domain::Portfolio, 1, 1), 3, true),
+            (generate_budget(40), 3, false),
+            (generate(Domain::Svm, 21, 1), 3, true),
+            (generate(Domain::Huber, 19, 1), 4, true),
         ] {
-            let qp = generate(domain, size, 1);
+            let domain = qp.name();
             let (n, m) = (qp.num_vars(), qp.num_constraints());
             let mut b =
                 rsqp_solver::CpuPcgBackend::new(qp.p(), qp.a(), 1e-6, &vec![0.1; m], 1e-7, 200);

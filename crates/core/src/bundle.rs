@@ -15,10 +15,12 @@
 //!   pcg.lst                     # human-readable disassembly of the kernel
 //! ```
 //!
-//! With the dense columns of `A` eliminated, or with the factor of the
-//! reduced `K` (no dense rows or columns), the kernel is the loop-free
-//! direct solve, so `pcg.rom` holds no loop. The factor is formed at the
-//! bundle's placeholder σ and ρ and loaded into its machine, like the
+//! With the dense rows of `A` over a diagonal `K_R` (the augmented
+//! dense-row solve), with its dense columns eliminated, or with the factor
+//! of the reduced `K` (no dense rows or columns), the kernel is the
+//! loop-free direct solve, so `pcg.rom` holds no loop; it is the one
+//! program the backend runs, whatever its kind. The factor is formed at
+//! the bundle's placeholder σ and ρ and loaded into its machine, like the
 //! correction's matrices, and `architecture.txt` reports its size and
 //! elimination-tree height.
 
@@ -207,6 +209,32 @@ mod tests {
         let program = rom::decode_program(&words, 2000).unwrap();
         assert!(program.loop_bounds().is_none(), "the direct solve has no loop");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bundle_ships_the_augmented_dense_row_solve() {
+        // A portfolio's K_R is diagonal: pcg.rom is the loop-free
+        // augmented solve, 32 instructions; the budget QP's is PCG.
+        for (qp, direct) in [
+            (generate(Domain::Portfolio, 2, 1), true),
+            (rsqp_problems::random::generate_budget(40), false),
+        ] {
+            let dir = std::env::temp_dir().join(format!("rsqp_bundle_{}_test", qp.name()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let result = crate::customize(&qp, 16, 3);
+            assert_eq!(write_bundle(&qp, &result, &dir).unwrap(), 8);
+            let words: Vec<u64> = std::fs::read(dir.join("pcg.rom"))
+                .unwrap()
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            let program = rom::decode_program(&words, 2000).unwrap();
+            assert_eq!(program.loop_bounds().is_none(), direct, "{}", qp.name());
+            if direct {
+                assert_eq!(program.len(), 32, "{}", qp.name());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -87,10 +87,10 @@ fn fpga_backend_survives_rho_updates() {
 
 #[test]
 fn backend_reports_cg_iterations_and_factorizations() {
-    // The portfolio's dense rows keep PCG; the small lasso takes the
-    // factor of K, formed at the first solve and refactored after each ρ
-    // update, with no CG iteration.
-    let qp = generate(Domain::Portfolio, 2, 2);
+    // The budget QP's dense row over a tridiagonal P keeps PCG; the small
+    // lasso takes the factor of K, formed at the first solve and
+    // refactored after each ρ update, with no CG iteration.
+    let qp = rsqp_problems::random::generate_budget(40);
     let (result, _, _) = solve_on_fpga(&qp, ArchConfig::baseline(16));
     assert_eq!(result.status, Status::Solved);
     assert!(result.backend.cg_iterations > 0);

@@ -1,15 +1,16 @@
 //! The warm-start contract of `KktBackend::solve_kkt`: `xtilde` is in/out.
-//! Where the KKT solve runs PCG (dense rows in `A`), both PCG backends —
-//! the CPU one and the simulated machine — start from its entry value:
-//! seeded with the exact solution (from LDLᵀ) a solve takes at most one CG
-//! iteration; seeded with zeros it takes several. Where it is the factor
-//! of `K`, the entry value is not read.
+//! Where the KKT solve runs PCG (dense rows in `A` over a non-diagonal
+//! `K_R`, as in the budget QP), both PCG backends — the CPU one and the
+//! simulated machine — start from its entry value: seeded with the exact
+//! solution (from LDLᵀ) a solve takes at most one CG iteration; seeded
+//! with zeros it takes several. Where it is direct (the factor of `K`, the
+//! augmented dense-row solve), the entry value is not read.
 
 use rsqp_arch::ArchConfig;
 use rsqp_core::FpgaPcgBackend;
+use rsqp_problems::random::generate_budget;
 use rsqp_problems::{small_suite, Domain};
 use rsqp_solver::{CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem};
-use rsqp_sparse::CsrMatrix;
 
 const SIGMA: f64 = 1e-6;
 const CG_EPS: f64 = 1e-10;
@@ -37,23 +38,11 @@ fn max_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(u, v)| (u - v).abs()).fold(0.0, f64::max)
 }
 
-/// A tridiagonal `P` over 40 variables with box rows and one budget row:
-/// the budget row is dense, so the KKT solve runs PCG with the dense-row
-/// correction, and `P`'s off-diagonal entries keep `M ≠ K`.
+/// The 40-variable budget QP: its budget row is dense, so the KKT solve
+/// runs PCG with the dense-row correction, and `P`'s off-diagonal entries
+/// keep `M ≠ K`.
 fn budget_qp() -> QpProblem {
-    let n = 40;
-    let p = CsrMatrix::from_triplets(
-        n,
-        n,
-        (0..n).flat_map(|i| {
-            let off = [(i > 0).then(|| (i, i - 1, -0.9)), (i + 1 < n).then(|| (i, i + 1, -0.9))];
-            std::iter::once((i, i, 2.0 + (i % 3) as f64)).chain(off.into_iter().flatten())
-        }),
-    );
-    let a = CsrMatrix::from_triplets(n + 1, n, (0..n).flat_map(|j| [(j, j, 1.0), (n, j, 1.0)]));
-    let (mut l, mut u) = (vec![-1.0; n + 1], vec![1.0; n + 1]);
-    (l[n], u[n]) = (1.0, 1.0);
-    QpProblem::new(p, wave(n, 5.0), a, l, u).unwrap()
+    generate_budget(40)
 }
 
 #[test]
@@ -84,10 +73,17 @@ fn pcg_backends_start_from_the_entry_xtilde() {
 }
 
 #[test]
-fn the_factored_solve_ignores_the_entry_xtilde() {
-    let instance = &small_suite(1)[0];
-    assert_eq!(instance.domain, Domain::Control);
-    let qp = &instance.problem;
+fn direct_solves_ignore_the_entry_xtilde() {
+    // Control takes the factor of K, the portfolio the augmented
+    // dense-row solve.
+    let suite = small_suite(1);
+    for domain in [Domain::Control, Domain::Portfolio] {
+        let qp = &suite.iter().find(|bp| bp.domain == domain).unwrap().problem;
+        direct_solve_ignores_the_entry_xtilde(qp);
+    }
+}
+
+fn direct_solve_ignores_the_entry_xtilde(qp: &QpProblem) {
     let (p, a) = (qp.p(), qp.a());
     let (n, m) = (qp.num_vars(), qp.num_constraints());
     let rho = vec![0.1; m];
@@ -100,7 +96,7 @@ fn the_factored_solve_ignores_the_entry_xtilde() {
     let (fpga, _machine) = FpgaPcgBackend::new(p, a, SIGMA, &rho, baseline, CG_EPS, 500);
     let backends: [Box<dyn KktBackend>; 2] = [Box::new(cpu), Box::new(fpga)];
     for mut backend in backends {
-        let name = backend.name().to_string();
+        let name = format!("{} on {}", qp.name(), backend.name());
         let (xt, zt, iters) = solve_from(backend.as_mut(), &iterates, &x_exact);
         assert!(max_diff(&xt, &x_exact) < 1e-8, "{name}: x̃ {}", max_diff(&xt, &x_exact));
         assert!(max_diff(&zt, &z_exact) < 1e-8, "{name}: z̃ {}", max_diff(&zt, &z_exact));

@@ -3,11 +3,14 @@
 //! heap zero times, and an ADMM solve whose KKT systems run on the machine
 //! allocates as often at 220 iterations as at 20 — on a box QP, whose KKT
 //! solve is the factor of `K` (refactored on the host and re-uploaded
-//! after each of its ρ updates), on a portfolio, whose dense rows put the
-//! preconditioner's Woodbury correction into the kernel, and on an SVM, a
-//! lasso and a Huber fit, whose dense columns put its block elimination
-//! there — and neither a manual ρ update nor a matrix update, which
-//! re-upload the correction or refactor `K` at the next solve, allocates.
+//! after each of its ρ updates), on a portfolio, whose dense rows over a
+//! diagonal `K_R` make the kernel the augmented dense-row solve (with `B`
+//! and `ρ⁻¹` re-uploaded at each ρ update), on a budget QP, whose dense
+//! row over a tridiagonal `P` puts the preconditioner's Woodbury
+//! correction into the PCG loop, and on an SVM, a lasso and a Huber fit,
+//! whose dense columns put the block elimination there — and neither a
+//! manual ρ update nor a matrix update, which re-upload the correction or
+//! refactor `K` at the next solve, allocates.
 //!
 //! Strategy: a per-thread counting global allocator tallies allocation
 //! calls and bytes, so tests running in parallel do not count each other.
@@ -18,6 +21,7 @@ use std::cell::Cell;
 use rsqp_arch::kernels::build_pcg;
 use rsqp_arch::{ArchConfig, Machine};
 use rsqp_core::{customize, fpga_solver, FpgaPcgBackend};
+use rsqp_problems::random::generate_budget;
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, KktBackend, QpProblem, Settings, Solver, Status};
 use rsqp_sparse::CsrMatrix;
@@ -167,15 +171,18 @@ fn fpga_solve_allocs(prob: &QpProblem, max_iter: usize) -> ((usize, usize), usiz
 
 #[test]
 fn fpga_backed_admm_steady_state_is_allocation_free() {
-    // The box QP refactors K at every ρ update and runs no CG iteration;
-    // the portfolio's exact preconditioner ends most solves after the PCG
-    // loop's first pass.
+    // The box QP refactors K at every ρ update and runs no CG iteration,
+    // nor does the portfolio's augmented dense-row solve; the budget QP
+    // runs the PCG loop.
     let mut box_qp = baseline_solver(&problem(), churn_settings(20));
     let backend = box_qp.solve().unwrap().backend;
     assert_eq!(backend.cg_iterations, 0, "the box QP solves through the factor of K");
     assert!(backend.factorizations > 10, "{} factorizations", backend.factorizations);
-    let problems = [problem(), generate(Domain::Portfolio, 2, 1)];
-    for prob in problems.into_iter().chain(dense_column_problems()) {
+    for (prob, pcg) in [(generate(Domain::Portfolio, 2, 1), false), (generate_budget(40), true)] {
+        let backend = baseline_solver(&prob, churn_settings(20)).solve().unwrap().backend;
+        assert_eq!(backend.cg_iterations > 0, pcg, "{}: CG steps", prob.name());
+    }
+    for prob in problems() {
         let _ = fpga_solve_allocs(&prob, 5);
         let (short, short_rho) = fpga_solve_allocs(&prob, 20);
         let (long, long_rho) = fpga_solve_allocs(&prob, 220);
@@ -190,17 +197,23 @@ fn fpga_backed_admm_steady_state_is_allocation_free() {
     }
 }
 
-/// The smallest SVM, lasso and Huber instances whose dense feature
-/// columns the preconditioner eliminates.
-fn dense_column_problems() -> [QpProblem; 3] {
-    [generate(Domain::Svm, 21, 1), generate(Domain::Lasso, 14, 1), generate(Domain::Huber, 19, 1)]
+/// The box QP, a portfolio, the budget QP, and the smallest SVM, lasso
+/// and Huber instances whose dense feature columns the preconditioner
+/// eliminates.
+fn problems() -> [QpProblem; 6] {
+    [
+        problem(),
+        generate(Domain::Portfolio, 2, 1),
+        generate_budget(40),
+        generate(Domain::Svm, 21, 1),
+        generate(Domain::Lasso, 14, 1),
+        generate(Domain::Huber, 19, 1),
+    ]
 }
 
 #[test]
 fn fpga_manual_rho_update_is_allocation_free() {
-    for prob in
-        [problem(), generate(Domain::Portfolio, 2, 1)].into_iter().chain(dense_column_problems())
-    {
+    for prob in problems() {
         let mut solver = baseline_solver(&prob, churn_settings(20));
         let _ = solver.solve().unwrap();
         let before = allocs();
@@ -222,9 +235,7 @@ fn fpga_matrix_update_is_allocation_free() {
     // Aᵀ and the preconditioner's matrices refreshed on the host; the box
     // QP's factor of K is refactored and re-uploaded by the KKT solve that
     // follows each update.
-    for prob in
-        [problem(), generate(Domain::Portfolio, 2, 1)].into_iter().chain(dense_column_problems())
-    {
+    for prob in problems() {
         let (p, a) = (prob.p(), prob.a());
         let (n, m) = (p.nrows(), a.nrows());
         let rho = vec![0.1; m];

@@ -3,9 +3,10 @@
 //!
 //! `K = P + σI + Aᵀ diag(ρ) A` is formed explicitly (its upper triangle,
 //! by columns), ordered by [`amd_ordering`] and factored by [`Ldlt`], so
-//! `M = K` and a KKT solve is `x = K⁻¹b` ([`crate::exact_solve`]). On the
-//! problems that reach it (control, eqqp and the small data-fitting
-//! instances) AMD keeps `L` within a few tenths of `triu(K)`.
+//! `M = K` and a KKT solve is `x = K⁻¹b`
+//! ([`crate::ReducedKktOp::exact_solve`]). On the problems that reach it
+//! (control, eqqp and the small data-fitting instances) AMD keeps `L`
+//! within a few tenths of `triu(K)`.
 //!
 //! Nothing is formed at construction. The pattern of `K`, its ordering and
 //! the symbolic analysis run at the first [`KktFactor::prepare`], and each

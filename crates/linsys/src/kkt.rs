@@ -11,7 +11,9 @@
 //!   product, which is computed incrementally as `P·x + σ·x + Aᵀ(ρ ∘ (A·x))`.
 //!   Its `M⁻¹` is the [`KktPrecond`] of the same matrices, which on
 //!   problems without dense rows or eliminable dense columns forms and
-//!   factors `K` itself.
+//!   factors `K` itself. Where that kind is exact, the operator solves the
+//!   whole ADMM KKT system directly ([`ReducedKktOp::exact_solve`]): the
+//!   dense-row kind in OSQP's augmented form, the others as `x̃ = M⁻¹b`.
 
 use std::sync::Arc;
 
@@ -160,7 +162,8 @@ impl KktMatrix {
 /// the dense rows of `A`, the block elimination of its dense columns, or
 /// the sparse LDLᵀ of `K`. It is chosen with the operator, refreshed with
 /// every ρ or value update, and readied by [`Self::prepare`] before a
-/// solve, which is where the factor of `K` is formed and refactored.
+/// solve, which is where the factor of `K` is formed and refactored. When
+/// it is exact, [`Self::exact_solve`] is the whole KKT solve.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
     p: Arc<CsrMatrix>,
@@ -171,6 +174,8 @@ pub struct ReducedKktOp {
     /// The preconditioner for the current matrices and ρ.
     precond: KktPrecond,
     tmp_m: Vec<f64>,
+    /// The right-hand side of [`Self::exact_solve`].
+    tmp_n: Vec<f64>,
     pool: Arc<ThreadPool>,
     p_part: RowPartition,
     a_part: RowPartition,
@@ -242,6 +247,7 @@ impl ReducedKktOp {
             rho: rho.to_vec(),
             precond,
             tmp_m: vec![0.0; m],
+            tmp_n: vec![0.0; n],
             pool,
             p_part,
             a_part,
@@ -340,15 +346,109 @@ impl ReducedKktOp {
         Ok(())
     }
 
-    /// `y += alpha · Aᵀ x` through the cached gather transpose on the
-    /// operator's pool, counted in [`Self::spmv_count`].
+    /// The right-hand side of the reduced KKT system for the ADMM iterates
+    /// `x`, `z`, `y` and the cost `q`: `b = (σx − q) + Aᵀ(ρ∘z − y)`, or, for
+    /// the augmented dense-row solve, `(σx − q) + Aᵀ(mask_R∘(ρ∘z − y))`,
+    /// which leaves out the rows of `S` ([`DenseRowPrecond::mask`]). The
+    /// `Aᵀ` product counts in [`Self::spmv_count`].
     ///
     /// # Errors
     ///
-    /// Returns [`LinsysError::Sparse`] on shape mismatch.
-    pub fn at_spmv_acc(&mut self, alpha: f64, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
-        self.at.matrix().spmv_acc_partitioned(alpha, x, y, &self.pool, &self.at_part)?;
+    /// Returns [`LinsysError::Dimension`] when a length differs from the
+    /// operator's `n` or `m`.
+    ///
+    /// [`DenseRowPrecond::mask`]: crate::DenseRowPrecond::mask
+    pub fn rhs(
+        &mut self,
+        x: &[f64],
+        z: &[f64],
+        y: &[f64],
+        q: &[f64],
+        b: &mut [f64],
+    ) -> Result<(), LinsysError> {
+        let (n, m) = (self.p.nrows(), self.a.nrows());
+        if [x.len(), q.len(), b.len()] != [n; 3] || [z.len(), y.len()] != [m; 2] {
+            return Err(LinsysError::Dimension(format!(
+                "KKT right-hand side: x, q, b need length {n} and z, y length {m}"
+            )));
+        }
+        let mask = match &self.precond {
+            KktPrecond::Rows(pre) if pre.is_exact() => Some(pre.mask()),
+            _ => None,
+        };
+        for (i, t) in self.tmp_m.iter_mut().enumerate() {
+            let v = self.rho[i] * z[i] - y[i];
+            *t = mask.map_or(v, |mask| mask[i] * v);
+        }
+        for ((bj, &xj), &qj) in b.iter_mut().zip(x).zip(q) {
+            *bj = self.sigma * xj - qj;
+        }
+        self.at.matrix().spmv_acc_partitioned(1.0, &self.tmp_m, b, &self.pool, &self.at_part)?;
         self.spmv_count += 1;
+        Ok(())
+    }
+
+    /// Solves the ADMM KKT system (Eq. 2) directly for an exact `M⁻¹`
+    /// ([`KktPrecond::is_exact`]), with no CG iteration: forms the
+    /// right-hand side ([`Self::rhs`]), then `x̃ = M⁻¹b` and `z̃ = A x̃` for
+    /// the dense-column elimination and the factor of `K`, or the augmented
+    /// dense-row solve — `x̃` by [`DenseRowPrecond::solve_augmented`], `z̃ =
+    /// A x̃` outside `S` and `z̃_S = u_S + ρ_S⁻¹∘ν` on it. Readies `M⁻¹`
+    /// first ([`Self::prepare`]). The incoming `xtilde` is not read.
+    /// Counts `products() + 2` SpMVs: `Aᵀ`, the products of `M⁻¹` and `A`.
+    /// Performs no heap allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`PcgError::Breakdown`] at iteration 0 while a pivot of `M⁻¹` is not
+    /// positive and finite, [`PcgError::Operator`] when a length differs
+    /// from the operator's, and, as PCG would fail on the same input,
+    /// [`PcgError::NonFinite`] at iteration 0 when `x̃` is not finite: the
+    /// `"rhs norm"` when the right-hand side is not, else the
+    /// `"preconditioned residual"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`KktPrecond::is_exact`].
+    ///
+    /// [`DenseRowPrecond::solve_augmented`]: crate::DenseRowPrecond::solve_augmented
+    pub fn exact_solve(
+        &mut self,
+        x: &[f64],
+        z: &[f64],
+        y: &[f64],
+        q: &[f64],
+        xtilde: &mut [f64],
+        ztilde: &mut [f64],
+    ) -> Result<(), PcgError> {
+        assert!(self.precond.is_exact(), "a direct KKT solve needs an exact M⁻¹");
+        self.prepare()?;
+        let (n, m) = (self.p.nrows(), self.a.nrows());
+        if xtilde.len() != n || ztilde.len() != m {
+            return Err(PcgError::Operator(LinsysError::Dimension(format!(
+                "x̃ needs length {n} and z̃ length {m}"
+            ))));
+        }
+        let mut b = std::mem::take(&mut self.tmp_n);
+        let formed = self.rhs(x, z, y, q, &mut b);
+        if formed.is_ok() {
+            match &mut self.precond {
+                KktPrecond::Rows(pre) => pre.solve_augmented(&b, z, y, xtilde),
+                pre => pre.apply(&b, xtilde),
+            }
+            self.spmv_count += self.precond.products();
+        }
+        let finite = b.iter().all(|v| v.is_finite());
+        self.tmp_n = b;
+        formed?;
+        if !xtilde.iter().all(|v| v.is_finite()) {
+            let quantity = if finite { "preconditioned residual" } else { "rhs norm" };
+            return Err(PcgError::NonFinite { iteration: 0, quantity });
+        }
+        self.a_spmv(xtilde, ztilde)?;
+        if let KktPrecond::Rows(pre) = &self.precond {
+            pre.write_dense_ztilde(ztilde);
+        }
         Ok(())
     }
 
@@ -364,13 +464,13 @@ impl ReducedKktOp {
 
     /// Number of SpMV evaluations performed so far, used by the performance
     /// models: three per `apply` (`P`, `A`, `Aᵀ`), one per
-    /// [`Self::a_spmv`] and [`Self::at_spmv_acc`], and per `precondition`
+    /// [`Self::a_spmv`] and [`Self::rhs`], and per `precondition`
     /// the [`KktPrecond::products`] of `M⁻¹`: three with dense rows
     /// (`A_S`, `C⁻¹`, `A_Sᵀ`), three or four for the dense-column
     /// elimination (`H`, `S⁻¹`, `Hᵀ`, and `G` when it is not diagonal), or
     /// two for the factor of `K` (its two sweeps through `L`). An exact KKT
-    /// solve, by [`crate::exact_solve`], therefore counts `products() + 2`:
-    /// `Aᵀ` for the right-hand side, one `precondition` and `A` for `z̃`.
+    /// solve ([`Self::exact_solve`]) counts `products() + 2`: `Aᵀ` for the
+    /// right-hand side, the products of `M⁻¹` and `A` for `z̃`.
     pub fn spmv_count(&self) -> usize {
         self.spmv_count
     }
@@ -633,6 +733,92 @@ mod tests {
         assert_eq!(pre.dense_rows(), [0, 1, 2, 3, 4, 5], "five factor rows and the budget row");
         assert_eq!(pre.failed_pivot(), None);
         pcg_matches_ldlt(&mut op, p, a, sigma, &rho, 2);
+    }
+
+    /// `wave(len, phase)_i = sin(0.37 i + phase)`.
+    fn wave(len: usize, phase: f64) -> Vec<f64> {
+        (0..len).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+    }
+
+    #[test]
+    fn a_diagonal_k_r_makes_the_dense_rows_exact() {
+        // A portfolio: P diagonal, box rows of one entry. A 40-variable
+        // budget QP with a tridiagonal P (every row a box row, one dense
+        // budget row): K_R is not diagonal, and PCG stays.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 5, 1);
+        let op = ReducedKktOp::new(qp.p(), qp.a(), 1e-6, &solver_rho(&qp, 0.1)).unwrap();
+        assert!(rows(&op).is_exact() && op.preconditioner().is_exact());
+        let n = 40;
+        let p = CsrMatrix::from_triplets(
+            n,
+            n,
+            (0..n).flat_map(|i| [(i, i, 2.0), (i, (i + 1) % n, -0.5), ((i + 1) % n, i, -0.5)]),
+        );
+        let a = CsrMatrix::from_triplets(n + 1, n, (0..n).flat_map(|j| [(j, j, 1.0), (n, j, 1.0)]));
+        let op = ReducedKktOp::new(&p, &a, 1e-6, &vec![0.1; n + 1]).unwrap();
+        assert_eq!(rows(&op).dense_rows(), [n]);
+        assert!(!rows(&op).is_exact() && !op.preconditioner().is_exact());
+        assert_eq!(rows(&op).mask().iter().filter(|&&v| v == 0.0).count(), 1);
+    }
+
+    #[test]
+    fn the_augmented_solve_is_ldlts_kkt_solve() {
+        // Equality rows at 1e3·ρ (the factor rows and the budget row): x̃
+        // and z̃ of the full KKT system, to LDLᵀ's accuracy.
+        let qp = rsqp_problems::generate(rsqp_problems::Domain::Portfolio, 20, 1);
+        let (p, a, sigma) = (qp.p(), qp.a(), 1e-6);
+        let (n, m) = (p.nrows(), a.nrows());
+        let rho = solver_rho(&qp, 0.1);
+        let mut op = ReducedKktOp::new(p, a, sigma, &rho).unwrap();
+        let (x, z, y, q) = (wave(n, 0.0), wave(m, 1.0), wave(m, 2.0), wave(n, 3.0));
+        let (mut xt, mut zt) = (vec![f64::NAN; n], vec![0.0; m]);
+        op.exact_solve(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
+        assert_eq!(op.spmv_count(), 3 + 2, "Aᵀ, A_S, C⁻¹, A_Sᵀ and A");
+
+        let kkt = KktMatrix::assemble(p, a, sigma, &rho).unwrap();
+        let mut rhs: Vec<f64> = (0..n).map(|j| sigma * x[j] - q[j]).collect();
+        rhs.extend((0..m).map(|i| z[i] - y[i] / rho[i]));
+        Ldlt::factor(kkt.matrix()).unwrap().solve_in_place(&mut rhs).unwrap();
+        for (got, want) in xt.iter().zip(&rhs[..n]) {
+            assert!((got - want).abs() < 1e-9, "x̃: {got} vs {want}");
+        }
+        for i in 0..m {
+            let want = z[i] + (rhs[n + i] - y[i]) / rho[i];
+            assert!((zt[i] - want).abs() < 1e-9, "z̃[{i}]: {} vs {want}", zt[i]);
+        }
+    }
+
+    #[test]
+    fn exact_solve_fails_as_pcg_would() {
+        use crate::{pcg_with, PcgSettings, PcgWorkspace};
+        // K = diag(1e-300, 1e-300) plus a negligible row: its factor has
+        // tiny pivots, so a right-hand side of 1e10 overflows K⁻¹b.
+        let p = CsrMatrix::from_diag(&[1e-300, 1e-300]);
+        let a = CsrMatrix::from_dense(&[vec![1e-200, 0.0]]);
+        let (x, z, y) = ([0.0; 2], [0.0], [0.0]);
+        for (q, quantity) in
+            [([f64::NAN, 1.0], "rhs norm"), ([1e10, 1e10], "preconditioned residual")]
+        {
+            let mut op = ReducedKktOp::new(&p, &a, 0.0, &[1.0]).unwrap();
+            assert!(op.preconditioner().is_exact());
+            let direct = op.exact_solve(&x, &z, &y, &q, &mut [0.0; 2], &mut [0.0]).unwrap_err();
+            assert_eq!(direct, PcgError::NonFinite { iteration: 0, quantity });
+            let mut b = [0.0; 2];
+            op.rhs(&x, &z, &y, &q, &mut b).unwrap();
+            let pcg = pcg_with(
+                &mut op,
+                &b,
+                &mut [0.0; 2],
+                &PcgSettings::default(),
+                &mut PcgWorkspace::new(2),
+                &ThreadPool::serial(),
+            )
+            .unwrap_err();
+            assert_eq!(direct, pcg);
+        }
+        let mut op = ReducedKktOp::new(&p, &a, 0.0, &[1.0]).unwrap();
+        let short = op.exact_solve(&x, &z, &y, &[0.0], &mut [0.0; 2], &mut [0.0]);
+        assert!(matches!(short, Err(PcgError::Operator(_))), "{short:?}");
     }
 
     /// The smallest SVM, lasso and Huber instances whose feature columns

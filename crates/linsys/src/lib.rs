@@ -20,8 +20,8 @@
 //!   dense columns ([`DenseColPrecond`]) or else the sparse LDLᵀ of `K`
 //!   under AMD ([`KktFactor`]),
 //! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
-//!   and [`exact_solve`], the direct solve `x = M⁻¹b` that replaces it
-//!   wherever `M = K` ([`KktPrecond::is_exact`]),
+//!   and [`ReducedKktOp::exact_solve`], the direct KKT solve that replaces
+//!   it wherever `M⁻¹` is exact ([`KktPrecond::is_exact`]),
 //! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
 //!   substitution for SuiteSparse AMD; see `DESIGN.md`).
 //!
@@ -70,8 +70,6 @@ pub use factor::KktFactor;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
-pub use pcg::{
-    exact_solve, pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace,
-};
+pub use pcg::{pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace};
 pub use precond::{DenseRowPrecond, KktPrecond};
 pub use schur::DenseColPrecond;

@@ -290,29 +290,6 @@ pub fn pcg_with(
     Ok(PcgSummary { iterations, residual: rr.sqrt(), converged })
 }
 
-/// Solves `K x = b` as `x = M⁻¹ b`, for an operator whose
-/// [`LinearOperator::precondition`] is exact (`M = K`): the answer PCG
-/// reaches in one iteration, without the `K·v` products and recurrences
-/// around it. The incoming value of `x` is not read. Performs no heap
-/// allocation.
-///
-/// # Errors
-///
-/// As [`pcg_with`] would fail on the same input: [`PcgError::Operator`]
-/// when `b.len()` or `x.len()` differ from `op.dim()`, and
-/// [`PcgError::NonFinite`] at iteration 0 when the solution is not finite —
-/// the `"rhs norm"` when `b` is not, else the `"preconditioned residual"`.
-pub fn exact_solve(op: &mut dyn LinearOperator, b: &[f64], x: &mut [f64]) -> Result<(), PcgError> {
-    check_lengths(op.dim(), b, x)?;
-    op.precondition(b, x);
-    if x.iter().all(|v| v.is_finite()) {
-        return Ok(());
-    }
-    let quantity =
-        if b.iter().all(|v| v.is_finite()) { "preconditioned residual" } else { "rhs norm" };
-    Err(PcgError::NonFinite { iteration: 0, quantity })
-}
-
 /// Checks that the right-hand side `b` and the iterate `x` have the
 /// operator's dimension `n`.
 fn check_lengths(n: usize, b: &[f64], x: &[f64]) -> Result<(), PcgError> {
@@ -391,27 +368,6 @@ mod tests {
         for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn exact_solve_fails_as_pcg_would() {
-        // Jacobi is exact on a diagonal operator.
-        let diag = |d: [f64; 2]| MatOp { m: CsrMatrix::from_diag(&d) };
-        let mut x = [7.0; 2];
-        exact_solve(&mut diag([2.0, 4.0]), &[1.0, 2.0], &mut x).unwrap();
-        assert_eq!(x, [0.5, 0.5]);
-        // A non-finite right-hand side, and a finite one that the
-        // preconditioner turns non-finite (a zero pivot).
-        for (d, b) in [([2.0, 4.0], [f64::NAN, 1.0]), ([2.0, 0.0], [1.0, 1.0])] {
-            let direct = exact_solve(&mut diag(d), &b, &mut [0.0; 2]).unwrap_err();
-            let pcg = solve_from(&mut diag(d), &b, &[0.0; 2], &PcgSettings::default()).unwrap_err();
-            assert!(matches!(direct, PcgError::NonFinite { iteration: 0, .. }), "{direct}");
-            assert_eq!(direct, pcg);
-        }
-        assert!(matches!(
-            exact_solve(&mut diag([1.0, 1.0]), &[1.0], &mut [0.0; 2]),
-            Err(PcgError::Operator(_))
-        ));
     }
 
     #[test]

@@ -28,12 +28,30 @@
 //! succeeds. Only a non-convex `P` can do that: a convex one gives
 //! `D' ≥ σ > 0`, so `C` is SPD.
 //!
+//! When `P` is diagonal and every row outside `S` has at most one entry,
+//! `D'` is `K_R = P + σI + A_Rᵀ R_R A_R` itself (`R` the rows outside `S`),
+//! so `M = K`, and the KKT solve takes the dense rows in OSQP's augmented
+//! form instead of running PCG ([`DenseRowPrecond::is_exact`],
+//! [`DenseRowPrecond::solve_augmented`]): with multipliers `ν` for the rows
+//! of `S`,
+//!
+//! ```text
+//! [K_R   A_Sᵀ  ] [x̃]   [b                ]     b = (σx − q) + A_Rᵀ(ρ_R∘z_R − y_R)
+//! [A_S  −R_S⁻¹ ] [ν ] = [u_S = z_S − ρ_S⁻¹∘y_S]
+//! ```
+//!
+//! is `ν = C⁻¹(A_S D'⁻¹b − u_S)`, `x̃ = D'⁻¹(b − A_Sᵀν)`, and
+//! `z̃_S = u_S + ρ_S⁻¹∘ν`. Unlike `x̃ = M⁻¹b` on the reduced right-hand side,
+//! which carries `A_Sᵀ R_S z_S` and loses the stiff equality rows to
+//! cancellation, this keeps LDLᵀ's accuracy.
+//!
 //! [`KktPrecond`] picks a problem's kind: this correction when `A` has
 //! dense rows, else the block elimination of its dense columns
 //! (`crate::schur`) when their structure admits it, else the sparse LDLᵀ
 //! of `K` under AMD (`crate::factor`). The last two are exact (`M = K`),
-//! so with them the KKT solve is `x = M⁻¹b` ([`crate::exact_solve`]) and
-//! PCG never runs. There is no plain-Jacobi kind.
+//! so with them, as with the augmented dense-row solve, the KKT solve is
+//! direct ([`crate::ReducedKktOp::exact_solve`]) and PCG never runs. There
+//! is no plain-Jacobi kind.
 
 use std::cmp::Reverse;
 
@@ -135,20 +153,23 @@ impl KktPrecond {
         }
     }
 
-    /// Whether `M = K` exactly, which holds by construction for the
-    /// dense-column elimination and the factor of `K`: a KKT solve is then
-    /// `x = M⁻¹ b` ([`crate::exact_solve`]). The dense-row correction is
-    /// exact on some problems too, but a direct Woodbury solve loses
-    /// accuracy to cancellation over stiff equality rows, which PCG's
-    /// residual test repairs, so it never counts as exact.
+    /// Whether the KKT solve is direct, with no CG iteration
+    /// ([`crate::ReducedKktOp::exact_solve`]): always for the dense-column
+    /// elimination and the factor of `K` (`x = M⁻¹ b`), and for the
+    /// dense-row correction when `K_R` is diagonal
+    /// ([`DenseRowPrecond::is_exact`]), which then solves the dense rows in
+    /// OSQP's augmented form.
     pub fn is_exact(&self) -> bool {
-        !matches!(self, KktPrecond::Rows(_))
+        match self {
+            KktPrecond::Rows(pre) => pre.is_exact(),
+            KktPrecond::Cols(_) | KktPrecond::Factor(_) => true,
+        }
     }
 
-    /// Sparse products one [`Self::apply`] runs beyond the diagonal: `A_S`,
-    /// `C⁻¹` and `A_Sᵀ` with dense rows; `H`, `S⁻¹`, `Hᵀ` (and a
-    /// non-diagonal `G`) with dense columns; the two sweeps through `L`
-    /// with the factor.
+    /// Sparse products one [`Self::apply`] (or one augmented dense-row
+    /// solve) runs beyond the diagonal: `A_S`, `C⁻¹` and `A_Sᵀ` with dense
+    /// rows; `H`, `S⁻¹`, `Hᵀ` (and a non-diagonal `G`) with dense columns;
+    /// the two sweeps through `L` with the factor.
     pub fn products(&self) -> usize {
         match self {
             KktPrecond::Rows(_) => 3,
@@ -191,13 +212,15 @@ fn dense_rows(a: &CsrMatrix) -> Vec<usize> {
 }
 
 /// Jacobi preconditioner with a Woodbury correction for the dense rows of
-/// `A`, for the reduced KKT operator `P + σI + Aᵀ diag(ρ) A`.
+/// `A`, for the reduced KKT operator `P + σI + Aᵀ diag(ρ) A`, and, when
+/// `K_R` is diagonal, the direct KKT solve in OSQP's augmented form.
 ///
-/// The dense-row set is chosen once from `A`'s pattern; [`Self::refresh`]
-/// recomputes every value for new matrices or ρ into the buffers sized at
-/// construction, without allocating. `A_S` is the only copy of matrix data
-/// it keeps: `C` is formed from the caller's `Aᵀ`, and `A_Sᵀ` is applied by
-/// scattering the rows of `A_S`.
+/// The dense-row set, and whether `K_R` is diagonal, are decided once from
+/// the patterns of `P` and `A`; [`Self::refresh`] recomputes every value
+/// for new matrices or ρ into the buffers sized at construction, without
+/// allocating. `A_S` is the only copy of matrix data it keeps: `C` is
+/// formed from the caller's `Aᵀ`, and `A_Sᵀ` is applied by scattering the
+/// rows of `A_S`.
 #[derive(Debug, Clone)]
 pub struct DenseRowPrecond {
     sigma: f64,
@@ -206,8 +229,15 @@ pub struct DenseRowPrecond {
     /// `slot[i]` is the position of row `i` of `A` in `rows`, or
     /// [`NOT_DENSE`].
     slot: Vec<usize>,
+    /// `mask_R`: 1 on the rows of `A` outside `S`, 0 on `S`.
+    mask: Vec<f64>,
+    /// Whether `P` is diagonal and every row outside `S` has at most one
+    /// entry, so that `D' = K_R`.
+    exact: bool,
     /// `1/D'` (`1` where `D'` is zero).
     inv_diag: Vec<f64>,
+    /// `ρ_S⁻¹`, in the order of `rows`.
+    rho_s_inv: Vec<f64>,
     /// `A_S`: the rows of `A` in `S` (`k × n`).
     a_s: CsrMatrix,
     /// `C⁻¹` with every one of its `k²` entries stored (`k × k`).
@@ -220,7 +250,10 @@ pub struct DenseRowPrecond {
     c: CscMatrix,
     c_ldlt: Option<Ldlt>,
     s: Vec<f64>,
+    /// `C⁻¹ s`; after [`Self::solve_augmented`], `ν`.
     t: Vec<f64>,
+    /// `u_S = z_S − ρ_S⁻¹∘y_S` of the last [`Self::solve_augmented`].
+    u_s: Vec<f64>,
     w: Vec<f64>,
 }
 
@@ -257,11 +290,13 @@ impl DenseRowPrecond {
         let (n, m) = (a.ncols(), a.nrows());
         let k = rows.len();
         let mut slot = vec![NOT_DENSE; m];
+        let mut mask = vec![1.0; m];
         let mut indptr = Vec::with_capacity(k + 1);
         let mut indices = Vec::new();
         indptr.push(0);
         for (r, &i) in rows.iter().enumerate() {
             slot[i] = r;
+            mask[i] = 0.0;
             indices.extend_from_slice(a.row(i).0);
             indptr.push(indices.len());
         }
@@ -285,11 +320,16 @@ impl DenseRowPrecond {
             vec![0.0; k * (k + 1) / 2],
         )
         .expect("a full upper triangle is a valid CSC matrix");
+        let exact = (0..n).all(|j| p.row(j).0.iter().all(|&c| c == j))
+            && (0..m).all(|i| slot[i] != NOT_DENSE || a.row_nnz(i) <= 1);
         let mut pre = DenseRowPrecond {
             sigma,
             rows,
             slot,
+            mask,
+            exact,
             inv_diag: vec![0.0; n],
+            rho_s_inv: vec![0.0; k],
             a_s,
             cinv,
             failed: None,
@@ -297,15 +337,16 @@ impl DenseRowPrecond {
             c_ldlt: None,
             s: vec![0.0; k],
             t: vec![0.0; k],
+            u_s: vec![0.0; k],
             w: vec![0.0; n],
         };
         pre.refresh(p, a, at, rho);
         pre
     }
 
-    /// Recomputes `D'⁻¹`, `A_S` and `C⁻¹` for new values of `P`, `A` (and
-    /// its transpose `at`) or ρ, in place. The patterns must be the ones
-    /// given at construction.
+    /// Recomputes `D'⁻¹`, `A_S`, `ρ_S⁻¹` and `C⁻¹` for new values of `P`,
+    /// `A` (and its transpose `at`) or ρ, in place. The patterns must be
+    /// the ones given at construction.
     ///
     /// If `C` is not numerically positive definite the refresh records
     /// the failing pivot ([`Self::failed_pivot`]), and [`Self::apply`] must
@@ -319,6 +360,7 @@ impl DenseRowPrecond {
         for (r, &i) in self.rows.iter().enumerate() {
             let (start, end) = (self.a_s.indptr()[r], self.a_s.indptr()[r + 1]);
             self.a_s.data_mut()[start..end].copy_from_slice(a.row(i).1);
+            self.rho_s_inv[r] = 1.0 / rho[i];
         }
         // D' = diag(P) + σ + Σ_{i∉S} ρ_i A_{i,·}², over the rows of A in
         // increasing order; D'⁻¹ is 1 where D' is zero.
@@ -334,21 +376,21 @@ impl DenseRowPrecond {
         for d in &mut self.inv_diag {
             *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
         }
-        self.failed = self.invert_c(at, rho).err();
+        self.failed = self.invert_c(at).err();
     }
 
     /// Forms `C = R_S⁻¹ + A_S D'⁻¹ A_Sᵀ`, factorizes it and writes `C⁻¹`.
     /// Fails with the first pivot that is not positive and finite (`0` for
     /// an exactly zero one).
-    fn invert_c(&mut self, at: &CsrMatrix, rho: &[f64]) -> Result<(), f64> {
+    fn invert_c(&mut self, at: &CsrMatrix) -> Result<(), f64> {
         let k = self.rows.len();
         // The upper triangle of C, column by column: entry (i, j), i ≤ j,
         // sits at j(j+1)/2 + i.
         let pos = |i: usize, j: usize| j * (j + 1) / 2 + i;
         let c = self.c.data_mut();
         c.fill(0.0);
-        for (r, &i) in self.rows.iter().enumerate() {
-            c[pos(r, r)] = 1.0 / rho[i];
+        for (r, &rinv) in self.rho_s_inv.iter().enumerate() {
+            c[pos(r, r)] = rinv;
         }
         // One column of A (row of Aᵀ) at a time: its entries in dense rows
         // add their outer product, weighted by D'⁻¹. Row indices increase
@@ -407,6 +449,47 @@ impl DenseRowPrecond {
     /// Panics if `r` or `d` is not of length `n`, or while a failed refresh
     /// stands ([`Self::failed_pivot`]).
     pub fn apply(&mut self, r: &[f64], d: &mut [f64]) {
+        self.apply_diag_then_a_s(r, d);
+        self.subtract_correction(d);
+    }
+
+    /// Steps 3–7 of the augmented direct solve (module docs), for a `b`
+    /// whose right-hand side left out the rows of `S` (`b = (σx − q) +
+    /// Aᵀ(mask_R∘(ρ∘z − y))`): `w = D'⁻¹∘b`, `u_S = z_S − ρ_S⁻¹∘y_S`,
+    /// `t = A_S w − u_S`, `ν = C⁻¹t` and `x = w − D'⁻¹∘(A_Sᵀν)`. Keeps `u_S`
+    /// and `ν` for [`Self::write_dense_ztilde`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Self::is_exact`], if `b` or `x` is not of length `n`
+    /// or `z` or `y` not of length `m`, or while a failed refresh stands.
+    pub fn solve_augmented(&mut self, b: &[f64], z: &[f64], y: &[f64], x: &mut [f64]) {
+        assert!(self.exact, "the augmented solve needs a diagonal K_R");
+        assert_eq!(z.len(), self.slot.len(), "z length mismatch");
+        assert_eq!(y.len(), self.slot.len(), "y length mismatch");
+        self.apply_diag_then_a_s(b, x);
+        for ((s, u), (&i, &rinv)) in
+            self.s.iter_mut().zip(&mut self.u_s).zip(self.rows.iter().zip(&self.rho_s_inv))
+        {
+            *u = z[i] - rinv * y[i];
+            *s -= *u;
+        }
+        self.subtract_correction(x);
+    }
+
+    /// Step 8 on the rows of `S`: `z̃_S = u_S + ρ_S⁻¹∘ν` of the last
+    /// [`Self::solve_augmented`], into `ztilde` (length `m`), whose other
+    /// rows the caller fills with `A x̃`.
+    pub fn write_dense_ztilde(&self, ztilde: &mut [f64]) {
+        for ((&i, &u), (&rinv, &nu)) in
+            self.rows.iter().zip(&self.u_s).zip(self.rho_s_inv.iter().zip(&self.t))
+        {
+            ztilde[i] = u + rinv * nu;
+        }
+    }
+
+    /// `d = D'⁻¹∘r` and `s = A_S d`.
+    fn apply_diag_then_a_s(&mut self, r: &[f64], d: &mut [f64]) {
         assert_eq!(r.len(), self.inv_diag.len(), "preconditioner input length mismatch");
         assert_eq!(d.len(), self.inv_diag.len(), "preconditioner output length mismatch");
         assert!(self.failed.is_none(), "the last refresh left no C⁻¹ to apply");
@@ -414,6 +497,10 @@ impl DenseRowPrecond {
             *di = ri * inv;
         }
         self.a_s.spmv(d, &mut self.s).expect("A_S is k × n");
+    }
+
+    /// `t = C⁻¹ s` and `d ← d − D'⁻¹∘(A_Sᵀ t)`.
+    fn subtract_correction(&mut self, d: &mut [f64]) {
         self.cinv.spmv(&self.s, &mut self.t).expect("C⁻¹ is k × k");
         // w = A_Sᵀ t, scattered row by row of A_S: each w[j] sums its terms
         // in increasing row order, as a gather over A_Sᵀ would.
@@ -438,6 +525,24 @@ impl DenseRowPrecond {
     /// The rows of `A` in `S`, in increasing order.
     pub fn dense_rows(&self) -> &[usize] {
         &self.rows
+    }
+
+    /// Whether `K_R` is diagonal (`P` diagonal, at most one entry in every
+    /// row outside `S`), so that `D' = K_R`, `M = K`, and the KKT solve is
+    /// [`Self::solve_augmented`] instead of PCG. Decided from the patterns
+    /// at construction.
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// `mask_R`: 1 on the rows of `A` outside `S`, 0 on `S` (length `m`).
+    pub fn mask(&self) -> &[f64] {
+        &self.mask
+    }
+
+    /// `ρ_S⁻¹`, in the order of [`Self::dense_rows`].
+    pub fn rho_s_inv(&self) -> &[f64] {
+        &self.rho_s_inv
     }
 
     /// `D'⁻¹`, the inverse of the Jacobi diagonal without the dense rows.

@@ -137,6 +137,36 @@ pub fn generate_unbounded(n: usize, seed: u64) -> QpProblem {
     QpProblem::new(p, q, a, l, u).expect("structurally valid").with_name(format!("unbounded_{n}"))
 }
 
+/// Generates a budget-constrained QP over `n` variables: a tridiagonal `P`
+/// (`2 + i mod 3` on the diagonal, −0.9 beside it), the cost
+/// `q_i = sin(0.37 i + 5)`, the box `−1 ≤ x ≤ 1` and one budget row
+/// `1ᵀx = 1`. The budget row is dense while `P` is not diagonal, so the
+/// reduced KKT solve keeps PCG with the dense-row correction.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn generate_budget(n: usize) -> QpProblem {
+    assert!(n > 0, "needs at least one variable");
+    let p = rsqp_sparse::CsrMatrix::from_triplets(
+        n,
+        n,
+        (0..n).flat_map(|i| {
+            let off = [(i > 0).then(|| (i, i - 1, -0.9)), (i + 1 < n).then(|| (i, i + 1, -0.9))];
+            std::iter::once((i, i, 2.0 + (i % 3) as f64)).chain(off.into_iter().flatten())
+        }),
+    );
+    let a = rsqp_sparse::CsrMatrix::from_triplets(
+        n + 1,
+        n,
+        (0..n).flat_map(|j| [(j, j, 1.0), (n, j, 1.0)]),
+    );
+    let q = (0..n).map(|i| ((i as f64) * 0.37 + 5.0).sin()).collect();
+    let (mut l, mut u) = (vec![-1.0; n + 1], vec![1.0; n + 1]);
+    (l[n], u[n]) = (1.0, 1.0);
+    QpProblem::new(p, q, a, l, u).expect("structurally valid").with_name(format!("budget_{n}"))
+}
+
 /// A 1×n all-ones row, used when the random constraint row came out empty.
 fn ones_row(n: usize) -> rsqp_sparse::CsrMatrix {
     rsqp_sparse::CsrMatrix::from_triplets(1, n, (0..n).map(|j| (0, j, 1.0)).collect::<Vec<_>>())

@@ -7,12 +7,14 @@
 //! * [`DirectLdltBackend`] factors the quasi-definite KKT matrix once and
 //!   reuses the numeric factorization until ρ changes;
 //! * [`CpuPcgBackend`] solves the reduced system (Eq. 3) with the
-//!   `M⁻¹` its problem's patterns fix ([`rsqp_linsys::KktPrecond`]): with
-//!   dense rows in `A`, iteratively by PCG warm-started from the previous
-//!   solution `x̃` — the computation RSQP maps onto the FPGA — and
-//!   otherwise directly as `x̃ = M⁻¹b`, through the block elimination of
-//!   `A`'s dense columns or the sparse LDLᵀ of the reduced `K` itself,
-//!   factored at the first solve after each ρ or matrix update;
+//!   `M⁻¹` its problem's patterns fix ([`rsqp_linsys::KktPrecond`]):
+//!   directly where `M⁻¹` is exact — the dense rows of `A` in OSQP's
+//!   augmented form when `K_R` is diagonal, else `x̃ = M⁻¹b` through the
+//!   block elimination of `A`'s dense columns or the sparse LDLᵀ of the
+//!   reduced `K` itself, factored at the first solve after each ρ or
+//!   matrix update — and otherwise (dense rows over a non-diagonal `K_R`)
+//!   iteratively by PCG warm-started from the previous solution `x̃`, the
+//!   computation RSQP maps onto the FPGA;
 //! * `rsqp-core` provides a third implementation that runs the same KKT
 //!   solve as an instruction stream on the cycle-level architecture
 //!   simulator.
@@ -20,8 +22,8 @@
 use std::sync::Arc;
 
 use rsqp_linsys::{
-    amd_ordering, exact_solve, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace,
-    ReducedKktOp, SymmetricPermutation,
+    amd_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
+    SymmetricPermutation,
 };
 use rsqp_par::ThreadPool;
 use rsqp_sparse::{CscMatrix, CsrMatrix};
@@ -334,13 +336,14 @@ impl KktBackend for DirectLdltBackend {
 
 /// Matrix-free PCG backend on the reduced KKT system (Eq. 3).
 ///
-/// With an exact `M` ([`rsqp_linsys::KktPrecond::is_exact`]: the
-/// dense-column elimination or the factor of `K`), a solve is `x̃ = M⁻¹ b`
-/// with no CG iteration ([`exact_solve`]); with dense rows it is PCG. Each
-/// solve first readies `M⁻¹` ([`ReducedKktOp::prepare`]), which factors
-/// `K` after construction and after each update; while a pivot of `M⁻¹`
-/// is not positive and finite, a solve returns PCG's breakdown without
-/// solving, for the guard ladder.
+/// With an exact `M⁻¹` ([`rsqp_linsys::KktPrecond::is_exact`]: the
+/// dense-row correction over a diagonal `K_R`, the dense-column
+/// elimination or the factor of `K`), a solve is direct, with no CG
+/// iteration ([`ReducedKktOp::exact_solve`]); with dense rows over a
+/// non-diagonal `K_R` it is PCG. Each solve first readies `M⁻¹`
+/// ([`ReducedKktOp::prepare`]), which factors `K` after construction and
+/// after each update; while a pivot of `M⁻¹` is not positive and finite, a
+/// solve returns PCG's breakdown without solving, for the guard ladder.
 ///
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
 /// `Aᵀ`), a [`PcgWorkspace`], and the right-hand-side buffers for the whole
@@ -351,10 +354,8 @@ impl KktBackend for DirectLdltBackend {
 pub struct CpuPcgBackend {
     op: ReducedKktOp,
     pool: Arc<ThreadPool>,
-    sigma: f64,
     eps: f64,
     max_iter: usize,
-    tmp_m: Vec<f64>,
     rhs: Vec<f64>,
     ws: PcgWorkspace,
     stats: BackendStats,
@@ -407,10 +408,8 @@ impl CpuPcgBackend {
         CpuPcgBackend {
             op,
             pool,
-            sigma,
             eps,
             max_iter,
-            tmp_m: vec![0.0; a.nrows()],
             rhs: vec![0.0; p.nrows()],
             ws: PcgWorkspace::new(p.nrows()),
             stats: BackendStats::default(),
@@ -455,30 +454,23 @@ impl KktBackend for CpuPcgBackend {
     ) -> Result<(), SolverError> {
         self.op.prepare()?;
         let count0 = self.op.spmv_count();
-        // rhs = σx − q + Aᵀ(ρ∘z − y)
-        let rho = self.op.rho();
-        for i in 0..self.tmp_m.len() {
-            self.tmp_m[i] = rho[i] * z[i] - y[i];
-        }
-        for j in 0..self.rhs.len() {
-            self.rhs[j] = self.sigma * x[j] - q[j];
-        }
-        self.op.at_spmv_acc(1.0, &self.tmp_m, &mut self.rhs)?;
-
-        // With an exact M, x̃ = M⁻¹ rhs directly; otherwise PCG starts from
-        // the caller's warm start in `xtilde`.
+        // With an exact M⁻¹ the KKT solve is direct; otherwise PCG on
+        // rhs = σx − q + Aᵀ(ρ∘z − y) starts from the caller's warm start in
+        // `xtilde`, and z̃ = A x̃.
         let iterations = if self.op.preconditioner().is_exact() {
-            exact_solve(&mut self.op, &self.rhs, xtilde).map(|()| 0)
+            self.op.exact_solve(x, z, y, q, xtilde, ztilde).map(|()| 0)
         } else {
             let settings = PcgSettings { eps: self.eps, max_iter: self.max_iter };
-            pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool)
-                .map(|s| s.iterations)
+            self.op.rhs(x, z, y, q, &mut self.rhs).map_err(Into::into).and_then(|()| {
+                let summary =
+                    pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool)?;
+                self.op.a_spmv(xtilde, ztilde)?;
+                Ok(summary.iterations)
+            })
         };
         match iterations {
             Ok(iterations) => {
                 self.stats.cg_iterations += iterations;
-                // z̃ = A x̃
-                self.op.a_spmv(xtilde, ztilde)?;
                 self.stats.spmv_evals += self.op.spmv_count() - count0;
                 self.stats.kkt_solves += 1;
                 Ok(())

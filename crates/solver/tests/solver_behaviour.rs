@@ -240,9 +240,10 @@ fn fixed_cg_tolerance_solves() {
         eps_rel: 1e-6,
         ..Default::default()
     };
-    // A portfolio's dense rows keep PCG (the box QP's KKT solve is the
-    // factor of K, with no CG iteration).
-    let mut s = Solver::new(generate(Domain::Portfolio, 2, 1), settings).unwrap();
+    // The budget QP's dense row over a tridiagonal P keeps PCG (the box
+    // QP's KKT solve is the factor of K and a portfolio's the augmented
+    // dense-row solve, with no CG iteration).
+    let mut s = Solver::new(rsqp_problems::random::generate_budget(40), settings).unwrap();
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(r.backend.cg_iterations > 0);

@@ -4,9 +4,11 @@
 //! PCG backend runs on a box-constrained QP without dense rows or columns,
 //! whose KKT solve is the factor of the reduced `K` (refactored in place
 //! at the first solve after each ρ or matrix update), on a portfolio,
-//! whose dense factor and budget rows switch on the preconditioner's
-//! Woodbury correction, and on an SVM, a lasso and a Huber fit, whose
-//! dense feature columns switch on its block elimination.
+//! whose dense factor and budget rows over a diagonal `K_R` make the KKT
+//! solve the direct augmented dense-row solve, on a budget QP, whose dense
+//! row over a tridiagonal `P` keeps PCG with the Woodbury correction, and
+//! on an SVM, a lasso and a Huber fit, whose dense feature columns switch
+//! on the block elimination.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -18,6 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rsqp_problems::random::generate_budget;
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{
     CgTolerance, CpuPcgBackend, KktBackend, LinSysKind, QpProblem, Settings, SolveResult, Solver,
@@ -123,9 +126,20 @@ fn ldlt_settings(max_iter: usize) -> Settings {
     }
 }
 
-/// A portfolio with 2 factors: its factor rows and budget row are dense.
+/// A portfolio with 2 factors: its factor rows and budget row are dense
+/// and `K_R` is diagonal, so the KKT solve is the augmented dense-row
+/// solve.
 fn portfolio() -> QpProblem {
     generate(Domain::Portfolio, 2, 1)
+}
+
+/// The problems the PCG backend runs on: the box QP, the portfolio, the
+/// budget QP (PCG) and the dense-column problems.
+fn pcg_problems() -> Vec<QpProblem> {
+    [problem(), portfolio(), generate_budget(40)]
+        .into_iter()
+        .chain(dense_column_problems())
+        .collect()
 }
 
 /// The smallest SVM, lasso and Huber instances whose dense feature
@@ -153,12 +167,12 @@ fn counted_solve_of(prob: &QpProblem, settings: Settings) -> (usize, SolveResult
 
 #[test]
 fn admm_steady_state_is_allocation_free() {
-    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
+    for prob in pcg_problems() {
         let allocs_for = |max_iter| counted_solve_of(&prob, settings(max_iter)).0;
         // Warm up lazy runtime allocations (stdout locks, etc.).
         let _ = allocs_for(5);
         let short = allocs_for(20);
-        let long = allocs_for(220);
+        let (long, result) = counted_solve_of(&prob, settings(220));
         assert_eq!(
             short,
             long,
@@ -168,6 +182,9 @@ fn admm_steady_state_is_allocation_free() {
             long,
             short
         );
+        // The budget QP runs PCG; every other problem here solves directly.
+        let pcg = prob.name().starts_with("budget");
+        assert_eq!(result.backend.cg_iterations > 0, pcg, "{}: CG steps", prob.name());
     }
 }
 
@@ -176,7 +193,7 @@ fn manual_rho_update_is_allocation_free() {
     // `update_rho` rebuilds the per-constraint ρ vector into the existing
     // buffers and the PCG backend refreshes its preconditioner in place —
     // the whole call must never touch the heap once the solver exists.
-    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
+    for prob in pcg_problems() {
         let mut solver = Solver::new(&prob, settings(20)).unwrap();
         let _ = solver.solve().unwrap();
         let before = alloc_count();
@@ -232,7 +249,7 @@ fn pcg_backend_matrix_update_is_allocation_free() {
     // operator, its transpose and the preconditioner in place, and the box
     // QP's factor of K is refactored in place by the KKT solve that
     // follows.
-    for prob in [problem(), portfolio()].into_iter().chain(dense_column_problems()) {
+    for prob in pcg_problems() {
         let (p, a) = (prob.p(), prob.a());
         let (n, m) = (p.nrows(), a.nrows());
         let rho = vec![0.1; m];
@@ -262,11 +279,11 @@ fn pcg_backend_matrix_update_is_allocation_free() {
 fn solver_matrix_update_is_allocation_free() {
     // `Solver::update_matrices` re-equilibrates into the solver's scaled
     // data, rescales the iterates and bounds in place and hands the values
-    // to the backend, which refreshes in place too: the dense-row
-    // correction on the portfolio, the direct dense-column solve on the
-    // Huber fit. The solver owns its problem here; a shared `Arc` would be
-    // copied once.
-    for prob in [portfolio(), generate(Domain::Huber, 19, 1)] {
+    // to the backend, which refreshes in place too: the augmented
+    // dense-row solve on the portfolio, PCG's dense-row correction on the
+    // budget QP, the direct dense-column solve on the Huber fit. The
+    // solver owns its problem here; a shared `Arc` would be copied once.
+    for prob in [portfolio(), generate_budget(40), generate(Domain::Huber, 19, 1)] {
         let mut solver = Solver::new(&prob, settings(20)).unwrap();
         let _ = solver.solve().unwrap();
         let (p, a) = (prob.p(), prob.a());

@@ -10,8 +10,9 @@
 //! 4. the cycle-level simulated-FPGA machine (`rsqp-arch`).
 //!
 //! The direct backend factorizes the full quasi-definite KKT system; the
-//! PCG backends solve the reduced one — by PCG with dense rows in `A`, by
-//! the block elimination of its dense columns, or else through the sparse
+//! PCG backends solve the reduced one — with dense rows in `A` in OSQP's
+//! augmented form over a diagonal `K_R` (by PCG over any other), by the
+//! block elimination of its dense columns, or else through the sparse
 //! LDLᵀ of the reduced `K` (which shares only the triangular sweeps with
 //! the first path); and the machine executes the same solve instruction by
 //! instruction on simulated hardware. Agreement between them is therefore
@@ -20,10 +21,11 @@
 //! within the termination tolerance. The two PCG thread counts must
 //! additionally agree **bit for bit** (the PR 3 determinism contract).
 //! Serial CPU PCG and the machine run one KKT-solve specification (the PCG
-//! loop of `rsqp_linsys::pcg_with`, or one factor solve through
-//! `rsqp_sparse::ldl_solve_in_place`), so except under the dense-column
-//! elimination they take the same steps: equal ADMM and CG counts and
-//! bit-identical iterates. The infeasibility certificates are checked the
+//! loop of `rsqp_linsys::pcg_with`, the augmented dense-row solve of
+//! `rsqp_linsys::DenseRowPrecond::solve_augmented`, or one factor solve
+//! through `rsqp_sparse::ldl_solve_in_place`), so except under the
+//! dense-column elimination they take the same steps: equal ADMM and CG
+//! counts and bit-identical iterates. The infeasibility certificates are checked the
 //! same way: every path must detect them on the random infeasible and
 //! unbounded instances.
 
@@ -209,9 +211,9 @@ fn dense_column_backends_agree() {
 
 /// Solves control_0008, control_0020, eqqp_0100, portfolio_0005 and
 /// portfolio_0020 on serial CPU PCG and on the machine under `settings`
-/// and checks that they take the same steps: the direct solve through the
-/// factor of `K` on control and eqqp (no CG iteration), PCG with the
-/// dense-row correction on the portfolios.
+/// and checks that they take the same steps, all direct with no CG
+/// iteration: through the factor of `K` on control and eqqp, the augmented
+/// dense-row solve on the portfolios.
 fn same_steps_under(settings: Settings) {
     let instances = [
         (Domain::Control, 8),
@@ -222,17 +224,15 @@ fn same_steps_under(settings: Settings) {
     ];
     for (domain, size) in instances {
         let problem = generate(domain, size, 1);
-        let direct = domain != Domain::Portfolio;
         let precond = kkt_precond(&problem);
-        assert_eq!(precond.is_exact(), direct, "{}: direct path", problem.name());
-        assert_eq!(matches!(precond, KktPrecond::Factor(_)), direct, "{}", problem.name());
+        assert!(precond.is_exact(), "{}: direct path", problem.name());
+        let rows = matches!(precond, KktPrecond::Rows(_));
+        assert_eq!(rows, domain == Domain::Portfolio, "{}", problem.name());
         let cpu = Solver::new(&problem, settings.clone()).unwrap().solve().unwrap();
         let mut machine =
             fpga_solver(&problem, settings.clone(), ArchConfig::baseline(32)).unwrap();
         assert_same_steps(&problem, &cpu, &machine.solver.solve().unwrap());
-        if direct {
-            assert_eq!(cpu.backend.cg_iterations, 0, "{}: no CG iteration", problem.name());
-        }
+        assert_eq!(cpu.backend.cg_iterations, 0, "{}: no CG iteration", problem.name());
     }
 }
 
@@ -245,19 +245,20 @@ fn cpu_and_machine_take_the_same_steps() {
 }
 
 /// The same at the suite's tight settings, where the machine simulates
-/// the portfolios' CG steps and control's and eqqp's factor solves (about
-/// a second in release, minutes in a debug build; `differential_on`
-/// checks these settings on the suite's smaller instances in every
-/// build).
+/// the portfolios' augmented solves and control's and eqqp's factor
+/// solves (about a second in release, minutes in a debug build;
+/// `differential_on` checks these settings on the suite's smaller
+/// instances in every build).
 #[test]
 #[ignore = "simulates the tight-settings solves; run in release with --ignored"]
 fn cpu_and_machine_take_the_same_steps_at_tight_settings() {
     same_steps_under(settings(LinSysKind::CpuPcg, 1));
 }
 
-/// CPU PCG and the machine with the default (adaptive) inner tolerance
-/// reach eps 1e-8 on a portfolio, whose factor and budget rows are dense,
-/// and agree with LDLᵀ's objective.
+/// The portfolio's augmented dense-row solve on CPU PCG and the machine
+/// (at the default inner tolerance, which it does not read) reaches eps
+/// 1e-8 in LDLᵀ's ADMM count, with no CG iteration, and agrees with
+/// LDLᵀ's objective.
 #[test]
 fn portfolio_pcg_reaches_tight_tolerance() {
     let problem = generate(Domain::Portfolio, 5, 1);
@@ -284,6 +285,8 @@ fn portfolio_pcg_reaches_tight_tolerance() {
         ("machine", solve(tight(LinSysKind::CpuPcg), true)),
     ] {
         assert_eq!(r.status, Status::Solved, "{name} after {} iterations", r.iterations);
+        assert_eq!(r.iterations, direct.iterations, "{name}: ADMM iterations against LDLᵀ");
+        assert_eq!(r.backend.cg_iterations, 0, "{name}");
         let rel = (r.objective - direct.objective).abs() / direct.objective.abs();
         assert!(rel <= 1e-5, "{name}: objective {} vs LDLᵀ {}", r.objective, direct.objective);
     }

@@ -69,9 +69,8 @@ fn factored_residual(qp: &QpProblem, machine: bool) -> f64 {
 
     // b = σx − q + Aᵀ(ρ∘z − y) and K x̃, on the CPU.
     let mut op = ReducedKktOp::new(p, a, SIGMA, &rho).unwrap();
-    let mut b: Vec<f64> = x.iter().zip(&q).map(|(x, q)| SIGMA * x - q).collect();
-    let w: Vec<f64> = (0..m).map(|i| rho[i] * z[i] - y[i]).collect();
-    op.at_spmv_acc(1.0, &w, &mut b).unwrap();
+    let mut b = vec![0.0; n];
+    op.rhs(&x, &z, &y, &q, &mut b).unwrap();
     let mut kx = vec![0.0; n];
     op.apply(&xt, &mut kx).unwrap();
     let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|e| e * e).sum::<f64>().sqrt();
