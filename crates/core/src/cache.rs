@@ -167,7 +167,20 @@ impl CustomizationCache {
     /// inconsistency); the customization pipeline itself is infallible on a
     /// validated [`QpProblem`].
     pub fn get_or_customize(&self, problem: &QpProblem) -> Result<CacheLookup, SolverError> {
-        let key = PatternKey::new(problem.p(), problem.a());
+        self.lookup(PatternKey::new(problem.p(), problem.a()), problem)
+    }
+
+    /// [`Self::get_or_customize`] with the key already computed: a caller
+    /// that holds `problem`'s [`PatternKey`] (a session whose updates keep
+    /// the structure) skips fingerprinting `P` and `A` again. `key` must be
+    /// `PatternKey::new(problem.p(), problem.a())`; a miss customizes
+    /// `problem` and files the artifacts under `key`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::get_or_customize`].
+    pub fn lookup(&self, key: PatternKey, problem: &QpProblem) -> Result<CacheLookup, SolverError> {
+        debug_assert_eq!(key, PatternKey::new(problem.p(), problem.a()), "a stale pattern key");
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
@@ -262,6 +275,20 @@ mod tests {
         let perm = art.kkt_perm.as_ref().expect("AMD produces a permutation");
         assert_eq!(perm.len(), qp.num_vars() + qp.num_constraints());
         assert!(cache.peek(&art.key).is_some());
+    }
+
+    #[test]
+    fn a_keyed_lookup_shares_the_ledger_and_the_entry() {
+        let cache = CustomizationCache::new(2);
+        let qp = generate(Domain::Control, 3, 1);
+        let key = PatternKey::new(qp.p(), qp.a());
+        let first = cache.lookup(key, &qp).unwrap();
+        assert!(!first.hit);
+        assert_eq!(first.artifacts.key, key);
+        let second = cache.get_or_customize(&qp).unwrap();
+        assert!(second.hit && Arc::ptr_eq(&first.artifacts, &second.artifacts));
+        assert!(cache.lookup(key, &generate(Domain::Control, 3, 2)).unwrap().hit);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]

@@ -179,7 +179,8 @@ impl Factored {
 
 /// The pattern of `triu(P + σI + AᵀA)` by columns, with every diagonal
 /// entry stored and zero values. `P` is stored in full, so its row `j` up
-/// to the diagonal is column `j` of its upper triangle; `at` is `Aᵀ`.
+/// to the diagonal is column `j` of its upper triangle; `at` is `Aᵀ`. Rows
+/// are sorted, so each is read only up to its first column past `j`.
 fn upper_pattern(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix) -> CscMatrix {
     let n = p.nrows();
     let mut mark = vec![usize::MAX; n];
@@ -187,16 +188,16 @@ fn upper_pattern(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix) -> CscMatrix {
     let mut rowidx = Vec::new();
     for j in 0..n {
         let start = rowidx.len();
-        let mut add = |i: usize| {
-            if i <= j && mark[i] != j {
+        let mut add = |&i: &usize| {
+            if mark[i] != j {
                 mark[i] = j;
                 rowidx.push(i);
             }
         };
-        add(j);
-        p.row(j).0.iter().for_each(|&i| add(i));
+        add(&j);
+        p.row(j).0.iter().take_while(|&&i| i <= j).for_each(&mut add);
         for &r in at.row(j).0 {
-            a.row(r).0.iter().for_each(|&i| add(i));
+            a.row(r).0.iter().take_while(|&&i| i <= j).for_each(&mut add);
         }
         rowidx[start..].sort_unstable();
         colptr.push(rowidx.len());
@@ -209,7 +210,8 @@ fn upper_pattern(p: &CsrMatrix, a: &CsrMatrix, at: &CsrMatrix) -> CscMatrix {
 /// pattern [`upper_pattern`] built. Column `j` is summed in `column` (zero
 /// on entry and on exit): `P`'s entries, then `σ`, then
 /// `ρ_r A_rj A_ri` over the rows `r` of column `j` of `A` in increasing
-/// order. Allocates nothing.
+/// order, each row read up to its first column past `j`. Allocates
+/// nothing.
 fn fill_upper(
     k: &mut CscMatrix,
     column: &mut [f64],
@@ -221,20 +223,16 @@ fn fill_upper(
 ) {
     for j in 0..column.len() {
         let (cols, vals) = p.row(j);
-        for (&i, &v) in cols.iter().zip(vals) {
-            if i <= j {
-                column[i] += v;
-            }
+        for (&i, &v) in cols.iter().zip(vals).take_while(|(&i, _)| i <= j) {
+            column[i] += v;
         }
         column[j] += sigma;
         let (rows, avals) = at.row(j);
         for (&r, &arj) in rows.iter().zip(avals) {
             let w = rho[r] * arj;
             let (cols, vals) = a.row(r);
-            for (&i, &ari) in cols.iter().zip(vals) {
-                if i <= j {
-                    column[i] += w * ari;
-                }
+            for (&i, &ari) in cols.iter().zip(vals).take_while(|(&i, _)| i <= j) {
+                column[i] += w * ari;
             }
         }
         let (start, end) = (k.colptr()[j], k.colptr()[j + 1]);

@@ -205,8 +205,9 @@ impl Ldlt {
                 let cidx = y_idx[i];
                 let tmp_idx = l_next_space[cidx];
                 let y_val = y_vals[cidx];
-                for j in l_colptr[cidx]..tmp_idx {
-                    y_vals[l_rowidx[j]] -= l_data[j] * y_val;
+                let filled = l_colptr[cidx]..tmp_idx;
+                for (&r, &v) in l_rowidx[filled.clone()].iter().zip(&l_data[filled]) {
+                    y_vals[r] -= v * y_val;
                 }
                 l_rowidx[tmp_idx] = k;
                 l_data[tmp_idx] = y_val * dinv[cidx];

@@ -43,7 +43,7 @@
 
 use std::cmp::Reverse;
 
-use rsqp_sparse::CsrMatrix;
+use rsqp_sparse::{CsrMatrix, TransposeCache};
 
 /// The largest component of `K_RR` eliminated exactly.
 const MAX_BLOCK: usize = 8;
@@ -107,6 +107,9 @@ pub struct DenseColPrecond {
     g: Option<CsrMatrix>,
     /// `Hᵀ = E_Dᵀ − G K_RD` (`n × k`).
     ht: CsrMatrix,
+    /// `H = (Hᵀ)ᵀ` (`k × n`) for the gather `s = H r`: built at the first
+    /// [`Self::apply`], its values refreshed with `Hᵀ`'s after that.
+    h: Option<TransposeCache>,
     /// `U` with `UᵀU = S`, row-major upper triangle (`k × k`).
     chol: Vec<f64>,
     /// The pivot the last refresh failed at, if it did.
@@ -362,6 +365,7 @@ impl DenseColPrecond {
             inv_diag: vec![0.0; n],
             g,
             ht,
+            h: None,
             chol: vec![0.0; k * k],
             failed: None,
             s: vec![0.0; k],
@@ -392,6 +396,9 @@ impl DenseColPrecond {
             self.eliminate_blocks(p, a, rho).and_then(|()| self.factor_schur(p, a, rho)).err();
         if self.failed.is_none() {
             self.fill_ht();
+            if let Some(h) = &mut self.h {
+                h.refresh_values(&self.ht).expect("Hᵀ keeps its pattern");
+            }
         }
     }
 
@@ -574,9 +581,10 @@ impl DenseColPrecond {
         }
     }
 
-    /// `d = M⁻¹ r = G r + Hᵀ S⁻¹ H r`: `d = G r`, `s = H r` by scattering
-    /// the rows of `Hᵀ`, `s ← S⁻¹ s` by two triangular solves, and
-    /// `d += Hᵀ s`.
+    /// `d = M⁻¹ r = G r + Hᵀ S⁻¹ H r`: `d = G r`, `s = H r` by a gather
+    /// over the rows of `H` (each summed in the order of the rows of `Hᵀ`),
+    /// `s ← S⁻¹ s` by two triangular solves, and `d += Hᵀ s`. The first
+    /// call transposes `Hᵀ` into `H`.
     ///
     /// # Panics
     ///
@@ -594,13 +602,8 @@ impl DenseColPrecond {
                 }
             }
         }
-        self.s.fill(0.0);
-        for (l, &rl) in r.iter().enumerate() {
-            let (idx, vals) = self.ht.row(l);
-            for (&q, &v) in idx.iter().zip(vals) {
-                self.s[q] += v * rl;
-            }
-        }
+        let h = self.h.get_or_insert_with(|| TransposeCache::new(&self.ht));
+        h.spmv(r, &mut self.s).expect("H is k × n");
         cholesky_solve(&self.chol, self.cols.len(), &mut self.s);
         self.ht.spmv_acc(1.0, &self.s, d).expect("Hᵀ is n × k");
     }
@@ -757,9 +760,10 @@ mod tests {
     use super::*;
     use rsqp_problems::{generate, Domain};
 
-    /// [`DenseColPrecond::apply`] with `d += Hᵀ s` written out as one fold
-    /// per row of `Hᵀ`: the reference its `Hᵀ` product through the CSR row
-    /// kernel must match bit for bit.
+    /// [`DenseColPrecond::apply`] with `s = H r` scattered over the rows of
+    /// `Hᵀ` and `d += Hᵀ s` written out as one fold per row of `Hᵀ`: the
+    /// reference its gather through `H` and its `Hᵀ` product through the
+    /// CSR row kernel must match bit for bit.
     fn apply_with_row_fold(pre: &mut DenseColPrecond, r: &[f64], d: &mut [f64]) {
         match &pre.g {
             Some(g) => g.spmv(r, d).unwrap(),
@@ -791,7 +795,12 @@ mod tests {
                 qp.l().iter().zip(qp.u()).map(|(l, u)| if l == u { 100.0 } else { 0.1 }).collect();
             let mut pre = DenseColPrecond::new(qp.p(), qp.a(), 1e-6, &rho).unwrap();
             let n = qp.p().nrows();
-            for phase in [0.0, 1.3] {
+            // A refresh between the applies moves H's values with Hᵀ's.
+            for (phase, scale) in [(0.0, 1.0), (1.3, 1.0), (0.4, 3.0)] {
+                if scale != 1.0 {
+                    let rho: Vec<f64> = rho.iter().map(|r| r * scale).collect();
+                    pre.refresh(qp.p(), qp.a(), &rho);
+                }
                 let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
                 let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
                 pre.apply(&r, &mut got);

@@ -33,7 +33,7 @@ use rsqp_obs::{Counter, Histogram, MetricsRegistry};
 use rsqp_solver::{
     CancelToken, QpProblem, Settings, SolveControl, SolveResult, Solver, SolverError,
 };
-use rsqp_sparse::CsrMatrix;
+use rsqp_sparse::{CsrMatrix, PatternKey};
 
 use crate::job::{AttemptSummary, BackendFactory, JobBudget, JobError};
 use crate::retry::{build_solver, run_attempts};
@@ -298,10 +298,17 @@ impl SolveSession {
 
         // Consult the cache every step: the first sight of a pattern pays
         // the customization + symbolic analysis, every later step is a
-        // ledger-counted hit. Value updates never change the key.
+        // ledger-counted hit. Updates never change the structure (a new one
+        // is rejected), so after the first step the key the artifacts hold
+        // is the problem's, and `P` and `A` are fingerprinted only once.
         let mut cache_hit = false;
         if let Some(cache) = self.cache.clone() {
-            let CacheLookup { artifacts, hit } = cache.get_or_customize(self.problem())?;
+            let problem = self.problem();
+            let key = match &self.artifacts {
+                Some(artifacts) => artifacts.key,
+                None => PatternKey::new(problem.p(), problem.a()),
+            };
+            let CacheLookup { artifacts, hit } = cache.lookup(key, problem)?;
             if hit {
                 self.metrics.cache_hits.inc();
             } else {

@@ -64,6 +64,35 @@ fn forty_step_mpc_sequence_customizes_once() {
 }
 
 #[test]
+fn value_updates_keep_the_first_steps_pattern_key() {
+    let cache = Arc::new(CustomizationCache::new(4));
+    let base = control::generate(3, 1);
+    let n = base.num_vars();
+    let mut session =
+        SolveSession::new(base, SessionConfig::default().with_cache(Arc::clone(&cache)));
+    assert!(!session.step(Vec::new()).unwrap().cache_hit);
+    for seed in 2..=10u64 {
+        let target = control::generate(3, seed);
+        let q: Vec<f64> = (0..n).map(|i| 0.05 * ((i as f64) * 0.61 + seed as f64).cos()).collect();
+        let report = session
+            .step(vec![
+                StepUpdate::Bounds { l: target.l().to_vec(), u: target.u().to_vec() },
+                StepUpdate::LinearCost(q),
+                StepUpdate::Matrices { p: Some(target.p().clone()), a: Some(target.a().clone()) },
+            ])
+            .unwrap();
+        assert!(report.cache_hit, "step {seed}");
+        assert_eq!(report.result.status, Status::Solved, "step {seed}");
+    }
+    assert_eq!((cache.misses(), cache.hits()), (1, 9));
+    let snap = session.metrics().snapshot();
+    assert_eq!((snap.counter("cache_misses"), snap.counter("cache_hits")), (1, 9));
+    let problem = session.problem();
+    let key = rsqp_sparse::PatternKey::new(problem.p(), problem.a());
+    assert_eq!(session.cached_artifacts().unwrap().key, key);
+}
+
+#[test]
 fn cache_is_shared_across_sessions() {
     let cache = Arc::new(CustomizationCache::new(4));
     let mut first = SolveSession::new(

@@ -22,8 +22,8 @@
 use std::sync::Arc;
 
 use rsqp_linsys::{
-    amd_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
-    SymmetricPermutation,
+    amd_ordering, inverse_permutation, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings,
+    PcgWorkspace, ReducedKktOp, SymmetricPermutation,
 };
 use rsqp_par::ThreadPool;
 use rsqp_sparse::{CscMatrix, CsrMatrix};
@@ -155,14 +155,16 @@ fn order(kkt: &CscMatrix, ordering: KktOrdering) -> Result<Option<Vec<usize>>, S
 #[derive(Debug)]
 pub struct DirectLdltBackend {
     n: usize,
-    m: usize,
     sigma: f64,
     kkt: KktMatrix,
     factor: Ldlt,
     permutation: Option<SymmetricPermutation>,
+    /// Where each KKT unknown sits in the factor's order (`x` first, then
+    /// `ν`): the inverse of the permutation, or the identity without one.
+    new_of: Vec<usize>,
     rho_inv: Vec<f64>,
+    /// The right-hand side and then the solution, in the factor's order.
     rhs: Vec<f64>,
-    scratch: Vec<f64>,
     stats: BackendStats,
 }
 
@@ -233,16 +235,19 @@ impl DirectLdltBackend {
             None => Ldlt::factor(kkt.matrix())?,
         };
         let dim = p.nrows() + a.nrows();
+        let new_of = match &permutation {
+            Some(sp) => inverse_permutation(sp.perm())?,
+            None => (0..dim).collect(),
+        };
         Ok(DirectLdltBackend {
             n: p.nrows(),
-            m: a.nrows(),
             sigma,
             kkt,
             factor,
             permutation,
+            new_of,
             rho_inv: rho.iter().map(|&r| 1.0 / r).collect(),
             rhs: vec![0.0; dim],
-            scratch: vec![0.0; dim],
             stats: BackendStats { factorizations: 1, ..Default::default() },
         })
     }
@@ -284,26 +289,25 @@ impl KktBackend for DirectLdltBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
-        // rhs = [σx − q; z − ρ⁻¹y]
-        for j in 0..self.n {
-            self.rhs[j] = self.sigma * x[j] - q[j];
+        // rhs = [σx − q; z − ρ⁻¹y], written straight into the factor's
+        // order, and x̃ and ν read straight out of it.
+        let (x_at, nu_at) = self.new_of.split_at(self.n);
+        let rhs = &mut self.rhs;
+        for ((&at, &xj), &qj) in x_at.iter().zip(x).zip(q) {
+            rhs[at] = self.sigma * xj - qj;
         }
-        for i in 0..self.m {
-            self.rhs[self.n + i] = z[i] - self.rho_inv[i] * y[i];
+        for (((&at, &zi), &ri), &yi) in nu_at.iter().zip(z).zip(&self.rho_inv).zip(y) {
+            rhs[at] = zi - ri * yi;
         }
-        match &self.permutation {
-            Some(sp) => {
-                sp.permute_into(&self.rhs, &mut self.scratch);
-                self.factor.solve_in_place(&mut self.scratch)?;
-                sp.unpermute_into(&self.scratch, &mut self.rhs);
-            }
-            None => self.factor.solve_in_place(&mut self.rhs)?,
+        self.factor.solve_in_place(rhs)?;
+        for (xt, &at) in xtilde.iter_mut().zip(x_at) {
+            *xt = rhs[at];
         }
-        xtilde.copy_from_slice(&self.rhs[..self.n]);
         // z̃ = z + ρ⁻¹(ν − y)
-        for i in 0..self.m {
-            let nu = self.rhs[self.n + i];
-            ztilde[i] = z[i] + self.rho_inv[i] * (nu - y[i]);
+        for ((((zt, &at), &zi), &ri), &yi) in
+            ztilde.iter_mut().zip(nu_at).zip(z).zip(&self.rho_inv).zip(y)
+        {
+            *zt = zi + ri * (rhs[at] - yi);
         }
         self.stats.kkt_solves += 1;
         Ok(())
