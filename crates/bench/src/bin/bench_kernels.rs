@@ -3,38 +3,32 @@
 //!
 //! Measures the layers the ADMM iteration spends its time in:
 //!
-//! * CSR SpMV, serial vs. pool-partitioned;
+//! * CSR SpMV;
 //! * `Aᵀx`, scatter kernel vs. the cached gather transpose;
-//! * the reduced-KKT operator apply (Eq. 3), serial vs. 4-thread pool;
+//! * the reduced-KKT operator apply (Eq. 3);
 //! * a full Jacobi-preconditioned PCG solve, a fresh iterate and workspace
 //!   per call vs. a reused workspace (both `pcg_with`);
 //! * end-to-end PCG-backend solves of the largest control/lasso suite
-//!   instances at 1 and 4 kernel threads;
+//!   instances;
 //! * a telemetry-overhead check: the disabled-tracing solve path must stay
 //!   within 2% of the default-settings baseline path (asserted in-process,
 //!   same host, median of interleaved pairs), the traced path reported.
-//!
-//! Every parallel result is asserted **bit-identical** across pools of
-//! 1, 2, and 8 threads before any number is reported.
 //!
 //! Output is a flat JSON map written to `BENCH_kernels.json`. With
 //! `--check`, the run instead compares its dimensionless `speedup_*`
 //! metrics against that committed baseline and fails when one falls below
 //! 75% of its recorded value (a 25% regression band — raw nanosecond
 //! metrics are recorded for inspection but not gated, since CI hosts
-//! differ). Speedup metrics that need more cores than the host has are
-//! recorded as absent and skipped by the gate.
+//! differ). A baseline speedup this build does not measure is skipped.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rsqp_bench::median;
 use rsqp_linsys::{pcg_with, LinearOperator, LinsysError, PcgSettings, PcgWorkspace, ReducedKktOp};
-use rsqp_par::{available_threads, ThreadPool};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
-use rsqp_sparse::{CooMatrix, CsrMatrix, RowPartition, TransposeCache};
+use rsqp_sparse::{CooMatrix, CsrMatrix, TransposeCache};
 
 /// Baseline/output location, relative to the workspace root CI runs from.
 const BASELINE: &str = "BENCH_kernels.json";
@@ -44,8 +38,6 @@ const TOLERANCE: f64 = 0.75;
 /// fraction from the default-settings baseline path (same process, same
 /// host, median ratio of interleaved pairs — so the band can be tight).
 const TRACE_OVERHEAD_TOLERANCE: f64 = 0.02;
-/// Pool sizes every kernel result must be bit-identical across.
-const DETERMINISM_POOLS: [usize; 3] = [1, 2, 8];
 
 struct Options {
     check: bool,
@@ -164,20 +156,6 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-fn assert_bits_equal(name: &str, runs: &[Vec<f64>]) {
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        assert_eq!(run.len(), runs[0].len(), "{name}: length mismatch across pools");
-        for (j, (a, b)) in runs[0].iter().zip(run).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "{name}: element {j} differs between pool sizes {} and {}: {a:?} vs {b:?}",
-                DETERMINISM_POOLS[0],
-                DETERMINISM_POOLS[i],
-            );
-        }
-    }
-}
-
 /// One benchmark report: insertion-ordered `(name, value)` pairs.
 #[derive(Default)]
 struct Report(Vec<(String, f64)>);
@@ -221,7 +199,7 @@ impl Report {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    let cores = available_threads();
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut report = Report::default();
     report.push("host_cores", cores as f64);
 
@@ -235,33 +213,10 @@ fn main() -> ExitCode {
     let xm: Vec<f64> = (0..m).map(|i| ((i as f64) * 0.53).cos()).collect();
     let rho = vec![0.1; m];
 
-    // --- SpMV: serial vs. partitioned on a pool -------------------------
+    // --- SpMV ------------------------------------------------------------
     let mut y = vec![0.0; m];
     let spmv_serial = time_ns(reps, || a.spmv(&x, &mut y).unwrap());
     report.push("spmv_serial_ns", spmv_serial);
-    let par_threads = cores.clamp(1, 8);
-    {
-        let pool = ThreadPool::new(par_threads);
-        let part = RowPartition::balanced(&a, par_threads * 2);
-        let spmv_par = time_ns(reps, || a.spmv_partitioned(&x, &mut y, &pool, &part).unwrap());
-        report.push("spmv_pool_ns", spmv_par);
-        if cores >= 2 {
-            report.push("speedup_spmv_pool", spmv_serial / spmv_par);
-        }
-    }
-
-    // Determinism: partitioned SpMV across pools.
-    let runs: Vec<Vec<f64>> = DETERMINISM_POOLS
-        .iter()
-        .map(|&t| {
-            let pool = ThreadPool::new(t);
-            let part = RowPartition::balanced(&a, 8);
-            let mut out = vec![0.0; m];
-            a.spmv_partitioned(&x, &mut out, &pool, &part).unwrap();
-            out
-        })
-        .collect();
-    assert_bits_equal("spmv_partitioned", &runs);
 
     // --- Aᵀx: scatter kernel vs. cached gather transpose ----------------
     let mut yt = vec![0.0; n];
@@ -272,40 +227,13 @@ fn main() -> ExitCode {
     report.push("at_gather_ns", at_gather);
     report.push("speedup_at_gather", at_scatter / at_gather);
 
-    // --- Reduced-KKT apply: serial vs. 4-thread pool --------------------
+    // --- Reduced-KKT apply ------------------------------------------------
     let kkt_serial = {
         let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
         let mut out = vec![0.0; n];
         time_ns(reps, || op.apply(&x, &mut out).unwrap())
     };
     report.push("kkt_apply_serial_ns", kkt_serial);
-    {
-        let pool = Arc::new(ThreadPool::new(4.min(cores.max(1))));
-        let mut op =
-            ReducedKktOp::with_pool(Arc::new(p.clone()), Arc::new(a.clone()), 1e-6, &rho, pool)
-                .unwrap();
-        let mut out = vec![0.0; n];
-        let kkt_pool = time_ns(reps, || op.apply(&x, &mut out).unwrap());
-        report.push("kkt_apply_pool4_ns", kkt_pool);
-        if cores >= 4 {
-            report.push("speedup_kkt_apply_pool4", kkt_serial / kkt_pool);
-        }
-    }
-
-    // Determinism: the operator apply across pools.
-    let runs: Vec<Vec<f64>> = DETERMINISM_POOLS
-        .iter()
-        .map(|&t| {
-            let pool = Arc::new(ThreadPool::new(t));
-            let mut op =
-                ReducedKktOp::with_pool(Arc::new(p.clone()), Arc::new(a.clone()), 1e-6, &rho, pool)
-                    .unwrap();
-            let mut out = vec![0.0; n];
-            op.apply(&x, &mut out).unwrap();
-            out
-        })
-        .collect();
-    assert_bits_equal("reduced_kkt_apply", &runs);
 
     // --- Full PCG: per-call allocation vs. reused workspace -------------
     {
@@ -314,20 +242,19 @@ fn main() -> ExitCode {
         let mut op = JacobiKkt::new(&p, &a, 1e-6, &rho);
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
-        let serial = ThreadPool::serial();
         // A fresh iterate and workspace per call, as a caller without a
         // long-lived workspace would pay.
         let pcg_alloc = time_ns(reps.min(8), || {
             let mut x = x0.clone();
             let mut ws = PcgWorkspace::new(n);
-            pcg_with(&mut op, &b, &mut x, &settings, &mut ws, &serial).unwrap();
+            pcg_with(&mut op, &b, &mut x, &settings, &mut ws).unwrap();
         });
         report.push("pcg_alloc_ns", pcg_alloc);
         let mut ws = PcgWorkspace::new(n);
         let mut xw = vec![0.0; n];
         let pcg_ws = time_ns(reps.min(8), || {
             xw.fill(0.0);
-            pcg_with(&mut op, &b, &mut xw, &settings, &mut ws, &serial).unwrap();
+            pcg_with(&mut op, &b, &mut xw, &settings, &mut ws).unwrap();
         });
         report.push("pcg_ws_ns", pcg_ws);
         report.push("speedup_pcg_workspace", pcg_alloc / pcg_ws);
@@ -339,30 +266,17 @@ fn main() -> ExitCode {
     {
         let problem = generate(domain, size, 7);
         let e2e_reps = if opts.quick { 1 } else { 3 };
-        let mut times = [0.0f64; 2];
-        let mut solutions: Vec<Vec<f64>> = Vec::new();
-        for (slot, threads) in [(0usize, 1usize), (1, 4)] {
-            let settings = Settings {
-                linsys: LinSysKind::CpuPcg,
-                threads,
-                cg_tolerance: CgTolerance::Fixed(1e-7),
-                adaptive_rho: false,
-                ..Settings::default()
-            };
-            times[slot] = time_ns(e2e_reps, || {
-                let mut solver = solve_setup(&problem, settings.clone());
-                let result = solver.solve().expect("benchmark solve");
-                if solutions.len() <= slot {
-                    solutions.push(result.x);
-                }
-            });
-        }
-        report.push(&format!("e2e_{tag}_t1_ns"), times[0]);
-        report.push(&format!("e2e_{tag}_t4_ns"), times[1]);
-        if cores >= 4 {
-            report.push(&format!("speedup_e2e_{tag}"), times[0] / times[1]);
-        }
-        assert_bits_equal(&format!("e2e_{tag}_solution"), &solutions);
+        let settings = Settings {
+            linsys: LinSysKind::CpuPcg,
+            cg_tolerance: CgTolerance::Fixed(1e-7),
+            adaptive_rho: false,
+            ..Settings::default()
+        };
+        let time = time_ns(e2e_reps, || {
+            let mut solver = solve_setup(&problem, settings.clone());
+            solver.solve().expect("benchmark solve");
+        });
+        report.push(&format!("e2e_{tag}_t1_ns"), time);
     }
 
     // --- Telemetry overhead: disabled tracing rides the baseline path ---
@@ -380,7 +294,6 @@ fn main() -> ExitCode {
         let overhead_reps = if opts.quick { 12 } else { 18 };
         let with_trace = |trace: bool| Settings {
             linsys: LinSysKind::CpuPcg,
-            threads: 1,
             cg_tolerance: CgTolerance::Fixed(1e-7),
             adaptive_rho: false,
             trace,
@@ -388,7 +301,6 @@ fn main() -> ExitCode {
         };
         let baseline_settings = Settings {
             linsys: LinSysKind::CpuPcg,
-            threads: 1,
             cg_tolerance: CgTolerance::Fixed(1e-7),
             adaptive_rho: false,
             ..Settings::default()
@@ -482,9 +394,9 @@ fn check(current: &Report) -> ExitCode {
                 failures += 1;
             }
             None => {
-                // Absent on this host (not enough cores) — recorded, not a
+                // A retired metric still in an old baseline: not a
                 // regression.
-                println!("SKIP {name}: not measurable on this host");
+                println!("SKIP {name}: not measured by this build");
             }
         }
     }

@@ -528,12 +528,14 @@ mod tests {
         // no PCG step on either), from zero, and warm-started with a new
         // q. Control and eqqp solve through the factor of K, the portfolio
         // in the augmented dense-row form (no CG step), the budget QP by
-        // PCG.
+        // PCG, with vectors long enough at n = 9 000 that the two must sum
+        // long dot products the same way.
         let problems = [
             generate(Domain::Control, 2, 1),
             generate(Domain::Eqqp, 10, 1),
             generate(Domain::Portfolio, 1, 1),
             generate_budget(40),
+            generate_budget(9000),
         ];
         for qp in problems {
             let name = qp.name();

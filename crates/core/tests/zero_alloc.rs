@@ -140,7 +140,6 @@ fn baseline_solver(prob: &QpProblem, settings: Settings) -> Solver {
 /// every one.
 fn churn_settings(max_iter: usize) -> Settings {
     Settings {
-        threads: 1,
         max_iter,
         eps_abs: 1e-300,
         eps_rel: 1e-300,

@@ -15,10 +15,7 @@
 //!   whole ADMM KKT system directly ([`ReducedKktOp::exact_solve`]): the
 //!   dense-row kind in OSQP's augmented form, the others as `x̃ = M⁻¹b`.
 
-use std::sync::Arc;
-
-use rsqp_par::ThreadPool;
-use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, RowPartition, TransposeCache};
+use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, TransposeCache};
 
 use crate::pcg::LinearOperator;
 use crate::precond::KktPrecond;
@@ -153,10 +150,8 @@ impl KktMatrix {
 /// `Aᵀ` is built **once** at construction as a [`TransposeCache`], so every
 /// `apply` evaluates `Aᵀ(ρ∘(Ax))` as two cache-friendly gather SpMVs
 /// instead of a scatter (the GPU implementation and the FPGA likewise store
-/// `A` and `Aᵀ` explicitly for row-major streaming). The operator owns its
-/// matrices behind [`Arc`]s so backends can hold it across iterations
-/// without cloning data, and runs its SpMVs on a shared [`ThreadPool`] over
-/// nnz-balanced [`RowPartition`]s — bit-identical for every pool size.
+/// `A` and `Aᵀ` explicitly for row-major streaming). The operator owns
+/// copies of `P` and `A`, which value updates overwrite in place.
 ///
 /// Its `M⁻¹` ([`KktPrecond`]) is Jacobi plus the Woodbury correction for
 /// the dense rows of `A`, the block elimination of its dense columns, or
@@ -166,8 +161,8 @@ impl KktMatrix {
 /// it is exact, [`Self::exact_solve`] is the whole KKT solve.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
-    p: Arc<CsrMatrix>,
-    a: Arc<CsrMatrix>,
+    p: CsrMatrix,
+    a: CsrMatrix,
     at: TransposeCache,
     sigma: f64,
     rho: Vec<f64>,
@@ -176,44 +171,17 @@ pub struct ReducedKktOp {
     tmp_m: Vec<f64>,
     /// The right-hand side of [`Self::exact_solve`].
     tmp_n: Vec<f64>,
-    pool: Arc<ThreadPool>,
-    p_part: RowPartition,
-    a_part: RowPartition,
-    at_part: RowPartition,
     spmv_count: usize,
 }
 
 impl ReducedKktOp {
-    /// Creates a serial operator, cloning the matrices once and building
-    /// the `Aᵀ` cache.
+    /// Creates the operator, cloning the matrices once and building the
+    /// `Aᵀ` cache.
     ///
     /// # Errors
     ///
     /// Returns [`LinsysError::Dimension`] if the shapes are inconsistent.
     pub fn new(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Result<Self, LinsysError> {
-        Self::with_pool(
-            Arc::new(p.clone()),
-            Arc::new(a.clone()),
-            sigma,
-            rho,
-            Arc::new(ThreadPool::serial()),
-        )
-    }
-
-    /// Creates the operator on an existing pool without copying matrix
-    /// data. Row partitions are balanced by nnz for the pool size; the `Aᵀ`
-    /// cache is built here, once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinsysError::Dimension`] if the shapes are inconsistent.
-    pub fn with_pool(
-        p: Arc<CsrMatrix>,
-        a: Arc<CsrMatrix>,
-        sigma: f64,
-        rho: &[f64],
-        pool: Arc<ThreadPool>,
-    ) -> Result<Self, LinsysError> {
         let n = p.nrows();
         let m = a.nrows();
         if p.ncols() != n {
@@ -231,27 +199,17 @@ impl ReducedKktOp {
                 rho.len()
             )));
         }
-        let at = TransposeCache::new(&a);
-        // A mild oversplit (2 chunks per thread) smooths out rows of uneven
-        // cost without shrinking chunks below useful sizes.
-        let chunks = pool.threads() * 2;
-        let p_part = RowPartition::balanced(&p, chunks);
-        let a_part = RowPartition::balanced(&a, chunks);
-        let at_part = RowPartition::balanced(at.matrix(), chunks);
-        let precond = KktPrecond::new(&p, &a, at.matrix(), sigma, rho);
+        let at = TransposeCache::new(a);
+        let precond = KktPrecond::new(p, a, at.matrix(), sigma, rho);
         Ok(ReducedKktOp {
-            p,
-            a,
+            p: p.clone(),
+            a: a.clone(),
             at,
             sigma,
             rho: rho.to_vec(),
             precond,
             tmp_m: vec![0.0; m],
             tmp_n: vec![0.0; n],
-            pool,
-            p_part,
-            a_part,
-            at_part,
             spmv_count: 0,
         })
     }
@@ -304,14 +262,9 @@ impl ReducedKktOp {
         }
         self.check_rho_len(rho)?;
         self.rho.copy_from_slice(rho);
-        // In place while the operator owns its copies, so an update does
-        // not allocate.
-        for (own, new) in [(&mut self.p, p), (&mut self.a, a)] {
-            match Arc::get_mut(own) {
-                Some(own) => own.data_mut().copy_from_slice(new.data()),
-                None => *own = Arc::new(new.clone()),
-            }
-        }
+        // In place, so an update does not allocate.
+        self.p.data_mut().copy_from_slice(p.data());
+        self.a.data_mut().copy_from_slice(a.data());
         self.at.refresh_values(&self.a)?;
         self.precond.refresh(&self.p, &self.a, self.at.matrix(), &self.rho);
         Ok(())
@@ -334,14 +287,14 @@ impl ReducedKktOp {
         self.precond.prepare(&self.p, &self.a, self.at.matrix(), &self.rho)
     }
 
-    /// `y = A x` on the operator's pool — the `z̃ = A x̃` step of a KKT
-    /// solve, counted in [`Self::spmv_count`].
+    /// `y = A x` — the `z̃ = A x̃` step of a KKT solve, counted in
+    /// [`Self::spmv_count`].
     ///
     /// # Errors
     ///
     /// Returns [`LinsysError::Sparse`] on shape mismatch.
     pub fn a_spmv(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
-        self.a.spmv_partitioned(x, y, &self.pool, &self.a_part)?;
+        self.a.spmv(x, y)?;
         self.spmv_count += 1;
         Ok(())
     }
@@ -383,7 +336,7 @@ impl ReducedKktOp {
         for ((bj, &xj), &qj) in b.iter_mut().zip(x).zip(q) {
             *bj = self.sigma * xj - qj;
         }
-        self.at.matrix().spmv_acc_partitioned(1.0, &self.tmp_m, b, &self.pool, &self.at_part)?;
+        self.at.matrix().spmv_acc(1.0, &self.tmp_m, b)?;
         self.spmv_count += 1;
         Ok(())
     }
@@ -483,16 +436,16 @@ impl LinearOperator for ReducedKktOp {
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
         // y = P x + sigma x
-        self.p.spmv_partitioned(x, y, &self.pool, &self.p_part)?;
+        self.p.spmv(x, y)?;
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += self.sigma * xi;
         }
         // tmp = rho .* (A x); y += At tmp — both gather SpMVs.
-        self.a.spmv_partitioned(x, &mut self.tmp_m, &self.pool, &self.a_part)?;
+        self.a.spmv(x, &mut self.tmp_m)?;
         for (t, &r) in self.tmp_m.iter_mut().zip(&self.rho) {
             *t *= r;
         }
-        self.at.matrix().spmv_acc_partitioned(1.0, &self.tmp_m, y, &self.pool, &self.at_part)?;
+        self.at.matrix().spmv_acc(1.0, &self.tmp_m, y)?;
         self.spmv_count += 3;
         Ok(())
     }
@@ -708,8 +661,7 @@ mod tests {
         let settings = crate::PcgSettings { eps: 1e-13, max_iter: 100 };
         let mut x = vec![0.0; n];
         let mut ws = crate::PcgWorkspace::new(n);
-        let sol =
-            crate::pcg_with(op, &b, &mut x, &settings, &mut ws, &ThreadPool::serial()).unwrap();
+        let sol = crate::pcg_with(op, &b, &mut x, &settings, &mut ws).unwrap();
         assert!(sol.converged && sol.iterations <= max_iter, "{} iterations", sol.iterations);
         let kkt = KktMatrix::assemble(p, a, sigma, rho).unwrap();
         let mut rhs = b.clone();
@@ -811,7 +763,6 @@ mod tests {
                 &mut [0.0; 2],
                 &PcgSettings::default(),
                 &mut PcgWorkspace::new(2),
-                &ThreadPool::serial(),
             )
             .unwrap_err();
             assert_eq!(direct, pcg);

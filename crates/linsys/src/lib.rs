@@ -30,7 +30,6 @@
 //! ```
 //! use rsqp_sparse::CsrMatrix;
 //! use rsqp_linsys::{pcg_with, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp};
-//! use rsqp_par::ThreadPool;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = CsrMatrix::from_diag(&[2.0, 2.0]);
@@ -45,8 +44,7 @@
 //! let b = vec![1.0, 1.0];
 //! let mut x = vec![0.0; 2];
 //! let mut ws = PcgWorkspace::new(2);
-//! let serial = ThreadPool::serial();
-//! let summary = pcg_with(&mut op, &b, &mut x, &PcgSettings::default(), &mut ws, &serial)?;
+//! let summary = pcg_with(&mut op, &b, &mut x, &PcgSettings::default(), &mut ws)?;
 //! assert!(summary.converged);
 //! assert!((x[0] - rhs[0]).abs() < 1e-6);
 //! # Ok(())

@@ -14,11 +14,10 @@
 //!
 //! with `K·v = (P·v + σ·v) + Aᵀ(ρ∘(A·v))`, the right-hand side formed as
 //! `(σx − q) + Aᵀ(ρ∘z − y)`, and each dot product summed left to right.
-//! A warm start that already meets the test still takes one step. Two
-//! differences remain: the machine's loop tests at its end, so it applies
-//! `M⁻¹` once more after its final step (the iterate is the same), and it
-//! sums every dot product serially, where the CPU sums vectors of
-//! `rsqp_par::PAR_LEN_THRESHOLD` (8 192) elements or more in chunks.
+//! A warm start that already meets the test still takes one step. One
+//! difference remains: the machine's loop tests at its end, so it applies
+//! `M⁻¹` once more after its final step (the iterate is the same). Both
+//! sum every dot product left to right, at every length.
 //!
 //! Unlike a direct LDLᵀ solve, PCG can fail mid-iteration: the operator may
 //! turn out indefinite along a search direction (`pᵀKp ≤ 0`), or corrupted
@@ -31,7 +30,6 @@
 use std::error::Error;
 use std::fmt;
 
-use rsqp_par::ThreadPool;
 use rsqp_sparse::vec_ops::{self, PCG_EPS_ABS};
 
 use crate::LinsysError;
@@ -188,9 +186,7 @@ impl PcgWorkspace {
 /// With a correctly sized workspace (and an operator whose
 /// [`LinearOperator::precondition`] does not allocate) it performs **zero
 /// heap allocations**, which is what lets the ADMM steady state run
-/// allocation-free. Dot products and vector updates run on `pool` (pass
-/// [`ThreadPool::serial`] to run inline); results are bit-identical across
-/// pool sizes (see `rsqp-par`'s determinism contract).
+/// allocation-free.
 ///
 /// # Errors
 ///
@@ -208,13 +204,12 @@ pub fn pcg_with(
     x: &mut [f64],
     settings: &PcgSettings,
     ws: &mut PcgWorkspace,
-    pool: &ThreadPool,
 ) -> Result<PcgSummary, PcgError> {
     let n = op.dim();
     check_lengths(n, b, x)?;
     ws.resize(n);
 
-    let bb = vec_ops::dot_par(b, b, pool);
+    let bb = vec_ops::dot(b, b);
     if !bb.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "rhs norm" });
     }
@@ -222,8 +217,8 @@ pub fn pcg_with(
 
     // r0 = K x0 - b
     op.apply(x, &mut ws.r)?;
-    vec_ops::axpy_par(-1.0, b, &mut ws.r, pool);
-    let mut rr = vec_ops::dot_par(&ws.r, &ws.r, pool);
+    vec_ops::axpy(-1.0, b, &mut ws.r);
+    let mut rr = vec_ops::dot(&ws.r, &ws.r);
     if !rr.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "residual norm" });
     }
@@ -235,7 +230,7 @@ pub fn pcg_with(
     for (pi, &di) in ws.p.iter_mut().zip(&ws.d) {
         *pi = 0.0 - di;
     }
-    let mut delta = vec_ops::dot_par(&ws.r, &ws.d, pool);
+    let mut delta = vec_ops::dot(&ws.r, &ws.d);
     if !delta.is_finite() {
         return Err(PcgError::NonFinite { iteration: 0, quantity: "preconditioned residual" });
     }
@@ -248,7 +243,7 @@ pub fn pcg_with(
     while iterations < settings.max_iter {
         iterations += 1;
         op.apply(&ws.p, &mut ws.kp)?;
-        let pkp = vec_ops::dot_par(&ws.p, &ws.kp, pool);
+        let pkp = vec_ops::dot(&ws.p, &ws.kp);
         if !pkp.is_finite() {
             return Err(PcgError::NonFinite {
                 iteration: iterations, quantity: "curvature pᵀKp"
@@ -261,9 +256,9 @@ pub fn pcg_with(
         if !lambda.is_finite() {
             return Err(PcgError::NonFinite { iteration: iterations, quantity: "step length α" });
         }
-        vec_ops::axpy_par(lambda, &ws.p, x, pool);
-        vec_ops::axpy_par(lambda, &ws.kp, &mut ws.r, pool);
-        rr = vec_ops::dot_par(&ws.r, &ws.r, pool);
+        vec_ops::axpy(lambda, &ws.p, x);
+        vec_ops::axpy(lambda, &ws.kp, &mut ws.r);
+        rr = vec_ops::dot(&ws.r, &ws.r);
         if !rr.is_finite() {
             return Err(PcgError::NonFinite { iteration: iterations, quantity: "residual norm" });
         }
@@ -272,7 +267,7 @@ pub fn pcg_with(
             break;
         }
         op.precondition(&ws.r, &mut ws.d);
-        let delta_new = vec_ops::dot_par(&ws.r, &ws.d, pool);
+        let delta_new = vec_ops::dot(&ws.r, &ws.d);
         if !delta_new.is_finite() {
             return Err(PcgError::NonFinite {
                 iteration: iterations,
@@ -285,7 +280,7 @@ pub fn pcg_with(
         let mu = delta_new / delta;
         delta = delta_new;
         // p = μp − d
-        vec_ops::lincomb_par(-1.0, &ws.d, mu, &mut ws.p, pool);
+        vec_ops::lincomb(-1.0, &ws.d, mu, &mut ws.p);
     }
     Ok(PcgSummary { iterations, residual: rr.sqrt(), converged })
 }
@@ -354,7 +349,7 @@ mod tests {
     ) -> Result<(Vec<f64>, PcgSummary), PcgError> {
         let mut x = x0.to_vec();
         let mut ws = PcgWorkspace::new(op.dim());
-        let summary = pcg_with(op, b, &mut x, settings, &mut ws, &ThreadPool::serial())?;
+        let summary = pcg_with(op, b, &mut x, settings, &mut ws)?;
         Ok((x, summary))
     }
 

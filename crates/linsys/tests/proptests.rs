@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rsqp_linsys::{
     amd_ordering, pcg_with, KktMatrix, Ldlt, PcgSettings, PcgWorkspace, ReducedKktOp,
 };
-use rsqp_par::ThreadPool;
 use rsqp_sparse::CsrMatrix;
 
 /// Random sparse PSD matrix P = B·Bᵀ (dense-constructed, sparsified) and a
@@ -102,7 +101,6 @@ proptest! {
             &mut x,
             &PcgSettings { eps: 1e-12, max_iter: 10_000 },
             &mut PcgWorkspace::new(n),
-            &ThreadPool::serial(),
         )
         .unwrap();
         let scale = 1.0 + rsqp_sparse::vec_ops::inf_norm(&rhs[..n]);

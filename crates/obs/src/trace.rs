@@ -90,9 +90,7 @@ impl SolveTrace {
     }
 
     /// Deterministic JSON subset for golden-file tests: identical runs
-    /// (including runs at different kernel thread counts, which are
-    /// bit-identical by the `rsqp-par` contract) produce byte-identical
-    /// output. Excludes every wall-clock quantity.
+    /// produce byte-identical output. Excludes every wall-clock quantity.
     pub fn golden_json(&self) -> String {
         self.write_json(false)
     }

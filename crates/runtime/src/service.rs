@@ -19,10 +19,7 @@ use crate::session::{SessionConfig, SolveSession};
 /// Sizing of a [`SolveService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads. Each runs one job at a time. A job whose
-    /// `Settings::threads` is `0` (auto) gets this worker's share of the
-    /// host, `cores / workers` kernel threads (at least one), so concurrent
-    /// solves never oversubscribe it; an explicit `threads >= 1` wins.
+    /// Worker threads. Each runs one job at a time, on its own thread.
     pub workers: usize,
     /// Bounded queue depth. A submit beyond `workers` in-flight jobs plus
     /// this many queued ones is rejected with
@@ -33,12 +30,9 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { workers: host_cores().min(8), queue_capacity: 64 }
+        let cores = thread::available_parallelism().map_or(4, |p| p.get());
+        ServiceConfig { workers: cores.min(8), queue_capacity: 64 }
     }
-}
-
-fn host_cores() -> usize {
-    thread::available_parallelism().map_or(4, |p| p.get())
 }
 
 /// Why a submission was rejected. The spec is handed back so the caller can
@@ -183,7 +177,6 @@ impl SolveService {
         let capacity = config.queue_capacity.max(1);
         let (tx, rx) = mpsc::sync_channel::<QueuedJob>(capacity);
         let rx = Arc::new(Mutex::new(rx));
-        let threads_per_job = (host_cores() / workers).max(1);
         let metrics = MetricsRegistry::new();
         let handles = (0..workers)
             .map(|i| {
@@ -191,7 +184,7 @@ impl SolveService {
                 let registry = metrics.clone();
                 thread::Builder::new()
                     .name(format!("rsqp-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, threads_per_job, &registry))
+                    .spawn(move || worker_loop(&rx, &registry))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -311,11 +304,7 @@ impl Drop for SolveService {
     }
 }
 
-fn worker_loop(
-    rx: &Arc<Mutex<Receiver<QueuedJob>>>,
-    threads_per_job: usize,
-    registry: &MetricsRegistry,
-) {
+fn worker_loop(rx: &Arc<Mutex<Receiver<QueuedJob>>>, registry: &MetricsRegistry) {
     let metrics = WorkerMetrics::new(registry);
     loop {
         // Hold the lock only to dequeue, never while solving. A poisoned
@@ -326,7 +315,7 @@ fn worker_loop(
         metrics.queue_depth.sub(1);
         metrics.in_flight.add(1);
         metrics.queue_wait_us.observe(job.submitted_at.elapsed().as_micros() as u64);
-        let report = run_job(job.id, job.spec, &job.cancel, job.deadline, threads_per_job);
+        let report = run_job(job.id, job.spec, &job.cancel, job.deadline);
         metrics.exec_time_us.observe(started.elapsed().as_micros() as u64);
         metrics.record_outcome(&report);
         metrics.in_flight.sub(1);
@@ -338,19 +327,8 @@ fn worker_loop(
 /// Drives one job through the attempt loop to a definite report. Every
 /// attempt builds a fresh solver under `catch_unwind`, so a panicking
 /// backend becomes a retryable [`JobError::Panicked`].
-fn run_job(
-    id: u64,
-    spec: JobSpec,
-    cancel: &CancelToken,
-    deadline: Option<Instant>,
-    threads_per_job: usize,
-) -> JobReport {
+fn run_job(id: u64, spec: JobSpec, cancel: &CancelToken, deadline: Option<Instant>) -> JobReport {
     let JobSpec { problem, mut settings, budget, retry, resume_from, mut factory } = spec;
-    // Resolve an "auto" kernel-thread request to the service's per-worker
-    // share of the host, so concurrent solves never oversubscribe it.
-    if settings.threads == 0 {
-        settings.threads = threads_per_job;
-    }
     let mut control = SolveControl::unbounded().with_cancel(cancel.clone());
     if let Some(d) = deadline {
         control = control.with_deadline(d);

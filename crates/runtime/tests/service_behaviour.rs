@@ -1,7 +1,7 @@
 //! End-to-end behaviour of the solve service: backpressure, budgets,
 //! cancellation, panic isolation, and the direct-LDLᵀ retry.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -105,26 +105,6 @@ fn queue_full_is_explicit_backpressure() {
     // With the worker idle again the recovered spec can be resubmitted.
     let retried = service.submit(spec).expect("capacity freed");
     assert_eq!(retried.wait().status(), Some(Status::Solved));
-}
-
-#[test]
-fn auto_threads_get_the_workers_share_of_the_host() {
-    // A lone worker owns every core, so a `threads: 0` job gets one kernel
-    // thread per core; an explicit count is passed through.
-    let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 4 });
-    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
-    for (requested, granted) in [(0, cores), (1, 1)] {
-        let seen = Arc::new(AtomicUsize::new(usize::MAX));
-        let log = Arc::clone(&seen);
-        let spec = JobSpec::new(box_qp(3))
-            .with_settings(Settings { threads: requested, ..Default::default() })
-            .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
-                log.store(s.threads, Ordering::SeqCst);
-                Ok(Box::new(DirectLdltBackend::new(p, a, sigma, rho)?))
-            }));
-        assert_eq!(service.submit(spec).unwrap().wait().status(), Some(Status::Solved));
-        assert_eq!(seen.load(Ordering::SeqCst), granted, "threads: {requested}");
-    }
 }
 
 #[test]

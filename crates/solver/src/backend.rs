@@ -19,13 +19,10 @@
 //!   solve as an instruction stream on the cycle-level architecture
 //!   simulator.
 
-use std::sync::Arc;
-
 use rsqp_linsys::{
     amd_ordering, inverse_permutation, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings,
     PcgWorkspace, ReducedKktOp, SymmetricPermutation,
 };
-use rsqp_par::ThreadPool;
 use rsqp_sparse::{CscMatrix, CsrMatrix};
 
 use crate::settings::KktOrdering;
@@ -352,12 +349,10 @@ impl KktBackend for DirectLdltBackend {
 /// The backend owns its [`ReducedKktOp`] (with the cached gather transpose
 /// `Aᵀ`), a [`PcgWorkspace`], and the right-hand-side buffers for the whole
 /// solver lifetime, so steady-state ADMM iterations perform **zero heap
-/// allocations**. All SpMVs and the PCG reductions dispatch on the backend's
-/// thread pool; results are bit-identical for any pool size.
+/// allocations**.
 #[derive(Debug)]
 pub struct CpuPcgBackend {
     op: ReducedKktOp,
-    pool: Arc<ThreadPool>,
     eps: f64,
     max_iter: usize,
     rhs: Vec<f64>,
@@ -366,9 +361,9 @@ pub struct CpuPcgBackend {
 }
 
 impl CpuPcgBackend {
-    /// Creates a strictly serial backend, cloning the (scaled) problem
-    /// matrices — the indirect method stores `P`, `A`, and `Aᵀ` separately,
-    /// exactly as the paper's accelerator does (§2.2).
+    /// Creates the backend, cloning the (scaled) problem matrices — the
+    /// indirect method stores `P`, `A`, and `Aᵀ` separately, exactly as the
+    /// paper's accelerator does (§2.2).
     ///
     /// # Panics
     ///
@@ -382,11 +377,19 @@ impl CpuPcgBackend {
         eps: f64,
         max_iter: usize,
     ) -> Self {
-        Self::with_threads(p, a, sigma, rho, eps, max_iter, 1)
+        let op = ReducedKktOp::new(p, a, sigma, rho).expect("consistent problem shapes");
+        CpuPcgBackend {
+            op,
+            eps,
+            max_iter,
+            rhs: vec![0.0; p.nrows()],
+            ws: PcgWorkspace::new(p.nrows()),
+            stats: BackendStats::default(),
+        }
     }
 
-    /// Like [`CpuPcgBackend::new`], but dispatching all kernels on a pool of
-    /// `threads` worker threads (`1` = serial, no pool spawned).
+    /// [`CpuPcgBackend::new`]; `threads` is ignored. Kept only because the
+    /// `benchmark/` package calls it.
     ///
     /// # Panics
     ///
@@ -398,36 +401,14 @@ impl CpuPcgBackend {
         rho: &[f64],
         eps: f64,
         max_iter: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Self {
-        let pool = Arc::new(ThreadPool::new(threads));
-        let op = ReducedKktOp::with_pool(
-            Arc::new(p.clone()),
-            Arc::new(a.clone()),
-            sigma,
-            rho,
-            Arc::clone(&pool),
-        )
-        .expect("consistent problem shapes");
-        CpuPcgBackend {
-            op,
-            pool,
-            eps,
-            max_iter,
-            rhs: vec![0.0; p.nrows()],
-            ws: PcgWorkspace::new(p.nrows()),
-            stats: BackendStats::default(),
-        }
+        Self::new(p, a, sigma, rho, eps, max_iter)
     }
 
     /// Current inner tolerance.
     pub fn cg_tolerance(&self) -> f64 {
         self.eps
-    }
-
-    /// Worker threads the backend's kernels dispatch on.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 }
 
@@ -466,8 +447,7 @@ impl KktBackend for CpuPcgBackend {
         } else {
             let settings = PcgSettings { eps: self.eps, max_iter: self.max_iter };
             self.op.rhs(x, z, y, q, &mut self.rhs).map_err(Into::into).and_then(|()| {
-                let summary =
-                    pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws, &self.pool)?;
+                let summary = pcg_with(&mut self.op, &self.rhs, xtilde, &settings, &mut self.ws)?;
                 self.op.a_spmv(xtilde, ztilde)?;
                 Ok(summary.iterations)
             })

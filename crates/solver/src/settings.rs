@@ -111,11 +111,6 @@ pub struct Settings {
     /// inspected (the final result is still screened: `Solved` is never
     /// reported with a non-finite solution).
     pub guard: bool,
-    /// Worker threads for the parallel CPU kernels used by PCG-style
-    /// backends (`0` = auto-detect from the host, capped at 8; `1` =
-    /// strictly serial). Results are bit-identical regardless of the value —
-    /// see the determinism contract in `rsqp-par`.
-    pub threads: usize,
     /// Collects a full [`rsqp_obs::SolveTrace`] (phase spans, per-iteration
     /// residuals and PCG counts, ρ-update and guard events) on the returned
     /// `SolveResult`. Off by default: when disabled the solve allocates
@@ -149,21 +144,16 @@ impl Default for Settings {
             polish_refine_iters: 3,
             time_limit: None,
             guard: true,
-            threads: 1,
             trace: false,
         }
     }
 }
 
 impl Settings {
-    /// Resolves [`Settings::threads`] to a concrete pool size: `0` means
-    /// "one per available core, capped at 8"; any other value is taken
-    /// verbatim.
+    /// Always 1: every CPU kernel is serial. Kept only because the
+    /// `benchmark/` package passes it to [`crate::CpuPcgBackend::with_threads`].
     pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => rsqp_par::available_threads().min(8),
-            t => t,
-        }
+        1
     }
 
     /// Validates parameter ranges.

@@ -201,14 +201,13 @@ impl Solver {
             LinSysKind::DirectLdlt => {
                 Ok(Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?))
             }
-            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::with_threads(
+            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::new(
                 p,
                 a,
                 sigma,
                 rho,
                 s.cg_tolerance.initial(),
                 s.cg_max_iter,
-                s.resolved_threads(),
             ))),
         })
     }

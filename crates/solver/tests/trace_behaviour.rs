@@ -1,12 +1,11 @@
 //! Behaviour of the `Settings::trace` telemetry hook: the trace is absent
-//! when disabled, complete when enabled, and deterministic across runs and
-//! thread counts.
+//! when disabled, complete when enabled, and deterministic across runs.
 
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{LinSysKind, Settings, Solver, Status};
 
-fn traced_settings(kind: LinSysKind, threads: usize) -> Settings {
-    Settings { linsys: kind, threads, trace: true, ..Default::default() }
+fn traced_settings(kind: LinSysKind) -> Settings {
+    Settings { linsys: kind, trace: true, ..Default::default() }
 }
 
 #[test]
@@ -20,7 +19,7 @@ fn trace_is_none_when_disabled() {
 #[test]
 fn trace_records_every_iteration() {
     let problem = generate(Domain::Control, 4, 7);
-    let mut solver = Solver::new(&problem, traced_settings(LinSysKind::CpuPcg, 1)).unwrap();
+    let mut solver = Solver::new(&problem, traced_settings(LinSysKind::CpuPcg)).unwrap();
     let result = solver.solve().unwrap();
     assert_eq!(result.status, Status::Solved);
     let trace = result.trace.expect("trace requested");
@@ -51,7 +50,7 @@ fn trace_records_every_iteration() {
 #[test]
 fn trace_spans_cover_the_phase_hierarchy() {
     let problem = generate(Domain::Lasso, 8, 3);
-    let mut solver = Solver::new(&problem, traced_settings(LinSysKind::DirectLdlt, 1)).unwrap();
+    let mut solver = Solver::new(&problem, traced_settings(LinSysKind::DirectLdlt)).unwrap();
     let result = solver.solve().unwrap();
     let trace = result.trace.unwrap();
     let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
@@ -74,7 +73,7 @@ fn trace_spans_cover_the_phase_hierarchy() {
 #[test]
 fn polish_outcome_is_an_event() {
     let problem = generate(Domain::Eqqp, 12, 5);
-    let settings = Settings { polish: true, ..traced_settings(LinSysKind::DirectLdlt, 1) };
+    let settings = Settings { polish: true, ..traced_settings(LinSysKind::DirectLdlt) };
     let mut solver = Solver::new(&problem, settings).unwrap();
     let result = solver.solve().unwrap();
     assert_eq!(result.status, Status::Solved);
@@ -89,23 +88,15 @@ fn polish_outcome_is_an_event() {
 }
 
 #[test]
-fn golden_json_is_stable_across_runs_and_threads() {
+fn golden_json_is_stable_across_runs() {
     let problem = generate(Domain::Huber, 10, 11);
-    let mut goldens = Vec::new();
-    for threads in [1, 4] {
-        for _rep in 0..2 {
-            let mut solver =
-                Solver::new(&problem, traced_settings(LinSysKind::CpuPcg, threads)).unwrap();
-            let result = solver.solve().unwrap();
-            goldens.push(result.trace.unwrap().golden_json());
-        }
-    }
-    for g in &goldens[1..] {
-        assert_eq!(
-            g, &goldens[0],
-            "golden trace must be byte-identical across runs and thread counts"
-        );
-    }
+    let goldens: Vec<String> = (0..2)
+        .map(|_| {
+            let mut solver = Solver::new(&problem, traced_settings(LinSysKind::CpuPcg)).unwrap();
+            solver.solve().unwrap().trace.unwrap().golden_json()
+        })
+        .collect();
+    assert_eq!(goldens[1], goldens[0], "golden trace must be byte-identical across runs");
     // The timing-free export really is timing-free.
     assert!(!goldens[0].contains("kkt_ns"));
     assert!(!goldens[0].contains("start_ns"));

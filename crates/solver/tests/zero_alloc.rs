@@ -32,9 +32,9 @@ struct CountingAlloc;
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other's
-    // allocations. Every solver here runs with `threads = 1`, on the test's
-    // own thread. A const-initialized `Cell` needs no allocation or
-    // destructor, so the allocator may touch it.
+    // allocations. Every solver here runs on the test's own thread. A
+    // const-initialized `Cell` needs no allocation or destructor, so the
+    // allocator may touch it.
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -100,7 +100,6 @@ fn problem() -> QpProblem {
 fn settings(max_iter: usize) -> Settings {
     Settings {
         linsys: LinSysKind::CpuPcg,
-        threads: 1,
         max_iter,
         // Unreachable tolerance: every run ends at MaxIterationsReached, so
         // both solvers execute exactly `max_iter` full iterations.

@@ -1,6 +1,4 @@
-use rsqp_par::ThreadPool;
-
-use crate::{CooMatrix, CscMatrix, RowPartition, SparseError};
+use crate::{CooMatrix, CscMatrix, SparseError};
 
 /// Compressed sparse row matrix with `f64` values.
 ///
@@ -212,7 +210,7 @@ impl CsrMatrix {
     /// `y.len() != nrows`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
         self.check_spmv_dims(x, y)?;
-        self.row_dots(x, 0, y, |yi, dot| *yi = dot);
+        self.row_dots(x, y, |yi, dot| *yi = dot);
         Ok(())
     }
 
@@ -224,18 +222,18 @@ impl CsrMatrix {
     /// Returns [`SparseError::DimensionMismatch`] on shape mismatch.
     pub fn spmv_acc(&self, alpha: f64, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
         self.check_spmv_dims(x, y)?;
-        self.row_dots(x, 0, y, |yi, dot| *yi += alpha * dot);
+        self.row_dots(x, y, |yi, dot| *yi += alpha * dot);
         Ok(())
     }
 
     /// The row kernel behind every row product: calls
-    /// `store(&mut out[r], dot)` for each row `lo + r`, `dot` summed left to
+    /// `store(&mut out[i], dot)` for each row `i`, `dot` summed left to
     /// right from `0.0`. Blocks of [`ROWS`] rows share one loop over the
     /// shortest row's length with one accumulator per row, so the rows'
     /// add chains overlap; then each row finishes its own tail.
-    fn row_dots(&self, x: &[f64], lo: usize, out: &mut [f64], store: impl Fn(&mut f64, f64)) {
+    fn row_dots(&self, x: &[f64], out: &mut [f64], store: impl Fn(&mut f64, f64)) {
         let mut blocks = out.chunks_exact_mut(ROWS);
-        let mut i = lo;
+        let mut i = 0;
         for block in &mut blocks {
             let rows: [(&[usize], &[f64]); ROWS] = std::array::from_fn(|r| self.row(i + r));
             let common = rows.iter().map(|(cols, _)| cols.len()).min().unwrap_or(0);
@@ -514,76 +512,6 @@ impl CsrMatrix {
             let (_, vals) = self.row(i);
             *o = vals.iter().fold(0.0f64, |m, &v| max_abs(m, v));
         }
-    }
-}
-
-impl CsrMatrix {
-    /// Computes `y = self * x` on a reusable [`ThreadPool`] over a
-    /// precomputed [`RowPartition`].
-    ///
-    /// Dispatches to an existing pool with no per-call allocation — the
-    /// shape the PCG inner loop needs. Bit-identical to
-    /// [`CsrMatrix::spmv`] for any pool and any partition, because each
-    /// row's dot product is still accumulated left-to-right by one thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
-    /// the partition does not cover this matrix's rows.
-    pub fn spmv_partitioned(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        pool: &ThreadPool,
-        partition: &RowPartition,
-    ) -> Result<(), SparseError> {
-        self.check_spmv_dims(x, y)?;
-        if partition.nrows() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "spmv partition rows",
-                expected: self.nrows,
-                found: partition.nrows(),
-            });
-        }
-        if pool.is_serial() || partition.num_chunks() <= 1 {
-            return self.spmv(x, y);
-        }
-        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            self.row_dots(x, lo, chunk, |yi, dot| *yi = dot)
-        });
-        Ok(())
-    }
-
-    /// Computes `y += alpha * self * x` on a reusable [`ThreadPool`] over a
-    /// precomputed [`RowPartition`]. See [`CsrMatrix::spmv_partitioned`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
-    /// the partition does not cover this matrix's rows.
-    pub fn spmv_acc_partitioned(
-        &self,
-        alpha: f64,
-        x: &[f64],
-        y: &mut [f64],
-        pool: &ThreadPool,
-        partition: &RowPartition,
-    ) -> Result<(), SparseError> {
-        self.check_spmv_dims(x, y)?;
-        if partition.nrows() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "spmv partition rows",
-                expected: self.nrows,
-                found: partition.nrows(),
-            });
-        }
-        if pool.is_serial() || partition.num_chunks() <= 1 {
-            return self.spmv_acc(alpha, x, y);
-        }
-        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            self.row_dots(x, lo, chunk, |yi, dot| *yi += alpha * dot)
-        });
-        Ok(())
     }
 }
 

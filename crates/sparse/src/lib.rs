@@ -12,9 +12,8 @@
 //!   combinations, element-wise projection) that correspond one-to-one with
 //!   the vector-engine instructions of the RSQP architecture (Table 1 of the
 //!   paper),
-//! * [`RowPartition`] / [`TransposeCache`] plus the `*_partitioned` SpMV and
-//!   `*_par` vector kernels — the deterministic parallel CPU layer (built on
-//!   `rsqp-par`) used by the reference PCG/ADMM hot path,
+//! * [`TransposeCache`] — a materialized `Aᵀ` whose gather SpMV serves the
+//!   repeated `Aᵀv` products of the reduced KKT operator,
 //! * [`ldl_solve_in_place`] — the triangular sweeps of an LDLᵀ solve,
 //!   shared by the CPU factorization and the simulated accelerator.
 //!
@@ -45,7 +44,6 @@ mod csc;
 mod csr;
 mod error;
 pub mod io;
-mod partition;
 pub mod pattern;
 pub mod stack;
 mod transpose;
@@ -56,7 +54,6 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use partition::RowPartition;
 pub use pattern::PatternKey;
 pub use transpose::TransposeCache;
 pub use triangular::ldl_solve_in_place;

@@ -38,6 +38,15 @@ pub fn lincomb(a: f64, x: &[f64], b: f64, y: &mut [f64]) {
     }
 }
 
+/// `y += a*x`, summed as [`lincomb`] with `b = 1`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
+    lincomb(a, x, 1.0, y);
+}
+
 /// `out = x - y`.
 ///
 /// # Panics
@@ -75,59 +84,6 @@ pub fn project_box(x: &[f64], l: &[f64], u: &[f64], out: &mut [f64]) {
 pub fn scaled_inf_norm(d: &[f64], x: &[f64]) -> f64 {
     assert_eq!(d.len(), x.len(), "scaled_inf_norm length mismatch");
     d.iter().zip(x).fold(0.0f64, |m, (a, b)| m.max((a * b).abs()))
-}
-
-// ---------------------------------------------------------------------------
-// Parallel variants.
-//
-// Reductions (`dot_par`) switch to a fixed chunk grid above
-// `PAR_LEN_THRESHOLD` elements. The grid depends only on the length, and
-// partial sums are combined in chunk order, so results are bit-identical
-// across thread counts (including a serial pool) — though above the
-// threshold they may differ from the single-pass serial kernels by normal
-// floating-point regrouping error. Elementwise variants are bit-identical
-// to their serial kernels under every pool, and simply skip the pool when
-// it is serial or the vector is short.
-// ---------------------------------------------------------------------------
-
-use rsqp_par::{reduce_chunk_len, ThreadPool, ELEM_CHUNK, PAR_LEN_THRESHOLD};
-
-/// Dot product `xᵀy` on a [`ThreadPool`] (ordered chunked reduction).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot_par(x: &[f64], y: &[f64], pool: &ThreadPool) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    if x.len() < PAR_LEN_THRESHOLD {
-        return dot(x, y);
-    }
-    let chunk = reduce_chunk_len(x.len());
-    pool.par_sum(x.len(), chunk, |r| dot(&x[r.clone()], &y[r]))
-}
-
-/// `y = a*x + b*y` on a [`ThreadPool`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn lincomb_par(a: f64, x: &[f64], b: f64, y: &mut [f64], pool: &ThreadPool) {
-    assert_eq!(x.len(), y.len(), "lincomb length mismatch");
-    if pool.is_serial() || y.len() < PAR_LEN_THRESHOLD {
-        return lincomb(a, x, b, y);
-    }
-    pool.par_chunks_uniform(y, ELEM_CHUNK, |lo, chunk| {
-        lincomb(a, &x[lo..lo + chunk.len()], b, chunk);
-    });
-}
-
-/// `y += a*x` on a [`ThreadPool`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn axpy_par(a: f64, x: &[f64], y: &mut [f64], pool: &ThreadPool) {
-    lincomb_par(a, x, 1.0, y, pool);
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse kernels.
 
 use proptest::prelude::*;
-use rsqp_sparse::{vec_ops, CooMatrix, CsrMatrix};
+use rsqp_sparse::{vec_ops, CooMatrix, CsrMatrix, TransposeCache};
 
 /// Strategy: a random sparse matrix as (nrows, ncols, triplets).
 fn arb_matrix() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
@@ -9,6 +9,16 @@ fn arb_matrix() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>
         let triplet = (0..r, 0..c, -10.0f64..10.0);
         (Just(r), Just(c), prop::collection::vec(triplet, 0..60))
     })
+}
+
+/// A random `nrows × ncols` CSR matrix with duplicates summed.
+fn arb_csr(nrows: usize, ncols: usize) -> impl Strategy<Value = CsrMatrix> {
+    prop::collection::vec((0..nrows, 0..ncols, -10.0f64..10.0), 1..(nrows * ncols).min(400))
+        .prop_map(move |triplets| {
+            let mut coo = CooMatrix::new(nrows, ncols);
+            coo.extend(triplets);
+            coo.to_csr()
+        })
 }
 
 fn dense_of(triplets: &[(usize, usize, f64)], r: usize, c: usize) -> Vec<Vec<f64>> {
@@ -90,5 +100,37 @@ proptest! {
         let mut twice = vec![0.0; x.len()];
         vec_ops::project_box(&once, &l, &u, &mut twice);
         prop_assert_eq!(once, twice);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The gather transpose is bitwise equal to the scatter kernel and
+    // tracks value updates through `refresh_values`.
+    #[test]
+    fn transpose_cache_bitwise_scatter(
+        m in arb_csr(25, 35),
+        x in prop::collection::vec(-100.0f64..100.0, 25),
+    ) {
+        let cache = TransposeCache::new(&m);
+        let mut scatter = vec![0.0; m.ncols()];
+        m.spmv_transpose(&x, &mut scatter).unwrap();
+        let mut gather = vec![0.0; m.ncols()];
+        cache.spmv(&x, &mut gather).unwrap();
+        prop_assert!(scatter.iter().zip(&gather).all(|(s, g)| s.to_bits() == g.to_bits()));
+
+        // Same pattern, new values: refresh must track exactly.
+        let mut m2 = m.clone();
+        for v in m2.data_mut() {
+            *v *= -1.5;
+        }
+        let mut cache2 = cache.clone();
+        cache2.refresh_values(&m2).unwrap();
+        let mut scatter2 = vec![0.0; m.ncols()];
+        m2.spmv_transpose(&x, &mut scatter2).unwrap();
+        let mut gather2 = vec![0.0; m.ncols()];
+        cache2.spmv(&x, &mut gather2).unwrap();
+        prop_assert!(scatter2.iter().zip(&gather2).all(|(s, g)| s.to_bits() == g.to_bits()));
     }
 }

@@ -10,8 +10,7 @@
 //! and subnormals.
 
 use proptest::prelude::*;
-use rsqp_par::ThreadPool;
-use rsqp_sparse::{CooMatrix, CsrMatrix, RowPartition, TransposeCache};
+use rsqp_sparse::{CooMatrix, CsrMatrix, TransposeCache};
 
 /// Values that make a summation order visible: signed zeros, subnormals,
 /// infinities, NaN, and magnitudes whose sums round.
@@ -91,45 +90,18 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|e| e.to_bits()).collect()
 }
 
-/// Checks `spmv`, `spmv_acc` and both partitioned forms of `m` against the
-/// reference, from the output `y0`.
-fn check_all_forms(
-    m: &CsrMatrix,
-    x: &[f64],
-    y0: &[f64],
-    pools: &[ThreadPool],
-) -> Result<(), TestCaseError> {
+/// Checks `spmv` and `spmv_acc` of `m` against the reference, from the
+/// output `y0`.
+fn check_all_forms(m: &CsrMatrix, x: &[f64], y0: &[f64]) -> Result<(), TestCaseError> {
     let dots = reference_dots(m, x);
     let mut y = y0.to_vec();
     m.spmv(x, &mut y).unwrap();
     prop_assert_eq!(bits(&y), bits(&dots), "spmv, {} rows", m.nrows());
-    for pool in pools {
-        for chunks in [1usize, 3] {
-            let part = RowPartition::balanced(m, chunks);
-            let mut y = y0.to_vec();
-            m.spmv_partitioned(x, &mut y, pool, &part).unwrap();
-            prop_assert_eq!(bits(&y), bits(&dots), "spmv_partitioned, {} threads", pool.threads());
-        }
-    }
     for alpha in [1.0, -1.0, 0.37, 0.0] {
         let want: Vec<f64> = y0.iter().zip(&dots).map(|(y, d)| y + alpha * d).collect();
         let mut y = y0.to_vec();
         m.spmv_acc(alpha, x, &mut y).unwrap();
         prop_assert_eq!(bits(&y), bits(&want), "spmv_acc alpha {}", alpha);
-        for pool in pools {
-            for chunks in [1usize, 3] {
-                let part = RowPartition::balanced(m, chunks);
-                let mut y = y0.to_vec();
-                m.spmv_acc_partitioned(alpha, x, &mut y, pool, &part).unwrap();
-                prop_assert_eq!(
-                    bits(&y),
-                    bits(&want),
-                    "spmv_acc_partitioned alpha {}, {} threads",
-                    alpha,
-                    pool.threads()
-                );
-            }
-        }
     }
     Ok(())
 }
@@ -146,14 +118,13 @@ proptest! {
         long_row in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
-        let pools = [ThreadPool::new(1), ThreadPool::new(2)];
         let mut rng = Rng::new(seed);
         for extra in 0..4 {
             let nrows = 4 * blocks + extra;
             let m = random_csr(&mut rng, nrows, ncols, long_row == 1);
             let x: Vec<f64> = (0..ncols).map(|_| rng.value_or_special(4)).collect();
             let y0: Vec<f64> = (0..nrows).map(|_| rng.value_or_special(8)).collect();
-            check_all_forms(&m, &x, &y0, &pools)?;
+            check_all_forms(&m, &x, &y0)?;
 
             // The gather transpose sums each row of the cached `Aᵀ` the same
             // way.
@@ -170,7 +141,7 @@ proptest! {
                 cache.spmv_acc(alpha, &xt, &mut yt).unwrap();
                 prop_assert_eq!(bits(&yt), bits(&want), "TransposeCache::spmv_acc alpha {}", alpha);
             }
-            check_all_forms(cache.matrix(), &xt, &yt0, &pools)?;
+            check_all_forms(cache.matrix(), &xt, &yt0)?;
         }
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Every benchmark family is solved at its two smallest suite sizes, and
 //! the smallest svm, lasso and huber instances whose dense columns the
-//! reduced KKT solve eliminates, with four KKT paths:
+//! reduced KKT solve eliminates, with three KKT paths:
 //!
 //! 1. sparse LDLᵀ direct factorization,
-//! 2. matrix-free CPU PCG, serial,
-//! 3. matrix-free CPU PCG on a 4-thread pool,
-//! 4. the cycle-level simulated-FPGA machine (`rsqp-arch`).
+//! 2. matrix-free CPU PCG, run twice,
+//! 3. the cycle-level simulated-FPGA machine (`rsqp-arch`).
 //!
 //! The direct backend factorizes the full quasi-definite KKT system; the
 //! PCG backends solve the reduced one — with dense rows in `A` in OSQP's
@@ -18,16 +17,16 @@
 //! instruction on simulated hardware. Agreement between them is therefore
 //! strong evidence that each is computing the right thing: identical
 //! termination status, objectives matching to 1e-6, and final residuals
-//! within the termination tolerance. The two PCG thread counts must
-//! additionally agree **bit for bit** (the PR 3 determinism contract).
-//! Serial CPU PCG and the machine run one KKT-solve specification (the PCG
-//! loop of `rsqp_linsys::pcg_with`, the augmented dense-row solve of
+//! within the termination tolerance. The two CPU PCG runs must
+//! additionally agree **bit for bit**. CPU PCG and the machine run one
+//! KKT-solve specification (the PCG loop of `rsqp_linsys::pcg_with`, the
+//! augmented dense-row solve of
 //! `rsqp_linsys::DenseRowPrecond::solve_augmented`, or one factor solve
 //! through `rsqp_sparse::ldl_solve_in_place`), so except under the
 //! dense-column elimination they take the same steps: equal ADMM and CG
-//! counts and bit-identical iterates. The infeasibility certificates are checked the
-//! same way: every path must detect them on the random infeasible and
-//! unbounded instances.
+//! counts and bit-identical iterates. The infeasibility certificates are
+//! checked the same way: every path must detect them on the random
+//! infeasible and unbounded instances.
 
 use rsqp::arch::ArchConfig;
 use rsqp::core::fpga_solver;
@@ -44,10 +43,9 @@ const RES_TOL: f64 = 1e-5;
 /// past `OBJ_TOL` by the time the solver stops).
 const EPS: f64 = 1e-8;
 
-fn settings(kind: LinSysKind, threads: usize) -> Settings {
+fn settings(kind: LinSysKind) -> Settings {
     Settings {
         linsys: kind,
-        threads,
         eps_abs: EPS,
         eps_rel: EPS,
         max_iter: 200_000,
@@ -57,17 +55,17 @@ fn settings(kind: LinSysKind, threads: usize) -> Settings {
 }
 
 fn solve_direct(problem: &QpProblem) -> SolveResult {
-    let mut solver = Solver::new(problem, settings(LinSysKind::DirectLdlt, 1)).unwrap();
+    let mut solver = Solver::new(problem, settings(LinSysKind::DirectLdlt)).unwrap();
     solver.solve().unwrap()
 }
 
-fn solve_pcg(problem: &QpProblem, threads: usize) -> SolveResult {
-    let mut solver = Solver::new(problem, settings(LinSysKind::CpuPcg, threads)).unwrap();
+fn solve_pcg(problem: &QpProblem) -> SolveResult {
+    let mut solver = Solver::new(problem, settings(LinSysKind::CpuPcg)).unwrap();
     solver.solve().unwrap()
 }
 
 fn solve_machine(problem: &QpProblem) -> SolveResult {
-    let settings = settings(LinSysKind::CpuPcg, 1);
+    let settings = settings(LinSysKind::CpuPcg);
     let mut solver = fpga_solver(problem, settings, ArchConfig::baseline(16)).unwrap().solver;
     solver.solve().unwrap()
 }
@@ -139,31 +137,31 @@ fn differential(domain: Domain) {
     }
 }
 
-/// Solves `problem` on the four paths and checks that they agree.
+/// Solves `problem` on the three paths and checks that they agree.
 fn differential_on(problem: &QpProblem) {
     let direct = solve_direct(problem);
-    let pcg_t1 = solve_pcg(problem, 1);
-    let pcg_t4 = solve_pcg(problem, 4);
+    let pcg = solve_pcg(problem);
+    let pcg_again = solve_pcg(problem);
     let machine = solve_machine(problem);
 
-    // The two pool sizes run the same reduction tree: bit-identical.
-    assert_eq!(pcg_t1.iterations, pcg_t4.iterations, "{}", problem.name());
-    for (i, (a, b)) in pcg_t1.x.iter().zip(&pcg_t4.x).enumerate() {
+    // Two runs of one solve are bit-identical.
+    assert_eq!(pcg.iterations, pcg_again.iterations, "{}", problem.name());
+    for (i, (a, b)) in pcg.x.iter().zip(&pcg_again.x).enumerate() {
         assert!(
             a.to_bits() == b.to_bits(),
-            "{}: x[{i}] differs between 1 and 4 threads: {a:?} vs {b:?}",
+            "{}: x[{i}] differs between two runs: {a:?} vs {b:?}",
             problem.name()
         );
     }
 
-    assert_same_steps(problem, &pcg_t1, &machine);
+    assert_same_steps(problem, &pcg, &machine);
 
     assert_agreement(
         problem,
         &[
             ("direct-ldlt", direct),
-            ("cpu-pcg/t1", pcg_t1),
-            ("cpu-pcg/t4", pcg_t4),
+            ("cpu-pcg", pcg),
+            ("cpu-pcg/again", pcg_again),
             ("machine", machine),
         ],
     );
@@ -252,7 +250,7 @@ fn cpu_and_machine_take_the_same_steps() {
 #[test]
 #[ignore = "simulates the tight-settings solves; run in release with --ignored"]
 fn cpu_and_machine_take_the_same_steps_at_tight_settings() {
-    same_steps_under(settings(LinSysKind::CpuPcg, 1));
+    same_steps_under(settings(LinSysKind::CpuPcg));
 }
 
 /// The portfolio's augmented dense-row solve on CPU PCG and the machine

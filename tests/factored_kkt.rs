@@ -20,7 +20,7 @@
 use rsqp::arch::ArchConfig;
 use rsqp::core::FpgaPcgBackend;
 use rsqp::linsys::{KktPrecond, LinearOperator, ReducedKktOp};
-use rsqp::problems::{small_suite, Domain};
+use rsqp::problems::small_suite;
 use rsqp::solver::{CpuPcgBackend, KktBackend, QpProblem};
 
 const SIGMA: f64 = 1e-6;
@@ -97,7 +97,7 @@ fn factored_kkt_solves_are_exact_on_the_small_suite() {
 #[cfg(not(debug_assertions))]
 mod suite {
     use super::*;
-    use rsqp::problems::benchmark_suite;
+    use rsqp::problems::{benchmark_suite, Domain};
 
     #[test]
     #[ignore = "solves a KKT system of every factored suite instance up to n = 1000; run in \

@@ -1,12 +1,10 @@
 //! Trace-replay regression tests.
 //!
 //! A solve with telemetry enabled must produce the **same trace, byte for
-//! byte**, every time — across repeated runs and across kernel thread
-//! counts (the PR 3 determinism contract extended to the observability
-//! layer). The timing-free golden form ([`SolveTrace::golden_json`],
-//! which drops wall-clock spans and per-iteration KKT nanoseconds) is
-//! committed under `tests/golden/` for one control and one lasso
-//! instance; any change to the per-iteration residual sequences, PCG
+//! byte**, every time. The timing-free golden form
+//! ([`SolveTrace::golden_json`], which drops wall-clock spans and
+//! per-iteration KKT nanoseconds) is committed under `tests/golden/` for
+//! one control and one lasso instance; any change to the per-iteration residual sequences, PCG
 //! iteration counts, ρ updates, or event stream shows up as a diff
 //! against those files.
 //!
@@ -28,36 +26,30 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
 }
 
-fn traced_settings(threads: usize) -> Settings {
+fn traced_settings() -> Settings {
     Settings {
         linsys: LinSysKind::CpuPcg,
-        threads,
         cg_tolerance: CgTolerance::Fixed(1e-8),
         trace: true,
         ..Settings::default()
     }
 }
 
-fn golden_json(domain: Domain, size: usize, seed: u64, threads: usize) -> String {
+fn golden_json(domain: Domain, size: usize, seed: u64) -> String {
     let problem = generate(domain, size, seed);
-    let mut solver = Solver::new(&problem, traced_settings(threads)).unwrap();
+    let mut solver = Solver::new(&problem, traced_settings()).unwrap();
     let result = solver.solve().unwrap();
     result.trace.expect("trace: true must yield a SolveTrace").golden_json()
 }
 
 fn check_replay(domain: Domain, size: usize, seed: u64, file: &str) {
-    // Two repetitions at each of two thread counts: all four must agree
-    // byte for byte before the committed golden file even enters the
-    // picture.
-    let runs: Vec<String> =
-        [1usize, 1, 4, 4].iter().map(|&t| golden_json(domain, size, seed, t)).collect();
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        assert_eq!(
-            run, &runs[0],
-            "{file}: trace differs between run 0 (threads=1) and run {i} — \
-             the solve is not replay-stable"
-        );
-    }
+    // Two repetitions must agree byte for byte before the committed
+    // golden file even enters the picture.
+    let runs: Vec<String> = (0..2).map(|_| golden_json(domain, size, seed)).collect();
+    assert_eq!(
+        runs[1], runs[0],
+        "{file}: trace differs between two runs — the solve is not replay-stable"
+    );
 
     let path = golden_dir().join(file);
     if std::env::var_os("RSQP_BLESS").is_some() {
