@@ -211,16 +211,20 @@ pub enum Instr {
         /// Output vector.
         output: VecId,
     },
-    /// `vecs[vec] = K⁻¹·vecs[vec]` through the resident factor
-    /// `PᵀKP = L·D·Lᵀ`: the vector permuted, a forward sweep through `L`,
-    /// `D⁻¹`, a backward sweep through `Lᵀ`, and the result permuted back.
-    /// The sweeps stream `L` through the SpMV engine twice, one elimination
-    /// level after another.
+    /// `[vecs[head]; vecs[tail]] = K⁻¹·[vecs[head]; vecs[tail]]` through
+    /// the resident factor `PᵀKP = L·D·Lᵀ`: the register pair, read as one
+    /// vector of the factor's dimension, permuted, a forward sweep through
+    /// `L`, `D⁻¹`, a backward sweep through `Lᵀ`, and the result permuted
+    /// back into the pair. The KKT solve passes `(x̃, ν)`. The sweeps
+    /// stream `L` through the SpMV engine twice, one elimination level after
+    /// another.
     FactorSolve {
         /// The resident factor.
         factor: FactorId,
-        /// The vector solved in place.
-        vec: VecId,
+        /// The leading part of the vector solved in place.
+        head: VecId,
+        /// The trailing part of the vector solved in place.
+        tail: VecId,
     },
 }
 

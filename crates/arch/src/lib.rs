@@ -8,8 +8,8 @@
 //!
 //! * [`Instr`] — the instruction set of Table 1 (control, scalar
 //!   arithmetic, data transfer, vector ops, vector duplication, SpMV),
-//!   plus a factor solve that streams a resident LDLᵀ factor through the
-//!   SpMV engine,
+//!   plus a factor solve that streams a resident LDLᵀ factor of the KKT
+//!   matrix through the SpMV engine,
 //! * [`Program`]/[`ProgramBuilder`] — instruction sequences with a single
 //!   hardware loop, as used for Algorithms 1 and 2,
 //! * [`DatapathMap`] — how one matrix maps onto a configured datapath:
@@ -18,7 +18,8 @@
 //!   computes its real `f64` result *and* advances the cycle counter by the
 //!   cost implied by the architecture configuration (pack schedule for
 //!   SpMV, CVB layout for duplication, `⌈L/C⌉` for vector ops),
-//! * [`kernels`] — canned programs: the PCG solve of Algorithm 2 and the
+//! * [`kernels`] — canned programs: the KKT solve through the resident
+//!   factor that the backends run, the PCG solve of Algorithm 2 and the
 //!   ADMM vector updates of Algorithm 1,
 //! * [`ResourceModel`] — DSP/FF/LUT and f_max estimates calibrated against
 //!   the paper's Table 3 synthesis results,

@@ -541,42 +541,59 @@ impl Machine {
                 self.bump(output);
                 Ok(cycles)
             }
-            Instr::FactorSolve { factor, vec } => {
+            Instr::FactorSolve { factor, head, tail } => {
                 self.check_factor(factor)?;
-                self.check_vec(vec)?;
+                self.check_vec(head)?;
+                self.check_vec(tail)?;
                 let unit = &mut self.factors[factor.0];
-                let v = &mut self.vecs[vec.0];
                 let n = unit.dinv.len();
-                if v.len() != n {
-                    return Err(ArchError::LengthMismatch {
+                // The pair is one vector: `head` then `tail` (nothing more
+                // when they are one register).
+                let mut h = std::mem::take(&mut self.vecs[head.0]);
+                let mut t = std::mem::take(&mut self.vecs[tail.0]);
+                let split = h.len();
+                let solved = if split + t.len() != n {
+                    Err(ArchError::LengthMismatch {
                         instr: "factor_solve".into(),
                         expected: n,
-                        found: v.len(),
-                    });
+                        found: split + t.len(),
+                    })
+                } else {
+                    for (w, &p) in unit.work.iter_mut().zip(&unit.perm) {
+                        *w = if p < split { h[p] } else { t[p - split] };
+                    }
+                    ldl_solve_in_place(
+                        &unit.l_colptr,
+                        &unit.l_rowidx,
+                        &unit.l_data,
+                        &unit.dinv,
+                        &mut unit.work,
+                    );
+                    for (&w, &p) in unit.work.iter().zip(&unit.perm) {
+                        if p < split {
+                            h[p] = w;
+                        } else {
+                            t[p - split] = w;
+                        }
+                    }
+                    // Two sweeps of `h` dependent levels through the SpMV
+                    // engine, each streaming L once, and one vector pass
+                    // for D⁻¹ and the permutations.
+                    let l_nnz = unit.l_data.len();
+                    let sweep = unit.etree_height as u64 * cost.spmv_latency
+                        + l_nnz.div_ceil(self.config.c()) as u64;
+                    Ok((2 * sweep + self.config.vector_cycles(n), 2 * l_nnz * BYTES_PER_NNZ))
+                };
+                self.vecs[tail.0] = t;
+                self.vecs[head.0] = h;
+                let (cycles, bytes) = solved?;
+                self.stats.hbm_bytes += bytes as u64;
+                self.mac_upset(head);
+                self.bump(head);
+                if tail != head {
+                    self.mac_upset(tail);
+                    self.bump(tail);
                 }
-                // Two sweeps of `h` dependent levels through the SpMV
-                // engine, each streaming L once, and one vector pass for
-                // D⁻¹ and the permutations.
-                let l_nnz = unit.l_data.len();
-                let sweep = unit.etree_height as u64 * cost.spmv_latency
-                    + l_nnz.div_ceil(self.config.c()) as u64;
-                let cycles = 2 * sweep + self.config.vector_cycles(n);
-                for (w, &p) in unit.work.iter_mut().zip(&unit.perm) {
-                    *w = v[p];
-                }
-                ldl_solve_in_place(
-                    &unit.l_colptr,
-                    &unit.l_rowidx,
-                    &unit.l_data,
-                    &unit.dinv,
-                    &mut unit.work,
-                );
-                for (&w, &p) in unit.work.iter().zip(&unit.perm) {
-                    v[p] = w;
-                }
-                self.stats.hbm_bytes += 2 * (l_nnz * BYTES_PER_NNZ) as u64;
-                self.mac_upset(vec);
-                self.bump(vec);
                 Ok(cycles)
             }
         }

@@ -110,9 +110,13 @@ pub fn encode_instr(i: &Instr) -> [u64; 2] {
             pack(OP_SPMV, [matrix.index() as u16, input.index() as u16, output.index() as u16, 0]),
             0.0,
         ),
-        Instr::FactorSolve { factor, vec } => {
-            (pack(OP_FACTOR_SOLVE, [factor.index() as u16, vec.index() as u16, 0, 0]), 0.0)
-        }
+        Instr::FactorSolve { factor, head, tail } => (
+            pack(
+                OP_FACTOR_SOLVE,
+                [factor.index() as u16, head.index() as u16, tail.index() as u16, 0],
+            ),
+            0.0,
+        ),
     };
     [word, imm.to_bits()]
 }
@@ -183,9 +187,11 @@ pub fn decode_instr(words: [u64; 2]) -> Result<Instr, ArchError> {
             input: VecId(f[1] as usize),
             output: VecId(f[2] as usize),
         },
-        OP_FACTOR_SOLVE => {
-            Instr::FactorSolve { factor: FactorId(f[0] as usize), vec: VecId(f[1] as usize) }
-        }
+        OP_FACTOR_SOLVE => Instr::FactorSolve {
+            factor: FactorId(f[0] as usize),
+            head: VecId(f[1] as usize),
+            tail: VecId(f[2] as usize),
+        },
         other => return Err(ArchError::BadRegister(format!("opcode {other}"))),
     })
 }
@@ -270,7 +276,7 @@ mod tests {
             Instr::Dot { dst: SReg(7), a: VecId(8), b: VecId(9) },
             Instr::Duplicate { vec: VecId(3), matrix: MatrixId(2) },
             Instr::Spmv { matrix: MatrixId(0), input: VecId(1), output: VecId(2) },
-            Instr::FactorSolve { factor: FactorId(4), vec: VecId(5) },
+            Instr::FactorSolve { factor: FactorId(4), head: VecId(5), tail: VecId(6) },
         ];
         for i in &all {
             let decoded = decode_instr(encode_instr(i)).expect("decodes");
@@ -360,8 +366,9 @@ pub fn disassemble(program: &Program) -> String {
             Instr::Spmv { matrix, input, output } => {
                 format!("v{} = spmv(m{}, v{})", output.index(), matrix.index(), input.index())
             }
-            Instr::FactorSolve { factor, vec } => {
-                format!("v{} = factor_solve(f{}, v{})", vec.index(), factor.index(), vec.index())
+            Instr::FactorSolve { factor, head, tail } => {
+                let (h, t) = (head.index(), tail.index());
+                format!("(v{h}, v{t}) = factor_solve(f{}, v{h}, v{t})", factor.index())
             }
         };
         let _ = writeln!(out, "{pc:>4}: {:016x} {:016x}  {text}", words[0], words[1]);

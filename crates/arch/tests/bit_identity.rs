@@ -1,9 +1,8 @@
 //! Pins the machine's functional results and cycle accounting bit for bit.
 //!
-//! Runs the PCG kernel of Algorithm 2 on small fixed problems, the direct
-//! solve through a resident factor of `K` on a small control problem, and
-//! the augmented dense-row solve on a small portfolio, under four
-//! architecture configurations — the baseline, a
+//! Runs the PCG kernel of Algorithm 2 on small fixed problems, and the KKT
+//! solve through a resident factor of the KKT matrix on a small control
+//! problem and a small portfolio, under four architecture configurations — the baseline, a
 //! customized (First-Fit) design, single-precision emulation, and an armed
 //! fault injector with both HBM-read and MAC-output flips — and compares
 //! an FNV-1a digest of the returned `x̃`/`z̃` bits and of every
@@ -11,12 +10,12 @@
 //! floating-point operations, to the cycle model or to the fault stream
 //! changes a digest.
 
-use rsqp_arch::kernels::{build_pcg, AugmentedRows, Correction, DenseRowCorrection};
+use rsqp_arch::kernels::{build_kkt_solve, build_pcg};
 use rsqp_arch::{
-    ArchConfig, FactorRef, FaultConfig, Instr, Machine, ProgramBuilder, RunStats, VecId,
+    ArchConfig, FactorRef, FaultConfig, Instr, Machine, Program, ProgramBuilder, RunStats, VecId,
 };
 use rsqp_encode::{search_structures, SparsityString};
-use rsqp_linsys::{KktPrecond, ReducedKktOp};
+use rsqp_linsys::{KktLdlt, ReducedKktOp};
 use rsqp_problems::{generate, Domain};
 use rsqp_sparse::CsrMatrix;
 
@@ -90,23 +89,20 @@ fn wave(len: usize, phase: f64, amp: f64) -> Vec<f64> {
     (0..len).map(|i| amp * ((i as f64) * 0.61 + phase).sin()).collect()
 }
 
-/// The KKT-solve kernel a digest runs.
-#[derive(Clone, Copy, PartialEq)]
-enum Kernel {
-    /// The Jacobi PCG loop.
-    Jacobi,
-    /// The direct solve through the factor of `K` that `rsqp_linsys` forms
-    /// on the host.
-    Factored,
-    /// The augmented dense-row solve over `rsqp_linsys`'s dense-row
-    /// correction.
-    Augmented,
+/// A program that loads each of `inputs` from HBM and stores it back.
+fn round_trip(inputs: &[VecId]) -> Program {
+    let mut pb = ProgramBuilder::new();
+    for &vec in inputs {
+        pb.push(Instr::LoadHbm { vec });
+        pb.push(Instr::StoreHbm { vec });
+    }
+    pb.build().unwrap()
 }
 
-/// Runs an HBM round trip of the kernel inputs followed by the KKT-solve
+/// Runs an HBM round trip of the kernel inputs followed by the Jacobi PCG
 /// kernel, twice (the second solve warm-started from the first with a new
 /// `q`), and digests everything the machine produced.
-fn digest(domain: Domain, size: usize, variant: Variant, kernel: Kernel) -> u64 {
+fn digest(domain: Domain, size: usize, variant: Variant) -> u64 {
     let qp = generate(domain, size, 3);
     let (p, a) = (qp.p().clone(), qp.a().clone());
     let at = a.transpose();
@@ -118,88 +114,16 @@ fn digest(domain: Domain, size: usize, variant: Variant, kernel: Kernel) -> u64 
 
     let sigma = 1e-6;
     let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();
-    let mut op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
-    let mut dense_row_minv = None;
-    let correction = match kernel {
-        Kernel::Jacobi => None,
-        Kernel::Augmented => {
-            let KktPrecond::Rows(pre) = op.preconditioner() else {
-                panic!("{domain:?}_{size} has dense rows");
-            };
-            assert!(pre.is_exact(), "{domain:?}_{size}: K_R is diagonal");
-            let rows = pre.dense_rows();
-            let k = rows.len();
-            let e_s =
-                CsrMatrix::from_raw_parts(k, m, (0..=k).collect(), rows.to_vec(), vec![1.0; k])
-                    .unwrap();
-            let mut b = e_s.transpose();
-            b.data_mut().copy_from_slice(pre.rho_s_inv());
-            let (mask, rho_inv) = (machine.alloc_vec(m), machine.alloc_vec(m));
-            machine.write_vec(mask, pre.mask());
-            machine.write_vec(rho_inv, &rho.iter().map(|r| 1.0 / r).collect::<Vec<_>>());
-            dense_row_minv = Some(pre.inv_diag().to_vec());
-            Some(Correction::Rows(DenseRowCorrection {
-                a_s: machine.add_matrix(pre.a_s()),
-                cinv: machine.add_matrix(pre.cinv()),
-                a_st: machine.add_matrix(&pre.a_s().transpose()),
-                augmented: Some(AugmentedRows {
-                    e_s: machine.add_matrix(&e_s),
-                    b: machine.add_matrix(&b),
-                    mask,
-                    rho_inv,
-                }),
-            }))
-        }
-        Kernel::Factored => {
-            op.prepare().unwrap();
-            let KktPrecond::Factor(f) = op.preconditioner() else {
-                panic!("{domain:?}_{size} takes the factor of K");
-            };
-            let ldlt = f.ldlt().unwrap();
-            let (l_colptr, l_rowidx, l_data) = ldlt.l();
-            let id = machine.add_factor(n);
-            machine.load_factor(
-                id,
-                FactorRef {
-                    perm: f.perm().unwrap(),
-                    l_colptr,
-                    l_rowidx,
-                    l_data,
-                    dinv: ldlt.dinv(),
-                    etree_height: ldlt.etree_height(),
-                },
-            );
-            Some(Correction::Factor(id))
-        }
-    };
-    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400, correction);
-    let mut diag = p.diagonal();
-    for d in &mut diag {
-        *d += sigma;
-    }
-    for i in 0..m {
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            diag[j] += rho[i] * v * v;
-        }
-    }
-    let minv = dense_row_minv
-        .unwrap_or_else(|| diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect());
+    let op = ReducedKktOp::new(&p, &a, sigma, &rho).unwrap();
+    let k = build_pcg(&mut machine, pid, aid, atid, n, m, 400);
     machine.write_vec(k.rho_vec, &rho);
-    machine.write_vec(k.minv, &minv);
+    machine.write_vec(k.minv, op.inv_diag());
     machine.write_vec(k.x, &wave(n, 0.0, 0.5));
     machine.write_vec(k.z, &wave(m, 1.0, 0.3));
     machine.write_vec(k.y, &wave(m, 2.0, 0.2));
     machine.write_scalar(k.sigma, sigma);
     machine.write_scalar(k.eps, 1e-7);
-
-    let inputs: [VecId; 6] = [k.x, k.z, k.y, k.q, k.rho_vec, k.minv];
-    let mut pb = ProgramBuilder::new();
-    for vec in inputs {
-        pb.push(Instr::LoadHbm { vec });
-        pb.push(Instr::StoreHbm { vec });
-    }
-    let transfer = pb.build().unwrap();
+    let transfer = round_trip(&[k.x, k.z, k.y, k.q, k.rho_vec, k.minv]);
 
     let mut h = Fnv::new();
     for (round, phase) in [(0u64, 3.0), (1, 4.0)] {
@@ -219,6 +143,56 @@ fn digest(domain: Domain, size: usize, variant: Variant, kernel: Kernel) -> u64 
     h.stats(&machine.stats());
     if let Variant::Faulty = variant {
         // The pin covers the fault stream only if faults fire.
+        assert!(machine.stats().faults > 0, "{domain:?}: no fault fired");
+    }
+    h.0
+}
+
+/// The same for the KKT solve through the factor of the KKT matrix under
+/// AMD, formed on the host by `rsqp_linsys` and loaded into the machine.
+fn kkt_digest(domain: Domain, size: usize, variant: Variant) -> u64 {
+    let qp = generate(domain, size, 3);
+    let (p, a) = (qp.p(), qp.a());
+    let (n, m) = (p.nrows(), a.nrows());
+    let mut machine = Machine::new(config(variant, p, a, &a.transpose()));
+    let rho: Vec<f64> = (0..m).map(|i| 0.1 * (1 + i % 3) as f64).collect();
+    let mut f = KktLdlt::with_amd(p, a, 1e-6, &rho).unwrap();
+    f.refactor().unwrap();
+    let ldlt = f.ldlt();
+    let (l_colptr, l_rowidx, l_data) = ldlt.l();
+    let id = machine.add_factor(n + m);
+    machine.load_factor(
+        id,
+        FactorRef {
+            perm: f.perm().unwrap(),
+            l_colptr,
+            l_rowidx,
+            l_data,
+            dinv: ldlt.dinv(),
+            etree_height: ldlt.etree_height(),
+        },
+    );
+    let k = build_kkt_solve(&mut machine, n, m, id);
+    machine.write_vec(k.rho_inv, f.kkt().rho_inv());
+    machine.write_vec(k.x, &wave(n, 0.0, 0.5));
+    machine.write_vec(k.z, &wave(m, 1.0, 0.3));
+    machine.write_vec(k.y, &wave(m, 2.0, 0.2));
+    machine.write_scalar(k.sigma, 1e-6);
+    let transfer = round_trip(&[k.x, k.z, k.y, k.q, k.rho_inv]);
+
+    let mut h = Fnv::new();
+    for (round, phase) in [(0u64, 3.0), (1, 4.0)] {
+        machine.write_vec(k.q, &wave(n, phase, 1.0));
+        h.word(round);
+        h.stats(&machine.run(&transfer).unwrap());
+        h.stats(&machine.run(&k.program).unwrap());
+        let solution = machine.read_vec(k.xtilde).to_vec();
+        h.floats(&solution);
+        h.floats(machine.read_vec(k.ztilde));
+        machine.write_vec(k.x, &solution);
+    }
+    h.stats(&machine.stats());
+    if let Variant::Faulty = variant {
         assert!(machine.stats().faults > 0, "{domain:?}: no fault fired");
     }
     h.0
@@ -258,37 +232,41 @@ const PINNED: [(Domain, usize, [u64; 4]); 3] = [
     ),
 ];
 
-/// The factored direct solve on control_0002:
-/// `[baseline, customized, single precision, faulty]`.
-const FACTORED: [u64; 4] =
-    [0xd1f8_0a12_c389_73b9, 0x659f_2c14_8b85_42b2, 0xcdb3_15f3_4f2d_fbfb, 0x18cc_be1a_6c9b_d3d0];
-
-/// The augmented dense-row solve on portfolio_0002:
-/// `[baseline, customized, single precision, faulty]`.
-const AUGMENTED: [u64; 4] =
-    [0xb481_1257_a542_f9b0, 0x8aeb_f68e_fe09_f196, 0x767c_749e_4d68_5e8e, 0x5b1b_cbb0_6147_aef4];
+/// The KKT solve through the factor on control_0002 and portfolio_0002:
+/// `[baseline, customized, single precision, faulty]`. The program runs no
+/// SpMV, so the customized design charges the baseline's cycles.
+const KKT: [(Domain, usize, [u64; 4]); 2] = [
+    (
+        Domain::Control,
+        2,
+        [
+            0x1fc0_e0b7_256d_1c8d,
+            0x1fc0_e0b7_256d_1c8d,
+            0x1f11_d4f1_7762_4f67,
+            0x3f61_79f9_f959_cacf,
+        ],
+    ),
+    (
+        Domain::Portfolio,
+        2,
+        [
+            0x1de4_f67b_553c_ba94,
+            0x1de4_f67b_553c_ba94,
+            0xee09_6178_978f_75f6,
+            0xa8b1_c649_f835_dd17,
+        ],
+    ),
+];
 
 const VARIANTS: [Variant; 4] =
     [Variant::Baseline, Variant::Customized, Variant::SinglePrecision, Variant::Faulty];
 
 #[test]
-fn factored_direct_solve_results_and_stats_are_bit_identical() {
+fn kkt_solve_results_and_stats_are_bit_identical() {
     let mut mismatches = Vec::new();
-    for (variant, want) in VARIANTS.into_iter().zip(FACTORED) {
-        let got = digest(Domain::Control, 2, variant, Kernel::Factored);
-        if got != want {
-            mismatches.push(format!("{variant:?}: {got:#018x} (pinned {want:#018x})"));
-        }
-    }
-    assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));
-}
-
-#[test]
-fn pcg_kernel_results_and_stats_are_bit_identical() {
-    let mut mismatches = Vec::new();
-    for (domain, size, want) in PINNED {
+    for (domain, size, want) in KKT {
         for (variant, want) in VARIANTS.into_iter().zip(want) {
-            let got = digest(domain, size, variant, Kernel::Jacobi);
+            let got = kkt_digest(domain, size, variant);
             if got != want {
                 mismatches.push(format!(
                     "{domain:?}_{size} {variant:?}: {got:#018x} (pinned {want:#018x})"
@@ -300,12 +278,16 @@ fn pcg_kernel_results_and_stats_are_bit_identical() {
 }
 
 #[test]
-fn augmented_dense_row_solve_results_and_stats_are_bit_identical() {
+fn pcg_kernel_results_and_stats_are_bit_identical() {
     let mut mismatches = Vec::new();
-    for (variant, want) in VARIANTS.into_iter().zip(AUGMENTED) {
-        let got = digest(Domain::Portfolio, 2, variant, Kernel::Augmented);
-        if got != want {
-            mismatches.push(format!("{variant:?}: {got:#018x} (pinned {want:#018x})"));
+    for (domain, size, want) in PINNED {
+        for (variant, want) in VARIANTS.into_iter().zip(want) {
+            let got = digest(domain, size, variant);
+            if got != want {
+                mismatches.push(format!(
+                    "{domain:?}_{size} {variant:?}: {got:#018x} (pinned {want:#018x})"
+                ));
+            }
         }
     }
     assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));

@@ -50,7 +50,11 @@ fn arb_body_instr() -> impl Strategy<Value = Instr> {
             input,
             output
         }),
-        (arb_factor(), arb_vec()).prop_map(|(factor, vec)| Instr::FactorSolve { factor, vec }),
+        (arb_factor(), arb_vec(), arb_vec()).prop_map(|(factor, head, tail)| Instr::FactorSolve {
+            factor,
+            head,
+            tail
+        }),
     ]
 }
 

@@ -15,7 +15,7 @@ fn run_pcg(single: bool, eps: f64) -> Vec<f64> {
     let p = machine.add_matrix(&pm);
     let a = machine.add_matrix(&am);
     let at = machine.add_matrix(&atm);
-    let k = build_pcg(&mut machine, p, a, at, 2, 2, 500, None);
+    let k = build_pcg(&mut machine, p, a, at, 2, 2, 500);
     machine.write_vec(k.q, &[1.0, -1.0]);
     machine.write_vec(k.z, &[0.3, 0.4]);
     machine.write_vec(k.y, &[-0.1, 0.2]);

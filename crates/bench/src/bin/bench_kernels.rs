@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rsqp_bench::median;
-use rsqp_linsys::{pcg_with, LinearOperator, LinsysError, PcgSettings, PcgWorkspace, ReducedKktOp};
+use rsqp_linsys::{pcg_with, LinearOperator, PcgSettings, PcgWorkspace, ReducedKktOp};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
 use rsqp_sparse::{CooMatrix, CsrMatrix, TransposeCache};
@@ -90,45 +90,6 @@ fn random_csr(nrows: usize, ncols: usize, per_row: usize, rng: &mut Rng) -> CsrM
         }
     }
     coo.to_csr()
-}
-
-/// The reduced-KKT operator with Algorithm 2's Jacobi preconditioner
-/// `diag(P) + σ + Σ_i ρ_i A_{i,·}²`, so the PCG timings measure CG
-/// iterations rather than the factor of `K` the operator's own `M⁻¹`
-/// would form on this matrix.
-struct JacobiKkt {
-    op: ReducedKktOp,
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiKkt {
-    fn new(p: &CsrMatrix, a: &CsrMatrix, sigma: f64, rho: &[f64]) -> Self {
-        let mut diag: Vec<f64> = (0..p.nrows()).map(|j| p.get(j, j) + sigma).collect();
-        for (i, &r) in rho.iter().enumerate() {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                diag[j] += r * v * v;
-            }
-        }
-        let op = ReducedKktOp::new(p, a, sigma, rho).unwrap();
-        JacobiKkt { op, inv_diag: diag.iter().map(|d| 1.0 / d).collect() }
-    }
-}
-
-impl LinearOperator for JacobiKkt {
-    fn dim(&self) -> usize {
-        self.op.dim()
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), LinsysError> {
-        self.op.apply(x, y)
-    }
-
-    fn precondition(&mut self, r: &[f64], d: &mut [f64]) {
-        for ((di, &ri), &inv) in d.iter_mut().zip(r).zip(&self.inv_diag) {
-            *di = ri * inv;
-        }
-    }
 }
 
 /// Diagonally dominant PSD band matrix (a well-conditioned `P`).
@@ -239,7 +200,7 @@ fn main() -> ExitCode {
     {
         let pcg_iters = if opts.quick { 30 } else { 60 };
         let settings = PcgSettings { eps: 1e-30, max_iter: pcg_iters };
-        let mut op = JacobiKkt::new(&p, &a, 1e-6, &rho);
+        let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
         // A fresh iterate and workspace per call, as a caller without a

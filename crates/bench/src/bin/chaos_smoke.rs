@@ -125,9 +125,8 @@ fn main() {
         let spec = JobSpec::new(generate(domain, size, master ^ job))
             .with_settings(chaos_settings())
             .with_budget(JobBudget::unbounded().with_timeout(Duration::from_secs(20)))
-            .with_backend_factory(Box::new(move |p, a, sigma, rho, s| {
-                let eps = s.cg_tolerance.initial();
-                let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, eps, s.cg_max_iter));
+            .with_backend_factory(Box::new(move |p, a, sigma, rho, _| {
+                let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho));
                 Ok(plan.wrap(inner))
             }));
         let handle = submit_with_backoff(&service, spec, &mut rejections);

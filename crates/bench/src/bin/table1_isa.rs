@@ -35,7 +35,7 @@ fn main() {
     let at = a.transpose();
     let mut m = Machine::new(ArchConfig::baseline(8));
     let (pid, aid, atid) = (m.add_matrix(&p), m.add_matrix(&a), m.add_matrix(&at));
-    let k = kernels::build_pcg(&mut m, pid, aid, atid, 8, 8, 100, None);
+    let k = kernels::build_pcg(&mut m, pid, aid, atid, 8, 8, 100);
     let mut hist: BTreeMap<&str, usize> = BTreeMap::new();
     for i in k.program.instrs() {
         *hist.entry(instruction_class(i)).or_insert(0) += 1;

@@ -11,27 +11,24 @@
 //!   align_acc_cnt_switch.h      # Figure 4's generated routing snippet
 //!   spmv_align.cpp              # Figure 5's enclosing HLS function
 //!   cvb_<matrix>.txt            # per-matrix CVB index-translation tables
-//!   pcg.rom                     # the Algorithm-2 kernel, ROM-encoded
+//!   pcg.rom                     # the KKT-solve kernel, ROM-encoded
 //!   pcg.lst                     # human-readable disassembly of the kernel
 //! ```
 //!
-//! With the dense rows of `A` over a diagonal `K_R` (the augmented
-//! dense-row solve), with its dense columns eliminated, or with the factor
-//! of the reduced `K` (no dense rows or columns), the kernel is the
-//! loop-free direct solve, so `pcg.rom` holds no loop; it is the one
-//! program the backend runs, whatever its kind. The factor is formed at
-//! the bundle's placeholder σ and ρ and loaded into its machine, like the
-//! correction's matrices, and `architecture.txt` reports its size and
-//! elimination-tree height.
+//! The kernel is the loop-free KKT solve through the factor of the KKT
+//! matrix, the one program the backend runs. The factor is formed at the
+//! bundle's placeholder σ and ρ and loaded into its machine, and
+//! `architecture.txt` reports its size and elimination-tree height. The
+//! CVB tables are the layouts the customization gives `P`, `A` and `Aᵀ`.
 
 use std::io::Write;
 use std::path::Path;
 
 use rsqp_arch::{codegen, rom, Machine, ResourceModel};
-use rsqp_linsys::KktPrecond;
+use rsqp_linsys::KktLdlt;
 use rsqp_solver::QpProblem;
 
-use crate::backend::load_pcg;
+use crate::backend::{load_kkt_solve, upload_factor};
 use crate::CustomizationResult;
 
 /// Writes the full hardware-generation bundle for a problem under the
@@ -51,17 +48,18 @@ pub fn write_bundle(
     std::fs::create_dir_all(dir)?;
     let mut files = 0;
 
-    // The KKT-solve kernel and the machine it runs on. The correction of
-    // M⁻¹, and so the kernel, depend on the patterns of P and A only.
+    // The KKT-solve kernel and the machine it runs on, with the layouts of
+    // P, A and Aᵀ. The kernel depends on the problem's dimensions only.
     let (p, a) = (problem.p(), problem.a());
     let at = a.transpose();
-    let rho = vec![0.1; a.nrows()];
-    let mut precond = KktPrecond::new(p, a, &at, 1e-6, &rho);
     let mut machine = Machine::new(result.config.clone());
-    let (kernel, ids, mut correction) = load_pcg(&mut machine, p, a, &at, &precond, 2000);
-    let factored = precond.prepare(p, a, &at, &rho).is_ok();
+    let ids = [p, a, &at].map(|m| machine.add_matrix(m));
+    let mut factor =
+        KktLdlt::with_amd(p, a, 1e-6, &vec![0.1; a.nrows()]).expect("a validated problem's shapes");
+    let (kernel, factor_id) = load_kkt_solve(&mut machine, &factor);
+    let factored = factor.refactor().is_ok();
     if factored {
-        correction.upload_factor(&mut machine, &precond);
+        upload_factor(&mut machine, &kernel, factor_id, &factor);
     }
 
     // architecture.txt
@@ -85,13 +83,13 @@ pub fn write_bundle(
                 m.name, m.nnz, m.cycles_baseline, m.cycles_custom, m.ep.0, m.ep.1, m.ec.0, m.ec.1
             )?;
         }
-        if let (KktPrecond::Factor(factor), true) = (&precond, factored) {
-            let (ldlt, k) = factor.ldlt().zip(factor.upper()).expect("a prepared factor");
+        if factored {
+            let ldlt = factor.ldlt();
             writeln!(
                 f,
-                "factor of K: n {} nnz(triu K) {} l_nnz {} etree height {}",
+                "KKT factor: n + m {} nnz(triu KKT) {} l_nnz {} etree height {}",
                 ldlt.dim(),
-                k.nnz(),
+                factor.kkt().matrix().nnz(),
                 ldlt.l_nnz(),
                 ldlt.etree_height()
             )?;
@@ -108,7 +106,7 @@ pub fn write_bundle(
     std::fs::write(dir.join("spmv_align.cpp"), codegen::spmv_align_function(result.config.set()))?;
     files += 1;
 
-    // CVB translation tables: the layouts the kernel runs on.
+    // CVB translation tables: the customized layouts of P, A and Aᵀ.
     for (name, id) in ["P", "A", "At"].into_iter().zip(ids) {
         let layout = machine.layout_of(id);
         let mut f = std::fs::File::create(dir.join(format!("cvb_{name}.txt")))?;
@@ -182,42 +180,23 @@ mod tests {
                 std::fs::metadata(dir.join(name)).unwrap_or_else(|_| panic!("{name} missing"));
             assert!(meta.len() > 0, "{name} is empty");
         }
-        // The ROM decodes back into a program: svm_0003 has too few
-        // features for the dense-column elimination, so the kernel is the
-        // direct solve through the factor of K, which architecture.txt
-        // reports.
+        // The ROM decodes back into a program: the KKT solve through the
+        // factor, which architecture.txt reports.
         let instrs = validate_rom(dir.join("pcg.rom")).unwrap();
-        assert_eq!(instrs, 11, "the factored direct solve");
+        assert_eq!(instrs, 9, "the KKT solve");
         let arch = std::fs::read_to_string(dir.join("architecture.txt")).unwrap();
-        assert!(arch.contains("factor of K: n "), "{arch}");
+        assert!(arch.contains("KKT factor: n + m "), "{arch}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn bundle_ships_the_direct_solve_with_dense_columns() {
-        let qp = generate(Domain::Svm, 21, 1);
-        let dir = std::env::temp_dir().join("rsqp_bundle_direct_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let result = crate::customize(&qp, 16, 3);
-        assert_eq!(write_bundle(&qp, &result, &dir).unwrap(), 8);
-        assert!(!dir.join("direct.rom").exists(), "one program per kernel");
-        let words: Vec<u64> = std::fs::read(dir.join("pcg.rom"))
-            .unwrap()
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let program = rom::decode_program(&words, 2000).unwrap();
-        assert!(program.loop_bounds().is_none(), "the direct solve has no loop");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bundle_ships_the_augmented_dense_row_solve() {
-        // A portfolio's K_R is diagonal: pcg.rom is the loop-free
-        // augmented solve, 32 instructions; the budget QP's is PCG.
-        for (qp, direct) in [
-            (generate(Domain::Portfolio, 2, 1), true),
-            (rsqp_problems::random::generate_budget(40), false),
+    fn every_bundle_ships_the_one_kkt_solve() {
+        // Dense feature columns, dense factor and budget rows, and a dense
+        // row over a tridiagonal P: the same loop-free program.
+        for qp in [
+            generate(Domain::Svm, 21, 1),
+            generate(Domain::Portfolio, 2, 1),
+            rsqp_problems::random::generate_budget(40),
         ] {
             let dir = std::env::temp_dir().join(format!("rsqp_bundle_{}_test", qp.name()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -229,10 +208,8 @@ mod tests {
                 .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
                 .collect();
             let program = rom::decode_program(&words, 2000).unwrap();
-            assert_eq!(program.loop_bounds().is_none(), direct, "{}", qp.name());
-            if direct {
-                assert_eq!(program.len(), 32, "{}", qp.name());
-            }
+            assert!(program.loop_bounds().is_none(), "{}", qp.name());
+            assert_eq!(program.len(), 9, "{}", qp.name());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

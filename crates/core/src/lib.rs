@@ -12,9 +12,11 @@
 //!   artifacts (plus the symbolic LDLᵀ ordering), so repeated-solve
 //!   workloads pay the pipeline once per sparsity structure, not per
 //!   problem instance;
-//! * [`FpgaPcgBackend`] — a [`rsqp_solver::KktBackend`] that runs Algorithm
-//!   2 on the cycle-level machine of `rsqp-arch`, so the OSQP outer loop
-//!   converges on *simulated-FPGA arithmetic* while cycles are counted;
+//! * [`FpgaPcgBackend`] — a [`rsqp_solver::KktBackend`] that runs the KKT
+//!   solve through the host's LDLᵀ of the KKT matrix on the cycle-level
+//!   machine of `rsqp-arch`, so the OSQP outer loop converges on
+//!   *simulated-FPGA arithmetic*, bit for bit the CPU's, while cycles are
+//!   counted;
 //!   [`fpga_solver`] builds a solver on it from a problem, settings and an
 //!   architecture;
 //! * [`perf`] — end-to-end time, power, and efficiency models for the three

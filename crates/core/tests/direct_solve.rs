@@ -1,11 +1,11 @@
-//! The direct KKT solve of the dense-column instances, on the CPU and on
-//! the machine, against a refined LDLᵀ reference.
+//! The direct KKT solve of the data-fitting instances with dense feature
+//! columns, on the CPU and on the machine, against a refined LDLᵀ
+//! reference, and its cost on the machine.
 //!
-//! With the dense-column elimination `M = K`, and both PCG backends
-//! solve `K x̃ = b` as `x̃ = M⁻¹ b`. The reference is the `x` block of an
-//! LDLᵀ solve of the full KKT system plus one step of iterative refinement,
-//! computed here: LDLᵀ alone leaves a relative residual near 1e-6 on the
-//! Huber fit (stiff equality rows, ρ = 100 against σ = 1e-6).
+//! Both backends solve the KKT system through the factor of the KKT matrix
+//! under AMD and return the same bits. The reference is the `x` block of an
+//! LDLᵀ solve of the full KKT system in its natural order plus one step of
+//! iterative refinement on `K x = b`, computed here.
 
 use rsqp_arch::{ArchConfig, CycleBreakdown, RunStats};
 use rsqp_core::FpgaPcgBackend;
@@ -16,8 +16,7 @@ use rsqp_sparse::CsrMatrix;
 
 const SIGMA: f64 = 1e-6;
 
-/// The smallest instances of each domain whose dense columns are
-/// eliminated.
+/// The smallest SVM, lasso and Huber instances with dense feature columns.
 const INSTANCES: [(Domain, usize); 3] =
     [(Domain::Svm, 21), (Domain::Lasso, 14), (Domain::Huber, 19)];
 
@@ -103,7 +102,7 @@ fn errors() -> Vec<(Domain, f64, f64)> {
                 let d: Vec<f64> = got.iter().zip(&want).map(|(g, w)| g - w).collect();
                 norm(&d) / norm(&want)
             };
-            let mut cpu = CpuPcgBackend::new(p, a, SIGMA, &rho, 1e-7, 200);
+            let mut cpu = CpuPcgBackend::new(p, a, SIGMA, &rho);
             let (mut fpga, _) =
                 FpgaPcgBackend::new(p, a, SIGMA, &rho, ArchConfig::baseline(8), 1e-7, 200);
             (domain, err(&solve(&mut cpu, &inp, m)), err(&solve(&mut fpga, &inp, m)))
@@ -113,67 +112,28 @@ fn errors() -> Vec<(Domain, f64, f64)> {
 
 #[test]
 fn direct_solves_match_a_refined_ldlt_reference() {
-    // Measured relative errors, CPU and machine alike: 1.7e-16 (SVM),
-    // 3.0e-14 (lasso) and 6.4e-11 (Huber). The machine's explicit S⁻¹
-    // loses nothing measurable against the CPU's Cholesky solves; on the
-    // Huber fit the error is K's conditioning, and a second refinement
-    // step of the reference leaves it unchanged.
+    // Measured relative errors, CPU and machine alike: 1.5e-16 (SVM),
+    // 3.2e-11 (lasso) and 1.5e-14 (Huber).
     for (domain, cpu, machine) in errors() {
         assert!(cpu <= 1e-10, "{domain}: CPU x̃ relative error {cpu:e}");
-        assert!(machine <= 1e-10, "{domain}: machine x̃ relative error {machine:e}");
+        assert_eq!(cpu.to_bits(), machine.to_bits(), "{domain}: the CPU's bits");
     }
 }
 
 #[test]
 fn one_kkt_solve_costs_the_loop_free_program() {
     // The machine's counters for one solve on the baseline C = 8: the
-    // loop-free program of Aᵀ, G (or `minv`), H, S⁻¹, Hᵀ and A, with no
-    // loop trip and no HBM traffic.
+    // loop-free program of eight vector operations around one factor
+    // solve, which streams L twice, with no loop trip and no CVB load.
+    // `(domain, cycles, factor-solve cycles, vector cycles, HBM bytes)`.
     let want = [
-        (
-            Domain::Svm,
-            RunStats {
-                cycles: 2584,
-                breakdown: CycleBreakdown {
-                    spmv: 1306,
-                    vector: 294,
-                    duplication: 984,
-                    ..CycleBreakdown::default()
-                },
-                instructions: 18,
-                ..RunStats::default()
-            },
-        ),
-        (
-            Domain::Lasso,
-            RunStats {
-                cycles: 1588,
-                breakdown: CycleBreakdown {
-                    spmv: 798,
-                    vector: 198,
-                    duplication: 592,
-                    ..CycleBreakdown::default()
-                },
-                instructions: 18,
-                ..RunStats::default()
-            },
-        ),
-        (
-            Domain::Huber,
-            RunStats {
-                cycles: 5762,
-                breakdown: CycleBreakdown {
-                    spmv: 2889,
-                    vector: 426,
-                    duplication: 2447,
-                    ..CycleBreakdown::default()
-                },
-                instructions: 19,
-                ..RunStats::default()
-            },
-        ),
+        (Domain::Svm, 2704, 2338, 366, 20_672),
+        (Domain::Lasso, 1762, 1564, 198, 9520),
+        (Domain::Huber, 3087, 2581, 506, 27_024),
     ];
-    for (&(domain, size), (want_domain, want)) in INSTANCES.iter().zip(want) {
+    for (&(domain, size), (want_domain, cycles, spmv, vector, hbm_bytes)) in
+        INSTANCES.iter().zip(want)
+    {
         assert_eq!(domain, want_domain);
         let qp = generate(domain, size, 1);
         let (n, m) = (qp.num_vars(), qp.num_constraints());
@@ -188,6 +148,13 @@ fn one_kkt_solve_costs_the_loop_free_program() {
             200,
         );
         let _ = solve(&mut fpga, &inp, m);
+        let want = RunStats {
+            cycles,
+            breakdown: CycleBreakdown { spmv, vector, ..CycleBreakdown::default() },
+            instructions: 9,
+            hbm_bytes,
+            ..RunStats::default()
+        };
         assert_eq!(fpga.machine_stats(), want, "{domain}");
     }
 }

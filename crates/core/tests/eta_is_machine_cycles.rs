@@ -55,7 +55,7 @@ fn eta_columns_are_the_machines_schedules_and_layouts() {
 fn pcg_run(qp: &QpProblem, at: &CsrMatrix, config: &ArchConfig, eps: f64) -> [u64; 3] {
     let (n, m) = (qp.num_vars(), qp.num_constraints());
     let (mut machine, [p, a, at]) = load(qp, at, config);
-    let k = build_pcg(&mut machine, p, a, at, n, m, 5000, None);
+    let k = build_pcg(&mut machine, p, a, at, n, m, 5000);
     machine.write_vec(k.minv, &vec![1.0; n]);
     machine.write_vec(k.rho_vec, &vec![0.1; m]);
     machine.write_vec(k.z, &vec![0.2; m]);

@@ -14,6 +14,15 @@ pub enum LinsysError {
     /// A zero pivot was encountered while factorizing column `0`; the matrix
     /// is not quasi-definite.
     ZeroPivot(usize),
+    /// The KKT matrix's `D` has `positive` positive pivots, not `n`:
+    /// `P + σI + Aᵀ diag(ρ) A` is not positive definite, so `P` is not
+    /// positive semidefinite.
+    NonConvex {
+        /// Positive pivots found.
+        positive: usize,
+        /// Positive pivots a convex problem has: the number of variables.
+        n: usize,
+    },
     /// Operand dimensions disagree.
     Dimension(String),
     /// A fill-reducing ordering or permutation vector is not a valid
@@ -33,6 +42,10 @@ impl fmt::Display for LinsysError {
                 write!(f, "column {j} is missing an explicit diagonal entry")
             }
             LinsysError::ZeroPivot(j) => write!(f, "zero pivot in column {j}"),
+            LinsysError::NonConvex { positive, n } => write!(
+                f,
+                "the KKT factor has {positive} positive pivots, not {n}: the problem is not convex"
+            ),
             LinsysError::Dimension(msg) => write!(f, "dimension error: {msg}"),
             LinsysError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
             LinsysError::Sparse(e) => write!(f, "sparse kernel error: {e}"),

@@ -11,19 +11,18 @@
 //!
 //! * [`Ldlt`] — symbolic + numeric LDLᵀ of an upper-triangular CSC matrix
 //!   with quasi-definite pivots, plus triangular solves,
-//! * [`KktMatrix`] — assembly of the (permuted) KKT matrix from `P`, `A`,
-//!   `σ`, `ρ`, with cheap ρ updates that reuse the symbolic factorization,
-//! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
-//! * [`KktPrecond`] — the reduced-KKT solve's `M⁻¹`: Jacobi plus an exact
-//!   Woodbury correction for the dense rows of `A` ([`DenseRowPrecond`]),
-//!   preconditioning PCG, or `K⁻¹` itself — the block elimination of its
-//!   dense columns ([`DenseColPrecond`]) or else the sparse LDLᵀ of `K`
-//!   under AMD ([`KktFactor`]),
-//! * [`pcg_with`] — Algorithm 2, in place over a reusable [`PcgWorkspace`],
-//!   and [`ReducedKktOp::exact_solve`], the direct KKT solve that replaces
-//!   it wherever `M⁻¹` is exact ([`KktPrecond::is_exact`]),
-//! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
-//!   substitution for SuiteSparse AMD; see `DESIGN.md`).
+//! * [`KktMatrix`] — one-pass assembly of the KKT matrix from `P`, `A`,
+//!   `σ`, `ρ`, with in-place ρ and value updates that reuse the symbolic
+//!   factorization,
+//! * [`KktLdlt`] — the direct KKT solve through the LDLᵀ of the permuted
+//!   KKT matrix, with OSQP's non-convexity check: the one exact KKT solve
+//!   of every backend, on the CPU and on the accelerator,
+//! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator with the
+//!   Jacobi preconditioner, and [`pcg_with`] — Algorithm 2, in place over a
+//!   reusable [`PcgWorkspace`]: the CPU reference of the accelerator's PCG
+//!   kernel,
+//! * [`amd_ordering`] and [`rcm_ordering`] — fill-reducing orderings (our
+//!   substitutes for SuiteSparse AMD; see `DESIGN.md`).
 //!
 //! # Example: solving a tiny KKT system both ways
 //!
@@ -54,20 +53,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod direct;
 mod error;
-mod factor;
 mod kkt;
 mod ldlt;
 mod ordering;
 mod pcg;
-mod precond;
-mod schur;
 
+pub use direct::KktLdlt;
 pub use error::LinsysError;
-pub use factor::KktFactor;
 pub use kkt::{KktMatrix, ReducedKktOp};
 pub use ldlt::Ldlt;
 pub use ordering::{amd_ordering, inverse_permutation, rcm_ordering, SymmetricPermutation};
 pub use pcg::{pcg_with, LinearOperator, PcgError, PcgSettings, PcgSummary, PcgWorkspace};
-pub use precond::{DenseRowPrecond, KktPrecond};
-pub use schur::DenseColPrecond;

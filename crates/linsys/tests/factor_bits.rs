@@ -1,10 +1,10 @@
-//! The bits of `L`, `D` and one solve after a factor and a refactor, on
-//! three suite instances: the KKT matrix under AMD (the direct backend's
-//! factor) and the reduced `K` (the factor PCG's exact solve applies). A
-//! change of summation order in the factorization, the refactor, the
-//! forming of `K` or the sweeps moves them.
+//! The bits of `L`, `D` and one solve after a factor and a refactor of the
+//! KKT matrix under AMD, on three suite instances, and the same bits from
+//! [`KktLdlt`], the factor every backend solves through, after a ρ update
+//! and after a value update. A change of summation order in the assembly,
+//! the factorization, the refactor or the sweeps moves them.
 
-use rsqp_linsys::{amd_ordering, KktFactor, KktMatrix, Ldlt, SymmetricPermutation};
+use rsqp_linsys::{amd_ordering, KktLdlt, KktMatrix, Ldlt, SymmetricPermutation};
 use rsqp_problems::{generate, Domain};
 use rsqp_sparse::CsrMatrix;
 
@@ -43,40 +43,54 @@ fn kkt_digests(p: &CsrMatrix, a: &CsrMatrix, l: &[f64], u: &[f64]) -> [[u64; 3];
     [first, factor_digest(&f)]
 }
 
-/// The same for the reduced `K = P + σI + Aᵀ diag(ρ) A`.
-fn reduced_digests(p: &CsrMatrix, a: &CsrMatrix, l: &[f64], u: &[f64]) -> [[u64; 3]; 2] {
-    let at = a.transpose();
-    let mut f = KktFactor::new(p.nrows(), 1e-6);
-    f.prepare(p, a, &at, &rho_of(l, u, 0.1)).unwrap();
-    let first = factor_digest(f.ldlt().unwrap());
-    f.refresh();
-    f.prepare(p, a, &at, &rho_of(l, u, 1.7)).unwrap();
-    [first, factor_digest(f.ldlt().unwrap())]
+/// The same through [`KktLdlt`]: formed at ρ̄ = 0.1, refactored for ρ̄ =
+/// 1.7.
+fn kkt_ldlt_digests(p: &CsrMatrix, a: &CsrMatrix, l: &[f64], u: &[f64]) -> [[u64; 3]; 2] {
+    let mut f = KktLdlt::with_amd(p, a, 1e-6, &rho_of(l, u, 0.1)).unwrap();
+    f.refactor().unwrap();
+    let first = factor_digest(f.ldlt());
+    f.update_rho(&rho_of(l, u, 1.7)).unwrap();
+    f.refactor().unwrap();
+    [first, factor_digest(f.ldlt())]
 }
 
 #[test]
 fn factor_and_refactor_keep_their_bits() {
-    // Per instance: [KKT, reduced K] × [factor, refactor] × [L, D, x].
+    // Per instance: [factor, refactor] × [L, D, x].
     #[rustfmt::skip]
-    let want: [[[[u64; 3]; 2]; 2]; 3] = [
-        [[[0xa3af416b057188d2, 0xfb4a59a4d521ed41, 0x5ac122910c9159b7],
-          [0x5b5d7f3b1f29b64c, 0xbab238f83631f635, 0xf96a1a2c3c61843f]],
-         [[0xe9cd32fafb3a699c, 0x57535d91f15b2461, 0x0f803c9121d6f519],
-          [0xfb713e64f52cf358, 0x49f49124d18f0751, 0x6b7f3890031e080f]]],
-        [[[0x81992d6407938209, 0x2ef6838c0f9eead7, 0xc11b7a6b114cb90e],
-          [0xf99343328caac78a, 0x633d1d645442c612, 0xf6845f0bf36804b6]],
-         [[0x0c9f9be788d90208, 0x4c20638410853685, 0x31082a02c8def4a3],
-          [0xee5e6edf15f66677, 0x493000c595a150fd, 0x869160561863077f]]],
-        [[[0xc089e30217d842c4, 0xcd6d9317799daac1, 0xc3fbb06eb4b1a8de],
-          [0x1d646e7291c3c6c3, 0x241b500cdf475a0b, 0x2542b33a2c186dbb]],
-         [[0x62e7dbe40e378a5d, 0x20ee5467fa198532, 0x1c068ecbac300ef9],
-          [0x56f911704453e3c4, 0x9c2334df6d10ba6a, 0x17a5957b51cec596]]],
+    let want: [[[u64; 3]; 2]; 3] = [
+        [[0xa3af416b057188d2, 0xfb4a59a4d521ed41, 0x5ac122910c9159b7],
+         [0x5b5d7f3b1f29b64c, 0xbab238f83631f635, 0xf96a1a2c3c61843f]],
+        [[0x81992d6407938209, 0x2ef6838c0f9eead7, 0xc11b7a6b114cb90e],
+         [0xf99343328caac78a, 0x633d1d645442c612, 0xf6845f0bf36804b6]],
+        [[0xc089e30217d842c4, 0xcd6d9317799daac1, 0xc3fbb06eb4b1a8de],
+         [0x1d646e7291c3c6c3, 0x241b500cdf475a0b, 0x2542b33a2c186dbb]],
     ];
     let instances = [(Domain::Control, 20), (Domain::Eqqp, 100), (Domain::Svm, 20)];
     for ((domain, size), want) in instances.into_iter().zip(&want) {
         let qp = generate(domain, size, 1);
         let (p, a, l, u) = (qp.p(), qp.a(), qp.l(), qp.u());
-        let got = [kkt_digests(p, a, l, u), reduced_digests(p, a, l, u)];
-        assert_eq!(&got, want, "{}", qp.name());
+        assert_eq!(&kkt_digests(p, a, l, u), want, "{}", qp.name());
+        assert_eq!(&kkt_ldlt_digests(p, a, l, u), want, "{}: KktLdlt", qp.name());
+    }
+}
+
+#[test]
+fn a_value_update_refactors_to_the_bits_of_a_fresh_factor() {
+    for (domain, size) in [(Domain::Control, 20), (Domain::Portfolio, 5), (Domain::Huber, 19)] {
+        let qp = generate(domain, size, 1);
+        let (l, u) = (qp.l(), qp.u());
+        let rho = rho_of(l, u, 0.1);
+        let (p2, a2) = (qp.p().map_values(|v| 2.0 * v), qp.a().map_values(|v| 0.5 * v));
+        let factor = |p: &CsrMatrix, a: &CsrMatrix| {
+            let mut f = KktLdlt::with_amd(p, a, 1e-6, &rho).unwrap();
+            f.refactor().unwrap();
+            f
+        };
+        let mut updated = factor(qp.p(), qp.a());
+        updated.update_values(&p2, &a2, &rho).unwrap();
+        updated.refactor().unwrap();
+        let fresh = factor(&p2, &a2);
+        assert_eq!(factor_digest(updated.ldlt()), factor_digest(fresh.ldlt()), "{}", qp.name());
     }
 }

@@ -140,8 +140,7 @@ pub fn generate_unbounded(n: usize, seed: u64) -> QpProblem {
 /// Generates a budget-constrained QP over `n` variables: a tridiagonal `P`
 /// (`2 + i mod 3` on the diagonal, −0.9 beside it), the cost
 /// `q_i = sin(0.37 i + 5)`, the box `−1 ≤ x ≤ 1` and one budget row
-/// `1ᵀx = 1`. The budget row is dense while `P` is not diagonal, so the
-/// reduced KKT solve keeps PCG with the dense-row correction.
+/// `1ᵀx = 1`: a dense row over a non-diagonal `P`.
 ///
 /// # Panics
 ///

@@ -53,9 +53,9 @@ proptest! {
             .map(|job| {
                 let job_plan = plan.derive(job);
                 let spec = JobSpec::new(box_qp(3 + job as usize % 3)).with_backend_factory(
-                    Box::new(move |p, a, sigma, rho, s| {
+                    Box::new(move |p, a, sigma, rho, _| {
                         let inner =
-                            Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+                            Box::new(CpuPcgBackend::new(p, a, sigma, rho));
                         Ok(job_plan.wrap(inner))
                     }),
                 );

@@ -152,8 +152,8 @@ fn panicking_backend_is_isolated_and_ladder_recovers() {
     let service = SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8 });
     // Every chaos-wrapped KKT solve panics; the one retry drops the factory
     // for direct LDLᵀ and the job still solves.
-    let spec = JobSpec::new(box_qp(4)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
-        let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+    let spec = JobSpec::new(box_qp(4)).with_backend_factory(Box::new(|p, a, sigma, rho, _| {
+        let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho));
         Ok(ChaosPlan::new(11).with_panics(1.0).wrap(inner))
     }));
     let report = service.submit(spec).expect("queue has room").wait();
@@ -168,8 +168,8 @@ fn exhausted_ladder_reports_panicked_and_worker_survives() {
     quiet_injected_panics();
     let service = SolveService::new(ServiceConfig { workers: 1, queue_capacity: 8 });
     let spec = JobSpec::new(box_qp(4)).with_retry(RetryPolicy::no_retries()).with_backend_factory(
-        Box::new(|p, a, sigma, rho, s| {
-            let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+        Box::new(|p, a, sigma, rho, _| {
+            let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho));
             Ok(ChaosPlan::new(5).with_panics(1.0).wrap(inner))
         }),
     );
@@ -189,8 +189,8 @@ fn injected_backend_errors_ride_the_guard_and_retry_ladders() {
     // A high error rate defeats the in-solve guard ladder eventually, but
     // the runtime's direct-LDLᵀ retry (which drops the chaos wrapper
     // with the factory) always lands the job.
-    let spec = JobSpec::new(box_qp(6)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
-        let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+    let spec = JobSpec::new(box_qp(6)).with_backend_factory(Box::new(|p, a, sigma, rho, _| {
+        let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho));
         Ok(ChaosPlan::new(9).with_errors(0.9).wrap(inner))
     }));
     let report = service.submit(spec).expect("queue has room").wait();

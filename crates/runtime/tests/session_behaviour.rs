@@ -446,8 +446,8 @@ fn chaos_session_falls_back_once_and_stays_on_ldlt() {
     let cache = Arc::new(CustomizationCache::new(2));
     let config = SessionConfig::default().with_settings(settings).with_cache(cache);
     let mut session = SolveSession::new(control::generate(3, 1), config).with_backend_factory(
-        Box::new(|p, a, sigma, rho, s| {
-            let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+        Box::new(|p, a, sigma, rho, _| {
+            let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho));
             Ok(ChaosPlan::new(3).with_errors(1.0).wrap(inner))
         }),
     );

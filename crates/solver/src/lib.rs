@@ -5,12 +5,14 @@
 //! solved, followed by a Euclidean projection onto the constraint box and a
 //! dual update. The KKT solve is delegated to a pluggable [`KktBackend`]:
 //!
-//! * [`DirectLdltBackend`] — sparse quasi-definite LDLᵀ with cached numeric
-//!   factorization (the OSQP CPU default),
-//! * [`CpuPcgBackend`] — matrix-free PCG on the reduced system (Eq. 3), the
-//!   algorithm cuOSQP and RSQP's FPGA both run,
+//! * [`DirectLdltBackend`] — sparse quasi-definite LDLᵀ of the KKT matrix
+//!   with cached numeric factorization (the OSQP CPU default),
+//! * [`CpuPcgBackend`] — the same factor under AMD, formed at the first KKT
+//!   solve (the kind is named for the reduced-system PCG that cuOSQP and
+//!   RSQP's FPGA run; no backend here runs it),
 //! * any external implementation of [`KktBackend`] — `rsqp-core` plugs the
-//!   cycle-level FPGA simulator in through this trait.
+//!   cycle-level FPGA simulator in through this trait, solving through the
+//!   same factor.
 //!
 //! The solver reproduces OSQP's practical machinery: Ruiz equilibration,
 //! per-constraint ρ with equality boosting, adaptive ρ updates, unscaled

@@ -3,10 +3,13 @@ use crate::SolverError;
 /// Which KKT backend [`crate::Solver::new`] constructs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinSysKind {
-    /// Sparse quasi-definite LDLᵀ (OSQP CPU default).
+    /// Sparse quasi-definite LDLᵀ (OSQP CPU default), factored at set-up
+    /// under [`Settings::ordering`].
     #[default]
     DirectLdlt,
-    /// Matrix-free PCG on the reduced KKT system (cuOSQP / RSQP path).
+    /// The same LDLᵀ under AMD, formed at the first KKT solve
+    /// ([`crate::CpuPcgBackend`]). Named for the reduced-system PCG of
+    /// cuOSQP and RSQP, which no backend runs.
     CpuPcg,
 }
 

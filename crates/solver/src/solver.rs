@@ -201,14 +201,7 @@ impl Solver {
             LinSysKind::DirectLdlt => {
                 Ok(Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?))
             }
-            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::new(
-                p,
-                a,
-                sigma,
-                rho,
-                s.cg_tolerance.initial(),
-                s.cg_max_iter,
-            ))),
+            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::new(p, a, sigma, rho))),
         })
     }
 

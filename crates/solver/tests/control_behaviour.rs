@@ -269,8 +269,8 @@ fn checkpoint_is_portable_across_backends() {
     let settings = deterministic_settings();
 
     let mut pcg_solver =
-        Solver::with_backend(&problem, settings.clone(), &mut |p, a, sigma, rho, s| {
-            Ok(Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-9, s.cg_max_iter)))
+        Solver::with_backend(&problem, settings.clone(), &mut |p, a, sigma, rho, _| {
+            Ok(Box::new(CpuPcgBackend::new(p, a, sigma, rho)))
         })
         .unwrap();
     pcg_solver.solve_with_control(&SolveControl::unbounded().with_iter_cap(10)).unwrap();

@@ -139,7 +139,7 @@ fn logged_sabotaged_solver(
         let (inner, name): (Box<dyn KktBackend>, &str) = if direct {
             (Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?), "ldlt")
         } else {
-            (Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-10, s.cg_max_iter)), "cpu-pcg")
+            (Box::new(CpuPcgBackend::new(p, a, sigma, rho)), "cpu-pcg")
         };
         Ok(Box::new(SabotageBackend {
             inner,

@@ -1,14 +1,11 @@
 //! Asserts the ADMM steady state is allocation-free: once a solver is set
 //! up, extra iterations must not touch the heap. Covered for both KKT
-//! backends: PCG, and LDLᵀ with the ρ updates that refactorize it. The
-//! PCG backend runs on a box-constrained QP without dense rows or columns,
-//! whose KKT solve is the factor of the reduced `K` (refactored in place
-//! at the first solve after each ρ or matrix update), on a portfolio,
-//! whose dense factor and budget rows over a diagonal `K_R` make the KKT
-//! solve the direct augmented dense-row solve, on a budget QP, whose dense
-//! row over a tridiagonal `P` keeps PCG with the Woodbury correction, and
-//! on an SVM, a lasso and a Huber fit, whose dense feature columns switch
-//! on the block elimination.
+//! backends: the CPU-PCG kind, whose KKT factor is refactored in place at
+//! the first solve after each ρ or matrix update, and LDLᵀ with the ρ
+//! updates that refactorize it. The CPU-PCG kind runs on a box-constrained
+//! QP, a portfolio (dense factor and budget rows), a budget QP (a dense row
+//! over a tridiagonal `P`), and an SVM, a lasso and a Huber fit with dense
+//! feature columns.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -23,8 +20,8 @@ use std::cell::Cell;
 use rsqp_problems::random::generate_budget;
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{
-    CgTolerance, CpuPcgBackend, KktBackend, LinSysKind, QpProblem, Settings, SolveResult, Solver,
-    Status,
+    CgTolerance, CpuPcgBackend, DirectLdltBackend, KktBackend, LinSysKind, QpProblem, Settings,
+    SolveResult, Solver, Status,
 };
 use rsqp_sparse::CsrMatrix;
 
@@ -125,15 +122,13 @@ fn ldlt_settings(max_iter: usize) -> Settings {
     }
 }
 
-/// A portfolio with 2 factors: its factor rows and budget row are dense
-/// and `K_R` is diagonal, so the KKT solve is the augmented dense-row
-/// solve.
+/// A portfolio with 2 factors: its factor rows and budget row are dense.
 fn portfolio() -> QpProblem {
     generate(Domain::Portfolio, 2, 1)
 }
 
-/// The problems the PCG backend runs on: the box QP, the portfolio, the
-/// budget QP (PCG) and the dense-column problems.
+/// The problems the CPU-PCG kind runs on: the box QP, the portfolio, the
+/// budget QP and the dense-column problems.
 fn pcg_problems() -> Vec<QpProblem> {
     [problem(), portfolio(), generate_budget(40)]
         .into_iter()
@@ -141,8 +136,8 @@ fn pcg_problems() -> Vec<QpProblem> {
         .collect()
 }
 
-/// The smallest SVM, lasso and Huber instances whose dense feature
-/// columns the preconditioner eliminates.
+/// The smallest SVM, lasso and Huber instances whose feature columns are
+/// dense.
 fn dense_column_problems() -> [QpProblem; 3] {
     [generate(Domain::Svm, 21, 1), generate(Domain::Lasso, 14, 1), generate(Domain::Huber, 19, 1)]
 }
@@ -181,16 +176,14 @@ fn admm_steady_state_is_allocation_free() {
             long,
             short
         );
-        // The budget QP runs PCG; every other problem here solves directly.
-        let pcg = prob.name().starts_with("budget");
-        assert_eq!(result.backend.cg_iterations > 0, pcg, "{}: CG steps", prob.name());
+        assert_eq!(result.backend.cg_iterations, 0, "{}: CG steps", prob.name());
     }
 }
 
 #[test]
 fn manual_rho_update_is_allocation_free() {
     // `update_rho` rebuilds the per-constraint ρ vector into the existing
-    // buffers and the PCG backend refreshes its preconditioner in place —
+    // buffers and the backend writes its KKT matrix in place —
     // the whole call must never touch the heap once the solver exists.
     for prob in pcg_problems() {
         let mut solver = Solver::new(&prob, settings(20)).unwrap();
@@ -243,16 +236,20 @@ fn update_resolve_loop_is_allocation_free_per_iteration() {
 }
 
 #[test]
-fn pcg_backend_matrix_update_is_allocation_free() {
-    // New values for P and A (same patterns) and a new ρ refresh the
-    // operator, its transpose and the preconditioner in place, and the box
-    // QP's factor of K is refactored in place by the KKT solve that
-    // follows.
-    for prob in pcg_problems() {
+fn backend_matrix_updates_are_allocation_free() {
+    // New values for P and A (same patterns) and a new ρ are written into
+    // the KKT matrix in place, through the positions recorded at assembly,
+    // and the refactorization (at the update on LDLᵀ, at the KKT solve that
+    // follows on the CPU-PCG kind) runs in place.
+    for (prob, direct) in pcg_problems().into_iter().flat_map(|p| [(p.clone(), false), (p, true)]) {
         let (p, a) = (prob.p(), prob.a());
         let (n, m) = (p.nrows(), a.nrows());
         let rho = vec![0.1; m];
-        let mut backend = CpuPcgBackend::new(p, a, 1e-6, &rho, 1e-10, 100);
+        let mut backend: Box<dyn KktBackend> = if direct {
+            Box::new(DirectLdltBackend::new(p, a, 1e-6, &rho).unwrap())
+        } else {
+            Box::new(CpuPcgBackend::new(p, a, 1e-6, &rho))
+        };
         let scaled: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]
             .iter()
             .map(|&f| (p.map_values(|v| f * v), a.map_values(|v| v / f)))
@@ -270,7 +267,8 @@ fn pcg_backend_matrix_update_is_allocation_free() {
             backend.solve_kkt(&x, &z, &y, &q, &mut xt, &mut zt).unwrap();
         }
         let during = alloc_count() - before;
-        assert_eq!(during, 0, "{}: update_matrices allocated {during} times", prob.name());
+        let name = format!("{} on {}", prob.name(), backend.name());
+        assert_eq!(during, 0, "{name}: update_matrices allocated {during} times");
     }
 }
 
@@ -278,12 +276,16 @@ fn pcg_backend_matrix_update_is_allocation_free() {
 fn solver_matrix_update_is_allocation_free() {
     // `Solver::update_matrices` re-equilibrates into the solver's scaled
     // data, rescales the iterates and bounds in place and hands the values
-    // to the backend, which refreshes in place too: the augmented
-    // dense-row solve on the portfolio, PCG's dense-row correction on the
-    // budget QP, the direct dense-column solve on the Huber fit. The
+    // to the backend, which writes its KKT matrix in place too. The
     // solver owns its problem here; a shared `Arc` would be copied once.
-    for prob in [portfolio(), generate_budget(40), generate(Domain::Huber, 19, 1)] {
-        let mut solver = Solver::new(&prob, settings(20)).unwrap();
+    let problems = [portfolio(), generate_budget(40), generate(Domain::Huber, 19, 1)];
+    for (prob, settings) in problems.into_iter().flat_map(|p| {
+        [
+            (p.clone(), settings(20)),
+            (p, Settings { linsys: LinSysKind::DirectLdlt, ..settings(20) }),
+        ]
+    }) {
+        let mut solver = Solver::new(&prob, settings).unwrap();
         let _ = solver.solve().unwrap();
         let (p, a) = (prob.p(), prob.a());
         let updates: Vec<(CsrMatrix, CsrMatrix)> = [0.5, 2.0, 3.0]

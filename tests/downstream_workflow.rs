@@ -25,8 +25,9 @@ fn save_load_customize_bundle_solve() {
     assert!(custom.eta_custom > custom.eta_baseline);
     let files = bundle::write_bundle(&loaded, &custom, dir.join("hw")).expect("bundle");
     assert_eq!(files, 8);
-    // Control's KKT solve is the direct solve through the factor of K.
-    assert_eq!(bundle::validate_rom(dir.join("hw/pcg.rom")).expect("rom"), 11);
+    // The KKT solve through the factor: eight vector operations and one
+    // factor solve.
+    assert_eq!(bundle::validate_rom(dir.join("hw/pcg.rom")).expect("rom"), 9);
 
     // 3. Solve on all three backends and compare objectives.
     let settings =

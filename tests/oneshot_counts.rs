@@ -1,11 +1,10 @@
 //! Exact ADMM and CG iteration counts of the benchmark's one-shot CPU PCG
-//! instances at default settings, and the ADMM counts of the instances
-//! whose KKT solve is exact (the augmented dense-row solve, the
-//! dense-column elimination or the factor of `K`) at eps 1e-8.
+//! instances at default settings, and ADMM counts at eps 1e-8. The CPU-PCG
+//! kind solves every KKT system through the LDLᵀ of the KKT matrix under
+//! AMD, formed at its first solve, so it takes LDLᵀ's steps.
 //!
-//! The counts are deterministic, so a preconditioner or PCG regression
-//! shows here as a changed number even where a wall-clock gate cannot see
-//! it. The instances are the benchmark's `ONESHOT_SUITE` (generator seed
+//! The counts are deterministic, so a KKT-solve or ADMM regression shows
+//! here as a changed number even where a wall-clock gate cannot see it. The instances are the benchmark's `ONESHOT_SUITE` (generator seed
 //! 1). Solving all six takes a few seconds in release and minutes in a
 //! debug build, so the test only exists in release builds and is
 //! `#[ignore]`d; run it with
@@ -19,11 +18,7 @@
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{LinSysKind, Settings, Solver, Status};
 
-/// `(domain, size, ADMM iterations, CG iterations)`. None runs PCG: the
-/// portfolio solves its dense rows in the augmented form (its `K_R` is
-/// diagonal), the lasso, SVM and Huber instances through the dense-column
-/// elimination and the control and eqqp instances through the factor of
-/// `K`, so they take no CG iteration.
+/// `(domain, size, ADMM iterations, CG iterations)`. None runs PCG.
 const COUNTS: [(Domain, usize, usize, usize); 6] = [
     (Domain::Control, 60, 75, 0),
     (Domain::Lasso, 200, 175, 0),
@@ -60,8 +55,8 @@ const TIGHT_COUNTS: [(Domain, usize, usize); 6] = [
 #[test]
 #[ignore = "solves six instances at eps 1e-8; run in release with --ignored"]
 fn exact_kkt_instances_reach_tight_tolerances() {
-    // An exact KKT solve leaves no inner tolerance to hold ADMM back, so
-    // CPU PCG needs as many ADMM iterations as LDLᵀ at eps 1e-8.
+    // The direct KKT solve leaves no inner tolerance to hold ADMM back, so
+    // the CPU-PCG kind needs as many ADMM iterations as LDLᵀ at eps 1e-8.
     let settings = Settings {
         linsys: LinSysKind::CpuPcg,
         eps_abs: 1e-8,
@@ -80,9 +75,9 @@ fn exact_kkt_instances_reach_tight_tolerances() {
     assert_eq!(got, TIGHT_COUNTS, "(domain, size, ADMM) per instance");
 }
 
-/// The augmented dense-row solve takes LDLᵀ's ADMM steps: on portfolio
-/// sizes 2 to 40 at eps 1e-3, 1e-5 and 1e-8, CPU PCG (no CG iteration)
-/// and `DirectLdlt` need the same number of ADMM iterations.
+/// The CPU-PCG kind takes LDLᵀ's ADMM steps: on portfolio sizes 2 to 40
+/// at eps 1e-3, 1e-5 and 1e-8, it (with no CG iteration) and `DirectLdlt`
+/// need the same number of ADMM iterations.
 #[test]
 #[ignore = "solves 18 portfolios on two backends; run in release with --ignored"]
 fn portfolios_take_ldlts_admm_counts() {
