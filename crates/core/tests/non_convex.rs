@@ -170,9 +170,9 @@ fn solve_end_to_end(
 #[test]
 fn the_guard_ladder_sees_the_check_and_ldlt_refuses_the_problem() {
     // On svm and control the check fails the first KKT solve of the CPU
-    // kind and of the machine; the ladder resets, tightens, then falls back
-    // to LDLᵀ, whose set-up meets the same check, and that error ends the
-    // solve, as it ends `Solver::new` on the LDLᵀ kind. The portfolio
+    // kind and of the machine. The error is not recoverable (no rung
+    // changes `P`), so the ladder does not start: it ends the solve at
+    // once, as it ends `Solver::new` on the LDLᵀ kind. The portfolio
     // passes the check; its iterates diverge, and the ladder ends in
     // `NumericalError` on both kinds, the machine taking the CPU's steps.
     // The portfolio and the control problem run unscaled (at the default

@@ -37,6 +37,9 @@ pub struct KktLdlt {
     new_of: Vec<usize>,
     /// The right-hand side and then the solution, in the factor's order.
     rhs: Vec<f64>,
+    /// Whether the permuted copy holds the matrix's current values: it is
+    /// gathered at construction, then once per update, by the refactor.
+    gathered: bool,
     /// Whether the matrix changed since the last numeric factorization.
     stale: bool,
     /// The error of the last numeric factorization, if it failed.
@@ -55,18 +58,23 @@ impl KktLdlt {
     /// [`LinsysError::Dimension`] or [`LinsysError::InvalidPermutation`] if
     /// `perm` is not a permutation of the KKT dimension `n + m`.
     pub fn new(kkt: KktMatrix, perm: Option<Vec<usize>>) -> Result<Self, LinsysError> {
-        let permutation =
-            perm.map(|perm| SymmetricPermutation::new(kkt.matrix(), perm)).transpose()?;
-        let (ldlt, new_of) = match &permutation {
-            Some(sp) => (Ldlt::symbolic(sp.matrix())?, inverse_permutation(sp.perm())?),
-            None => (Ldlt::symbolic(kkt.matrix())?, (0..kkt.matrix().ncols()).collect()),
+        let (permutation, new_of) = match perm {
+            Some(perm) => {
+                let new_of = inverse_permutation(&perm)?;
+                (Some(SymmetricPermutation::with_inverse(kkt.matrix(), perm, &new_of)?), new_of)
+            }
+            None => (None, (0..kkt.matrix().ncols()).collect()),
         };
+        let ldlt = Ldlt::symbolic(
+            permutation.as_ref().map_or(kkt.matrix(), SymmetricPermutation::matrix),
+        )?;
         Ok(KktLdlt {
             rhs: vec![0.0; new_of.len()],
             kkt,
             permutation,
             ldlt,
             new_of,
+            gathered: true,
             stale: true,
             failed: None,
             factorizations: 0,
@@ -97,7 +105,7 @@ impl KktLdlt {
     /// As [`KktMatrix::update_rho`]; the factor is then unchanged.
     pub fn update_rho(&mut self, rho: &[f64]) -> Result<(), LinsysError> {
         self.kkt.update_rho(rho)?;
-        self.stale = true;
+        self.mark_changed();
         Ok(())
     }
 
@@ -114,8 +122,14 @@ impl KktLdlt {
         rho: &[f64],
     ) -> Result<(), LinsysError> {
         self.kkt.update_values(p, a)?;
-        self.stale = true;
+        self.mark_changed();
         self.kkt.update_rho(rho)
+    }
+
+    /// Records that the KKT matrix's values changed.
+    fn mark_changed(&mut self) {
+        self.gathered = false;
+        self.stale = true;
     }
 
     /// Refactors the KKT matrix if it changed since the last numeric
@@ -136,7 +150,10 @@ impl KktLdlt {
         self.factorizations += 1;
         let factored = match &mut self.permutation {
             Some(sp) => {
-                sp.refresh_values(self.kkt.matrix())?;
+                if !self.gathered {
+                    sp.refresh_values(self.kkt.matrix())?;
+                    self.gathered = true;
+                }
                 self.ldlt.refactor(sp.matrix())
             }
             None => self.ldlt.refactor(self.kkt.matrix()),

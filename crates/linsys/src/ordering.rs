@@ -253,29 +253,9 @@ pub(crate) fn dense_threshold(n: usize, total: usize, count: usize) -> usize {
 fn postorder_by_column_count(upper: &CscMatrix, perm: Vec<usize>) -> Vec<usize> {
     let n = perm.len();
     let new_of = inverse_permutation(&perm).expect("AMD returns a permutation");
-    // Strict upper pattern of the permuted matrix, bucketed by column.
-    let permuted = |i: usize, j: usize| {
-        let (a, b) = (new_of[i], new_of[j]);
-        (a.min(b), a.max(b))
-    };
-    let mut colptr = vec![0usize; n + 1];
-    for j in 0..n {
-        for &i in upper.col(j).0.iter().filter(|&&i| i < j) {
-            colptr[permuted(i, j).1 + 1] += 1;
-        }
-    }
-    for k in 0..n {
-        colptr[k + 1] += colptr[k];
-    }
-    let mut tail = colptr.clone();
-    let mut rowidx = vec![0usize; colptr[n]];
-    for j in 0..n {
-        for &i in upper.col(j).0.iter().filter(|&&i| i < j) {
-            let (row, col) = permuted(i, j);
-            rowidx[tail[col]] = row;
-            tail[col] += 1;
-        }
-    }
+    // The elimination tree and the column counts do not depend on the
+    // order of the rows in a column, and a diagonal entry adds to neither.
+    let (colptr, rowidx, _) = permuted_upper(upper, &new_of);
     let (etree, counts) =
         etree_and_counts(&colptr, &rowidx).expect("every row lies above its column");
 
@@ -814,6 +794,20 @@ impl SymmetricPermutation {
     /// size differs from `perm.len()`, and
     /// [`LinsysError::InvalidPermutation`] if `perm` is not a permutation.
     pub fn new(upper: &CscMatrix, perm: Vec<usize>) -> Result<Self, LinsysError> {
+        let new_of = inverse_permutation(&perm)?;
+        Self::with_inverse(upper, perm, &new_of)
+    }
+
+    /// [`Self::new`] for a caller that holds the inverse of `perm` already
+    /// (`new_of[perm[i]] == i`).
+    ///
+    /// Each column of the result lists its rows in increasing order. The
+    /// factor reaches the entries in that order, so its bits depend on it.
+    pub(crate) fn with_inverse(
+        upper: &CscMatrix,
+        perm: Vec<usize>,
+        new_of: &[usize],
+    ) -> Result<Self, LinsysError> {
         let n = upper.ncols();
         if upper.nrows() != n {
             return Err(LinsysError::Dimension(format!(
@@ -828,33 +822,7 @@ impl SymmetricPermutation {
                 perm.len()
             )));
         }
-        let new_of = inverse_permutation(&perm)?;
-        // Gather permuted triplets (upper) with their source data index.
-        let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(upper.nnz());
-        let mut data_idx = 0usize;
-        for j in 0..n {
-            let (rows, _) = upper.col(j);
-            for &i in rows {
-                let (mut pi, mut pj) = (new_of[i], new_of[j]);
-                if pi > pj {
-                    std::mem::swap(&mut pi, &mut pj);
-                }
-                entries.push((pj, pi, data_idx));
-                data_idx += 1;
-            }
-        }
-        entries.sort_unstable();
-        let mut colptr = vec![0usize; n + 1];
-        let mut rowidx = Vec::with_capacity(entries.len());
-        let mut src = Vec::with_capacity(entries.len());
-        for &(pj, pi, d) in &entries {
-            colptr[pj + 1] += 1;
-            rowidx.push(pi);
-            src.push(d);
-        }
-        for j in 0..n {
-            colptr[j + 1] += colptr[j];
-        }
+        let (colptr, rowidx, src) = permuted_upper(upper, new_of);
         let data: Vec<f64> = src.iter().map(|&d| upper.data()[d]).collect();
         let mat = CscMatrix::from_raw_parts(n, n, colptr, rowidx, data)?;
         Ok(SymmetricPermutation { perm, mat, src })
@@ -905,6 +873,62 @@ impl SymmetricPermutation {
             out[p] = v[i];
         }
     }
+}
+
+/// The pattern of the upper triangle of `PᵀMP`, for the symmetric `M` whose
+/// upper triangle is `upper` and the inverse permutation `new_of` (old
+/// index → new): `(colptr, rowidx, src)`, where `src[k]` is the slot of
+/// `upper`'s data that permuted slot `k` holds.
+///
+/// A two-pass counting sort in O(nnz + n), as OSQP's `csc_symperm` runs
+/// it: the entries are bucketed by permuted row, then the rows are walked
+/// in increasing order into their columns, so each column's rows come out
+/// in increasing order.
+fn permuted_upper(upper: &CscMatrix, new_of: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let n = new_of.len();
+    let permuted = |i: usize, j: usize| {
+        let (a, b) = (new_of[i], new_of[j]);
+        (a.min(b), a.max(b))
+    };
+    // Counts by row and by column, summed into each bucket's start.
+    let (mut rowptr, mut colptr) = (vec![0usize; n + 1], vec![0usize; n + 1]);
+    for j in 0..n {
+        for &i in upper.col(j).0 {
+            let (row, col) = permuted(i, j);
+            rowptr[row + 1] += 1;
+            colptr[col + 1] += 1;
+        }
+    }
+    for k in 0..n {
+        rowptr[k + 1] += rowptr[k];
+        colptr[k + 1] += colptr[k];
+    }
+    // Pass 1: each entry's column and source slot into its row's bucket,
+    // `rowptr[r]` advancing to the start of row `r + 1`.
+    let mut by_row = vec![(0usize, 0usize); upper.nnz()];
+    let mut slot = 0;
+    for j in 0..n {
+        for &i in upper.col(j).0 {
+            let (row, col) = permuted(i, j);
+            by_row[rowptr[row]] = (col, slot);
+            rowptr[row] += 1;
+            slot += 1;
+        }
+    }
+    // Pass 2: the rows in increasing order into their columns, `tail[c]`
+    // the next free slot of column `c`.
+    let mut tail = colptr[..n].to_vec();
+    let (mut rowidx, mut src) = (vec![0usize; slot], vec![0usize; slot]);
+    let mut start = 0;
+    for (row, &end) in rowptr[..n].iter().enumerate() {
+        for &(col, s) in &by_row[start..end] {
+            rowidx[tail[col]] = row;
+            src[tail[col]] = s;
+            tail[col] += 1;
+        }
+        start = end;
+    }
+    (colptr, rowidx, src)
 }
 
 #[cfg(test)]

@@ -28,14 +28,16 @@ pub enum SolverError {
 impl SolverError {
     /// Whether the guard layer may attempt recovery from this error, as
     /// opposed to a structural failure that a retry cannot fix.
+    ///
+    /// A non-convex `P` ([`LinsysError::NonConvex`]) is structural: no rung
+    /// of the ladder changes `P`, and the LDLᵀ fallback would factor the
+    /// same matrix only to meet the same check.
     pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            SolverError::Pcg(_)
-                | SolverError::Backend(_)
-                | SolverError::Linsys(_)
-                | SolverError::Numerical(_)
-        )
+        match self {
+            SolverError::Linsys(e) => !matches!(e, LinsysError::NonConvex { .. }),
+            SolverError::Pcg(_) | SolverError::Backend(_) | SolverError::Numerical(_) => true,
+            _ => false,
+        }
     }
 }
 
@@ -96,6 +98,9 @@ mod tests {
     fn conversion_from_linsys() {
         let e: SolverError = LinsysError::ZeroPivot(1).into();
         assert!(matches!(e, SolverError::Linsys(_)));
+        assert!(e.is_recoverable());
+        let non_convex: SolverError = LinsysError::NonConvex { positive: 1, n: 2 }.into();
+        assert!(!non_convex.is_recoverable());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! End-to-end tests of the numerical guard and recovery ladder, using a
 //! sabotage backend that corrupts KKT solves on demand.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use rsqp_linsys::LinsysError;
 use rsqp_solver::{
     BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem, Settings,
     Solver, SolverError, Status,
@@ -192,6 +193,67 @@ fn disabled_guard_propagates_backend_errors() {
     let mut s = sabotaged_solver(settings, Sabotage::Error, 2, true, false);
     let err = s.solve().unwrap_err();
     assert!(matches!(err, SolverError::Backend(_)), "{err:?}");
+}
+
+/// A backend whose every KKT solve reports a non-convex `P`, counting its
+/// solves and the CG tolerances it is given.
+struct NonConvexBackend {
+    solves: Rc<Cell<usize>>,
+    tightenings: Rc<Cell<usize>>,
+}
+
+impl KktBackend for NonConvexBackend {
+    fn name(&self) -> &str {
+        "cpu-pcg"
+    }
+    fn update_rho(&mut self, _rho: &[f64]) -> Result<(), SolverError> {
+        Ok(())
+    }
+    fn set_cg_tolerance(&mut self, _eps: f64) {
+        self.tightenings.set(self.tightenings.get() + 1);
+    }
+    fn solve_kkt(
+        &mut self,
+        _x: &[f64],
+        _z: &[f64],
+        _y: &[f64],
+        _q: &[f64],
+        _xtilde: &mut [f64],
+        _ztilde: &mut [f64],
+    ) -> Result<(), SolverError> {
+        self.solves.set(self.solves.get() + 1);
+        Err(LinsysError::NonConvex { positive: 1, n: 2 }.into())
+    }
+    fn update_matrices(
+        &mut self,
+        _p: &CsrMatrix,
+        _a: &CsrMatrix,
+        _rho: &[f64],
+    ) -> Result<(), SolverError> {
+        Ok(())
+    }
+    fn stats(&self) -> BackendStats {
+        BackendStats { kkt_solves: self.solves.get(), ..BackendStats::default() }
+    }
+}
+
+#[test]
+fn a_non_convex_p_ends_the_solve_without_climbing_the_ladder() {
+    // No rung changes P: the first error is returned, with no iterate
+    // reset, no CG tightening and no LDLᵀ fallback (which, on this convex
+    // problem, would build and go on to solve it).
+    let (solves, tightenings) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let mut s = Solver::with_backend(small_qp(), guarded_settings(), &mut |_, _, _, _, _| {
+        Ok(Box::new(NonConvexBackend {
+            solves: Rc::clone(&solves),
+            tightenings: Rc::clone(&tightenings),
+        }))
+    })
+    .unwrap();
+    let err = s.solve().unwrap_err();
+    assert_eq!(err, SolverError::Linsys(LinsysError::NonConvex { positive: 1, n: 2 }));
+    assert_eq!((solves.get(), tightenings.get()), (1, 0));
+    assert_eq!(s.backend_name(), "cpu-pcg", "no fallback");
 }
 
 #[test]

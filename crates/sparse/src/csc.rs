@@ -33,12 +33,9 @@ impl CscMatrix {
         // Validation is delegated to the CSR checker on the transposed shape:
         // a valid CSC of (nrows x ncols) has exactly the arrays of a valid
         // CSR of (ncols x nrows).
-        let as_csr = CsrMatrix::from_raw_parts(ncols, nrows, colptr, rowidx, data)?;
-        let (indptr, indices, data) = {
-            let t = as_csr;
-            (t.indptr().to_vec(), t.indices().to_vec(), t.data().to_vec())
-        };
-        Ok(CscMatrix { nrows, ncols, colptr: indptr, rowidx: indices, data })
+        let (colptr, rowidx, data) =
+            CsrMatrix::from_raw_parts(ncols, nrows, colptr, rowidx, data)?.into_raw_parts();
+        Ok(CscMatrix { nrows, ncols, colptr, rowidx, data })
     }
 
     /// Number of rows.

@@ -81,6 +81,11 @@ impl CsrMatrix {
         Ok(CsrMatrix { nrows, ncols, indptr, indices, data })
     }
 
+    /// Moves out `(indptr, indices, data)`.
+    pub(crate) fn into_raw_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.indptr, self.indices, self.data)
+    }
+
     /// Builds a CSR matrix from a triplet list (duplicates summed).
     pub fn from_triplets(
         nrows: usize,
