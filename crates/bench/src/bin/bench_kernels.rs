@@ -34,7 +34,7 @@ use rsqp_linsys::{
     PcgWorkspace, ReducedKktOp, SymmetricPermutation,
 };
 use rsqp_problems::{generate, Domain};
-use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver};
+use rsqp_solver::{LinSysKind, QpProblem, Settings, Solver};
 use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, TransposeCache};
 
 /// Baseline/output location, relative to the workspace root CI runs from.
@@ -151,6 +151,25 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Times `a` and `b` back to back `reps` times, alternating which runs
+/// first, and returns each one's median time with the median of the
+/// per-rep ratios `a / b`: a gated speedup, from which the host's slow
+/// phases cancel.
+fn interleaved<A: FnMut(), B: FnMut()>(reps: usize, mut a: A, mut b: B) -> (f64, f64, f64) {
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            ta.push(time_ns(1, &mut a));
+            tb.push(time_ns(1, &mut b));
+        } else {
+            tb.push(time_ns(1, &mut b));
+            ta.push(time_ns(1, &mut a));
+        }
+    }
+    let ratios = ta.iter().zip(&tb).map(|(a, b)| a / b).collect();
+    (median(ta), median(tb), median(ratios))
+}
+
 /// One benchmark report: insertion-ordered `(name, value)` pairs.
 #[derive(Default)]
 struct Report(Vec<(String, f64)>);
@@ -214,13 +233,18 @@ fn main() -> ExitCode {
     report.push("spmv_serial_ns", spmv_serial);
 
     // --- Aᵀx: scatter kernel vs. cached gather transpose ----------------
-    let mut yt = vec![0.0; n];
-    let at_scatter = time_ns(reps, || a.spmv_transpose(&xm, &mut yt).unwrap());
-    report.push("at_scatter_ns", at_scatter);
+    let (mut ys, mut yg) = (vec![0.0; n], vec![0.0; n]);
     let cache = TransposeCache::new(&a);
-    let at_gather = time_ns(reps, || cache.spmv(&xm, &mut yt).unwrap());
-    report.push("at_gather_ns", at_gather);
-    report.push("speedup_at_gather", at_scatter / at_gather);
+    // A sample is a batch of 16 products (about 2 ms), long enough that a
+    // sample's timing noise does not swamp the kernel.
+    let (at_scatter, at_gather, speedup) = interleaved(
+        if opts.quick { 41 } else { 101 },
+        || (0..16).for_each(|_| a.spmv_transpose(&xm, &mut ys).unwrap()),
+        || (0..16).for_each(|_| cache.spmv(&xm, &mut yg).unwrap()),
+    );
+    report.push("at_scatter_ns", at_scatter / 16.0);
+    report.push("at_gather_ns", at_gather / 16.0);
+    report.push("speedup_at_gather", speedup);
 
     // --- Reduced-KKT apply ------------------------------------------------
     let kkt_serial = {
@@ -234,25 +258,29 @@ fn main() -> ExitCode {
     {
         let pcg_iters = if opts.quick { 30 } else { 60 };
         let settings = PcgSettings { eps: 1e-30, max_iter: pcg_iters };
-        let mut op = ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
+        let op = || ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap();
+        let (mut op_alloc, mut op_ws) = (op(), op());
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).sin()).collect();
         let x0 = vec![0.0; n];
-        // A fresh iterate and workspace per call, as a caller without a
-        // long-lived workspace would pay.
-        let pcg_alloc = time_ns(reps.min(8), || {
-            let mut x = x0.clone();
-            let mut ws = PcgWorkspace::new(n);
-            pcg_with(&mut op, &b, &mut x, &settings, &mut ws).unwrap();
-        });
-        report.push("pcg_alloc_ns", pcg_alloc);
         let mut ws = PcgWorkspace::new(n);
         let mut xw = vec![0.0; n];
-        let pcg_ws = time_ns(reps.min(8), || {
-            xw.fill(0.0);
-            pcg_with(&mut op, &b, &mut xw, &settings, &mut ws).unwrap();
-        });
+        let (pcg_alloc, pcg_ws, speedup) = interleaved(
+            if opts.quick { 11 } else { 21 },
+            // A fresh iterate and workspace per call, as a caller without a
+            // long-lived workspace would pay.
+            || {
+                let mut x = x0.clone();
+                let mut ws = PcgWorkspace::new(n);
+                pcg_with(&mut op_alloc, &b, &mut x, &settings, &mut ws).unwrap();
+            },
+            || {
+                xw.fill(0.0);
+                pcg_with(&mut op_ws, &b, &mut xw, &settings, &mut ws).unwrap();
+            },
+        );
+        report.push("pcg_alloc_ns", pcg_alloc);
         report.push("pcg_ws_ns", pcg_ws);
-        report.push("speedup_pcg_workspace", pcg_alloc / pcg_ws);
+        report.push("speedup_pcg_workspace", speedup);
     }
 
     // --- Symmetric permutation: sort vs. counting sort -----------------
@@ -263,20 +291,15 @@ fn main() -> ExitCode {
         let perm = amd_ordering(kkt.matrix()).expect("a square KKT matrix");
         let counted = SymmetricPermutation::new(kkt.matrix(), perm.clone()).expect("a permutation");
         assert_eq!(counted.matrix(), &sorted_symperm(kkt.matrix(), &perm), "the same arrays");
-        // Each rep times the two back to back, and the gate reads the median
-        // of the per-rep ratios, from which the host's slow phases cancel. A
-        // rep costs about 10 ms, so both modes take the full count.
-        let (mut sorted, mut counting) = (Vec::new(), Vec::new());
-        for _ in 0..21 {
-            sorted.push(time_ns(1, || drop(sorted_symperm(kkt.matrix(), &perm))));
-            counting.push(time_ns(1, || {
-                drop(SymmetricPermutation::new(kkt.matrix(), perm.clone()).expect("a permutation"));
-            }));
-        }
-        let ratios = sorted.iter().zip(&counting).map(|(s, c)| s / c).collect();
-        report.push("symperm_sort_ns", median(sorted));
-        report.push("symperm_counting_ns", median(counting));
-        report.push("speedup_symperm", median(ratios));
+        // A rep costs about 10 ms, so both modes take the full count.
+        let (sorted, counting, speedup) = interleaved(
+            21,
+            || drop(sorted_symperm(kkt.matrix(), &perm)),
+            || drop(SymmetricPermutation::new(kkt.matrix(), perm.clone()).expect("a permutation")),
+        );
+        report.push("symperm_sort_ns", sorted);
+        report.push("symperm_counting_ns", counting);
+        report.push("speedup_symperm", speedup);
     }
 
     // --- End to end: largest control / lasso suite instances ------------
@@ -285,12 +308,8 @@ fn main() -> ExitCode {
     {
         let problem = generate(domain, size, 7);
         let e2e_reps = if opts.quick { 1 } else { 3 };
-        let settings = Settings {
-            linsys: LinSysKind::CpuPcg,
-            cg_tolerance: CgTolerance::Fixed(1e-7),
-            adaptive_rho: false,
-            ..Settings::default()
-        };
+        let settings =
+            Settings { linsys: LinSysKind::CpuPcg, adaptive_rho: false, ..Settings::default() };
         let time = time_ns(e2e_reps, || {
             let mut solver = solve_setup(&problem, settings.clone());
             solver.solve().expect("benchmark solve");
@@ -314,17 +333,12 @@ fn main() -> ExitCode {
         let overhead_reps = if opts.quick { 12 } else { 18 };
         let with_trace = |trace: bool| Settings {
             linsys: LinSysKind::CpuPcg,
-            cg_tolerance: CgTolerance::Fixed(1e-7),
             adaptive_rho: false,
             trace,
             ..Settings::default()
         };
-        let baseline_settings = Settings {
-            linsys: LinSysKind::CpuPcg,
-            cg_tolerance: CgTolerance::Fixed(1e-7),
-            adaptive_rho: false,
-            ..Settings::default()
-        };
+        let baseline_settings =
+            Settings { linsys: LinSysKind::CpuPcg, adaptive_rho: false, ..Settings::default() };
         // One unmeasured warmup so neither gated slot pays first-touch
         // costs (page faults, allocator growth) on the clock.
         drop(solve_setup(&problem, baseline_settings.clone()).solve().expect("warmup solve"));
@@ -362,13 +376,11 @@ fn main() -> ExitCode {
         );
         let trace = traced.expect("trace: true must yield a SolveTrace");
         println!(
-            "trace summary ({}): backend={} status={} iterations={} cg_total={} \
-             spans={} events={}",
+            "trace summary ({}): backend={} status={} iterations={} spans={} events={}",
             trace.problem,
             trace.backend,
             trace.status,
             trace.iterations,
-            trace.total_cg_iterations(),
             trace.spans.len(),
             trace.events.len(),
         );

@@ -106,7 +106,7 @@ impl FpgaPcgBackend {
         sigma: f64,
         rho: &[f64],
         config: ArchConfig,
-        _cg_eps: f64,
+        _cg_tolerance: f64,
         _cg_max_iter: usize,
     ) -> (Self, Rc<RefCell<Machine>>) {
         let outer_cycles_per_iter = admm_outer_cycles(&config, p.nrows(), a.nrows());

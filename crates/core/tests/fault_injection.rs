@@ -1,8 +1,8 @@
 //! End-to-end fault tolerance: bit flips injected inside the cycle-level
 //! machine must be detected by the solve pipeline's numerical guard and
-//! either recovered (iterate reset, CG tightening, PCG→LDLᵀ fallback) or
-//! reported as `NumericalError` — never silently returned as a bogus
-//! `Solved`.
+//! either recovered (iterate reset, then the machine's fallback to the
+//! host's LDLᵀ) or reported as `NumericalError` — never silently returned
+//! as a bogus `Solved`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -52,9 +52,9 @@ fn assert_no_bogus_solved(qp: &QpProblem, r: &SolveResult) {
 
 #[test]
 fn heavy_mac_faults_trigger_the_recovery_ladder() {
-    // Every SpMV output corrupted: the on-device PCG loop cannot converge,
-    // so the backend faults and the ladder must degrade to the direct
-    // LDLT backend (or, at worst, diagnose a NumericalError).
+    // Every MAC output corrupted: no device KKT solve can be trusted, so
+    // the ladder must degrade to the host's direct LDLᵀ backend (or, at
+    // worst, diagnose a NumericalError).
     let qp = generate(Domain::Control, 3, 11);
     let fault = FaultConfig::new(2024).with_mac_output_flips(1.0);
     let (r, machine, final_backend) = solve_with_faults(&qp, fault);

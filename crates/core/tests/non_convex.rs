@@ -174,14 +174,17 @@ fn the_guard_ladder_sees_the_check_and_ldlt_refuses_the_problem() {
     // changes `P`), so the ladder does not start: it ends the solve at
     // once, as it ends `Solver::new` on the LDLᵀ kind. The portfolio
     // passes the check; its iterates diverge, and the ladder ends in
-    // `NumericalError` on both kinds, the machine taking the CPU's steps.
+    // `NumericalError`: after one reset on both CPU kinds, which are host
+    // factors, and after a reset and the LDLᵀ fallback on the machine.
     // The portfolio and the control problem run unscaled (at the default
     // ρ = 0.1 of the portfolio's box rows).
-    let diverged = |faults, resets, fallbacks| GuardReport {
-        faults_detected: faults,
-        iterate_resets: resets,
-        cg_tightenings: 1,
-        backend_fallbacks: fallbacks,
+    let diverged = |iterations, faults, resets, fallbacks| {
+        let guard = GuardReport {
+            faults_detected: faults,
+            iterate_resets: resets,
+            backend_fallbacks: fallbacks,
+        };
+        (Status::NumericalError, iterations, guard)
     };
     for case in CASES {
         let [_, qp] = instances(case);
@@ -190,27 +193,17 @@ fn the_guard_ladder_sees_the_check_and_ldlt_refuses_the_problem() {
         let ldlt = Settings { scaling_iters, ..Settings::default() };
         let cpu = Settings { linsys: LinSysKind::CpuPcg, ..ldlt.clone() };
         let refused = expected(&qp, case);
-        for (on_machine, settings) in [(false, cpu), (true, ldlt.clone())] {
-            let name = format!("{:?}, machine: {on_machine}", case.0);
-            let got = solve_end_to_end(&qp, on_machine, settings.clone());
+        for (kind, on_machine, settings, ladder) in [
+            ("cpu-pcg", false, cpu, diverged(50, 2, 1, 0)),
+            ("ldlt", false, ldlt.clone(), diverged(50, 2, 1, 0)),
+            ("machine", true, ldlt, diverged(75, 3, 2, 1)),
+        ] {
+            let name = format!("{:?} on {kind}", case.0);
+            let got = solve_end_to_end(&qp, on_machine, settings);
             match &refused {
                 Some(err) => assert_eq!(got.unwrap_err(), *err, "{name}"),
-                None => assert_eq!(
-                    got.unwrap(),
-                    (Status::NumericalError, 100, diverged(4, 3, 1)),
-                    "{name}"
-                ),
+                None => assert_eq!(got.unwrap(), ladder, "{name}"),
             }
-        }
-        let got = solve_end_to_end(&qp, false, ldlt);
-        match refused {
-            Some(err) => assert_eq!(got.unwrap_err(), err, "{:?} on LDLᵀ", case.0),
-            None => assert_eq!(
-                got.unwrap(),
-                (Status::NumericalError, 75, diverged(3, 2, 0)),
-                "{:?} on LDLᵀ",
-                case.0
-            ),
         }
     }
 }

@@ -13,9 +13,6 @@ use crate::span::SpanRecord;
 pub struct IterationTrace {
     /// 1-based ADMM iteration number.
     pub iter: u64,
-    /// Inner PCG iterations spent in this iteration's KKT solve (0 for
-    /// direct backends).
-    pub cg_iters: u64,
     /// Wall-clock nanoseconds inside the KKT backend this iteration.
     pub kkt_ns: u64,
     /// Base step size ρ̄ in effect after this iteration.
@@ -73,11 +70,6 @@ pub struct SolveTrace {
 }
 
 impl SolveTrace {
-    /// Total inner PCG iterations across the whole solve.
-    pub fn total_cg_iterations(&self) -> u64 {
-        self.records.iter().map(|r| r.cg_iters).sum()
-    }
-
     /// The records where a termination check ran (finite residuals).
     pub fn checked_records(&self) -> impl Iterator<Item = &IterationTrace> {
         self.records.iter().filter(|r| r.prim_res.is_finite())
@@ -115,7 +107,6 @@ impl SolveTrace {
         for r in &self.records {
             w.begin_object(None);
             w.u64("iter", r.iter);
-            w.u64("cg_iters", r.cg_iters);
             if with_timings {
                 w.u64("kkt_ns", r.kkt_ns);
             }
@@ -157,20 +148,12 @@ mod tests {
             records: vec![
                 IterationTrace {
                     iter: 1,
-                    cg_iters: 3,
                     kkt_ns: 5,
                     rho_bar: 0.1,
                     prim_res: f64::NAN,
                     dual_res: f64::NAN,
                 },
-                IterationTrace {
-                    iter: 2,
-                    cg_iters: 2,
-                    kkt_ns: 4,
-                    rho_bar: 0.1,
-                    prim_res: 1e-5,
-                    dual_res: 2e-5,
-                },
+                IterationTrace { iter: 2, kkt_ns: 4, rho_bar: 0.1, prim_res: 1e-5, dual_res: 2e-5 },
             ],
             events: vec![TraceEvent { iter: 2, kind: "rho_update".into(), detail: "0.2".into() }],
         }
@@ -192,7 +175,6 @@ mod tests {
     #[test]
     fn derived_summaries() {
         let t = sample();
-        assert_eq!(t.total_cg_iterations(), 5);
         assert_eq!(t.checked_records().count(), 1);
     }
 

@@ -129,10 +129,6 @@ impl KktBackend for ChaosBackend {
         self.inner.update_rho(rho)
     }
 
-    fn set_cg_tolerance(&mut self, eps: f64) {
-        self.inner.set_cg_tolerance(eps);
-    }
-
     fn solve_kkt(
         &mut self,
         x: &[f64],

@@ -1,9 +1,10 @@
 //! The runtime's attempt loop and its single fallback rung.
 //!
 //! Numeric recovery inside a solve belongs to the solver's guard ladder
-//! (reset → tighten CG → LDLᵀ fallback). What the guard cannot survive is a
-//! backend that panics or a factory that fails to build, so the runtime
-//! adds exactly one rung above it:
+//! (reset → LDLᵀ fallback for a backend that is not already a host factor
+//! → `NumericalError`). What the guard cannot survive is a backend that
+//! panics or a factory that fails to build, so the runtime adds exactly one
+//! rung above it:
 //!
 //! | attempt | configuration |
 //! |---|---|

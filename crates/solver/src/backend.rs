@@ -65,17 +65,16 @@ pub trait KktBackend {
     /// Returns an error if ρ's length changed or the refactorization fails.
     fn update_rho(&mut self, rho: &[f64]) -> Result<(), SolverError>;
 
-    /// Sets the inner-solver relative tolerance (no-op for direct methods).
+    /// Sets an inner-solver relative tolerance. Never called by the solver;
+    /// kept for `benchmark/`, whose tracing wrapper forwards it.
     fn set_cg_tolerance(&mut self, _eps: f64) {}
 
     /// Solves Eq. (2) for the current iterates, writing `x̃^{k+1}` and
     /// `z̃^{k+1}`.
     ///
-    /// `xtilde` is in/out. On entry it holds the warm start — the solver
-    /// passes the previous solution `x̃^k`, or `x^k` at the start of a
-    /// solve and after a recovery. An iterative backend would start from
-    /// it; the direct backends here ignore it. On `Err` its contents are
-    /// unspecified.
+    /// `xtilde` and `ztilde` are output-only: their contents on entry are
+    /// not a warm start, and every backend here overwrites them. On `Err`
+    /// their contents are unspecified.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rsqp_linsys::{LinsysError, PcgError};
+use rsqp_linsys::LinsysError;
 use rsqp_sparse::SparseError;
 
 /// Error type for problem construction and solver setup.
@@ -14,8 +14,6 @@ pub enum SolverError {
     InvalidSetting(String),
     /// The linear-system backend failed.
     Linsys(LinsysError),
-    /// The inner PCG solve broke down or produced non-finite values.
-    Pcg(PcgError),
     /// An underlying sparse kernel failed.
     Sparse(SparseError),
     /// A custom backend reported a failure.
@@ -35,7 +33,7 @@ impl SolverError {
     pub fn is_recoverable(&self) -> bool {
         match self {
             SolverError::Linsys(e) => !matches!(e, LinsysError::NonConvex { .. }),
-            SolverError::Pcg(_) | SolverError::Backend(_) | SolverError::Numerical(_) => true,
+            SolverError::Backend(_) | SolverError::Numerical(_) => true,
             _ => false,
         }
     }
@@ -47,7 +45,6 @@ impl fmt::Display for SolverError {
             SolverError::InvalidProblem(msg) => write!(f, "invalid problem: {msg}"),
             SolverError::InvalidSetting(msg) => write!(f, "invalid setting: {msg}"),
             SolverError::Linsys(e) => write!(f, "linear system error: {e}"),
-            SolverError::Pcg(e) => write!(f, "inner PCG solve failed: {e}"),
             SolverError::Sparse(e) => write!(f, "sparse kernel error: {e}"),
             SolverError::Backend(msg) => write!(f, "backend error: {msg}"),
             SolverError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
@@ -59,7 +56,6 @@ impl Error for SolverError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SolverError::Linsys(e) => Some(e),
-            SolverError::Pcg(e) => Some(e),
             SolverError::Sparse(e) => Some(e),
             _ => None,
         }
@@ -69,12 +65,6 @@ impl Error for SolverError {
 impl From<LinsysError> for SolverError {
     fn from(e: LinsysError) -> Self {
         SolverError::Linsys(e)
-    }
-}
-
-impl From<PcgError> for SolverError {
-    fn from(e: PcgError) -> Self {
-        SolverError::Pcg(e)
     }
 }
 
@@ -104,10 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn conversion_from_pcg_is_recoverable() {
-        let e: SolverError = PcgError::Breakdown { iteration: 3, curvature: -1.0 }.into();
-        assert!(matches!(e, SolverError::Pcg(_)));
-        assert!(e.is_recoverable());
+    fn only_backend_and_numerical_failures_are_recoverable() {
+        assert!(SolverError::Backend("b".into()).is_recoverable());
+        assert!(SolverError::Numerical("n".into()).is_recoverable());
         assert!(!SolverError::InvalidProblem("x".into()).is_recoverable());
     }
 }

@@ -1,66 +1,32 @@
 //! Numerical guards and the bounded recovery ladder.
 //!
-//! Iterative inner solvers (PCG on the reduced KKT system) and accelerator
-//! datapaths fail in ways the direct LDLᵀ path does not: breakdown,
-//! stagnation, and silent NaN/Inf propagation from corrupted memory. The
-//! guard layer watches the ADMM iterates at every termination check and, on
-//! an anomaly, walks a **bounded recovery ladder**:
+//! Every backend solves the KKT system exactly, but an accelerator datapath
+//! or a wrapped backend can still fail: a returned error, or silent NaN/Inf
+//! propagation from corrupted memory. The guard layer watches the ADMM
+//! iterates at every termination check and every failed KKT solve and, on
+//! an anomaly of any kind, walks one **bounded recovery ladder**:
 //!
 //! 1. reset to the last known-good iterate,
-//! 2. reset and tighten the inner CG tolerance,
-//! 3. reset and degrade from the PCG backend to the direct LDLᵀ backend
-//!    (the reverse of the paper's substitution, used as a safety net),
-//! 4. abort with [`crate::Status::NumericalError`].
+//! 2. reset and replace the backend with the host's direct LDLᵀ — offered
+//!    only to a backend that is not already a host factor (the solver
+//!    withholds it from both CPU kinds),
+//! 3. abort with [`crate::Status::NumericalError`].
 //!
-//! The ladder never revisits a rung, so a solve gets at most three
+//! The ladder never revisits a rung, so a solve gets at most two
 //! recoveries and a persistently faulty backend cannot loop forever. The
 //! guard runs when [`crate::Settings::guard`] is `true` (the default). Every
 //! event is counted in [`GuardReport`], surfaced in
 //! [`crate::SolveResult::guard`].
 
-use crate::SolverError;
-
 /// Infinity-norm bound on the scaled iterates; exceeding it counts as
 /// divergence even while every entry is still finite.
 const DIVERGENCE_THRESHOLD: f64 = 1e12;
-
-/// What the guard detected at a checkpoint.
-#[derive(Debug, Clone)]
-pub enum Anomaly {
-    /// An iterate or residual contains NaN or ±Inf; `what` names it.
-    NonFinite {
-        /// Which quantity was non-finite (e.g. `"iterate x"`).
-        what: &'static str,
-    },
-    /// An iterate's infinity norm grew past 10¹² while still finite.
-    Divergence {
-        /// The offending infinity norm.
-        norm: f64,
-    },
-    /// The KKT backend returned a recoverable error.
-    BackendFault {
-        /// The underlying error.
-        error: SolverError,
-    },
-}
-
-impl std::fmt::Display for Anomaly {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Anomaly::NonFinite { what } => write!(f, "non-finite {what}"),
-            Anomaly::Divergence { norm } => write!(f, "iterate diverged (inf-norm {norm:e})"),
-            Anomaly::BackendFault { error } => write!(f, "backend fault: {error}"),
-        }
-    }
-}
 
 /// The action the ladder prescribes for an anomaly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// Restore `x`, `z`, `y` from the last known-good snapshot.
     ResetIterates,
-    /// Restore the snapshot and tighten the inner CG tolerance.
-    TightenCgTolerance,
     /// Restore the snapshot and replace the backend with direct LDLᵀ.
     FallbackToDirect,
     /// Give up: report [`crate::Status::NumericalError`].
@@ -74,8 +40,6 @@ pub struct GuardReport {
     pub faults_detected: usize,
     /// Times the iterates were reset to the last good snapshot.
     pub iterate_resets: usize,
-    /// Times the inner CG tolerance was tightened.
-    pub cg_tightenings: usize,
     /// Times the backend was degraded to direct LDLᵀ.
     pub backend_fallbacks: usize,
 }
@@ -118,40 +82,20 @@ impl Guard {
         }
     }
 
-    /// Inspects the iterate triple and the residual pair; returns the first
-    /// anomaly found, or `None` when the state is healthy.
-    pub fn inspect(
-        &self,
-        x: &[f64],
-        z: &[f64],
-        y: &[f64],
-        prim_res: f64,
-        dual_res: f64,
-    ) -> Option<Anomaly> {
-        if !all_finite(x) {
-            return Some(Anomaly::NonFinite { what: "iterate x" });
-        }
-        if !all_finite(z) {
-            return Some(Anomaly::NonFinite { what: "iterate z" });
-        }
-        if !all_finite(y) {
-            return Some(Anomaly::NonFinite { what: "iterate y" });
-        }
-        if !prim_res.is_finite() {
-            return Some(Anomaly::NonFinite { what: "primal residual" });
-        }
-        if !dual_res.is_finite() {
-            return Some(Anomaly::NonFinite { what: "dual residual" });
-        }
-        let norm = inf_norm(x).max(inf_norm(y));
-        if norm > DIVERGENCE_THRESHOLD {
-            return Some(Anomaly::Divergence { norm });
-        }
-        None
+    /// Inspects the iterate triple and the residual pair; returns `true` on
+    /// an anomaly: a NaN or ±Inf anywhere, or an infinity norm of `x` or `y`
+    /// past 10¹² (divergence while still finite).
+    pub fn inspect(&self, x: &[f64], z: &[f64], y: &[f64], prim_res: f64, dual_res: f64) -> bool {
+        let finite = all_finite(x)
+            && all_finite(z)
+            && all_finite(y)
+            && prim_res.is_finite()
+            && dual_res.is_finite();
+        !finite || inf_norm(x).max(inf_norm(y)) > DIVERGENCE_THRESHOLD
     }
 
     /// Records the current iterates as the known-good snapshot. Call after
-    /// [`Self::inspect`] returns `None`.
+    /// [`Self::inspect`] returns `false`.
     pub fn record_good(&mut self, x: &[f64], z: &[f64], y: &[f64]) {
         self.good_x.copy_from_slice(x);
         self.good_z.copy_from_slice(z);
@@ -165,39 +109,26 @@ impl Guard {
         y.copy_from_slice(&self.good_y);
     }
 
-    /// Advances the ladder in response to `anomaly` and returns the action
-    /// to apply. `can_fallback` is `false` when the active backend is
-    /// already the direct LDLᵀ solver (that rung is then skipped).
+    /// Advances the ladder by one rung, for an anomaly of any kind or a
+    /// recoverable backend error, and returns the action to apply.
+    /// `can_fallback` is `false` when the active backend is already a host
+    /// LDLᵀ factor (that rung then aborts).
     ///
     /// Each rung is used at most once; past the last one the action is
     /// [`RecoveryAction::Abort`].
-    pub fn recover(&mut self, anomaly: &Anomaly, can_fallback: bool) -> RecoveryAction {
+    pub fn recover(&mut self, can_fallback: bool) -> RecoveryAction {
         self.report.faults_detected += 1;
-        // A backend fault means the KKT solve itself is unreliable —
-        // resetting iterates alone cannot help, so enter the ladder at the
-        // tolerance-tightening rung.
-        if matches!(anomaly, Anomaly::BackendFault { .. }) && self.stage == 0 {
-            self.stage = 1;
-        }
         let action = match self.stage {
             0 => RecoveryAction::ResetIterates,
-            1 => RecoveryAction::TightenCgTolerance,
-            2 if can_fallback => RecoveryAction::FallbackToDirect,
-            2 => RecoveryAction::Abort,
+            1 if can_fallback => RecoveryAction::FallbackToDirect,
             _ => RecoveryAction::Abort,
         };
         self.stage += 1;
-        match action {
-            RecoveryAction::ResetIterates => self.report.iterate_resets += 1,
-            RecoveryAction::TightenCgTolerance => {
-                self.report.iterate_resets += 1;
-                self.report.cg_tightenings += 1;
-            }
-            RecoveryAction::FallbackToDirect => {
-                self.report.iterate_resets += 1;
-                self.report.backend_fallbacks += 1;
-            }
-            RecoveryAction::Abort => {}
+        if action != RecoveryAction::Abort {
+            self.report.iterate_resets += 1;
+        }
+        if action == RecoveryAction::FallbackToDirect {
+            self.report.backend_fallbacks += 1;
         }
         action
     }
@@ -219,72 +150,59 @@ mod tests {
     #[test]
     fn healthy_state_passes_inspection() {
         let g = mk_guard();
-        assert!(g.inspect(&[1.0, 2.0], &[0.5], &[0.0], 1e-3, 1e-4).is_none());
+        assert!(!g.inspect(&[1.0, 2.0], &[0.5], &[0.0], 1e-3, 1e-4));
     }
 
     #[test]
     fn detects_non_finite_iterates_and_residuals() {
         let g = mk_guard();
-        assert!(matches!(
-            g.inspect(&[f64::NAN, 0.0], &[0.0], &[0.0], 0.0, 0.0),
-            Some(Anomaly::NonFinite { what: "iterate x" })
-        ));
-        assert!(matches!(
-            g.inspect(&[0.0, 0.0], &[f64::INFINITY], &[0.0], 0.0, 0.0),
-            Some(Anomaly::NonFinite { what: "iterate z" })
-        ));
-        assert!(matches!(
-            g.inspect(&[0.0, 0.0], &[0.0], &[0.0], f64::NAN, 0.0),
-            Some(Anomaly::NonFinite { what: "primal residual" })
-        ));
+        assert!(g.inspect(&[f64::NAN, 0.0], &[0.0], &[0.0], 0.0, 0.0));
+        assert!(g.inspect(&[0.0, 0.0], &[f64::INFINITY], &[0.0], 0.0, 0.0));
+        assert!(g.inspect(&[0.0, 0.0], &[0.0], &[0.0], f64::NAN, 0.0));
     }
 
     #[test]
     fn detects_divergence_past_threshold() {
         let g = Guard::new(&[0.0], &[0.0], &[0.0]);
         let past = 1.01 * DIVERGENCE_THRESHOLD;
-        assert!(matches!(
-            g.inspect(&[past], &[0.0], &[0.0], 0.0, 0.0),
-            Some(Anomaly::Divergence { .. })
-        ));
-        assert!(matches!(
-            g.inspect(&[0.0], &[0.0], &[-past], 0.0, 0.0),
-            Some(Anomaly::Divergence { .. })
-        ));
-        assert!(g.inspect(&[0.99 * DIVERGENCE_THRESHOLD], &[0.0], &[0.0], 0.0, 0.0).is_none());
+        assert!(g.inspect(&[past], &[0.0], &[0.0], 0.0, 0.0));
+        assert!(g.inspect(&[0.0], &[0.0], &[-past], 0.0, 0.0));
+        assert!(!g.inspect(&[0.99 * DIVERGENCE_THRESHOLD], &[0.0], &[0.0], 0.0, 0.0));
     }
 
     #[test]
     fn ladder_escalates_and_never_revisits_a_rung() {
         let mut g = mk_guard();
-        let a = Anomaly::NonFinite { what: "iterate x" };
-        assert_eq!(g.recover(&a, true), RecoveryAction::ResetIterates);
-        assert_eq!(g.recover(&a, true), RecoveryAction::TightenCgTolerance);
-        assert_eq!(g.recover(&a, true), RecoveryAction::FallbackToDirect);
-        assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
+        assert_eq!(g.recover(true), RecoveryAction::ResetIterates);
+        assert_eq!(g.recover(true), RecoveryAction::FallbackToDirect);
+        assert_eq!(g.recover(true), RecoveryAction::Abort);
+        assert_eq!(g.recover(true), RecoveryAction::Abort);
         let r = g.report();
         assert_eq!(r.faults_detected, 4);
-        assert_eq!(r.iterate_resets, 3);
-        assert_eq!(r.cg_tightenings, 1);
+        assert_eq!(r.iterate_resets, 2);
         assert_eq!(r.backend_fallbacks, 1);
     }
 
     #[test]
-    fn direct_backend_skips_the_fallback_rung() {
-        let mut g = mk_guard();
-        let a = Anomaly::Divergence { norm: 1e30 };
-        assert_eq!(g.recover(&a, false), RecoveryAction::ResetIterates);
-        assert_eq!(g.recover(&a, false), RecoveryAction::TightenCgTolerance);
-        assert_eq!(g.recover(&a, false), RecoveryAction::Abort);
-    }
-
-    #[test]
-    fn backend_fault_enters_at_the_tightening_rung() {
-        let mut g = mk_guard();
-        let a = Anomaly::BackendFault { error: SolverError::Backend("device fault".into()) };
-        assert_eq!(g.recover(&a, true), RecoveryAction::TightenCgTolerance);
-        assert_eq!(g.recover(&a, true), RecoveryAction::FallbackToDirect);
-        assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
+    fn every_fault_climbs_the_same_ladder() {
+        // A non-finite or a divergent iterate reaches the ladder through
+        // `inspect`, a recoverable backend error (`None`) directly; the rungs
+        // depend only on whether the fallback is offered.
+        use RecoveryAction::{Abort, FallbackToDirect, ResetIterates};
+        let past = 1.01 * DIVERGENCE_THRESHOLD;
+        for (can_fallback, ladder) in [
+            (true, vec![ResetIterates, FallbackToDirect, Abort]),
+            (false, vec![ResetIterates, Abort]),
+        ] {
+            for iterate in [Some([f64::NAN, 0.0]), Some([past, 0.0]), None] {
+                let mut g = mk_guard();
+                if let Some(x) = iterate {
+                    assert!(g.inspect(&x, &[0.0], &[0.0], 0.0, 0.0));
+                }
+                let taken: Vec<_> = ladder.iter().map(|_| g.recover(can_fallback)).collect();
+                assert_eq!(taken, ladder, "{iterate:?}, can_fallback = {can_fallback}");
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use backend::{kkt_ordering, BackendStats, CpuPcgBackend, DirectLdltBackend, 
 pub use checkpoint::Checkpoint;
 pub use control::{CancelToken, SolveControl};
 pub use error::SolverError;
-pub use guard::{Anomaly, Guard, GuardReport, RecoveryAction};
+pub use guard::{Guard, GuardReport, RecoveryAction};
 pub use polish::{polish, PolishOutcome};
 pub use problem::QpProblem;
 pub use rho::{ConstraintKind, RhoManager};

@@ -26,14 +26,15 @@ pub enum KktOrdering {
     Amd,
 }
 
-/// Tolerance policy for the inner PCG solve.
+/// Tolerance policy for an inner PCG solve. The solver never reads it:
+/// every backend solves the KKT system exactly. It stays for the callers
+/// that still pass it (`FpgaPcgBackend::new`'s ignored tolerance).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CgTolerance {
     /// Fixed relative tolerance `‖r‖ < eps·‖b‖` every ADMM iteration.
     Fixed(f64),
     /// Adaptive tolerance tied to the outer residuals (the cuOSQP scheme):
-    /// `eps_k = clamp(fraction · √(r_prim · r_dual), min, start)`, updated at
-    /// every termination check.
+    /// `eps_k = clamp(fraction · √(r_prim · r_dual), min, start)`.
     Adaptive {
         /// Multiplier on the geometric mean of the ADMM residuals.
         fraction: f64,
@@ -45,8 +46,8 @@ pub enum CgTolerance {
 }
 
 impl CgTolerance {
-    /// The tolerance the first PCG solve uses: the fixed value, or the
-    /// adaptive policy's `start`. Every backend factory starts from it.
+    /// The fixed value, or the adaptive policy's `start`: what the machine's
+    /// backend factory passes as `FpgaPcgBackend::new`'s ignored tolerance.
     pub fn initial(&self) -> f64 {
         match *self {
             CgTolerance::Fixed(e) => e,
@@ -95,9 +96,11 @@ pub struct Settings {
     pub linsys: LinSysKind,
     /// Fill-reducing ordering for the direct backend.
     pub ordering: KktOrdering,
-    /// Inner-PCG tolerance policy (only used by PCG-style backends).
+    /// Inner-PCG tolerance policy. Ignored: every backend solves the KKT
+    /// system exactly. Still validated, since it is caller input.
     pub cg_tolerance: CgTolerance,
-    /// Inner-PCG iteration cap per ADMM iteration.
+    /// Inner-PCG iteration cap per ADMM iteration. Ignored, like
+    /// [`Settings::cg_tolerance`], and validated.
     pub cg_max_iter: usize,
     /// Runs solution polishing after a successful solve.
     pub polish: bool,

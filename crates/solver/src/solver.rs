@@ -8,19 +8,14 @@ use rsqp_sparse::CsrMatrix;
 
 use crate::backend::{BackendStats, CpuPcgBackend, DirectLdltBackend, KktBackend};
 use crate::control::SolveControl;
-use crate::guard::{Anomaly, Guard, GuardReport, RecoveryAction};
+use crate::guard::{Guard, GuardReport, RecoveryAction};
 use crate::infeasibility::{dual_certificate, primal_certificate};
 use crate::rho::ConstraintKind;
 use crate::scaling::{RuizWorkspace, ScaledData};
-use crate::settings::{validate_rho, CgTolerance, LinSysKind};
+use crate::settings::{validate_rho, LinSysKind};
 use crate::termination::{residuals, ResidualInfo};
 use crate::workspace::IterateWorkspace;
 use crate::{QpProblem, RhoManager, Scaling, Settings, SolverError, Status};
-
-/// Floor for guard-driven CG tolerance tightening.
-const GUARD_CG_FLOOR: f64 = 1e-12;
-/// Multiplier applied to the CG tolerance at the tightening rung.
-const GUARD_CG_SHRINK: f64 = 1e-2;
 
 /// Trace-event kind for a recovery-ladder action label.
 fn recovery_kind(action: &str) -> &'static str {
@@ -78,8 +73,8 @@ pub struct SolveResult {
     pub rho_updates: usize,
     /// Whether solution polishing ran and improved the iterate.
     pub polished: bool,
-    /// Numerical-guard interventions (resets, tolerance tightenings,
-    /// backend fallbacks) during this solve.
+    /// Numerical-guard interventions (iterate resets, backend fallbacks)
+    /// during this solve.
     pub guard: GuardReport,
     /// Work counters from the KKT backend (summed over a backend replaced
     /// by the recovery ladder and its successor).
@@ -87,7 +82,7 @@ pub struct SolveResult {
     /// Wall-clock breakdown.
     pub timings: TimingBreakdown,
     /// Full telemetry record of the solve (phase spans, per-iteration
-    /// residuals and PCG counts, ρ-update and guard events). `Some` only
+    /// residuals and KKT times, ρ-update and guard events). `Some` only
     /// when [`Settings::trace`] was enabled.
     pub trace: Option<SolveTrace>,
 }
@@ -469,7 +464,7 @@ impl Solver {
     /// wall-clock deadline, an iteration cap, and/or a cancellation token
     /// another thread may trip. The budget is checked cooperatively at every
     /// ADMM iteration boundary — including after guard recoveries and the
-    /// PCG→LDLᵀ fallback refactorization — so an expired budget surfaces as
+    /// LDLᵀ fallback's factorization — so an expired budget surfaces as
     /// [`Status::Cancelled`] / [`Status::TimeLimitReached`] promptly and
     /// with well-defined iterates, never as a mid-iteration abort.
     ///
@@ -496,22 +491,11 @@ impl Solver {
         }
         let max_iter = control.iter_cap.map_or(s.max_iter, |cap| cap.min(s.max_iter)).max(1);
 
-        let mut cg_eps = s.cg_tolerance.initial();
-        if let CgTolerance::Adaptive { .. } = s.cg_tolerance {
-            self.backend.set_cg_tolerance(cg_eps);
-        }
-        let mut last_res = f64::INFINITY;
-
         let mut status = Status::MaxIterationsReached;
         let mut iterations = max_iter;
         let mut last_info: Option<ResidualInfo> = None;
         let mut last_rho_iter = 0usize;
         let mut guard = if s.guard { Some(Guard::new(&self.x, &self.z, &self.y)) } else { None };
-        // The KKT warm start: x̃ carries over between iterations of this
-        // solve, and restarts from x here and after every recovery. Starting
-        // each solve from x covers warm/cold starts, checkpoint restores and
-        // parametric updates (which may change the scaled space).
-        self.ws.xtilde.copy_from_slice(&self.x);
         let mut tracer: Option<TraceBuilder> = if s.trace {
             let mut timeline = Timeline::new();
             timeline.start("solve");
@@ -544,7 +528,6 @@ impl Solver {
             self.ws.prev_x.copy_from_slice(&self.x);
             self.ws.prev_y.copy_from_slice(&self.y);
 
-            let cg_before = if tracer.is_some() { self.backend.stats().cg_iterations } else { 0 };
             let t = Instant::now();
             let kkt_result = self.backend.solve_kkt(
                 &self.x,
@@ -559,11 +542,7 @@ impl Solver {
             if let Err(e) = kkt_result {
                 match guard.as_mut() {
                     Some(g) if e.is_recoverable() => {
-                        if let Some(action) = self.apply_recovery(
-                            g,
-                            &Anomaly::BackendFault { error: e },
-                            &mut cg_eps,
-                        )? {
+                        if let Some(action) = self.apply_recovery(g)? {
                             if let Some(tb) = tracer.as_mut() {
                                 tb.event(k, recovery_kind(action), action.to_string());
                             }
@@ -579,7 +558,6 @@ impl Solver {
             if let Some(tb) = tracer.as_mut() {
                 tb.trace.records.push(IterationTrace {
                     iter: k as u64,
-                    cg_iters: self.backend.stats().cg_iterations.saturating_sub(cg_before) as u64,
                     kkt_ns: kkt_elapsed.as_nanos() as u64,
                     rho_bar: self.rho_mgr.rho_bar(),
                     prim_res: f64::NAN,
@@ -631,8 +609,8 @@ impl Solver {
             }
 
             if let Some(g) = guard.as_mut() {
-                if let Some(anomaly) = g.inspect(&self.x, &self.z, &self.y, info.prim, info.dual) {
-                    if let Some(action) = self.apply_recovery(g, &anomaly, &mut cg_eps)? {
+                if g.inspect(&self.x, &self.z, &self.y, info.prim, info.dual) {
+                    if let Some(action) = self.apply_recovery(g)? {
                         if let Some(tb) = tracer.as_mut() {
                             tb.event(k, recovery_kind(action), action.to_string());
                         }
@@ -660,21 +638,6 @@ impl Solver {
                 status = Status::DualInfeasible;
                 iterations = k;
                 break;
-            }
-
-            if let CgTolerance::Adaptive { fraction, min, .. } = s.cg_tolerance {
-                // Monotone-decreasing inner tolerance tied to the outer
-                // residuals; if the outer iteration stalls (inexact solves
-                // holding it at a floor), force a 10x reduction — the
-                // cuOSQP-style reduction rule.
-                let res = info.prim.max(info.dual);
-                let mut proposal = fraction * (info.prim * info.dual).sqrt();
-                if res > 0.9 * last_res {
-                    proposal = proposal.min(cg_eps * 0.1);
-                }
-                cg_eps = proposal.min(cg_eps).max(min);
-                self.backend.set_cg_tolerance(cg_eps);
-                last_res = res;
             }
 
             if s.adaptive_rho && k - last_rho_iter >= s.adaptive_rho_interval {
@@ -805,27 +768,18 @@ impl Solver {
     /// when the solve should continue iterating (the label names the rung,
     /// for the trace), `Ok(None)` when the ladder is exhausted (caller
     /// reports [`Status::NumericalError`]).
-    fn apply_recovery(
-        &mut self,
-        guard: &mut Guard,
-        anomaly: &Anomaly,
-        cg_eps: &mut f64,
-    ) -> Result<Option<&'static str>, SolverError> {
-        let can_fallback = self.backend.name() != "ldlt";
-        let action = guard.recover(anomaly, can_fallback);
+    ///
+    /// The LDLᵀ fallback is offered only to a backend that is not already a
+    /// host factor: both CPU kinds solve through the same `KktLdlt` the
+    /// fallback would build.
+    fn apply_recovery(&mut self, guard: &mut Guard) -> Result<Option<&'static str>, SolverError> {
+        let can_fallback = !matches!(self.backend.name(), "ldlt" | "cpu-pcg");
+        let action = guard.recover(can_fallback);
         if action != RecoveryAction::Abort {
-            // A failed KKT solve may have left a partial or NaN iterate in
-            // x̃; every rung restarts the warm start from the restored x.
             guard.restore(&mut self.x, &mut self.z, &mut self.y);
-            self.ws.xtilde.copy_from_slice(&self.x);
         }
         match action {
             RecoveryAction::ResetIterates => Ok(Some("reset_iterates")),
-            RecoveryAction::TightenCgTolerance => {
-                *cg_eps = (*cg_eps * GUARD_CG_SHRINK).max(GUARD_CG_FLOOR);
-                self.backend.set_cg_tolerance(*cg_eps);
-                Ok(Some("tighten_cg_tolerance"))
-            }
             RecoveryAction::FallbackToDirect => {
                 // The direct factorization is the safety net; if even it
                 // cannot be built the error is structural and propagates.

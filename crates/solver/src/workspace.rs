@@ -11,8 +11,7 @@
 /// never re-allocate.
 #[derive(Debug, Clone)]
 pub(crate) struct IterateWorkspace {
-    /// KKT solution x̃ (length n); on entry to a KKT solve, the PCG warm
-    /// start.
+    /// KKT solution x̃ (length n), written by every KKT solve.
     pub xtilde: Vec<f64>,
     /// KKT solution z̃ (length m).
     pub ztilde: Vec<f64>,

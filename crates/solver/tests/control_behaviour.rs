@@ -44,10 +44,6 @@ impl<F: FnMut()> KktBackend for TriggerAt<F> {
         self.inner.update_rho(rho)
     }
 
-    fn set_cg_tolerance(&mut self, eps: f64) {
-        self.inner.set_cg_tolerance(eps);
-    }
-
     fn solve_kkt(
         &mut self,
         x: &[f64],

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use rsqp_linsys::LinsysError;
 use rsqp_solver::{
-    BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem, Settings,
+    BackendStats, CpuPcgBackend, DirectLdltBackend, KktBackend, QpProblem, Settings, SolveResult,
     Solver, SolverError, Status,
 };
 use rsqp_sparse::CsrMatrix;
@@ -19,11 +19,7 @@ fn small_qp() -> QpProblem {
 }
 
 fn guarded_settings() -> Settings {
-    Settings {
-        check_termination: 5,
-        cg_tolerance: CgTolerance::Fixed(1e-10),
-        ..Settings::default()
-    }
+    Settings { check_termination: 5, ..Settings::default() }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,18 +29,8 @@ enum Sabotage {
     Error,
 }
 
-/// What one KKT solve received and returned.
-#[derive(Debug, Clone)]
-struct KktCall {
-    /// The iterate `x`.
-    x: Vec<f64>,
-    /// `xtilde` on entry: the warm start.
-    start: Vec<f64>,
-    /// `xtilde` on return.
-    solution: Vec<f64>,
-}
-
-type CallLog = Rc<RefCell<Vec<KktCall>>>;
+/// The iterate `x` each KKT solve received.
+type CallLog = Rc<RefCell<Vec<Vec<f64>>>>;
 
 /// Wraps a real backend, logs every call, and corrupts `solve_kkt` output
 /// from call `fire_at` on (one-shot unless `persistent`).
@@ -72,9 +58,6 @@ impl KktBackend for SabotageBackend {
     fn update_rho(&mut self, rho: &[f64]) -> Result<(), SolverError> {
         self.inner.update_rho(rho)
     }
-    fn set_cg_tolerance(&mut self, eps: f64) {
-        self.inner.set_cg_tolerance(eps);
-    }
     fn solve_kkt(
         &mut self,
         x: &[f64],
@@ -84,7 +67,6 @@ impl KktBackend for SabotageBackend {
         xtilde: &mut [f64],
         ztilde: &mut [f64],
     ) -> Result<(), SolverError> {
-        let start = xtilde.to_vec();
         let fire = self.should_fire();
         let result = if fire && self.mode == Sabotage::Error {
             // A failing device may leave a partial iterate behind.
@@ -100,7 +82,7 @@ impl KktBackend for SabotageBackend {
                 Sabotage::Error => unreachable!(),
             };
         }
-        self.log.borrow_mut().push(KktCall { x: x.to_vec(), start, solution: xtilde.to_vec() });
+        self.log.borrow_mut().push(x.to_vec());
         result
     }
     fn update_matrices(
@@ -116,14 +98,24 @@ impl KktBackend for SabotageBackend {
     }
 }
 
+/// Which real backend the sabotage wraps, and the name it reports: the two
+/// CPU kinds under their own names, or the CPU-PCG kind posing as an
+/// off-host device, to which the guard still offers the LDLᵀ fallback.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Inner {
+    Ldlt,
+    CpuPcg,
+    Device,
+}
+
 fn sabotaged_solver(
     settings: Settings,
     mode: Sabotage,
     fire_at: usize,
     persistent: bool,
-    direct: bool,
+    inner: Inner,
 ) -> Solver {
-    logged_sabotaged_solver(settings, mode, fire_at, persistent, direct).0
+    logged_sabotaged_solver(settings, mode, fire_at, persistent, inner).0
 }
 
 /// [`sabotaged_solver`] plus the backend's call log.
@@ -132,15 +124,17 @@ fn logged_sabotaged_solver(
     mode: Sabotage,
     fire_at: usize,
     persistent: bool,
-    direct: bool,
+    kind: Inner,
 ) -> (Solver, CallLog) {
     let problem = small_qp();
     let log = CallLog::default();
     let solver = Solver::with_backend(&problem, settings, &mut |p, a, sigma, rho, s| {
-        let (inner, name): (Box<dyn KktBackend>, &str) = if direct {
-            (Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?), "ldlt")
-        } else {
-            (Box::new(CpuPcgBackend::new(p, a, sigma, rho)), "cpu-pcg")
+        let (inner, name): (Box<dyn KktBackend>, &str) = match kind {
+            Inner::Ldlt => {
+                (Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?), "ldlt")
+            }
+            Inner::CpuPcg => (Box::new(CpuPcgBackend::new(p, a, sigma, rho)), "cpu-pcg"),
+            Inner::Device => (Box::new(CpuPcgBackend::new(p, a, sigma, rho)), "device"),
         };
         Ok(Box::new(SabotageBackend {
             inner,
@@ -156,10 +150,24 @@ fn logged_sabotaged_solver(
     (solver, log)
 }
 
+/// Runs one sabotage on both CPU kinds, which solve through the same
+/// factor and are both host factors to the guard, checks that they end
+/// alike, and returns the LDLᵀ run's result.
+fn on_both_cpu_kinds(mode: Sabotage, fire_at: usize, persistent: bool) -> SolveResult {
+    let [ldlt, pcg] = [Inner::Ldlt, Inner::CpuPcg].map(|inner| {
+        sabotaged_solver(guarded_settings(), mode, fire_at, persistent, inner).solve().unwrap()
+    });
+    assert_eq!(
+        (ldlt.status, ldlt.iterations, ldlt.guard),
+        (pcg.status, pcg.iterations, pcg.guard),
+        "the two CPU kinds must take the same ladder"
+    );
+    ldlt
+}
+
 #[test]
 fn one_shot_nan_is_absorbed_by_iterate_reset() {
-    let mut s = sabotaged_solver(guarded_settings(), Sabotage::PoisonNan, 3, false, false);
-    let r = s.solve().unwrap();
+    let r = on_both_cpu_kinds(Sabotage::PoisonNan, 3, false);
     assert_eq!(r.status, Status::Solved);
     assert!(r.x.iter().all(|v| v.is_finite()));
     assert!(r.guard.faults_detected >= 1, "guard never noticed the NaN");
@@ -169,7 +177,8 @@ fn one_shot_nan_is_absorbed_by_iterate_reset() {
 
 #[test]
 fn persistent_backend_errors_degrade_to_direct_ldlt() {
-    let mut s = sabotaged_solver(guarded_settings(), Sabotage::Error, 2, true, false);
+    // An off-host backend is offered the host factor after one reset.
+    let mut s = sabotaged_solver(guarded_settings(), Sabotage::Error, 2, true, Inner::Device);
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert_eq!(r.guard.backend_fallbacks, 1, "expected exactly one fallback: {:?}", r.guard);
@@ -178,28 +187,35 @@ fn persistent_backend_errors_degrade_to_direct_ldlt() {
 }
 
 #[test]
-fn persistent_corruption_on_direct_backend_reports_numerical_error() {
-    // The backend claims to be the direct solver, so the fallback rung is
-    // unavailable and the ladder must exhaust into NumericalError.
-    let mut s = sabotaged_solver(guarded_settings(), Sabotage::PoisonNan, 1, true, true);
-    let r = s.solve().unwrap();
+fn persistent_backend_errors_on_a_cpu_kind_end_in_numerical_error() {
+    // Neither CPU kind is offered the fallback: it would rebuild the
+    // factor the failing backend already solves through.
+    let r = on_both_cpu_kinds(Sabotage::Error, 2, true);
     assert_eq!(r.status, Status::NumericalError);
-    assert!(r.guard.faults_detected >= 2);
+    let g = r.guard;
+    assert_eq!((g.faults_detected, g.iterate_resets, g.backend_fallbacks), (2, 1, 0), "{g:?}");
+}
+
+#[test]
+fn persistent_corruption_on_direct_backend_reports_numerical_error() {
+    let r = on_both_cpu_kinds(Sabotage::PoisonNan, 1, true);
+    assert_eq!(r.status, Status::NumericalError);
+    let g = r.guard;
+    assert_eq!((g.faults_detected, g.iterate_resets, g.backend_fallbacks), (2, 1, 0), "{g:?}");
 }
 
 #[test]
 fn disabled_guard_propagates_backend_errors() {
     let settings = Settings { guard: false, ..guarded_settings() };
-    let mut s = sabotaged_solver(settings, Sabotage::Error, 2, true, false);
+    let mut s = sabotaged_solver(settings, Sabotage::Error, 2, true, Inner::CpuPcg);
     let err = s.solve().unwrap_err();
     assert!(matches!(err, SolverError::Backend(_)), "{err:?}");
 }
 
 /// A backend whose every KKT solve reports a non-convex `P`, counting its
-/// solves and the CG tolerances it is given.
+/// solves.
 struct NonConvexBackend {
     solves: Rc<Cell<usize>>,
-    tightenings: Rc<Cell<usize>>,
 }
 
 impl KktBackend for NonConvexBackend {
@@ -208,9 +224,6 @@ impl KktBackend for NonConvexBackend {
     }
     fn update_rho(&mut self, _rho: &[f64]) -> Result<(), SolverError> {
         Ok(())
-    }
-    fn set_cg_tolerance(&mut self, _eps: f64) {
-        self.tightenings.set(self.tightenings.get() + 1);
     }
     fn solve_kkt(
         &mut self,
@@ -240,19 +253,15 @@ impl KktBackend for NonConvexBackend {
 #[test]
 fn a_non_convex_p_ends_the_solve_without_climbing_the_ladder() {
     // No rung changes P: the first error is returned, with no iterate
-    // reset, no CG tightening and no LDLᵀ fallback (which, on this convex
-    // problem, would build and go on to solve it).
-    let (solves, tightenings) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    // reset and no LDLᵀ fallback.
+    let solves = Rc::new(Cell::new(0));
     let mut s = Solver::with_backend(small_qp(), guarded_settings(), &mut |_, _, _, _, _| {
-        Ok(Box::new(NonConvexBackend {
-            solves: Rc::clone(&solves),
-            tightenings: Rc::clone(&tightenings),
-        }))
+        Ok(Box::new(NonConvexBackend { solves: Rc::clone(&solves) }))
     })
     .unwrap();
     let err = s.solve().unwrap_err();
     assert_eq!(err, SolverError::Linsys(LinsysError::NonConvex { positive: 1, n: 2 }));
-    assert_eq!((solves.get(), tightenings.get()), (1, 0));
+    assert_eq!(solves.get(), 1);
     assert_eq!(s.backend_name(), "cpu-pcg", "no fallback");
 }
 
@@ -262,11 +271,11 @@ fn disabled_guard_still_never_reports_solved_with_non_finite_x() {
     // check; without the guard the residual math sees NaN (never converges),
     // and the final screen must keep Solved off the table.
     let settings = Settings { max_iter: 40, guard: false, ..guarded_settings() };
-    let mut s = sabotaged_solver(settings, Sabotage::PoisonNan, 1, true, false);
+    let mut s = sabotaged_solver(settings, Sabotage::PoisonNan, 1, true, Inner::CpuPcg);
     match s.solve() {
         // Propagating a typed error is fine; claiming Solved is not.
         Ok(r) => assert_ne!(r.status, Status::Solved),
-        Err(e) => assert!(matches!(e, SolverError::Pcg(_) | SolverError::Numerical(_)), "{e:?}"),
+        Err(e) => assert!(matches!(e, SolverError::Numerical(_)), "{e:?}"),
     }
 }
 
@@ -280,50 +289,28 @@ fn clean_solves_report_no_interventions() {
 }
 
 /// Solves `small_qp` on CPU PCG with a one-shot sabotage at call
-/// `fire_at` and returns the status with the call log.
-fn probed_solve(mode: Sabotage, fire_at: usize) -> (Status, Vec<KktCall>) {
-    let (mut solver, log) =
-        logged_sabotaged_solver(guarded_settings(), mode, fire_at, false, false);
-    let status = solver.solve().unwrap().status;
-    let calls = log.borrow().clone();
-    (status, calls)
-}
-
-/// The solve after the poisoned one (call `fire_at`, 1-based) starts from
-/// the restored `x` — the initial iterate, since no residual check has
+/// `fire_at` (1-based), and checks that the solve after it starts from the
+/// restored checkpoint: the initial iterate, since no residual check has
 /// passed by then.
-fn assert_warm_start_restored(calls: &[KktCall], fire_at: usize) {
+fn assert_next_solve_starts_from_the_checkpoint(mode: Sabotage, fire_at: usize) {
+    let (mut solver, log) =
+        logged_sabotaged_solver(guarded_settings(), mode, fire_at, false, Inner::CpuPcg);
+    assert_eq!(solver.solve().unwrap().status, Status::Solved);
+    let calls = log.borrow();
     assert!(calls.len() > fire_at, "the solve stopped at the fault");
-    let next = &calls[fire_at];
-    assert!(next.start.iter().all(|v| v.is_finite()), "poisoned warm start: {:?}", next.start);
-    assert_eq!(next.start, next.x, "the warm start must be the restored x");
-    assert_eq!(next.x, calls[0].x, "x must be the restored checkpoint");
+    assert_eq!(calls[fire_at], calls[0], "x must be the restored checkpoint");
 }
 
 #[test]
-fn failed_kkt_solve_does_not_poison_the_next_warm_start() {
-    let (status, calls) = probed_solve(Sabotage::Error, 3);
-    assert_eq!(status, Status::Solved);
-    assert_warm_start_restored(&calls, 3);
+fn failed_kkt_solve_restores_the_checkpoint() {
+    assert_next_solve_starts_from_the_checkpoint(Sabotage::Error, 3);
 }
 
 #[test]
-fn residual_anomaly_restore_resets_the_warm_start() {
+fn residual_anomaly_restores_the_checkpoint() {
     // Call 5 is the first residual check (`check_termination = 5`), so the
     // guard sees the NaN iterate there and restores the checkpoint.
-    let (status, calls) = probed_solve(Sabotage::PoisonNan, 5);
-    assert_eq!(status, Status::Solved);
-    assert_warm_start_restored(&calls, 5);
-}
-
-#[test]
-fn warm_start_carries_the_previous_solution_within_a_solve() {
-    let (status, calls) = probed_solve(Sabotage::Error, usize::MAX);
-    assert_eq!(status, Status::Solved);
-    assert_eq!(calls[0].start, calls[0].x, "a solve starts from x");
-    for pair in calls.windows(2) {
-        assert_eq!(pair[1].start, pair[0].solution, "then from the previous x̃");
-    }
+    assert_next_solve_starts_from_the_checkpoint(Sabotage::PoisonNan, 5);
 }
 
 proptest! {
@@ -341,9 +328,9 @@ proptest! {
             Sabotage::Error,
         ]),
         persistent in any::<bool>(),
-        direct in any::<bool>(),
+        inner in prop::sample::select(vec![Inner::Ldlt, Inner::CpuPcg, Inner::Device]),
     ) {
-        let mut s = sabotaged_solver(guarded_settings(), mode, fire_at, persistent, direct);
+        let mut s = sabotaged_solver(guarded_settings(), mode, fire_at, persistent, inner);
         let r = s.solve().unwrap();
         prop_assert!(
             matches!(

@@ -5,8 +5,9 @@
 //! 1. malformed problem data is rejected at construction with typed errors,
 //! 2. a clean solve on the simulated FPGA backend runs without guard activity,
 //! 3. the same solve with every MAC output bit-flipped is detected and
-//!    recovered by degrading from the on-device PCG to the direct LDLᵀ
-//!    backend (or diagnosed as a numerical error — never a bogus `Solved`).
+//!    recovered by resetting the iterates, then degrading from the device
+//!    KKT solve to the host's direct LDLᵀ backend (or diagnosed as a
+//!    numerical error — never a bogus `Solved`).
 //!
 //! Run with: `cargo run --release --example fault_recovery`
 
@@ -43,18 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (hit, faults, backend) = solve_on_fpga(&qp, fault)?;
     println!("status {:?} after {} iters, machine faults {}", hit.status, hit.iterations, faults);
     println!(
-        "guard report: {} faults detected, {} iterate resets, {} CG tightenings, {} backend fallbacks",
-        hit.guard.faults_detected,
-        hit.guard.iterate_resets,
-        hit.guard.cg_tightenings,
-        hit.guard.backend_fallbacks
+        "guard report: {} faults detected, {} iterate resets, {} backend fallbacks",
+        hit.guard.faults_detected, hit.guard.iterate_resets, hit.guard.backend_fallbacks
     );
     println!("final backend: {backend}");
     assert!(hit.x.iter().all(|v| v.is_finite()), "solution must be finite whatever the outcome");
     Ok(())
 }
 
-/// Solves `qp` through the simulated-FPGA PCG backend with `fault` armed,
+/// Solves `qp` through the simulated-FPGA backend with `fault` armed,
 /// returning the result, the machine's fault count, and the name of the
 /// backend that produced the final iterate.
 fn solve_on_fpga(
