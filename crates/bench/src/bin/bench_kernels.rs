@@ -11,6 +11,9 @@
 //! * the symmetric permutation of eqqp_0400's KKT matrix under AMD, a
 //!   sort of every entry vs. the counting sort `SymmetricPermutation::new`
 //!   runs;
+//! * the structure search of §4.2 on control_0040's `P`/`A`/`Aᵀ` string at
+//!   `C = 16`, a copy of the quadratic greedy scheduler and hash-map LZW
+//!   it replaced vs. `search_structures`;
 //! * end-to-end PCG-backend solves of the largest control/lasso suite
 //!   instances;
 //! * a telemetry-overhead check: the disabled-tracing solve path may cost
@@ -28,7 +31,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use std::collections::HashMap;
+
 use rsqp_bench::median;
+use rsqp_encode::{
+    search_structures, Alphabet, MacStructure, SparsityString, StructureSet, DOLLAR,
+};
 use rsqp_linsys::{
     amd_ordering, inverse_permutation, pcg_with, KktMatrix, LinearOperator, PcgSettings,
     PcgWorkspace, ReducedKktOp, SymmetricPermutation,
@@ -138,6 +146,121 @@ fn sorted_symperm(upper: &CscMatrix, perm: &[usize]) -> CscMatrix {
     let rowidx = entries.iter().map(|e| e.1).collect();
     let data = entries.iter().map(|e| upper.data()[e.2]).collect();
     CscMatrix::from_raw_parts(n, n, colptr, rowidx, data).expect("a valid permuted pattern")
+}
+
+/// `search_structures` as it ran before the word-parallel scheduler and
+/// the trie LZW: the same candidates and forward selection, each trial
+/// scheduled by re-checking every window (the same sets, slower).
+fn reference_search(s: &SparsityString, s_target: usize) -> StructureSet {
+    let alphabet = s.alphabet();
+    let sample = if s.len() <= 60_000 {
+        s.clone()
+    } else {
+        let sources = s.sources()[..60_000].to_vec();
+        let nnz = sources.iter().map(|p| p.count).sum();
+        SparsityString::from_parts(alphabet, s.chars()[..60_000].to_vec(), sources, nnz)
+    };
+    let mut pool: Vec<MacStructure> = Vec::new();
+    for idx in 0..alphabet.num_letters() {
+        let letter = b'a' + idx as u8;
+        let k = alphabet.c() / alphabet.width(letter);
+        if k >= 2 {
+            pool.push(MacStructure::new(&vec![letter; k], alphabet));
+        }
+    }
+    for phrase in reference_lzw_candidates(sample.chars(), alphabet, 24) {
+        let st = MacStructure::new(&phrase, alphabet);
+        if !pool.contains(&st) {
+            pool.push(st);
+        }
+    }
+    let cycles = |chosen: Vec<MacStructure>| {
+        reference_greedy_cycles(sample.chars(), &StructureSet::new(alphabet, chosen))
+    };
+    let mut chosen: Vec<MacStructure> = Vec::new();
+    let mut best_cycles = cycles(chosen.clone());
+    while chosen.len() + 1 < s_target {
+        let mut best: Option<(usize, usize)> = None;
+        for (i, cand) in pool.iter().enumerate() {
+            if chosen.contains(cand) {
+                continue;
+            }
+            let mut trial = chosen.clone();
+            trial.push(cand.clone());
+            let c = cycles(trial);
+            if c < best_cycles && best.is_none_or(|(_, bc)| c < bc) {
+                best = Some((i, c));
+            }
+        }
+        let Some((i, c)) = best else { break };
+        chosen.push(pool[i].clone());
+        best_cycles = c;
+    }
+    StructureSet::new(alphabet, chosen)
+}
+
+/// The greedy replacement's cycle count, every start re-checking its whole
+/// window and the packs sorted by position.
+fn reference_greedy_cycles(chars: &[u8], set: &StructureSet) -> usize {
+    let alphabet = set.alphabet();
+    let n = chars.len();
+    let mut claimed = vec![false; n];
+    let mut packs = Vec::new();
+    for st in set.by_descending_length() {
+        let idx = set.structures().iter().position(|x| x == st).expect("a member");
+        let len = st.num_slots();
+        let mut pos = 0;
+        while pos + len <= n {
+            if claimed[pos]
+                || (pos..pos + len).any(|i| claimed[i])
+                || !st.matches(chars, pos, alphabet)
+            {
+                pos += 1;
+                continue;
+            }
+            claimed[pos..pos + len].fill(true);
+            packs.push((pos, idx));
+            pos += len;
+        }
+    }
+    packs.sort_by_key(|p| p.0);
+    packs.len()
+}
+
+/// The LZW candidates of a hash-map dictionary that clones a phrase per
+/// character.
+fn reference_lzw_candidates(chars: &[u8], alphabet: Alphabet, limit: usize) -> Vec<Vec<u8>> {
+    let mut dict: HashMap<Vec<u8>, ()> = HashMap::new();
+    let mut phrases: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut w: Vec<u8> = Vec::new();
+    for &ch in chars {
+        let mut wc = w.clone();
+        wc.push(ch);
+        if wc.len() == 1 || dict.contains_key(&wc) {
+            w = wc;
+        } else {
+            *phrases.entry(w.clone()).or_insert(0) += 1;
+            dict.insert(wc, ());
+            w = vec![ch];
+        }
+    }
+    if !w.is_empty() {
+        *phrases.entry(w).or_insert(0) += 1;
+    }
+    let mut out: Vec<(Vec<u8>, usize)> = phrases
+        .into_iter()
+        .filter(|(p, _)| {
+            p.len() >= 2
+                && !p.contains(&DOLLAR)
+                && p.iter().map(|&l| alphabet.width(l)).sum::<usize>() <= alphabet.c()
+        })
+        .map(|(p, cnt)| {
+            let savings = cnt * (p.len() - 1);
+            (p, savings)
+        })
+        .collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    out.into_iter().take(limit).map(|(p, _)| p).collect()
 }
 
 /// Best-of-`reps` wall time of `f`, in nanoseconds.
@@ -300,6 +423,26 @@ fn main() -> ExitCode {
         report.push("symperm_sort_ns", sorted);
         report.push("symperm_counting_ns", counting);
         report.push("speedup_symperm", speedup);
+    }
+
+    // --- Structure search: quadratic reference vs. word-parallel -------
+    {
+        let qp = generate(Domain::Control, 40, 1);
+        let at = qp.a().transpose();
+        let strings = [qp.p(), qp.a(), &at].map(|m| SparsityString::encode(m, 16));
+        let combined = SparsityString::concat(&[&strings[0], &strings[1], &strings[2]]);
+        let set = search_structures(&combined, 4);
+        assert_eq!(reference_search(&combined, 4), set, "the same structure set");
+        // A reference rep costs about 7 ms, so both modes take the full
+        // count.
+        let (reference, searched, speedup) = interleaved(
+            21,
+            || drop(reference_search(&combined, 4)),
+            || drop(search_structures(&combined, 4)),
+        );
+        report.push("search_ref_ns", reference);
+        report.push("search_ns", searched);
+        report.push("speedup_search", speedup);
     }
 
     // --- End to end: largest control / lasso suite instances ------------

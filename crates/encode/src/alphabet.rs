@@ -158,8 +158,8 @@ impl SparsityString {
         SparsityString { alphabet, chars, sources, nnz }
     }
 
-    /// Rebuilds a string from raw parts (used for prefix sampling in the
-    /// structure search).
+    /// Rebuilds a string from raw parts: its characters, their provenance
+    /// and the matrix's non-zero count.
     ///
     /// # Panics
     ///

@@ -22,6 +22,36 @@
 //!   lossless-compression search for a good structure set under a size
 //!   budget `|S|_target` (Eq. 4).
 //!
+//! # Why bitmasks give the paper's replacement
+//!
+//! The paper schedules by iterated string replacement: for each structure,
+//! longest first, it replaces every match left to right with a separator
+//! `*` that no later match may cross. [`greedy_schedule`] runs the same
+//! loop on bitsets, one pass per structure, in time linear in the string:
+//!
+//! * A slot of width `2^k` accepts a character exactly when the character's
+//!   width is at most `2^k`. So one mask per width class, built once per
+//!   string, answers every slot test: bit `i` of `fits[k]` is set when
+//!   character `i` fits a `2^k` slot.
+//! * A structure with slots `k₀ … k_{L−1}` matches at `i` exactly when
+//!   every character of `i..i + L` is still free (no `*` inside) and fits
+//!   its slot. That is bit `i` of `AND_j ((free ∧ fits[k_j]) >> j)`, so
+//!   one mask marks every start that matches before the pass begins.
+//! * Replacement left to right takes the leftmost match, continues after
+//!   its run, and takes the next match. The `*`s it writes during the pass
+//!   all lie behind the scan position, so they never invalidate a start
+//!   still ahead. Its matches are therefore the leftmost non-overlapping
+//!   set bits of that one mask, found with `trailing_zeros` and claimed by
+//!   clearing their runs from `free`.
+//! * A one-slot structure matches every free character that fits it. The
+//!   full-width fallback, last among the one-slot structures, fits every
+//!   character, so it takes whatever is still free: its firings are the
+//!   popcount of `free`.
+//!
+//! The quadratic replacement loop survives as a test reference in
+//! `schedule.rs`, and random strings and sets must schedule to identical
+//! packs under both.
+//!
 //! # Example
 //!
 //! ```

@@ -15,7 +15,7 @@
 //! * [`dp_schedule`] — an exact dynamic program over the same matching
 //!   semantics (our ablation; never worse than greedy).
 
-use crate::{SparsityString, StructureSet};
+use crate::{Alphabet, SparsityString, StructureSet};
 
 /// One firing of one structure: `len` consecutive characters starting at
 /// `pos` consumed in a single cycle.
@@ -84,45 +84,235 @@ impl Schedule {
 /// Structures are tried longest-first; each scans left-to-right and claims
 /// every contiguous, still-unclaimed run it dominates. The full-width
 /// fallback guarantees completeness.
+///
+/// One word-parallel pass per structure finds the same claims, in time
+/// linear in the string length (see the crate docs).
 pub fn greedy_schedule(s: &SparsityString, set: &StructureSet) -> Schedule {
     let alphabet = s.alphabet();
     assert_eq!(alphabet, set.alphabet(), "string and structure set use different alphabets");
-    let chars = s.chars();
-    let n = chars.len();
-    let mut claimed = vec![false; n];
-    let mut packs = Vec::new();
+    let n = s.len();
+    let mut greedy = Greedy::new(s.chars(), alphabet);
+    let mut owner = Owners { starts: vec![0; greedy.free.len()], of: vec![0; n] };
+    let cycles = greedy.run(set, Some(&mut owner));
+    let mut packs = Vec::with_capacity(cycles);
+    for_each_bit(&owner.starts, |pos| {
+        let structure = owner.of[pos] as usize;
+        packs.push(ScheduledPack { structure, pos, len: set.structures()[structure].num_slots() });
+    });
+    Schedule { c: alphabet.c(), nnz: s.nnz(), string_len: n, packs }
+}
 
-    // Map back from sorted order to set indices.
-    let order = set.by_descending_length();
-    for st in order {
-        let idx =
-            set.structures().iter().position(|x| x == st).expect("structure comes from the set");
-        let len = st.num_slots();
-        if len > n {
-            continue;
+/// The greedy scheduler over one string, by bitsets.
+///
+/// Bit `i` of `fits[k]` is set when character `i` has width ≤ `2^k`, so a
+/// slot of width `2^k` accepts exactly the characters of `fits[k]`. A
+/// structure with slot classes `k₀ … k_{L−1}` can fire at `i` when every
+/// character of `i..i + L` is unclaimed and fits its slot: bit `i` of
+/// `AND_j (free ∧ fits[k_j]) >> j`. The paper's left-to-right replacement
+/// claims the leftmost such start, skips past its run and repeats; runs it
+/// claimed earlier in the same pass lie wholly before the scan, so the
+/// claims are the leftmost non-overlapping set bits of that one mask,
+/// computed once before the pass. A single-slot structure claims every
+/// fitting character it meets, so its claims are the mask itself and its
+/// firings are its popcount — the full-width fallback's are the popcount
+/// of whatever is still free.
+///
+/// The masks are built once per string; [`crate::search_structures`]
+/// reuses them for every trial set it measures.
+#[derive(Debug, Clone)]
+pub(crate) struct Greedy {
+    fits: Vec<Vec<u64>>,
+    /// Unclaimed characters.
+    free: Vec<u64>,
+    /// Starts where the current structure can fire.
+    starts: Vec<u64>,
+    /// Scratch for one group of equal slot classes.
+    group: Vec<u64>,
+}
+
+/// Where each firing of a recorded schedule starts, and its structure.
+struct Owners {
+    starts: Vec<u64>,
+    of: Vec<u32>,
+}
+
+impl Greedy {
+    /// Builds the width-class masks of `chars`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a character lies outside `alphabet` (see
+    /// [`Alphabet::width`]).
+    pub(crate) fn new(chars: &[u8], alphabet: Alphabet) -> Self {
+        let words = chars.len().div_ceil(64);
+        let classes = alphabet.num_letters();
+        let mut fits = vec![vec![0u64; words]; classes];
+        for (i, &ch) in chars.iter().enumerate() {
+            fits[alphabet.width(ch).trailing_zeros() as usize][i / 64] |= 1 << (i % 64);
         }
-        let mut pos = 0;
-        while pos + len <= n {
-            if claimed[pos] {
-                pos += 1;
+        // A character of width ≤ 2^k also fits every wider slot.
+        for k in 1..classes {
+            let (narrower, wider) = fits.split_at_mut(k);
+            for (w, &v) in wider[0].iter_mut().zip(&narrower[k - 1]) {
+                *w |= v;
+            }
+        }
+        let all = fits[classes - 1].clone();
+        Greedy { fits, free: all, starts: vec![0; words], group: vec![0; words] }
+    }
+
+    /// The number of firings (cycles) of the greedy schedule under `set`.
+    pub(crate) fn cycles(&mut self, set: &StructureSet) -> usize {
+        self.run(set, None)
+    }
+
+    /// Runs the greedy replacement under `set`, returns the number of
+    /// firings, and records each firing's start and structure in `owners`
+    /// when given.
+    fn run(&mut self, set: &StructureSet, mut owners: Option<&mut Owners>) -> usize {
+        let Greedy { fits, free, starts, group } = self;
+        let alphabet = set.alphabet();
+        let class = |letter: u8| alphabet.width(letter).trailing_zeros() as usize;
+        free.copy_from_slice(&fits[fits.len() - 1]);
+        let mut unclaimed: usize = free.iter().map(|w| w.count_ones() as usize).sum();
+        let mut cycles = 0;
+        for st in set.by_descending_length() {
+            if unclaimed == 0 {
+                break;
+            }
+            let idx = set
+                .structures()
+                .iter()
+                .position(|x| std::ptr::eq(x, st))
+                .expect("structure comes from the set");
+            let len = st.num_slots();
+            // starts = AND over the groups of equal slot classes of each
+            // group's run mask, shifted down by the group's first slot.
+            let mut offset = 0;
+            for slots in st.letters().chunk_by(|&a, &b| class(a) == class(b)) {
+                for ((g, &f), &m) in group.iter_mut().zip(free.iter()).zip(&fits[class(slots[0])]) {
+                    *g = f & m;
+                }
+                run_of(group, slots.len());
+                if offset == 0 {
+                    starts.copy_from_slice(group);
+                } else {
+                    and_shifted(starts, group, offset);
+                }
+                offset += slots.len();
+            }
+            if len == 1 {
+                // Every fitting free character is a firing of its own.
+                for (f, &s) in free.iter_mut().zip(starts.iter()) {
+                    *f &= !s;
+                }
+                let fired: usize = starts.iter().map(|w| w.count_ones() as usize).sum();
+                if let Some(o) = owners.as_deref_mut() {
+                    record(o, starts, idx);
+                }
+                cycles += fired;
+                unclaimed -= fired;
                 continue;
             }
-            // The run must be contiguous and unclaimed (a claimed character
-            // acts as the '*' separator of the paper's replacement).
-            if (pos..pos + len).any(|i| claimed[i]) || !st.matches(chars, pos, alphabet) {
-                pos += 1;
-                continue;
+            // The leftmost non-overlapping starts.
+            let mut from = 0;
+            while let Some(pos) = next_bit(starts, from) {
+                clear_range(free, pos, len);
+                if let Some(o) = owners.as_deref_mut() {
+                    o.starts[pos / 64] |= 1 << (pos % 64);
+                    o.of[pos] = owner_id(idx);
+                }
+                cycles += 1;
+                unclaimed -= len;
+                from = pos + len;
             }
-            for i in pos..pos + len {
-                claimed[i] = true;
-            }
-            packs.push(ScheduledPack { structure: idx, pos, len });
-            pos += len;
+        }
+        debug_assert_eq!(unclaimed, 0, "fallback must cover leftovers");
+        cycles
+    }
+}
+
+/// Records every set bit of `fired` as a firing of structure `idx`.
+fn record(owners: &mut Owners, fired: &[u64], idx: usize) {
+    for (o, &f) in owners.starts.iter_mut().zip(fired) {
+        *o |= f;
+    }
+    let id = owner_id(idx);
+    for_each_bit(fired, |pos| owners.of[pos] = id);
+}
+
+fn owner_id(idx: usize) -> u32 {
+    u32::try_from(idx).expect("fewer than 2³² structures")
+}
+
+/// Calls `f` with the index of every set bit of `bits`, in increasing
+/// order.
+fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
         }
     }
-    debug_assert!(claimed.iter().all(|&c| c), "fallback must cover leftovers");
-    packs.sort_by_key(|p| p.pos);
-    Schedule { c: alphabet.c(), nnz: s.nnz(), string_len: n, packs }
+}
+
+/// The first set bit of `bits` at or after `from`.
+fn next_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (!0u64 << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
+/// Clears bits `start..start + len`.
+fn clear_range(bits: &mut [u64], start: usize, len: usize) {
+    let end = start + len;
+    let mut i = start;
+    while i < end {
+        let (w, b) = (i / 64, i % 64);
+        let take = (64 - b).min(end - i);
+        let mask = if take == 64 { !0 } else { ((1u64 << take) - 1) << b };
+        bits[w] &= !mask;
+        i += take;
+    }
+}
+
+/// Word `w` of `bits` shifted down by `by` bits: bit `i` of the result is
+/// bit `i + by` of `bits`, zero past the end.
+fn shifted(bits: &[u64], w: usize, by: usize) -> u64 {
+    let (q, r) = (w + by / 64, by % 64);
+    let lo = bits.get(q).copied().unwrap_or(0);
+    if r == 0 {
+        return lo;
+    }
+    let hi = bits.get(q + 1).copied().unwrap_or(0);
+    (lo >> r) | (hi << (64 - r))
+}
+
+/// `dst &= src >> by`, bitwise across words.
+fn and_shifted(dst: &mut [u64], src: &[u64], by: usize) {
+    for (w, d) in dst.iter_mut().enumerate() {
+        *d &= shifted(src, w, by);
+    }
+}
+
+/// Turns `bits` into the starts of its runs of at least `len` set bits:
+/// bit `i` stays set when bits `i..i + len` are all set. Doubling spans
+/// take `⌈log₂ len⌉` passes.
+fn run_of(bits: &mut [u64], len: usize) {
+    let mut span = 1;
+    while span < len {
+        let by = span.min(len - span);
+        // In place: word `w` reads only words `≥ w`, not yet rewritten.
+        for w in 0..bits.len() {
+            bits[w] &= shifted(bits, w, by);
+        }
+        span += by;
+    }
 }
 
 /// Exact minimum-cycle scheduler (dynamic program).
@@ -165,8 +355,131 @@ pub fn dp_schedule(s: &SparsityString, set: &StructureSet) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Alphabet;
+    use crate::{MacStructure, PackSource, DOLLAR};
     use rsqp_sparse::CsrMatrix;
+
+    /// The quadratic scheduler [`greedy_schedule`] replaced: every start
+    /// re-checks its whole window, and the packs are sorted at the end.
+    /// The word-parallel one must return the same packs.
+    fn reference_greedy_schedule(s: &SparsityString, set: &StructureSet) -> Schedule {
+        let alphabet = s.alphabet();
+        let chars = s.chars();
+        let n = chars.len();
+        let mut claimed = vec![false; n];
+        let mut packs = Vec::new();
+        for st in set.by_descending_length() {
+            let idx = set.structures().iter().position(|x| x == st).unwrap();
+            let len = st.num_slots();
+            if len > n {
+                continue;
+            }
+            let mut pos = 0;
+            while pos + len <= n {
+                if claimed[pos] {
+                    pos += 1;
+                    continue;
+                }
+                if (pos..pos + len).any(|i| claimed[i]) || !st.matches(chars, pos, alphabet) {
+                    pos += 1;
+                    continue;
+                }
+                for c in &mut claimed[pos..pos + len] {
+                    *c = true;
+                }
+                packs.push(ScheduledPack { structure: idx, pos, len });
+                pos += len;
+            }
+        }
+        packs.sort_by_key(|p| p.pos);
+        Schedule { c: alphabet.c(), nnz: s.nnz(), string_len: n, packs }
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random string over `alphabet`'s letters and `$`, in runs of one
+    /// character so that structures find windows to match.
+    fn random_string(rng: &mut Rng, alphabet: Alphabet, len: usize) -> SparsityString {
+        let letters = alphabet.num_letters();
+        let mut chars = Vec::with_capacity(len);
+        while chars.len() < len {
+            let k = rng.below(letters + 1);
+            let ch = if k == letters { DOLLAR } else { b'a' + k as u8 };
+            let longest = if rng.below(2) == 0 { 3 } else { 2 * alphabet.c() };
+            let run = 1 + rng.below(longest);
+            chars.extend(std::iter::repeat_n(ch, run.min(len - chars.len())));
+        }
+        let sources: Vec<PackSource> = chars
+            .iter()
+            .enumerate()
+            .map(|(row, &ch)| PackSource { row, offset: 0, count: alphabet.width(ch) })
+            .collect();
+        let nnz = sources.iter().map(|p| p.count).sum();
+        SparsityString::from_parts(alphabet, chars, sources, nnz)
+    }
+
+    /// A random structure: homogeneous (up to the full `C / width` slots)
+    /// or a random letter sequence within the width budget.
+    fn random_structure(rng: &mut Rng, alphabet: Alphabet) -> MacStructure {
+        let letters = alphabet.num_letters();
+        if rng.below(2) == 0 {
+            let letter = b'a' + rng.below(letters) as u8;
+            let most = alphabet.c() / alphabet.width(letter);
+            let slots = if rng.below(2) == 0 { most } else { 1 + rng.below(most) };
+            return MacStructure::new(&vec![letter; slots], alphabet);
+        }
+        let (mut out, mut width) = (Vec::new(), 0);
+        loop {
+            let letter = b'a' + rng.below(letters) as u8;
+            if width + alphabet.width(letter) > alphabet.c() || out.len() > 1 + rng.below(8) {
+                break;
+            }
+            width += alphabet.width(letter);
+            out.push(letter);
+        }
+        if out.is_empty() {
+            out.push(b'a');
+        }
+        MacStructure::new(&out, alphabet)
+    }
+
+    #[test]
+    fn word_parallel_greedy_matches_the_reference() {
+        let mut rng = Rng(0x5eed);
+        for case in 0..3000 {
+            let alphabet = Alphabet::new(1 << (1 + case % 7));
+            let len = match case % 4 {
+                0 => rng.below(4),
+                1 => rng.below(70),
+                _ => rng.below(400),
+            };
+            let s = random_string(&mut rng, alphabet, len);
+            let mut structures: Vec<_> =
+                (0..rng.below(6)).map(|_| random_structure(&mut rng, alphabet)).collect();
+            if rng.below(8) == 0 {
+                structures.push(MacStructure::new(&[DOLLAR], alphabet));
+            }
+            let set = StructureSet::new(alphabet, structures);
+            let got = greedy_schedule(&s, &set);
+            assert_eq!(got.packs(), reference_greedy_schedule(&s, &set).packs(), "{s} under {set}");
+            assert!(got.is_complete());
+            assert_eq!(Greedy::new(s.chars(), alphabet).cycles(&set), got.cycles());
+        }
+    }
 
     fn string_of(rows: &[usize], c: usize) -> SparsityString {
         let ncols = 128;

@@ -9,7 +9,8 @@
 //! and are greedily added to the fallback-only set while the *measured*
 //! scheduled cycle count keeps improving, up to `|S|_target` structures.
 
-use crate::{greedy_schedule, Alphabet, LzwDictionary, MacStructure, SparsityString, StructureSet};
+use crate::schedule::Greedy;
+use crate::{Alphabet, LzwDictionary, MacStructure, SparsityString, StructureSet};
 
 /// Cap on how many characters of the string the search evaluates schedules
 /// on (a prefix sample keeps the search fast on 10⁶-nnz problems; the final
@@ -38,7 +39,7 @@ pub fn search_structures_with_candidates(
     lzw_limit: usize,
 ) -> StructureSet {
     let alphabet = s.alphabet();
-    let sample = sample_of(s);
+    let sample = &s.chars()[..s.len().min(SEARCH_SAMPLE)];
 
     // Candidate pool.
     let mut pool: Vec<MacStructure> = Vec::new();
@@ -52,7 +53,7 @@ pub fn search_structures_with_candidates(
         }
     }
     // LZW phrases.
-    let dict = LzwDictionary::build(sample.chars());
+    let dict = LzwDictionary::build(sample);
     for (phrase, _savings) in dict.candidates(alphabet, lzw_limit) {
         let st = MacStructure::new(&phrase, alphabet);
         if !pool.contains(&st) {
@@ -60,10 +61,11 @@ pub fn search_structures_with_candidates(
         }
     }
 
-    // Greedy forward selection on measured (greedy-scheduled) cycles.
+    // Greedy forward selection on measured (greedy-scheduled) cycles, the
+    // sample's width masks built once for every trial.
+    let mut greedy = Greedy::new(sample, alphabet);
     let mut chosen: Vec<MacStructure> = Vec::new();
-    let mut best_cycles =
-        greedy_schedule(&sample, &StructureSet::new(alphabet, chosen.clone())).cycles();
+    let mut best_cycles = greedy.cycles(&StructureSet::new(alphabet, chosen.clone()));
     while chosen.len() + 1 < s_target {
         let mut best: Option<(usize, usize)> = None; // (pool idx, cycles)
         for (i, cand) in pool.iter().enumerate() {
@@ -72,7 +74,7 @@ pub fn search_structures_with_candidates(
             }
             let mut trial = chosen.clone();
             trial.push(cand.clone());
-            let cycles = greedy_schedule(&sample, &StructureSet::new(alphabet, trial)).cycles();
+            let cycles = greedy.cycles(&StructureSet::new(alphabet, trial));
             if cycles < best_cycles && best.is_none_or(|(_, bc)| cycles < bc) {
                 best = Some((i, cycles));
             }
@@ -88,22 +90,10 @@ pub fn search_structures_with_candidates(
     StructureSet::new(alphabet, chosen)
 }
 
-fn sample_of(s: &SparsityString) -> SparsityString {
-    if s.len() <= SEARCH_SAMPLE {
-        return s.clone();
-    }
-    // Truncate by rebuilding from the prefix (provenance preserved).
-    let alphabet = s.alphabet();
-    let chars = s.chars()[..SEARCH_SAMPLE].to_vec();
-    let sources = s.sources()[..SEARCH_SAMPLE].to_vec();
-    let nnz = sources.iter().map(|p| p.count).sum();
-    SparsityString::from_parts(alphabet, chars, sources, nnz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp_schedule;
+    use crate::{dp_schedule, greedy_schedule};
     use rsqp_sparse::CsrMatrix;
 
     fn string_of(rows: &[usize], c: usize) -> SparsityString {

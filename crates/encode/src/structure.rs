@@ -117,18 +117,19 @@ impl StructureSet {
     /// # Panics
     ///
     /// Panics if any structure was built for a different width.
-    pub fn new(alphabet: Alphabet, mut structures: Vec<MacStructure>) -> Self {
-        for s in &structures {
+    pub fn new(alphabet: Alphabet, structures: Vec<MacStructure>) -> Self {
+        // Deduplicate while keeping order (a set holds a handful).
+        let mut unique: Vec<MacStructure> = Vec::with_capacity(structures.len() + 1);
+        for s in structures {
             assert!(s.total_width() <= alphabet.c(), "structure too wide for this alphabet");
+            if !unique.contains(&s) {
+                unique.push(s);
+            }
         }
-        let fallback = MacStructure::new(&[alphabet.full_letter()], alphabet);
-        if !structures.contains(&fallback) {
-            structures.push(fallback);
+        if !unique.iter().any(|s| s.letters() == [alphabet.full_letter()]) {
+            unique.push(MacStructure::new(&[alphabet.full_letter()], alphabet));
         }
-        // Deduplicate while keeping order.
-        let mut seen = std::collections::HashSet::new();
-        structures.retain(|s| seen.insert(s.clone()));
-        StructureSet { alphabet, structures }
+        StructureSet { alphabet, structures: unique }
     }
 
     /// Parses the paper's notation: a concatenation of `<count><letter>`

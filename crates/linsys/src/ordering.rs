@@ -253,9 +253,7 @@ pub(crate) fn dense_threshold(n: usize, total: usize, count: usize) -> usize {
 fn postorder_by_column_count(upper: &CscMatrix, perm: Vec<usize>) -> Vec<usize> {
     let n = perm.len();
     let new_of = inverse_permutation(&perm).expect("AMD returns a permutation");
-    // The elimination tree and the column counts do not depend on the
-    // order of the rows in a column, and a diagonal entry adds to neither.
-    let (colptr, rowidx, _) = permuted_upper(upper, &new_of);
+    let (colptr, rowidx) = permuted_strict_upper(upper, &new_of);
     let (etree, counts) =
         etree_and_counts(&colptr, &rowidx).expect("every row lies above its column");
 
@@ -288,6 +286,40 @@ fn postorder_by_column_count(upper: &CscMatrix, perm: Vec<usize>) -> Vec<usize> 
         }
     }
     post
+}
+
+/// The strict upper pattern of `PᵀMP` bucketed by column in one pass:
+/// `(colptr, rowidx)`, each column's rows in the order `upper` holds them.
+///
+/// The elimination tree and the column counts do not depend on the order
+/// of the rows in a column, and a diagonal entry adds to neither, so the
+/// postorder needs no sorted rows, source slots or diagonal.
+fn permuted_strict_upper(upper: &CscMatrix, new_of: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let n = new_of.len();
+    let permuted = |i: usize, j: usize| {
+        let (a, b) = (new_of[i], new_of[j]);
+        (a.min(b), a.max(b))
+    };
+    let strict = |j: usize| upper.col(j).0.iter().copied().filter(move |&i| i < j);
+    let mut colptr = vec![0usize; n + 1];
+    for j in 0..n {
+        for i in strict(j) {
+            colptr[permuted(i, j).1 + 1] += 1;
+        }
+    }
+    for k in 0..n {
+        colptr[k + 1] += colptr[k];
+    }
+    let mut tail = colptr[..n].to_vec();
+    let mut rowidx = vec![0usize; colptr[n]];
+    for j in 0..n {
+        for i in strict(j) {
+            let (row, col) = permuted(i, j);
+            rowidx[tail[col]] = row;
+            tail[col] += 1;
+        }
+    }
+    (colptr, rowidx)
 }
 
 /// "No index" in the AMD bookkeeping arrays.
